@@ -29,6 +29,7 @@
 //
 // The benchmarks in bench_test.go regenerate every experiment (E1–E9 in
 // EXPERIMENTS.md), cmd/gnf-bench prints the same scenarios as tables; the
-// examples/ directory holds seven runnable scenarios; cmd/ holds the
-// manager, agent, CLI, demo and bench binaries.
+// examples/quickstart is the smallest runnable deployment and scenarios/
+// holds the checked workload corpus; cmd/ holds the manager, agent, CLI,
+// demo and bench binaries.
 package gnf

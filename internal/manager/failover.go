@@ -182,17 +182,26 @@ func (m *Manager) failStation(station string) []FailoverReport {
 		} else {
 			rep = m.reviveChain(station, j.client, j.rec, j.spec)
 		}
-		m.mu.Lock()
-		m.failovers = append(m.failovers, rep)
-		m.mu.Unlock()
-		m.journal.Append(trace.Event{
-			Type: trace.EventFailover, Subject: rep.Chain, Station: rep.To,
-			Detail: fmt.Sprintf("client=%s lost=%s recovered=%s", rep.Client, rep.Station, rep.Recovered),
-			Err:    rep.Err,
-		})
+		m.recordFailover(rep)
 		reports = append(reports, rep)
 	}
 	return reports
+}
+
+// recordFailover appends a failover report to the history, trimming to
+// the newest historyCap entries, and journals it.
+func (m *Manager) recordFailover(rep FailoverReport) {
+	m.mu.Lock()
+	m.failovers = append(m.failovers, rep)
+	if len(m.failovers) > historyCap {
+		m.failovers = m.failovers[len(m.failovers)-historyCap:]
+	}
+	m.mu.Unlock()
+	m.journal.Append(trace.Event{
+		Type: trace.EventFailover, Subject: rep.Chain, Station: rep.To,
+		Detail: fmt.Sprintf("client=%s lost=%s recovered=%s", rep.Client, rep.Station, rep.Recovered),
+		Err:    rep.Err,
+	})
 }
 
 // reviveChain cold-deploys one chain lost with its station.
@@ -230,51 +239,15 @@ func (m *Manager) reviveChain(failed, client string, rec *clientRec, spec ChainS
 		return rep
 	}
 
-	h, err := m.agentFor(to)
-	if err != nil {
-		rep.Err = err.Error()
+	// The plan names no source: the dead station's state is gone by
+	// definition, and a copy it may still announce on rejoin is the rejoin
+	// GC's to collect. A split chain's head revives head-only — the anchored
+	// segments survived the failure — and a downstream leg that cannot be
+	// re-spliced fails the revival like it fails any move.
+	if mig := m.migrateChain(trace.Context{}, client, rec, spec, "", to, StrategyCold); mig.Err != "" {
+		rep.Err = mig.Err
 		return rep
 	}
-	deploy := agent.DeploySpec{
-		Chain:     spec.Name,
-		Client:    client,
-		Functions: spec.Functions,
-		Enabled:   true,
-	}
-	// A split chain's head revives head-only: the anchored segments
-	// survived the failure, so only the access-side functions redeploy and
-	// the downstream leg is re-spliced at the revival station.
-	segs := SegmentsOf(spec)
-	seg1At := ""
-	if len(segs) > 1 {
-		deploy.Functions = segs[0].Functions
-		deploy.SegIndex, deploy.SegCount = 0, len(segs)
-		rec.mu.Lock()
-		seg1At = rec.deployedOn[agent.SegmentDeployName(spec.Name, 1)]
-		deploy.ClientMAC, deploy.ClientIP = rec.mac, rec.ip
-		rec.mu.Unlock()
-		deploy.NextVia = seg1At
-		if err := m.ensureTunnel(to, seg1At); err != nil {
-			rep.Err = err.Error()
-			return rep
-		}
-	}
-	err = h.call(agent.MethodDeploy, deploy, nil)
-	if err != nil {
-		rep.Err = err.Error()
-		return rep
-	}
-	if len(segs) > 1 && seg1At != "" {
-		pv := to
-		if sh, serr := m.agentFor(seg1At); serr == nil {
-			sh.call(agent.MethodRetarget, agent.RetargetSpec{
-				Chain: agent.SegmentDeployName(spec.Name, 1), PrevVia: &pv,
-			}, nil)
-		}
-	}
-	rec.mu.Lock()
-	rec.deployedOn[spec.Name] = to
-	rec.mu.Unlock()
 	rep.Recovered = watch.Elapsed()
 	return rep
 }

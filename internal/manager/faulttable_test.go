@@ -1,0 +1,401 @@
+package manager_test
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"gnf/internal/agent"
+	"gnf/internal/clock"
+	"gnf/internal/manager"
+)
+
+// The exhaustive fault table: every shape of plan the move engine runs ×
+// "fail RPC k" for every RPC the shape issues. After each case the hosting
+// model of the scripted stations must show every moving deployment enabled
+// in exactly one place — back at its source when the move failed, with
+// nothing left behind anywhere else — and the manager's placement record
+// must agree.
+
+// faultFixture is a manager with three scripted edge stations and a cloud
+// site, and client "phone" associated at st-src. st-agg sorts first, which
+// makes it both the aggregation hub and the failover refuge.
+type faultFixture struct {
+	mgr    *manager.Manager
+	agents map[string]*scriptedAgent
+	dead   map[string]bool // killed stations: whatever they hosted is gone
+}
+
+func newFaultFixture(t *testing.T, strategy manager.Strategy, opts ...manager.Option) *faultFixture {
+	t.Helper()
+	mgr, err := manager.New(clock.System(), "127.0.0.1:0", append(opts, manager.WithStrategy(strategy))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	fx := &faultFixture{mgr: mgr, agents: map[string]*scriptedAgent{}, dead: map[string]bool{}}
+	for _, st := range []string{"st-agg", "st-dst", "st-src"} {
+		fx.agents[st] = newScriptedAgent(t, mgr, st)
+	}
+	fx.agents["nimbus"] = dialScriptedAgent(t, mgr, agent.RegisterSpec{Station: "nimbus", Cloud: true})
+	fx.announce(t, "st-src")
+	return fx
+}
+
+// announce reports phone (re)connecting at station and waits out whatever
+// reconcile that triggers.
+func (fx *faultFixture) announce(t *testing.T, station string) {
+	t.Helper()
+	if err := fx.agents[station].peer.Call(agent.MethodClientEvent,
+		agent.ClientEvent{Station: station, Client: "phone", Connected: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fx.mgr.WaitIdle()
+}
+
+func (fx *faultFixture) attach(t *testing.T, name string, affinities ...string) {
+	t.Helper()
+	spec := manager.ChainSpec{Name: name}
+	if len(affinities) == 0 {
+		affinities = []string{""}
+	}
+	for i, a := range affinities {
+		spec.Functions = append(spec.Functions, agent.NFSpec{Kind: "counter", Name: fmt.Sprintf("c%d", i), Affinity: a})
+	}
+	if err := fx.mgr.AttachChain("phone", spec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kill drops a station's connection and waits for the manager to notice.
+func (fx *faultFixture) kill(t *testing.T, station string) {
+	t.Helper()
+	fx.agents[station].peer.Close()
+	fx.dead[station] = true
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, alive := fx.mgr.AgentHandleFor(station); !alive {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("manager never dropped %s", station)
+		}
+	}
+}
+
+// faultPoint names one RPC of a shape's happy path: the nth call of method
+// arriving at station.
+type faultPoint struct {
+	station, method string
+	nth             int
+}
+
+func (p faultPoint) String() string { return fmt.Sprintf("%s@%s#%d", p.method, p.station, p.nth) }
+
+// moveShape is one kind of plan, driven through the public API.
+type moveShape struct {
+	name     string
+	strategy manager.Strategy
+	opts     []manager.Option
+	// prepare builds the state the move starts from; op runs the move and
+	// reports its failure.
+	prepare func(t *testing.T, fx *faultFixture)
+	op      func(t *testing.T, fx *faultFixture) error
+	// moving lists the deployments the move carries from source to target.
+	moving         []string
+	source, target string
+	// stays marks plans that succeed without relocating anything (standby
+	// staging): home remains the source.
+	stays bool
+	// check holds shape-specific assertions beyond the hosting model.
+	check func(t *testing.T, fx *faultFixture, failed bool)
+}
+
+const splitChain = "web" // [near-client][aggregate][cloud-ok]: web@st-src, web#1@st-agg, web#2@nimbus
+
+func attachSplit(t *testing.T, fx *faultFixture) {
+	fx.attach(t, splitChain, manager.AffinityNearClient, manager.AffinityAggregate, manager.AffinityCloudOK)
+}
+
+// stageStandby teaches the predictor st-src → st-dst and lets a no-op
+// reconcile stage the standby there.
+func stageStandby(t *testing.T, fx *faultFixture) {
+	fx.mgr.Predictor().Observe("st-src", "st-dst")
+	fx.announce(t, "st-src")
+}
+
+func migrateToDst(_ *testing.T, fx *faultFixture) error {
+	_, err := fx.mgr.MigrateChain("phone", "chain", "st-dst")
+	return err
+}
+
+// offloaded checks the client's offload site: unchanged after a failed
+// move, the new one after a successful move.
+func offloaded(before, after string) func(*testing.T, *faultFixture, bool) {
+	return func(t *testing.T, fx *faultFixture, failed bool) {
+		want := after
+		if failed {
+			want = before
+		}
+		if got := fx.mgr.Offloaded("phone"); got != want {
+			t.Errorf("offload site = %q after the move (failed=%v), want %q", got, failed, want)
+		}
+	}
+}
+
+var moveShapes = []moveShape{
+	{
+		name: "cold", strategy: manager.StrategyCold,
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		name: "stateful", strategy: manager.StrategyStateful,
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		name: "live", strategy: manager.StrategyLive,
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		name: "prewarm", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()},
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op: func(t *testing.T, fx *faultFixture) error {
+			// Staging is best effort and reports nothing; its outcome is what
+			// the target hosts afterwards.
+			stageStandby(t, fx)
+			if _, staged := fx.agents["st-dst"].hosts("chain"); !staged {
+				return fmt.Errorf("no standby staged")
+			}
+			return nil
+		},
+		moving: []string{"chain"}, source: "st-src", target: "st-dst", stays: true,
+	},
+	{
+		name: "live+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()},
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain"); stageStandby(t, fx) },
+		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		name: "dead-source+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()},
+		prepare: func(t *testing.T, fx *faultFixture) {
+			fx.attach(t, "chain")
+			stageStandby(t, fx)
+			fx.kill(t, "st-src")
+		},
+		op: migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		// Failover revival of a split chain's head: no source to carry from,
+		// and the anchored segment's previous leg must chase the head.
+		name: "dead-source", strategy: manager.StrategyStateful,
+		prepare: func(t *testing.T, fx *faultFixture) { attachSplit(t, fx); fx.kill(t, "st-src") },
+		op: func(_ *testing.T, fx *faultFixture) error {
+			for _, rep := range fx.mgr.CheckFailures() {
+				if rep.Err != "" {
+					return fmt.Errorf("%s: %s", rep.Chain, rep.Err)
+				}
+			}
+			return nil
+		},
+		moving: []string{splitChain}, source: "st-src", target: "st-agg",
+	},
+	{
+		name: "segment move", strategy: manager.StrategyStateful,
+		prepare: attachSplit,
+		op: func(_ *testing.T, fx *faultFixture) error {
+			_, err := fx.mgr.MigrateSegment("phone", splitChain, 1, "st-dst")
+			return err
+		},
+		moving: []string{splitChain + "#1"}, source: "st-agg", target: "st-dst",
+		check: func(t *testing.T, fx *faultFixture, failed bool) {
+			want := "st-dst"
+			if failed {
+				want = "st-agg"
+			}
+			// A leg never retargeted still points where attach put it.
+			for station, leg := range map[string][2]string{"st-src": {splitChain, "next"}, "nimbus": {splitChain + "#2", "prev"}} {
+				if got := fx.agents[station].leg(leg[0], leg[1]); got != want && !(failed && got == "") {
+					t.Errorf("%s's %s leg points at %q, want %q", leg[0], leg[1], got, want)
+				}
+			}
+		},
+	},
+	{
+		name: "offload", strategy: manager.StrategyStateful,
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain-a"); fx.attach(t, "chain-b") },
+		op: func(_ *testing.T, fx *faultFixture) error {
+			_, err := fx.mgr.OffloadClient("phone", "nimbus")
+			return err
+		},
+		moving: []string{"chain-a", "chain-b"}, source: "st-src", target: "nimbus",
+		check: offloaded("", "nimbus"),
+	},
+	{
+		name: "recall", strategy: manager.StrategyStateful,
+		prepare: func(t *testing.T, fx *faultFixture) {
+			fx.attach(t, "chain-a")
+			fx.attach(t, "chain-b")
+			if _, err := fx.mgr.OffloadClient("phone", "nimbus"); err != nil {
+				t.Fatal(err)
+			}
+		},
+		op: func(_ *testing.T, fx *faultFixture) error {
+			_, err := fx.mgr.RecallClient("phone")
+			return err
+		},
+		moving: []string{"chain-a", "chain-b"}, source: "nimbus", target: "st-src",
+		check: offloaded("nimbus", ""),
+	},
+}
+
+// run builds a fresh fixture, optionally arms one fault, runs the shape's
+// move and returns the RPCs it issued, per station in name order.
+func (sh moveShape) run(t *testing.T, fault *faultPoint) (*faultFixture, []faultPoint, error) {
+	t.Helper()
+	fx := newFaultFixture(t, sh.strategy, sh.opts...)
+	sh.prepare(t, fx)
+	before := map[string]int{}
+	for st, sa := range fx.agents {
+		before[st] = len(sa.callLog())
+	}
+	if fault != nil {
+		fx.agents[fault.station].failNth(fault.method, fault.nth)
+	}
+	err := sh.op(t, fx)
+	stations := make([]string, 0, len(fx.agents))
+	for st := range fx.agents {
+		stations = append(stations, st)
+	}
+	sort.Strings(stations)
+	var issued []faultPoint
+	for _, st := range stations {
+		seen := map[string]int{}
+		for _, method := range fx.agents[st].callLog()[before[st]:] {
+			seen[method]++
+			issued = append(issued, faultPoint{st, method, seen[method]})
+		}
+	}
+	return fx, issued, err
+}
+
+func TestMoveFaultTable(t *testing.T) {
+	for _, sh := range moveShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			_, points, err := sh.run(t, nil)
+			if err != nil {
+				t.Fatalf("fault-free run failed: %v", err)
+			}
+			if len(points) == 0 {
+				t.Fatal("fault-free run issued no RPCs")
+			}
+			for _, p := range points {
+				t.Run(p.String(), func(t *testing.T) { sh.verify(t, p) })
+			}
+		})
+	}
+}
+
+func (sh moveShape) verify(t *testing.T, fault faultPoint) {
+	fx, issued, err := sh.run(t, &fault)
+	failed := err != nil
+	// The prefetch and the final removal of the source copy are best
+	// effort: the move completes without them. Every other step is load
+	// bearing.
+	sourceRemove := fault.method == agent.MethodRemove && fault.station == sh.source
+	bestEffort := fault.method == agent.MethodPrefetch || sourceRemove
+	if failed == bestEffort {
+		t.Fatalf("move error = %v, want failure = %v; RPCs: %v", err, !bestEffort, issued)
+	}
+	home := sh.target
+	if failed || sh.stays {
+		home = sh.source
+	}
+	for _, dep := range sh.moving {
+		for st, sa := range fx.agents {
+			enabled, present := sa.hosts(dep)
+			switch {
+			case fx.dead[st]:
+			case st == home:
+				if !present || !enabled {
+					t.Errorf("%s at its home %s: present=%v enabled=%v, want serving; RPCs: %v", dep, st, present, enabled, issued)
+				}
+			case failed && present:
+				t.Errorf("failed move left a copy of %s on %s (enabled=%v); RPCs: %v", dep, st, enabled, issued)
+			case enabled && !(sourceRemove && st == sh.source):
+				t.Errorf("%s also enabled on %s; RPCs: %v", dep, st, issued)
+			}
+		}
+		placed := ""
+		for _, pl := range fx.mgr.Placements() {
+			if pl.Client == "phone" && pl.Chain == dep {
+				placed = pl.Station
+			}
+		}
+		if placed != home {
+			t.Errorf("placement of %s = %q, want %q", dep, placed, home)
+		}
+	}
+	if sh.check != nil {
+		sh.check(t, fx, failed)
+	}
+}
+
+// TestRecallFailureRollsBack is the regression test for RecallClient's
+// missing rollback: a failed Restore or Enable at the edge used to return
+// with the cloud copy frozen and the half-deployed edge copy leaked.
+func TestRecallFailureRollsBack(t *testing.T) {
+	for _, method := range []string{agent.MethodRestore, agent.MethodEnable} {
+		t.Run(method, func(t *testing.T) {
+			fx := newFaultFixture(t, manager.StrategyStateful)
+			fx.attach(t, "chain")
+			if _, err := fx.mgr.OffloadClient("phone", "nimbus"); err != nil {
+				t.Fatal(err)
+			}
+			edge, cloud := fx.agents["st-src"], fx.agents["nimbus"]
+			edge.failOn(method)
+			if _, err := fx.mgr.RecallClient("phone"); err == nil || !strings.Contains(err.Error(), "scripted failure") {
+				t.Fatalf("recall error = %v, want the scripted failure", err)
+			}
+			if !cloud.sawAfter(agent.MethodEnable, agent.MethodDisable) {
+				t.Errorf("cloud copy never re-enabled after its freeze; calls: %v", cloud.callLog())
+			}
+			if !edge.sawAfter(agent.MethodRemove, method) {
+				t.Errorf("half-deployed edge copy never removed; calls: %v", edge.callLog())
+			}
+			if got := fx.mgr.Offloaded("phone"); got != "nimbus" {
+				t.Errorf("Offloaded = %q after a failed recall, want nimbus", got)
+			}
+		})
+	}
+}
+
+// TestFailoverRetargetFailureIsReported is the regression test for
+// reviveChain swallowing a failed downstream Retarget: the report used to
+// claim recovery while the anchored segment's return path still rode a
+// tunnel toward the dead station.
+func TestFailoverRetargetFailureIsReported(t *testing.T) {
+	fx := newFaultFixture(t, manager.StrategyStateful)
+	attachSplit(t, fx)
+	fx.agents["st-agg"].failOn(agent.MethodRetarget)
+	fx.kill(t, "st-src")
+
+	var head *manager.FailoverReport
+	for _, rep := range fx.mgr.CheckFailures() {
+		if rep.Chain == splitChain {
+			head = &rep
+		}
+	}
+	if head == nil {
+		t.Fatalf("no failover report for %s", splitChain)
+	}
+	if head.Err == "" || head.Recovered != 0 {
+		t.Fatalf("report claims recovery despite the failed splice: %+v", *head)
+	}
+	if _, present := fx.agents[head.To].hosts(splitChain); present {
+		t.Errorf("unspliced head left deployed on %s", head.To)
+	}
+}

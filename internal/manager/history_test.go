@@ -61,3 +61,18 @@ func TestNotificationHistoryCapped(t *testing.T) {
 		t.Fatalf("oldest kept = %s, want %s", got[0].Station, want)
 	}
 }
+
+func TestFailoverHistoryCapped(t *testing.T) {
+	m := &Manager{}
+	const extra = 10
+	for i := 0; i < historyCap+extra; i++ {
+		m.recordFailover(FailoverReport{Chain: fmt.Sprintf("ch-%d", i)})
+	}
+	got := m.Failovers()
+	if len(got) != historyCap {
+		t.Fatalf("len(Failovers()) = %d, want %d", len(got), historyCap)
+	}
+	if want := fmt.Sprintf("ch-%d", extra); got[0].Chain != want {
+		t.Fatalf("oldest kept = %s, want %s", got[0].Chain, want)
+	}
+}

@@ -748,15 +748,6 @@ func (m *Manager) Hotspots() []string {
 	return out
 }
 
-// nfImagesFor lists the repository images a chain needs.
-func nfImagesFor(spec ChainSpec) []string {
-	imgs := make([]string, 0, len(spec.Functions))
-	for _, f := range spec.Functions {
-		imgs = append(imgs, agent.ImageForKind(f.Kind))
-	}
-	return imgs
-}
-
 // chainConfigHashes computes the chain's canonical pool hashes for
 // placement hints: the whole-chain key first (what agents key shared
 // instances on today), then every shorter prefix key. A station hosting a

@@ -13,19 +13,25 @@ import (
 )
 
 // scriptedAgent is a wire-level fake station: it serves the agent.* RPC
-// surface, records every call in order, and fails the methods listed in
-// fail — the instrument for exercising the manager's migration rollback
-// paths without a dataplane.
+// surface, records every call in order, fails the methods listed in fail
+// (or one chosen call, failNth), and keeps a model of what a real agent
+// would host after the calls it acknowledged — the instrument for
+// exercising the manager's migration rollback paths without a dataplane.
 type scriptedAgent struct {
 	t       *testing.T
 	peer    *wire.Peer
 	station string
 
-	mu    sync.Mutex
-	calls []string
-	fail  map[string]bool
-	gates map[string]*agentGate
-	state []byte
+	mu     sync.Mutex
+	calls  []string
+	fail   map[string]bool
+	failAt map[string]int // method -> calls left until the one that fails
+	gates  map[string]*agentGate
+	// hosted maps each deployment this station holds to whether it is
+	// enabled; legs holds the last via a Retarget set, keyed "chain next"
+	// or "chain prev". Failed calls change neither.
+	hosted map[string]bool
+	legs   map[string]string
 }
 
 // agentGate parks a method's handler: entered closes when the first call
@@ -38,44 +44,37 @@ type agentGate struct {
 
 func newScriptedAgent(t *testing.T, mgr *manager.Manager, station string) *scriptedAgent {
 	t.Helper()
+	return dialScriptedAgent(t, mgr, agent.RegisterSpec{Station: station})
+}
+
+func dialScriptedAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpec) *scriptedAgent {
+	t.Helper()
 	peer, err := wire.Dial(mgr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := &scriptedAgent{t: t, peer: peer, station: station,
-		fail: map[string]bool{}, gates: map[string]*agentGate{}, state: []byte("blob")}
-	ok := func(method string) wire.Handler {
-		return func(json.RawMessage) (any, error) {
+	sa := &scriptedAgent{t: t, peer: peer, station: reg.Station,
+		fail: map[string]bool{}, failAt: map[string]int{}, gates: map[string]*agentGate{},
+		hosted: map[string]bool{}, legs: map[string]string{}}
+	handle := func(method string, result any) {
+		peer.Handle(method, func(body json.RawMessage) (any, error) {
 			if sa.record(method) {
 				return nil, fmt.Errorf("%s: scripted failure", method)
 			}
-			return nil, nil
-		}
+			sa.apply(method, body)
+			return result, nil
+		})
 	}
 	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch, agent.MethodSyncDelta} {
-		peer.Handle(m, ok(m))
+		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch, agent.MethodSyncDelta,
+		agent.MethodRetarget, agent.MethodSteer, agent.MethodSteerBatch, agent.MethodUnsteer} {
+		handle(m, nil)
 	}
-	peer.Handle(agent.MethodCheckpoint, func(json.RawMessage) (any, error) {
-		if sa.record(agent.MethodCheckpoint) {
-			return nil, fmt.Errorf("checkpoint: scripted failure")
-		}
-		return agent.CheckpointResult{State: sa.state}, nil
-	})
-	peer.Handle(agent.MethodPreCopy, func(json.RawMessage) (any, error) {
-		if sa.record(agent.MethodPreCopy) {
-			return nil, fmt.Errorf("precopy: scripted failure")
-		}
-		return agent.PreCopyResult{State: []byte("delta"), Round: 1}, nil
-	})
-	peer.Handle(agent.MethodActivate, func(json.RawMessage) (any, error) {
-		if sa.record(agent.MethodActivate) {
-			return nil, fmt.Errorf("activate: scripted failure")
-		}
-		return agent.ActivateResult{}, nil
-	})
+	handle(agent.MethodCheckpoint, agent.CheckpointResult{State: []byte("blob")})
+	handle(agent.MethodPreCopy, agent.PreCopyResult{State: []byte("delta"), Round: 1})
+	handle(agent.MethodActivate, agent.ActivateResult{})
 	go peer.Run()
-	if err := peer.Call(agent.MethodRegister, agent.RegisterSpec{Station: station}, nil); err != nil {
+	if err := peer.Call(agent.MethodRegister, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { peer.Close() })
@@ -88,6 +87,10 @@ func (sa *scriptedAgent) record(method string) bool {
 	sa.mu.Lock()
 	sa.calls = append(sa.calls, method)
 	fail := sa.fail[method]
+	if n := sa.failAt[method]; n > 0 {
+		sa.failAt[method] = n - 1
+		fail = fail || n == 1
+	}
 	g := sa.gates[method]
 	sa.mu.Unlock()
 	if g != nil {
@@ -95,6 +98,63 @@ func (sa *scriptedAgent) record(method string) bool {
 		<-g.release
 	}
 	return fail
+}
+
+// apply folds one acknowledged call into the hosting model.
+func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
+	var dep agent.DeploySpec
+	var ref agent.ChainRef
+	var rt agent.RetargetSpec
+	sa.mu.Lock()
+	defer sa.mu.Unlock()
+	switch method {
+	case agent.MethodDeploy:
+		if json.Unmarshal(body, &dep) == nil {
+			sa.hosted[dep.Chain] = dep.Enabled
+		}
+	case agent.MethodEnable, agent.MethodActivate, agent.MethodDisable:
+		if json.Unmarshal(body, &ref) == nil {
+			if _, ok := sa.hosted[ref.Chain]; ok {
+				sa.hosted[ref.Chain] = method != agent.MethodDisable
+			}
+		}
+	case agent.MethodRemove:
+		if json.Unmarshal(body, &ref) == nil {
+			delete(sa.hosted, ref.Chain)
+		}
+	case agent.MethodRetarget:
+		if json.Unmarshal(body, &rt) == nil {
+			if rt.NextVia != nil {
+				sa.legs[rt.Chain+" next"] = *rt.NextVia
+			}
+			if rt.PrevVia != nil {
+				sa.legs[rt.Chain+" prev"] = *rt.PrevVia
+			}
+		}
+	}
+}
+
+// hosts reports whether the station holds the deployment, and enabled.
+func (sa *scriptedAgent) hosts(chain string) (enabled, present bool) {
+	sa.mu.Lock()
+	defer sa.mu.Unlock()
+	enabled, present = sa.hosted[chain]
+	return enabled, present
+}
+
+// leg reports the last via a Retarget pointed the chain's "next" or "prev"
+// leg at ("" = never retargeted).
+func (sa *scriptedAgent) leg(chain, which string) string {
+	sa.mu.Lock()
+	defer sa.mu.Unlock()
+	return sa.legs[chain+" "+which]
+}
+
+// failNth makes the nth call of method from now on (1-based) fail, once.
+func (sa *scriptedAgent) failNth(method string, n int) {
+	sa.mu.Lock()
+	sa.failAt[method] = n
+	sa.mu.Unlock()
 }
 
 // holdOn arms a gate on the method's next call.

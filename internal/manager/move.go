@@ -1,0 +1,377 @@
+// The move engine: the one place a deployment moves between stations.
+//
+// §2's function roaming — "an equivalent function can be started on the
+// newly assigned cell and removed from the previous cell" — plus optional
+// state transfer, is a single step list:
+//
+//	prefetch → deploy at target → carry state → enable or activate →
+//	re-splice neighbour legs → remove source
+//
+// Handoffs, operator migrations, station evacuation, GNFC offload and
+// recall, split-chain segment moves, failover revival and predictive
+// prewarming all run that list; what genuinely differs between them is
+// data in the movePlan, not code.
+//
+// Every completed step pushes its inverse onto one undo log; any failure
+// unwinds the log in reverse. "Re-enable the source, remove the target"
+// is therefore written exactly once, and a step added to the list gets
+// its rollback on every path by construction.
+package manager
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"gnf/internal/agent"
+	"gnf/internal/clock"
+	"gnf/internal/trace"
+)
+
+// Pre-copy tuning: rounds stop as soon as a delta underruns the
+// convergence threshold (the residual the freeze must ship is then at most
+// that small) or when the round budget exhausts — a chain whose state
+// churns faster than the pipeline drains never converges, and capping the
+// rounds bounds the total transfer at maxRounds full-state equivalents.
+const (
+	precopyMaxRounds      = 8
+	precopyConvergedBytes = 2048
+)
+
+// movePlan describes one move of one deployment.
+type movePlan struct {
+	client string
+	// from is the station the deployment leaves ("" = no source: failover
+	// revives chains whose state died with their station); to is where it
+	// lands.
+	from, to string
+	strategy Strategy
+	// deploy is the target-side spec: name, functions, addressing, tunnel
+	// and segment legs. Enabled and Standby belong to the engine.
+	deploy agent.DeploySpec
+	// staged brings the target up before the source freezes. Operator
+	// moves set it: their source still serves the client, so there is no
+	// handoff gap to hide the deploy in and a failed deploy must cost no
+	// freeze at all. Handoffs leave it false and overlap the deploy with
+	// the first source-side step (freeze+checkpoint, or pre-copy round 1).
+	staged bool
+	// standby stops the move after the target holds its first synced
+	// snapshot — a disabled placement intent, not a placement.
+	standby bool
+	// resume says such a standby already sits at the target: skip the
+	// deploy and continue the source's pre-copy session against it.
+	resume bool
+	// deferred leaves the source in place once the target serves.
+	deferred bool
+	// prevAt/nextAt host the neighbouring segments of a split chain; their
+	// legs are re-spliced onto the new station ("" = no such neighbour).
+	prevAt, nextAt string
+}
+
+// pendingMove is what a deferred or standby move hands back instead of
+// finishing: commit removes the source copy (nil for standbys, which have
+// nothing to commit), undo unwinds every step taken so far.
+type pendingMove struct {
+	commit, undo func()
+}
+
+// async starts fn and returns its join: the first call waits for fn, later
+// calls repeat its result. join is for one goroutine's use.
+func async(fn func() error) (join func() error) {
+	ch := make(chan error, 1)
+	go func() { ch <- fn() }()
+	var err error
+	joined := false
+	return func() error {
+		if !joined {
+			err, joined = <-ch, true
+		}
+		return err
+	}
+}
+
+// move executes one plan. Downtime is measured on the manager clock as the
+// actual dark window, the span during which no instance could serve the
+// client's traffic: freeze → activate for live, freeze → enable for
+// stop-and-copy, the target's boot for a cold move whose source is gone,
+// and zero for a cold move with a live source (the target deploys enabled
+// while the old instance still serves — make-before-break; state is still
+// lost, that is cold migration's trade). A non-nil pendingMove means the
+// plan asked to stop short (deferred, standby) and did so successfully;
+// on failure the log has already been unwound.
+func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pending *pendingMove) {
+	name := p.deploy.Chain
+	chain := agent.ChainRef{Chain: name}
+	rep = MigrationReport{
+		Client: p.client, Chain: name, From: p.from, To: p.to,
+		Strategy: p.strategy, Prewarmed: p.resume,
+	}
+	// The migration decision span: per-step RPC spans (pre-copy rounds,
+	// delta syncs, the activate) nest under it on both sides of the wire.
+	sp := m.tracer.Child(tctx, "manager.migrate")
+	sp.SetAttr("chain", name)
+	sp.SetAttr("from", p.from)
+	sp.SetAttr("to", p.to)
+	sp.SetAttr("strategy", string(p.strategy))
+	tctx = sp.Context()
+	if tctx.Recording() {
+		rep.TraceID = tctx.TraceID
+	}
+	defer func() {
+		if rep.Err != "" {
+			sp.End(errors.New(rep.Err))
+		} else {
+			sp.End(nil)
+		}
+	}()
+	// The undo log: inverses of the completed steps, run newest-first. Each
+	// is best effort — a rollback step that fails has no further fallback.
+	var undo []func()
+	unwind := func() {
+		for i := len(undo) - 1; i >= 0; i-- {
+			undo[i]()
+		}
+		undo = nil
+	}
+	fail := func(err error) (MigrationReport, *pendingMove) {
+		unwind()
+		rep.Err = err.Error()
+		return rep, nil
+	}
+
+	target, err := m.agentFor(p.to)
+	if err != nil {
+		return fail(err)
+	}
+	var source *AgentHandle
+	if p.from != "" {
+		// An unreachable source is not an error: its station is gone, and
+		// the chain must come back somewhere regardless.
+		source, _ = m.agentFor(p.from)
+	}
+	// What the move can carry. Anything but a state-carrying strategy moves
+	// cold, §2's baseline; so does any move without a reachable source, as
+	// no state can ship — unless a standby at the target already holds the
+	// last synced snapshot, which beats the cold restart (the disaster case
+	// prewarm helps most: the only surviving copy of the chain's state is
+	// the one prediction staged).
+	carry := p.strategy
+	if (carry != StrategyStateful && carry != StrategyLive) || (source == nil && !p.resume) {
+		carry = StrategyCold
+	}
+	if p.standby && carry != StrategyLive {
+		return fail(fmt.Errorf("manager: nothing to sync a standby of %s from", name))
+	}
+	total := clock.NewStopwatch(m.clk)
+	if err := m.ensureTunnel(p.prevAt, p.to); err != nil {
+		return fail(err)
+	}
+	if err := m.ensureTunnel(p.to, p.nextAt); err != nil {
+		return fail(err)
+	}
+
+	// Stage the target. The deploy does not depend on source state, so a
+	// handoff runs it beside the first source-side step instead of
+	// stretching the migration by it; join resolves before state lands on
+	// the target and before the undo entry below may remove it.
+	join := func() error { return nil }
+	var boot time.Duration
+	if !p.resume {
+		deploy := p.deploy
+		deploy.Enabled, deploy.Standby = carry == StrategyCold, p.standby
+		prefetch := func() {
+			// Best effort: the deploy pulls whatever the prefetch could not.
+			target.callT(tctx, agent.MethodPrefetch, agent.PrefetchSpec{Images: imagesOf(deploy.Functions)}, nil)
+		}
+		stage := func() error {
+			watch := clock.NewStopwatch(m.clk)
+			err := target.callT(tctx, agent.MethodDeploy, deploy, nil)
+			boot = watch.Elapsed()
+			return err
+		}
+		switch {
+		case p.staged || carry == StrategyCold:
+			prefetch()
+			if err := stage(); err != nil {
+				return fail(err)
+			}
+		case carry == StrategyStateful:
+			// The freeze starts at once, so even the prefetch overlaps it.
+			join = async(func() error { prefetch(); return stage() })
+		default:
+			// Images pre-stage while the source still serves; only the
+			// deploy overlaps pre-copy round one.
+			prefetch()
+			join = async(stage)
+		}
+	}
+	undo = append(undo, func() {
+		// A target that never deployed needs no removal; a resumed standby
+		// was claimed by this move and is its to remove.
+		if join() == nil {
+			target.callT(tctx, agent.MethodRemove, chain, nil)
+		}
+	})
+	// freeze stops the source serving: from here until the target forwards
+	// the client is dark, so every later failure must bring the source back.
+	freeze := func(brownout bool) error {
+		if err := source.callT(tctx, agent.MethodDisable, agent.ChainRef{Chain: name, Brownout: brownout}, nil); err != nil {
+			return err
+		}
+		undo = append(undo, func() { source.callT(tctx, agent.MethodEnable, chain, nil) })
+		return nil
+	}
+
+	switch carry {
+	case StrategyStateful:
+		// Stop-and-copy: the whole transfer sits in the dark window.
+		down := clock.NewStopwatch(m.clk)
+		var ckpt agent.CheckpointResult
+		err := freeze(false)
+		if err == nil {
+			err = source.callT(tctx, agent.MethodCheckpoint, chain, &ckpt)
+		}
+		// A failed deploy outranks a source-side failure: with no target
+		// there was never anything to restore onto.
+		if jerr := join(); jerr != nil {
+			err = jerr
+		}
+		if err == nil {
+			rep.StateBytes = len(ckpt.State)
+			err = target.callT(tctx, agent.MethodRestore, agent.RestoreSpec{Chain: name, State: ckpt.State}, nil)
+		}
+		if err == nil {
+			err = target.callT(tctx, agent.MethodEnable, chain, nil)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		rep.Downtime = down.Elapsed()
+
+	case StrategyLive:
+		down := clock.NewStopwatch(m.clk)
+		var residual agent.PreCopyResult
+		if source != nil {
+			// Iterative pre-copy while the source serves. A standby already
+			// holds a synced snapshot, so its session resumes; otherwise the
+			// first round restarts the session and ships the full state.
+			for rep.Rounds < precopyMaxRounds {
+				var pr agent.PreCopyResult
+				req := agent.PreCopySpec{Chain: name, Restart: !p.resume && rep.Rounds == 0}
+				if err := source.callT(tctx, agent.MethodPreCopy, req, &pr); err != nil {
+					return fail(err)
+				}
+				if err := join(); err != nil {
+					return fail(err)
+				}
+				if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: pr.State}, nil); err != nil {
+					return fail(err)
+				}
+				rep.Rounds++
+				rep.PrecopyBytes += len(pr.State)
+				if p.standby || len(pr.State) <= precopyConvergedBytes {
+					break
+				}
+			}
+			if p.standby {
+				return rep, &pendingMove{undo: unwind}
+			}
+			// Freeze: only the residual delta rides inside the dark window,
+			// so downtime no longer depends on total state size. The
+			// brownout flag parks source-side stragglers instead of counting
+			// them as drops.
+			down = clock.NewStopwatch(m.clk)
+			if err := freeze(true); err != nil {
+				return fail(err)
+			}
+			if err := source.callT(tctx, agent.MethodPreCopy, agent.PreCopySpec{Chain: name}, &residual); err != nil {
+				return fail(err)
+			}
+			if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: residual.State}, nil); err != nil {
+				return fail(err)
+			}
+		}
+		// Activate enables the target and replays its brownout buffer.
+		var act agent.ActivateResult
+		if err := target.callT(tctx, agent.MethodActivate, chain, &act); err != nil {
+			return fail(err)
+		}
+		rep.Downtime = down.Elapsed()
+		rep.ResidualBytes = len(residual.State)
+		rep.StateBytes = rep.PrecopyBytes + rep.ResidualBytes
+		rep.ReplayedFrames = act.Replayed
+
+	case StrategyCold:
+		if source == nil {
+			rep.Downtime = boot
+		}
+	}
+
+	// Re-splice a split chain's neighbour legs onto the new station: the
+	// upstream segment's next leg and the downstream segment's previous
+	// leg. Until both land, in-flight frames still ride toward the old
+	// station and are dropped at a frozen chain, the same transient every
+	// stop-and-copy has. A failed splice is a failed move — the return
+	// path would ride a tunnel toward the station the segment just left.
+	base, seg := agent.ParseSegmentName(name)
+	retarget := func(at string, offset int, via string) error {
+		h, err := m.agentFor(at)
+		if err != nil {
+			return err
+		}
+		spec := agent.RetargetSpec{Chain: agent.SegmentDeployName(base, seg+offset)}
+		if offset < 0 {
+			spec.NextVia = &via
+		} else {
+			spec.PrevVia = &via
+		}
+		return h.callT(tctx, agent.MethodRetarget, spec, nil)
+	}
+	for _, leg := range []struct {
+		at     string
+		offset int
+	}{{p.prevAt, -1}, {p.nextAt, +1}} {
+		if leg.at == "" {
+			continue
+		}
+		if err := retarget(leg.at, leg.offset, p.to); err != nil {
+			return fail(err)
+		}
+		if source != nil {
+			undo = append(undo, func() { retarget(leg.at, leg.offset, p.from) })
+		}
+	}
+
+	commit := func() {
+		if source != nil {
+			source.callT(tctx, agent.MethodRemove, chain, nil)
+		}
+		// If the source station re-registered while this move ran (a
+		// kill/restart inside one storm window), the removal above went to a
+		// dead handle — or, with no source handle, never ran — and the
+		// station's rejoin GC may have announced the stale copy before this
+		// move's placement update landed. Reap it on the fresh connection:
+		// the deployment now lives on the target.
+		if p.from != "" && p.from != p.to {
+			if h, err := m.agentFor(p.from); err == nil && h != source {
+				h.callT(tctx, agent.MethodRemove, chain, nil)
+			}
+		}
+	}
+	if p.deferred {
+		rep.Total = total.Elapsed()
+		return rep, &pendingMove{commit: commit, undo: unwind}
+	}
+	commit()
+	rep.Total = total.Elapsed()
+	return rep, nil
+}
+
+// imagesOf lists the repository images a function list needs.
+func imagesOf(fns []agent.NFSpec) []string {
+	imgs := make([]string, 0, len(fns))
+	for _, f := range fns {
+		imgs = append(imgs, agent.ImageForKind(f.Kind))
+	}
+	return imgs
+}

@@ -13,6 +13,7 @@ import (
 
 	"gnf/internal/agent"
 	"gnf/internal/clock"
+	"gnf/internal/trace"
 )
 
 // Offload errors.
@@ -45,10 +46,10 @@ func (m *Manager) Offloaded(client string) string {
 
 // OffloadClient moves every chain of the client to the cloud site and
 // detours the client's traffic through the tunnel. Chains move
-// make-before-break with state transfer: each is deployed (disabled) on
-// the site, frozen at the edge, checkpointed, restored and enabled; the
-// detour flips once every chain is ready, and only then are the edge
-// copies removed.
+// make-before-break with state transfer (reanchor): each is deployed
+// (disabled) on the site, frozen at the edge, checkpointed, restored and
+// enabled; the detour flips once every chain is ready, and only then are
+// the edge copies removed.
 func (m *Manager) OffloadClient(client, site string) (OffloadReport, error) {
 	rep := OffloadReport{Client: client, Site: site}
 
@@ -63,6 +64,7 @@ func (m *Manager) OffloadClient(client, site string) (OffloadReport, error) {
 	rec.mu.Lock()
 	station := rec.station
 	site0 := rec.offload
+	mac, ip := rec.mac, rec.ip
 	specs := sortedChains(rec)
 	rec.mu.Unlock()
 	if site0 != "" {
@@ -93,125 +95,26 @@ func (m *Manager) OffloadClient(client, site string) (OffloadReport, error) {
 		return rep, err
 	}
 
-	// Phase 1: stand every chain up on the cloud site.
-	for _, spec := range specs {
-		mig := m.moveChainRemote(rec, edge, cloud, client, spec, station, site)
-		rep.Chains = append(rep.Chains, mig)
-		if mig.Err != "" {
-			// Roll back what this chain did and stop; earlier chains
-			// stay usable on the cloud only after the steer flips, so
-			// re-enable their edge copies and drop the cloud copies.
-			for _, done := range rep.Chains[:len(rep.Chains)-1] {
-				cloud.call(agent.MethodRemove, agent.ChainRef{Chain: done.Chain}, nil)
-				edge.call(agent.MethodEnable, agent.ChainRef{Chain: done.Chain}, nil)
-			}
-			return rep, fmt.Errorf("manager: offload %s/%s: %s", client, spec.Name, mig.Err)
-		}
+	plans := make([]movePlan, len(specs))
+	for i, spec := range specs {
+		plans[i] = movePlan{from: station, to: site, deploy: agent.DeploySpec{
+			Chain: spec.Name, Client: client, ClientMAC: mac, ClientIP: ip,
+			Functions: spec.Functions, Remote: true, Via: station,
+		}}
 	}
-
-	// Phase 2: flip the detour, then tear the edge copies down.
-	if err := edge.steer(agent.SteerSpec{Client: client, Via: site}); err != nil {
-		for _, done := range rep.Chains {
-			cloud.call(agent.MethodRemove, agent.ChainRef{Chain: done.Chain}, nil)
-			edge.call(agent.MethodEnable, agent.ChainRef{Chain: done.Chain}, nil)
-		}
-		return rep, err
-	}
-	for _, spec := range specs {
-		edge.call(agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-	}
-
-	rec.mu.Lock()
-	rec.offload = site
-	rec.steerOn = station
-	for _, spec := range specs {
-		rec.deployedOn[spec.Name] = site
-	}
-	rec.mu.Unlock()
-	for _, mig := range rep.Chains {
-		m.recordMigration(mig)
+	rep.Chains, err = m.reanchor(client, rec, plans, site, station, func() error {
+		return edge.steer(agent.SteerSpec{Client: client, Via: site})
+	})
+	if err != nil {
+		return rep, fmt.Errorf("manager: offload %w", err)
 	}
 	return rep, nil
 }
 
-// moveChainRemote stands one chain up on the cloud site with state carried
-// over from the edge copy. The edge copy is left disabled (stateful) or
-// running (cold) for the caller to remove after the detour flips.
-func (m *Manager) moveChainRemote(rec *clientRec, edge, cloud *AgentHandle, client string, spec ChainSpec, station, site string) MigrationReport {
-	strategy := m.state().strategy
-	rec.mu.Lock()
-	mac, ip := rec.mac, rec.ip
-	rec.mu.Unlock()
-	mig := MigrationReport{
-		Client: client, Chain: spec.Name,
-		From: station, To: site, Strategy: strategy,
-	}
-	fail := func(err error) MigrationReport {
-		mig.Err = err.Error()
-		return mig
-	}
-	total := clock.NewStopwatch(m.clk)
-
-	cloud.call(agent.MethodPrefetch, agent.PrefetchSpec{Images: nfImagesFor(spec)}, nil)
-	deploy := agent.DeploySpec{
-		Chain:     spec.Name,
-		Client:    client,
-		ClientMAC: mac,
-		ClientIP:  ip,
-		Functions: spec.Functions,
-		Remote:    true,
-		Via:       station,
-	}
-
-	// Offload moves preserve state via stop-and-copy for both the stateful
-	// and live strategies: pre-copy assumes the target can be staged behind
-	// the client's steering, which a tunnelled remote deployment cannot
-	// until the detour flips, so live degrades to one-shot copy here.
-	if strategy == StrategyStateful || strategy == StrategyLive {
-		if err := cloud.call(agent.MethodDeploy, deploy, nil); err != nil {
-			return fail(err)
-		}
-		down := clock.NewStopwatch(m.clk)
-		if err := edge.call(agent.MethodDisable, agent.ChainRef{Chain: spec.Name}, nil); err != nil {
-			cloud.call(agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(err)
-		}
-		var ckpt agent.CheckpointResult
-		if err := edge.call(agent.MethodCheckpoint, agent.ChainRef{Chain: spec.Name}, &ckpt); err != nil {
-			edge.call(agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			cloud.call(agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(err)
-		}
-		mig.StateBytes = len(ckpt.State)
-		if err := cloud.call(agent.MethodRestore, agent.RestoreSpec{Chain: spec.Name, State: ckpt.State}, nil); err != nil {
-			edge.call(agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			cloud.call(agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(err)
-		}
-		if err := cloud.call(agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil); err != nil {
-			// Same rollback as the checkpoint/restore branches: the edge
-			// copy comes back to life and the cloud copy goes away.
-			edge.call(agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			cloud.call(agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(err)
-		}
-		mig.Downtime = down.Elapsed()
-	} else {
-		deploy.Enabled = true
-		down := clock.NewStopwatch(m.clk)
-		if err := cloud.call(agent.MethodDeploy, deploy, nil); err != nil {
-			return fail(err)
-		}
-		mig.Downtime = down.Elapsed()
-	}
-	mig.Total = total.Elapsed()
-	return mig
-}
-
 // RecallClient moves an offloaded client's chains back to its current
-// edge station, make-before-break: deploy and restore at the edge, clear
-// the detour (traffic snaps back through the fresh local chains), then
-// remove the cloud copies.
+// edge station, make-before-break (reanchor): deploy and restore at
+// the edge, clear the detour (traffic snaps back through the fresh local
+// chains), then remove the cloud copies.
 func (m *Manager) RecallClient(client string) (OffloadReport, error) {
 	rep := OffloadReport{Client: client, Recall: true}
 
@@ -223,7 +126,6 @@ func (m *Manager) RecallClient(client string) (OffloadReport, error) {
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
 
-	strategy := m.state().strategy
 	rec.mu.Lock()
 	site := rec.offload
 	station := rec.station
@@ -236,73 +138,82 @@ func (m *Manager) RecallClient(client string) (OffloadReport, error) {
 	if station == "" {
 		return rep, fmt.Errorf("%w: %s", ErrNotAttached, client)
 	}
-	cloud, err := m.agentFor(site)
-	if err != nil {
-		return rep, err
-	}
 	edge, err := m.agentFor(station)
 	if err != nil {
 		return rep, err
 	}
 
-	for _, spec := range specs {
-		mig := MigrationReport{
-			Client: client, Chain: spec.Name,
-			From: site, To: station, Strategy: strategy,
-		}
-		total := clock.NewStopwatch(m.clk)
-		edge.call(agent.MethodPrefetch, agent.PrefetchSpec{Images: nfImagesFor(spec)}, nil)
-		deploy := agent.DeploySpec{Chain: spec.Name, Client: client, Functions: spec.Functions}
-		// Like the offload direction, recalls preserve state by one-shot
-		// copy under both the stateful and live strategies.
-		if strategy == StrategyStateful || strategy == StrategyLive {
-			err = edge.call(agent.MethodDeploy, deploy, nil)
-			down := clock.NewStopwatch(m.clk)
-			if err == nil {
-				err = cloud.call(agent.MethodDisable, agent.ChainRef{Chain: spec.Name}, nil)
-			}
-			var ckpt agent.CheckpointResult
-			if err == nil {
-				err = cloud.call(agent.MethodCheckpoint, agent.ChainRef{Chain: spec.Name}, &ckpt)
-			}
-			mig.StateBytes = len(ckpt.State)
-			if err == nil {
-				err = edge.call(agent.MethodRestore, agent.RestoreSpec{Chain: spec.Name, State: ckpt.State}, nil)
-			}
-			if err == nil {
-				err = edge.call(agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			}
-			mig.Downtime = down.Elapsed()
-		} else {
-			deploy.Enabled = true
-			down := clock.NewStopwatch(m.clk)
-			err = edge.call(agent.MethodDeploy, deploy, nil)
-			mig.Downtime = down.Elapsed()
-		}
-		mig.Total = total.Elapsed()
-		if err != nil {
-			mig.Err = err.Error()
-			rep.Chains = append(rep.Chains, mig)
-			return rep, fmt.Errorf("manager: recall %s/%s: %w", client, spec.Name, err)
-		}
-		rep.Chains = append(rep.Chains, mig)
+	plans := make([]movePlan, len(specs))
+	for i, spec := range specs {
+		plans[i] = movePlan{from: site, to: station, deploy: agent.DeploySpec{
+			Chain: spec.Name, Client: client, Functions: spec.Functions,
+		}}
 	}
-
-	edge.call(agent.MethodUnsteer, agent.UnsteerSpec{Client: client}, nil)
-	for _, spec := range specs {
-		cloud.call(agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-	}
-
-	rec.mu.Lock()
-	rec.offload, rec.steerOn = "", ""
-	for _, spec := range specs {
-		rec.deployedOn[spec.Name] = station
-	}
-	rec.mu.Unlock()
-	for _, mig := range rep.Chains {
-		m.recordMigration(mig)
+	rep.Chains, err = m.reanchor(client, rec, plans, "", "", func() error {
+		return edge.call(agent.MethodUnsteer, agent.UnsteerSpec{Client: client}, nil)
+	})
+	if err != nil {
+		return rep, fmt.Errorf("manager: recall %w", err)
 	}
 	return rep, nil
+}
+
+// reanchor moves all of one client's chains as a single transaction and
+// records the outcome. Every plan runs staged (the edge or cloud source
+// serves the client until its freeze) and deferred: each chain is stood up
+// at its target with the source copy left in place, flip re-points the
+// client's traffic, and only then are the source copies removed. A failure
+// anywhere — a chain's move or the flip — unwinds every chain already
+// moved, newest first, so the client is served by the complete old set or
+// the complete new one, never a mixture, and its record (offload site,
+// detour station, placements) is untouched. Callers hold rec.migMu.
+func (m *Manager) reanchor(client string, rec *clientRec, plans []movePlan, offload, steerOn string, flip func() error) ([]MigrationReport, error) {
+	// State is preserved via stop-and-copy for both the stateful and live
+	// strategies: pre-copy assumes the target can be staged behind the
+	// client's steering, which a tunnelled remote deployment cannot until
+	// the detour flips, so live degrades to one-shot copy here.
+	strategy := m.state().strategy
+	if strategy == StrategyLive {
+		strategy = StrategyStateful
+	}
+	sp := m.tracer.StartSpan(trace.Context{}, "manager.migrate_request")
+	sp.SetAttr("client", client)
+	var reports []MigrationReport
+	var moved []*pendingMove
+	fail := func(err error) ([]MigrationReport, error) {
+		for i := len(moved) - 1; i >= 0; i-- {
+			moved[i].undo()
+		}
+		sp.End(err)
+		return reports, err
+	}
+	for _, p := range plans {
+		p.client, p.strategy, p.staged, p.deferred = client, strategy, true, true
+		rep, pending := m.move(sp.Context(), p)
+		reports = append(reports, rep)
+		if rep.Err != "" {
+			return fail(fmt.Errorf("%s/%s: %s", client, rep.Chain, rep.Err))
+		}
+		moved = append(moved, pending)
+	}
+	if err := flip(); err != nil {
+		return fail(err)
+	}
+	for _, pending := range moved {
+		pending.commit()
+	}
+	sp.End(nil)
+
+	rec.mu.Lock()
+	rec.offload, rec.steerOn = offload, steerOn
+	for _, p := range plans {
+		rec.deployedOn[p.deploy.Chain] = p.to
+	}
+	rec.mu.Unlock()
+	for _, rep := range reports {
+		m.recordMigration(rep)
+	}
+	return reports, nil
 }
 
 // reconcileOffloaded handles roaming for an offloaded client: chains stay

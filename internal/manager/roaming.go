@@ -1,13 +1,11 @@
 package manager
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 
 	"gnf/internal/agent"
-	"gnf/internal/clock"
 	"gnf/internal/topology"
 	"gnf/internal/trace"
 )
@@ -146,7 +144,7 @@ func (m *Manager) DetachChain(client, chainName string) error {
 		Detail: "client=" + client,
 	})
 	// A prewarmed standby must not outlive its chain.
-	m.dropStandby(client, chainName)
+	m.dropStandby(rec, chainName)
 	if station == "" {
 		return nil
 	}
@@ -331,12 +329,7 @@ func (m *Manager) reconcileClient(client string, rec *clientRec, tctx trace.Cont
 			settled[spec.Name] = true
 			continue
 		}
-		rep := m.migrateChain(tctx, client, spec, from, to, st.strategy)
-		rec.mu.Lock()
-		if rep.Err == "" {
-			rec.deployedOn[spec.Name] = to
-		}
-		rec.mu.Unlock()
+		rep := m.migrateChain(tctx, client, rec, spec, from, to, st.strategy)
 		m.recordMigration(rep)
 		if rep.Err != "" {
 			return // avoid a hot loop on persistent failure
@@ -402,13 +395,8 @@ func (m *Manager) MigrateChain(client, chainName, to string) (MigrationReport, e
 	rec.mu.Unlock()
 	sp := m.tracer.StartSpan(trace.Context{}, "manager.migrate_request")
 	sp.SetAttr("client", client)
-	rep := m.migrateChain(sp.Context(), client, spec, from, to, strategy)
+	rep := m.migrateChain(sp.Context(), client, rec, spec, from, to, strategy)
 	sp.End(nil)
-	rec.mu.Lock()
-	if rep.Err == "" {
-		rec.deployedOn[chainName] = to
-	}
-	rec.mu.Unlock()
 	m.recordMigration(rep)
 	if rep.Err != "" {
 		return rep, fmt.Errorf("manager: migration failed: %s", rep.Err)
@@ -416,357 +404,63 @@ func (m *Manager) MigrateChain(client, chainName, to string) (MigrationReport, e
 	return rep, nil
 }
 
-// Pre-copy tuning: rounds stop as soon as a delta underruns the
-// convergence threshold (the residual the freeze must ship is then at most
-// that small) or when the round budget exhausts — a chain whose state
-// churns faster than the pipeline drains never converges, and capping the
-// rounds bounds the total transfer at maxRounds full-state equivalents.
-const (
-	precopyMaxRounds      = 8
-	precopyConvergedBytes = 2048
-)
-
 // prewarmConfidence is the minimum Markov transition probability before
 // the manager stages a standby at the predicted next station.
 const prewarmConfidence = 0.5
 
-// migrateChain implements §2's function roaming: "an equivalent function
-// can be started on the newly assigned cell and removed from the previous
-// cell" — plus optional state transfer. Downtime is measured on the
-// manager clock as the actual dark window: the span during which no chain
-// instance could serve the client's traffic. For live migration that is
-// freeze -> activate; for stop-and-copy it is freeze -> enable; for cold
-// migration with a live source it is zero (the target deploys enabled
-// while the old instance still serves — make-before-break), and only a
-// dead source charges the target's deploy time.
-func (m *Manager) migrateChain(tctx trace.Context, client string, spec ChainSpec, from, to string, strategy Strategy) MigrationReport {
-	rep := MigrationReport{
-		Client:   client,
-		Chain:    spec.Name,
-		From:     from,
-		To:       to,
-		Strategy: strategy,
+// migrateChain plans one chain's move between stations for the move
+// engine (move.go) and, when the move succeeds, points the client's
+// placement record at the target — what handoffs, MigrateChain, evacuation
+// and failover revival all funnel through. Callers hold rec.migMu. A
+// handoff has a gap to hide the target's deploy in, so the plan is never
+// staged; a split chain moves only its head segment.
+func (m *Manager) migrateChain(tctx trace.Context, client string, rec *clientRec, spec ChainSpec, from, to string, strategy Strategy) MigrationReport {
+	// A live migration picks up the standby staged at its target. A standby
+	// staged anywhere else — or under any other strategy — is stale: tear it
+	// down first, or it would collide with the deploy (same chain name) or
+	// linger as an orphan after the prediction missed.
+	resume := strategy == StrategyLive && consumeStandby(rec, spec.Name, to)
+	if !resume {
+		m.dropStandby(rec, spec.Name)
 	}
-	// The migration decision span: per-step RPC spans (pre-copy rounds,
-	// delta syncs, the activate) nest under it on both sides of the wire.
-	sp := m.tracer.Child(tctx, "manager.migrate")
-	sp.SetAttr("chain", spec.Name)
-	sp.SetAttr("from", from)
-	sp.SetAttr("to", to)
-	sp.SetAttr("strategy", string(strategy))
-	tctx = sp.Context()
-	if tctx.Recording() {
-		rep.TraceID = tctx.TraceID
-	}
-	defer func() {
-		if rep.Err != "" {
-			sp.End(errors.New(rep.Err))
-		} else {
-			sp.End(nil)
-		}
-	}()
-	fail := func(err error) MigrationReport {
-		rep.Err = err.Error()
-		return rep
-	}
-	target, err := m.agentFor(to)
-	if err != nil {
-		return fail(err)
-	}
-	var source *AgentHandle
-	if from != "" {
-		if source, err = m.agentFor(from); err != nil {
-			source = nil // source station gone: degrade to cold deploy
-			rep.Err = ""
-		}
-	}
-	// A standby staged anywhere but a live migration's target is stale:
-	// tear it down first — left alone it would collide with the deploy
-	// (same chain name) or linger as an orphan after the prediction missed.
-	if st, ok := m.standbyStation(client, spec.Name); ok && !(strategy == StrategyLive && st == to) {
-		m.dropStandby(client, spec.Name)
-	}
-	totalWatch := clock.NewStopwatch(m.clk)
-
-	// Stateful migrations overlap the whole target-side prepare
-	// (Prefetch+Deploy) against the source-side freeze+checkpoint inside
-	// the strategy branch; every other strategy pre-stages images here,
-	// while the source still serves.
-	overlapped := strategy == StrategyStateful && source != nil
-	if !overlapped {
-		target.callT(tctx, agent.MethodPrefetch, agent.PrefetchSpec{Images: nfImagesFor(spec)}, nil)
-	}
-
-	deploy := agent.DeploySpec{
-		Chain:     spec.Name,
-		Client:    client,
-		Functions: spec.Functions,
-	}
-
-	// Split chains migrate only their head segment: the deploy ships the
-	// head's functions alone (the bytes the migration moves shrink to the
-	// client-near state), points its next leg at the anchored segment-1
-	// station, and the downstream splice happens after the cutover.
-	segs := SegmentsOf(spec)
-	seg1At := ""
-	if len(segs) > 1 {
-		deploy.Functions = segs[0].Functions
-		deploy.SegIndex, deploy.SegCount = 0, len(segs)
-		if rec := m.clients.get(client); rec != nil {
-			rec.mu.Lock()
-			seg1At = rec.deployedOn[agent.SegmentDeployName(spec.Name, 1)]
-			deploy.ClientMAC, deploy.ClientIP = rec.mac, rec.ip
-			rec.mu.Unlock()
-		}
-		deploy.NextVia = seg1At
-		if err := m.ensureTunnel(to, seg1At); err != nil {
-			return fail(err)
-		}
-	}
-
-	switch {
-	case strategy == StrategyLive && source != nil:
-		m.liveMigrate(tctx, &rep, source, target, deploy)
-
-	case strategy == StrategyLive && m.consumeStandby(client, spec.Name, to):
-		// The source station is gone, so no state can ship — but the warm
-		// standby at the target already holds the last synced snapshot,
-		// which beats the cold restart: activate it. (This is the disaster
-		// case prewarm helps most: the only surviving copy of the chain's
-		// state is the one prediction staged.)
-		downWatch := clock.NewStopwatch(m.clk)
-		var act agent.ActivateResult
-		if err := target.callT(tctx, agent.MethodActivate, agent.ChainRef{Chain: spec.Name}, &act); err != nil {
-			target.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(err)
-		}
-		rep.Downtime = downWatch.Elapsed()
-		rep.Prewarmed = true
-		rep.ReplayedFrames = act.Replayed
-
-	case overlapped:
-		// Stop-and-copy: the target-side Prefetch+Deploy (disabled) runs
-		// concurrently with the source-side freeze and checkpoint — the
-		// deploy does not depend on source state, so serialising them only
-		// stretched the migration. The join below reconciles every failure
-		// combination; the transfer itself still sits in the dark window.
-		deployErr := make(chan error, 1)
-		go func() {
-			target.callT(tctx, agent.MethodPrefetch, agent.PrefetchSpec{Images: nfImagesFor(spec)}, nil)
-			deployErr <- target.callT(tctx, agent.MethodDeploy, deploy, nil)
-		}()
-		downWatch := clock.NewStopwatch(m.clk)
-		disErr := source.callT(tctx, agent.MethodDisable, agent.ChainRef{Chain: spec.Name}, nil)
-		var ckpt agent.CheckpointResult
-		var ckptErr error
-		if disErr == nil {
-			ckptErr = source.callT(tctx, agent.MethodCheckpoint, agent.ChainRef{Chain: spec.Name}, &ckpt)
-		}
-		dErr := <-deployErr
-		switch {
-		case dErr != nil:
-			// Target never deployed; re-enable the source if we froze it.
-			if disErr == nil {
-				source.callT(tctx, agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			}
-			return fail(dErr)
-		case disErr != nil:
-			// The source never froze (still serving), but the target deploy
-			// succeeded: remove the disabled target copy, or it leaks as an
-			// orphaned deployment the audit flags.
-			target.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(disErr)
-		case ckptErr != nil:
-			// Roll back: re-enable the source so the client is not left dark.
-			source.callT(tctx, agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			target.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(ckptErr)
-		}
-		rep.StateBytes = len(ckpt.State)
-		if err := target.callT(tctx, agent.MethodRestore, agent.RestoreSpec{Chain: spec.Name, State: ckpt.State}, nil); err != nil {
-			source.callT(tctx, agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			target.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(err)
-		}
-		if err := target.callT(tctx, agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil); err != nil {
-			// Same rollback as the Checkpoint/Restore branches: without it a
-			// failed enable left the source disabled and the half-deployed
-			// target in place — the client dark on both ends.
-			source.callT(tctx, agent.MethodEnable, agent.ChainRef{Chain: spec.Name}, nil)
-			target.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-			return fail(err)
-		}
-		rep.Downtime = downWatch.Elapsed()
-		source.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-
-	case source == nil:
-		// Cold deploy with no surviving source: the client is dark until
-		// the fresh instance forwards.
-		deploy.Enabled = true
-		downWatch := clock.NewStopwatch(m.clk)
-		if err := target.callT(tctx, agent.MethodDeploy, deploy, nil); err != nil {
-			return fail(err)
-		}
-		rep.Downtime = downWatch.Elapsed()
-
-	default:
-		// Cold with a live source is make-before-break: the old chain
-		// keeps serving until MethodRemove and the target deploys enabled
-		// before that, so the dark window is zero. (State is still lost —
-		// that is cold migration's trade.)
-		deploy.Enabled = true
-		if err := target.callT(tctx, agent.MethodDeploy, deploy, nil); err != nil {
-			return fail(err)
-		}
-		source.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-		rep.Downtime = 0
-	}
-	// Re-splice the downstream leg of a split chain: the anchored
-	// segment's previous-leg rules chase the head to its new station. A
-	// failed splice is a failed migration — the return path would ride a
-	// tunnel toward the station the head just left.
-	if len(segs) > 1 && seg1At != "" {
-		h, err := m.agentFor(seg1At)
-		if err != nil {
-			return fail(err)
-		}
-		pv := to
-		if err := h.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{
-			Chain: agent.SegmentDeployName(spec.Name, 1), PrevVia: &pv,
-		}, nil); err != nil {
-			return fail(err)
-		}
-	}
-	rep.Total = totalWatch.Elapsed()
-	// If the source station re-registered while this migration ran (a
-	// kill/restart inside one storm window), the cleanup above went to a
-	// dead handle — or, with source == nil, never ran — and the station's
-	// rejoin GC may have announced the stale copy before this migration's
-	// placement update landed. Reap it on the fresh connection: the chain
-	// now lives on the target.
-	if from != "" && from != to {
-		if h, err := m.agentFor(from); err == nil && h != source {
-			h.callT(tctx, agent.MethodRemove, agent.ChainRef{Chain: spec.Name}, nil)
-		}
+	deploy, seg1At := headDeploy(client, rec, spec)
+	rep, _ := m.move(tctx, movePlan{
+		client: client, from: from, to: to, strategy: strategy,
+		deploy: deploy, resume: resume, nextAt: seg1At,
+	})
+	if rep.Err == "" {
+		rec.mu.Lock()
+		rec.deployedOn[spec.Name] = to
+		rec.mu.Unlock()
 	}
 	return rep
 }
 
-// liveMigrate runs the pre-copy pipeline of StrategyLive: iterative delta
-// rounds sync the target while the source still serves; the freeze window
-// ships only the residual delta and activates the target, which replays
-// its brownout buffer. The target deploy overlaps the first pre-copy round
-// (neither depends on the other; only SyncDelta needs the deployed chain).
-// A prewarmed standby at the target skips the deploy and resumes the
-// source's existing pre-copy session. Every failure path re-enables the
-// source and removes the target, so the client is never left dark by a
-// broken migration.
-func (m *Manager) liveMigrate(tctx trace.Context, rep *MigrationReport, source, target *AgentHandle, deploy agent.DeploySpec) {
-	chain := agent.ChainRef{Chain: deploy.Chain}
-	prewarmed := m.consumeStandby(rep.Client, deploy.Chain, rep.To)
-	rep.Prewarmed = prewarmed
-	var deployCh chan error
-	if !prewarmed {
-		deployCh = make(chan error, 1)
-		go func() { deployCh <- target.callT(tctx, agent.MethodDeploy, deploy, nil) }()
+// headDeploy builds the deploy spec that moves a chain under its own name.
+// Split chains move only their head segment: the deploy ships the head's
+// functions alone (the bytes a migration moves shrink to the client-near
+// state) and points its next leg at the station anchoring segment 1,
+// returned so the move can re-splice that segment's previous leg.
+func headDeploy(client string, rec *clientRec, spec ChainSpec) (deploy agent.DeploySpec, seg1At string) {
+	deploy = agent.DeploySpec{Chain: spec.Name, Client: client, Functions: spec.Functions}
+	segs := SegmentsOf(spec)
+	if len(segs) < 2 {
+		return deploy, ""
 	}
-	// joinDeploy must resolve before the first SyncDelta lands on the
-	// target and before any rollback removes it.
-	joinDeploy := func() error {
-		if deployCh == nil {
-			return nil
-		}
-		err := <-deployCh
-		deployCh = nil
-		return err
-	}
-	rollback := func(err error) {
-		joinDeploy()
-		source.callT(tctx, agent.MethodEnable, chain, nil)
-		target.callT(tctx, agent.MethodRemove, chain, nil)
-		rep.Err = err.Error()
-	}
-	// Iterative pre-copy while the source serves. A prewarmed standby
-	// already holds a synced snapshot, so its session resumes; otherwise
-	// the first round restarts the session and ships the full state.
-	for rep.Rounds < precopyMaxRounds {
-		var pr agent.PreCopyResult
-		req := agent.PreCopySpec{Chain: deploy.Chain, Restart: !prewarmed && rep.Rounds == 0}
-		if err := source.callT(tctx, agent.MethodPreCopy, req, &pr); err != nil {
-			rollback(err)
-			return
-		}
-		if err := joinDeploy(); err != nil {
-			// The deploy failed while the first round ran: the source never
-			// stopped serving and nothing landed on the target, so there is
-			// nothing to roll back — the stale pre-copy session restarts on
-			// the next attempt.
-			rep.Err = err.Error()
-			return
-		}
-		if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: deploy.Chain, State: pr.State}, nil); err != nil {
-			rollback(err)
-			return
-		}
-		rep.Rounds++
-		rep.PrecopyBytes += len(pr.State)
-		if len(pr.State) <= precopyConvergedBytes {
-			break
-		}
-	}
-	// Freeze: only the residual delta rides inside the dark window, so
-	// downtime no longer depends on total state size. The brownout flag
-	// parks source-side stragglers instead of counting them as drops.
-	downWatch := clock.NewStopwatch(m.clk)
-	if err := source.callT(tctx, agent.MethodDisable, agent.ChainRef{Chain: deploy.Chain, Brownout: true}, nil); err != nil {
-		rollback(err)
-		return
-	}
-	var residual agent.PreCopyResult
-	if err := source.callT(tctx, agent.MethodPreCopy, agent.PreCopySpec{Chain: deploy.Chain}, &residual); err != nil {
-		rollback(err)
-		return
-	}
-	if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: deploy.Chain, State: residual.State}, nil); err != nil {
-		rollback(err)
-		return
-	}
-	var act agent.ActivateResult
-	if err := target.callT(tctx, agent.MethodActivate, chain, &act); err != nil {
-		rollback(err)
-		return
-	}
-	rep.Downtime = downWatch.Elapsed()
-	rep.ResidualBytes = len(residual.State)
-	rep.StateBytes = rep.PrecopyBytes + rep.ResidualBytes
-	rep.ReplayedFrames = act.Replayed
-	source.callT(tctx, agent.MethodRemove, chain, nil)
-}
-
-// standbyStation reports where a prewarmed standby for client/chain is
-// staged, if any.
-func (m *Manager) standbyStation(client, chain string) (string, bool) {
-	rec := m.clients.get(client)
-	if rec == nil {
-		return "", false
-	}
+	deploy.Functions = segs[0].Functions
+	deploy.SegIndex, deploy.SegCount = 0, len(segs)
 	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.standby == nil {
-		return "", false
-	}
-	st, ok := rec.standby[chain]
-	return st, ok
+	seg1At = rec.deployedOn[agent.SegmentDeployName(spec.Name, 1)]
+	deploy.ClientMAC, deploy.ClientIP = rec.mac, rec.ip
+	rec.mu.Unlock()
+	deploy.NextVia = seg1At
+	return deploy, seg1At
 }
 
-// consumeStandby claims the standby of client/chain if it is staged at
-// station `to`, deleting the record: the standby deployment becomes the
+// consumeStandby claims the chain's standby if it is staged at station
+// `to`, deleting the record: the standby deployment becomes the
 // migration's target.
-func (m *Manager) consumeStandby(client, chain, to string) bool {
-	rec := m.clients.get(client)
-	if rec == nil {
-		return false
-	}
+func consumeStandby(rec *clientRec, chain, to string) bool {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if rec.standby == nil || rec.standby[chain] != to {
@@ -776,13 +470,9 @@ func (m *Manager) consumeStandby(client, chain, to string) bool {
 	return true
 }
 
-// dropStandby forgets client/chain's standby record and tears the staged
+// dropStandby forgets the chain's standby record and tears the staged
 // deployment down (best effort — a vanished station simply loses it).
-func (m *Manager) dropStandby(client, chain string) {
-	rec := m.clients.get(client)
-	if rec == nil {
-		return
-	}
+func (m *Manager) dropStandby(rec *clientRec, chain string) {
 	var station string
 	rec.mu.Lock()
 	if rec.standby != nil {
@@ -829,40 +519,23 @@ func (m *Manager) maybePrewarm(client string, rec *clientRec) {
 	if !ok || prob < prewarmConfidence || next == station {
 		return
 	}
-	target, err := m.agentFor(next)
-	if err != nil {
-		return
-	}
-	source, err := m.agentFor(station)
-	if err != nil {
-		return
-	}
 	for name, spec := range chains {
 		if standbys[name] == next {
 			continue // already staged at the predicted station
 		}
 		if standbys[name] != "" {
-			m.dropStandby(client, name) // prediction changed: restage
+			m.dropStandby(rec, name) // prediction changed: restage
 		}
-		target.call(agent.MethodPrefetch, agent.PrefetchSpec{Images: nfImagesFor(spec)}, nil)
-		deploy := agent.DeploySpec{
-			Chain:     name,
-			Client:    client,
-			Functions: spec.Functions,
-			Standby:   true,
-		}
-		if err := target.call(agent.MethodDeploy, deploy, nil); err != nil {
-			continue
-		}
-		// Initial sync: a fresh session's full state lands on the standby;
-		// the migration's rounds later ship only what changed since.
-		var pr agent.PreCopyResult
-		if err := source.call(agent.MethodPreCopy, agent.PreCopySpec{Chain: name, Restart: true}, &pr); err != nil {
-			target.call(agent.MethodRemove, agent.ChainRef{Chain: name}, nil)
-			continue
-		}
-		if err := target.call(agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: pr.State}, nil); err != nil {
-			target.call(agent.MethodRemove, agent.ChainRef{Chain: name}, nil)
+		// The standby plan stops after the initial sync: a fresh session's
+		// full state lands on the standby; the migration's rounds later ship
+		// only what changed since.
+		_, staged := m.move(trace.Context{}, movePlan{
+			client: client, from: station, to: next, strategy: StrategyLive,
+			deploy:  agent.DeploySpec{Chain: name, Client: client, Functions: spec.Functions},
+			staged:  true,
+			standby: true,
+		})
+		if staged == nil {
 			continue
 		}
 		rec.mu.Lock()
@@ -879,7 +552,7 @@ func (m *Manager) maybePrewarm(client string, rec *clientRec) {
 		}
 		rec.mu.Unlock()
 		if !alive {
-			target.call(agent.MethodRemove, agent.ChainRef{Chain: name}, nil)
+			staged.undo()
 		}
 	}
 }

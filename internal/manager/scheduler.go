@@ -302,12 +302,7 @@ func (m *Manager) EvacuateStation(station string) ([]MigrationReport, error) {
 			continue
 		}
 		j.rec.migMu.Lock()
-		rep := m.migrateChain(trace.Context{}, j.client, j.spec, station, to, strategy)
-		j.rec.mu.Lock()
-		if rep.Err == "" {
-			j.rec.deployedOn[j.spec.Name] = to
-		}
-		j.rec.mu.Unlock()
+		rep := m.migrateChain(trace.Context{}, j.client, j.rec, j.spec, station, to, strategy)
 		m.recordMigration(rep)
 		j.rec.migMu.Unlock()
 		reports = append(reports, rep)

@@ -421,23 +421,17 @@ func (m *Manager) MigrateSegment(client, chainName string, seg int, to string) (
 
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
-	depName := agent.SegmentDeployName(chainName, seg)
-	rec.mu.Lock()
-	from := rec.deployedOn[depName]
-	prevAt := rec.deployedOn[agent.SegmentDeployName(chainName, seg-1)]
-	nextAt := ""
-	if seg+1 < len(segs) {
-		nextAt = rec.deployedOn[agent.SegmentDeployName(chainName, seg+1)]
+	plan := segmentMove(rec, client, chainName, segs, seg, to)
+	if plan.from == to {
+		return MigrationReport{Client: client, Chain: plan.deploy.Chain, From: plan.from, To: to}, nil
 	}
-	rec.mu.Unlock()
-	if from == to {
-		return MigrationReport{Client: client, Chain: depName, From: from, To: to}, nil
-	}
-
-	rep := m.moveSegment(rec, client, segs, seg, depName, from, to, prevAt, nextAt)
+	sp := m.tracer.StartSpan(trace.Context{}, "manager.migrate_request")
+	sp.SetAttr("client", client)
+	rep, _ := m.move(sp.Context(), plan)
+	sp.End(nil)
 	rec.mu.Lock()
 	if rep.Err == "" {
-		rec.deployedOn[depName] = to
+		rec.deployedOn[rep.Chain] = to
 	}
 	rec.mu.Unlock()
 	m.recordMigration(rep)
@@ -447,137 +441,35 @@ func (m *Manager) MigrateSegment(client, chainName string, seg int, to string) (
 	return rep, nil
 }
 
-// moveSegment is the mechanism under MigrateSegment and failover's
-// segment revival: deploy the segment at the target (stop-and-copy from
-// a live source, cold otherwise), splice the neighbour legs onto the new
-// station, then remove the source copy. from == "" (or an unreachable
-// source) degrades to a cold deploy — failover's case, where the state
-// died with the station.
-func (m *Manager) moveSegment(rec *clientRec, client string, segs []ChainSegment, seg int, depName, from, to, prevAt, nextAt string) MigrationReport {
-	rep := MigrationReport{
-		Client: client, Chain: depName, From: from, To: to,
-		Strategy: StrategyStateful,
-	}
-	fail := func(err error) MigrationReport {
-		rep.Err = err.Error()
-		return rep
-	}
-	total := clock.NewStopwatch(m.clk)
-	if err := m.ensureTunnel(prevAt, to); err != nil {
-		return fail(err)
-	}
-	if err := m.ensureTunnel(to, nextAt); err != nil {
-		return fail(err)
-	}
-	target, err := m.agentFor(to)
-	if err != nil {
-		return fail(err)
-	}
-	var source *AgentHandle
-	if from != "" {
-		if source, err = m.agentFor(from); err != nil {
-			source = nil // source station gone: degrade to cold deploy
-		}
-	}
+// segmentMove plans the move of one anchored segment (seg > 0) from
+// wherever the client's record places it: stop-and-copy whatever strategy
+// roaming uses (an unreachable source degrades to a cold deploy, like any
+// move), staged because the segment keeps serving until its freeze, with
+// both neighbour legs re-spliced onto the new station.
+func segmentMove(rec *clientRec, client, chainName string, segs []ChainSegment, seg int, to string) movePlan {
+	depName := agent.SegmentDeployName(chainName, seg)
 	rec.mu.Lock()
-	mac, ip := rec.mac, rec.ip
-	rec.mu.Unlock()
-
-	deploy := agent.DeploySpec{
+	defer rec.mu.Unlock()
+	p := movePlan{
+		client: client, from: rec.deployedOn[depName], to: to,
+		strategy: StrategyStateful, staged: true,
+		prevAt: rec.deployedOn[agent.SegmentDeployName(chainName, seg-1)],
+	}
+	if seg+1 < len(segs) {
+		p.nextAt = rec.deployedOn[agent.SegmentDeployName(chainName, seg+1)]
+	}
+	p.deploy = agent.DeploySpec{
 		Chain:     depName,
 		Client:    client,
-		ClientMAC: mac,
-		ClientIP:  ip,
+		ClientMAC: rec.mac,
+		ClientIP:  rec.ip,
 		Functions: segs[seg].Functions,
 		SegIndex:  seg,
 		SegCount:  len(segs),
-		PrevVia:   prevAt,
-		NextVia:   nextAt,
+		PrevVia:   p.prevAt,
+		NextVia:   p.nextAt,
 	}
-	target.call(agent.MethodPrefetch, agent.PrefetchSpec{Images: imagesOf(segs[seg].Functions)}, nil)
-
-	chain := agent.ChainRef{Chain: depName}
-	if source != nil {
-		if err := target.call(agent.MethodDeploy, deploy, nil); err != nil {
-			return fail(err)
-		}
-		down := clock.NewStopwatch(m.clk)
-		if err := source.call(agent.MethodDisable, chain, nil); err != nil {
-			target.call(agent.MethodRemove, chain, nil)
-			return fail(err)
-		}
-		var ckpt agent.CheckpointResult
-		if err := source.call(agent.MethodCheckpoint, chain, &ckpt); err != nil {
-			source.call(agent.MethodEnable, chain, nil)
-			target.call(agent.MethodRemove, chain, nil)
-			return fail(err)
-		}
-		rep.StateBytes = len(ckpt.State)
-		if err := target.call(agent.MethodRestore, agent.RestoreSpec{Chain: depName, State: ckpt.State}, nil); err != nil {
-			source.call(agent.MethodEnable, chain, nil)
-			target.call(agent.MethodRemove, chain, nil)
-			return fail(err)
-		}
-		if err := target.call(agent.MethodEnable, chain, nil); err != nil {
-			source.call(agent.MethodEnable, chain, nil)
-			target.call(agent.MethodRemove, chain, nil)
-			return fail(err)
-		}
-		rep.Downtime = down.Elapsed()
-	} else {
-		rep.Strategy = StrategyCold
-		deploy.Enabled = true
-		down := clock.NewStopwatch(m.clk)
-		if err := target.call(agent.MethodDeploy, deploy, nil); err != nil {
-			return fail(err)
-		}
-		rep.Downtime = down.Elapsed()
-	}
-
-	// Splice the neighbour legs onto the new station. Until both retargets
-	// land, in-flight frames still ride toward the old station — with a
-	// live source those arrive at a chain being removed and are dropped,
-	// the same transient every stop-and-copy migration has.
-	base, _ := agent.ParseSegmentName(depName)
-	if err := m.spliceNeighbors(base, seg, to, prevAt, nextAt); err != nil {
-		return fail(err)
-	}
-	if source != nil {
-		source.call(agent.MethodRemove, chain, nil)
-	}
-	rep.Total = total.Elapsed()
-	return rep
-}
-
-// spliceNeighbors re-points the segment's neighbour deployments at its
-// new station: the upstream segment's next leg and the downstream
-// segment's previous leg.
-func (m *Manager) spliceNeighbors(base string, seg int, to, prevAt, nextAt string) error {
-	if prevAt != "" {
-		h, err := m.agentFor(prevAt)
-		if err != nil {
-			return err
-		}
-		nv := to
-		if err := h.call(agent.MethodRetarget, agent.RetargetSpec{
-			Chain: agent.SegmentDeployName(base, seg-1), NextVia: &nv,
-		}, nil); err != nil {
-			return err
-		}
-	}
-	if nextAt != "" {
-		h, err := m.agentFor(nextAt)
-		if err != nil {
-			return err
-		}
-		pv := to
-		if err := h.call(agent.MethodRetarget, agent.RetargetSpec{
-			Chain: agent.SegmentDeployName(base, seg+1), PrevVia: &pv,
-		}, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p
 }
 
 // reviveSegment cold-deploys one anchored segment lost with its station
@@ -585,8 +477,7 @@ func (m *Manager) spliceNeighbors(base string, seg int, to, prevAt, nextAt strin
 // over the surviving agents, so the segment lands wherever the hub (or
 // cloud) role now falls.
 func (m *Manager) reviveSegment(failed, client string, rec *clientRec, spec ChainSpec, seg int) FailoverReport {
-	depName := agent.SegmentDeployName(spec.Name, seg)
-	rep := FailoverReport{Station: failed, Client: client, Chain: depName}
+	rep := FailoverReport{Station: failed, Client: client, Chain: agent.SegmentDeployName(spec.Name, seg)}
 	watch := clock.NewStopwatch(m.clk)
 	segs := SegmentsOf(spec)
 	if seg >= len(segs) {
@@ -605,36 +496,20 @@ func (m *Manager) reviveSegment(failed, client string, rec *clientRec, spec Chai
 
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
-	rec.mu.Lock()
-	at := rec.deployedOn[depName]
-	prevAt := rec.deployedOn[agent.SegmentDeployName(spec.Name, seg-1)]
-	nextAt := ""
-	if seg+1 < len(segs) {
-		nextAt = rec.deployedOn[agent.SegmentDeployName(spec.Name, seg+1)]
-	}
-	rec.mu.Unlock()
+	plan := segmentMove(rec, client, spec.Name, segs, seg, to)
 	// The segment may have been reconciled meanwhile; never double-deploy.
-	if at != failed {
-		rep.To, rep.Recovered = at, watch.Elapsed()
+	if plan.from != failed {
+		rep.To, rep.Recovered = plan.from, watch.Elapsed()
 		return rep
 	}
-	mig := m.moveSegment(rec, client, segs, seg, depName, "", to, prevAt, nextAt)
-	if mig.Err != "" {
+	plan.from = "" // the state died with the station
+	if mig, _ := m.move(trace.Context{}, plan); mig.Err != "" {
 		rep.Err = mig.Err
 		return rep
 	}
 	rec.mu.Lock()
-	rec.deployedOn[depName] = to
+	rec.deployedOn[rep.Chain] = to
 	rec.mu.Unlock()
 	rep.To, rep.Recovered = to, watch.Elapsed()
 	return rep
-}
-
-// imagesOf lists the repository images a function list needs.
-func imagesOf(fns []agent.NFSpec) []string {
-	imgs := make([]string, 0, len(fns))
-	for _, f := range fns {
-		imgs = append(imgs, agent.ImageForKind(f.Kind))
-	}
-	return imgs
 }

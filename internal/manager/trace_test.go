@@ -24,6 +24,11 @@ type headerAgent struct {
 
 func newHeaderAgent(t *testing.T, mgr *manager.Manager, station string) *headerAgent {
 	t.Helper()
+	return dialHeaderAgent(t, mgr, agent.RegisterSpec{Station: station})
+}
+
+func dialHeaderAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpec) *headerAgent {
+	t.Helper()
 	peer, err := wire.Dial(mgr.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -38,14 +43,15 @@ func newHeaderAgent(t *testing.T, mgr *manager.Manager, station string) *headerA
 		})
 	}
 	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch, agent.MethodSyncDelta} {
+		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch, agent.MethodSyncDelta,
+		agent.MethodRetarget, agent.MethodSteer, agent.MethodUnsteer} {
 		rec(m, nil)
 	}
 	rec(agent.MethodCheckpoint, agent.CheckpointResult{State: []byte("blob")})
 	rec(agent.MethodPreCopy, agent.PreCopyResult{State: []byte("delta"), Round: 1})
 	rec(agent.MethodActivate, agent.ActivateResult{})
 	go peer.Run()
-	if err := peer.Call(agent.MethodRegister, agent.RegisterSpec{Station: station}, nil); err != nil {
+	if err := peer.Call(agent.MethodRegister, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { peer.Close() })
@@ -178,4 +184,97 @@ func TestUntracedMigrationStaysUntraced(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOperatorMovesAreTraced pins tracing parity across the move engine's
+// callers: a segment move and a client offload each yield one connected
+// tree — request → one migrate span per deployment moved → per-RPC
+// children — exactly like a chain migration. Both used to issue untraced
+// calls and were invisible in the span store.
+func TestOperatorMovesAreTraced(t *testing.T) {
+	setup := func(t *testing.T) *manager.Manager {
+		mgr, err := manager.New(clock.System(), "127.0.0.1:0", manager.WithStrategy(manager.StrategyStateful))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mgr.Close() })
+		newHeaderAgent(t, mgr, "st-agg") // sorts first: the aggregation hub
+		newHeaderAgent(t, mgr, "st-dst")
+		src := newHeaderAgent(t, mgr, "st-src")
+		dialHeaderAgent(t, mgr, agent.RegisterSpec{Station: "nimbus", Cloud: true})
+		if err := src.peer.Call(agent.MethodClientEvent,
+			agent.ClientEvent{Station: "st-src", Client: "phone", Connected: true}, nil); err != nil {
+			t.Fatal(err)
+		}
+		mgr.WaitIdle()
+		return mgr
+	}
+	// checkTree asserts the trace is one connected tree holding `moves`
+	// migrate spans under a single request root, with the named RPC nested
+	// under a migrate span.
+	checkTree := func(t *testing.T, mgr *manager.Manager, traceID string, moves int, rpc string) {
+		t.Helper()
+		if traceID == "" {
+			t.Fatal("report carries no trace id")
+		}
+		spans := mgr.Tracer().Trace(traceID)
+		if n := trace.ConnectedSize(spans); n != len(spans) {
+			t.Fatalf("span tree: %d of %d spans connected", n, len(spans))
+		}
+		migrates := map[string]bool{}
+		roots := 0
+		for _, sp := range spans {
+			switch sp.Name {
+			case "manager.migrate_request":
+				if sp.Parent == "" {
+					roots++
+				}
+			case "manager.migrate":
+				migrates[sp.SpanID] = true
+			}
+		}
+		if roots != 1 || len(migrates) != moves {
+			t.Fatalf("tree has %d request roots and %d migrate spans, want 1 and %d", roots, len(migrates), moves)
+		}
+		for _, sp := range spans {
+			if sp.Name == "rpc:"+rpc && migrates[sp.Parent] {
+				return
+			}
+		}
+		t.Fatalf("no rpc:%s span nested under a migrate span", rpc)
+	}
+
+	t.Run("MigrateSegment", func(t *testing.T) {
+		mgr := setup(t)
+		split := manager.ChainSpec{Name: "web", Functions: []agent.NFSpec{
+			{Kind: "counter", Name: "c0", Affinity: manager.AffinityNearClient},
+			{Kind: "counter", Name: "c1", Affinity: manager.AffinityAggregate},
+		}}
+		if err := mgr.AttachChain("phone", split); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mgr.MigrateSegment("phone", "web", 1, "st-dst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTree(t, mgr, rep.TraceID, 1, agent.MethodRetarget)
+	})
+
+	t.Run("OffloadClient", func(t *testing.T) {
+		mgr := setup(t)
+		for _, name := range []string{"chain-a", "chain-b"} {
+			spec := manager.ChainSpec{Name: name, Functions: []agent.NFSpec{{Kind: "counter", Name: "c0"}}}
+			if err := mgr.AttachChain("phone", spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := mgr.OffloadClient("phone", "nimbus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Chains) != 2 || rep.Chains[0].TraceID != rep.Chains[1].TraceID {
+			t.Fatalf("offload reports do not share one trace: %+v", rep.Chains)
+		}
+		checkTree(t, mgr, rep.Chains[0].TraceID, 2, agent.MethodRestore)
+	})
 }

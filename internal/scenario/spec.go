@@ -10,7 +10,7 @@
 //
 // The format exists so that new placements, chains, and mobility patterns
 // are new data files, not new test code — see scenarios/ at the repo root
-// for the corpus mirroring the examples/ programs.
+// for the corpus.
 package scenario
 
 import (
