@@ -410,12 +410,47 @@ type chainResources struct {
 	outPort    netem.PortID
 }
 
-// containerCleanup stops and removes the instance's containers.
-func (cr *chainResources) containerCleanup() {
-	for _, c := range cr.containers {
-		c.Stop()
-		c.Remove()
+// inParallel runs fn(0) … fn(n-1), one goroutine per index, and returns
+// once all of them have: no goroutine it starts outlives the call. The
+// result is the error of the lowest failing index, so which error surfaces
+// does not depend on scheduling.
+func inParallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
 	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stopAll stops and removes a chain's containers, all members at once:
+// they do not depend on each other, so teardown costs one stop, not one per
+// NF. Nil entries (members that never came up) are skipped. Exclusive
+// removal, pool-replica teardown and deploy rollback all end here.
+func stopAll(containers []*container.Container) error {
+	return inParallel(len(containers), func(i int) error {
+		c := containers[i]
+		if c == nil {
+			return nil
+		}
+		// Remove even when Stop refuses (a member that was created but
+		// never started): the memory reservation must not leak.
+		stopErr := c.Stop()
+		if err := c.Remove(); err != nil && stopErr == nil {
+			return err
+		}
+		return stopErr
+	})
 }
 
 // buildChainResources boots one chain instance named name from fns: one
@@ -423,6 +458,13 @@ func (cr *chainResources) containerCleanup() {
 // aggregate state riding the first container's checkpoint, and the
 // ingress/egress veth pairs attached as service ports. The host starts
 // disabled; callers enable it when forwarding should begin.
+//
+// Images resolve one at a time — the station has a single repository link,
+// so pulls must not overlap, and an unknown image fails before anything
+// boots. The members then boot concurrently: a chain comes up in the time
+// of its slowest container, not the sum. Every boot is joined before the
+// outcome is looked at, so on a member's failure the rollback sees every
+// container that did come up and none can reach running after it.
 func (a *Agent) buildChainResources(name string, fns []NFSpec) (*chainResources, error) {
 	members := make([]nf.Function, 0, len(fns))
 	for _, fs := range fns {
@@ -443,24 +485,32 @@ func (a *Agent) buildChainResources(name string, fns []NFSpec) (*chainResources,
 		}
 	})
 
-	cr := &chainResources{chain: chain}
-	for i, fs := range fns {
-		c, err := a.rt.Create(container.Config{
-			Name:  fmt.Sprintf("%s-%d-%s", name, i, fs.Kind),
-			Image: a.registry.ImageForKind(fs.Kind),
-		})
-		if err != nil {
-			cr.containerCleanup()
-			return nil, err
-		}
-		cr.containers = append(cr.containers, c)
-		if err := c.Start(); err != nil {
-			cr.containerCleanup()
+	for _, fs := range fns {
+		if err := a.rt.PrefetchImage(a.registry.ImageForKind(fs.Kind)); err != nil {
 			return nil, err
 		}
 	}
-	if len(cr.containers) > 0 {
-		cr.containers[0].SetStateHandler(chain)
+	containers := make([]*container.Container, len(fns))
+	err := inParallel(len(fns), func(i int) error {
+		c, err := a.rt.Create(container.Config{
+			Name:  fmt.Sprintf("%s-%d-%s", name, i, fns[i].Kind),
+			Image: a.registry.ImageForKind(fns[i].Kind),
+		})
+		if err != nil {
+			return err
+		}
+		containers[i] = c
+		return c.Start()
+	})
+	if err != nil {
+		// The boot error is the one worth reporting; a member that only
+		// got as far as created makes Stop complain, which is expected.
+		_ = stopAll(containers)
+		return nil, err
+	}
+	cr := &chainResources{chain: chain, containers: containers}
+	if len(containers) > 0 {
+		containers[0].SetStateHandler(chain)
 	}
 
 	swIn, chainIn := netem.NewVethPair(name+"-in0", name+"-in1", netem.WithClock(a.clk))
@@ -486,7 +536,9 @@ func (a *Agent) teardownChainResources(cr *chainResources) {
 	for _, ep := range cr.endpoints {
 		ep.Close()
 	}
-	cr.containerCleanup()
+	// Teardown has no caller to report to; a container that refuses to stop
+	// stays visible in the runtime's list.
+	_ = stopAll(cr.containers)
 }
 
 // buildDeployment constructs the resources behind one deployment: a shared
@@ -853,16 +905,7 @@ func (a *Agent) Remove(chain string) error {
 	for _, ep := range d.endpoints {
 		ep.Close()
 	}
-	var firstErr error
-	for _, c := range d.containers {
-		if err := c.Stop(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := c.Remove(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return stopAll(d.containers)
 }
 
 // Prefetch warms images on the local cache (migration pre-staging).

@@ -127,10 +127,11 @@ func (res *poolResources) containerNames() []string {
 // when a key is reaped and re-created.
 func (a *Agent) buildPoolResources(key share.Key, fns []NFSpec) (*poolResources, error) {
 	res := &poolResources{
-		name: fmt.Sprintf("pool-%s-g%d", key.Short(), a.poolSeq.Add(1)),
-		fns:  fns,
+		name:        fmt.Sprintf("pool-%s-g%d", key.Short(), a.poolSeq.Add(1)),
+		fns:         fns,
+		nextReplica: 1, // replica 0 is built right here
 	}
-	rep, err := a.buildPoolReplica(res)
+	rep, err := a.buildPoolReplica(res, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -140,15 +141,13 @@ func (a *Agent) buildPoolResources(key share.Key, fns []NFSpec) (*poolResources,
 	return res, nil
 }
 
-// buildPoolReplica boots one replica of res — the same build as an
+// buildPoolReplica boots replica idx of res — the same build as an
 // exclusive deployment (buildChainResources), named under the pool prefix
-// and forwarding from birth: per-client activation is steering-only.
-// Callers hold res.scaleMu once res is published (ScalePool); the initial
-// build owns res exclusively. res.mu is deliberately not required: boots
-// sleep modeled container costs.
-func (a *Agent) buildPoolReplica(res *poolResources) (*chainResources, error) {
-	idx := res.nextReplica
-	res.nextReplica++
+// and forwarding from birth: per-client activation is steering-only. The
+// caller reserves idx from res.nextReplica, so several replicas can build
+// at once. res.mu is deliberately not required: boots sleep modeled
+// container costs.
+func (a *Agent) buildPoolReplica(res *poolResources, idx int) (*chainResources, error) {
 	rep, err := a.buildChainResources(fmt.Sprintf("%s-r%d", res.name, idx), res.fns)
 	if err != nil {
 		return nil, err
@@ -315,25 +314,30 @@ func (a *Agent) ScalePool(kinds, configHash string, replicas int) error {
 
 	// Scale out first, without holding res.mu: booting a replica sleeps
 	// the modeled container costs, and counter readers (reports feeding
-	// the very autoscaler driving this call) must not stall behind it.
-	var added []*chainResources
-	var buildErr error
-	for cur+len(added) < replicas {
-		rep, err := a.buildPoolReplica(res)
-		if err != nil {
-			buildErr = err // publish whatever did come up
-			break
-		}
-		added = append(added, rep)
-	}
+	// the very autoscaler driving this call) must not stall behind it. The
+	// missing replicas boot side by side and are all joined before any is
+	// published.
+	built := make([]*chainResources, max(replicas-cur, 0))
+	first := res.nextReplica
+	res.nextReplica += len(built)
+	buildErr := inParallel(len(built), func(i int) (err error) {
+		built[i], err = a.buildPoolReplica(res, first+i)
+		return err
+	})
 	res.mu.Lock()
-	res.replicas = append(res.replicas, added...)
+	added := 0
+	for _, rep := range built {
+		if rep != nil { // publish whatever did come up
+			res.replicas = append(res.replicas, rep)
+			added++
+		}
+	}
 	var victims []*chainResources
 	if buildErr == nil && len(res.replicas) > replicas {
 		victims = append(victims, res.replicas[replicas:]...)
 		res.replicas = res.replicas[:replicas]
 	}
-	if len(added) > 0 || len(victims) > 0 {
+	if added > 0 || len(victims) > 0 {
 		// A no-op resize must not rewrite the groups: every SetGroup bumps
 		// the switch generation and flushes the whole per-flow verdict
 		// cache — for all flows on the station, not just this pool's.

@@ -149,6 +149,7 @@ type Runtime struct {
 
 	mu         sync.Mutex
 	cache      map[string]Image
+	pulling    map[string]*pull // in-flight cold pulls, by image name
 	containers map[string]*Container
 	nextID     int
 	memInUse   uint64
@@ -176,6 +177,7 @@ func NewRuntime(host string, clk clock.Clock, repo *Repository, opts ...RuntimeO
 		repo:       repo,
 		costs:      ContainerCosts,
 		cache:      make(map[string]Image),
+		pulling:    make(map[string]*pull),
 		containers: make(map[string]*Container),
 		events:     make(chan Event, 256),
 	}
@@ -203,26 +205,56 @@ func (r *Runtime) emit(t EventType, ctr, image string) {
 	}
 }
 
+// pull is one in-flight image transfer. The goroutine that started it fills
+// the result and closes done; callers that arrive meanwhile wait on done and
+// read the same result.
+type pull struct {
+	done chan struct{}
+	img  Image
+	d    time.Duration
+	err  error
+}
+
 // EnsureImage makes the image locally available, pulling on cache miss.
-// It returns the modeled fetch duration (zero on warm cache).
+// It returns the modeled fetch duration (zero on warm cache). Pulls are
+// single-flight per image name: concurrent callers for one uncached image
+// transfer it once and share the outcome — the waiters count as warm
+// fetches and report the duration of the transfer they waited for. A failed
+// pull is shared with its waiters but not cached; the next call retries.
 func (r *Runtime) EnsureImage(name string) (Image, time.Duration, error) {
 	r.mu.Lock()
-	img, ok := r.cache[name]
-	r.mu.Unlock()
-	if ok {
+	if img, ok := r.cache[name]; ok {
+		r.mu.Unlock()
 		r.pullsWarm.Inc()
 		return img, 0, nil
 	}
-	img, d, err := r.repo.Pull(name)
-	if err != nil {
-		return Image{}, 0, err
+	if p, ok := r.pulling[name]; ok {
+		r.mu.Unlock()
+		<-p.done
+		if p.err != nil {
+			return Image{}, 0, p.err
+		}
+		r.pullsWarm.Inc()
+		return p.img, p.d, nil
+	}
+	p := &pull{done: make(chan struct{})}
+	r.pulling[name] = p
+	r.mu.Unlock()
+
+	p.img, p.d, p.err = r.repo.Pull(name)
+	r.mu.Lock()
+	delete(r.pulling, name)
+	if p.err == nil {
+		r.cache[name] = p.img
+	}
+	r.mu.Unlock()
+	close(p.done)
+	if p.err != nil {
+		return Image{}, 0, p.err
 	}
 	r.pullsCold.Inc()
-	r.mu.Lock()
-	r.cache[name] = img
-	r.mu.Unlock()
 	r.emit(EventPulled, "", name)
-	return img, d, nil
+	return p.img, p.d, nil
 }
 
 // CacheStats reports cold and warm image fetches.

@@ -3,6 +3,7 @@ package container
 import (
 	"errors"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -197,6 +198,60 @@ func TestImageCacheWarmVsCold(t *testing.T) {
 	}
 	if err := rt.PrefetchImage("gnf/dnslb:1.0"); err != nil {
 		t.Fatalf("prefetch: %v", err)
+	}
+}
+
+// ensureFrom calls EnsureImage from n goroutines released together and
+// returns each caller's error.
+func ensureFrom(rt *Runtime, n int, image string) []error {
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, _, errs[i] = rt.EnsureImage(image)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return errs
+}
+
+// Concurrent callers for one uncached image transfer it once. The
+// repository runs on the wall clock so that the callers really do overlap
+// the 20 ms transfer.
+func TestEnsureImageSingleFlight(t *testing.T) {
+	const callers = 16
+	repo := NewRepository(clock.System(), 0, 20*time.Millisecond)
+	repo.Push(testImage)
+	rt := NewRuntime("station-1", clock.System(), repo)
+
+	outage := errors.New("repository down")
+	repo.SetFailure(outage)
+	for i, err := range ensureFrom(rt, callers, testImage.Name) {
+		if !errors.Is(err, outage) {
+			t.Fatalf("caller %d during outage: %v", i, err)
+		}
+	}
+	if cold, warm := rt.CacheStats(); cold != 0 || warm != 0 {
+		t.Fatalf("failed pulls counted: %d cold, %d warm", cold, warm)
+	}
+
+	// A failed pull is not cached: the next callers retry, once.
+	repo.SetFailure(nil)
+	for i, err := range ensureFrom(rt, callers, testImage.Name) {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	if pulls, bytes := repo.PullStats(); pulls != 1 || bytes != testImage.SizeBytes {
+		t.Fatalf("repository served %d pulls, %d bytes; want 1 pull of %d", pulls, bytes, testImage.SizeBytes)
+	}
+	if cold, warm := rt.CacheStats(); cold != 1 || warm != callers-1 {
+		t.Fatalf("cache stats = %d cold, %d warm; want 1 and %d", cold, warm, callers-1)
 	}
 }
 
