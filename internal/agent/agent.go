@@ -42,13 +42,17 @@ var (
 	ErrChainExists   = errors.New("agent: chain already deployed")
 	ErrUnknownClient = errors.New("agent: unknown client")
 	ErrNoTunnel      = errors.New("agent: no tunnel to station")
-	ErrNotRemote     = errors.New("agent: chain is not a remote deployment")
+	// ErrNotRemote rejects re-pointing a client leg the deployment does not
+	// own: a shared-pool attachment (the pool steers every sharer) or a
+	// split-chain segment (RetargetSegment moves those).
+	ErrNotRemote = errors.New("agent: chain has no client leg of its own to re-point")
 )
 
 // Steering rule priorities: client redirection beats everything else the
-// station programs, and the offload detour beats local chain steering so
-// an offloaded client's traffic leaves for the cloud before any local
-// rule can claim it.
+// station programs, and a detour beats local chain steering so a detoured
+// client's traffic leaves for the station hosting its chain (a cloud site,
+// or the station a live handoff is still moving it from) before any local
+// rule — a staged migration target's included — can claim it.
 const (
 	steerPriority  = 100
 	detourPriority = 200
@@ -239,27 +243,40 @@ func (a *Agent) AttachClient(id topology.ClientID, mac packet.MAC, ip packet.IP,
 	// Prewarmed standby chains arm their steering the moment the predicted
 	// client actually arrives — before the manager even hears about the
 	// handoff — so early frames park in the brownout buffer (fail closed)
-	// instead of slipping past the not-yet-activated chain.
-	a.armStandbySteering(id)
+	// instead of slipping past the not-yet-activated chain. A chain whose
+	// leg still rides the tunnel the client left through (a handoff that
+	// bounced back mid-move) takes it straight off the access port again.
+	a.armClientSteering(id)
 	if sink != nil {
 		sink(ClientEvent{Station: string(a.station), Client: string(id), Connected: true, MAC: mac, IP: ip})
 	}
 }
 
-// armStandbySteering installs fail-closed steering for every standby
-// deployment belonging to a freshly associated client: exclusive standbys
-// steer into their (disabled, brownout-buffering) chain host, shared
-// standby attachments get drop rules.
-func (a *Agent) armStandbySteering(id topology.ClientID) {
+// armClientSteering re-derives, for a freshly associated client, the
+// steering of every deployment whose client leg depends on where the client
+// is. Standbys arm fail-closed: exclusive ones steer into their (disabled,
+// brownout-buffering) chain host, shared standby attachments get drop
+// rules. A local chain left detoured toward the station the client just
+// came back from is re-pointed at the access port — were it not, return
+// traffic would keep entering a tunnel whose far end no longer knows the
+// client.
+func (a *Agent) armClientSteering(id topology.ClientID) {
 	a.mu.Lock()
-	ci, ok := a.clients[id]
-	if !ok {
+	if _, ok := a.clients[id]; !ok {
 		a.mu.Unlock()
 		return
 	}
 	var shared, segHeads []*deployment
-	for _, d := range a.deployments {
-		if d.building || !d.standby || d.spec.Client != string(id) {
+	var detoured []string
+	for name, d := range a.deployments {
+		if d.building || d.spec.Client != string(id) {
+			continue
+		}
+		if !d.standby {
+			// Only Retarget puts a Via on a deployment that is not remote.
+			if !d.spec.Remote && d.spec.Via != "" {
+				detoured = append(detoured, name)
+			}
 			continue
 		}
 		if d.shared != nil {
@@ -274,9 +291,7 @@ func (a *Agent) armStandbySteering(id topology.ClientID) {
 			}
 			continue
 		}
-		if !d.spec.Remote && len(d.ruleIDs) == 0 {
-			d.ruleIDs = a.clientSteeringRules(ci, d.ports[0], d.ports[1])
-		}
+		_ = a.armClientLeg(d) // a standby names no tunnel: nothing to fail
 	}
 	a.mu.Unlock()
 	// The steering-swap helper manages its own locking and installs drop
@@ -286,6 +301,10 @@ func (a *Agent) armStandbySteering(id topology.ClientID) {
 	}
 	for _, d := range segHeads {
 		a.armSegmentHead(d)
+	}
+	for _, name := range detoured {
+		// Best effort: a deployment removed meanwhile needs no leg.
+		_ = a.Retarget(name, "")
 	}
 }
 
@@ -357,11 +376,10 @@ func (a *Agent) Deploy(spec DeploySpec) (*DeployResult, error) {
 	// Reserve the name so concurrent deploys of the same chain can never
 	// both build; the reservation is invisible to every other API.
 	a.deployments[spec.Chain] = &deployment{spec: spec, building: true}
-	ci, haveClient := a.clients[topology.ClientID(spec.Client)]
 	a.mu.Unlock()
 
 	started := a.clk.Now()
-	dep, err := a.buildDeployment(spec, ci, haveClient)
+	dep, err := a.buildDeployment(spec)
 	if err != nil {
 		a.mu.Lock()
 		delete(a.deployments, spec.Chain)
@@ -374,11 +392,11 @@ func (a *Agent) Deploy(spec DeploySpec) (*DeployResult, error) {
 	// A standby's predicted client may have associated while the build was
 	// in flight — the exact timing prewarm anticipates. AttachClient's
 	// arming pass skipped the entry (still marked building), and the build
-	// snapshotted the client table before the arrival, so re-arm now:
+	// may have looked the client up before the arrival, so re-arm now:
 	// without this the client's frames bypass the staged chain instead of
 	// parking fail-closed.
 	if spec.Standby {
-		a.armStandbySteering(topology.ClientID(spec.Client))
+		a.armClientSteering(topology.ClientID(spec.Client))
 	}
 	// Lazy reaping rides control-plane activity — after the attach, so a
 	// re-deploy arriving right at grace expiry revives the warm instance
@@ -543,7 +561,7 @@ func (a *Agent) teardownChainResources(cr *chainResources) {
 
 // buildDeployment constructs the resources behind one deployment: a shared
 // pool attachment when eligible, otherwise an exclusive instance.
-func (a *Agent) buildDeployment(spec DeploySpec, ci clientInfo, haveClient bool) (*deployment, error) {
+func (a *Agent) buildDeployment(spec DeploySpec) (*deployment, error) {
 	if a.sharingEligible(spec) {
 		return a.attachShared(spec)
 	}
@@ -552,34 +570,6 @@ func (a *Agent) buildDeployment(spec DeploySpec, ci clientInfo, haveClient bool)
 	if err != nil {
 		return nil, err
 	}
-
-	// Steering. Local chains divert the attached client's traffic: the
-	// client's outbound traffic enters the chain ingress; backhaul
-	// traffic addressed to the client enters the chain egress. Remote
-	// (offloaded) chains receive the client's traffic through a tunnel
-	// from the client's station instead, and frames the chain emits
-	// toward the client ride the same tunnel home.
-	var ruleIDs []int
-	switch {
-	case spec.SegCount > 1:
-		ruleIDs, err = a.installSegmentSteering(spec, cr.inPort, cr.outPort)
-		if err != nil {
-			a.teardownChainResources(cr)
-			return nil, err
-		}
-	case spec.Remote:
-		a.mu.Lock()
-		tp, ok := a.tunnels[topology.StationID(spec.Via)]
-		a.mu.Unlock()
-		if !ok {
-			a.teardownChainResources(cr)
-			return nil, fmt.Errorf("%w: %s", ErrNoTunnel, spec.Via)
-		}
-		ruleIDs = a.installRemoteSteering(spec, tp, cr.inPort, cr.outPort)
-	case haveClient:
-		ruleIDs = a.clientSteeringRules(ci, cr.inPort, cr.outPort)
-	}
-
 	dep := &deployment{
 		spec:       spec,
 		standby:    spec.Standby,
@@ -587,9 +577,24 @@ func (a *Agent) buildDeployment(spec DeploySpec, ci clientInfo, haveClient bool)
 		host:       cr.host,
 		containers: cr.containers,
 		endpoints:  cr.endpoints,
-		ruleIDs:    ruleIDs,
 		ports:      [2]netem.PortID{cr.inPort, cr.outPort},
 	}
+
+	// Steering. A split chain's segment programs its two neighbour legs; a
+	// whole chain has one leg to program, the client's (armClientLeg), and
+	// none yet when its client is neither here nor behind a named tunnel.
+	if spec.SegCount > 1 {
+		dep.ruleIDs, err = a.installSegmentSteering(spec, cr.inPort, cr.outPort)
+	} else {
+		a.mu.Lock()
+		err = a.armClientLeg(dep)
+		a.mu.Unlock()
+	}
+	if err != nil {
+		a.teardownChainResources(cr)
+		return nil, err
+	}
+
 	if spec.Enabled {
 		cr.host.Enable()
 	} else {
@@ -602,28 +607,86 @@ func (a *Agent) buildDeployment(spec DeploySpec, ci clientInfo, haveClient bool)
 	return dep, nil
 }
 
-// clientSteeringRules diverts an attached client's traffic through a
-// chain's two service ports: outbound frames from the client's access port
-// into the chain ingress, backhaul frames addressed to the client into the
-// chain egress.
-func (a *Agent) clientSteeringRules(ci clientInfo, inPort, outPort netem.PortID) []int {
-	cp := ci.port
-	up := a.uplink
-	dstIP := ci.ip
-	return []int{
-		a.sw.AddRule(netem.Rule{
-			Priority: steerPriority,
-			Match:    netem.Match{InPort: &cp},
-			Action:   netem.ActionRedirect,
-			OutPort:  inPort,
-		}),
-		a.sw.AddRule(netem.Rule{
-			Priority: steerPriority,
-			Match:    netem.Match{InPort: &up, DstIP: &dstIP},
-			Action:   netem.ActionRedirect,
-			OutPort:  outPort,
-		}),
+// clientLeg is where a whole-chain deployment's client is, seen from this
+// station: on a local access port, or behind the tunnel to the station it
+// is attached at — a GNFC offload, or a live handoff detouring the client
+// back to the chain that has not followed it yet.
+type clientLeg struct {
+	port   netem.PortID // the access port, or the tunnel's local port
+	tunnel bool
+	mac    packet.MAC
+	ip     packet.IP
+}
+
+// clientLegOf resolves a deployment's client leg: the tunnel to spec.Via
+// when one is named (remote deployments always name one), the client's
+// access port otherwise. ok is false while the client is simply not here —
+// such a deployment has no client leg until it arrives. Called with a.mu
+// held.
+func (a *Agent) clientLegOf(spec DeploySpec) (leg clientLeg, ok bool, err error) {
+	if spec.Remote || spec.Via != "" {
+		tp, have := a.tunnels[topology.StationID(spec.Via)]
+		if !have {
+			return leg, false, fmt.Errorf("%w: %s", ErrNoTunnel, spec.Via)
+		}
+		if spec.ClientMAC.IsZero() {
+			// Tunnel rules match on the client's MAC; a local deployment
+			// learns it when it first sees its client.
+			return leg, false, fmt.Errorf("%w: %s (no addressing to match on a tunnel)", ErrUnknownClient, spec.Client)
+		}
+		return clientLeg{port: tp, tunnel: true, mac: spec.ClientMAC, ip: spec.ClientIP}, true, nil
 	}
+	ci, have := a.clients[topology.ClientID(spec.Client)]
+	if !have {
+		return leg, false, nil
+	}
+	return clientLeg{port: ci.port, mac: ci.mac, ip: ci.ip}, true, nil
+}
+
+// installClientLeg programs the rules that divert one client's traffic
+// through a chain's two service ports, derived from where the client is —
+// the only installer of whole-chain client steering. Outbound frames enter
+// the chain ingress off the leg's port (narrowed to the client's source MAC
+// on a tunnel, which other clients' detours share); backhaul frames
+// addressed to the client enter the chain egress (by IP for a local
+// client; by MAC across a tunnel, so unicast ARP replies detour too). A
+// local client's inbound output reaches it through its pinned MAC; across
+// a tunnel a third rule pushes whatever the chain emits toward the client
+// back into the tunnel.
+func (a *Agent) installClientLeg(leg clientLeg, inPort, outPort netem.PortID) []int {
+	redirect := func(m netem.Match, to netem.PortID) int {
+		return a.sw.AddRule(netem.Rule{Priority: steerPriority, Match: m, Action: netem.ActionRedirect, OutPort: to})
+	}
+	lp, up, cin := leg.port, a.uplink, inPort
+	mac, ip := leg.mac, leg.ip
+	if !leg.tunnel {
+		return []int{
+			redirect(netem.Match{InPort: &lp}, inPort),
+			redirect(netem.Match{InPort: &up, DstIP: &ip}, outPort),
+		}
+	}
+	return []int{
+		redirect(netem.Match{InPort: &lp, SrcMAC: &mac}, inPort),
+		redirect(netem.Match{InPort: &up, DstMAC: &mac}, outPort),
+		redirect(netem.Match{InPort: &cin}, lp),
+	}
+}
+
+// armClientLeg installs a whole-chain deployment's client leg unless it
+// already has one or its client cannot be located yet. The deployment
+// keeps the addressing it saw, so the leg can later follow the client onto
+// a tunnel after the client itself has left. Called with a.mu held.
+func (a *Agent) armClientLeg(d *deployment) error {
+	if len(d.ruleIDs) != 0 {
+		return nil
+	}
+	leg, ok, err := a.clientLegOf(d.spec)
+	if !ok {
+		return err
+	}
+	d.spec.ClientMAC, d.spec.ClientIP = leg.mac, leg.ip
+	d.ruleIDs = a.installClientLeg(leg, d.ports[0], d.ports[1])
+	return nil
 }
 
 // ImageForKind resolves an NF kind's repository image name through the
@@ -852,10 +915,11 @@ func (a *Agent) ActivateTraced(tctx trace.Context, chain string) (*ActivateResul
 	flip := a.tracer.Child(tctx, "agent.steer_flip")
 	a.mu.Lock()
 	d.standby = false
-	ci, have := a.clients[topology.ClientID(d.spec.Client)]
 	needSeg := d.spec.SegCount > 1 && d.spec.SegIndex == 0 && len(d.ruleIDs) == 0
-	if have && !d.spec.Remote && d.spec.SegCount <= 1 && len(d.ruleIDs) == 0 {
-		d.ruleIDs = a.clientSteeringRules(ci, d.ports[0], d.ports[1])
+	if d.spec.SegCount <= 1 {
+		// A tunnel leg went in with the deploy; what can still be missing
+		// is the leg of a client that has associated since.
+		_ = a.armClientLeg(d)
 	}
 	a.mu.Unlock()
 	if needSeg {
@@ -999,6 +1063,7 @@ func (a *Agent) Report() Report {
 	type depSnap struct {
 		d                *deployment
 		enabled, standby bool
+		via              string
 	}
 	a.mu.Lock()
 	deps := make([]depSnap, 0, len(a.deployments))
@@ -1006,9 +1071,10 @@ func (a *Agent) Report() Report {
 		if d.building {
 			continue
 		}
-		deps = append(deps, depSnap{d: d, enabled: d.enabled, standby: d.standby})
+		deps = append(deps, depSnap{d: d, enabled: d.enabled, standby: d.standby, via: d.spec.Via})
 	}
 	a.mu.Unlock()
+	rep.Detours = a.Detours()
 	// Sharers of one instance all report the same aggregate counters;
 	// compute them once per instance, not once per sharer (a thousand
 	// clients on one pool would otherwise rescan it a thousand times).
@@ -1043,6 +1109,7 @@ func (a *Agent) Report() Report {
 				Dropped:   d.host.Dropped(),
 				NFStats:   d.chain.NFStats(),
 				Standby:   snap.standby,
+				Via:       snap.via,
 			}
 		}
 		rep.Chains = append(rep.Chains, cs)

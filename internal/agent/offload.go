@@ -11,14 +11,17 @@
 //     loop-free, and registers each end here.
 //   - Detour steering (client's station): a high-priority rule redirects
 //     everything the client emits into the tunnel toward the hosting site.
-//   - Remote chain steering (hosting site): tunnel arrivals from the
-//     client enter the chain ingress; backhaul frames addressed to the
-//     client enter the chain egress; frames the chain emits toward the
-//     client are pushed back into the tunnel.
+//   - Tunnel client leg (hosting site): the chain's client leg rides the
+//     tunnel instead of an access port (installClientLeg in agent.go).
+//
+// A live handoff borrows the last two between edge stations: while the
+// target boots, the client's new station detours it back to the source,
+// whose chain's client leg Retarget has moved onto the tunnel.
 package agent
 
 import (
 	"fmt"
+	"sort"
 
 	"gnf/internal/netem"
 	"gnf/internal/topology"
@@ -50,38 +53,6 @@ func (a *Agent) Tunnels() []topology.StationID {
 		out = append(out, p)
 	}
 	return out
-}
-
-// installRemoteSteering programs the hosting-site rules for a remote
-// deployment: tunnel ingress by client source MAC, backhaul egress by
-// client destination MAC (MAC, not IP, so unicast ARP replies detour
-// too), and the return leg from the chain's client side back into the
-// tunnel.
-func (a *Agent) installRemoteSteering(spec DeploySpec, tunnel netem.PortID, inPort, outPort netem.PortID) []int {
-	src, dst := spec.ClientMAC, spec.ClientMAC
-	up := a.uplink
-	tp := tunnel
-	cin := inPort
-	return []int{
-		a.sw.AddRule(netem.Rule{
-			Priority: steerPriority,
-			Match:    netem.Match{InPort: &tp, SrcMAC: &src},
-			Action:   netem.ActionRedirect,
-			OutPort:  inPort,
-		}),
-		a.sw.AddRule(netem.Rule{
-			Priority: steerPriority,
-			Match:    netem.Match{InPort: &up, DstMAC: &dst},
-			Action:   netem.ActionRedirect,
-			OutPort:  outPort,
-		}),
-		a.sw.AddRule(netem.Rule{
-			Priority: steerPriority,
-			Match:    netem.Match{InPort: &cin},
-			Action:   netem.ActionRedirect,
-			OutPort:  tp,
-		}),
-	}
 }
 
 // Steer detours everything the client emits into the tunnel toward via —
@@ -137,36 +108,63 @@ func (a *Agent) Steered(client topology.ClientID) bool {
 	return ok
 }
 
-// Retarget re-points a remote deployment at the tunnel to via — the
-// hosting-site half of roaming an offloaded client: the chain stays put,
-// only its tunnel rules move.
+// Detours lists the clients with a detour installed, sorted.
+func (a *Agent) Detours() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make([]string, 0, len(a.steers))
+	for c := range a.steers {
+		out = append(out, string(c))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Retarget re-points a whole-chain deployment's client leg: at the tunnel
+// to via, or — via "" — back at the client's local access port (no rules
+// at all while the client is not here). The chain stays put, only its
+// client-facing rules move, and the new set is in before the old one goes,
+// so there is no unsteered window. It is the hosting-site half of roaming
+// an offloaded client, and of a live handoff's detour: the source station
+// keeps serving the client that left it, across the tunnel, until the
+// target is ready. Shared attachments and split-chain segments own no
+// client leg and are refused.
 func (a *Agent) Retarget(chain string, via topology.StationID) error {
 	a.mu.Lock()
 	dep, ok := a.deployments[chain]
-	if !ok {
+	if !ok || dep.building {
 		a.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownChain, chain)
 	}
-	if !dep.spec.Remote {
+	if dep.shared != nil || dep.spec.SegCount > 1 {
 		a.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotRemote, chain)
 	}
-	tp, haveTunnel := a.tunnels[via]
-	a.mu.Unlock()
-	if !haveTunnel {
-		return fmt.Errorf("%w: %s", ErrNoTunnel, via)
-	}
-
 	spec := dep.spec
 	spec.Via = string(via)
-	newRules := a.installRemoteSteering(spec, tp, dep.ports[0], dep.ports[1])
+	leg, have, err := a.clientLegOf(spec)
+	a.mu.Unlock()
+	if err != nil {
+		return err
+	}
+
+	var newRules []int
+	if have {
+		newRules = a.installClientLeg(leg, dep.ports[0], dep.ports[1])
+	}
 	a.mu.Lock()
 	old := dep.ruleIDs
-	dep.ruleIDs = newRules
-	dep.spec = spec
+	if a.deployments[chain] == dep {
+		dep.ruleIDs = newRules
+		dep.spec.Via = spec.Via
+	} else {
+		// Removed meanwhile, its rules with it: the set just installed is
+		// nobody's to clean up but ours.
+		old, err = newRules, fmt.Errorf("%w: %s", ErrUnknownChain, chain)
+	}
 	a.mu.Unlock()
 	for _, id := range old {
 		a.sw.RemoveRule(id)
 	}
-	return nil
+	return err
 }

@@ -217,6 +217,9 @@ type Report struct {
 	Switch  SwitchStats           `json:"switch"`
 	Chains  []ChainStatus         `json:"chains"`
 	Pools   []PoolStatus          `json:"pools,omitempty"`
+	// Detours lists the clients whose traffic this station detours into a
+	// tunnel (Steer), sorted.
+	Detours []string `json:"detours,omitempty"`
 	// RetiredDrops carries the accumulated drop counters of chains already
 	// torn down on this station, so loss accounting survives migrations.
 	RetiredDrops uint64 `json:"retired_drops,omitempty"`
@@ -287,6 +290,11 @@ type ChainStatus struct {
 	// Standby marks a prewarmed placement intent (see DeploySpec.Standby);
 	// the invariant audit skips these.
 	Standby bool `json:"standby,omitempty"`
+	// Via names the station whose tunnel the chain's client leg rides ("" =
+	// the client's local access port): an offloaded chain's edge station,
+	// or — for the length of a live handoff — the station detouring the
+	// client back here.
+	Via string `json:"via,omitempty"`
 }
 
 // ClientEvent reports client (dis)connection to the manager (§3: the Agent
@@ -303,7 +311,8 @@ type ClientEvent struct {
 }
 
 // SteerSpec asks a client's station to detour the client's traffic into
-// the tunnel toward Via (the GNFC offload detour).
+// the tunnel toward Via: the cloud site hosting its chains, or the station
+// a live handoff is still moving them from.
 type SteerSpec struct {
 	Client string `json:"client"`
 	Via    string `json:"via"`
@@ -320,11 +329,12 @@ type UnsteerSpec struct {
 	Client string `json:"client"`
 }
 
-// RetargetSpec re-points a remote deployment's tunnel rules at the tunnel
-// from Via (roaming an offloaded client). For segment deployments the
-// optional PrevVia/NextVia pointers re-point the segment's neighbour legs
-// instead (nil leaves a leg untouched; pointing at "" makes the segment a
-// head/tail).
+// RetargetSpec re-points a whole-chain deployment's client leg at the
+// tunnel from Via (roaming an offloaded client; a live handoff's detour),
+// or with Via "" back at the client's local access port. For segment
+// deployments the optional PrevVia/NextVia pointers re-point the segment's
+// neighbour legs instead (nil leaves a leg untouched; pointing at "" makes
+// the segment a head/tail).
 type RetargetSpec struct {
 	Chain   string  `json:"chain"`
 	Via     string  `json:"via"`

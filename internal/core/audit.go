@@ -30,6 +30,12 @@ const (
 	// ViolationDisabled: a chain that should be forwarding is disabled.
 	// Scenarios exercising activation schedules expect this one.
 	ViolationDisabled = "disabled-chain"
+	// ViolationStrayDetour: steering left behind for a client the manager
+	// does not record as offloaded — a station still detouring its traffic
+	// into a tunnel, or an edge chain whose client leg still rides one. A
+	// live handoff installs both for the length of its move; after the
+	// client's moves have drained neither may remain.
+	ViolationStrayDetour = "stray-detour"
 )
 
 // Violation is one invariant breach found by Audit.
@@ -66,7 +72,18 @@ func (s *System) Audit() []Violation {
 	s.mu.Unlock()
 	hostedOn := make(map[[2]string][]hosting) // {client, chain} -> hostings
 	for id, sn := range nodes {
-		for _, cs := range sn.ag.Report().Chains {
+		rep := sn.ag.Report()
+		for _, client := range rep.Detours {
+			if s.Manager.Offloaded(client) == "" {
+				out = append(out, Violation{ViolationStrayDetour,
+					fmt.Sprintf("station %s detours client %s, which is not offloaded", id, client)})
+			}
+		}
+		for _, cs := range rep.Chains {
+			if cs.Via != "" && s.Manager.Offloaded(cs.Client) == "" {
+				out = append(out, Violation{ViolationStrayDetour,
+					fmt.Sprintf("chain %s/%s on %s has its client leg on the tunnel to %s, but the client is not offloaded", cs.Client, cs.Chain, id, cs.Via)})
+			}
 			if cs.Standby {
 				// Prewarmed standbys are placement *intents* — disabled,
 				// deliberately duplicating the active copy at the predicted

@@ -6,6 +6,7 @@ import (
 
 	"gnf/internal/agent"
 	"gnf/internal/manager"
+	"gnf/internal/nf"
 	"gnf/internal/packet"
 	"gnf/internal/topology"
 )
@@ -154,5 +155,44 @@ func TestVirtualSystemRunsOnVirtualClock(t *testing.T) {
 	clk.Advance(42 * time.Second)
 	if got := sys.Clock.Now().Sub(before); got != 42*time.Second {
 		t.Fatalf("system clock moved %v, want 42s", got)
+	}
+}
+
+// TestAuditDetectsStrayDetour plants the two halves of a live handoff's
+// detour behind the manager's back — what a failed or raced move would
+// leave — and expects each to be reported until it is cleared.
+func TestAuditDetectsStrayDetour(t *testing.T) {
+	sys := auditFixture(t)
+	// An exclusive chain: the shareable "ch" owns no client leg to re-point.
+	if err := sys.AttachChain("c0", manager.ChainSpec{
+		Name:      "nat",
+		Functions: []agent.NFSpec{{Kind: "nat", Name: "nat0", Params: nf.Params{"nat_ip": "192.168.60.1"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.EnsureTunnel("st-a", "st-b"); err != nil {
+		t.Fatal(err)
+	}
+	a := sys.Agent("st-a")
+	if err := a.Steer("c0", "st-b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := kinds(sys.Audit()); got[ViolationStrayDetour] != 1 || len(got) != 1 {
+		t.Fatalf("want one stray-detour for the steered client, got %v", sys.Audit())
+	}
+	if err := a.Retarget("nat", "st-b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := kinds(sys.Audit()); got[ViolationStrayDetour] != 2 || len(got) != 1 {
+		t.Fatalf("want stray-detours for the steer and the tunnelled leg, got %v", sys.Audit())
+	}
+	if err := a.ClearSteer("c0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Retarget("nat", ""); err != nil {
+		t.Fatal(err)
+	}
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Fatalf("violations after clearing the detour: %v", vs)
 	}
 }

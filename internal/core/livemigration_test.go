@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"gnf/internal/nf"
 	"gnf/internal/packet"
 	"gnf/internal/topology"
+	"gnf/internal/trace"
 )
 
 // natChain is a stateful chain whose migration must move the translation
@@ -78,6 +82,40 @@ func auditClean(t *testing.T, sys *System) {
 	if vs := sys.Audit(); len(vs) != 0 {
 		t.Fatalf("audit violations: %v", vs)
 	}
+}
+
+// noStrayRules asserts that no station detours the client and that each
+// station's switch holds exactly the rules listed for it (absent = none):
+// whatever steering a move put in on the way is gone again.
+func noStrayRules(t *testing.T, sys *System, want map[topology.StationID]int) {
+	t.Helper()
+	sys.mu.Lock()
+	stations := make([]topology.StationID, 0, len(sys.stations))
+	for id := range sys.stations {
+		stations = append(stations, id)
+	}
+	sys.mu.Unlock()
+	for _, id := range stations {
+		ag := sys.Agent(id)
+		if d := ag.Detours(); len(d) != 0 {
+			t.Errorf("%s still detours %v", id, d)
+		}
+		if rules := ag.Switch().Rules(); len(rules) != want[id] {
+			t.Errorf("%s holds %d switch rules, want %d: %+v", id, len(rules), want[id], rules)
+		}
+	}
+}
+
+// spanNames counts the stored spans of every trace by name.
+func spanNames(sys *System) map[string]int {
+	names := map[string]int{}
+	tr := sys.Manager.Tracer()
+	for _, sum := range tr.Traces() {
+		for _, sp := range tr.Trace(sum.TraceID) {
+			names[sp.Name]++
+		}
+	}
+	return names
 }
 
 func TestLiveMigrationPreservesStateWithSmallResidual(t *testing.T) {
@@ -175,6 +213,12 @@ func TestRapidDoubleHandoffMidPrecopy(t *testing.T) {
 	if err := sys.Topo.Attach("phone", "cell-1"); err != nil {
 		t.Fatal(err)
 	}
+	// Bounce back the moment st-1 starts detouring the client to st-0 (or,
+	// should the whole move outrun this loop, a little later: either order
+	// must converge).
+	for deadline := time.Now().Add(time.Second); !sys.Agent("st-1").Steered("phone") && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 	if err := sys.Topo.Attach("phone", "cell-0"); err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +247,212 @@ func TestRapidDoubleHandoffMidPrecopy(t *testing.T) {
 			t.Fatalf("failed migration in double handoff: %+v", rep)
 		}
 	}
+	// The client left st-1 while st-1 was detouring it back to st-0, and
+	// the way home ran a second detour the other way: neither may leave a
+	// rule behind. The chain at st-0 keeps its two local-leg rules.
+	noStrayRules(t, sys, map[topology.StationID]int{"st-0": 2})
+}
+
+// wireLog is what the server saw of a sequence-numbered stream: per frame,
+// whether it arrived and whether it carried the chain's NAT address.
+type wireLog struct {
+	mu        sync.Mutex
+	rewritten map[uint32]bool
+}
+
+// streamAcrossHandoff runs the two-station demo system on the wall clock
+// (container boots really take their ~120 ms) with a NAT chain, streams one
+// frame per millisecond from the phone to the server across a single
+// handoff st-a -> st-b, and returns the sequence numbers that left the
+// phone, the one current when the roam began, and the server's log.
+func streamAcrossHandoff(t *testing.T, strategy manager.Strategy) (sys *System, sent []uint32, roamAt uint32, log *wireLog) {
+	t.Helper()
+	sys, _ = demoSystem(t, strategy)
+	if err := sys.AttachChain("phone", natChain("edge")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitChainOn("st-a", "edge", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	seedFlows(t, sys, "st-a", "edge", 500)
+
+	natIP := packet.IP{192, 168, 77, 1}
+	log = &wireLog{rewritten: map[uint32]bool{}}
+	server := sys.AddServer("sink", packet.MAC{2, 0, 0, 0, 0, 0x98}, packet.IP{10, 99, 0, 2})
+	server.HandleUDP(7100, func(src, _ packet.Endpoint, payload []byte) []byte {
+		if len(payload) >= 4 {
+			log.mu.Lock()
+			log.rewritten[binary.BigEndian.Uint32(payload)] = src.Addr == natIP
+			log.mu.Unlock()
+		}
+		return nil
+	})
+	phone := sys.ClientHost("phone")
+	phone.Learn(packet.IP{10, 99, 0, 2}, packet.MAC{2, 0, 0, 0, 0, 0x98})
+
+	var mu sync.Mutex
+	var seq uint32
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		buf := make([]byte, 64)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			mu.Lock()
+			binary.BigEndian.PutUint32(buf, seq)
+			// A send between cells fails: that frame never left the phone.
+			if phone.SendUDP(packet.Endpoint{Addr: packet.IP{10, 99, 0, 2}, Port: 7100}, 6000, buf) == nil {
+				sent = append(sent, seq)
+			}
+			seq++
+			mu.Unlock()
+		}
+	}()
+	time.Sleep(30 * time.Millisecond)
+	mu.Lock()
+	roamAt = seq
+	mu.Unlock()
+	if err := sys.Topo.Attach("phone", "cell-b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitClientAt("phone", "st-b", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(30 * time.Millisecond)
+	close(stop)
+	<-done
+	time.Sleep(20 * time.Millisecond) // the last frames reach the server
+	return sys, sent, roamAt, log
+}
+
+// TestLiveHandoffDetoursThroughSource is the wire-level regression test for
+// the live roam gap: while the target boots, the client's traffic must keep
+// crossing its chain — at the source, over the detour — so what reaches the
+// server un-translated is only what slipped out between the association
+// and the detour landing, and the manager's Downtime finally describes
+// what the wire shows.
+func TestLiveHandoffDetoursThroughSource(t *testing.T) {
+	basePool := packet.FramePoolOutstanding()
+	sys, sent, roamAt, log := streamAcrossHandoff(t, manager.StrategyLive)
+
+	migs := sys.Manager.Migrations()
+	if len(migs) != 1 || migs[0].Err != "" || migs[0].Strategy != manager.StrategyLive {
+		t.Fatalf("migrations = %+v", migs)
+	}
+	log.mu.Lock()
+	var lost, bypassed int
+	for _, seq := range sent {
+		rewritten, arrived := log.rewritten[seq]
+		switch {
+		case !arrived:
+			lost++
+		case !rewritten:
+			bypassed++
+			// Everything after the detour landed is translated: stragglers
+			// sit within a few milliseconds of the roam.
+			if seq < roamAt || seq > roamAt+15 {
+				t.Errorf("frame %d (roam began at %d) reached the server un-translated", seq, roamAt)
+			}
+		}
+	}
+	log.mu.Unlock()
+	if lost != 0 {
+		t.Errorf("%d of %d frames lost across the handoff", lost, len(sent))
+	}
+	if bypassed > 10 {
+		t.Errorf("%d frames bypassed the chain; the target's boot is on the wire again", bypassed)
+	}
+	// One frame per millisecond: the un-chained frames are the wire gap.
+	gap := time.Duration(bypassed+lost) * time.Millisecond
+	if d := gap - migs[0].Downtime; d > 10*time.Millisecond || d < -10*time.Millisecond {
+		t.Errorf("wire gap %v, manager reports downtime %v", gap, migs[0].Downtime)
+	}
+
+	names := spanNames(sys)
+	for _, want := range []string{"manager.detour", "rpc:agent.retarget", "rpc:agent.steer", "rpc:agent.unsteer"} {
+		if names[want] != 1 {
+			t.Errorf("%d %s spans, want 1 (all: %v)", names[want], want, names)
+		}
+	}
+	if h := sys.Manager.MetricsSnapshot().Histograms["migration.detour_ms"]; h.Count != 1 {
+		t.Errorf("migration.detour_ms holds %d samples, want 1", h.Count)
+	}
+	noStrayRules(t, sys, map[topology.StationID]int{"st-b": 2})
+	auditClean(t, sys)
+	for deadline := time.Now().Add(2 * time.Second); packet.FramePoolOutstanding() != basePool; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("frame pool: %d outstanding, %d before the test", packet.FramePoolOutstanding(), basePool)
+		}
+	}
+}
+
+// TestStatefulHandoffIssuesNoDetour is the twin: stop-and-copy freezes the
+// source at once, so there is nothing to detour to, and the same handoff
+// must issue no steering call at all.
+func TestStatefulHandoffIssuesNoDetour(t *testing.T) {
+	sys, _, _, _ := streamAcrossHandoff(t, manager.StrategyStateful)
+	migs := sys.Manager.Migrations()
+	if len(migs) != 1 || migs[0].Err != "" || migs[0].Strategy != manager.StrategyStateful {
+		t.Fatalf("migrations = %+v", migs)
+	}
+	names := spanNames(sys)
+	for _, name := range []string{"manager.detour", "rpc:agent.retarget", "rpc:agent.steer", "rpc:agent.unsteer"} {
+		if names[name] != 0 {
+			t.Errorf("stateful handoff recorded %d %s spans (all: %v)", names[name], name, names)
+		}
+	}
+	if n := len(sys.Manager.Journal().Events(0, trace.EventDetour)); n != 0 {
+		t.Errorf("%d detour events journaled", n)
+	}
+	noStrayRules(t, sys, map[topology.StationID]int{"st-b": 2})
+	auditClean(t, sys)
+}
+
+// A shared-pool attachment has no client leg of its own: the manager knows
+// from the deploy's answer, so a live handoff of one builds no tunnel, asks
+// no agent and journals nothing — and the next handoff, whose source is the
+// copy this move deployed, likewise.
+func TestSharedChainHandoffAsksForNoDetour(t *testing.T) {
+	sys := liveSystem(t, 2, manager.StrategyLive)
+	shareable := manager.ChainSpec{Name: "edge", Functions: []agent.NFSpec{{Kind: "counter", Name: "acct0"}}}
+	if err := sys.AttachChain("phone", shareable); err != nil {
+		t.Fatal(err)
+	}
+	for i, cell := range []topology.CellID{"cell-1", "cell-0"} {
+		to := topology.StationID(fmt.Sprintf("st-%d", 1-i))
+		if err := sys.Topo.Attach("phone", cell); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.WaitClientAt("phone", to, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		sys.Manager.WaitIdle()
+		if err := sys.WaitChainOn(to, "edge", 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	migs := sys.Manager.Migrations()
+	if len(migs) != 2 || migs[0].Err != "" || migs[1].Err != "" || migs[1].Strategy != manager.StrategyLive {
+		t.Fatalf("migrations = %+v", migs)
+	}
+	if pools := sys.Agent("st-0").Report().Pools; len(pools) == 0 {
+		t.Fatal("the chain is not a shared attachment: the test exercises nothing")
+	}
+	if evs := sys.Manager.Journal().Events(0, trace.EventDetour); len(evs) != 0 {
+		t.Errorf("detour events journaled for a shared chain: %+v", evs)
+	}
+	for _, st := range []topology.StationID{"st-0", "st-1"} {
+		if tun := sys.Agent(st).Tunnels(); len(tun) != 0 {
+			t.Errorf("%s was given tunnels %v for a detour nobody can take", st, tun)
+		}
+	}
+	auditClean(t, sys)
 }
 
 func TestPrewarmHitRateOnCommutePattern(t *testing.T) {
@@ -245,6 +495,14 @@ func TestPrewarmHitRateOnCommutePattern(t *testing.T) {
 		t.Fatalf("prewarmed %d of %d migrations", prewarmed, len(migs))
 	}
 	auditClean(t, sys)
+	// The client ends on st-0 with a standby staged (unsteered: its client
+	// is away) on st-1. Cold handoffs detoured, prewarm hits did not — the
+	// standby parks the client's frames itself — and nothing of either is
+	// left.
+	noStrayRules(t, sys, map[topology.StationID]int{"st-0": 2})
+	if n := len(sys.Manager.Journal().Events(0, trace.EventDetour)); n != len(migs)-prewarmed {
+		t.Fatalf("%d detours journaled for %d handoffs of which %d prewarmed", n, len(migs), prewarmed)
+	}
 }
 
 func TestPrewarmMissCleansStaleStandby(t *testing.T) {

@@ -10,14 +10,17 @@ import (
 	"gnf/internal/agent"
 	"gnf/internal/clock"
 	"gnf/internal/manager"
+	"gnf/internal/trace"
 )
 
 // The exhaustive fault table: every shape of plan the move engine runs ×
 // "fail RPC k" for every RPC the shape issues. After each case the hosting
 // model of the scripted stations must show every moving deployment enabled
 // in exactly one place — back at its source when the move failed, with
-// nothing left behind anywhere else — and the manager's placement record
-// must agree.
+// nothing left behind anywhere else — the manager's placement record must
+// agree, and no steering may outlive the move: no station detours the
+// client unless toward its offload site, and every surviving copy's client
+// leg is back on its home form.
 
 // faultFixture is a manager with three scripted edge stations and a cloud
 // site, and client "phone" associated at st-src. st-agg sorts first, which
@@ -108,6 +111,12 @@ type moveShape struct {
 	// stays marks plans that succeed without relocating anything (standby
 	// staging): home remains the source.
 	stays bool
+	// detours marks a live handoff, whose first two RPCs point the client
+	// back at the source: the move runs un-detoured without them.
+	detours bool
+	// rpcs pins how many RPCs the fault-free run issues, so a step added to
+	// one shape cannot leak into another unnoticed.
+	rpcs int
 	// check holds shape-specific assertions beyond the hosting model.
 	check func(t *testing.T, fx *faultFixture, failed bool)
 }
@@ -130,6 +139,21 @@ func migrateToDst(_ *testing.T, fx *faultFixture) error {
 	return err
 }
 
+// roamToDst hands the client off to st-dst. A handoff returns nothing; its
+// outcome is the report of the migration it ran.
+func roamToDst(t *testing.T, fx *faultFixture) error {
+	before := len(fx.mgr.Migrations())
+	fx.announce(t, "st-dst")
+	migs := fx.mgr.Migrations()
+	if len(migs) != before+1 {
+		return fmt.Errorf("handoff ran %d migrations", len(migs)-before)
+	}
+	if rep := migs[before]; rep.Err != "" {
+		return fmt.Errorf("%s", rep.Err)
+	}
+	return nil
+}
+
 // offloaded checks the client's offload site: unchanged after a failed
 // move, the new one after a successful move.
 func offloaded(before, after string) func(*testing.T, *faultFixture, bool) {
@@ -146,22 +170,54 @@ func offloaded(before, after string) func(*testing.T, *faultFixture, bool) {
 
 var moveShapes = []moveShape{
 	{
-		name: "cold", strategy: manager.StrategyCold,
+		name: "cold", strategy: manager.StrategyCold, rpcs: 3,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "stateful", strategy: manager.StrategyStateful,
+		name: "stateful", strategy: manager.StrategyStateful, rpcs: 7,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "live", strategy: manager.StrategyLive,
+		// Stop-and-copy freezes the source at once: a handoff under it has
+		// nothing to detour to and must issue the operator move's RPCs.
+		name: "stateful handoff", strategy: manager.StrategyStateful, rpcs: 7,
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		name: "live", strategy: manager.StrategyLive, rpcs: 9,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "prewarm", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()},
+		// The client has already left the source: the live move's RPCs plus
+		// Retarget and Steer up front and Unsteer at the freeze.
+		name: "live handoff", strategy: manager.StrategyLive, rpcs: 12, detours: true,
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		// A shared attachment has no client leg to point back at the client:
+		// the manager knows from the deploy's answer and asks nobody — the
+		// operator move's RPCs, no tunnel, nothing journaled.
+		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 9,
+		prepare: func(t *testing.T, fx *faultFixture) {
+			for _, sa := range fx.agents {
+				sa.pool()
+			}
+			fx.attach(t, "chain")
+		},
+		op: roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+		check: func(t *testing.T, fx *faultFixture, _ bool) {
+			if evs := fx.mgr.Journal().Events(0, trace.EventDetour); len(evs) != 0 {
+				t.Errorf("a pooled chain's handoff journaled a detour: %+v", evs)
+			}
+		},
+	},
+	{
+		name: "prewarm", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 4,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op: func(t *testing.T, fx *faultFixture) error {
 			// Staging is best effort and reports nothing; its outcome is what
@@ -175,12 +231,19 @@ var moveShapes = []moveShape{
 		moving: []string{"chain"}, source: "st-src", target: "st-dst", stays: true,
 	},
 	{
-		name: "live+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()},
+		name: "live+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 7,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain"); stageStandby(t, fx) },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "dead-source+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()},
+		// A handoff landing on its standby: the standby parks the client's
+		// frames itself, so no detour — the same RPCs as the operator move.
+		name: "live handoff+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 7,
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain"); stageStandby(t, fx) },
+		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		name: "dead-source+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 1,
 		prepare: func(t *testing.T, fx *faultFixture) {
 			fx.attach(t, "chain")
 			stageStandby(t, fx)
@@ -191,7 +254,7 @@ var moveShapes = []moveShape{
 	{
 		// Failover revival of a split chain's head: no source to carry from,
 		// and the anchored segment's previous leg must chase the head.
-		name: "dead-source", strategy: manager.StrategyStateful,
+		name: "dead-source", strategy: manager.StrategyStateful, rpcs: 3,
 		prepare: func(t *testing.T, fx *faultFixture) { attachSplit(t, fx); fx.kill(t, "st-src") },
 		op: func(_ *testing.T, fx *faultFixture) error {
 			for _, rep := range fx.mgr.CheckFailures() {
@@ -204,7 +267,7 @@ var moveShapes = []moveShape{
 		moving: []string{splitChain}, source: "st-src", target: "st-agg",
 	},
 	{
-		name: "segment move", strategy: manager.StrategyStateful,
+		name: "segment move", strategy: manager.StrategyStateful, rpcs: 9,
 		prepare: attachSplit,
 		op: func(_ *testing.T, fx *faultFixture) error {
 			_, err := fx.mgr.MigrateSegment("phone", splitChain, 1, "st-dst")
@@ -225,7 +288,7 @@ var moveShapes = []moveShape{
 		},
 	},
 	{
-		name: "offload", strategy: manager.StrategyStateful,
+		name: "offload", strategy: manager.StrategyStateful, rpcs: 15,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain-a"); fx.attach(t, "chain-b") },
 		op: func(_ *testing.T, fx *faultFixture) error {
 			_, err := fx.mgr.OffloadClient("phone", "nimbus")
@@ -235,7 +298,7 @@ var moveShapes = []moveShape{
 		check: offloaded("", "nimbus"),
 	},
 	{
-		name: "recall", strategy: manager.StrategyStateful,
+		name: "recall", strategy: manager.StrategyStateful, rpcs: 15,
 		prepare: func(t *testing.T, fx *faultFixture) {
 			fx.attach(t, "chain-a")
 			fx.attach(t, "chain-b")
@@ -289,8 +352,8 @@ func TestMoveFaultTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fault-free run failed: %v", err)
 			}
-			if len(points) == 0 {
-				t.Fatal("fault-free run issued no RPCs")
+			if len(points) != sh.rpcs {
+				t.Fatalf("fault-free run issued %d RPCs, want %d: %v", len(points), sh.rpcs, points)
 			}
 			for _, p := range points {
 				t.Run(p.String(), func(t *testing.T) { sh.verify(t, p) })
@@ -307,6 +370,15 @@ func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 	// bearing.
 	sourceRemove := fault.method == agent.MethodRemove && fault.station == sh.source
 	bestEffort := fault.method == agent.MethodPrefetch || sourceRemove
+	if sh.detours {
+		// So is the detour: a source that will not re-point, or a station
+		// that will not steer, leaves the move as it was without one. Not
+		// so its clearing — the source must not freeze with the client
+		// still tunnelled into it.
+		bestEffort = bestEffort ||
+			fault == faultPoint{sh.source, agent.MethodRetarget, 1} ||
+			fault == faultPoint{sh.target, agent.MethodSteer, 1}
+	}
 	if failed == bestEffort {
 		t.Fatalf("move error = %v, want failure = %v; RPCs: %v", err, !bestEffort, issued)
 	}
@@ -337,6 +409,26 @@ func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 		}
 		if placed != home {
 			t.Errorf("placement of %s = %q, want %q", dep, placed, home)
+		}
+	}
+	// No steering outlives the move, whichever RPC failed: a detour only
+	// toward the client's offload site, a client leg on a tunnel only there.
+	site := fx.mgr.Offloaded("phone")
+	for st, sa := range fx.agents {
+		if fx.dead[st] {
+			continue
+		}
+		if via, steered := sa.detour("phone"); steered && via != site {
+			t.Errorf("%s still detours phone toward %s (offload site %q); RPCs: %v", st, via, site, issued)
+		}
+		for _, dep := range sh.moving {
+			// A source copy whose removal failed lingers as it was frozen.
+			if _, present := sa.hosts(dep); !present || (sourceRemove && st == sh.source) {
+				continue
+			}
+			if via := sa.leg(dep, "client"); via != "" && site == "" {
+				t.Errorf("%s's client leg on %s still rides the tunnel to %s; RPCs: %v", dep, st, via, issued)
+			}
 		}
 	}
 	if sh.check != nil {
@@ -397,5 +489,103 @@ func TestFailoverRetargetFailureIsReported(t *testing.T) {
 	}
 	if _, present := fx.agents[head.To].hosts(splitChain); present {
 		t.Errorf("unspliced head left deployed on %s", head.To)
+	}
+}
+
+// TestHandoffBouncesBackWhileDetoured pins a live handoff mid pre-copy —
+// the detour is in, the target is booting — and has the client return to
+// the source station. The move in flight must still take its own detour
+// out, the move home (a second detour, the other way) likewise, and the
+// chain must end up serving where the client is.
+func TestHandoffBouncesBackWhileDetoured(t *testing.T) {
+	fx := newFaultFixture(t, manager.StrategyLive)
+	fx.attach(t, "chain")
+	src, dst := fx.agents["st-src"], fx.agents["st-dst"]
+	event := func(sa *scriptedAgent, connected bool) {
+		t.Helper()
+		if err := sa.peer.Call(agent.MethodClientEvent,
+			agent.ClientEvent{Station: sa.station, Client: "phone", Connected: connected}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gate := src.holdOn(agent.MethodPreCopy)
+	event(dst, true)
+	<-gate.entered
+	if via, steered := dst.detour("phone"); !steered || via != "st-src" {
+		t.Fatalf("mid-move: st-dst detours phone toward %q (steered=%v), want st-src", via, steered)
+	}
+	if via := src.leg("chain", "client"); via != "st-dst" {
+		t.Fatalf("mid-move: the source's client leg points at %q, want the tunnel to st-dst", via)
+	}
+	event(dst, false)
+	event(src, true)
+	close(gate.release)
+	fx.mgr.WaitIdle()
+
+	migs := fx.mgr.Migrations()
+	if len(migs) != 2 || migs[0].Err != "" || migs[1].Err != "" || migs[1].To != "st-src" {
+		t.Fatalf("migrations = %+v, want st-src -> st-dst -> st-src", migs)
+	}
+	for st, sa := range fx.agents {
+		if via, steered := sa.detour("phone"); steered {
+			t.Errorf("%s still detours phone toward %s", st, via)
+		}
+		enabled, present := sa.hosts("chain")
+		if want := st == "st-src"; present != want || enabled != want {
+			t.Errorf("chain on %s: present=%v enabled=%v", st, present, enabled)
+		}
+	}
+	if n := len(fx.mgr.Journal().Events(0, trace.EventDetour)); n != 2 {
+		t.Errorf("%d detours journaled, want one per move", n)
+	}
+}
+
+// TestSecondChainOfAClientIsNotDetoured hands off a client with two chains.
+// They move one after another, and a detour takes all of the client's
+// traffic: only the first move may send it back to the source — during the
+// second it would ride past the chain that has just landed.
+func TestSecondChainOfAClientIsNotDetoured(t *testing.T) {
+	fx := newFaultFixture(t, manager.StrategyLive)
+	fx.attach(t, "chain-a")
+	fx.attach(t, "chain-b")
+	fx.announce(t, "st-dst")
+
+	migs := fx.mgr.Migrations()
+	if len(migs) != 2 || migs[0].Err != "" || migs[1].Err != "" {
+		t.Fatalf("migrations = %+v, want both chains moved", migs)
+	}
+	// At the client's station the detour comes out (the first move's
+	// freeze) before anything is activated there.
+	var steers, unsteers, activated int
+	for _, call := range fx.agents["st-dst"].callLog() {
+		switch call {
+		case agent.MethodSteer:
+			steers++
+		case agent.MethodUnsteer:
+			unsteers++
+			if activated != 0 {
+				t.Errorf("the detour outlived a chain's activation at st-dst: %v", fx.agents["st-dst"].callLog())
+			}
+		case agent.MethodActivate:
+			activated++
+		}
+	}
+	if steers != 1 || unsteers != 1 || activated != 2 {
+		t.Errorf("st-dst saw %d Steer, %d Unsteer, %d Activate, want 1, 1, 2: %v",
+			steers, unsteers, activated, fx.agents["st-dst"].callLog())
+	}
+	if n := len(fx.mgr.Journal().Events(0, trace.EventDetour)); n != 1 {
+		t.Errorf("%d detours journaled, want the first move's only", n)
+	}
+	for st, sa := range fx.agents {
+		if via, steered := sa.detour("phone"); steered {
+			t.Errorf("%s still detours phone toward %s", st, via)
+		}
+		for _, chain := range []string{"chain-a", "chain-b"} {
+			if via := sa.leg(chain, "client"); via != "" {
+				t.Errorf("%s's client leg on %s still rides the tunnel to %s", chain, st, via)
+			}
+		}
 	}
 }

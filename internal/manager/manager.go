@@ -95,11 +95,15 @@ type MigrationReport struct {
 	// Live-migration pipeline detail: pre-copy rounds run while the source
 	// still served, bytes shipped by them, bytes of the frozen residual
 	// delta, whether a prewarmed standby absorbed the handoff, and how many
-	// brownout-buffered frames the target replayed on activation.
-	Rounds         int    `json:"rounds,omitempty"`
-	PrecopyBytes   int    `json:"precopy_bytes,omitempty"`
-	ResidualBytes  int    `json:"residual_bytes,omitempty"`
-	Prewarmed      bool   `json:"prewarmed,omitempty"`
+	// brownout-buffered frames the target replayed on activation. pooled is
+	// for the placement record, not the reader — the deployment at To is an
+	// attachment to a shared instance — and sits in the other bool's padding:
+	// thousands of reports are kept.
+	Rounds         int  `json:"rounds,omitempty"`
+	PrecopyBytes   int  `json:"precopy_bytes,omitempty"`
+	ResidualBytes  int  `json:"residual_bytes,omitempty"`
+	Prewarmed      bool `json:"prewarmed,omitempty"`
+	pooled         bool
 	ReplayedFrames uint64 `json:"replayed_frames,omitempty"`
 	Err            string `json:"err,omitempty"`
 	// TraceID links the report to its span tree when the triggering handoff
@@ -171,12 +175,20 @@ type clientRec struct {
 	// holding it (see shards.go for the full ordering).
 	mu      sync.Mutex
 	station string // current station ("" = disconnected)
+	// arrived is when the client associated at station (manager clock).
+	arrived time.Time
 	mac     packet.MAC
 	ip      packet.IP
 	chains  map[string]ChainSpec
 	// deployedOn tracks where each chain currently runs (it may lag
 	// station while a migration is in flight).
 	deployedOn map[string]string
+	// pooled marks chains whose current deployment is an attachment to a
+	// station's shared instance (DeployResult.Shared). The pool steers every
+	// sharer itself, so such a deployment has no client leg of its own that
+	// a live handoff could point back at the client. Nil until a deploy
+	// says so (see place).
+	pooled map[string]bool
 	// offload names the GNFC cloud site hosting this client's chains
 	// ("" = chains live at the edge and roam with the client).
 	offload string
@@ -194,6 +206,20 @@ type clientRec struct {
 	// handoffs must not race two migrations of the same chain. Ordering:
 	// migMu is taken before any shard or record lock.
 	migMu sync.Mutex
+}
+
+// place records that chain now runs at station, as an attachment to a
+// shared instance or on containers of its own. Callers hold rec.mu.
+func (rec *clientRec) place(chain, station string, pooled bool) {
+	rec.deployedOn[chain] = station
+	if !pooled {
+		delete(rec.pooled, chain)
+		return
+	}
+	if rec.pooled == nil {
+		rec.pooled = make(map[string]bool)
+	}
+	rec.pooled[chain] = true
 }
 
 // Manager is the central controller.

@@ -28,10 +28,16 @@ type scriptedAgent struct {
 	failAt map[string]int // method -> calls left until the one that fails
 	gates  map[string]*agentGate
 	// hosted maps each deployment this station holds to whether it is
-	// enabled; legs holds the last via a Retarget set, keyed "chain next"
-	// or "chain prev". Failed calls change neither.
-	hosted map[string]bool
-	legs   map[string]string
+	// enabled; legs holds the last via a Retarget set, keyed "chain next",
+	// "chain prev" or — a whole chain's client leg — "chain client";
+	// detours maps each client steered here to the station its traffic is
+	// tunnelled toward. Failed calls change none of them.
+	hosted  map[string]bool
+	legs    map[string]string
+	detours map[string]string
+	// pooling makes the station answer every deploy as an attachment to a
+	// shared instance.
+	pooling bool
 }
 
 // agentGate parks a method's handler: entered closes when the first call
@@ -55,17 +61,25 @@ func dialScriptedAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpe
 	}
 	sa := &scriptedAgent{t: t, peer: peer, station: reg.Station,
 		fail: map[string]bool{}, failAt: map[string]int{}, gates: map[string]*agentGate{},
-		hosted: map[string]bool{}, legs: map[string]string{}}
+		hosted: map[string]bool{}, legs: map[string]string{}, detours: map[string]string{}}
 	handle := func(method string, result any) {
 		peer.Handle(method, func(body json.RawMessage) (any, error) {
 			if sa.record(method) {
 				return nil, fmt.Errorf("%s: scripted failure", method)
 			}
 			sa.apply(method, body)
+			if answer, ok := result.(func() any); ok {
+				return answer(), nil
+			}
 			return result, nil
 		})
 	}
-	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
+	handle(agent.MethodDeploy, func() any {
+		sa.mu.Lock()
+		defer sa.mu.Unlock()
+		return agent.DeployResult{Shared: sa.pooling}
+	})
+	for _, m := range []string{agent.MethodRemove, agent.MethodEnable,
 		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch, agent.MethodSyncDelta,
 		agent.MethodRetarget, agent.MethodSteer, agent.MethodSteerBatch, agent.MethodUnsteer} {
 		handle(m, nil)
@@ -105,6 +119,8 @@ func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
 	var dep agent.DeploySpec
 	var ref agent.ChainRef
 	var rt agent.RetargetSpec
+	var steer agent.SteerSpec
+	var batch agent.SteerBatchSpec
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	switch method {
@@ -121,6 +137,9 @@ func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
 	case agent.MethodRemove:
 		if json.Unmarshal(body, &ref) == nil {
 			delete(sa.hosted, ref.Chain)
+			for _, which := range []string{" next", " prev", " client"} {
+				delete(sa.legs, ref.Chain+which)
+			}
 		}
 	case agent.MethodRetarget:
 		if json.Unmarshal(body, &rt) == nil {
@@ -130,8 +149,34 @@ func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
 			if rt.PrevVia != nil {
 				sa.legs[rt.Chain+" prev"] = *rt.PrevVia
 			}
+			if rt.NextVia == nil && rt.PrevVia == nil {
+				sa.legs[rt.Chain+" client"] = rt.Via
+			}
+		}
+	case agent.MethodSteer:
+		if json.Unmarshal(body, &steer) == nil {
+			sa.detours[steer.Client] = steer.Via
+		}
+	case agent.MethodSteerBatch:
+		if json.Unmarshal(body, &batch) == nil {
+			for _, r := range batch.Rules {
+				sa.detours[r.Client] = r.Via
+			}
+		}
+	case agent.MethodUnsteer:
+		// UnsteerSpec is SteerSpec without the via.
+		if json.Unmarshal(body, &steer) == nil {
+			delete(sa.detours, steer.Client)
 		}
 	}
+}
+
+// detour reports the station the client's traffic is steered toward here.
+func (sa *scriptedAgent) detour(client string) (via string, steered bool) {
+	sa.mu.Lock()
+	defer sa.mu.Unlock()
+	via, steered = sa.detours[client]
+	return via, steered
 }
 
 // hosts reports whether the station holds the deployment, and enabled.
@@ -142,12 +187,19 @@ func (sa *scriptedAgent) hosts(chain string) (enabled, present bool) {
 	return enabled, present
 }
 
-// leg reports the last via a Retarget pointed the chain's "next" or "prev"
-// leg at ("" = never retargeted).
+// leg reports the last via a Retarget pointed the chain's "next", "prev"
+// or "client" leg at ("" = never retargeted, or pointed back home).
 func (sa *scriptedAgent) leg(chain, which string) string {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	return sa.legs[chain+" "+which]
+}
+
+// pool makes the station's deploys from now on report shared attachments.
+func (sa *scriptedAgent) pool() {
+	sa.mu.Lock()
+	sa.pooling = true
+	sa.mu.Unlock()
 }
 
 // failNth makes the nth call of method from now on (1-based) fail, once.

@@ -4,7 +4,8 @@
 // newly assigned cell and removed from the previous cell" — plus optional
 // state transfer, is a single step list:
 //
-//	prefetch → deploy at target → carry state → enable or activate →
+//	[detour the client back to the source] → prefetch → deploy at target →
+//	carry state → [clear the detour] → enable or activate →
 //	re-splice neighbour legs → remove source
 //
 // Handoffs, operator migrations, station evacuation, GNFC offload and
@@ -63,6 +64,17 @@ type movePlan struct {
 	resume bool
 	// deferred leaves the source in place once the target serves.
 	deferred bool
+	// pooled says the source copy is an attachment to a shared instance
+	// (the placement record's note of DeployResult.Shared).
+	pooled bool
+	// arrived is when the client associated at `to`, set only when it sits
+	// there while all its chains still run at `from` — a handoff whose
+	// traffic can go back, as opposed to a move the client sits out at the
+	// source or a later chain following one that has landed (zero). A live
+	// move then has the source really serve during the deploy and the
+	// pre-copy rounds: the client's traffic is tunnelled back to it from the
+	// target station until the freeze.
+	arrived time.Time
 	// prevAt/nextAt host the neighbouring segments of a split chain; their
 	// legs are re-spliced onto the new station ("" = no such neighbour).
 	prevAt, nextAt string
@@ -170,12 +182,41 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		return fail(err)
 	}
 
+	// Detour. A roaming client has left the source's station, so "pre-copy
+	// while the source serves" would serve nobody and the client's traffic
+	// would pass its new station un-chained for the whole target boot.
+	// Instead the source's client leg moves onto the tunnel to the target
+	// station (the hosting half of an offload) and that station detours the
+	// client into it — the same two calls that roam an offloaded client —
+	// before anything slow starts. A standby already parks the client's
+	// frames fail-closed; a split head's leg is not the agent's to move and a
+	// shared attachment has none, so neither is asked; and a source that
+	// will not re-point or a station that cannot steer just leaves the move
+	// as it always was: the detour shortens the gap, it carries no state.
+	unsteer := func() error {
+		return target.callT(tctx, agent.MethodUnsteer, agent.UnsteerSpec{Client: p.client}, nil)
+	}
+	// (Carrying live without resuming a standby implies a reachable source.)
+	detoured := !p.arrived.IsZero() && carry == StrategyLive && !p.resume &&
+		p.deploy.SegCount <= 1 && !p.pooled && m.detour(tctx, p, source, target)
+	if detoured {
+		// Association to detour in place: the part of the client's
+		// un-chained gap the manager can see.
+		m.metrics.Histogram("migration.detour_ms", downtimeBucketsMs...).
+			Observe(float64(m.clk.Since(p.arrived).Microseconds()) / 1000)
+		undo = append(undo,
+			func() { source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name}, nil) },
+			func() { unsteer() })
+	}
+
 	// Stage the target. The deploy does not depend on source state, so a
 	// handoff runs it beside the first source-side step instead of
 	// stretching the migration by it; join resolves before state lands on
 	// the target and before the undo entry below may remove it.
 	join := func() error { return nil }
 	var boot time.Duration
+	// A resumed standby was built from the same spec the source was.
+	rep.pooled = p.pooled
 	if !p.resume {
 		deploy := p.deploy
 		deploy.Enabled, deploy.Standby = carry == StrategyCold, p.standby
@@ -185,8 +226,9 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 		stage := func() error {
 			watch := clock.NewStopwatch(m.clk)
-			err := target.callT(tctx, agent.MethodDeploy, deploy, nil)
-			boot = watch.Elapsed()
+			var res agent.DeployResult
+			err := target.callT(tctx, agent.MethodDeploy, deploy, &res)
+			boot, rep.pooled = watch.Elapsed(), res.Shared
 			return err
 		}
 		switch {
@@ -279,8 +321,15 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 			// Freeze: only the residual delta rides inside the dark window,
 			// so downtime no longer depends on total state size. The
 			// brownout flag parks source-side stragglers instead of counting
-			// them as drops.
+			// them as drops. The detour goes first: from here the client's
+			// frames park in the target's brownout buffer, which Activate
+			// replays, rather than cross the tunnel into a frozen source.
 			down = clock.NewStopwatch(m.clk)
+			if detoured {
+				if err := unsteer(); err != nil {
+					return fail(err)
+				}
+			}
 			if err := freeze(true); err != nil {
 				return fail(err)
 			}
@@ -365,6 +414,42 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	commit()
 	rep.Total = total.Elapsed()
 	return rep, nil
+}
+
+// detour points the source deployment's client leg at the tunnel to the
+// target station and has that station steer the client into it, in that
+// order — no frame enters the tunnel before the far end expects it. It
+// reports whether the detour is in place; on false nothing is left behind.
+// A detour is not a migration and records no MigrationReport.
+func (m *Manager) detour(tctx trace.Context, p movePlan, source, target *AgentHandle) bool {
+	sp := m.tracer.Child(tctx, "manager.detour")
+	if sp != nil {
+		tctx = sp.Context()
+	}
+	name := p.deploy.Chain
+	err := m.ensureTunnel(p.from, p.to)
+	if err == nil {
+		err = source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name, Via: p.to}, nil)
+	}
+	if err == nil {
+		err = target.callT(tctx, agent.MethodSteer, agent.SteerSpec{Client: p.client, Via: p.from}, nil)
+		if err != nil {
+			source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name}, nil)
+		}
+	}
+	sp.End(err)
+	ev := trace.Event{
+		Type: trace.EventDetour, Subject: p.client, Station: p.to,
+		Detail: fmt.Sprintf("chain=%s via=%s", name, p.from),
+	}
+	if tctx.Recording() {
+		ev.TraceID = tctx.TraceID
+	}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	m.journal.Append(ev)
+	return err == nil
 }
 
 // imagesOf lists the repository images a function list needs.

@@ -206,8 +206,8 @@ func (m *Manager) reanchor(client string, rec *clientRec, plans []movePlan, offl
 
 	rec.mu.Lock()
 	rec.offload, rec.steerOn = offload, steerOn
-	for _, p := range plans {
-		rec.deployedOn[p.deploy.Chain] = p.to
+	for i, p := range plans {
+		rec.place(p.deploy.Chain, p.to, reports[i].pooled)
 	}
 	rec.mu.Unlock()
 	for _, rep := range reports {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"time"
 
 	"gnf/internal/agent"
 	"gnf/internal/topology"
@@ -85,7 +86,7 @@ func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 	}
 	rec.mu.Lock()
 	rec.chains[spec.Name] = spec
-	rec.deployedOn[spec.Name] = target
+	rec.place(spec.Name, target, res.Shared)
 	needSteer := site != "" && rec.steerOn != station
 	if needSteer {
 		rec.steerOn = station
@@ -117,6 +118,7 @@ func (m *Manager) DetachChain(client, chainName string) error {
 	station := rec.deployedOn[chainName]
 	delete(rec.chains, chainName)
 	delete(rec.deployedOn, chainName)
+	delete(rec.pooled, chainName)
 	// A split chain's anchored segments live under "name#i" deployments;
 	// collect them for removal alongside the head.
 	type segDep struct{ name, at string }
@@ -215,7 +217,7 @@ func (m *Manager) applyClientEvent(ev agent.ClientEvent) {
 		return
 	}
 	rec.mu.Lock()
-	rec.station = ev.Station
+	rec.station, rec.arrived = ev.Station, m.clk.Now()
 	if !ev.MAC.IsZero() {
 		rec.mac, rec.ip = ev.MAC, ev.IP
 	}
@@ -424,16 +426,46 @@ func (m *Manager) migrateChain(tctx trace.Context, client string, rec *clientRec
 		m.dropStandby(rec, spec.Name)
 	}
 	deploy, seg1At := headDeploy(client, rec, spec)
+	rec.mu.Lock()
+	pooled := rec.pooled[spec.Name]
+	arrived := rec.detourableSince(spec.Name, to)
+	rec.mu.Unlock()
 	rep, _ := m.move(tctx, movePlan{
 		client: client, from: from, to: to, strategy: strategy,
-		deploy: deploy, resume: resume, nextAt: seg1At,
+		deploy: deploy, resume: resume, nextAt: seg1At, pooled: pooled, arrived: arrived,
 	})
 	if rep.Err == "" {
 		rec.mu.Lock()
-		rec.deployedOn[spec.Name] = to
+		rec.place(spec.Name, to, rep.pooled)
 		rec.mu.Unlock()
 	}
 	return rep
+}
+
+// detourableSince reports when the client associated at station `to` if a
+// move of chain there is a handoff during which the client's traffic may be
+// sent back to the source, and the zero time otherwise: the client is not
+// at `to` (it sits the move out at the source), or another of its chains
+// already serves — or stands by — there. A detour takes all of the client's
+// traffic and outranks every chain rule at its station, so it would carry
+// that traffic past the chain that has landed; one client's chains move one
+// after another, and only the first finds them all still at the source.
+// Callers hold rec.mu.
+func (rec *clientRec) detourableSince(chain, to string) time.Time {
+	if rec.station != to {
+		return time.Time{}
+	}
+	for name, at := range rec.deployedOn {
+		if name != chain && at == to {
+			return time.Time{}
+		}
+	}
+	for name, at := range rec.standby {
+		if name != chain && at == to {
+			return time.Time{}
+		}
+	}
+	return rec.arrived
 }
 
 // headDeploy builds the deploy spec that moves a chain under its own name.

@@ -150,6 +150,66 @@ func TestTraceContextPropagatesAndNests(t *testing.T) {
 	}
 }
 
+// TestHandoffDetourIsTraced checks where a live handoff's detour shows up:
+// one manager.detour span under manager.migrate with the Retarget and Steer
+// RPCs under it (the Unsteer at the freeze belongs to the migration), one
+// migration.detour_ms sample and one detour journal event on the same trace.
+func TestHandoffDetourIsTraced(t *testing.T) {
+	mgr, err := manager.New(clock.System(), "127.0.0.1:0", manager.WithStrategy(manager.StrategyLive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	src := newHeaderAgent(t, mgr, "st-src")
+	dst := newHeaderAgent(t, mgr, "st-dst")
+	announce := func(ha *headerAgent, station string) {
+		t.Helper()
+		if err := ha.peer.Call(agent.MethodClientEvent,
+			agent.ClientEvent{Station: station, Client: "phone", Connected: true}, nil); err != nil {
+			t.Fatal(err)
+		}
+		mgr.WaitIdle()
+	}
+	announce(src, "st-src")
+	spec := manager.ChainSpec{Name: "chain", Functions: []agent.NFSpec{{Kind: "counter", Name: "c0"}}}
+	if err := mgr.AttachChain("phone", spec); err != nil {
+		t.Fatal(err)
+	}
+	announce(dst, "st-dst")
+
+	migs := mgr.Migrations()
+	if len(migs) != 1 || migs[0].Err != "" || migs[0].TraceID == "" {
+		t.Fatalf("migrations = %+v", migs)
+	}
+	spans := mgr.Tracer().Trace(migs[0].TraceID)
+	if n := trace.ConnectedSize(spans); n != len(spans) {
+		t.Fatalf("span tree: %d of %d spans connected", n, len(spans))
+	}
+	byName := map[string]trace.SpanRecord{}
+	for _, sp := range spans {
+		byName[sp.Name] = sp
+	}
+	det, ok := byName["manager.detour"]
+	if !ok || det.Parent != byName["manager.migrate"].SpanID {
+		t.Fatalf("detour span missing or not under manager.migrate: %+v", det)
+	}
+	for _, m := range []string{agent.MethodRetarget, agent.MethodSteer} {
+		if rpc, ok := byName["rpc:"+m]; !ok || rpc.Parent != det.SpanID {
+			t.Errorf("%s RPC span not nested under the detour: %+v", m, rpc)
+		}
+	}
+	if rpc, ok := byName["rpc:"+agent.MethodUnsteer]; !ok || rpc.Parent != byName["manager.migrate"].SpanID {
+		t.Errorf("unsteer RPC span not nested under the migration: %+v", rpc)
+	}
+	if h := mgr.MetricsSnapshot().Histograms["migration.detour_ms"]; h.Count != 1 {
+		t.Errorf("migration.detour_ms holds %d samples, want 1", h.Count)
+	}
+	evs := mgr.Journal().Events(0, trace.EventDetour)
+	if len(evs) != 1 || evs[0].TraceID != migs[0].TraceID || evs[0].Subject != "phone" || evs[0].Station != "st-dst" || evs[0].Err != "" {
+		t.Errorf("detour journal events = %+v", evs)
+	}
+}
+
 // TestUntracedMigrationStaysUntraced pins the zero-overhead path: with
 // sampling off, RPCs carry no header and the report links no trace.
 func TestUntracedMigrationStaysUntraced(t *testing.T) {

@@ -22,6 +22,10 @@ const (
 	EventNotify    = "notify"
 	EventSchedule  = "schedule"
 	EventOffload   = "offload"
+	// EventDetour records a live handoff pointing the roamed client's
+	// traffic back at its still-running source chain (or failing to, Err
+	// set: the handoff then runs un-detoured).
+	EventDetour = "detour"
 	// EventStormCoalesced records a superseded handoff collapsed in the
 	// manager's handoff queue before reaching a worker: the client handed
 	// off again while its previous reconcile was still queued.
