@@ -531,8 +531,13 @@ func (a *Agent) buildChainResources(name string, fns []NFSpec) (*chainResources,
 		containers[0].SetStateHandler(chain)
 	}
 
-	swIn, chainIn := netem.NewVethPair(name+"-in0", name+"-in1", netem.WithClock(a.clk))
-	swOut, chainOut := netem.NewVethPair(name+"-out0", name+"-out1", netem.WithClock(a.clk))
+	// Switch and chain share the box. Each leg queues toward the chain —
+	// the switch's ports are fed by rings many chains share, and this is
+	// where their flows part — and is a direct call back: the leg's one
+	// goroutine carries a batch through the chain and the switch pass after
+	// it, up to the next device's ring.
+	swIn, chainIn := netem.NewServicePair(name+"-in0", name+"-in1")
+	swOut, chainOut := netem.NewServicePair(name+"-out0", name+"-out1")
 	cr.host = nf.NewChainHost(chain, chainIn, chainOut)
 	cr.endpoints = []*netem.Endpoint{swIn, swOut}
 

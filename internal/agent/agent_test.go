@@ -29,6 +29,7 @@ type station struct {
 	client *netem.Host
 	server *netem.Host
 	clk    *clock.Virtual
+	repo   *container.Repository
 }
 
 func pushImages(repo *container.Repository) {
@@ -60,7 +61,7 @@ func newStation(t *testing.T) *station {
 	ag := agent.New("st-1", clk, rt, sw, 0)
 	ag.AttachClient("phone", clientMAC, clientIP, 1)
 	t.Cleanup(func() { up.Close(); cl.Close() })
-	return &station{ag: ag, client: client, server: server, clk: clk}
+	return &station{ag: ag, client: client, server: server, clk: clk, repo: repo}
 }
 
 func waitCount(t *testing.T, deadline time.Duration, probe func() bool) {

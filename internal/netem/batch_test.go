@@ -372,3 +372,125 @@ func TestHostPathReclaimsPooledFrames(t *testing.T) {
 	// handler, and no path on the way may leak.
 	waitOutstanding(t, base)
 }
+
+// TestMutationMidRunRepointsTheNextFrame pins down the two memos a run
+// keeps — the steering verdict (good for one snapshot) and the
+// normal-forwarding port (good for one FDB generation). A run of same-flow
+// frames to a MAC the switch cannot place floods frame by frame, and a
+// flooded frame reaches a direct port's receiver while the batch is still
+// being walked: the receiver changes the switch after frame `at`, and frame
+// at+1 — same batch, same run — must already be forwarded by the new state.
+func TestMutationMidRunRepointsTheNextFrame(t *testing.T) {
+	const n, at = 32, 10
+	x := mac(7)
+	in := PortID(1)
+	cases := []struct {
+		name   string
+		mutate func(sw *Switch)
+		want   [2]int // frames at+1..n-1 seen on ports 2 and 3
+		// Frames served without a rule scan. An FDB change leaves the run
+		// alive (every frame after the first reuses its verdict); a snapshot
+		// change ends it, and frame at+1 pays one more scan.
+		hits uint64
+	}{
+		{"fdb move", func(sw *Switch) {
+			// x speaks up on port 3: its entry moves there from the dead port.
+			sw.Inject(3, packet.BuildUDP(x, mac(1), ip(7), ip(1), 53, 4000, []byte{0xff, 0xff, 0xff, 0xff}))
+		}, [2]int{0, n - 1 - at}, n - 1},
+		{"pin", func(sw *Switch) { sw.PinMAC(x, 3) }, [2]int{0, n - 1 - at}, n - 2},
+		{"redirect rule", func(sw *Switch) {
+			sw.AddRule(Rule{Priority: 10, Match: Match{InPort: &in}, Action: ActionRedirect, OutPort: 2})
+		}, [2]int{n - 1 - at, 0}, n - 2},
+		{"drop rule", func(sw *Switch) {
+			sw.AddRule(Rule{Priority: 10, Match: Match{InPort: &in}, Action: ActionDrop})
+		}, [2]int{0, 0}, n - 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := NewSwitch("sw")
+			// The FDB knows x, but behind a port that is gone: lookups
+			// succeed and the frame still floods.
+			sw.fdb.learn(x, 9)
+			var seen [2][]uint32
+			for i := range seen {
+				i := i
+				far, swSide := NewServicePair("far", "sw") // sw → far is the direct half
+				defer far.Close()
+				far.SetReceiver(func(f []byte) {
+					stamp := binary.BigEndian.Uint32(f[42:])
+					if stamp < n {
+						seen[i] = append(seen[i], stamp)
+					}
+					if i == 0 && stamp == at {
+						tc.mutate(sw)
+					}
+				})
+				far.SetBatchReceiver(func(fs [][]byte) {
+					for _, f := range fs {
+						seen[i] = append(seen[i], binary.BigEndian.Uint32(f[42:]))
+					}
+				})
+				sw.Attach(PortID(2+i), swSide)
+			}
+
+			template := packet.BuildUDP(mac(1), x, ip(1), ip(7), 4000, 53, make([]byte, 8))
+			batch := make([][]byte, n)
+			for i := range batch {
+				batch[i] = stampedFrame(template, uint32(i))
+			}
+			sw.InjectBatch(1, batch)
+
+			if st := sw.Stats(); st.CacheHits != tc.hits {
+				t.Errorf("CacheHits = %d, want %d", st.CacheHits, tc.hits)
+			}
+			for i := range seen {
+				var before, after int
+				for _, stamp := range seen[i] {
+					if stamp <= at {
+						before++
+					} else {
+						after++
+					}
+				}
+				if before != at+1 {
+					t.Errorf("port %d saw %d of the %d frames flooded before the change", 2+i, before, at+1)
+				}
+				if after != tc.want[i] {
+					t.Errorf("port %d saw %d frames after the change, want %d (%v)", 2+i, after, tc.want[i], seen[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFDBGenerationMovesWithEveryChange: the generation a run's memo is
+// stamped with moves on every change to what lookup can return — a learn
+// that changes an entry, a delete, a port flush — and stands still for the
+// steady-state learn that changes nothing.
+func TestFDBGenerationMovesWithEveryChange(t *testing.T) {
+	fdb := newFDBTable()
+	moved := func(what string, op func()) {
+		t.Helper()
+		g := fdb.gen.Load()
+		op()
+		if fdb.gen.Load() == g {
+			t.Fatalf("%s left the generation at %d", what, g)
+		}
+	}
+	if fdb.gen.Load() == 0 {
+		t.Fatal("generation 0 is the batch path's 'no memo'")
+	}
+	moved("first learn", func() { fdb.learn(mac(1), 1) })
+	g := fdb.gen.Load()
+	fdb.learn(mac(1), 1)
+	if fdb.gen.Load() != g {
+		t.Fatal("re-learning an unchanged entry moved the generation")
+	}
+	moved("moving learn", func() { fdb.learn(mac(1), 2) })
+	moved("flushPort", func() { fdb.flushPort(2) })
+	if _, ok := fdb.lookup(mac(1)); ok {
+		t.Fatal("flushPort left the entry")
+	}
+	fdb.learn(mac(1), 3)
+	moved("delete", func() { fdb.delete(mac(1)) })
+}

@@ -128,7 +128,7 @@ func BenchmarkSwitchForwardParallel(b *testing.B) {
 		frame := packet.BuildUDP(packet.MAC{2, 0, 0, 0, 0x60, id}, packet.MAC{2, 0, 0, 0, 0, 0x99},
 			packet.IP{10, 0, 0, id}, packet.IP{10, 99, 0, 1}, 1000+uint16(id), 7000, make([]byte, 470))
 		for pb.Next() {
-			sw.input(in, frame)
+			sw.Inject(in, frame)
 		}
 	})
 	b.StopTimer()

@@ -59,16 +59,22 @@ type Endpoint struct {
 
 	peer *Endpoint
 
-	mu        sync.Mutex
-	recv      func(frame []byte)
-	recvBatch func(frames [][]byte)
-	ring      *frameRing
-	closed    bool
-	done      chan struct{}
+	// recv is read with one atomic load per delivery and replaced whole by
+	// the setters, so the frame path takes no lock to find its receiver.
+	recv   atomic.Pointer[receivers]
+	ring   *frameRing // nil on a service pair's svc end: Send runs the peer's receiver
+	closed atomic.Bool
+	done   chan struct{}
 
 	txFrames, rxFrames atomic.Uint64
 	txBytes, rxBytes   atomic.Uint64
 	drops              atomic.Uint64
+}
+
+// receivers is the immutable per-frame / batch receiver pair of an endpoint.
+type receivers struct {
+	one   func(frame []byte)
+	batch func(frames [][]byte)
 }
 
 // PairOption adjusts veth construction.
@@ -98,9 +104,30 @@ func WithAsymLink(aToB, bToA LinkParams) PairOption {
 func WithSeed(seed int64) PairOption { return func(pc *pairConfig) { pc.seed = seed } }
 
 // NewVethPair creates a connected pair of endpoints, the emulation of `ip
-// link add ... type veth peer ...`. Each direction runs its own delivery
-// goroutine; Close either end to stop both.
+// link add ... type veth peer ...`. Each direction has a transmit queue and
+// the delivery goroutine that drains it; Close either end to stop both.
 func NewVethPair(nameA, nameB string, opts ...PairOption) (*Endpoint, *Endpoint) {
+	a, b := newPair(nameA, nameB, opts)
+	a.startQueue()
+	b.startQueue()
+	return a, b
+}
+
+// NewServicePair creates the same-box link between a switch and a service
+// it hosts — an NF chain's leg (a memif, not a bridge hop). Toward the
+// service it is a veth: frames sent on sw are queued and the pair's one
+// goroutine runs the service's receiver, so every service works on a
+// goroutine of its own and a slow one fills its own queue, nobody else's.
+// Back from the service there is no wire: Send and SendBatch on svc apply
+// MTU and loss, count, and run sw's receiver on the caller's goroutine. It
+// takes no options — delay, rate and queue length describe a wire.
+func NewServicePair(swName, svcName string) (sw, svc *Endpoint) {
+	sw, svc = newPair(swName, svcName, nil)
+	sw.startQueue()
+	return sw, svc
+}
+
+func newPair(nameA, nameB string, opts []PairOption) (*Endpoint, *Endpoint) {
 	cfg := pairConfig{clk: clock.System(), seed: 1}
 	for _, o := range opts {
 		o(&cfg)
@@ -108,26 +135,32 @@ func NewVethPair(nameA, nameB string, opts ...PairOption) (*Endpoint, *Endpoint)
 	a := newEndpoint(nameA, cfg.clk, cfg.a2b, cfg.seed)
 	b := newEndpoint(nameB, cfg.clk, cfg.b2a, cfg.seed+1)
 	a.peer, b.peer = b, a
-	go a.deliverLoop()
-	go b.deliverLoop()
 	return a, b
+}
+
+// startQueue puts a wire behind e's transmit side. Without one (ring nil),
+// Send and SendBatch run the peer's receiver themselves.
+func (e *Endpoint) startQueue() {
+	if e.link.QueueLen == 0 {
+		e.link.QueueLen = defaultQueueLen
+	}
+	e.ring = newFrameRing(e.link.QueueLen)
+	go e.deliverLoop()
 }
 
 func newEndpoint(name string, clk clock.Clock, link LinkParams, seed int64) *Endpoint {
 	if link.MTU == 0 {
 		link.MTU = DefaultMTU
 	}
-	if link.QueueLen == 0 {
-		link.QueueLen = defaultQueueLen
-	}
-	return &Endpoint{
+	e := &Endpoint{
 		name: name,
 		clk:  clk,
 		link: link,
 		rng:  rand.New(rand.NewSource(seed)),
-		ring: newFrameRing(link.QueueLen),
 		done: make(chan struct{}),
 	}
+	e.recv.Store(&receivers{})
+	return e
 }
 
 // Name returns the endpoint's interface name.
@@ -136,9 +169,7 @@ func (e *Endpoint) Name() string { return e.name }
 // SetReceiver installs the function invoked for each frame arriving at this
 // endpoint. The frame slice is owned by the receiver.
 func (e *Endpoint) SetReceiver(fn func(frame []byte)) {
-	e.mu.Lock()
-	e.recv = fn
-	e.mu.Unlock()
+	e.setReceivers(func(r *receivers) { r.one = fn })
 }
 
 // SetBatchReceiver installs a receiver invoked with a whole batch of
@@ -149,9 +180,39 @@ func (e *Endpoint) SetReceiver(fn func(frame []byte)) {
 // receiver fall back to the per-frame receiver on shaped links, where each
 // frame carries its own serialization and propagation cost.
 func (e *Endpoint) SetBatchReceiver(fn func(frames [][]byte)) {
-	e.mu.Lock()
-	e.recvBatch = fn
-	e.mu.Unlock()
+	e.setReceivers(func(r *receivers) { r.batch = fn })
+}
+
+func (e *Endpoint) setReceivers(edit func(*receivers)) {
+	for {
+		old := e.recv.Load()
+		next := *old
+		edit(&next)
+		if e.recv.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// admit is the transmit prologue Send and SendBatch share: it applies the
+// MTU and the loss model to one frame, counting and recycling a frame that
+// does not make it onto the link. A frame lost on the wire is not an error
+// the sender hears about.
+func (e *Endpoint) admit(frame []byte) (ok bool, err error) {
+	if len(frame) > e.link.MTU {
+		err = ErrFrameTooBig
+	} else if p := e.link.LossProb; p > 0 {
+		e.rngM.Lock()
+		ok = e.rng.Float64() >= p
+		e.rngM.Unlock()
+	} else {
+		return true, nil
+	}
+	if !ok {
+		e.drops.Add(1)
+		packet.ReturnFrame(frame)
+	}
+	return ok, err
 }
 
 // Send transmits a frame toward the peer, transferring ownership of the
@@ -159,10 +220,7 @@ func (e *Endpoint) SetBatchReceiver(fn func(frames [][]byte)) {
 // dropped (tail-drop), as a real qdisc would. Dropped pooled buffers are
 // recycled.
 func (e *Endpoint) Send(frame []byte) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		packet.ReturnFrame(frame)
 		return ErrClosed
 	}
@@ -170,26 +228,19 @@ func (e *Endpoint) Send(frame []byte) error {
 		packet.ReturnFrame(frame)
 		return ErrNoPeer
 	}
-	if len(frame) > e.link.MTU {
-		e.drops.Add(1)
-		packet.ReturnFrame(frame)
-		return ErrFrameTooBig
+	if ok, err := e.admit(frame); !ok {
+		return err
 	}
-	if p := e.link.LossProb; p > 0 {
-		e.rngM.Lock()
-		lost := e.rng.Float64() < p
-		e.rngM.Unlock()
-		if lost {
-			e.drops.Add(1)
-			packet.ReturnFrame(frame)
-			return nil // silently lost on the wire
-		}
-	}
-	n := len(frame)
-	if e.ring.push(frame) {
+	n := uint64(len(frame))
+	switch {
+	case e.ring == nil:
 		e.txFrames.Add(1)
-		e.txBytes.Add(uint64(n))
-	} else {
+		e.txBytes.Add(n)
+		e.peer.deliverOne(frame)
+	case e.ring.push(frame):
+		e.txFrames.Add(1)
+		e.txBytes.Add(n)
+	default:
 		e.drops.Add(1)
 		packet.ReturnFrame(frame)
 	}
@@ -197,14 +248,11 @@ func (e *Endpoint) Send(frame []byte) error {
 }
 
 // SendBatch transmits a batch of frames, applying the same per-frame link
-// model as Send but paying the queue lock once. Ownership of every buffer
-// transfers to the endpoint. It returns the number of frames accepted onto
-// the queue.
+// model as Send but paying the queue lock and the counters once. Ownership
+// of every buffer transfers to the endpoint. It returns the number of
+// frames accepted onto the link.
 func (e *Endpoint) SendBatch(frames [][]byte) int {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed || e.peer == nil {
+	if e.closed.Load() || e.peer == nil {
 		packet.ReturnFrames(frames)
 		return 0
 	}
@@ -212,33 +260,31 @@ func (e *Endpoint) SendBatch(frames [][]byte) int {
 	// ring sees one contiguous push.
 	kept := frames[:0]
 	for _, f := range frames {
-		if len(f) > e.link.MTU {
+		if ok, _ := e.admit(f); ok {
+			kept = append(kept, f)
+		}
+	}
+	sent := kept
+	if e.ring != nil {
+		sent = kept[:e.ring.pushBatch(kept)]
+		for _, f := range kept[len(sent):] {
 			e.drops.Add(1)
 			packet.ReturnFrame(f)
-			continue
 		}
-		if p := e.link.LossProb; p > 0 {
-			e.rngM.Lock()
-			lost := e.rng.Float64() < p
-			e.rngM.Unlock()
-			if lost {
-				e.drops.Add(1)
-				packet.ReturnFrame(f)
-				continue
-			}
-		}
-		kept = append(kept, f)
 	}
-	pushed := e.ring.pushBatch(kept)
-	for _, f := range kept[:pushed] {
-		e.txFrames.Add(1)
-		e.txBytes.Add(uint64(len(f)))
+	e.txFrames.Add(uint64(len(sent)))
+	e.txBytes.Add(frameBytes(sent))
+	if e.ring == nil && len(sent) > 0 {
+		e.peer.deliver(sent)
 	}
-	for _, f := range kept[pushed:] {
-		e.drops.Add(1)
-		packet.ReturnFrame(f)
+	return len(sent)
+}
+
+func frameBytes(frames [][]byte) (n uint64) {
+	for _, f := range frames {
+		n += uint64(len(f))
 	}
-	return pushed
+	return n
 }
 
 // deliverLoop applies serialization and propagation delay, then hands
@@ -257,60 +303,56 @@ func (e *Endpoint) deliverLoop() {
 				continue
 			}
 		}
-		peer := e.peer
-		if shaped {
-			// Shaped links price each frame individually; batching must not
-			// change when a frame crosses the wire.
-			for _, frame := range batch {
-				if e.link.RateBps > 0 {
-					ser := time.Duration(int64(len(frame)) * 8 * int64(time.Second) / e.link.RateBps)
-					e.clk.Sleep(ser)
-				}
-				if e.link.Delay > 0 {
-					e.clk.Sleep(e.link.Delay)
-				}
-				peer.deliverOne(frame)
-			}
+		if !shaped {
+			e.peer.deliver(batch)
 			continue
 		}
-		peer.mu.Lock()
-		batchFn, fn := peer.recvBatch, peer.recv
-		closed := peer.closed
-		peer.mu.Unlock()
-		if closed {
-			packet.ReturnFrames(batch)
-			continue
-		}
-		peer.rxFrames.Add(uint64(len(batch)))
+		// Shaped links price each frame individually; batching must not
+		// change when a frame crosses the wire.
 		for _, frame := range batch {
-			peer.rxBytes.Add(uint64(len(frame)))
-		}
-		switch {
-		case batchFn != nil:
-			batchFn(batch)
-		case fn != nil:
-			for _, frame := range batch {
-				fn(frame)
+			if e.link.RateBps > 0 {
+				ser := time.Duration(int64(len(frame)) * 8 * int64(time.Second) / e.link.RateBps)
+				e.clk.Sleep(ser)
 			}
-		default:
-			packet.ReturnFrames(batch)
+			if e.link.Delay > 0 {
+				e.clk.Sleep(e.link.Delay)
+			}
+			e.peer.deliverOne(frame)
 		}
 	}
 }
 
-// deliverOne hands a single frame to this endpoint's receiver.
+// deliver hands a batch that crossed the link to this endpoint's receiver:
+// the batch receiver when there is one, the per-frame receiver otherwise.
+// A closed endpoint, or one nobody listens on, recycles the buffers.
+func (e *Endpoint) deliver(batch [][]byte) {
+	if e.closed.Load() {
+		packet.ReturnFrames(batch)
+		return
+	}
+	e.rxFrames.Add(uint64(len(batch)))
+	e.rxBytes.Add(frameBytes(batch))
+	switch r := e.recv.Load(); {
+	case r.batch != nil:
+		r.batch(batch)
+	case r.one != nil:
+		for _, frame := range batch {
+			r.one(frame)
+		}
+	default:
+		packet.ReturnFrames(batch)
+	}
+}
+
+// deliverOne hands a single frame to this endpoint's per-frame receiver.
 func (e *Endpoint) deliverOne(frame []byte) {
-	e.mu.Lock()
-	fn := e.recv
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		packet.ReturnFrame(frame)
 		return
 	}
 	e.rxFrames.Add(1)
 	e.rxBytes.Add(uint64(len(frame)))
-	if fn != nil {
+	if fn := e.recv.Load().one; fn != nil {
 		fn(frame)
 	} else {
 		packet.ReturnFrame(frame)
@@ -320,15 +362,9 @@ func (e *Endpoint) deliverOne(frame []byte) {
 // Close stops delivery on both directions of the pair.
 func (e *Endpoint) Close() {
 	for _, ep := range []*Endpoint{e, e.peer} {
-		if ep == nil {
-			continue
-		}
-		ep.mu.Lock()
-		if !ep.closed {
-			ep.closed = true
+		if ep != nil && ep.closed.CompareAndSwap(false, true) {
 			close(ep.done)
 		}
-		ep.mu.Unlock()
 	}
 }
 

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gnf/internal/packet"
 )
@@ -18,6 +19,11 @@ const fdbShards = 32
 // Switch.PinMAC).
 type fdbTable struct {
 	shards [fdbShards]fdbShard
+	// gen moves after every change to what lookup can return, so the batch
+	// path may keep a lookup's result for as long as one atomic load says
+	// gen stood still. Writers bump it after the map write, readers load it
+	// before the lookup: a memo is never stamped newer than what it holds.
+	gen atomic.Uint64
 }
 
 type fdbShard struct {
@@ -30,6 +36,7 @@ type fdbShard struct {
 
 func newFDBTable() *fdbTable {
 	t := &fdbTable{}
+	t.gen.Store(1) // 0 is the batch path's "no memo"
 	for i := range t.shards {
 		t.shards[i].m = make(map[packet.MAC]PortID)
 	}
@@ -55,6 +62,7 @@ func (t *fdbTable) learn(mac packet.MAC, port PortID) {
 	s.mu.Lock()
 	s.m[mac] = port
 	s.mu.Unlock()
+	t.gen.Add(1)
 }
 
 func (t *fdbTable) lookup(mac packet.MAC) (PortID, bool) {
@@ -70,6 +78,7 @@ func (t *fdbTable) delete(mac packet.MAC) {
 	s.mu.Lock()
 	delete(s.m, mac)
 	s.mu.Unlock()
+	t.gen.Add(1)
 }
 
 // flushPort removes every entry pointing at port (port detach).
@@ -84,6 +93,7 @@ func (t *fdbTable) flushPort(port PortID) {
 		}
 		s.mu.Unlock()
 	}
+	t.gen.Add(1)
 }
 
 func (t *fdbTable) size() int {

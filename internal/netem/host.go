@@ -75,10 +75,17 @@ func (h *Host) Rebind(ep *Endpoint) {
 	ep.SetBatchReceiver(h.inputBatch)
 }
 
-// HandleUDP registers a handler for a local UDP port.
+// HandleUDP registers a handler for a local UDP port. The table is replaced,
+// never edited, so a batch in progress keeps the one it read.
 func (h *Host) HandleUDP(port uint16, fn UDPHandler) {
 	h.mu.Lock()
-	h.udp[port] = fn
+	next := map[uint16]UDPHandler{port: fn}
+	for k, v := range h.udp {
+		if k != port {
+			next[k] = v
+		}
+	}
+	h.udp = next
 	h.mu.Unlock()
 }
 
@@ -98,8 +105,15 @@ func (h *Host) Tap(fn func(frame []byte)) {
 	h.mu.Unlock()
 }
 
-// Learn seeds the host's ARP table (used instead of broadcasting in tests).
+// Learn records ip's MAC in the host's ARP table; every received datagram
+// calls it, so an entry that is already right costs a read lock only.
 func (h *Host) Learn(ip packet.IP, mac packet.MAC) {
+	h.mu.RLock()
+	cur, ok := h.arpTable[ip]
+	h.mu.RUnlock()
+	if ok && cur == mac {
+		return
+	}
 	h.mu.Lock()
 	h.arpTable[ip] = mac
 	h.mu.Unlock()
@@ -184,55 +198,51 @@ func (h *Host) PendingPings() int {
 	return len(h.pingWaits)
 }
 
-// input is the host's receive path. The frame buffer is reclaimed into
-// the pool once processing (including any reply build) finishes; anything
-// retaining frame bytes past that point must copy them.
+// input is the per-frame receive path: a batch of one on the caller's stack.
 func (h *Host) input(frame []byte) {
-	h.process(frame)
-	packet.ReturnFrame(frame)
+	one := [1][]byte{frame}
+	h.inputBatch(one[:])
 }
 
-// inputBatch is the batched receive path: per-frame protocol handling is
-// unchanged, the win is upstream (one ring pop, one switch verdict per
-// same-flow run) plus buffer reclamation without a per-frame pool trip
-// upstream.
+// inputBatch is the host's receive path. The tap and the handler table are
+// read once and one parser serves the whole batch. Each frame's buffer is
+// reclaimed into the pool once its processing (including any reply build)
+// finishes; anything retaining frame bytes past that point must copy them.
 func (h *Host) inputBatch(frames [][]byte) {
+	h.mu.RLock()
+	tap, udp, anyUDP := h.rawTap, h.udp, h.anyUDP
+	h.mu.RUnlock()
+	p := packet.BorrowParser()
+	defer packet.ReturnParser(p)
 	for _, frame := range frames {
-		h.process(frame)
+		if tap != nil {
+			tap(frame)
+		}
+		// Frames that do not parse, or are addressed to neither us nor
+		// everyone, are ignored.
+		if p.Parse(frame) == nil && (p.Eth.Dst == h.MACAddr || p.Eth.Dst.IsBroadcast()) {
+			switch {
+			case p.Has(packet.LayerARP):
+				h.handleARP(&p.ARP)
+			case p.Has(packet.LayerICMP):
+				h.handleICMP(p)
+			case p.Has(packet.LayerUDP) && (p.IP.Dst == h.IPAddr || p.Eth.Dst.IsBroadcast()):
+				h.Learn(p.IP.Src, p.Eth.Src)
+				fn, ok := udp[p.UDP.DstPort]
+				if !ok {
+					fn = anyUDP
+				}
+				if fn != nil {
+					h.handleUDP(p, fn)
+				}
+			}
+		}
 		packet.ReturnFrame(frame)
 	}
 }
 
-func (h *Host) process(frame []byte) {
-	h.mu.RLock()
-	tap := h.rawTap
-	h.mu.RUnlock()
-	if tap != nil {
-		tap(frame)
-	}
-	p := packet.BorrowParser()
-	defer packet.ReturnParser(p)
-	if err := p.Parse(frame); err != nil {
-		return
-	}
-	// Frames not addressed to us (or broadcast) are ignored.
-	if p.Eth.Dst != h.MACAddr && !p.Eth.Dst.IsBroadcast() {
-		return
-	}
-	switch {
-	case p.Has(packet.LayerARP):
-		h.handleARP(&p.ARP)
-	case p.Has(packet.LayerICMP):
-		h.handleICMP(p)
-	case p.Has(packet.LayerUDP):
-		h.handleUDP(p)
-	}
-}
-
 func (h *Host) handleARP(a *packet.ARP) {
-	h.mu.Lock()
-	h.arpTable[a.SenderIP] = a.SenderHW
-	h.mu.Unlock()
+	h.Learn(a.SenderIP, a.SenderHW)
 	if a.Op == packet.ARPRequest && a.TargetIP == h.IPAddr {
 		h.Endpoint().Send(packet.BuildARP(packet.ARPReply, h.MACAddr, h.IPAddr, a.SenderHW, a.SenderIP))
 	}
@@ -260,25 +270,12 @@ func (h *Host) handleICMP(p *packet.Parser) {
 	}
 }
 
-func (h *Host) handleUDP(p *packet.Parser) {
-	if p.IP.Dst != h.IPAddr && !p.Eth.Dst.IsBroadcast() {
-		return
-	}
-	h.Learn(p.IP.Src, p.Eth.Src)
-	h.mu.RLock()
-	fn, ok := h.udp[p.UDP.DstPort]
-	if !ok {
-		fn = h.anyUDP
-	}
-	h.mu.RUnlock()
-	if fn == nil {
-		return
-	}
+func (h *Host) handleUDP(p *packet.Parser, fn UDPHandler) {
 	src := packet.Endpoint{Addr: p.IP.Src, Port: p.UDP.SrcPort}
 	dst := packet.Endpoint{Addr: p.IP.Dst, Port: p.UDP.DstPort}
 	// The payload is handed to the handler aliasing the frame buffer —
 	// no per-datagram clone. The copy-on-retain contract (see UDPHandler)
-	// makes that safe: by the time the buffer is reclaimed in input, the
+	// makes that safe: by the time the buffer is reclaimed in inputBatch, the
 	// handler has returned and any reply has been copied into a new frame.
 	payload := p.UDP.Payload()
 	if reply := fn(src, dst, payload); reply != nil {

@@ -201,3 +201,35 @@ func TestPingSendErrorDoesNotLeak(t *testing.T) {
 		t.Fatalf("pending pings = %d after send error, want 0", n)
 	}
 }
+
+// TestHostBatchLearnsAPeerWhoseMACChangesMidBatch: every datagram and every
+// ARP of a batch goes to the ARP table (a steady sender costs a read lock),
+// so the table ends on the last address seen, whatever frames came between.
+func TestHostBatchLearnsAPeerWhoseMACChangesMidBatch(t *testing.T) {
+	ep, _ := NewVethPair("h", "sw")
+	t.Cleanup(ep.Close)
+	h := NewHost(mac(1), ip(1), ep)
+	var handled int
+	h.HandleAnyUDP(func(_, _ packet.Endpoint, _ []byte) []byte { handled++; return nil })
+	from := func(m packet.MAC) []byte {
+		return packet.BuildUDP(m, mac(1), ip(2), ip(1), 7, 7, []byte("x"))
+	}
+
+	h.inputBatch([][]byte{from(mac(2)), from(mac(2)), from(mac(3))})
+	if got := h.Resolve(ip(2)); got != mac(3) {
+		t.Fatalf("after 2,2,3: %v", got)
+	}
+	h.inputBatch([][]byte{from(mac(3)), from(mac(2)), from(mac(3)), from(mac(2))})
+	if got := h.Resolve(ip(2)); got != mac(2) {
+		t.Fatalf("after 3,2,3,2: %v", got)
+	}
+	// An ARP from the same peer between two datagrams: last writer wins.
+	arp := packet.BuildARP(packet.ARPReply, mac(3), ip(2), mac(1), ip(1))
+	h.inputBatch([][]byte{from(mac(2)), arp, from(mac(2))})
+	if got := h.Resolve(ip(2)); got != mac(2) {
+		t.Fatalf("after 2,arp(3),2: %v", got)
+	}
+	if handled != 9 {
+		t.Fatalf("handled %d of 9 datagrams", handled)
+	}
+}

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"sync"
 	"testing"
 
 	"gnf/internal/packet"
@@ -92,6 +93,50 @@ func TestFrameSamplerBatchPathAndRunCounters(t *testing.T) {
 	for _, s := range tn.sw.Samples() {
 		if s.Action != ActionRedirect || s.Out != 2 {
 			t.Fatalf("unexpected sample %+v", s)
+		}
+	}
+}
+
+// TestFrameSamplerCountsAcrossUnevenBatches: the batch path adds a whole
+// batch to the rx counter at once and numbers its frames from the result.
+// Two ports feeding batches whose sizes share nothing with N, at the same
+// time, must still sample exactly ⌊frames/N⌋ each.
+func TestFrameSamplerCountsAcrossUnevenBatches(t *testing.T) {
+	tn := newTestNet(t, 2)
+	sinkTaps(tn)
+	const every = 10
+	tn.sw.EnableSampling(every)
+
+	sizes := map[PortID][]int{1: {7, 13, 1, 32, 9, 64, 3}, 2: {5, 1, 1, 31, 17, 2}}
+	var wg sync.WaitGroup
+	for in, batches := range sizes {
+		wg.Add(1)
+		go func(in PortID, batches []int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for _, n := range batches {
+					batch := make([][]byte, n)
+					for i := range batch {
+						batch[i] = samplerFrame(byte(in), byte(3-in), 7777)
+					}
+					tn.sw.InjectBatch(in, batch)
+				}
+			}
+		}(in, batches)
+	}
+	wg.Wait()
+
+	perPort := map[PortID]int{}
+	for _, s := range tn.sw.Samples() {
+		perPort[s.In]++
+	}
+	for in, batches := range sizes {
+		frames := 0
+		for _, n := range batches {
+			frames += 20 * n
+		}
+		if perPort[in] != frames/every {
+			t.Errorf("port %d: sampled %d of %d frames, want %d", in, perPort[in], frames, frames/every)
 		}
 	}
 }

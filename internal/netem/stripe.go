@@ -22,16 +22,22 @@ type counterCell struct {
 	_ [120]byte
 }
 
-// Inc increments the cell selected by stripe (callers pass something
+// Add adds n to the cell selected by stripe (callers pass something
 // stable per concurrent context, e.g. the arrival port) and returns the
-// cell's new value, so per-frame consumers like the sampler can reuse
-// the increment the pipeline already pays for.
-func (c *stripedCounter) Inc(stripe uint) uint64 {
-	return c.cells[stripe&(counterStripes-1)].n.Add(1)
+// cell's new value, so per-frame consumers like the sampler can number a
+// batch's frames from the one addition the pipeline already pays for.
+// Adding zero — most of a batch's event counters, most of the time — costs a
+// load, not a locked instruction.
+func (c *stripedCounter) Add(stripe uint, n uint64) uint64 {
+	cell := &c.cells[stripe&(counterStripes-1)].n
+	if n == 0 {
+		return cell.Load()
+	}
+	return cell.Add(n)
 }
 
 // Cell returns one stripe's current value (for seeding thresholds that
-// trigger off Inc's return).
+// trigger off Add's return).
 func (c *stripedCounter) Cell(stripe uint) uint64 {
 	return c.cells[stripe&(counterStripes-1)].n.Load()
 }

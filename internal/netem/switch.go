@@ -292,7 +292,7 @@ func (s *Switch) attach(id PortID, ep *Endpoint, service bool) {
 	s.mutate(func(st *swState) {
 		st.ports[id] = &swPort{id: id, ep: ep, service: service}
 	})
-	ep.SetReceiver(func(frame []byte) { s.input(id, frame) })
+	ep.SetReceiver(func(frame []byte) { s.Inject(id, frame) })
 	ep.SetBatchReceiver(func(frames [][]byte) { s.inputBatch(id, frames) })
 }
 
@@ -406,15 +406,15 @@ func (s *Switch) GroupPorts(id int) ([]PortID, bool) {
 }
 
 // steer computes the steering verdict for one frame: flow-cache hit, or a
-// priority-ordered rule scan whose result is cached against st.gen.
-func (s *Switch) steer(in PortID, p *packet.Parser, st *swState) (Action, PortID) {
+// priority-ordered rule scan whose result is cached against st.gen. The
+// caller counts the hit; a miss is counted here, beside the scan it pays.
+func (s *Switch) steer(in PortID, p *packet.Parser, st *swState) (action Action, out PortID, hit bool) {
 	key := flowCacheKey{in: in, fk: p.FlowKey()}
-	if action, out, ok := s.cache.lookup(key, st.gen); ok {
-		s.cacheHits.Inc(uint(in))
-		return action, out
+	if action, out, hit = s.cache.lookup(key, st.gen); hit {
+		return action, out, true
 	}
-	s.cacheMisses.Inc(uint(in))
-	action, out := ActionNormal, PortID(0)
+	s.cacheMisses.Add(uint(in), 1)
+	// No rule matching leaves the zero verdict, ActionNormal.
 	for i := range st.rules {
 		if st.rules[i].Match.Matches(in, p) {
 			action, out = st.rules[i].Action, st.rules[i].OutPort
@@ -429,7 +429,7 @@ func (s *Switch) steer(in PortID, p *packet.Parser, st *swState) (Action, PortID
 		}
 	}
 	s.cache.insert(key, st.gen, action, out)
-	return action, out
+	return action, out, false
 }
 
 // resolveGroup picks a select-group member by flow hash. An empty or
@@ -440,81 +440,6 @@ func resolveGroup(st *swState, group int, hash uint64) (Action, PortID) {
 		return ActionDrop, 0
 	}
 	return ActionRedirect, members[hash%uint64(len(members))]
-}
-
-// input runs the forwarding pipeline for one frame. It is lock-free
-// against the control plane: one snapshot load, sharded-FDB learning, a
-// cached (or scanned-and-cached) steering verdict, then dispatch.
-func (s *Switch) input(in PortID, frame []byte) {
-	rxN := s.rxFrames.Inc(uint(in))
-	p := packet.BorrowParser()
-	defer packet.ReturnParser(p)
-	if err := p.Parse(frame); err != nil {
-		s.dropped.Inc(uint(in))
-		packet.ReturnFrame(frame)
-		return
-	}
-
-	st := s.state.Load()
-	inService := false
-	if sp, ok := st.ports[in]; ok {
-		inService = sp.service
-	}
-	// Learn source MAC (unicast sources only); frames emerging from
-	// service ports carry end-host MACs and must not repoint the FDB,
-	// and pinned (associated-client) entries never move.
-	if !inService && !p.Eth.Src.IsMulticast() && !p.Eth.Src.IsZero() {
-		if _, pin := st.pinned[p.Eth.Src]; !pin {
-			s.fdb.learn(p.Eth.Src, in)
-		}
-	}
-
-	action, out := s.steer(in, p, st)
-	if fs := s.sampler.Load(); fs != nil {
-		fs.observe(in, rxN, action, out)
-	}
-	switch action {
-	case ActionDrop:
-		s.dropped.Inc(uint(in))
-		packet.ReturnFrame(frame)
-		return
-	case ActionRedirect:
-		s.redirects.Inc(uint(in))
-		if dst := st.ports[out]; dst != nil {
-			dst.ep.Send(frame)
-		} else {
-			s.dropped.Inc(uint(in))
-			packet.ReturnFrame(frame)
-		}
-		return
-	}
-
-	// Normal forwarding: pinned entries shadow the dynamic FDB.
-	var dst *swPort
-	if !p.Eth.Dst.IsMulticast() {
-		if port, ok := st.pinned[p.Eth.Dst]; ok {
-			dst = st.ports[port]
-		} else if port, ok := s.fdb.lookup(p.Eth.Dst); ok {
-			dst = st.ports[port]
-		}
-	}
-	if dst != nil {
-		if dst.id == in {
-			// Hairpin suppressed: host already has the frame.
-			s.dropped.Inc(uint(in))
-			packet.ReturnFrame(frame)
-			return
-		}
-		dst.ep.Send(frame)
-		return
-	}
-	s.flooded.Inc(uint(in))
-	for _, sp := range st.flood {
-		if sp.id != in {
-			sp.ep.Send(packet.Clone(frame))
-		}
-	}
-	packet.ReturnFrame(frame)
 }
 
 // SwitchStats is a snapshot of switch counters.
@@ -561,7 +486,13 @@ func (s *Switch) Stats() SwitchStats {
 
 // LookupFDB reports the learned port for a MAC (pinned entries first).
 func (s *Switch) LookupFDB(mac packet.MAC) (PortID, bool) {
-	if port, ok := s.state.Load().pinned[mac]; ok {
+	return s.lookupFDB(s.state.Load(), mac)
+}
+
+// lookupFDB resolves mac under snapshot st: pinned entries shadow the
+// dynamic FDB.
+func (s *Switch) lookupFDB(st *swState, mac packet.MAC) (PortID, bool) {
+	if port, ok := st.pinned[mac]; ok {
 		return port, ok
 	}
 	return s.fdb.lookup(mac)

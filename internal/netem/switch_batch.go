@@ -7,13 +7,13 @@ import (
 	"gnf/internal/packet"
 )
 
-// Batched forwarding fast path. A batch popped off one port's ring is
-// walked frame by frame, but consecutive frames of the same flow — a
-// "run", detected by raw header-prefix equality without parsing — reuse
-// the previous steering verdict: one parse, one flow-cache probe and one
-// FDB learn per run instead of per frame. Output frames are coalesced into
-// per-destination-port sub-batches so the egress ring lock is also paid
-// once per run, not once per frame.
+// The forwarding pipeline. A batch arriving on one port (a frame is a batch
+// of one) is walked frame by frame, but consecutive frames of the same flow
+// — a "run", detected by raw header-prefix equality without parsing — reuse
+// the previous steering verdict: one parse, one flow-cache probe, one FDB
+// learn and one FDB lookup per run instead of per frame. Output frames are
+// coalesced into per-destination-port sub-batches so the egress link is
+// also paid once per run, not once per frame.
 
 // runPrefixLen is the amortization window: Ethernet (14) + IPv4 header
 // with IHL=5 (20) + transport ports (4) + UDP length (2). Every field a
@@ -54,11 +54,12 @@ type portDispatch struct {
 	frames [][]byte
 }
 
-// dispatchBatch is the pooled per-batch scratch: destination sub-batches
-// plus the run state. A batch rarely touches more than a handful of ports,
-// so destination lookup is a short linear scan.
+// dispatchBatch is the pooled per-batch scratch: the batch's parser and its
+// destination sub-batches. A batch rarely touches more than a handful of
+// ports, so destination lookup is a short linear scan.
 type dispatchBatch struct {
-	dests []portDispatch
+	parser packet.Parser
+	dests  []portDispatch
 }
 
 var dispatchPool = sync.Pool{New: func() any { return new(dispatchBatch) }}
@@ -99,146 +100,152 @@ func (d *dispatchBatch) flush() {
 	d.dests = d.dests[:0]
 }
 
-// inputBatch runs the forwarding pipeline over a batch of frames arriving
-// on one port. Every frame re-loads the control-plane snapshot pointer (a
-// single atomic load): a rule installed mid-batch invalidates the current
-// run immediately, so no frame after the mutation can be forwarded on a
-// stale verdict.
+// inputBatch is the forwarding pipeline: one snapshot load, sharded-FDB
+// learning, a cached (or scanned-and-cached) steering verdict, then
+// dispatch — for every frame of a batch arriving on one port, lock-free
+// against the control plane. What does not depend on the frame is paid once
+// per batch (rx counters up front, every other counter at the end) or
+// once per run (parse, verdict, FDB learn and lookup).
+//
+// A run's memo never outlives what it was computed from. Every frame
+// re-loads the snapshot pointer (rules, ports, pins, groups) and, when it
+// forwards by MAC, the FDB generation — two atomic loads: a rule installed
+// or a MAC learned anywhere mid-batch re-resolves the very next frame. A
+// new per-frame input to forwarding must bump one of the two or be re-read
+// per frame.
 func (s *Switch) inputBatch(in PortID, frames [][]byte) {
-	p := packet.BorrowParser()
-	defer packet.ReturnParser(p)
 	d := dispatchPool.Get().(*dispatchBatch)
 	defer dispatchPool.Put(d)
+	p := &d.parser
 
-	st := s.state.Load()
-	inService := false
-	if sp, ok := st.ports[in]; ok {
-		inService = sp.service
-	}
+	n := uint64(len(frames))
+	rxBase := s.rxFrames.Add(uint(in), n) - n // frame i is the stripe's rxBase+i+1-th
+	s.batchFrames.Add(uint(in), n)
+	var hits, redirects, runs, dropped, flooded uint64
 
 	var (
+		st        *swState
+		inService bool
+
 		runValid  bool
 		runHdr    [runPrefixLen]byte
 		runAction Action
 		runOut    PortID
 		runDst    packet.MAC
-		runMcast  bool
+		// The normal-forwarding port of runDst, good while the FDB generation
+		// reads fwdGen; 0 (the table starts at 1) means no memo. Only a run
+		// reuse keeps it: every other frame resets it with the run.
+		fwd    *swPort
+		fwdGen uint64
 	)
 
 	sampler := s.sampler.Load()
-	for _, frame := range frames {
-		rxN := s.rxFrames.Inc(uint(in))
-		s.batchFrames.Inc(uint(in))
+	for i, frame := range frames {
 		if cur := s.state.Load(); cur != st {
-			// Control-plane mutation mid-batch: re-resolve everything
-			// against the new snapshot.
+			// First frame, or a control-plane mutation mid-batch: resolve
+			// everything against the new snapshot.
 			st = cur
-			inService = false
-			if sp, ok := st.ports[in]; ok {
-				inService = sp.service
-			}
+			sp := st.ports[in]
+			inService = sp != nil && sp.service
 			runValid = false
 		}
 
-		var (
-			action Action
-			out    PortID
-			dstMAC packet.MAC
-			mcast  bool
-		)
 		if runValid && sameFlowPrefix(runHdr[:], frame) {
 			// A run reuse is a verdict served without a rule scan — the
 			// same event CacheHits counts, minus even the map probe.
-			s.cacheHits.Inc(uint(in))
-			action, out = runAction, runOut
-			dstMAC, mcast = runDst, runMcast
+			hits++
 		} else {
-			runValid = false
+			runValid, fwdGen = false, 0
 			if err := p.Parse(frame); err != nil {
-				s.dropped.Inc(uint(in))
+				dropped++
 				packet.ReturnFrame(frame)
 				continue
 			}
+			// Learn source MAC (unicast sources only); frames emerging from
+			// service ports carry end-host MACs and must not repoint the
+			// FDB, and pinned (associated-client) entries never move.
 			if !inService && !p.Eth.Src.IsMulticast() && !p.Eth.Src.IsZero() {
 				if _, pin := st.pinned[p.Eth.Src]; !pin {
 					s.fdb.learn(p.Eth.Src, in)
 				}
 			}
-			action, out = s.steer(in, p, st)
-			dstMAC = p.Eth.Dst
-			mcast = p.Eth.Dst.IsMulticast()
+			var hit bool
+			runAction, runOut, hit = s.steer(in, p, st)
+			if hit {
+				hits++
+			}
+			runDst = p.Eth.Dst
 			if runnable(frame) {
 				// The prefix is copied, not referenced: ownership of frame
-				// moves to the egress ring below, and a recycled buffer must
+				// moves to the egress port below, and a recycled buffer must
 				// not be able to corrupt run detection.
 				copy(runHdr[:], frame[:runPrefixLen])
 				runValid = true
-				runAction, runOut = action, out
-				runDst, runMcast = dstMAC, mcast
-				s.batchRuns.Inc(uint(in))
+				runs++
 			}
 		}
 		if sampler != nil {
-			sampler.observe(in, rxN, action, out)
+			sampler.observe(in, rxBase+uint64(i)+1, runAction, runOut)
 		}
 
-		switch action {
-		case ActionDrop:
-			s.dropped.Inc(uint(in))
-			packet.ReturnFrame(frame)
-			continue
-		case ActionRedirect:
-			s.redirects.Inc(uint(in))
-			if dst := st.ports[out]; dst != nil {
-				d.add(dst, frame)
-			} else {
-				s.dropped.Inc(uint(in))
-				packet.ReturnFrame(frame)
-			}
-			continue
-		}
-
-		// Normal forwarding. The FDB is consulted per frame even inside a
-		// run — learning elsewhere in the switch must repoint traffic as
-		// soon as it happens, exactly as on the per-frame path.
 		var dst *swPort
-		if !mcast {
-			if port, ok := st.pinned[dstMAC]; ok {
-				dst = st.ports[port]
-			} else if port, ok := s.fdb.lookup(dstMAC); ok {
-				dst = st.ports[port]
+		switch runAction {
+		case ActionDrop:
+		case ActionRedirect:
+			redirects++
+			dst = st.ports[runOut]
+		default:
+			// Normal forwarding. The generation is read before the lookup
+			// it stamps.
+			if g := s.fdb.gen.Load(); g != fwdGen {
+				fwd, fwdGen = nil, g
+				if !runDst.IsMulticast() {
+					if port, ok := s.lookupFDB(st, runDst); ok {
+						fwd = st.ports[port]
+					}
+				}
 			}
-		}
-		if dst != nil {
-			if dst.id == in {
-				s.dropped.Inc(uint(in))
+			if dst = fwd; dst == nil {
+				// Flood. Flush batched unicast first: a clone sent now must
+				// not overtake an earlier frame to the same port still
+				// sitting in the scratch, or per-port FIFO order would break.
+				d.flush()
+				flooded++
+				for _, sp := range st.flood {
+					if sp.id != in {
+						sp.ep.Send(packet.Clone(frame))
+					}
+				}
 				packet.ReturnFrame(frame)
 				continue
 			}
-			d.add(dst, frame)
-			continue
-		}
-		// Flood. Flush batched unicast first: a clone sent now must not
-		// overtake an earlier frame to the same port still sitting in the
-		// scratch, or per-port FIFO order would break.
-		d.flush()
-		s.flooded.Inc(uint(in))
-		for _, sp := range st.flood {
-			if sp.id != in {
-				sp.ep.Send(packet.Clone(frame))
+			if dst.id == in {
+				dst = nil // hairpin suppressed: the host already has the frame
 			}
 		}
-		packet.ReturnFrame(frame)
+		if dst == nil {
+			dropped++
+			packet.ReturnFrame(frame)
+			continue
+		}
+		d.add(dst, frame)
 	}
 	d.flush()
+	s.cacheHits.Add(uint(in), hits)
+	s.redirects.Add(uint(in), redirects)
+	s.batchRuns.Add(uint(in), runs)
+	s.dropped.Add(uint(in), dropped)
+	s.flooded.Add(uint(in), flooded)
 }
 
 // Inject runs the forwarding pipeline for one frame on the caller's
-// goroutine, as if it had arrived on port in. Ownership of the buffer
-// transfers to the switch. Benchmarks and tests use it to price the
-// pipeline without a delivery goroutine in the loop.
-func (s *Switch) Inject(in PortID, frame []byte) { s.input(in, frame) }
+// goroutine, as if it had arrived on port in: a batch of one, on the
+// caller's stack. Ownership of the buffer transfers to the switch.
+func (s *Switch) Inject(in PortID, frame []byte) {
+	one := [1][]byte{frame}
+	s.inputBatch(in, one[:])
+}
 
-// InjectBatch is Inject for a whole batch, entering the batched fast path.
-// The batch slice is the caller's again after return; the frames are not.
+// InjectBatch is Inject for a whole batch. The batch slice is the caller's
+// again after return; the frames are not.
 func (s *Switch) InjectBatch(in PortID, frames [][]byte) { s.inputBatch(in, frames) }

@@ -7,12 +7,12 @@ import (
 	"gnf/internal/netem"
 )
 
-// brownoutHost builds a disabled ChainHost around a tagger with endpoints
-// whose far sides collect emitted frames.
+// brownoutHost builds a disabled ChainHost around a tagger, wired as an agent
+// wires a chain — service pairs — with far sides that collect emitted frames.
 func brownoutHost(t *testing.T) (*ChainHost, *netem.Endpoint, chan []byte) {
 	t.Helper()
-	swIn, chainIn := netem.NewVethPair("b-in0", "b-in1")
-	swOut, chainOut := netem.NewVethPair("b-out0", "b-out1")
+	swIn, chainIn := netem.NewServicePair("b-in0", "b-in1")
+	swOut, chainOut := netem.NewServicePair("b-out0", "b-out1")
 	t.Cleanup(func() { swIn.Close(); swOut.Close() })
 	egress := make(chan []byte, 64)
 	swOut.SetReceiver(func(f []byte) { egress <- f })
