@@ -42,10 +42,6 @@ var (
 	ErrChainExists   = errors.New("agent: chain already deployed")
 	ErrUnknownClient = errors.New("agent: unknown client")
 	ErrNoTunnel      = errors.New("agent: no tunnel to station")
-	// ErrNotRemote rejects re-pointing a client leg the deployment does not
-	// own: a shared-pool attachment (the pool steers every sharer) or a
-	// split-chain segment (RetargetSegment moves those).
-	ErrNotRemote = errors.New("agent: chain has no client leg of its own to re-point")
 )
 
 // Steering rule priorities: client redirection beats everything else the
@@ -72,10 +68,13 @@ type clientInfo struct {
 	port netem.PortID
 }
 
-// deployment is one running chain — either an exclusive instance (the
-// paper's one-chain-per-client layout) or an attachment to a shared pool
-// instance serving every client with the same configuration.
+// deployment is one running chain: what serves it — an exclusive instance
+// (the paper's one-chain-per-client layout) or an attachment to a shared pool
+// instance serving every client with the same configuration — plus the
+// steering that brings one client's traffic to it.
 type deployment struct {
+	// spec is the deployment as it was asked for; its legs are the
+	// deployment's home, which an arriving client's ingress leg returns to.
 	spec DeploySpec
 	// building marks a name reservation while Deploy constructs resources;
 	// such entries are invisible to every other API.
@@ -90,28 +89,18 @@ type deployment struct {
 	preEpochs []uint64
 	preRound  int
 
-	// Exclusive-instance resources (unset for shared attachments).
-	chain      *nf.Chain
-	host       *nf.ChainHost
-	containers []*container.Container
-	endpoints  []*netem.Endpoint // switch-side ends (close on remove)
-	ports      [2]netem.PortID
+	// What serves: exactly one of the two is set.
+	res    *chainResources
+	shared *share.Instance
 
-	// Shared attachment: the pool instance serving this chain. enabled,
-	// ruleIDs and removed (guarded by Agent.mu) track whether the client's
-	// steering rules are installed and whether the attachment has been torn
-	// down — an Enable/Disable racing Remove must not resurrect rules on a
-	// dead attachment.
-	shared  *share.Instance
-	enabled bool
-	removed bool
-	// steerSeq orders concurrent Enable/Disable calls on a shared
-	// attachment: each intent bumps it before installing rules, and an
-	// installer that finds a newer sequence discards its own rules — the
-	// latest intent's rules and the enabled flag always agree.
+	// The live steering and the rules installed for it, all guarded by
+	// Agent.mu and changed by setLegs alone. removed is set by Remove, and
+	// steerSeq counts intents: between them an install racing a removal or a
+	// newer intent never leaves rules behind.
+	steering
+	removed  bool
 	steerSeq uint64
-
-	ruleIDs []int
+	ruleIDs  []int
 }
 
 // Agent is the station daemon.
@@ -136,6 +125,10 @@ type Agent struct {
 	// torn down, so station-level loss accounting (the zero-loss scenario
 	// expectation) survives migration removals.
 	retiredDrops atomic.Uint64
+
+	// steerHook, when set (tests only), runs in setLegs between a rule set's
+	// install and its swap — the window a removal can land in.
+	steerHook func()
 
 	mu          sync.Mutex
 	clients     map[topology.ClientID]clientInfo
@@ -253,76 +246,30 @@ func (a *Agent) AttachClient(id topology.ClientID, mac packet.MAC, ip packet.IP,
 }
 
 // armClientSteering re-derives, for a freshly associated client, the
-// steering of every deployment whose client leg depends on where the client
-// is. Standbys arm fail-closed: exclusive ones steer into their (disabled,
-// brownout-buffering) chain host, shared standby attachments get drop
-// rules. A local chain left detoured toward the station the client just
-// came back from is re-pointed at the access port — were it not, return
-// traffic would keep entering a tunnel whose far end no longer knows the
-// client.
+// steering of every deployment whose home ingress leg is the edge it just
+// arrived at. A standby has had no rules yet and arms fail-closed — an
+// exclusive one steers into its disabled, brownout-buffering chain host, a
+// pool attachment gets drop rules. A chain left detoured toward the station
+// the client just came back from goes home — were it not, return traffic
+// would keep entering a tunnel whose far end no longer knows the client.
 func (a *Agent) armClientSteering(id topology.ClientID) {
 	a.mu.Lock()
-	if _, ok := a.clients[id]; !ok {
-		a.mu.Unlock()
-		return
-	}
-	var shared, segHeads []*deployment
-	var detoured []string
-	for name, d := range a.deployments {
-		if d.building || d.spec.Client != string(id) {
-			continue
-		}
-		if !d.standby {
-			// Only Retarget puts a Via on a deployment that is not remote.
-			if !d.spec.Remote && d.spec.Via != "" {
-				detoured = append(detoured, name)
+	var rearm []*deployment
+	if _, here := a.clients[id]; here {
+		for _, d := range a.deployments {
+			if d.building || d.spec.Client != string(id) || d.spec.Ingress.Station != "" {
+				continue
 			}
-			continue
-		}
-		if d.shared != nil {
-			shared = append(shared, d)
-			continue
-		}
-		if d.spec.SegCount > 1 {
-			// Split-chain heads install their full segment rule set outside
-			// the lock (the installer re-takes a.mu for lookups).
-			if d.spec.SegIndex == 0 && len(d.ruleIDs) == 0 {
-				segHeads = append(segHeads, d)
+			if d.standby || d.ingress.Station != "" {
+				rearm = append(rearm, d)
 			}
-			continue
 		}
-		_ = a.armClientLeg(d) // a standby names no tunnel: nothing to fail
 	}
 	a.mu.Unlock()
-	// The steering-swap helper manages its own locking and installs drop
-	// rules for a disabled attachment.
-	for _, d := range shared {
-		a.disableShared(d)
-	}
-	for _, d := range segHeads {
-		a.armSegmentHead(d)
-	}
-	for _, name := range detoured {
-		// Best effort: a deployment removed meanwhile needs no leg.
-		_ = a.Retarget(name, "")
-	}
-}
-
-// armSegmentHead installs a split-chain head's segment steering if it has
-// none yet, discarding its own rules when another installer won the race.
-func (a *Agent) armSegmentHead(d *deployment) {
-	ids, err := a.installSegmentSteering(d.spec, d.ports[0], d.ports[1])
-	if err != nil || len(ids) == 0 {
-		return
-	}
-	a.mu.Lock()
-	if len(d.ruleIDs) == 0 {
-		d.ruleIDs = ids
-		ids = nil
-	}
-	a.mu.Unlock()
-	for _, id := range ids {
-		a.sw.RemoveRule(id)
+	for _, d := range rearm {
+		// Best effort: a deployment removed meanwhile needs no leg, and one
+		// whose egress leg no longer resolves keeps the steering it has.
+		_ = a.setLegs(d, func(s *steering) { s.ingress = d.spec.Ingress })
 	}
 }
 
@@ -408,7 +355,7 @@ func (a *Agent) Deploy(spec DeploySpec) (*DeployResult, error) {
 		res.Shared = true
 		res.Containers = dep.shared.Payload().(*poolResources).containerNames()
 	} else {
-		for _, c := range dep.containers {
+		for _, c := range dep.res.containers {
 			res.Containers = append(res.Containers, c.Name())
 		}
 	}
@@ -550,18 +497,19 @@ func (a *Agent) buildChainResources(name string, fns []NFSpec) (*chainResources,
 }
 
 // teardownChainResources stops forwarding and releases the instance's
-// ports, veths and containers.
-func (a *Agent) teardownChainResources(cr *chainResources) {
+// ports, veths and containers, reporting a container that would not stop.
+func (a *Agent) teardownChainResources(cr *chainResources) error {
 	cr.host.Disable()
+	// Parked brownout frames die with the chain; count them so teardown
+	// never hides real traffic loss (e.g. a frozen source removed while its
+	// client was still attached, as manual migrations do).
 	a.retiredDrops.Add(cr.host.Dropped() + cr.host.Parked())
 	a.sw.Detach(cr.inPort)
 	a.sw.Detach(cr.outPort)
 	for _, ep := range cr.endpoints {
 		ep.Close()
 	}
-	// Teardown has no caller to report to; a container that refuses to stop
-	// stays visible in the runtime's list.
-	_ = stopAll(cr.containers)
+	return stopAll(cr.containers)
 }
 
 // buildDeployment constructs the resources behind one deployment: a shared
@@ -576,27 +524,13 @@ func (a *Agent) buildDeployment(spec DeploySpec) (*deployment, error) {
 		return nil, err
 	}
 	dep := &deployment{
-		spec:       spec,
-		standby:    spec.Standby,
-		chain:      cr.chain,
-		host:       cr.host,
-		containers: cr.containers,
-		endpoints:  cr.endpoints,
-		ports:      [2]netem.PortID{cr.inPort, cr.outPort},
+		spec: spec, standby: spec.Standby, res: cr,
+		steering: steering{ingress: spec.Ingress, egress: spec.Egress, deliver: true},
 	}
-
-	// Steering. A split chain's segment programs its two neighbour legs; a
-	// whole chain has one leg to program, the client's (armClientLeg), and
-	// none yet when its client is neither here nor behind a named tunnel.
-	if spec.SegCount > 1 {
-		dep.ruleIDs, err = a.installSegmentSteering(spec, cr.inPort, cr.outPort)
-	} else {
-		a.mu.Lock()
-		err = a.armClientLeg(dep)
-		a.mu.Unlock()
-	}
-	if err != nil {
-		a.teardownChainResources(cr)
+	if err := a.setLegs(dep, nil); err != nil {
+		// A failed build has no caller for a second error; a container that
+		// refuses to stop stays visible in the runtime's list.
+		_ = a.teardownChainResources(cr)
 		return nil, err
 	}
 
@@ -610,88 +544,6 @@ func (a *Agent) buildDeployment(spec DeploySpec) (*deployment, error) {
 		cr.host.BufferWhileDisabled(brownoutDepth)
 	}
 	return dep, nil
-}
-
-// clientLeg is where a whole-chain deployment's client is, seen from this
-// station: on a local access port, or behind the tunnel to the station it
-// is attached at — a GNFC offload, or a live handoff detouring the client
-// back to the chain that has not followed it yet.
-type clientLeg struct {
-	port   netem.PortID // the access port, or the tunnel's local port
-	tunnel bool
-	mac    packet.MAC
-	ip     packet.IP
-}
-
-// clientLegOf resolves a deployment's client leg: the tunnel to spec.Via
-// when one is named (remote deployments always name one), the client's
-// access port otherwise. ok is false while the client is simply not here —
-// such a deployment has no client leg until it arrives. Called with a.mu
-// held.
-func (a *Agent) clientLegOf(spec DeploySpec) (leg clientLeg, ok bool, err error) {
-	if spec.Remote || spec.Via != "" {
-		tp, have := a.tunnels[topology.StationID(spec.Via)]
-		if !have {
-			return leg, false, fmt.Errorf("%w: %s", ErrNoTunnel, spec.Via)
-		}
-		if spec.ClientMAC.IsZero() {
-			// Tunnel rules match on the client's MAC; a local deployment
-			// learns it when it first sees its client.
-			return leg, false, fmt.Errorf("%w: %s (no addressing to match on a tunnel)", ErrUnknownClient, spec.Client)
-		}
-		return clientLeg{port: tp, tunnel: true, mac: spec.ClientMAC, ip: spec.ClientIP}, true, nil
-	}
-	ci, have := a.clients[topology.ClientID(spec.Client)]
-	if !have {
-		return leg, false, nil
-	}
-	return clientLeg{port: ci.port, mac: ci.mac, ip: ci.ip}, true, nil
-}
-
-// installClientLeg programs the rules that divert one client's traffic
-// through a chain's two service ports, derived from where the client is —
-// the only installer of whole-chain client steering. Outbound frames enter
-// the chain ingress off the leg's port (narrowed to the client's source MAC
-// on a tunnel, which other clients' detours share); backhaul frames
-// addressed to the client enter the chain egress (by IP for a local
-// client; by MAC across a tunnel, so unicast ARP replies detour too). A
-// local client's inbound output reaches it through its pinned MAC; across
-// a tunnel a third rule pushes whatever the chain emits toward the client
-// back into the tunnel.
-func (a *Agent) installClientLeg(leg clientLeg, inPort, outPort netem.PortID) []int {
-	redirect := func(m netem.Match, to netem.PortID) int {
-		return a.sw.AddRule(netem.Rule{Priority: steerPriority, Match: m, Action: netem.ActionRedirect, OutPort: to})
-	}
-	lp, up, cin := leg.port, a.uplink, inPort
-	mac, ip := leg.mac, leg.ip
-	if !leg.tunnel {
-		return []int{
-			redirect(netem.Match{InPort: &lp}, inPort),
-			redirect(netem.Match{InPort: &up, DstIP: &ip}, outPort),
-		}
-	}
-	return []int{
-		redirect(netem.Match{InPort: &lp, SrcMAC: &mac}, inPort),
-		redirect(netem.Match{InPort: &up, DstMAC: &mac}, outPort),
-		redirect(netem.Match{InPort: &cin}, lp),
-	}
-}
-
-// armClientLeg installs a whole-chain deployment's client leg unless it
-// already has one or its client cannot be located yet. The deployment
-// keeps the addressing it saw, so the leg can later follow the client onto
-// a tunnel after the client itself has left. Called with a.mu held.
-func (a *Agent) armClientLeg(d *deployment) error {
-	if len(d.ruleIDs) != 0 {
-		return nil
-	}
-	leg, ok, err := a.clientLegOf(d.spec)
-	if !ok {
-		return err
-	}
-	d.spec.ClientMAC, d.spec.ClientIP = leg.mac, leg.ip
-	d.ruleIDs = a.installClientLeg(leg, d.ports[0], d.ports[1])
-	return nil
 }
 
 // ImageForKind resolves an NF kind's repository image name through the
@@ -709,36 +561,33 @@ func (a *Agent) get(chain string) (*deployment, error) {
 	return d, nil
 }
 
-// Enable starts forwarding on a deployed chain. For a shared attachment
-// this installs the client's steering rules; the pooled instance itself is
-// always forwarding.
-func (a *Agent) Enable(chain string) error {
+// setForwarding turns a chain's forwarding on or off. An exclusive chain's
+// host does it; a shared attachment's steering does, since the pooled
+// instance itself always forwards for its other sharers — enabled, the
+// client's rules select the instance's groups, disabled they drop. A
+// disabled chain so behaves the same — fail closed — whether its instance is
+// exclusive or shared: a firewall mid-migration never fails open just
+// because the instance also serves other clients.
+func (a *Agent) setForwarding(chain string, on bool, host func(*nf.ChainHost)) error {
 	d, err := a.get(chain)
 	if err != nil {
 		return err
 	}
 	if d.shared != nil {
-		a.enableShared(d)
-		return nil
+		return a.setLegs(d, func(s *steering) { s.deliver = on })
 	}
-	d.host.Enable()
+	host(d.res.host)
 	return nil
 }
 
-// Disable pauses forwarding. Exclusive chains drop traffic while disabled;
-// shared attachments instead remove the client's steering (bypass), since
-// the instance keeps serving its other clients.
+// Enable starts forwarding on a deployed chain.
+func (a *Agent) Enable(chain string) error {
+	return a.setForwarding(chain, true, (*nf.ChainHost).Enable)
+}
+
+// Disable pauses forwarding: traffic for the chain drops.
 func (a *Agent) Disable(chain string) error {
-	d, err := a.get(chain)
-	if err != nil {
-		return err
-	}
-	if d.shared != nil {
-		a.disableShared(d)
-		return nil
-	}
-	d.host.Disable()
-	return nil
+	return a.setForwarding(chain, false, (*nf.ChainHost).Disable)
 }
 
 // Freeze pauses forwarding for a migration: unlike Disable, in-flight
@@ -746,71 +595,66 @@ func (a *Agent) Disable(chain string) error {
 // drop-free while the residual delta ships. Frames still parked when the
 // source is removed are folded into the station's retired-drop counter —
 // loss is deferred and made visible at teardown, never hidden. Shared
-// attachments swap to drop rules like Disable (their instance keeps
-// serving other clients; the roamed client's traffic no longer arrives
-// here).
+// attachments swap to drop rules like Disable (the roamed client's traffic
+// no longer arrives here).
 func (a *Agent) Freeze(chain string) error {
-	d, err := a.get(chain)
-	if err != nil {
-		return err
-	}
-	if d.shared != nil {
-		a.disableShared(d)
-		return nil
-	}
-	d.host.FreezeBuffered(brownoutDepth)
-	return nil
+	return a.setForwarding(chain, false, func(h *nf.ChainHost) { h.FreezeBuffered(brownoutDepth) })
 }
 
-// Checkpoint exports the chain's aggregate NF state. For shared
-// attachments this exports the pooled instance's primary-replica state —
-// shareable NFs hold only advisory state (counters), exported for
-// continuity, never per-client correctness state.
-func (a *Agent) Checkpoint(chain string) ([]byte, error) {
+// stateOf resolves what a state-moving call acts on: the chain, and the
+// container whose checkpoint carries its state — nil for a chain without
+// functions and for a pool attachment, which stands for its instance's
+// primary replica (shareable NFs hold only advisory state — counters —
+// exported for continuity, never per-client correctness state). With
+// importing set, a pooled instance that serves other sharers too yields a
+// nil chain: the state of the clients already being served wins, and an
+// import only lands while this attachment is the sole sharer (a migration
+// arriving on a fresh instance).
+func (a *Agent) stateOf(chain string, importing bool) (*deployment, *nf.Chain, *container.Container, error) {
 	d, err := a.get(chain)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if d.shared == nil {
+		if len(d.res.containers) == 0 {
+			return d, d.res.chain, nil, nil
+		}
+		return d, d.res.chain, d.res.containers[0], nil
+	}
+	if importing && a.pool.Refs(d.shared.Key()) != 1 {
+		return d, nil, nil, nil
+	}
+	res := d.shared.Payload().(*poolResources)
+	res.mu.Lock()
+	defer res.mu.Unlock()
+	if len(res.replicas) == 0 {
+		return nil, nil, nil, fmt.Errorf("%w: %s", ErrUnknownChain, chain)
+	}
+	return d, res.replicas[0].chain, nil, nil
+}
+
+// Checkpoint exports the chain's aggregate NF state.
+func (a *Agent) Checkpoint(chain string) ([]byte, error) {
+	_, ch, box, err := a.stateOf(chain, false)
 	if err != nil {
 		return nil, err
 	}
-	if d.shared != nil {
-		res := d.shared.Payload().(*poolResources)
-		res.mu.Lock()
-		defer res.mu.Unlock()
-		if len(res.replicas) == 0 {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownChain, chain)
-		}
-		return res.replicas[0].chain.ExportState()
+	if box == nil {
+		return ch.ExportState()
 	}
-	if len(d.containers) == 0 {
-		return d.chain.ExportState()
-	}
-	return d.containers[0].Checkpoint()
+	return box.Checkpoint()
 }
 
-// Restore imports chain state exported by Checkpoint. Importing into a
-// shared instance only happens while this attachment is its sole sharer (a
-// migration landing on a fresh instance); otherwise the state of the
-// clients already being served wins and the import is a no-op.
+// Restore imports chain state exported by Checkpoint.
 func (a *Agent) Restore(chain string, state []byte) error {
-	d, err := a.get(chain)
-	if err != nil {
+	_, ch, box, err := a.stateOf(chain, true)
+	if err != nil || ch == nil {
 		return err
 	}
-	if d.shared != nil {
-		if a.pool.Refs(d.shared.Key()) != 1 {
-			return nil
-		}
-		res := d.shared.Payload().(*poolResources)
-		res.mu.Lock()
-		defer res.mu.Unlock()
-		if len(res.replicas) == 0 {
-			return fmt.Errorf("%w: %s", ErrUnknownChain, chain)
-		}
-		return res.replicas[0].chain.ImportState(state)
+	if box == nil {
+		return ch.ImportState(state)
 	}
-	if len(d.containers) == 0 {
-		return d.chain.ImportState(state)
-	}
-	return d.containers[0].Restore(state)
+	return box.Restore(state)
 }
 
 // PreCopy runs one pre-copy round for a live migration: it exports the
@@ -820,7 +664,7 @@ func (a *Agent) Restore(chain string, state []byte) error {
 // one session are serialised by the caller (the manager holds the
 // client's migration lock).
 func (a *Agent) PreCopy(chain string, restart bool) (*PreCopyResult, error) {
-	d, err := a.get(chain)
+	d, ch, box, err := a.stateOf(chain, false)
 	if err != nil {
 		return nil, err
 	}
@@ -833,23 +677,10 @@ func (a *Agent) PreCopy(chain string, restart bool) (*PreCopyResult, error) {
 
 	var blob []byte
 	var epochs []uint64
-	switch {
-	case d.shared != nil:
-		// Shared instances export their primary replica, like Checkpoint;
-		// shareable NFs hold only advisory state.
-		res := d.shared.Payload().(*poolResources)
-		res.mu.Lock()
-		if len(res.replicas) == 0 {
-			res.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s", ErrUnknownChain, chain)
-		}
-		ch := res.replicas[0].chain
-		res.mu.Unlock()
+	if box == nil {
 		blob, epochs, err = ch.ExportStateDelta(since)
-	case len(d.containers) == 0:
-		blob, epochs, err = d.chain.ExportStateDelta(since)
-	default:
-		blob, epochs, err = d.containers[0].CheckpointDelta(since)
+	} else {
+		blob, epochs, err = box.CheckpointDelta(since)
 	}
 	if err != nil {
 		return nil, err
@@ -862,33 +693,16 @@ func (a *Agent) PreCopy(chain string, restart bool) (*PreCopyResult, error) {
 	return &PreCopyResult{Chain: chain, State: blob, Round: round}, nil
 }
 
-// SyncDelta applies one pre-copy round's payload to the target chain. For
-// shared attachments the import only happens while this attachment is the
-// instance's sole sharer, mirroring Restore: the state of clients already
-// being served wins.
+// SyncDelta applies one pre-copy round's payload to the target chain.
 func (a *Agent) SyncDelta(chain string, state []byte) error {
-	d, err := a.get(chain)
-	if err != nil {
+	_, ch, box, err := a.stateOf(chain, true)
+	if err != nil || ch == nil {
 		return err
 	}
-	if d.shared != nil {
-		if a.pool.Refs(d.shared.Key()) != 1 {
-			return nil
-		}
-		res := d.shared.Payload().(*poolResources)
-		res.mu.Lock()
-		if len(res.replicas) == 0 {
-			res.mu.Unlock()
-			return fmt.Errorf("%w: %s", ErrUnknownChain, chain)
-		}
-		ch := res.replicas[0].chain
-		res.mu.Unlock()
+	if box == nil {
 		return ch.ImportStateDelta(state)
 	}
-	if len(d.containers) == 0 {
-		return d.chain.ImportStateDelta(state)
-	}
-	return d.containers[0].RestoreDelta(state)
+	return box.RestoreDelta(state)
 }
 
 // Activate flips a migration-staged (or prewarmed standby) deployment
@@ -908,35 +722,23 @@ func (a *Agent) ActivateTraced(tctx trace.Context, chain string) (*ActivateResul
 	if err != nil {
 		return nil, err
 	}
-	if d.shared != nil {
-		a.mu.Lock()
-		d.standby = false
-		a.mu.Unlock()
-		flip := a.tracer.Child(tctx, "agent.steer_flip")
-		a.enableShared(d)
-		flip.End(nil)
-		return &ActivateResult{Chain: chain}, nil
-	}
-	flip := a.tracer.Child(tctx, "agent.steer_flip")
 	a.mu.Lock()
 	d.standby = false
-	needSeg := d.spec.SegCount > 1 && d.spec.SegIndex == 0 && len(d.ruleIDs) == 0
-	if d.spec.SegCount <= 1 {
-		// A tunnel leg went in with the deploy; what can still be missing
-		// is the leg of a client that has associated since.
-		_ = a.armClientLeg(d)
-	}
 	a.mu.Unlock()
-	if needSeg {
-		// A head segment staged before the client arrived (standby or a
-		// mid-handoff migration deploy) installs its rules now.
-		a.armSegmentHead(d)
-	}
+	flip := a.tracer.Child(tctx, "agent.steer_flip")
+	// A tunnel leg went in with the deploy; what can still be missing is the
+	// leg of a client that has associated since, and an attachment's rules
+	// drop until now. Best effort: a deployment removed meanwhile has no
+	// rules to flip, and its host (or nothing) is all that is enabled below.
+	_ = a.setLegs(d, func(s *steering) { s.deliver = true })
 	flip.End(nil)
+	if d.shared != nil {
+		return &ActivateResult{Chain: chain}, nil
+	}
 	replay := a.tracer.Child(tctx, "agent.brownout_replay")
-	before := d.host.Replayed()
-	d.host.Enable()
-	replayed := d.host.Replayed() - before
+	before := d.res.host.Replayed()
+	d.res.host.Enable()
+	replayed := d.res.host.Replayed() - before
 	replay.SetAttr("replayed", strconv.FormatUint(replayed, 10))
 	replay.End(nil)
 	return &ActivateResult{Chain: chain, Replayed: replayed}, nil
@@ -954,27 +756,21 @@ func (a *Agent) Remove(chain string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownChain, chain)
 	}
 	delete(a.deployments, chain)
+	// From here setLegs installs nothing more on this deployment: rules put
+	// in past this point would never be cleaned up.
+	d.removed = true
+	ids := d.ruleIDs
+	d.ruleIDs = nil
 	a.mu.Unlock()
-
-	if d.shared != nil {
-		a.releaseShared(d)
-		return nil
-	}
-
-	for _, id := range d.ruleIDs {
+	for _, id := range ids {
 		a.sw.RemoveRule(id)
 	}
-	d.host.Disable()
-	// Parked brownout frames die with the chain; count them so teardown
-	// never hides real traffic loss (e.g. a frozen source removed while
-	// its client was still attached, as manual migrations do).
-	a.retiredDrops.Add(d.host.Dropped() + d.host.Parked())
-	a.sw.Detach(d.ports[0])
-	a.sw.Detach(d.ports[1])
-	for _, ep := range d.endpoints {
-		ep.Close()
+	if d.shared != nil {
+		a.pool.Release(d.shared.Key(), d.spec.Chain)
+		a.ReapPools()
+		return nil
 	}
-	return stopAll(d.containers)
+	return a.teardownChainResources(d.res)
 }
 
 // Prefetch warms images on the local cache (migration pre-staging).
@@ -1003,7 +799,7 @@ func (a *Agent) Chains() []string {
 }
 
 // ChainEnabled reports whether a deployed chain is currently forwarding
-// (for shared attachments: whether the client's steering is installed).
+// (for shared attachments: whether the client's steering delivers).
 func (a *Agent) ChainEnabled(chain string) (bool, error) {
 	d, err := a.get(chain)
 	if err != nil {
@@ -1012,29 +808,17 @@ func (a *Agent) ChainEnabled(chain string) (bool, error) {
 	if d.shared != nil {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		return d.enabled, nil
+		return d.deliver, nil
 	}
-	return d.host.Enabled(), nil
+	return d.res.host.Enabled(), nil
 }
 
 // ChainFunction exposes the live chain function (local callers only, e.g.
 // tests asserting NF state). For shared attachments it returns the pooled
 // instance's primary replica.
 func (a *Agent) ChainFunction(chain string) (*nf.Chain, error) {
-	d, err := a.get(chain)
-	if err != nil {
-		return nil, err
-	}
-	if d.shared != nil {
-		res := d.shared.Payload().(*poolResources)
-		res.mu.Lock()
-		defer res.mu.Unlock()
-		if len(res.replicas) == 0 {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownChain, chain)
-		}
-		return res.replicas[0].chain, nil
-	}
-	return d.chain, nil
+	_, ch, _, err := a.stateOf(chain, false)
+	return ch, err
 }
 
 // Report builds the periodic status report. It doubles as the reaper's
@@ -1066,9 +850,9 @@ func (a *Agent) Report() Report {
 	// Snapshot the mutable per-deployment flags in the same locked pass
 	// that collects the list, so the loop below never re-takes a.mu.
 	type depSnap struct {
-		d                *deployment
-		enabled, standby bool
-		via              string
+		d *deployment
+		steering
+		standby bool
 	}
 	a.mu.Lock()
 	deps := make([]depSnap, 0, len(a.deployments))
@@ -1076,7 +860,7 @@ func (a *Agent) Report() Report {
 		if d.building {
 			continue
 		}
-		deps = append(deps, depSnap{d: d, enabled: d.enabled, standby: d.standby, via: d.spec.Via})
+		deps = append(deps, depSnap{d: d, steering: d.steering, standby: d.standby})
 	}
 	a.mu.Unlock()
 	rep.Detours = a.Detours()
@@ -1087,7 +871,10 @@ func (a *Agent) Report() Report {
 	loadOf := make(map[*poolResources]poolLoad)
 	for _, snap := range deps {
 		d := snap.d
-		var cs ChainStatus
+		cs := ChainStatus{
+			Chain: d.spec.Chain, Client: d.spec.Client, Standby: snap.standby,
+			Ingress: snap.ingress, Egress: snap.egress,
+		}
 		if d.shared != nil {
 			res := d.shared.Payload().(*poolResources)
 			load, ok := loadOf[res]
@@ -1095,27 +882,12 @@ func (a *Agent) Report() Report {
 				load.processed, load.dropped, _ = res.loads()
 				loadOf[res] = load
 			}
-			cs = ChainStatus{
-				Chain:      d.spec.Chain,
-				Client:     d.spec.Client,
-				Enabled:    snap.enabled,
-				Processed:  load.processed,
-				Dropped:    load.dropped,
-				Shared:     true,
-				ConfigHash: d.shared.Key().ConfigHash,
-				Standby:    snap.standby,
-			}
+			cs.Enabled, cs.Processed, cs.Dropped = snap.deliver, load.processed, load.dropped
+			cs.Shared, cs.ConfigHash = true, d.shared.Key().ConfigHash
 		} else {
-			cs = ChainStatus{
-				Chain:     d.spec.Chain,
-				Client:    d.spec.Client,
-				Enabled:   d.host.Enabled(),
-				Processed: d.host.Processed(),
-				Dropped:   d.host.Dropped(),
-				NFStats:   d.chain.NFStats(),
-				Standby:   snap.standby,
-				Via:       snap.via,
-			}
+			host := d.res.host
+			cs.Enabled, cs.Processed, cs.Dropped = host.Enabled(), host.Processed(), host.Dropped()
+			cs.NFStats = d.res.chain.NFStats()
 		}
 		rep.Chains = append(rep.Chains, cs)
 	}

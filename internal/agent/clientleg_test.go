@@ -10,14 +10,13 @@ import (
 	"gnf/internal/netem"
 	"gnf/internal/nf"
 	"gnf/internal/packet"
-	"gnf/internal/topology"
 )
 
-// The rule sets the agent's two former installers programmed, written out
-// as the contract the single client-leg installer must reproduce exactly:
-// clientSteeringRules for a client on a local access port,
-// installRemoteSteering for one behind a tunnel. Priority 100 is
-// steerPriority; port 0 is every test station's uplink.
+// The rule sets of a whole chain whose client is on a local access port and
+// of one whose client is behind a tunnel, written out as the installers
+// before the rule function programmed them (clientSteeringRules,
+// installRemoteSteering). Priority 100 is steerPriority; port 0 is every
+// test station's uplink.
 func localLegRules(clientPort, inPort, outPort netem.PortID) []netem.Rule {
 	up, ip := netem.PortID(0), clientIP
 	return []netem.Rule{
@@ -36,7 +35,7 @@ func tunnelLegRules(tunnel, inPort, outPort netem.PortID) []netem.Rule {
 }
 
 // installedRules lists a switch's rules in installation order with the IDs
-// blanked, so they compare against the literal sets above.
+// blanked.
 func installedRules(sw *netem.Switch) []netem.Rule {
 	rules := sw.Rules()
 	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
@@ -48,8 +47,8 @@ func installedRules(sw *netem.Switch) []netem.Rule {
 
 func wantRules(t *testing.T, sw *netem.Switch, step string, want []netem.Rule) {
 	t.Helper()
-	if got := installedRules(sw); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-		t.Fatalf("%s: rules = %+v, want %+v", step, got, want)
+	if got, want := ruleKeys(installedRules(sw)), ruleKeys(want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: rules = %q, want %q", step, got, want)
 	}
 }
 
@@ -66,15 +65,22 @@ func natSpec(chain string) agent.DeploySpec {
 	}
 }
 
+// viaOf reports the station a chain's ingress leg is tunnelled to.
 func viaOf(t *testing.T, ag *agent.Agent, chain string) string {
 	t.Helper()
 	for _, cs := range ag.Report().Chains {
 		if cs.Chain == chain {
-			return cs.Via
+			return cs.Ingress.Station
 		}
 	}
 	t.Fatalf("chain %s not reported", chain)
 	return ""
+}
+
+// retarget points a chain's ingress leg at the tunnel to via ("" = home, at
+// the client's access port).
+func retarget(ag *agent.Agent, chain, via string) error {
+	return ag.Retarget(chain, &agent.Leg{Station: via}, nil)
 }
 
 func TestClientLegRulesMatchTheFormerInstallers(t *testing.T) {
@@ -87,7 +93,7 @@ func TestClientLegRulesMatchTheFormerInstallers(t *testing.T) {
 	// Offloaded: the cloud hosts the chain behind the tunnel (port 50).
 	remote := natSpec("remote")
 	remote.ClientMAC, remote.ClientIP = clientMAC, clientIP
-	remote.Remote, remote.Via = true, "edge"
+	remote.Ingress = agent.Leg{Station: "edge"}
 	if _, err := ts.cloud.Deploy(remote); err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +120,10 @@ func TestRetargetMovesALocalClientLeg(t *testing.T) {
 		{"", localLegRules(1, 1000, 1001)},        // tunnel -> access port
 		{"edge2", tunnelLegRules(60, 1000, 1001)},
 	} {
-		if err := ts.edge.Retarget("nat", "atlantis"); !errors.Is(err, agent.ErrNoTunnel) {
+		if err := retarget(ts.edge, "nat", "atlantis"); !errors.Is(err, agent.ErrNoTunnel) {
 			t.Fatalf("retarget at an unknown tunnel: err = %v", err)
 		}
-		if err := ts.edge.Retarget("nat", topology.StationID(step.via)); err != nil {
+		if err := retarget(ts.edge, "nat", step.via); err != nil {
 			t.Fatalf("retarget to %q: %v", step.via, err)
 		}
 		wantRules(t, sw, "retarget to "+step.via, step.want)
@@ -131,11 +137,11 @@ func TestRetargetMovesALocalClientLeg(t *testing.T) {
 	// back to a chain still pointed down a tunnel gets it back at once.
 	ts.edge.DetachClient("phone")
 	wantRules(t, sw, "client left", tunnelLegRules(60, 1000, 1001))
-	if err := ts.edge.Retarget("nat", ""); err != nil {
+	if err := retarget(ts.edge, "nat", ""); err != nil {
 		t.Fatal(err)
 	}
 	wantRules(t, sw, "pointed home, client away", nil)
-	if err := ts.edge.Retarget("nat", "cloud"); err != nil {
+	if err := retarget(ts.edge, "nat", "cloud"); err != nil {
 		t.Fatalf("the deployment forgot its client's addressing: %v", err)
 	}
 	ts.edge.AttachClient("phone", clientMAC, clientIP, 7)
@@ -158,7 +164,7 @@ func TestRetargetRefusesLegsItDoesNotOwn(t *testing.T) {
 	}
 	before := installedRules(ts.edge.Switch())
 	for _, via := range []string{"cloud", ""} {
-		if err := ts.edge.Retarget("shared", topology.StationID(via)); !errors.Is(err, agent.ErrNotRemote) {
+		if err := retarget(ts.edge, "shared", via); !errors.Is(err, agent.ErrPooledLegs) {
 			t.Fatalf("retarget of a shared attachment to %q: err = %v", via, err)
 		}
 	}
@@ -169,7 +175,7 @@ func TestRetargetRefusesLegsItDoesNotOwn(t *testing.T) {
 	if _, err := ts.edge.Deploy(natSpec("blind")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.edge.Retarget("blind", "cloud"); !errors.Is(err, agent.ErrUnknownClient) {
+	if err := retarget(ts.edge, "blind", "cloud"); !errors.Is(err, agent.ErrUnknownClient) {
 		t.Fatalf("retarget without client addressing: err = %v", err)
 	}
 }
@@ -195,7 +201,7 @@ func TestDetourServesARoamedClientThroughItsOldStation(t *testing.T) {
 	ts.client.Rebind(cl)
 	ts.cloud.AttachClient("phone", clientMAC, clientIP, 1)
 
-	if err := ts.edge.Retarget("fw", "cloud"); err != nil {
+	if err := retarget(ts.edge, "fw", "cloud"); err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.cloud.Steer("phone", "edge"); err != nil {
@@ -246,7 +252,7 @@ func TestDetourServesARoamedClientThroughItsOldStation(t *testing.T) {
 	if err := ts.cloud.ClearSteer("phone"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.edge.Retarget("fw", ""); err != nil {
+	if err := retarget(ts.edge, "fw", ""); err != nil {
 		t.Fatal(err)
 	}
 	wantRules(t, ts.edge.Switch(), "detour cleared (source)", nil)

@@ -9,5 +9,9 @@ func (a *Agent) ChainLegs(chain string) (in, out *netem.Endpoint) {
 	if err != nil {
 		return nil, nil
 	}
-	return d.endpoints[0], d.endpoints[1]
+	return d.res.endpoints[0], d.res.endpoints[1]
 }
+
+// SetSteerHook installs fn to run inside every steering swap, after the new
+// rule set is on the switch and before it is published on its deployment.
+func (a *Agent) SetSteerHook(fn func()) { a.steerHook = fn }

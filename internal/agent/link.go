@@ -243,9 +243,6 @@ func (l *Link) installHandlers() {
 		if err := json.Unmarshal(body, &spec); err != nil {
 			return nil, err
 		}
-		if spec.PrevVia != nil || spec.NextVia != nil {
-			return nil, a.RetargetSegment(spec.Chain, spec.PrevVia, spec.NextVia)
-		}
-		return nil, a.Retarget(spec.Chain, topology.StationID(spec.Via))
+		return nil, a.Retarget(spec.Chain, spec.Ingress, spec.Egress)
 	})
 }

@@ -11,12 +11,12 @@
 //     loop-free, and registers each end here.
 //   - Detour steering (client's station): a high-priority rule redirects
 //     everything the client emits into the tunnel toward the hosting site.
-//   - Tunnel client leg (hosting site): the chain's client leg rides the
-//     tunnel instead of an access port (installClientLeg in agent.go).
+//   - Tunnel ingress leg (hosting site): the chain's ingress leg rides the
+//     tunnel instead of an access port (legs.go).
 //
 // A live handoff borrows the last two between edge stations: while the
 // target boots, the client's new station detours it back to the source,
-// whose chain's client leg Retarget has moved onto the tunnel.
+// whose chain's ingress leg Retarget has moved onto the tunnel.
 package agent
 
 import (
@@ -118,53 +118,4 @@ func (a *Agent) Detours() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Retarget re-points a whole-chain deployment's client leg: at the tunnel
-// to via, or — via "" — back at the client's local access port (no rules
-// at all while the client is not here). The chain stays put, only its
-// client-facing rules move, and the new set is in before the old one goes,
-// so there is no unsteered window. It is the hosting-site half of roaming
-// an offloaded client, and of a live handoff's detour: the source station
-// keeps serving the client that left it, across the tunnel, until the
-// target is ready. Shared attachments and split-chain segments own no
-// client leg and are refused.
-func (a *Agent) Retarget(chain string, via topology.StationID) error {
-	a.mu.Lock()
-	dep, ok := a.deployments[chain]
-	if !ok || dep.building {
-		a.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownChain, chain)
-	}
-	if dep.shared != nil || dep.spec.SegCount > 1 {
-		a.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotRemote, chain)
-	}
-	spec := dep.spec
-	spec.Via = string(via)
-	leg, have, err := a.clientLegOf(spec)
-	a.mu.Unlock()
-	if err != nil {
-		return err
-	}
-
-	var newRules []int
-	if have {
-		newRules = a.installClientLeg(leg, dep.ports[0], dep.ports[1])
-	}
-	a.mu.Lock()
-	old := dep.ruleIDs
-	if a.deployments[chain] == dep {
-		dep.ruleIDs = newRules
-		dep.spec.Via = spec.Via
-	} else {
-		// Removed meanwhile, its rules with it: the set just installed is
-		// nobody's to clean up but ours.
-		old, err = newRules, fmt.Errorf("%w: %s", ErrUnknownChain, chain)
-	}
-	a.mu.Unlock()
-	for _, id := range old {
-		a.sw.RemoveRule(id)
-	}
-	return err
 }

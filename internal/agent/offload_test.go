@@ -105,8 +105,7 @@ func TestRemoteDeployAndDetourCarryTraffic(t *testing.T) {
 		ClientIP:  clientIP,
 		Functions: []agent.NFSpec{{Kind: "firewall", Name: "fw0"}},
 		Enabled:   true,
-		Remote:    true,
-		Via:       "edge",
+		Ingress:   agent.Leg{Station: "edge"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +165,7 @@ func TestRemoteDeployWithoutTunnelFails(t *testing.T) {
 		Client:    "phone",
 		ClientMAC: clientMAC,
 		Functions: []agent.NFSpec{{Kind: "firewall", Name: "fw0"}},
-		Remote:    true,
-		Via:       "atlantis",
+		Ingress:   agent.Leg{Station: "atlantis"},
 	})
 	if !errors.Is(err, agent.ErrNoTunnel) {
 		t.Fatalf("err = %v", err)
@@ -231,23 +229,22 @@ func TestRetargetMovesTunnelRules(t *testing.T) {
 		ClientMAC: clientMAC,
 		Functions: []agent.NFSpec{{Kind: "firewall", Name: "fw0"}},
 		Enabled:   true,
-		Remote:    true,
-		Via:       "edge",
+		Ingress:   agent.Leg{Station: "edge"},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	before := len(ts.cloud.Switch().Rules())
-	if err := ts.cloud.Retarget("fw", "edge2"); err != nil {
+	if err := retarget(ts.cloud, "fw", "edge2"); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(ts.cloud.Switch().Rules()); got != before {
 		t.Fatalf("rules %d -> %d; retarget must replace, not add", before, got)
 	}
 	// Errors: unknown chain, local chain, unknown tunnel.
-	if err := ts.cloud.Retarget("nope", "edge"); !errors.Is(err, agent.ErrUnknownChain) {
+	if err := retarget(ts.cloud, "nope", "edge"); !errors.Is(err, agent.ErrUnknownChain) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := ts.cloud.Retarget("fw", "atlantis"); !errors.Is(err, agent.ErrNoTunnel) {
+	if err := retarget(ts.cloud, "fw", "atlantis"); !errors.Is(err, agent.ErrNoTunnel) {
 		t.Fatalf("err = %v", err)
 	}
 	ts.edge.AttachClient("phone", clientMAC, clientIP, 1)
@@ -259,7 +256,7 @@ func TestRetargetMovesTunnelRules(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.edge.Retarget("local", "cloud"); !errors.Is(err, agent.ErrNotRemote) {
+	if err := retarget(ts.edge, "local", "cloud"); !errors.Is(err, agent.ErrPooledLegs) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"gnf/internal/netem"
 	"gnf/internal/share"
-	"gnf/internal/topology"
 )
 
 // Errors returned by the shared-pool paths.
@@ -68,14 +67,14 @@ func poolKeyOf(fns []NFSpec) share.Key {
 }
 
 // sharingEligible reports whether a deployment may attach to a shared
-// instance: sharing enabled, a local (non-tunnelled) chain, and every
-// member kind registered shareable. Chains with any stateful member keep
-// the one-instance-per-client layout of the paper. Split-chain segments
-// are excluded: their egress must steer into the next leg's tunnel,
-// which the pool's shared group steering cannot express (the manager
-// still pools their prefix keys for placement affinity — share.PrefixKeys).
+// instance: sharing enabled, both legs on this station's edge (ErrPooledLegs
+// says why — so an offloaded chain and a split chain's segments keep an
+// instance of their own; the manager still pools segment prefix keys for
+// placement affinity, share.PrefixKeys), and every member kind registered
+// shareable. Chains with any stateful member keep the one-instance-per-client
+// layout of the paper.
 func (a *Agent) sharingEligible(spec DeploySpec) bool {
-	if !a.sharing || spec.Remote || spec.SegCount > 1 || len(spec.Functions) == 0 {
+	if !a.sharing || spec.Ingress != (Leg{}) || spec.Egress != (Leg{}) || len(spec.Functions) == 0 {
 		return false
 	}
 	for _, fs := range spec.Functions {
@@ -89,7 +88,9 @@ func (a *Agent) sharingEligible(spec DeploySpec) bool {
 // attachShared deploys spec against the shared pool: attach to a
 // compatible live instance, or build the first replica of a new one. The
 // attach cost of a pool hit is zero container boots — that is the whole
-// point.
+// point. A disabled attachment matches the exclusive layout's disabled
+// semantics from the first frame: steer-and-drop, never an unfiltered
+// window.
 func (a *Agent) attachShared(spec DeploySpec) (*deployment, error) {
 	key := poolKeyOf(spec.Functions)
 	inst, _, err := a.pool.Acquire(key, spec.Chain, func() (any, error) {
@@ -98,14 +99,9 @@ func (a *Agent) attachShared(spec DeploySpec) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep := &deployment{spec: spec, standby: spec.Standby, shared: inst}
-	if spec.Enabled {
-		a.enableShared(dep)
-	} else {
-		// Match the exclusive layout's disabled semantics from the first
-		// frame: steer-and-drop, never an unfiltered window.
-		a.disableShared(dep)
-	}
+	dep := &deployment{spec: spec, standby: spec.Standby, shared: inst, steering: steering{deliver: spec.Enabled}}
+	// Edge legs resolve against nothing that can be missing.
+	_ = a.setLegs(dep, nil)
 	return dep, nil
 }
 
@@ -156,92 +152,6 @@ func (a *Agent) buildPoolReplica(res *poolResources, idx int) (*chainResources, 
 	return rep, nil
 }
 
-// enableShared points the client's steering rules at the instance's select
-// groups.
-func (a *Agent) enableShared(dep *deployment) {
-	a.setSharedSteering(dep, true)
-}
-
-// disableShared swaps the client's steering to drop rules: a disabled
-// chain must behave the same whether its instance is exclusive or shared —
-// fail closed — so a firewall mid-migration never fails open just because
-// the instance also serves other clients. The shared instance itself keeps
-// forwarding for its other sharers.
-func (a *Agent) disableShared(dep *deployment) {
-	a.setSharedSteering(dep, false)
-}
-
-// setSharedSteering (re)installs the attachment's two client rules —
-// outbound into the ingress group and inbound into the egress group when
-// enabled, both dropping when disabled — then removes whatever rules the
-// attachment had before, so there is no unsteered window during the swap.
-// An attachment Remove has already torn down gets nothing: rules installed
-// past that point would never be cleaned up and would steer the client
-// into groups destined for removal.
-func (a *Agent) setSharedSteering(dep *deployment, enabled bool) {
-	a.mu.Lock()
-	if dep.removed || (dep.enabled == enabled && dep.ruleIDs != nil) {
-		a.mu.Unlock()
-		return
-	}
-	dep.enabled = enabled
-	dep.steerSeq++
-	seq := dep.steerSeq
-	ci, haveClient := a.clients[topology.ClientID(dep.spec.Client)]
-	a.mu.Unlock()
-	if !haveClient {
-		return
-	}
-	res := dep.shared.Payload().(*poolResources)
-	cp := ci.port
-	up := a.uplink
-	dstIP := ci.ip
-	outRule := netem.Rule{Priority: steerPriority, Match: netem.Match{InPort: &cp}}
-	inRule := netem.Rule{Priority: steerPriority, Match: netem.Match{InPort: &up, DstIP: &dstIP}}
-	if enabled {
-		outRule.Action, outRule.Group = netem.ActionGroup, res.inGroup
-		inRule.Action, inRule.Group = netem.ActionGroup, res.outGroup
-	} else {
-		outRule.Action = netem.ActionDrop
-		inRule.Action = netem.ActionDrop
-	}
-	ids := []int{a.sw.AddRule(outRule), a.sw.AddRule(inRule)}
-	a.mu.Lock()
-	if dep.removed || dep.steerSeq != seq {
-		// Remove, or a newer Enable/Disable intent, won the race while we
-		// were installing: our fresh rules must go, not persist as orphans
-		// (or shadow the newer intent's rules).
-		a.mu.Unlock()
-		for _, id := range ids {
-			a.sw.RemoveRule(id)
-		}
-		return
-	}
-	old := dep.ruleIDs
-	dep.ruleIDs = ids
-	a.mu.Unlock()
-	for _, id := range old {
-		a.sw.RemoveRule(id)
-	}
-}
-
-// releaseShared removes the attachment's steering entirely (traffic cuts
-// over to normal forwarding), detaches it from its instance, and reaps
-// anything whose grace period has lapsed.
-func (a *Agent) releaseShared(dep *deployment) {
-	a.mu.Lock()
-	dep.removed = true
-	ids := dep.ruleIDs
-	dep.ruleIDs = nil
-	dep.enabled = false
-	a.mu.Unlock()
-	for _, id := range ids {
-		a.sw.RemoveRule(id)
-	}
-	a.pool.Release(dep.shared.Key(), dep.spec.Chain)
-	a.ReapPools()
-}
-
 // ReapPools tears down shared instances that have been unreferenced past
 // the pool's grace period, returning how many were reclaimed. It runs
 // lazily on deploy/remove/report; tests and operators may call it
@@ -269,7 +179,9 @@ func (a *Agent) teardownPoolResources(res *poolResources) {
 	a.sw.RemoveGroup(res.inGroup)
 	a.sw.RemoveGroup(res.outGroup)
 	for _, rep := range reps {
-		a.teardownChainResources(rep)
+		// Nobody to report to; a container that refuses to stop stays visible
+		// in the runtime's list.
+		_ = a.teardownChainResources(rep)
 	}
 }
 
@@ -345,7 +257,7 @@ func (a *Agent) ScalePool(kinds, configHash string, replicas int) error {
 	}
 	res.mu.Unlock()
 	for _, rep := range victims {
-		a.teardownChainResources(rep)
+		_ = a.teardownChainResources(rep) // as in teardownPoolResources
 	}
 	return buildErr
 }

@@ -91,23 +91,38 @@ type NFSpec struct {
 	Affinity string `json:"affinity,omitempty"`
 }
 
+// Leg is one side of a deployment: where its frames come from or go to.
+// The zero Leg is this station's own edge — the client's access port on the
+// ingress side, the uplink on the egress side. Another station's name is the
+// tunnel to it; Peer then names the deployment at the far end, which is what
+// the manager re-splices when either end moves. This station's own name plus
+// a Peer is a port-to-port wire to that deployment, both directions of which
+// belong to the upstream side (the one whose egress leg it is).
+type Leg struct {
+	Station string `json:"station,omitempty"`
+	Peer    string `json:"peer,omitempty"`
+}
+
 // DeploySpec asks an Agent to run a chain for one client's traffic.
 type DeploySpec struct {
-	Chain     string     `json:"chain"` // unique deployment name
-	Client    string     `json:"client"`
+	Chain  string `json:"chain"` // unique deployment name
+	Client string `json:"client"`
+	// ClientMAC/ClientIP are what rules on a tunnel match the client by. The
+	// agent learns them from its own client table when the client is
+	// associated here; a deployment that never sees its client (an offloaded
+	// chain, an anchored segment) must be told.
 	ClientMAC packet.MAC `json:"client_mac"`
 	ClientIP  packet.IP  `json:"client_ip"`
 	Functions []NFSpec   `json:"functions"`
 	// Enabled starts forwarding immediately (default for fresh deploys);
 	// migrations deploy disabled, restore state, then enable.
 	Enabled bool `json:"enabled"`
-	// Remote deploys the chain away from the client's station (GNFC
-	// offload): traffic arrives through the tunnel from Via, and
-	// ClientMAC/ClientIP must be set since the hosting agent has no
-	// local record of the client.
-	Remote bool `json:"remote,omitempty"`
-	// Via names the station whose tunnel delivers the client's traffic.
-	Via string `json:"via,omitempty"`
+	// Ingress and Egress are the deployment's two legs: toward the client
+	// and toward the Internet. The zero value of both — a local whole chain —
+	// takes the client's traffic off its access port and hands it to the
+	// uplink.
+	Ingress Leg `json:"ingress,omitzero"`
+	Egress  Leg `json:"egress,omitzero"`
 	// Standby marks a predictive prewarm deployment: the chain is staged
 	// disabled at the station a mobility model expects the client to roam
 	// to next. Standby chains are placement intents, not placements — they
@@ -115,18 +130,6 @@ type DeploySpec struct {
 	// fail-closed (into the brownout buffer) the moment the client actually
 	// associates, so a mid-handoff frame is parked rather than leaked.
 	Standby bool `json:"standby,omitempty"`
-	// SegIndex/SegCount mark this deployment as one segment of a chain
-	// split across stations (SegCount > 1). The head segment (SegIndex 0)
-	// sits at the client's station and takes traffic straight off the
-	// client port; later segments receive it over the tunnel from PrevVia.
-	SegIndex int `json:"seg_index,omitempty"`
-	SegCount int `json:"seg_count,omitempty"`
-	// PrevVia names the station hosting the previous segment ("" for the
-	// head); frames arrive over its tunnel. NextVia names the station
-	// hosting the next segment ("" for the tail); egress frames are
-	// steered into its tunnel instead of the uplink.
-	PrevVia string `json:"prev_via,omitempty"`
-	NextVia string `json:"next_via,omitempty"`
 }
 
 // DeployResult reports what the agent built.
@@ -290,11 +293,12 @@ type ChainStatus struct {
 	// Standby marks a prewarmed placement intent (see DeploySpec.Standby);
 	// the invariant audit skips these.
 	Standby bool `json:"standby,omitempty"`
-	// Via names the station whose tunnel the chain's client leg rides ("" =
-	// the client's local access port): an offloaded chain's edge station,
-	// or — for the length of a live handoff — the station detouring the
-	// client back here.
-	Via string `json:"via,omitempty"`
+	// Ingress and Egress are the deployment's live legs: what it was
+	// deployed with, or what the last Retarget made of them — an offloaded
+	// chain's edge station, a split chain's neighbours, or, for the length of
+	// a live handoff, the station detouring the client back here.
+	Ingress Leg `json:"ingress,omitzero"`
+	Egress  Leg `json:"egress,omitzero"`
 }
 
 // ClientEvent reports client (dis)connection to the manager (§3: the Agent
@@ -329,17 +333,14 @@ type UnsteerSpec struct {
 	Client string `json:"client"`
 }
 
-// RetargetSpec re-points a whole-chain deployment's client leg at the
-// tunnel from Via (roaming an offloaded client; a live handoff's detour),
-// or with Via "" back at the client's local access port. For segment
-// deployments the optional PrevVia/NextVia pointers re-point the segment's
-// neighbour legs instead (nil leaves a leg untouched; pointing at "" makes
-// the segment a head/tail).
+// RetargetSpec re-points a deployment's legs; a nil leg stays as it is. It
+// is how an offloaded chain follows its roaming client, how a live handoff
+// detours the client back to its still-running chain, and how a split
+// chain's neighbours follow a segment that moved.
 type RetargetSpec struct {
-	Chain   string  `json:"chain"`
-	Via     string  `json:"via"`
-	PrevVia *string `json:"prev_via,omitempty"`
-	NextVia *string `json:"next_via,omitempty"`
+	Chain   string `json:"chain"`
+	Ingress *Leg   `json:"ingress,omitempty"`
+	Egress  *Leg   `json:"egress,omitempty"`
 }
 
 // Alert relays an NF notification with its origin station.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gnf/internal/agent"
 	"gnf/internal/topology"
 )
 
@@ -30,12 +31,18 @@ const (
 	// ViolationDisabled: a chain that should be forwarding is disabled.
 	// Scenarios exercising activation schedules expect this one.
 	ViolationDisabled = "disabled-chain"
-	// ViolationStrayDetour: steering left behind for a client the manager
-	// does not record as offloaded — a station still detouring its traffic
-	// into a tunnel, or an edge chain whose client leg still rides one. A
-	// live handoff installs both for the length of its move; after the
-	// client's moves have drained neither may remain.
+	// ViolationStrayDetour: a station still detours into a tunnel the traffic
+	// of a client the manager does not record as offloaded. A live handoff
+	// installs such a detour for the length of its move; after the client's
+	// moves have drained none may remain.
 	ViolationStrayDetour = "stray-detour"
+	// ViolationLegMismatch: a hosted deployment's live legs are not the ones
+	// the manager's placements imply — segment i's ingress leg names segment
+	// i-1 where that is placed, its egress leg segment i+1, an offloaded
+	// chain's ingress leg is the client's station, and everything else is on
+	// its own station's edge. It catches the chain half of a leftover detour
+	// and a botched re-splice alike.
+	ViolationLegMismatch = "leg-mismatch"
 )
 
 // Violation is one invariant breach found by Audit.
@@ -61,8 +68,9 @@ func (s *System) Audit() []Violation {
 	// carries the owning client, so same-named chains of different
 	// clients never alias each other here.
 	type hosting struct {
-		station string
-		enabled bool
+		station         string
+		enabled         bool
+		ingress, egress agent.Leg
 	}
 	s.mu.Lock()
 	nodes := make(map[topology.StationID]*stationNode, len(s.stations))
@@ -80,10 +88,6 @@ func (s *System) Audit() []Violation {
 			}
 		}
 		for _, cs := range rep.Chains {
-			if cs.Via != "" && s.Manager.Offloaded(cs.Client) == "" {
-				out = append(out, Violation{ViolationStrayDetour,
-					fmt.Sprintf("chain %s/%s on %s has its client leg on the tunnel to %s, but the client is not offloaded", cs.Client, cs.Chain, id, cs.Via)})
-			}
 			if cs.Standby {
 				// Prewarmed standbys are placement *intents* — disabled,
 				// deliberately duplicating the active copy at the predicted
@@ -97,7 +101,7 @@ func (s *System) Audit() []Violation {
 				continue
 			}
 			key := [2]string{cs.Client, cs.Chain}
-			hostedOn[key] = append(hostedOn[key], hosting{station: string(id), enabled: cs.Enabled})
+			hostedOn[key] = append(hostedOn[key], hosting{string(id), cs.Enabled, cs.Ingress, cs.Egress})
 		}
 	}
 	for _, hs := range hostedOn {
@@ -155,6 +159,31 @@ func (s *System) Audit() []Violation {
 			out = append(out, Violation{ViolationDisabled,
 				fmt.Sprintf("chain %s/%s on %s is not forwarding", pl.Client, pl.Chain, pl.Station)})
 		}
+		st, attached := s.Manager.ClientStation(pl.Client)
+		// Legs: a split chain's are its neighbours' placements. An offloaded
+		// chain's ingress leg follows the client, and keeps pointing at the
+		// station it last saw while the client is out of coverage.
+		base, _ := agent.ParseSegmentName(pl.Chain)
+		neighbour := func(seg int) agent.Leg {
+			name := agent.SegmentDeployName(base, seg)
+			at, placed := placedAt[[2]string{pl.Client, name}]
+			if seg < 0 || !placed {
+				return agent.Leg{}
+			}
+			return agent.Leg{Station: at, Peer: name}
+		}
+		wantIn, wantOut := neighbour(pl.Segment-1), neighbour(pl.Segment+1)
+		if pl.Offload != "" && pl.Station == pl.Offload {
+			wantIn = agent.Leg{Station: st}
+			if !attached {
+				wantIn = here.ingress
+			}
+		}
+		if here.ingress != wantIn || here.egress != wantOut {
+			out = append(out, Violation{ViolationLegMismatch,
+				fmt.Sprintf("chain %s/%s on %s has legs %+v / %+v, its placements imply %+v / %+v",
+					pl.Client, pl.Chain, pl.Station, here.ingress, here.egress, wantIn, wantOut)})
+		}
 		// Convergence: an attached client is served where it is attached —
 		// at its station, or at its cloud site with the traffic detour
 		// installed at the station (offload). Anchored segments of split
@@ -163,7 +192,6 @@ func (s *System) Audit() []Violation {
 		if pl.Segment != 0 {
 			continue
 		}
-		st, attached := s.Manager.ClientStation(pl.Client)
 		if !attached {
 			continue // chains may wait at the last station while out of coverage
 		}

@@ -180,19 +180,113 @@ func TestAuditDetectsStrayDetour(t *testing.T) {
 	if got := kinds(sys.Audit()); got[ViolationStrayDetour] != 1 || len(got) != 1 {
 		t.Fatalf("want one stray-detour for the steered client, got %v", sys.Audit())
 	}
-	if err := a.Retarget("nat", "st-b"); err != nil {
+	if err := a.Retarget("nat", &agent.Leg{Station: "st-b"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := kinds(sys.Audit()); got[ViolationStrayDetour] != 2 || len(got) != 1 {
-		t.Fatalf("want stray-detours for the steer and the tunnelled leg, got %v", sys.Audit())
+	if got := kinds(sys.Audit()); got[ViolationStrayDetour] != 1 || got[ViolationLegMismatch] != 1 || len(got) != 2 {
+		t.Fatalf("want a stray-detour for the steer and a leg-mismatch for the tunnelled leg, got %v", sys.Audit())
 	}
 	if err := a.ClearSteer("c0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Retarget("nat", ""); err != nil {
+	if err := a.Retarget("nat", &agent.Leg{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if vs := sys.Audit(); len(vs) != 0 {
 		t.Fatalf("violations after clearing the detour: %v", vs)
+	}
+}
+
+// TestAuditDetectsLegMismatch plants, behind the manager's back, one of each
+// leg a placement implies and a botched move would leave wrong: a local
+// chain's ingress leg left on a detour's tunnel, a split chain's head
+// feeding a station segment 1 is not on, segment 1 listening toward a
+// station the head is not on, and an offloaded chain still pointed at the
+// station its client has left.
+func TestAuditDetectsLegMismatch(t *testing.T) {
+	cfg := Config{Clouds: []CloudConfig{{ID: "nimbus"}}}
+	for i, id := range []topology.StationID{"st-a", "st-b", "st-c"} {
+		cfg.Stations = append(cfg.Stations, StationConfig{ID: id, Cells: []CellConfig{{
+			ID: topology.CellID("cell-" + string(id[3:])), Center: topology.Point{X: float64(i) * 100}, Radius: 60,
+		}}})
+	}
+	sys, _, err := NewVirtualSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	for i, c := range []struct {
+		id   topology.ClientID
+		cell topology.CellID
+	}{{"rover", "cell-b"}, {"kiosk", "cell-c"}} {
+		if err := sys.AddClient(c.id, packet.MAC{2, 0, 0, 0, 0, byte(i + 1)}, packet.IP{10, 0, 0, byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Topo.Attach(c.id, c.cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nat := func(name string) agent.NFSpec {
+		return agent.NFSpec{Kind: "nat", Name: name, Params: nf.Params{"nat_ip": "192.168.60.1"}}
+	}
+	// rover at st-b: a local chain, and a split one anchored on the hub
+	// (st-a sorts first). kiosk at st-c: offloaded to nimbus.
+	for client, specs := range map[topology.ClientID][]manager.ChainSpec{
+		"rover": {
+			{Name: "local", Functions: []agent.NFSpec{nat("nat0")}},
+			{Name: "web", Functions: []agent.NFSpec{
+				{Kind: "firewall", Name: "fw0", Affinity: manager.AffinityNearClient},
+				{Kind: "counter", Name: "acct0", Affinity: manager.AffinityAggregate},
+			}},
+		},
+		"kiosk": {{Name: "far", Functions: []agent.NFSpec{nat("nat1")}}},
+	} {
+		for _, spec := range specs {
+			if err := sys.AttachChain(client, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sys.OffloadClient("kiosk", "nimbus"); err != nil {
+		t.Fatal(err)
+	}
+	sys.Manager.WaitIdle()
+	for _, pair := range [][2]topology.StationID{{"st-a", "st-c"}, {"st-b", "st-c"}} {
+		if err := sys.EnsureTunnel(pair[0], pair[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Fatalf("violations before anything was planted: %v", vs)
+	}
+
+	to := func(station, peer string) *agent.Leg { return &agent.Leg{Station: station, Peer: peer} }
+	for _, plant := range []struct {
+		what, station, chain    string
+		ingress, egress         *agent.Leg // the planted legs
+		homeIngress, homeEgress *agent.Leg // and the right ones
+	}{
+		{what: "a leftover detour", station: "st-b", chain: "local",
+			ingress: to("st-c", ""), homeIngress: to("", "")},
+		{what: "a head spliced to the wrong station", station: "st-b", chain: "web",
+			egress: to("st-c", "web#1"), homeEgress: to("st-a", "web#1")},
+		{what: "a segment spliced to the wrong station", station: "st-a", chain: "web#1",
+			ingress: to("st-c", "web"), homeIngress: to("st-b", "web")},
+		{what: "an offloaded chain left behind by its client", station: "nimbus", chain: "far",
+			ingress: to("st-b", ""), homeIngress: to("st-c", "")},
+	} {
+		ag := sys.Agent(topology.StationID(plant.station))
+		if err := ag.Retarget(plant.chain, plant.ingress, plant.egress); err != nil {
+			t.Fatalf("%s: %v", plant.what, err)
+		}
+		if got := kinds(sys.Audit()); got[ViolationLegMismatch] != 1 || len(got) != 1 {
+			t.Errorf("%s: want one leg-mismatch, got %v", plant.what, sys.Audit())
+		}
+		if err := ag.Retarget(plant.chain, plant.homeIngress, plant.homeEgress); err != nil {
+			t.Fatalf("%s, undone: %v", plant.what, err)
+		}
+		if vs := sys.Audit(); len(vs) != 0 {
+			t.Errorf("%s, undone: %v", plant.what, vs)
+		}
 	}
 }

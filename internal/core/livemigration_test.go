@@ -268,7 +268,16 @@ type wireLog struct {
 func streamAcrossHandoff(t *testing.T, strategy manager.Strategy) (sys *System, sent []uint32, roamAt uint32, log *wireLog) {
 	t.Helper()
 	sys, _ = demoSystem(t, strategy)
-	if err := sys.AttachChain("phone", natChain("edge")); err != nil {
+	sent, roamAt, log = streamAcrossHandoffOf(t, sys, natChain("edge"))
+	return sys, sent, roamAt, log
+}
+
+// streamAcrossHandoffOf is streamAcrossHandoff on a system the caller built
+// (phone at st-a, a cell-b to roam to), with the chain it names; the chain's
+// first function must be natChain's NAT.
+func streamAcrossHandoffOf(t *testing.T, sys *System, chain manager.ChainSpec) (sent []uint32, roamAt uint32, log *wireLog) {
+	t.Helper()
+	if err := sys.AttachChain("phone", chain); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.WaitChainOn("st-a", "edge", 5*time.Second); err != nil {
@@ -328,7 +337,7 @@ func streamAcrossHandoff(t *testing.T, strategy manager.Strategy) (sys *System, 
 	close(stop)
 	<-done
 	time.Sleep(20 * time.Millisecond) // the last frames reach the server
-	return sys, sent, roamAt, log
+	return sent, roamAt, log
 }
 
 // TestLiveHandoffDetoursThroughSource is the wire-level regression test for
@@ -390,6 +399,85 @@ func TestLiveHandoffDetoursThroughSource(t *testing.T) {
 			t.Fatalf("frame pool: %d outstanding, %d before the test", packet.FramePoolOutstanding(), basePool)
 		}
 	}
+}
+
+// TestSplitHeadLiveHandoffDetours is the same stream across the live handoff
+// of a split chain's head, with segment 1 anchored on a third station: the
+// head's ingress leg takes the detour while its egress leg keeps feeding
+// segment 1, so no more frames miss the head's NAT than miss a whole chain's
+// — before legs, a split head sat the whole move out un-chained (some 430
+// of these 520 frames).
+func TestSplitHeadLiveHandoffDetours(t *testing.T) {
+	cfg := twoStationConfig(manager.StrategyLive)
+	// Sorting first makes it the aggregation hub.
+	cfg.Stations = append(cfg.Stations, StationConfig{
+		ID: "hub", Cells: []CellConfig{{ID: "cell-hub", Center: topology.Point{X: 1000}, Radius: 60}},
+	})
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	if err := sys.AddClient("phone", phoneMAC, phoneIP); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Topo.Attach("phone", "cell-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitClientAt("phone", "st-a", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	split := natChain("edge")
+	split.Functions[0].Affinity = manager.AffinityNearClient
+	split.Functions[1].Affinity = manager.AffinityAggregate
+	sent, roamAt, log := streamAcrossHandoffOf(t, sys, split)
+	sys.Manager.WaitIdle()
+
+	migs := sys.Manager.Migrations()
+	if len(migs) != 1 || migs[0].Err != "" || migs[0].Strategy != manager.StrategyLive || migs[0].Chain != "edge" {
+		t.Fatalf("migrations = %+v, want the head alone, live", migs)
+	}
+	log.mu.Lock()
+	var lost, missedHead int
+	for _, seq := range sent {
+		rewritten, arrived := log.rewritten[seq]
+		switch {
+		case !arrived:
+			lost++
+		case !rewritten:
+			missedHead++
+			if seq < roamAt || seq > roamAt+15 {
+				t.Errorf("frame %d (roam began at %d) reached the server past the head", seq, roamAt)
+			}
+		}
+	}
+	log.mu.Unlock()
+	if missedHead > 10 {
+		t.Errorf("%d frames missed the head; the target's boot is on the wire", missedHead)
+	}
+	// Between the new head's activation and segment 1's re-splice its output
+	// reaches the hub on a tunnel segment 1 does not listen on yet: those
+	// frames pass it by (they still arrive). Nothing may be lost.
+	if lost != 0 {
+		t.Errorf("%d of %d frames lost across the handoff", lost, len(sent))
+	}
+	t.Logf("sent %d, missed the head %d, lost %d", len(sent), missedHead, lost)
+
+	names := spanNames(sys)
+	for want, n := range map[string]int{"manager.detour": 1, "rpc:agent.steer": 1, "rpc:agent.unsteer": 1, "rpc:agent.retarget": 2} {
+		if names[want] != n {
+			t.Errorf("%d %s spans, want %d (all: %v)", names[want], want, n, names)
+		}
+	}
+	for station, chain := range map[topology.StationID]string{"st-b": "edge", "hub": "edge#1"} {
+		if err := sys.WaitChainOn(station, chain, time.Second); err != nil {
+			t.Error(err)
+		}
+	}
+	// The head: one rule off the access port, two on its egress tunnel;
+	// segment 1: two on its ingress tunnel, one at the uplink.
+	noStrayRules(t, sys, map[topology.StationID]int{"st-b": 3, "hub": 3})
+	auditClean(t, sys)
 }
 
 // TestStatefulHandoffIssuesNoDetour is the twin: stop-and-copy freezes the

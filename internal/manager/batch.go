@@ -9,6 +9,7 @@ package manager
 
 import (
 	"gnf/internal/agent"
+	"gnf/internal/trace"
 )
 
 // steerReq is one caller's pending steering update; done (buffered 1)
@@ -19,9 +20,9 @@ type steerReq struct {
 }
 
 // steer installs a steering detour on this agent, group-committing with
-// concurrent callers. A batch of one degrades to a plain MethodSteer call,
-// so single-handoff behaviour (and older agents) are unaffected.
-func (h *AgentHandle) steer(spec agent.SteerSpec) error {
+// concurrent callers. A batch of one degrades to a plain MethodSteer call
+// under the flusher's own trace, so single-handoff behaviour is unaffected.
+func (h *AgentHandle) steer(tctx trace.Context, spec agent.SteerSpec) error {
 	req := steerReq{spec: spec, done: make(chan error, 1)}
 	h.steerMu.Lock()
 	h.steerPending = append(h.steerPending, req)
@@ -38,7 +39,7 @@ func (h *AgentHandle) steer(spec agent.SteerSpec) error {
 		h.steerMu.Unlock()
 		var err error
 		if len(batch) == 1 {
-			err = h.call(agent.MethodSteer, batch[0].spec, nil)
+			err = h.callT(tctx, agent.MethodSteer, batch[0].spec, nil)
 		} else {
 			rules := make([]agent.SteerSpec, len(batch))
 			for i, r := range batch {

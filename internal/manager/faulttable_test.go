@@ -19,8 +19,8 @@ import (
 // in exactly one place — back at its source when the move failed, with
 // nothing left behind anywhere else — the manager's placement record must
 // agree, and no steering may outlive the move: no station detours the
-// client unless toward its offload site, and every surviving copy's client
-// leg is back on its home form.
+// client unless toward its offload site, and every surviving copy's ingress
+// leg is back home.
 
 // faultFixture is a manager with three scripted edge stations and a cloud
 // site, and client "phone" associated at st-src. st-agg sorts first, which
@@ -199,7 +199,31 @@ var moveShapes = []moveShape{
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		// A shared attachment has no client leg to point back at the client:
+		// A split chain's head detours like any chain — its ingress leg moves,
+		// its egress leg stays — and then has segment 1's ingress leg chase it:
+		// the live handoff's RPCs plus that one Retarget at the hub.
+		name: "live handoff+split head", strategy: manager.StrategyLive, rpcs: 13, detours: true,
+		prepare: attachSplit,
+		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
+		check: func(t *testing.T, fx *faultFixture, failed bool) {
+			want := "st-dst"
+			if failed {
+				want = "st-src"
+			}
+			// A leg never retargeted still points where attach put it.
+			if got := fx.agents["st-agg"].leg(splitChain+"#1", "ingress"); got != want && !(failed && got == "") {
+				t.Errorf("segment 1's ingress leg points at %q, want %q", got, want)
+			}
+			for st, sa := range fx.agents {
+				if got := sa.leg(splitChain, "egress"); got != "" {
+					t.Errorf("the head's egress leg on %s was re-pointed at %q; a detour moves the ingress leg only", st, got)
+				}
+			}
+		},
+	},
+	{
+		// A shared attachment's legs stay on its station's edge, so there is
+		// nothing to point back at the client:
 		// the manager knows from the deploy's answer and asks nobody — the
 		// operator move's RPCs, no tunnel, nothing journaled.
 		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 9,
@@ -280,7 +304,7 @@ var moveShapes = []moveShape{
 				want = "st-agg"
 			}
 			// A leg never retargeted still points where attach put it.
-			for station, leg := range map[string][2]string{"st-src": {splitChain, "next"}, "nimbus": {splitChain + "#2", "prev"}} {
+			for station, leg := range map[string][2]string{"st-src": {splitChain, "egress"}, "nimbus": {splitChain + "#2", "ingress"}} {
 				if got := fx.agents[station].leg(leg[0], leg[1]); got != want && !(failed && got == "") {
 					t.Errorf("%s's %s leg points at %q, want %q", leg[0], leg[1], got, want)
 				}
@@ -426,7 +450,7 @@ func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 			if _, present := sa.hosts(dep); !present || (sourceRemove && st == sh.source) {
 				continue
 			}
-			if via := sa.leg(dep, "client"); via != "" && site == "" {
+			if via := sa.leg(dep, "ingress"); via != "" && site == "" {
 				t.Errorf("%s's client leg on %s still rides the tunnel to %s; RPCs: %v", dep, st, via, issued)
 			}
 		}
@@ -515,7 +539,7 @@ func TestHandoffBouncesBackWhileDetoured(t *testing.T) {
 	if via, steered := dst.detour("phone"); !steered || via != "st-src" {
 		t.Fatalf("mid-move: st-dst detours phone toward %q (steered=%v), want st-src", via, steered)
 	}
-	if via := src.leg("chain", "client"); via != "st-dst" {
+	if via := src.leg("chain", "ingress"); via != "st-dst" {
 		t.Fatalf("mid-move: the source's client leg points at %q, want the tunnel to st-dst", via)
 	}
 	event(dst, false)
@@ -583,7 +607,7 @@ func TestSecondChainOfAClientIsNotDetoured(t *testing.T) {
 			t.Errorf("%s still detours phone toward %s", st, via)
 		}
 		for _, chain := range []string{"chain-a", "chain-b"} {
-			if via := sa.leg(chain, "client"); via != "" {
+			if via := sa.leg(chain, "ingress"); via != "" {
 				t.Errorf("%s's client leg on %s still rides the tunnel to %s", chain, st, via)
 			}
 		}

@@ -28,8 +28,8 @@ type scriptedAgent struct {
 	failAt map[string]int // method -> calls left until the one that fails
 	gates  map[string]*agentGate
 	// hosted maps each deployment this station holds to whether it is
-	// enabled; legs holds the last via a Retarget set, keyed "chain next",
-	// "chain prev" or — a whole chain's client leg — "chain client";
+	// enabled; legs holds the station a Retarget last pointed a leg at, keyed
+	// "chain ingress" or "chain egress";
 	// detours maps each client steered here to the station its traffic is
 	// tunnelled toward. Failed calls change none of them.
 	hosted  map[string]bool
@@ -137,20 +137,17 @@ func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
 	case agent.MethodRemove:
 		if json.Unmarshal(body, &ref) == nil {
 			delete(sa.hosted, ref.Chain)
-			for _, which := range []string{" next", " prev", " client"} {
+			for _, which := range []string{" ingress", " egress"} {
 				delete(sa.legs, ref.Chain+which)
 			}
 		}
 	case agent.MethodRetarget:
 		if json.Unmarshal(body, &rt) == nil {
-			if rt.NextVia != nil {
-				sa.legs[rt.Chain+" next"] = *rt.NextVia
+			if rt.Ingress != nil {
+				sa.legs[rt.Chain+" ingress"] = rt.Ingress.Station
 			}
-			if rt.PrevVia != nil {
-				sa.legs[rt.Chain+" prev"] = *rt.PrevVia
-			}
-			if rt.NextVia == nil && rt.PrevVia == nil {
-				sa.legs[rt.Chain+" client"] = rt.Via
+			if rt.Egress != nil {
+				sa.legs[rt.Chain+" egress"] = rt.Egress.Station
 			}
 		}
 	case agent.MethodSteer:
@@ -187,8 +184,8 @@ func (sa *scriptedAgent) hosts(chain string) (enabled, present bool) {
 	return enabled, present
 }
 
-// leg reports the last via a Retarget pointed the chain's "next", "prev"
-// or "client" leg at ("" = never retargeted, or pointed back home).
+// leg reports the station a Retarget last pointed the chain's "ingress" or
+// "egress" leg at ("" = never retargeted, or pointed back at the edge).
 func (sa *scriptedAgent) leg(chain, which string) string {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()

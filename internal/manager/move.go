@@ -6,7 +6,7 @@
 //
 //	[detour the client back to the source] → prefetch → deploy at target →
 //	carry state → [clear the detour] → enable or activate →
-//	re-splice neighbour legs → remove source
+//	re-splice the legs that name a peer → remove source
 //
 // Handoffs, operator migrations, station evacuation, GNFC offload and
 // recall, split-chain segment moves, failover revival and predictive
@@ -47,8 +47,10 @@ type movePlan struct {
 	// lands.
 	from, to string
 	strategy Strategy
-	// deploy is the target-side spec: name, functions, addressing, tunnel
-	// and segment legs. Enabled and Standby belong to the engine.
+	// deploy is the target-side spec: name, functions, addressing and the
+	// two legs. A leg that names a Peer deployment is re-spliced: once the
+	// target serves, that neighbour's facing leg is pointed at it. Enabled and
+	// Standby belong to the engine.
 	deploy agent.DeploySpec
 	// staged brings the target up before the source freezes. Operator
 	// moves set it: their source still serves the client, so there is no
@@ -75,9 +77,6 @@ type movePlan struct {
 	// pre-copy rounds: the client's traffic is tunnelled back to it from the
 	// target station until the freeze.
 	arrived time.Time
-	// prevAt/nextAt host the neighbouring segments of a split chain; their
-	// legs are re-spliced onto the new station ("" = no such neighbour).
-	prevAt, nextAt string
 }
 
 // pendingMove is what a deferred or standby move hands back instead of
@@ -175,38 +174,62 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		return fail(fmt.Errorf("manager: nothing to sync a standby of %s from", name))
 	}
 	total := clock.NewStopwatch(m.clk)
-	if err := m.ensureTunnel(p.prevAt, p.to); err != nil {
-		return fail(err)
-	}
-	if err := m.ensureTunnel(p.to, p.nextAt); err != nil {
-		return fail(err)
+	for _, leg := range []agent.Leg{p.deploy.Ingress, p.deploy.Egress} {
+		if err := m.ensureTunnel(leg.Station, p.to); err != nil {
+			return fail(err)
+		}
 	}
 
 	// Detour. A roaming client has left the source's station, so "pre-copy
 	// while the source serves" would serve nobody and the client's traffic
 	// would pass its new station un-chained for the whole target boot.
-	// Instead the source's client leg moves onto the tunnel to the target
-	// station (the hosting half of an offload) and that station detours the
-	// client into it — the same two calls that roam an offloaded client —
-	// before anything slow starts. A standby already parks the client's
-	// frames fail-closed; a split head's leg is not the agent's to move and a
-	// shared attachment has none, so neither is asked; and a source that
-	// will not re-point or a station that cannot steer just leaves the move
-	// as it always was: the detour shortens the gap, it carries no state.
+	// Instead the source's ingress leg moves onto the tunnel to the target
+	// station and that station steers the client into it — what roaming an
+	// offloaded client does — before anything slow starts. A split chain's
+	// head detours like any chain: its ingress leg moves, its egress leg
+	// stays. A standby already parks the client's frames fail-closed, and a
+	// pool attachment's legs stay on the edge (agent.ErrPooledLegs), so
+	// neither is asked. A source that will not re-point or a station that
+	// cannot steer just leaves the move as it always was: the detour shortens
+	// the gap, it carries no state, and it is not a migration — it records no
+	// MigrationReport.
 	unsteer := func() error {
 		return target.callT(tctx, agent.MethodUnsteer, agent.UnsteerSpec{Client: p.client}, nil)
 	}
+	home := func() {
+		source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name, Ingress: &agent.Leg{}}, nil)
+	}
+	detoured := false
 	// (Carrying live without resuming a standby implies a reachable source.)
-	detoured := !p.arrived.IsZero() && carry == StrategyLive && !p.resume &&
-		p.deploy.SegCount <= 1 && !p.pooled && m.detour(tctx, p, source, target)
-	if detoured {
-		// Association to detour in place: the part of the client's
-		// un-chained gap the manager can see.
-		m.metrics.Histogram("migration.detour_ms", downtimeBucketsMs...).
-			Observe(float64(m.clk.Since(p.arrived).Microseconds()) / 1000)
-		undo = append(undo,
-			func() { source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name}, nil) },
-			func() { unsteer() })
+	if !p.arrived.IsZero() && carry == StrategyLive && !p.resume && !p.pooled {
+		dsp := m.tracer.Child(tctx, "manager.detour")
+		dctx := tctx
+		if dsp != nil {
+			dctx = dsp.Context()
+		}
+		err := m.steerVia(dctx, p.client, []string{name}, source, target)
+		dsp.End(err)
+		ev := trace.Event{
+			Type: trace.EventDetour, Subject: p.client, Station: p.to,
+			Detail: fmt.Sprintf("chain=%s via=%s", name, p.from),
+		}
+		if dctx.Recording() {
+			ev.TraceID = dctx.TraceID
+		}
+		detoured = err == nil
+		if detoured {
+			// Association to detour in place: the part of the client's
+			// un-chained gap the manager can see.
+			m.metrics.Histogram("migration.detour_ms", downtimeBucketsMs...).
+				Observe(float64(m.clk.Since(p.arrived).Microseconds()) / 1000)
+			undo = append(undo, home, func() { unsteer() })
+		} else {
+			// Whichever half refused, the leg goes home — a no-op at the
+			// source if it never left.
+			home()
+			ev.Err = err.Error()
+		}
+		m.journal.Append(ev)
 	}
 
 	// Stage the target. The deploy does not depend on source state, so a
@@ -356,38 +379,35 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 	}
 
-	// Re-splice a split chain's neighbour legs onto the new station: the
-	// upstream segment's next leg and the downstream segment's previous
-	// leg. Until both land, in-flight frames still ride toward the old
-	// station and are dropped at a frozen chain, the same transient every
-	// stop-and-copy has. A failed splice is a failed move — the return
-	// path would ride a tunnel toward the station the segment just left.
-	base, seg := agent.ParseSegmentName(name)
-	retarget := func(at string, offset int, via string) error {
-		h, err := m.agentFor(at)
+	// Re-splice: a leg that names a peer has that peer's facing leg — the
+	// upstream neighbour's egress, the downstream neighbour's ingress —
+	// pointed at the deployment's new station. Until both land, in-flight
+	// frames still ride toward the old station and are dropped at a frozen
+	// chain, the same transient every stop-and-copy has. A failed splice is a
+	// failed move — the return path would ride a tunnel toward the station the
+	// deployment just left.
+	splice := func(peer agent.Leg, upstream bool, at string) error {
+		h, err := m.agentFor(peer.Station)
 		if err != nil {
 			return err
 		}
-		spec := agent.RetargetSpec{Chain: agent.SegmentDeployName(base, seg+offset)}
-		if offset < 0 {
-			spec.NextVia = &via
+		spec, facing := agent.RetargetSpec{Chain: peer.Peer}, &agent.Leg{Station: at, Peer: name}
+		if upstream {
+			spec.Egress = facing
 		} else {
-			spec.PrevVia = &via
+			spec.Ingress = facing
 		}
 		return h.callT(tctx, agent.MethodRetarget, spec, nil)
 	}
-	for _, leg := range []struct {
-		at     string
-		offset int
-	}{{p.prevAt, -1}, {p.nextAt, +1}} {
-		if leg.at == "" {
+	for i, peer := range []agent.Leg{p.deploy.Ingress, p.deploy.Egress} {
+		if peer.Peer == "" {
 			continue
 		}
-		if err := retarget(leg.at, leg.offset, p.to); err != nil {
+		if err := splice(peer, i == 0, p.to); err != nil {
 			return fail(err)
 		}
 		if source != nil {
-			undo = append(undo, func() { retarget(leg.at, leg.offset, p.from) })
+			undo = append(undo, func() { splice(peer, i == 0, p.from) })
 		}
 	}
 
@@ -416,40 +436,22 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	return rep, nil
 }
 
-// detour points the source deployment's client leg at the tunnel to the
-// target station and has that station steer the client into it, in that
-// order — no frame enters the tunnel before the far end expects it. It
-// reports whether the detour is in place; on false nothing is left behind.
-// A detour is not a migration and records no MigrationReport.
-func (m *Manager) detour(tctx trace.Context, p movePlan, source, target *AgentHandle) bool {
-	sp := m.tracer.Child(tctx, "manager.detour")
-	if sp != nil {
-		tctx = sp.Context()
+// steerVia puts the ingress leg of each named chain, hosted by host, on the
+// tunnel to the client's station and then has that station steer the client
+// into the tunnel, in that order — no frame enters the tunnel before the far
+// end expects it. It is how an offloaded client's chains follow it to a new
+// station, and how a live handoff sends the client back to the source.
+func (m *Manager) steerVia(tctx trace.Context, client string, chains []string, host, at *AgentHandle) error {
+	if err := m.ensureTunnel(host.Station, at.Station); err != nil {
+		return err
 	}
-	name := p.deploy.Chain
-	err := m.ensureTunnel(p.from, p.to)
-	if err == nil {
-		err = source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name, Via: p.to}, nil)
-	}
-	if err == nil {
-		err = target.callT(tctx, agent.MethodSteer, agent.SteerSpec{Client: p.client, Via: p.from}, nil)
-		if err != nil {
-			source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name}, nil)
+	for _, chain := range chains {
+		spec := agent.RetargetSpec{Chain: chain, Ingress: &agent.Leg{Station: at.Station}}
+		if err := host.callT(tctx, agent.MethodRetarget, spec, nil); err != nil {
+			return err
 		}
 	}
-	sp.End(err)
-	ev := trace.Event{
-		Type: trace.EventDetour, Subject: p.client, Station: p.to,
-		Detail: fmt.Sprintf("chain=%s via=%s", name, p.from),
-	}
-	if tctx.Recording() {
-		ev.TraceID = tctx.TraceID
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	m.journal.Append(ev)
-	return err == nil
+	return at.steer(tctx, agent.SteerSpec{Client: client, Via: host.Station})
 }
 
 // imagesOf lists the repository images a function list needs.

@@ -99,11 +99,11 @@ func (m *Manager) OffloadClient(client, site string) (OffloadReport, error) {
 	for i, spec := range specs {
 		plans[i] = movePlan{from: station, to: site, deploy: agent.DeploySpec{
 			Chain: spec.Name, Client: client, ClientMAC: mac, ClientIP: ip,
-			Functions: spec.Functions, Remote: true, Via: station,
+			Functions: spec.Functions, Ingress: agent.Leg{Station: station},
 		}}
 	}
 	rep.Chains, err = m.reanchor(client, rec, plans, site, station, func() error {
-		return edge.steer(agent.SteerSpec{Client: client, Via: site})
+		return edge.steer(trace.Context{}, agent.SteerSpec{Client: client, Via: site})
 	})
 	if err != nil {
 		return rep, fmt.Errorf("manager: offload %w", err)
@@ -217,9 +217,9 @@ func (m *Manager) reanchor(client string, rec *clientRec, plans []movePlan, offl
 }
 
 // reconcileOffloaded handles roaming for an offloaded client: chains stay
-// on the cloud site; the cloud agent re-points their tunnel rules at the
-// client's new station, which then installs the detour. Converges on the
-// latest station like reconcileClient does.
+// on the cloud site; the cloud agent re-points their ingress legs at the
+// client's new station, which then installs the detour (steerVia).
+// Converges on the latest station like reconcileClient does.
 func (m *Manager) reconcileOffloaded(client string, rec *clientRec) {
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
@@ -229,7 +229,10 @@ func (m *Manager) reconcileOffloaded(client string, rec *clientRec) {
 		site := rec.offload
 		steerOn := rec.steerOn
 		done := target == "" || site == "" || steerOn == target
-		specs := sortedChains(rec)
+		var chains []string
+		for _, spec := range sortedChains(rec) {
+			chains = append(chains, spec.Name)
+		}
 		rec.mu.Unlock()
 		if done {
 			return
@@ -238,7 +241,13 @@ func (m *Manager) reconcileOffloaded(client string, rec *clientRec) {
 			Client: client, From: steerOn, To: target, Strategy: StrategySteer,
 		}
 		watch := clock.NewStopwatch(m.clk)
-		err := m.steerTo(client, site, target, specs)
+		cloud, err := m.agentFor(site)
+		if err == nil {
+			var edge *AgentHandle
+			if edge, err = m.agentFor(target); err == nil {
+				err = m.steerVia(trace.Context{}, client, chains, cloud, edge)
+			}
+		}
 		rep.Downtime = watch.Elapsed()
 		rep.Total = rep.Downtime
 		if err != nil {
@@ -254,25 +263,6 @@ func (m *Manager) reconcileOffloaded(client string, rec *clientRec) {
 			return // avoid a hot loop on persistent failure
 		}
 	}
-}
-
-// steerTo re-points the cloud chains' tunnels at station and installs the
-// detour there.
-func (m *Manager) steerTo(client, site, station string, specs []ChainSpec) error {
-	cloud, err := m.agentFor(site)
-	if err != nil {
-		return err
-	}
-	edge, err := m.agentFor(station)
-	if err != nil {
-		return err
-	}
-	for _, spec := range specs {
-		if err := cloud.call(agent.MethodRetarget, agent.RetargetSpec{Chain: spec.Name, Via: station}, nil); err != nil {
-			return err
-		}
-	}
-	return edge.steer(agent.SteerSpec{Client: client, Via: site})
 }
 
 // AutoOffload scans for resource hotspots (§3: the Manager detects

@@ -70,8 +70,7 @@ func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 	}
 	if site != "" {
 		target = site
-		deploy.Remote = true
-		deploy.Via = station
+		deploy.Ingress = agent.Leg{Station: station}
 		deploy.ClientMAC, deploy.ClientIP = mac, ip
 	}
 	h, err := m.agentFor(target)
@@ -102,7 +101,7 @@ func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 		if err != nil {
 			return err
 		}
-		return edge.steer(agent.SteerSpec{Client: client, Via: site})
+		return edge.steer(trace.Context{}, agent.SteerSpec{Client: client, Via: site})
 	}
 	return nil
 }
@@ -425,14 +424,14 @@ func (m *Manager) migrateChain(tctx trace.Context, client string, rec *clientRec
 	if !resume {
 		m.dropStandby(rec, spec.Name)
 	}
-	deploy, seg1At := headDeploy(client, rec, spec)
+	deploy := headDeploy(client, rec, spec)
 	rec.mu.Lock()
 	pooled := rec.pooled[spec.Name]
 	arrived := rec.detourableSince(spec.Name, to)
 	rec.mu.Unlock()
 	rep, _ := m.move(tctx, movePlan{
 		client: client, from: from, to: to, strategy: strategy,
-		deploy: deploy, resume: resume, nextAt: seg1At, pooled: pooled, arrived: arrived,
+		deploy: deploy, resume: resume, pooled: pooled, arrived: arrived,
 	})
 	if rep.Err == "" {
 		rec.mu.Lock()
@@ -471,22 +470,16 @@ func (rec *clientRec) detourableSince(chain, to string) time.Time {
 // headDeploy builds the deploy spec that moves a chain under its own name.
 // Split chains move only their head segment: the deploy ships the head's
 // functions alone (the bytes a migration moves shrink to the client-near
-// state) and points its next leg at the station anchoring segment 1,
-// returned so the move can re-splice that segment's previous leg.
-func headDeploy(client string, rec *clientRec, spec ChainSpec) (deploy agent.DeploySpec, seg1At string) {
-	deploy = agent.DeploySpec{Chain: spec.Name, Client: client, Functions: spec.Functions}
+// state) and its egress leg names segment 1 where it is anchored, which is
+// what has the move re-splice that segment's ingress leg.
+func headDeploy(client string, rec *clientRec, spec ChainSpec) agent.DeploySpec {
 	segs := SegmentsOf(spec)
 	if len(segs) < 2 {
-		return deploy, ""
+		return agent.DeploySpec{Chain: spec.Name, Client: client, Functions: spec.Functions}
 	}
-	deploy.Functions = segs[0].Functions
-	deploy.SegIndex, deploy.SegCount = 0, len(segs)
 	rec.mu.Lock()
-	seg1At = rec.deployedOn[agent.SegmentDeployName(spec.Name, 1)]
-	deploy.ClientMAC, deploy.ClientIP = rec.mac, rec.ip
-	rec.mu.Unlock()
-	deploy.NextVia = seg1At
-	return deploy, seg1At
+	defer rec.mu.Unlock()
+	return segmentDeploy(client, rec.mac, rec.ip, spec.Name, segs, 0, rec.segmentAt(spec.Name))
 }
 
 // consumeStandby claims the chain's standby if it is staged at station

@@ -10,8 +10,8 @@
 //   - The head segment (index 0) always sits at the client's current
 //     station and is the only segment roaming migrates: a handoff moves
 //     the head exactly like a whole-chain migration, then re-splices the
-//     downstream segment's tunnel leg (RetargetSegment) at the new
-//     station. Anchored segments never move on handoff.
+//     downstream segment's ingress leg at the new station. Anchored
+//     segments never move on handoff.
 //   - "aggregate" segments anchor on the aggregation hub — the edge
 //     station minimising its worst-case RTT to every other edge station —
 //     and "cloud-ok" segments prefer a GNFC cloud site.
@@ -342,25 +342,8 @@ func (m *Manager) attachSegments(client string, rec *clientRec, spec ChainSpec, 
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
-		prevVia, nextVia := "", ""
-		if i > 0 {
-			prevVia = stations[i-1]
-		}
-		if i < n-1 {
-			nextVia = stations[i+1]
-		}
-		dep := agent.DeploySpec{
-			Chain:     agent.SegmentDeployName(spec.Name, i),
-			Client:    client,
-			ClientMAC: mac,
-			ClientIP:  ip,
-			Functions: segs[i].Functions,
-			Enabled:   true,
-			SegIndex:  i,
-			SegCount:  n,
-			PrevVia:   prevVia,
-			NextVia:   nextVia,
-		}
+		dep := segmentDeploy(client, mac, ip, spec.Name, segs, i, func(j int) string { return stations[j] })
+		dep.Enabled = true
 		h, err := m.agentFor(stations[i])
 		if err != nil {
 			rollback()
@@ -441,35 +424,45 @@ func (m *Manager) MigrateSegment(client, chainName string, seg int, to string) (
 	return rep, nil
 }
 
+// segmentDeploy renders segment i of a split chain as a deploy spec: its
+// functions, the client's addressing (an anchored segment never sees its
+// client) and its legs, derived from where `at` places its neighbours — the
+// ingress leg names segment i-1, the egress leg segment i+1, and the chain's
+// two ends stay on the edge.
+func segmentDeploy(client string, mac packet.MAC, ip packet.IP, chain string, segs []ChainSegment, i int, at func(int) string) agent.DeploySpec {
+	dep := agent.DeploySpec{
+		Chain: agent.SegmentDeployName(chain, i), Client: client,
+		ClientMAC: mac, ClientIP: ip, Functions: segs[i].Functions,
+	}
+	if i > 0 {
+		dep.Ingress = agent.Leg{Station: at(i - 1), Peer: agent.SegmentDeployName(chain, i-1)}
+	}
+	if i < len(segs)-1 {
+		dep.Egress = agent.Leg{Station: at(i + 1), Peer: agent.SegmentDeployName(chain, i+1)}
+	}
+	return dep
+}
+
+// segmentAt reads where the client's record places each segment of chain.
+// Callers hold rec.mu for as long as they use it.
+func (rec *clientRec) segmentAt(chain string) func(int) string {
+	return func(i int) string { return rec.deployedOn[agent.SegmentDeployName(chain, i)] }
+}
+
 // segmentMove plans the move of one anchored segment (seg > 0) from
 // wherever the client's record places it: stop-and-copy whatever strategy
 // roaming uses (an unreachable source degrades to a cold deploy, like any
 // move), staged because the segment keeps serving until its freeze, with
-// both neighbour legs re-spliced onto the new station.
+// both neighbours named in its legs and so re-spliced onto the new station.
 func segmentMove(rec *clientRec, client, chainName string, segs []ChainSegment, seg int, to string) movePlan {
-	depName := agent.SegmentDeployName(chainName, seg)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	p := movePlan{
-		client: client, from: rec.deployedOn[depName], to: to,
+	at := rec.segmentAt(chainName)
+	return movePlan{
+		client: client, from: at(seg), to: to,
 		strategy: StrategyStateful, staged: true,
-		prevAt: rec.deployedOn[agent.SegmentDeployName(chainName, seg-1)],
+		deploy: segmentDeploy(client, rec.mac, rec.ip, chainName, segs, seg, at),
 	}
-	if seg+1 < len(segs) {
-		p.nextAt = rec.deployedOn[agent.SegmentDeployName(chainName, seg+1)]
-	}
-	p.deploy = agent.DeploySpec{
-		Chain:     depName,
-		Client:    client,
-		ClientMAC: rec.mac,
-		ClientIP:  rec.ip,
-		Functions: segs[seg].Functions,
-		SegIndex:  seg,
-		SegCount:  len(segs),
-		PrevVia:   p.prevAt,
-		NextVia:   p.nextAt,
-	}
-	return p
 }
 
 // reviveSegment cold-deploys one anchored segment lost with its station
