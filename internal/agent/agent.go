@@ -582,7 +582,21 @@ func (a *Agent) setForwarding(chain string, on bool, host func(*nf.ChainHost)) e
 
 // Enable starts forwarding on a deployed chain.
 func (a *Agent) Enable(chain string) error {
-	return a.setForwarding(chain, true, (*nf.ChainHost).Enable)
+	_, err := a.enable(chain)
+	return err
+}
+
+// enable is Enable, counted: how many frames the chain's brownout buffer had
+// parked — the freeze window of a stop-and-copy move onto this station — and
+// replayed on the way to forwarding. Zero for a shared attachment, which has
+// no buffer of its own.
+func (a *Agent) enable(chain string) (replayed uint64, err error) {
+	err = a.setForwarding(chain, true, func(h *nf.ChainHost) {
+		before := h.Replayed()
+		h.Enable()
+		replayed = h.Replayed() - before
+	})
+	return replayed, err
 }
 
 // Disable pauses forwarding: traffic for the chain drops.

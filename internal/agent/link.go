@@ -109,17 +109,22 @@ func (l *Link) flushSpans() {
 // corrupt/foreign one degrades to a fresh root span rather than an error.
 func (l *Link) installHandlers() {
 	a := l.agent
-	traced := func(method string, h func(trace.Context, json.RawMessage) (any, error)) {
-		l.peer.HandleTraced(method, func(hdr string, body json.RawMessage) (any, error) {
+	tracedBlob := func(method string, h func(trace.Context, json.RawMessage, []byte) (any, error)) {
+		l.peer.HandleBlob(method, func(hdr string, body json.RawMessage, blob []byte) (any, error) {
 			if hdr == "" {
-				return h(trace.Context{}, body)
+				return h(trace.Context{}, body, blob)
 			}
 			parent, _ := trace.ParseHeader(hdr) // garbage parses to a zero Context → fresh root
 			sp := a.Tracer().StartSpan(parent, method)
-			out, err := h(sp.Context(), body)
+			out, err := h(sp.Context(), body, blob)
 			sp.End(err)
 			l.flushSpans()
 			return out, err
+		})
+	}
+	traced := func(method string, h func(trace.Context, json.RawMessage) (any, error)) {
+		tracedBlob(method, func(tctx trace.Context, body json.RawMessage, _ []byte) (any, error) {
+			return h(tctx, body)
 		})
 	}
 	traced(MethodPing, func(_ trace.Context, _ json.RawMessage) (any, error) {
@@ -144,7 +149,11 @@ func (l *Link) installHandlers() {
 		if err := json.Unmarshal(body, &ref); err != nil {
 			return nil, err
 		}
-		return nil, a.Enable(ref.Chain)
+		replayed, err := a.enable(ref.Chain)
+		if err != nil {
+			return nil, err
+		}
+		return ActivateResult{Chain: ref.Chain, Replayed: replayed}, nil
 	})
 	traced(MethodDisable, func(_ trace.Context, body json.RawMessage) (any, error) {
 		var ref ChainRef
@@ -167,12 +176,12 @@ func (l *Link) installHandlers() {
 		}
 		return CheckpointResult{Chain: ref.Chain, State: state}, nil
 	})
-	traced(MethodRestore, func(_ trace.Context, body json.RawMessage) (any, error) {
+	tracedBlob(MethodRestore, func(_ trace.Context, body json.RawMessage, state []byte) (any, error) {
 		var spec RestoreSpec
 		if err := json.Unmarshal(body, &spec); err != nil {
 			return nil, err
 		}
-		return nil, a.Restore(spec.Chain, spec.State)
+		return nil, a.Restore(spec.Chain, state)
 	})
 	traced(MethodPreCopy, func(_ trace.Context, body json.RawMessage) (any, error) {
 		var spec PreCopySpec
@@ -181,12 +190,12 @@ func (l *Link) installHandlers() {
 		}
 		return a.PreCopy(spec.Chain, spec.Restart)
 	})
-	traced(MethodSyncDelta, func(_ trace.Context, body json.RawMessage) (any, error) {
+	tracedBlob(MethodSyncDelta, func(_ trace.Context, body json.RawMessage, state []byte) (any, error) {
 		var spec SyncDeltaSpec
 		if err := json.Unmarshal(body, &spec); err != nil {
 			return nil, err
 		}
-		return nil, a.SyncDelta(spec.Chain, spec.State)
+		return nil, a.SyncDelta(spec.Chain, state)
 	})
 	traced(MethodActivate, func(tctx trace.Context, body json.RawMessage) (any, error) {
 		var ref ChainRef

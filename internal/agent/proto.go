@@ -151,17 +151,28 @@ type ChainRef struct {
 	Brownout bool   `json:"brownout,omitempty"`
 }
 
+// The four state-carrying messages keep State out of their JSON: it rides the
+// frame's raw section (package wire), so a chain's state crosses the manager
+// as the bytes the source wrote — never base64'd, never scanned — and the
+// buffer a CheckpointResult or PreCopyResult was read into is the one the
+// RestoreSpec or SyncDeltaSpec built from it is written out of.
+
 // CheckpointResult carries exported chain state.
 type CheckpointResult struct {
 	Chain string `json:"chain"`
-	State []byte `json:"state"` // base64 via JSON
+	State []byte `json:"-"`
 }
+
+func (r CheckpointResult) WireBlob() []byte      { return r.State }
+func (r *CheckpointResult) SetWireBlob(b []byte) { r.State = b }
 
 // RestoreSpec imports chain state.
 type RestoreSpec struct {
 	Chain string `json:"chain"`
-	State []byte `json:"state"`
+	State []byte `json:"-"`
 }
+
+func (s RestoreSpec) WireBlob() []byte { return s.State }
 
 // PreCopySpec asks a source agent for the next pre-copy round of a chain:
 // the state dirtied since the previous round (the full state on the first
@@ -176,18 +187,24 @@ type PreCopySpec struct {
 // caller's convergence signal.
 type PreCopyResult struct {
 	Chain string `json:"chain"`
-	State []byte `json:"state"` // chain-delta format (self-describing per member)
+	State []byte `json:"-"`     // chain-delta format (self-describing per member)
 	Round int    `json:"round"` // 1-based round number within the session
 }
+
+func (r PreCopyResult) WireBlob() []byte      { return r.State }
+func (r *PreCopyResult) SetWireBlob(b []byte) { r.State = b }
 
 // SyncDeltaSpec applies a pre-copy round's payload on the target.
 type SyncDeltaSpec struct {
 	Chain string `json:"chain"`
-	State []byte `json:"state"`
+	State []byte `json:"-"`
 }
 
-// ActivateResult reports target activation: how many brownout-buffered
-// frames were replayed through the chain, making the handoff loss-free.
+func (s SyncDeltaSpec) WireBlob() []byte { return s.State }
+
+// ActivateResult reports a target going live — MethodActivate's answer and
+// MethodEnable's: how many brownout-buffered frames were replayed through the
+// chain, making the handoff loss-free.
 type ActivateResult struct {
 	Chain    string `json:"chain"`
 	Replayed uint64 `json:"replayed"`

@@ -197,17 +197,26 @@ func TestLiveDowntimeFlatAcrossStateSizes(t *testing.T) {
 	}
 }
 
-func TestRapidDoubleHandoffMidPrecopy(t *testing.T) {
-	sys := liveSystem(t, 2, manager.StrategyLive)
+func TestRapidDoubleHandoffMidPrecopy(t *testing.T) { rapidDoubleHandoff(t, manager.StrategyLive) }
+
+// TestRapidDoubleHandoffMidBoot is the stop-and-copy twin: the client is
+// back at A while B still boots behind the detour.
+func TestRapidDoubleHandoffMidBoot(t *testing.T) { rapidDoubleHandoff(t, manager.StrategyStateful) }
+
+// rapidDoubleHandoff roams A→B→A with the second association landing while
+// the first move is between its detour and its freeze, and wants one chain,
+// at A, serving, with nothing of either move's steering left anywhere.
+func rapidDoubleHandoff(t *testing.T, strategy manager.Strategy) {
+	sys := liveSystem(t, 2, strategy)
 	if err := sys.AttachChain("phone", natChain("edge")); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.WaitChainOn("st-0", "edge", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Enough state that the first pre-copy round is slow relative to the
-	// follow-up handoff: the A->B migration is still in flight when the
-	// client bounces back to A.
+	// Enough state that the first pre-copy round (or the checkpoint) is slow
+	// relative to the follow-up handoff: the A->B migration is still in
+	// flight when the client bounces back to A.
 	seedFlows(t, sys, "st-0", "edge", 5000)
 
 	if err := sys.Topo.Attach("phone", "cell-1"); err != nil {
@@ -249,15 +258,23 @@ func TestRapidDoubleHandoffMidPrecopy(t *testing.T) {
 	}
 	// The client left st-1 while st-1 was detouring it back to st-0, and
 	// the way home ran a second detour the other way: neither may leave a
-	// rule behind. The chain at st-0 keeps its two local-leg rules.
+	// rule behind (the tunnel between the two is infrastructure and stays; a
+	// leg still riding it is the audit's leg-mismatch). The chain at st-0
+	// keeps its two local-leg rules.
 	noStrayRules(t, sys, map[topology.StationID]int{"st-0": 2})
+	if left := sys.Agent("st-1").Chains(); len(left) != 0 {
+		t.Errorf("st-1 still holds %v", left)
+	}
 }
 
 // wireLog is what the server saw of a sequence-numbered stream: per frame,
-// whether it arrived and whether it carried the chain's NAT address.
+// whether it arrived and whether it carried the chain's NAT address; and of
+// the translated frames, the order they came in and the NAT ports they wore.
 type wireLog struct {
 	mu        sync.Mutex
 	rewritten map[uint32]bool
+	order     []uint32
+	natPorts  map[uint16]int
 }
 
 // streamAcrossHandoff runs the two-station demo system on the wall clock
@@ -286,12 +303,17 @@ func streamAcrossHandoffOf(t *testing.T, sys *System, chain manager.ChainSpec) (
 	seedFlows(t, sys, "st-a", "edge", 500)
 
 	natIP := packet.IP{192, 168, 77, 1}
-	log = &wireLog{rewritten: map[uint32]bool{}}
+	log = &wireLog{rewritten: map[uint32]bool{}, natPorts: map[uint16]int{}}
 	server := sys.AddServer("sink", packet.MAC{2, 0, 0, 0, 0, 0x98}, packet.IP{10, 99, 0, 2})
 	server.HandleUDP(7100, func(src, _ packet.Endpoint, payload []byte) []byte {
 		if len(payload) >= 4 {
+			seq := binary.BigEndian.Uint32(payload)
 			log.mu.Lock()
-			log.rewritten[binary.BigEndian.Uint32(payload)] = src.Addr == natIP
+			log.rewritten[seq] = src.Addr == natIP
+			if src.Addr == natIP {
+				log.order = append(log.order, seq)
+				log.natPorts[src.Port]++
+			}
 			log.mu.Unlock()
 		}
 		return nil
@@ -340,18 +362,20 @@ func streamAcrossHandoffOf(t *testing.T, sys *System, chain manager.ChainSpec) (
 	return sent, roamAt, log
 }
 
-// TestLiveHandoffDetoursThroughSource is the wire-level regression test for
-// the live roam gap: while the target boots, the client's traffic must keep
-// crossing its chain — at the source, over the detour — so what reaches the
-// server un-translated is only what slipped out between the association
-// and the detour landing, and the manager's Downtime finally describes
-// what the wire shows.
-func TestLiveHandoffDetoursThroughSource(t *testing.T) {
+// detouredHandoff streams across one handoff under a state-carrying strategy
+// and checks what every such handoff owes the client: while the target boots
+// its traffic keeps crossing its chain — at the source, over the detour — so
+// what reaches the server un-translated is only what slipped out between the
+// association and the detour landing, nothing is lost, and nothing the detour
+// put in is left behind. It returns the move's report and the wire gap: the
+// stream time that passed the chain by.
+func detouredHandoff(t *testing.T, strategy manager.Strategy) (*wireLog, manager.MigrationReport, time.Duration) {
+	t.Helper()
 	basePool := packet.FramePoolOutstanding()
-	sys, sent, roamAt, log := streamAcrossHandoff(t, manager.StrategyLive)
+	sys, sent, roamAt, log := streamAcrossHandoff(t, strategy)
 
 	migs := sys.Manager.Migrations()
-	if len(migs) != 1 || migs[0].Err != "" || migs[0].Strategy != manager.StrategyLive {
+	if len(migs) != 1 || migs[0].Err != "" || migs[0].Strategy != strategy {
 		t.Fatalf("migrations = %+v", migs)
 	}
 	log.mu.Lock()
@@ -377,17 +401,17 @@ func TestLiveHandoffDetoursThroughSource(t *testing.T) {
 	if bypassed > 10 {
 		t.Errorf("%d frames bypassed the chain; the target's boot is on the wire again", bypassed)
 	}
-	// One frame per millisecond: the un-chained frames are the wire gap.
-	gap := time.Duration(bypassed+lost) * time.Millisecond
-	if d := gap - migs[0].Downtime; d > 10*time.Millisecond || d < -10*time.Millisecond {
-		t.Errorf("wire gap %v, manager reports downtime %v", gap, migs[0].Downtime)
-	}
+	t.Logf("sent %d, bypassed the chain %d, lost %d, replayed at the target %d, downtime %v",
+		len(sent), bypassed, lost, migs[0].ReplayedFrames, migs[0].Downtime)
 
 	names := spanNames(sys)
 	for _, want := range []string{"manager.detour", "rpc:agent.retarget", "rpc:agent.steer", "rpc:agent.unsteer"} {
 		if names[want] != 1 {
 			t.Errorf("%d %s spans, want 1 (all: %v)", names[want], want, names)
 		}
+	}
+	if n := len(sys.Manager.Journal().Events(0, trace.EventDetour)); n != 1 {
+		t.Errorf("%d detour events journaled, want 1", n)
 	}
 	if h := sys.Manager.MetricsSnapshot().Histograms["migration.detour_ms"]; h.Count != 1 {
 		t.Errorf("migration.detour_ms holds %d samples, want 1", h.Count)
@@ -398,6 +422,46 @@ func TestLiveHandoffDetoursThroughSource(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("frame pool: %d outstanding, %d before the test", packet.FramePoolOutstanding(), basePool)
 		}
+	}
+	// One frame per millisecond: the un-chained frames are the wire gap.
+	return log, migs[0], time.Duration(bypassed+lost) * time.Millisecond
+}
+
+// TestLiveHandoffDetoursThroughSource is the wire-level regression test for
+// the live roam gap, and for the manager's Downtime describing what the wire
+// shows.
+func TestLiveHandoffDetoursThroughSource(t *testing.T) {
+	_, rep, gap := detouredHandoff(t, manager.StrategyLive)
+	if d := gap - rep.Downtime; d > 10*time.Millisecond || d < -10*time.Millisecond {
+		t.Errorf("wire gap %v, manager reports downtime %v", gap, rep.Downtime)
+	}
+}
+
+// TestStatefulHandoffDetoursThroughSource is the same for stop-and-copy,
+// which hid the target's whole boot in its freeze (some 120 un-translated
+// frames) before it staged the boot behind the detour. Its freeze window is
+// still the full checkpoint and restore, so here Downtime is not the wire gap
+// but the time the target parked the client's frames: it must have replayed
+// them (at most one per millisecond of it; fewer when a loaded box has the
+// sender skip ticks), through the restored NAT and in order — the flow
+// opened before the roam wears the same NAT port after it.
+func TestStatefulHandoffDetoursThroughSource(t *testing.T) {
+	log, rep, _ := detouredHandoff(t, manager.StrategyStateful)
+	if rep.ReplayedFrames == 0 {
+		t.Errorf("the target replayed no parked frame across a %v freeze", rep.Downtime)
+	}
+	if parked := time.Duration(rep.ReplayedFrames) * time.Millisecond; parked > rep.Downtime+10*time.Millisecond {
+		t.Errorf("target replayed %d frames sent one per ms, manager reports a downtime of only %v", rep.ReplayedFrames, rep.Downtime)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for i := 1; i < len(log.order); i++ {
+		if log.order[i] <= log.order[i-1] {
+			t.Errorf("translated frame %d reached the server after %d", log.order[i], log.order[i-1])
+		}
+	}
+	if len(log.natPorts) != 1 {
+		t.Errorf("one flow wore NAT ports %v across the handoff; its mapping did not move with the chain", log.natPorts)
 	}
 }
 
@@ -477,28 +541,6 @@ func TestSplitHeadLiveHandoffDetours(t *testing.T) {
 	// The head: one rule off the access port, two on its egress tunnel;
 	// segment 1: two on its ingress tunnel, one at the uplink.
 	noStrayRules(t, sys, map[topology.StationID]int{"st-b": 3, "hub": 3})
-	auditClean(t, sys)
-}
-
-// TestStatefulHandoffIssuesNoDetour is the twin: stop-and-copy freezes the
-// source at once, so there is nothing to detour to, and the same handoff
-// must issue no steering call at all.
-func TestStatefulHandoffIssuesNoDetour(t *testing.T) {
-	sys, _, _, _ := streamAcrossHandoff(t, manager.StrategyStateful)
-	migs := sys.Manager.Migrations()
-	if len(migs) != 1 || migs[0].Err != "" || migs[0].Strategy != manager.StrategyStateful {
-		t.Fatalf("migrations = %+v", migs)
-	}
-	names := spanNames(sys)
-	for _, name := range []string{"manager.detour", "rpc:agent.retarget", "rpc:agent.steer", "rpc:agent.unsteer"} {
-		if names[name] != 0 {
-			t.Errorf("stateful handoff recorded %d %s spans (all: %v)", names[name], name, names)
-		}
-	}
-	if n := len(sys.Manager.Journal().Events(0, trace.EventDetour)); n != 0 {
-		t.Errorf("%d detour events journaled", n)
-	}
-	noStrayRules(t, sys, map[topology.StationID]int{"st-b": 2})
 	auditClean(t, sys)
 }
 

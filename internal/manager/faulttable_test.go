@@ -111,12 +111,14 @@ type moveShape struct {
 	// stays marks plans that succeed without relocating anything (standby
 	// staging): home remains the source.
 	stays bool
-	// detours marks a live handoff, whose first two RPCs point the client
-	// back at the source: the move runs un-detoured without them.
+	// detours marks a state-carrying handoff, whose first two RPCs point the
+	// client back at the source: the move runs un-detoured without them.
 	detours bool
 	// rpcs pins how many RPCs the fault-free run issues, so a step added to
-	// one shape cannot leak into another unnoticed.
-	rpcs int
+	// one shape cannot leak into another unnoticed; order, where set, pins
+	// which and in what order each station saw them (stations in name order).
+	rpcs  int
+	order string
 	// check holds shape-specific assertions beyond the hosting model.
 	check func(t *testing.T, fx *faultFixture, failed bool)
 }
@@ -168,6 +170,39 @@ func offloaded(before, after string) func(*testing.T, *faultFixture, bool) {
 	}
 }
 
+// attachPooled attaches "chain" with every station answering its deploys as
+// attachments to a shared instance.
+func attachPooled(t *testing.T, fx *faultFixture) {
+	for _, sa := range fx.agents {
+		sa.pool()
+	}
+	fx.attach(t, "chain")
+}
+
+func noDetourJournaled(t *testing.T, fx *faultFixture, _ bool) {
+	if evs := fx.mgr.Journal().Events(0, trace.EventDetour); len(evs) != 0 {
+		t.Errorf("a pooled chain's handoff journaled a detour: %+v", evs)
+	}
+}
+
+// splitHeadLegs checks a split head's handoff: segment 1's ingress leg chases
+// the head, and the detour moved nobody's egress leg.
+func splitHeadLegs(t *testing.T, fx *faultFixture, failed bool) {
+	want := "st-dst"
+	if failed {
+		want = "st-src"
+	}
+	// A leg never retargeted still points where attach put it.
+	if got := fx.agents["st-agg"].leg(splitChain+"#1", "ingress"); got != want && !(failed && got == "") {
+		t.Errorf("segment 1's ingress leg points at %q, want %q", got, want)
+	}
+	for st, sa := range fx.agents {
+		if got := sa.leg(splitChain, "egress"); got != "" {
+			t.Errorf("the head's egress leg on %s was re-pointed at %q; a detour moves the ingress leg only", st, got)
+		}
+	}
+}
+
 var moveShapes = []moveShape{
 	{
 		name: "cold", strategy: manager.StrategyCold, rpcs: 3,
@@ -180,11 +215,33 @@ var moveShapes = []moveShape{
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		// Stop-and-copy freezes the source at once: a handoff under it has
-		// nothing to detour to and must issue the operator move's RPCs.
-		name: "stateful handoff", strategy: manager.StrategyStateful, rpcs: 7,
+		// The client has already left the source: Retarget and Steer go first,
+		// the target boots while the source serves through the tunnel, and the
+		// Unsteer opens the freeze — from there the target parks the client's
+		// frames until its Enable replays them through the restored state.
+		name: "stateful handoff", strategy: manager.StrategyStateful, rpcs: 10, detours: true,
+		order:   "st-dst: steer prefetch deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		// The stateful handoff's RPCs plus segment 1's ingress leg chasing the
+		// head once it serves.
+		name: "stateful handoff+split head", strategy: manager.StrategyStateful, rpcs: 11, detours: true,
+		order:   "st-agg: retarget; st-dst: steer prefetch deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
+		prepare: attachSplit,
+		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
+		check: splitHeadLegs,
+	},
+	{
+		// No leg to point back at the client (see live handoff+pooled): the
+		// operator move's RPCs in the operator move's order — the freeze at
+		// once, the deploy beside it — and nothing journaled.
+		name: "stateful handoff+pooled", strategy: manager.StrategyStateful, rpcs: 7,
+		order:   "st-dst: prefetch deploy restore enable; st-src: disable checkpoint remove",
+		prepare: attachPooled,
+		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+		check: noDetourJournaled,
 	},
 	{
 		name: "live", strategy: manager.StrategyLive, rpcs: 9,
@@ -205,21 +262,7 @@ var moveShapes = []moveShape{
 		name: "live handoff+split head", strategy: manager.StrategyLive, rpcs: 13, detours: true,
 		prepare: attachSplit,
 		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
-		check: func(t *testing.T, fx *faultFixture, failed bool) {
-			want := "st-dst"
-			if failed {
-				want = "st-src"
-			}
-			// A leg never retargeted still points where attach put it.
-			if got := fx.agents["st-agg"].leg(splitChain+"#1", "ingress"); got != want && !(failed && got == "") {
-				t.Errorf("segment 1's ingress leg points at %q, want %q", got, want)
-			}
-			for st, sa := range fx.agents {
-				if got := sa.leg(splitChain, "egress"); got != "" {
-					t.Errorf("the head's egress leg on %s was re-pointed at %q; a detour moves the ingress leg only", st, got)
-				}
-			}
-		},
+		check: splitHeadLegs,
 	},
 	{
 		// A shared attachment's legs stay on its station's edge, so there is
@@ -227,18 +270,9 @@ var moveShapes = []moveShape{
 		// the manager knows from the deploy's answer and asks nobody — the
 		// operator move's RPCs, no tunnel, nothing journaled.
 		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 9,
-		prepare: func(t *testing.T, fx *faultFixture) {
-			for _, sa := range fx.agents {
-				sa.pool()
-			}
-			fx.attach(t, "chain")
-		},
-		op: roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
-		check: func(t *testing.T, fx *faultFixture, _ bool) {
-			if evs := fx.mgr.Journal().Events(0, trace.EventDetour); len(evs) != 0 {
-				t.Errorf("a pooled chain's handoff journaled a detour: %+v", evs)
-			}
-		},
+		prepare: attachPooled,
+		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+		check: noDetourJournaled,
 	},
 	{
 		name: "prewarm", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 4,
@@ -379,11 +413,31 @@ func TestMoveFaultTable(t *testing.T) {
 			if len(points) != sh.rpcs {
 				t.Fatalf("fault-free run issued %d RPCs, want %d: %v", len(points), sh.rpcs, points)
 			}
+			if got := orderOf(points); sh.order != "" && got != sh.order {
+				t.Fatalf("fault-free run issued\n\t%s, want\n\t%s", got, sh.order)
+			}
 			for _, p := range points {
 				t.Run(p.String(), func(t *testing.T) { sh.verify(t, p) })
 			}
 		})
 	}
+}
+
+// orderOf renders issued RPCs the way moveShape.order spells them.
+func orderOf(points []faultPoint) string {
+	var b strings.Builder
+	station := ""
+	for _, p := range points {
+		if p.station != station {
+			if station != "" {
+				b.WriteString("; ")
+			}
+			station = p.station
+			b.WriteString(station + ":")
+		}
+		b.WriteString(" " + strings.TrimPrefix(p.method, "agent."))
+	}
+	return b.String()
 }
 
 func (sh moveShape) verify(t *testing.T, fault faultPoint) {

@@ -11,7 +11,13 @@
 // Handoffs, operator migrations, station evacuation, GNFC offload and
 // recall, split-chain segment moves, failover revival and predictive
 // prewarming all run that list; what genuinely differs between them is
-// data in the movePlan, not code.
+// data in the movePlan, not code. The two state-carrying strategies are the
+// same list too: a detoured handoff brings the target up while the source
+// serves through the tunnel, clears the detour, freezes, ships what is left
+// and has the target replay the frames it parked meanwhile — live has
+// shipped most of the state in rounds by then, stop-and-copy ships all of it
+// frozen. Only a stop-and-copy with no detour to hide its deploy behind
+// still overlaps the deploy with its freeze.
 //
 // Every completed step pushes its inverse onto one undo log; any failure
 // unwinds the log in reverse. "Re-enable the source, remove the target"
@@ -56,7 +62,9 @@ type movePlan struct {
 	// moves set it: their source still serves the client, so there is no
 	// handoff gap to hide the deploy in and a failed deploy must cost no
 	// freeze at all. Handoffs leave it false and overlap the deploy with
-	// the first source-side step (freeze+checkpoint, or pre-copy round 1).
+	// the first source-side step (freeze+checkpoint, or pre-copy round 1) —
+	// except that a stop-and-copy handoff whose detour took runs staged: its
+	// source serves the client again.
 	staged bool
 	// standby stops the move after the target holds its first synced
 	// snapshot — a disabled placement intent, not a placement.
@@ -72,10 +80,10 @@ type movePlan struct {
 	// arrived is when the client associated at `to`, set only when it sits
 	// there while all its chains still run at `from` — a handoff whose
 	// traffic can go back, as opposed to a move the client sits out at the
-	// source or a later chain following one that has landed (zero). A live
-	// move then has the source really serve during the deploy and the
-	// pre-copy rounds: the client's traffic is tunnelled back to it from the
-	// target station until the freeze.
+	// source or a later chain following one that has landed (zero). A
+	// state-carrying move then has the source really serve during the deploy
+	// (and the pre-copy rounds): the client's traffic is tunnelled back to it
+	// from the target station until the freeze.
 	arrived time.Time
 }
 
@@ -104,7 +112,9 @@ func async(fn func() error) (join func() error) {
 // move executes one plan. Downtime is measured on the manager clock as the
 // actual dark window, the span during which no instance could serve the
 // client's traffic: freeze → activate for live, freeze → enable for
-// stop-and-copy, the target's boot for a cold move whose source is gone,
+// stop-and-copy (either from the clearing of the detour, when there is one:
+// from there the client's frames park at the target), the target's boot for
+// a cold move whose source is gone,
 // and zero for a cold move with a live source (the target deploys enabled
 // while the old instance still serves — make-before-break; state is still
 // lost, that is cold migration's trade). A non-nil pendingMove means the
@@ -180,18 +190,20 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 	}
 
-	// Detour. A roaming client has left the source's station, so "pre-copy
-	// while the source serves" would serve nobody and the client's traffic
-	// would pass its new station un-chained for the whole target boot.
-	// Instead the source's ingress leg moves onto the tunnel to the target
-	// station and that station steers the client into it — what roaming an
-	// offloaded client does — before anything slow starts. A split chain's
-	// head detours like any chain: its ingress leg moves, its egress leg
-	// stays. A standby already parks the client's frames fail-closed, and a
-	// pool attachment's legs stay on the edge (agent.ErrPooledLegs), so
-	// neither is asked. A source that will not re-point or a station that
-	// cannot steer just leaves the move as it always was: the detour shortens
-	// the gap, it carries no state, and it is not a migration — it records no
+	// Detour. A roaming client has left the source's station, so the source
+	// would serve nobody — while it pre-copies, or while it waits frozen for
+	// the target — and the client's traffic would pass its new station
+	// un-chained for the whole target boot. Instead the source's ingress leg
+	// moves onto the tunnel to the target station and that station steers the
+	// client into it — what roaming an offloaded client does — before
+	// anything slow starts. Every state-carrying handoff does: a cold move
+	// carries nothing worth keeping the source for. A split chain's head
+	// detours like any chain: its ingress leg moves, its egress leg stays. A
+	// standby already parks the client's frames fail-closed, and a pool
+	// attachment's legs stay on the edge (agent.ErrPooledLegs), so neither is
+	// asked. A source that will not re-point or a station that cannot steer
+	// just leaves the move as it always was: the detour shortens the gap, it
+	// carries no state, and it is not a migration — it records no
 	// MigrationReport.
 	unsteer := func() error {
 		return target.callT(tctx, agent.MethodUnsteer, agent.UnsteerSpec{Client: p.client}, nil)
@@ -200,8 +212,8 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name, Ingress: &agent.Leg{}}, nil)
 	}
 	detoured := false
-	// (Carrying live without resuming a standby implies a reachable source.)
-	if !p.arrived.IsZero() && carry == StrategyLive && !p.resume && !p.pooled {
+	// (Carrying state without resuming a standby implies a reachable source.)
+	if !p.arrived.IsZero() && carry != StrategyCold && !p.resume && !p.pooled {
 		dsp := m.tracer.Child(tctx, "manager.detour")
 		dctx := tctx
 		if dsp != nil {
@@ -255,7 +267,9 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 			return err
 		}
 		switch {
-		case p.staged || carry == StrategyCold:
+		// A detoured stop-and-copy is a staged one: its source serves the
+		// client again, so the boot belongs before the freeze, not inside it.
+		case p.staged || carry == StrategyCold || (detoured && carry == StrategyStateful):
 			prefetch()
 			if err := stage(); err != nil {
 				return fail(err)
@@ -279,7 +293,17 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	})
 	// freeze stops the source serving: from here until the target forwards
 	// the client is dark, so every later failure must bring the source back.
+	// The detour goes first: from there the client's frames park in the
+	// target's brownout buffer, which its Enable or Activate replays through
+	// the state that has landed by then, rather than cross the tunnel into a
+	// frozen source. The brownout flag has the source park stragglers — what
+	// the tunnel still holds — instead of counting them as drops.
 	freeze := func(brownout bool) error {
+		if detoured {
+			if err := unsteer(); err != nil {
+				return err
+			}
+		}
 		if err := source.callT(tctx, agent.MethodDisable, agent.ChainRef{Chain: name, Brownout: brownout}, nil); err != nil {
 			return err
 		}
@@ -289,10 +313,12 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 
 	switch carry {
 	case StrategyStateful:
-		// Stop-and-copy: the whole transfer sits in the dark window.
+		// Stop-and-copy: the whole transfer sits in the dark window — and,
+		// un-detoured, the rest of the target's boot with it.
 		down := clock.NewStopwatch(m.clk)
 		var ckpt agent.CheckpointResult
-		err := freeze(false)
+		var on agent.ActivateResult
+		err := freeze(detoured)
 		if err == nil {
 			err = source.callT(tctx, agent.MethodCheckpoint, chain, &ckpt)
 		}
@@ -306,12 +332,13 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 			err = target.callT(tctx, agent.MethodRestore, agent.RestoreSpec{Chain: name, State: ckpt.State}, nil)
 		}
 		if err == nil {
-			err = target.callT(tctx, agent.MethodEnable, chain, nil)
+			err = target.callT(tctx, agent.MethodEnable, chain, &on)
 		}
 		if err != nil {
 			return fail(err)
 		}
 		rep.Downtime = down.Elapsed()
+		rep.ReplayedFrames = on.Replayed
 
 	case StrategyLive:
 		down := clock.NewStopwatch(m.clk)
@@ -342,17 +369,8 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 				return rep, &pendingMove{undo: unwind}
 			}
 			// Freeze: only the residual delta rides inside the dark window,
-			// so downtime no longer depends on total state size. The
-			// brownout flag parks source-side stragglers instead of counting
-			// them as drops. The detour goes first: from here the client's
-			// frames park in the target's brownout buffer, which Activate
-			// replays, rather than cross the tunnel into a frozen source.
+			// so downtime no longer depends on total state size.
 			down = clock.NewStopwatch(m.clk)
-			if detoured {
-				if err := unsteer(); err != nil {
-					return fail(err)
-				}
-			}
 			if err := freeze(true); err != nil {
 				return fail(err)
 			}
@@ -440,7 +458,7 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 // tunnel to the client's station and then has that station steer the client
 // into the tunnel, in that order — no frame enters the tunnel before the far
 // end expects it. It is how an offloaded client's chains follow it to a new
-// station, and how a live handoff sends the client back to the source.
+// station, and how a handoff sends the client back to the source.
 func (m *Manager) steerVia(tctx trace.Context, client string, chains []string, host, at *AgentHandle) error {
 	if err := m.ensureTunnel(host.Station, at.Station); err != nil {
 		return err

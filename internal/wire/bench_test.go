@@ -33,6 +33,30 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkCallBlob256K moves a 256 KiB raw section — a NAT chain's
+// checkpoint is about that — to the peer and back in one Call: the two
+// transfers (checkpoint up, restore down) a stateful roam pays for inside its
+// freeze window, next to BenchmarkCallRoundTrip's empty-frame cost. As base64
+// in the JSON body each of the two took 5.5 ms.
+func BenchmarkCallBlob256K(b *testing.B) {
+	srv := startBlobEcho(b)
+	p, err := Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	go p.Run()
+	defer p.Close()
+
+	in := blobMsg{Tag: "state", Data: everyByte(256 << 10)}
+	b.SetBytes(int64(len(in.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Call("blob", in, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCallContention measures the write-mutex cost of fanning many
 // concurrent calls over one peer: "calls" issues n independent Calls (each
 // fighting for wmu and flushing its own frame), "batch" sends the same n

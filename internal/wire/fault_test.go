@@ -1,8 +1,8 @@
 package wire_test
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -38,10 +38,8 @@ func TestGarbageBytesDoNotKillServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A length prefix promising 100 bytes of "JSON", then junk.
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 100)
-	raw.Write(hdr[:])
+	// Length prefixes promising 100 bytes of "JSON", then junk.
+	raw.Write(wire.FrameLengths(100, 0))
 	junk := make([]byte, 100)
 	for i := range junk {
 		junk[i] = 0xA5
@@ -73,9 +71,7 @@ func TestTornFrameDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 64) // promise 64 bytes...
-	raw.Write(hdr[:])
+	raw.Write(wire.FrameLengths(64, 0))    // promise 64 bytes...
 	raw.Write([]byte(`{"kind":"req","me`)) // ...deliver 17, then vanish
 	raw.Close()
 
@@ -91,32 +87,43 @@ func TestTornFrameDisconnect(t *testing.T) {
 }
 
 // TestOversizePrefixRejectedImmediately claims a frame beyond
-// MaxFrameBytes: the connection must be cut without allocating the
-// claimed buffer.
+// MaxFrameBytes — in its envelope, in its raw section, and in the two
+// together: the connection must be cut without allocating the claimed
+// buffer.
 func TestOversizePrefixRejectedImmediately(t *testing.T) {
-	srv, accepted := faultServer(t)
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	var p *wire.Peer
-	select {
-	case p = <-accepted:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no accept")
-	}
-	closed := make(chan struct{})
-	p.OnClose(func(error) { close(closed) })
-	go p.Run()
+	for name, hdr := range map[string][]byte{
+		"envelope": wire.FrameLengths(wire.MaxFrameBytes+1, 0),
+		"blob":     wire.FrameLengths(2, wire.MaxFrameBytes-1),
+		"sum":      wire.FrameLengths(wire.MaxFrameBytes/2+1, wire.MaxFrameBytes/2),
+		"overflow": wire.FrameLengths(1<<32-1, 1<<32-1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, accepted := faultServer(t)
+			raw, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			var p *wire.Peer
+			select {
+			case p = <-accepted:
+			case <-time.After(2 * time.Second):
+				t.Fatal("no accept")
+			}
+			closed := make(chan error, 1)
+			p.OnClose(func(err error) { closed <- err })
+			go p.Run()
 
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(wire.MaxFrameBytes+1))
-	raw.Write(hdr[:])
-	select {
-	case <-closed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("oversize prefix not rejected")
+			raw.Write(hdr)
+			select {
+			case err := <-closed:
+				if !errors.Is(err, wire.ErrFrameTooBig) {
+					t.Fatalf("connection closed with %v, want ErrFrameTooBig", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("oversize prefix not rejected")
+			}
+		})
 	}
 }
 
@@ -142,9 +149,7 @@ func TestUnknownKindPoisonsConnection(t *testing.T) {
 	go p.Run()
 
 	body, _ := json.Marshal(map[string]any{"kind": "??", "id": 1})
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	raw.Write(hdr[:])
+	raw.Write(wire.FrameLengths(uint32(len(body)), 0))
 	raw.Write(body)
 
 	select {

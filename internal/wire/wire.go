@@ -1,16 +1,25 @@
 // Package wire implements GNF's control-plane protocol: length-prefixed
-// JSON frames over TCP carrying bidirectional request/response RPC plus
+// frames over TCP carrying bidirectional request/response RPC plus
 // one-way notifications. The Manager keeps one Peer per Agent connection
 // (§3: "keeping a connection with all the Agents in the network"); both
 // ends can initiate calls over the same connection — the Manager pushes NF
 // deployments down, Agents push health reports and NF notifications up.
 //
-// Framing: 4-byte big-endian length, then a JSON body:
+// Framing: two 4-byte big-endian lengths, then a JSON envelope of the first
+// length and a raw byte section of the second:
 //
 //	{"kind":"req","id":7,"method":"agent.deploy","body":{...}}
 //	{"kind":"res","id":7,"body":{...}}            // success
 //	{"kind":"res","id":7,"error":"no such image"} // failure
 //	{"kind":"ntf","method":"nf.alert","body":{...}}
+//
+// The raw section is empty for almost every frame. It carries what a message
+// hands over through WireBlob — a chain's exported state, hundreds of
+// kilobytes that would otherwise be base64'd into the body and scanned by
+// every JSON pass over the frame — and the receiving side hands it to the
+// decoded message's SetWireBlob (a Call's out) or to the BlobHandler (a
+// request). Both ends of a connection are built from one tree, so there is
+// one layout and no version byte to negotiate it.
 package wire
 
 import (
@@ -26,8 +35,8 @@ import (
 	"time"
 )
 
-// MaxFrameBytes bounds a single frame; larger frames poison the connection
-// and are rejected.
+// MaxFrameBytes bounds a single frame, envelope plus raw section; larger
+// frames poison the connection and are rejected.
 const MaxFrameBytes = 16 << 20
 
 // maxNotifyQueue and maxNotifyBytes bound the per-peer
@@ -65,45 +74,96 @@ type frame struct {
 	Trace  string          `json:"trace,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	Body   json.RawMessage `json:"body,omitempty"`
+	// Blob is the frame's raw section: written behind the envelope as it is,
+	// read into a buffer of its own and never copied or scanned after that.
+	Blob []byte `json:"-"`
 }
 
-// writeFrame marshals and writes one frame with its length prefix.
+// writeFrame marshals and writes one frame behind its two length prefixes.
 func writeFrame(w io.Writer, f *frame) error {
-	body, err := json.Marshal(f)
+	env, err := json.Marshal(f)
 	if err != nil {
 		return err
 	}
-	if len(body) > MaxFrameBytes {
+	if len(env)+len(f.Blob) > MaxFrameBytes {
 		return ErrFrameTooBig
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(env)))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(len(f.Blob)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	if _, err := w.Write(env); err != nil {
+		return err
+	}
+	_, err = w.Write(f.Blob)
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
+// readFrame reads one frame. Both lengths are checked against the limit
+// before anything is allocated for them.
 func readFrame(r io.Reader) (*frame, error) {
-	var hdr [4]byte
+	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
+	n, b := binary.BigEndian.Uint32(hdr[:4]), binary.BigEndian.Uint32(hdr[4:])
+	if uint64(n)+uint64(b) > MaxFrameBytes {
 		return nil, ErrFrameTooBig
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	env := make([]byte, n)
+	if _, err := io.ReadFull(r, env); err != nil {
 		return nil, err
 	}
 	var f frame
-	if err := json.Unmarshal(body, &f); err != nil {
+	if err := json.Unmarshal(env, &f); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
+	if b > 0 {
+		f.Blob = make([]byte, b)
+		if _, err := io.ReadFull(r, f.Blob); err != nil {
+			return nil, err
+		}
+	}
 	return &f, nil
+}
+
+// A message that carries bulk bytes keeps them out of its JSON (`json:"-"`)
+// and implements blobCarrier to send them, blobTaker (on its pointer) to
+// receive them as a Call's out.
+type (
+	blobCarrier interface{ WireBlob() []byte }
+	blobTaker   interface{ SetWireBlob([]byte) }
+)
+
+// encode renders an outgoing message: its JSON body, and the bytes it wants
+// in the frame's raw section if it is one of the few that carry any.
+func encode(v any) (body json.RawMessage, blob []byte, err error) {
+	if body, err = json.Marshal(v); err != nil {
+		return nil, nil, err
+	}
+	if c, ok := v.(blobCarrier); ok {
+		blob = c.WireBlob()
+	}
+	return body, blob, nil
+}
+
+// decode fills out (nil discards) from a response: the body, then the raw
+// section — the buffer readFrame filled, handed over, not copied.
+func decode(res *frame, out any) error {
+	if out == nil {
+		return nil
+	}
+	if len(res.Body) > 0 {
+		if err := json.Unmarshal(res.Body, out); err != nil {
+			return err
+		}
+	}
+	if t, ok := out.(blobTaker); ok {
+		t.SetWireBlob(res.Blob)
+	}
+	return nil
 }
 
 // Handler serves one RPC method. The returned value is marshalled as the
@@ -114,6 +174,10 @@ type Handler func(body json.RawMessage) (any, error)
 // metadata ("" when the caller did not trace). Receivers must treat the
 // string as opaque and advisory: a malformed value is never an error.
 type TracedHandler func(traceMeta string, body json.RawMessage) (any, error)
+
+// BlobHandler is a TracedHandler that also receives the request's raw
+// section (nil for a request that carried none).
+type BlobHandler func(traceMeta string, body json.RawMessage, blob []byte) (any, error)
 
 // NotifyHandler consumes a one-way notification.
 type NotifyHandler func(body json.RawMessage)
@@ -126,7 +190,7 @@ type Peer struct {
 	wmu  sync.Mutex // serialises frame writes
 
 	mu       sync.Mutex
-	handlers map[string]TracedHandler
+	handlers map[string]BlobHandler
 	notify   map[string]NotifyHandler
 	pending  map[uint64]chan *frame
 	closed   bool
@@ -157,7 +221,7 @@ func NewPeer(conn net.Conn) *Peer {
 	p := &Peer{
 		conn:     conn,
 		bw:       bufio.NewWriter(conn),
-		handlers: make(map[string]TracedHandler),
+		handlers: make(map[string]BlobHandler),
 		notify:   make(map[string]NotifyHandler),
 		pending:  make(map[uint64]chan *frame),
 	}
@@ -184,6 +248,14 @@ func (p *Peer) Handle(method string, h Handler) {
 // back over the same peer — which is exactly how traced agents flush
 // finished spans to the manager before responding.
 func (p *Peer) HandleTraced(method string, h TracedHandler) {
+	p.HandleBlob(method, func(traceMeta string, body json.RawMessage, _ []byte) (any, error) {
+		return h(traceMeta, body)
+	})
+}
+
+// HandleBlob registers a handler that also sees the request's raw section:
+// the methods whose request is a message with a WireBlob.
+func (p *Peer) HandleBlob(method string, h BlobHandler) {
 	p.mu.Lock()
 	p.handlers[method] = h
 	p.mu.Unlock()
@@ -237,6 +309,9 @@ func (p *Peer) Run() error {
 				ch <- f
 			}
 		case kindNotify:
+			// Nothing consumes a notification's raw section, and the queue's
+			// byte bound counts bodies only.
+			f.Blob = nil
 			p.nmu.Lock()
 			if !p.nclosed {
 				for len(p.nqueue) > 0 &&
@@ -296,15 +371,12 @@ func (p *Peer) serve(req *frame) {
 	if h == nil {
 		res.Error = ErrNoHandler.Error() + ": " + req.Method
 	} else {
-		out, err := h(req.Trace, req.Body)
+		out, err := h(req.Trace, req.Body, req.Blob)
 		if err != nil {
 			res.Error = err.Error()
 		} else if out != nil {
-			body, err := json.Marshal(out)
-			if err != nil {
+			if res.Body, res.Blob, err = encode(out); err != nil {
 				res.Error = "wire: marshal response: " + err.Error()
-			} else {
-				res.Body = body
 			}
 		}
 	}
@@ -336,7 +408,7 @@ func (p *Peer) Call(method string, in, out any) error {
 // CallTraced is Call with trace metadata riding the request envelope.
 // An empty traceMeta is exactly Call — no tracing bytes on the wire.
 func (p *Peer) CallTraced(method, traceMeta string, in, out any) error {
-	body, err := json.Marshal(in)
+	body, blob, err := encode(in)
 	if err != nil {
 		return err
 	}
@@ -350,7 +422,7 @@ func (p *Peer) CallTraced(method, traceMeta string, in, out any) error {
 	p.pending[id] = ch
 	p.mu.Unlock()
 
-	req := frame{Kind: kindRequest, ID: id, Method: method, Trace: traceMeta, Body: body}
+	req := frame{Kind: kindRequest, ID: id, Method: method, Trace: traceMeta, Body: body, Blob: blob}
 	if err := p.send(&req); err != nil {
 		p.mu.Lock()
 		delete(p.pending, id)
@@ -371,10 +443,7 @@ func (p *Peer) CallTraced(method, traceMeta string, in, out any) error {
 		if res.Error != "" {
 			return errors.New(res.Error)
 		}
-		if out != nil && len(res.Body) > 0 {
-			return json.Unmarshal(res.Body, out)
-		}
-		return nil
+		return decode(res, out)
 	case <-timeout:
 		p.mu.Lock()
 		delete(p.pending, id)
@@ -407,13 +476,13 @@ func (p *Peer) CallBatch(calls []BatchCall) []error {
 	chans := make([]chan *frame, len(calls))
 	ids := make([]uint64, len(calls))
 	for i, c := range calls {
-		body, err := json.Marshal(c.In)
+		body, blob, err := encode(c.In)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
 		ids[i] = p.nextID.Add(1)
-		frames[i] = &frame{Kind: kindRequest, ID: ids[i], Method: c.Method, Body: body}
+		frames[i] = &frame{Kind: kindRequest, ID: ids[i], Method: c.Method, Body: body, Blob: blob}
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -484,8 +553,8 @@ func (p *Peer) CallBatch(calls []BatchCall) []error {
 				errs[i] = ErrClosed
 			case res.Error != "":
 				errs[i] = errors.New(res.Error)
-			case calls[i].Out != nil && len(res.Body) > 0:
-				errs[i] = json.Unmarshal(res.Body, calls[i].Out)
+			default:
+				errs[i] = decode(res, calls[i].Out)
 			}
 		case <-timeout:
 			p.mu.Lock()
@@ -497,7 +566,8 @@ func (p *Peer) CallBatch(calls []BatchCall) []error {
 	return errs
 }
 
-// Notify sends a one-way notification (no response expected).
+// Notify sends a one-way notification (no response expected). It carries a
+// body only: no notification has a raw section.
 func (p *Peer) Notify(method string, in any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
