@@ -28,8 +28,7 @@
 //   - internal/baseline — the VM-based NFV comparator
 //
 // The benchmarks in bench_test.go regenerate every experiment (E1–E9 in
-// EXPERIMENTS.md), cmd/gnf-bench prints the same scenarios as tables; the
-// examples/quickstart is the smallest runnable deployment and scenarios/
-// holds the checked workload corpus; cmd/ holds the manager, agent, CLI,
-// demo and bench binaries.
+// EXPERIMENTS.md); the examples/quickstart is the smallest runnable
+// deployment and scenarios/ holds the checked workload corpus; cmd/ holds
+// the manager, agent, CLI and demo binaries.
 package gnf

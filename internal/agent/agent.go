@@ -55,7 +55,7 @@ const (
 )
 
 // brownoutDepth bounds the per-chain brownout buffer armed on disabled
-// (migration/standby) deploys: frames the client sends while its chain is
+// (migration) deploys: frames the client sends while its chain is
 // frozen mid-handoff are parked up to this depth and replayed on
 // activation instead of being dropped.
 const brownoutDepth = 4096
@@ -79,9 +79,6 @@ type deployment struct {
 	// building marks a name reservation while Deploy constructs resources;
 	// such entries are invisible to every other API.
 	building bool
-	// standby mirrors spec.Standby but is mutable under Agent.mu: Activate
-	// promotes a prewarmed standby into a real placement.
-	standby bool
 	// Pre-copy session state (guarded by Agent.mu): the per-member dirty
 	// epochs of the last PreCopy export and the 1-based round counter.
 	// Rounds of one session are serialised by the manager (per-client
@@ -233,34 +230,26 @@ func (a *Agent) AttachClient(id topology.ClientID, mac packet.MAC, ip packet.IP,
 	// client's frames flooded back from the backhaul must never repoint
 	// local forwarding away from the access port.
 	a.sw.PinMAC(mac, port)
-	// Prewarmed standby chains arm their steering the moment the predicted
-	// client actually arrives — before the manager even hears about the
-	// handoff — so early frames park in the brownout buffer (fail closed)
-	// instead of slipping past the not-yet-activated chain. A chain whose
-	// leg still rides the tunnel the client left through (a handoff that
-	// bounced back mid-move) takes it straight off the access port again.
+	// A chain whose leg still rides the tunnel the client left through (a
+	// handoff that bounced back mid-move) takes it straight off the access
+	// port again — before the manager even hears about the handoff.
 	a.armClientSteering(id)
 	if sink != nil {
 		sink(ClientEvent{Station: string(a.station), Client: string(id), Connected: true, MAC: mac, IP: ip})
 	}
 }
 
-// armClientSteering re-derives, for a freshly associated client, the
-// steering of every deployment whose home ingress leg is the edge it just
-// arrived at. A standby has had no rules yet and arms fail-closed — an
-// exclusive one steers into its disabled, brownout-buffering chain host, a
-// pool attachment gets drop rules. A chain left detoured toward the station
-// the client just came back from goes home — were it not, return traffic
-// would keep entering a tunnel whose far end no longer knows the client.
+// armClientSteering sends home, for a freshly associated client, the ingress
+// leg of every deployment whose home is the edge it just arrived at and that
+// was left detoured toward the station the client came back from — were it
+// not, return traffic would keep entering a tunnel whose far end no longer
+// knows the client.
 func (a *Agent) armClientSteering(id topology.ClientID) {
 	a.mu.Lock()
 	var rearm []*deployment
 	if _, here := a.clients[id]; here {
 		for _, d := range a.deployments {
-			if d.building || d.spec.Client != string(id) || d.spec.Ingress.Station != "" {
-				continue
-			}
-			if d.standby || d.ingress.Station != "" {
+			if !d.building && d.spec.Client == string(id) && d.spec.Ingress.Station == "" && d.ingress.Station != "" {
 				rearm = append(rearm, d)
 			}
 		}
@@ -336,15 +325,6 @@ func (a *Agent) Deploy(spec DeploySpec) (*DeployResult, error) {
 	a.mu.Lock()
 	a.deployments[spec.Chain] = dep
 	a.mu.Unlock()
-	// A standby's predicted client may have associated while the build was
-	// in flight — the exact timing prewarm anticipates. AttachClient's
-	// arming pass skipped the entry (still marked building), and the build
-	// may have looked the client up before the arrival, so re-arm now:
-	// without this the client's frames bypass the staged chain instead of
-	// parking fail-closed.
-	if spec.Standby {
-		a.armClientSteering(topology.ClientID(spec.Client))
-	}
 	// Lazy reaping rides control-plane activity — after the attach, so a
 	// re-deploy arriving right at grace expiry revives the warm instance
 	// instead of watching it die first.
@@ -524,7 +504,7 @@ func (a *Agent) buildDeployment(spec DeploySpec) (*deployment, error) {
 		return nil, err
 	}
 	dep := &deployment{
-		spec: spec, standby: spec.Standby, res: cr,
+		spec: spec, res: cr,
 		steering: steering{ingress: spec.Ingress, egress: spec.Egress, deliver: true},
 	}
 	if err := a.setLegs(dep, nil); err != nil {
@@ -537,7 +517,7 @@ func (a *Agent) buildDeployment(spec DeploySpec) (*deployment, error) {
 	if spec.Enabled {
 		cr.host.Enable()
 	} else {
-		// Migration and standby deploys start disabled; park the freeze
+		// Migration deploys start disabled; park the freeze
 		// window's frames for replay on activation instead of dropping
 		// them. Schedule windows disable *running* chains and are
 		// unaffected: their out-of-window traffic still drops.
@@ -719,11 +699,10 @@ func (a *Agent) SyncDelta(chain string, state []byte) error {
 	return box.RestoreDelta(state)
 }
 
-// Activate flips a migration-staged (or prewarmed standby) deployment
-// live: the standby mark clears, steering is installed if the client has
-// associated since the deploy, the chain starts forwarding, and every
-// brownout-buffered frame is replayed in arrival order — the loss-free end
-// of a handoff.
+// Activate flips a migration-staged deployment live: steering is installed
+// if the client has associated since the deploy, the chain starts
+// forwarding, and every brownout-buffered frame is replayed in arrival
+// order — the loss-free end of a handoff.
 func (a *Agent) Activate(chain string) (*ActivateResult, error) {
 	return a.ActivateTraced(trace.Context{}, chain)
 }
@@ -736,9 +715,6 @@ func (a *Agent) ActivateTraced(tctx trace.Context, chain string) (*ActivateResul
 	if err != nil {
 		return nil, err
 	}
-	a.mu.Lock()
-	d.standby = false
-	a.mu.Unlock()
 	flip := a.tracer.Child(tctx, "agent.steer_flip")
 	// A tunnel leg went in with the deploy; what can still be missing is the
 	// leg of a client that has associated since, and an attachment's rules
@@ -861,12 +837,11 @@ func (a *Agent) Report() Report {
 		FramePoolOutstanding: packet.FramePoolOutstanding(),
 		UnixNano:             a.clk.Now().UnixNano(),
 	}
-	// Snapshot the mutable per-deployment flags in the same locked pass
-	// that collects the list, so the loop below never re-takes a.mu.
+	// Snapshot the mutable steering in the same locked pass that collects
+	// the list, so the loop below never re-takes a.mu.
 	type depSnap struct {
 		d *deployment
 		steering
-		standby bool
 	}
 	a.mu.Lock()
 	deps := make([]depSnap, 0, len(a.deployments))
@@ -874,7 +849,7 @@ func (a *Agent) Report() Report {
 		if d.building {
 			continue
 		}
-		deps = append(deps, depSnap{d: d, steering: d.steering, standby: d.standby})
+		deps = append(deps, depSnap{d: d, steering: d.steering})
 	}
 	a.mu.Unlock()
 	rep.Detours = a.Detours()
@@ -886,7 +861,7 @@ func (a *Agent) Report() Report {
 	for _, snap := range deps {
 		d := snap.d
 		cs := ChainStatus{
-			Chain: d.spec.Chain, Client: d.spec.Client, Standby: snap.standby,
+			Chain: d.spec.Chain, Client: d.spec.Client,
 			Ingress: snap.ingress, Egress: snap.egress,
 		}
 		if d.shared != nil {

@@ -99,7 +99,7 @@ func (a *Agent) attachShared(spec DeploySpec) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep := &deployment{spec: spec, standby: spec.Standby, shared: inst, steering: steering{deliver: spec.Enabled}}
+	dep := &deployment{spec: spec, shared: inst, steering: steering{deliver: spec.Enabled}}
 	// Edge legs resolve against nothing that can be missing.
 	_ = a.setLegs(dep, nil)
 	return dep, nil

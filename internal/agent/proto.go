@@ -12,7 +12,7 @@ import (
 
 // SegmentDeployName returns the deployment name of segment i of chain.
 // The head keeps the chain's own name, so every single-placement code
-// path — migration, brownout replay, prewarm, sharing — applies to it
+// path — migration, brownout replay, sharing — applies to it
 // unchanged; later segments append "#i".
 func SegmentDeployName(chain string, i int) string {
 	if i == 0 {
@@ -123,13 +123,6 @@ type DeploySpec struct {
 	// uplink.
 	Ingress Leg `json:"ingress,omitzero"`
 	Egress  Leg `json:"egress,omitzero"`
-	// Standby marks a predictive prewarm deployment: the chain is staged
-	// disabled at the station a mobility model expects the client to roam
-	// to next. Standby chains are placement intents, not placements — they
-	// are excluded from the invariant audit, and steering is armed
-	// fail-closed (into the brownout buffer) the moment the client actually
-	// associates, so a mid-handoff frame is parked rather than leaked.
-	Standby bool `json:"standby,omitempty"`
 }
 
 // DeployResult reports what the agent built.
@@ -307,9 +300,6 @@ type ChainStatus struct {
 	// pool entry serving it.
 	Shared     bool   `json:"shared,omitempty"`
 	ConfigHash string `json:"config_hash,omitempty"`
-	// Standby marks a prewarmed placement intent (see DeploySpec.Standby);
-	// the invariant audit skips these.
-	Standby bool `json:"standby,omitempty"`
 	// Ingress and Egress are the deployment's live legs: what it was
 	// deployed with, or what the last Retarget made of them — an offloaded
 	// chain's edge station, a split chain's neighbours, or, for the length of

@@ -88,18 +88,6 @@ func (s *System) Audit() []Violation {
 			}
 		}
 		for _, cs := range rep.Chains {
-			if cs.Standby {
-				// Prewarmed standbys are placement *intents* — disabled,
-				// deliberately duplicating the active copy at the predicted
-				// next station — so they are exempt from the duplicate/leak/
-				// convergence invariants. A standby that somehow forwards is
-				// a real violation, though: two live copies of one chain.
-				if cs.Enabled {
-					out = append(out, Violation{ViolationDuplicate,
-						fmt.Sprintf("standby chain %s/%s on %s is forwarding", cs.Client, cs.Chain, id)})
-				}
-				continue
-			}
 			key := [2]string{cs.Client, cs.Chain}
 			hostedOn[key] = append(hostedOn[key], hosting{string(id), cs.Enabled, cs.Ingress, cs.Egress})
 		}

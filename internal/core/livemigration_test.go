@@ -585,183 +585,11 @@ func TestSharedChainHandoffAsksForNoDetour(t *testing.T) {
 	auditClean(t, sys)
 }
 
-func TestPrewarmHitRateOnCommutePattern(t *testing.T) {
+// TestSharedPoolClientRoamsBesideAnotherSharer roams one sharer of a pooled
+// instance back and forth under the live strategy: its attachment moves, the
+// other sharer's must stay enabled where it is.
+func TestSharedPoolClientRoamsBesideAnotherSharer(t *testing.T) {
 	sys := liveSystem(t, 2, manager.StrategyLive)
-	sys.Manager.SetPrewarm(true)
-	if err := sys.AttachChain("phone", natChain("edge")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.WaitChainOn("st-0", "edge", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	seedFlows(t, sys, "st-0", "edge", 500)
-
-	cells := []topology.CellID{"cell-1", "cell-0"}
-	stations := []topology.StationID{"st-1", "st-0"}
-	for i := 0; i < 6; i++ {
-		if err := sys.Topo.Attach("phone", cells[i%2]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.WaitClientAt("phone", stations[i%2], 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		sys.Manager.WaitIdle()
-	}
-
-	migs := sys.Manager.Migrations()
-	prewarmed := 0
-	for _, rep := range migs {
-		if rep.Err != "" {
-			t.Fatalf("failed migration: %+v", rep)
-		}
-		if rep.Prewarmed {
-			prewarmed++
-		}
-	}
-	// The Markov model knows both directions after the first round trip;
-	// every later handoff must land on a warm standby: >= 4 of 6, and at
-	// minimum the >=50% bar the predictor exists to clear.
-	if len(migs) != 6 || prewarmed < 4 {
-		t.Fatalf("prewarmed %d of %d migrations", prewarmed, len(migs))
-	}
-	auditClean(t, sys)
-	// The client ends on st-0 with a standby staged (unsteered: its client
-	// is away) on st-1. Cold handoffs detoured, prewarm hits did not — the
-	// standby parks the client's frames itself — and nothing of either is
-	// left.
-	noStrayRules(t, sys, map[topology.StationID]int{"st-0": 2})
-	if n := len(sys.Manager.Journal().Events(0, trace.EventDetour)); n != len(migs)-prewarmed {
-		t.Fatalf("%d detours journaled for %d handoffs of which %d prewarmed", n, len(migs), prewarmed)
-	}
-}
-
-func TestPrewarmMissCleansStaleStandby(t *testing.T) {
-	sys := liveSystem(t, 3, manager.StrategyLive)
-	sys.Manager.SetPrewarm(true)
-	if err := sys.AttachChain("phone", natChain("edge")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.WaitChainOn("st-0", "edge", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	seedFlows(t, sys, "st-0", "edge", 200)
-
-	// Teach the model st-0 -> st-1, then come home: a standby now waits on
-	// st-1.
-	hop := func(cell topology.CellID, station topology.StationID) {
-		t.Helper()
-		if err := sys.Topo.Attach("phone", cell); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.WaitClientAt("phone", station, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		sys.Manager.WaitIdle()
-	}
-	hop("cell-1", "st-1")
-	hop("cell-0", "st-0")
-	if chains := sys.Agent("st-1").Chains(); len(chains) != 1 {
-		t.Fatalf("expected a standby staged on st-1, got %v", chains)
-	}
-
-	// The prediction misses: the client roams to st-2 instead. The stale
-	// standby on st-1 must be torn down and the audit stay clean.
-	hop("cell-2", "st-2")
-	if chains := sys.Agent("st-1").Chains(); len(chains) != 0 {
-		t.Fatalf("stale standby survived on st-1: %v", chains)
-	}
-	last := sys.Manager.Migrations()[len(sys.Manager.Migrations())-1]
-	if last.Err != "" || last.Prewarmed {
-		t.Fatalf("missed prediction still reported prewarmed: %+v", last)
-	}
-	auditClean(t, sys)
-}
-
-func TestDeadSourceActivatesWarmStandby(t *testing.T) {
-	sys := liveSystem(t, 2, manager.StrategyLive)
-	sys.Manager.SetPrewarm(true)
-	if err := sys.AttachChain("phone", natChain("edge")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.WaitChainOn("st-0", "edge", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	seedFlows(t, sys, "st-0", "edge", 500)
-
-	// One round trip teaches the model st-0 -> st-1, so a state-synced
-	// standby ends up staged at st-1.
-	hop := func(cell topology.CellID, station topology.StationID) {
-		t.Helper()
-		if err := sys.Topo.Attach("phone", cell); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.WaitClientAt("phone", station, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		sys.Manager.WaitIdle()
-	}
-	hop("cell-1", "st-1")
-	hop("cell-0", "st-0")
-	if chains := sys.Agent("st-1").Chains(); len(chains) != 1 {
-		t.Fatalf("expected a standby staged on st-1, got %v", chains)
-	}
-
-	// The source station dies (management plane), then the client roams to
-	// the predicted station: no source can ship state, but the standby's
-	// last synced snapshot must be activated rather than destroyed for a
-	// cold restart.
-	if err := sys.KillStation("st-0"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for {
-		if _, ok := sys.Manager.AgentHandleFor("st-0"); !ok {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("manager never dropped the killed station")
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	hop("cell-1", "st-1")
-
-	migs := sys.Manager.Migrations()
-	last := migs[len(migs)-1]
-	if last.Err != "" || !last.Prewarmed {
-		t.Fatalf("dead-source migration = %+v, want prewarmed success", last)
-	}
-	fn, err := sys.Agent("st-1").ChainFunction("edge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fn.NFStats()["nat0.mappings"]; got != 500 {
-		t.Fatalf("NAT mappings after station death = %d, want 500 (standby snapshot lost)", got)
-	}
-	if on, err := sys.Agent("st-1").ChainEnabled("edge"); err != nil || !on {
-		t.Fatalf("standby not activated: %v, %v", on, err)
-	}
-
-	// Restart the dead station: its rejoin announces the stale copy, the
-	// manager garbage-collects it, and the audit comes back clean.
-	if err := sys.RestartStation("st-0"); err != nil {
-		t.Fatal(err)
-	}
-	sys.Manager.WaitIdle()
-	deadline = time.After(5 * time.Second)
-	for len(sys.Agent("st-0").Chains()) != 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("stale chain survived rejoin GC: %v", sys.Agent("st-0").Chains())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	auditClean(t, sys)
-}
-
-func TestSharedPoolClientRoamsWhilePrewarmed(t *testing.T) {
-	sys := liveSystem(t, 2, manager.StrategyLive)
-	sys.Manager.SetPrewarm(true)
 	// A second client anchors the shared instance on st-0.
 	if err := sys.AddClient("tablet", packet.MAC{2, 0, 0, 0, 0, 0x11}, packet.IP{10, 0, 0, 11}); err != nil {
 		t.Fatal(err)
@@ -789,8 +617,7 @@ func TestSharedPoolClientRoamsWhilePrewarmed(t *testing.T) {
 	}
 	sys.Manager.WaitIdle()
 
-	// Ping-pong the phone so standbys (shared attachments) get staged and
-	// consumed while the tablet keeps sharing the st-0 instance.
+	// Ping-pong the phone while the tablet keeps sharing the st-0 instance.
 	cells := []topology.CellID{"cell-1", "cell-0"}
 	stations := []topology.StationID{"st-1", "st-0"}
 	for i := 0; i < 6; i++ {

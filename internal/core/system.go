@@ -511,10 +511,9 @@ func (s *System) WaitClientAt(client topology.ClientID, station topology.Station
 
 // WaitChainOn blocks until the station's agent lists the named chain
 // (Agent.Chains), or the timeout elapses. Listed is not serving: a
-// migration target deployed disabled and a prewarmed standby both satisfy
-// it. Callers that need the chain forwarding wait for the move to settle
-// with WaitClientAt (which ends in Manager.WaitIdle) or ask
-// Agent.ChainEnabled.
+// migration target deployed disabled satisfies it too. Callers that need
+// the chain forwarding wait for the move to settle with WaitClientAt (which
+// ends in Manager.WaitIdle) or ask Agent.ChainEnabled.
 func (s *System) WaitChainOn(station topology.StationID, chain string, timeout time.Duration) error {
 	ag := s.Agent(station)
 	if ag == nil {

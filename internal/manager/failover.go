@@ -76,15 +76,9 @@ func (m *Manager) CheckFailures() []FailoverReport {
 
 	st := m.state()
 	timeout := st.failoverTimeout
-	// Stations hosting at least one chain.
+	// Stations hosting at least one deployment.
 	hosting := make(map[string]bool)
-	m.clients.forEach(func(_ string, rec *clientRec) {
-		rec.mu.Lock()
-		for _, at := range rec.deployedOn {
-			hosting[at] = true
-		}
-		rec.mu.Unlock()
-	})
+	m.eachPlaced(func(_ string, _ *clientRec, _ deployment, at string) { hosting[at] = true })
 	var silent []*AgentHandle
 	if timeout > 0 {
 		for _, h := range st.agents {
@@ -128,23 +122,16 @@ func (m *Manager) CheckFailures() []FailoverReport {
 	return reports
 }
 
-// failStation re-places every chain deployed on the dead station.
+// failStation re-places every deployment the dead station hosted.
 func (m *Manager) failStation(station string) []FailoverReport {
-	type job struct {
-		client string
-		rec    *clientRec
-		spec   ChainSpec
-		seg    int // split-chain segment index (0 = head or unsplit)
-	}
+	// A dead cloud site ends the offload: chains return to the edge (below)
+	// and the detour toward the dead site must go.
 	type detour struct {
 		client, at string
 	}
-	var jobs []job
 	var stale []detour
 	m.clients.forEach(func(client string, rec *clientRec) {
 		rec.mu.Lock()
-		// A dead cloud site ends the offload: chains return to the edge
-		// (below) and the detour toward the dead site must go.
 		if rec.offload == station {
 			rec.offload = ""
 			if rec.steerOn != "" {
@@ -152,22 +139,8 @@ func (m *Manager) failStation(station string) []FailoverReport {
 				rec.steerOn = ""
 			}
 		}
-		for name, at := range rec.deployedOn {
-			if at != station {
-				continue
-			}
-			// Deployment names carry the segment index for split chains;
-			// the spec lives under the base chain name.
-			base, seg := agent.ParseSegmentName(name)
-			spec, attached := rec.chains[base]
-			if !attached {
-				continue
-			}
-			jobs = append(jobs, job{client: client, rec: rec, spec: spec, seg: seg})
-		}
 		rec.mu.Unlock()
 	})
-
 	for _, d := range stale {
 		if h, err := m.agentFor(d.at); err == nil {
 			h.call(agent.MethodUnsteer, agent.UnsteerSpec{Client: d.client}, nil)
@@ -175,13 +148,8 @@ func (m *Manager) failStation(station string) []FailoverReport {
 	}
 
 	var reports []FailoverReport
-	for _, j := range jobs {
-		var rep FailoverReport
-		if j.seg > 0 {
-			rep = m.reviveSegment(station, j.client, j.rec, j.spec, j.seg)
-		} else {
-			rep = m.reviveChain(station, j.client, j.rec, j.spec)
-		}
+	for _, j := range m.deploymentsOn(station) {
+		rep := m.revive(station, j)
 		m.recordFailover(rep)
 		reports = append(reports, rep)
 	}
@@ -204,47 +172,54 @@ func (m *Manager) recordFailover(rep FailoverReport) {
 	})
 }
 
-// reviveChain cold-deploys one chain lost with its station.
-func (m *Manager) reviveChain(failed, client string, rec *clientRec, spec ChainSpec) FailoverReport {
-	rep := FailoverReport{Station: failed, Client: client, Chain: spec.Name}
+// revive cold-deploys one deployment lost with its station: the dead
+// station's state is gone by definition, so the plan names no source, and a
+// copy the station may still announce on rejoin is the rejoin GC's to
+// collect. An anchored segment comes back on its anchor, which the placement
+// rule re-derives over the surviving agents; a head goes where the policy
+// says, preferring its client's station. Either is spliced back between its
+// neighbours — the other segments survived the failure — and a leg that
+// cannot be re-spliced fails the revival like it fails any move.
+func (m *Manager) revive(failed string, j displaced) FailoverReport {
+	dep := j.dep
+	rep := FailoverReport{Station: failed, Client: j.client, Chain: dep.name()}
 	watch := clock.NewStopwatch(m.clk)
 
-	rec.mu.Lock()
-	prefer := rec.station
-	rec.mu.Unlock()
-	clientAt := prefer // the dead station is still the RTT reference point
-	if prefer == failed {
-		prefer = ""
+	j.rec.mu.Lock()
+	cl := j.rec.whereabouts()
+	j.rec.mu.Unlock()
+	if dep.seg > 0 {
+		to, err := wantAt(m.state(), cl, j.spec, dep.seg, "")
+		if err != nil {
+			rep.Err = err.Error()
+			return rep
+		}
+		rep.To = to
+	} else {
+		// The dead station is still the RTT reference point.
+		hint := placementHint(j.client, j.spec, cl.station)
+		if cl.station != failed {
+			hint.Prefer = cl.station
+		}
+		to, ok := m.place(hint, failed)
+		if !ok {
+			rep.Err = fmt.Sprintf("no surviving station for %s/%s", j.client, j.spec.Name)
+			return rep
+		}
+		rep.To = to
 	}
-	to, ok := m.place(PlacementHint{
-		Client: client, Chain: spec.Name, Prefer: prefer,
-		ConfigHashes: chainConfigHashes(spec),
-		ClientAt:     clientAt,
-		MaxRTT:       spec.MaxRTT(),
-	}, failed)
-	if !ok {
-		rep.Err = fmt.Sprintf("no surviving station for %s/%s", client, spec.Name)
-		return rep
-	}
-	rep.To = to
 
-	rec.migMu.Lock()
-	defer rec.migMu.Unlock()
+	j.rec.migMu.Lock()
+	defer j.rec.migMu.Unlock()
 	// The client may have been reconciled meanwhile; never double-deploy.
-	rec.mu.Lock()
-	at := rec.deployedOn[spec.Name]
-	rec.mu.Unlock()
+	j.rec.mu.Lock()
+	at := j.rec.at(dep)
+	j.rec.mu.Unlock()
 	if at != failed {
 		rep.To, rep.Recovered = at, watch.Elapsed()
 		return rep
 	}
-
-	// The plan names no source: the dead station's state is gone by
-	// definition, and a copy it may still announce on rejoin is the rejoin
-	// GC's to collect. A split chain's head revives head-only — the anchored
-	// segments survived the failure — and a downstream leg that cannot be
-	// re-spliced fails the revival like it fails any move.
-	if mig := m.migrateChain(trace.Context{}, client, rec, spec, "", to, StrategyCold); mig.Err != "" {
+	if mig := m.moveSegment(trace.Context{}, j.client, j.rec, dep, "", rep.To, StrategyCold); mig.Err != "" {
 		rep.Err = mig.Err
 		return rep
 	}

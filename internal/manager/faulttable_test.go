@@ -31,9 +31,9 @@ type faultFixture struct {
 	dead   map[string]bool // killed stations: whatever they hosted is gone
 }
 
-func newFaultFixture(t *testing.T, strategy manager.Strategy, opts ...manager.Option) *faultFixture {
+func newFaultFixture(t *testing.T, strategy manager.Strategy) *faultFixture {
 	t.Helper()
-	mgr, err := manager.New(clock.System(), "127.0.0.1:0", append(opts, manager.WithStrategy(strategy))...)
+	mgr, err := manager.New(clock.System(), "127.0.0.1:0", manager.WithStrategy(strategy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,6 @@ func (p faultPoint) String() string { return fmt.Sprintf("%s@%s#%d", p.method, p
 type moveShape struct {
 	name     string
 	strategy manager.Strategy
-	opts     []manager.Option
 	// prepare builds the state the move starts from; op runs the move and
 	// reports its failure.
 	prepare func(t *testing.T, fx *faultFixture)
@@ -108,9 +107,6 @@ type moveShape struct {
 	// moving lists the deployments the move carries from source to target.
 	moving         []string
 	source, target string
-	// stays marks plans that succeed without relocating anything (standby
-	// staging): home remains the source.
-	stays bool
 	// detours marks a state-carrying handoff, whose first two RPCs point the
 	// client back at the source: the move runs un-detoured without them.
 	detours bool
@@ -119,6 +115,8 @@ type moveShape struct {
 	// which and in what order each station saw them (stations in name order).
 	rpcs  int
 	order string
+	// sameAs names the shape this one must match RPC for RPC.
+	sameAs string
 	// check holds shape-specific assertions beyond the hosting model.
 	check func(t *testing.T, fx *faultFixture, failed bool)
 }
@@ -129,15 +127,13 @@ func attachSplit(t *testing.T, fx *faultFixture) {
 	fx.attach(t, splitChain, manager.AffinityNearClient, manager.AffinityAggregate, manager.AffinityCloudOK)
 }
 
-// stageStandby teaches the predictor st-src → st-dst and lets a no-op
-// reconcile stage the standby there.
-func stageStandby(t *testing.T, fx *faultFixture) {
-	fx.mgr.Predictor().Observe("st-src", "st-dst")
-	fx.announce(t, "st-src")
-}
-
 func migrateToDst(_ *testing.T, fx *faultFixture) error {
 	_, err := fx.mgr.MigrateChain("phone", "chain", "st-dst")
+	return err
+}
+
+func migrateSegment0ToDst(_ *testing.T, fx *faultFixture) error {
+	_, err := fx.mgr.MigrateSegment("phone", "chain", 0, "st-dst")
 	return err
 }
 
@@ -275,39 +271,16 @@ var moveShapes = []moveShape{
 		check: noDetourJournaled,
 	},
 	{
-		name: "prewarm", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 4,
+		// The merged entry point: an unsplit chain is its segment 0, so naming
+		// the segment runs the operator move.
+		name: "segment 0 via MigrateSegment", strategy: manager.StrategyStateful, rpcs: 7, sameAs: "stateful",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
-		op: func(t *testing.T, fx *faultFixture) error {
-			// Staging is best effort and reports nothing; its outcome is what
-			// the target hosts afterwards.
-			stageStandby(t, fx)
-			if _, staged := fx.agents["st-dst"].hosts("chain"); !staged {
-				return fmt.Errorf("no standby staged")
-			}
-			return nil
-		},
-		moving: []string{"chain"}, source: "st-src", target: "st-dst", stays: true,
+		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "live+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 7,
-		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain"); stageStandby(t, fx) },
-		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
-	},
-	{
-		// A handoff landing on its standby: the standby parks the client's
-		// frames itself, so no detour — the same RPCs as the operator move.
-		name: "live handoff+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 7,
-		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain"); stageStandby(t, fx) },
-		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
-	},
-	{
-		name: "dead-source+prewarmed", strategy: manager.StrategyLive, opts: []manager.Option{manager.WithPrewarm()}, rpcs: 1,
-		prepare: func(t *testing.T, fx *faultFixture) {
-			fx.attach(t, "chain")
-			stageStandby(t, fx)
-			fx.kill(t, "st-src")
-		},
-		op: migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+		name: "segment 0 via MigrateSegment+live", strategy: manager.StrategyLive, rpcs: 9, sameAs: "live",
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
 		// Failover revival of a split chain's head: no source to carry from,
@@ -377,7 +350,7 @@ var moveShapes = []moveShape{
 // move and returns the RPCs it issued, per station in name order.
 func (sh moveShape) run(t *testing.T, fault *faultPoint) (*faultFixture, []faultPoint, error) {
 	t.Helper()
-	fx := newFaultFixture(t, sh.strategy, sh.opts...)
+	fx := newFaultFixture(t, sh.strategy)
 	sh.prepare(t, fx)
 	before := map[string]int{}
 	for st, sa := range fx.agents {
@@ -415,6 +388,14 @@ func TestMoveFaultTable(t *testing.T) {
 			}
 			if got := orderOf(points); sh.order != "" && got != sh.order {
 				t.Fatalf("fault-free run issued\n\t%s, want\n\t%s", got, sh.order)
+			}
+			for _, other := range moveShapes {
+				if other.name != sh.sameAs {
+					continue
+				}
+				if _, want, _ := other.run(t, nil); orderOf(points) != orderOf(want) {
+					t.Fatalf("fault-free run issued\n\t%s, the %q shape\n\t%s", orderOf(points), other.name, orderOf(want))
+				}
 			}
 			for _, p := range points {
 				t.Run(p.String(), func(t *testing.T) { sh.verify(t, p) })
@@ -461,7 +442,7 @@ func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 		t.Fatalf("move error = %v, want failure = %v; RPCs: %v", err, !bestEffort, issued)
 	}
 	home := sh.target
-	if failed || sh.stays {
+	if failed {
 		home = sh.source
 	}
 	for _, dep := range sh.moving {
@@ -544,7 +525,7 @@ func TestRecallFailureRollsBack(t *testing.T) {
 }
 
 // TestFailoverRetargetFailureIsReported is the regression test for
-// reviveChain swallowing a failed downstream Retarget: the report used to
+// revival swallowing a failed downstream Retarget: the report used to
 // claim recovery while the anchored segment's return path still rode a
 // tunnel toward the dead station.
 func TestFailoverRetargetFailureIsReported(t *testing.T) {
@@ -665,5 +646,66 @@ func TestSecondChainOfAClientIsNotDetoured(t *testing.T) {
 				t.Errorf("%s's client leg on %s still rides the tunnel to %s", chain, st, via)
 			}
 		}
+	}
+}
+
+// TestEmptyChainStillRoams: a chain of no functions partitions into no
+// segments at all, and is nonetheless a deployment that follows its client.
+func TestEmptyChainStillRoams(t *testing.T) {
+	fx := newFaultFixture(t, manager.StrategyStateful)
+	if err := fx.mgr.AttachChain("phone", manager.ChainSpec{Name: "chain"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := roamToDst(t, fx); err != nil {
+		t.Fatal(err)
+	}
+	if enabled, present := fx.agents["st-dst"].hosts("chain"); !present || !enabled {
+		t.Errorf("empty chain on st-dst after the handoff: present=%v enabled=%v", present, enabled)
+	}
+	if _, err := fx.mgr.MigrateSegment("phone", "chain", 0, "st-src"); err != nil {
+		t.Errorf("operator move of an empty chain: %v", err)
+	}
+}
+
+// TestDetachRacingAMoveLeavesNothingBehind pins an operator move at its last
+// target-side RPC — the source is frozen and checkpointed, only its removal
+// is left — and detaches the chain. The detach used to take the chain out of
+// the record and remove the source copy; the move then committed and placed a
+// chain that was no longer attached, leaving the target copy serving,
+// invisible to Placements() and in the way of a re-attach.
+func TestDetachRacingAMoveLeavesNothingBehind(t *testing.T) {
+	fx := newFaultFixture(t, manager.StrategyStateful)
+	fx.attach(t, "chain")
+	gate := fx.agents["st-dst"].holdOn(agent.MethodEnable)
+	moved, detached := make(chan error, 1), make(chan error, 1)
+	go func() { moved <- migrateToDst(t, fx) }()
+	<-gate.entered
+	go func() { detached <- fx.mgr.DetachChain("phone", "chain") }()
+	// The detach either runs into the window (and must not be there) or
+	// waits the move out; nothing signals the latter, so give it time.
+	select {
+	case err := <-detached:
+		detached <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-moved; err != nil {
+		t.Errorf("move: %v", err)
+	}
+	if err := <-detached; err != nil {
+		t.Errorf("detach: %v", err)
+	}
+
+	for st, sa := range fx.agents {
+		if enabled, present := sa.hosts("chain"); present {
+			t.Errorf("%s still hosts the detached chain (enabled=%v); calls: %v", st, enabled, sa.callLog())
+		}
+	}
+	if pl := fx.mgr.Placements(); len(pl) != 0 {
+		t.Errorf("placements after the detach: %+v", pl)
+	}
+	fx.attach(t, "chain")
+	if enabled, present := fx.agents["st-src"].hosts("chain"); !present || !enabled {
+		t.Errorf("re-attached chain on st-src: present=%v enabled=%v", present, enabled)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"gnf/internal/clock"
 	"gnf/internal/metrics"
 	"gnf/internal/packet"
-	"gnf/internal/predict"
 	"gnf/internal/share"
 	"gnf/internal/trace"
 	"gnf/internal/wire"
@@ -94,15 +93,12 @@ type MigrationReport struct {
 	StateBytes int           `json:"state_bytes"`
 	// Live-migration pipeline detail: pre-copy rounds run while the source
 	// still served, bytes shipped by them, bytes of the frozen residual
-	// delta, whether a prewarmed standby absorbed the handoff, and how many
-	// brownout-buffered frames the target replayed on activation. pooled is
-	// for the placement record, not the reader — the deployment at To is an
-	// attachment to a shared instance — and sits in the other bool's padding:
-	// thousands of reports are kept.
-	Rounds         int  `json:"rounds,omitempty"`
-	PrecopyBytes   int  `json:"precopy_bytes,omitempty"`
-	ResidualBytes  int  `json:"residual_bytes,omitempty"`
-	Prewarmed      bool `json:"prewarmed,omitempty"`
+	// delta, and how many brownout-buffered frames the target replayed on
+	// activation. pooled is for the placement table, not the reader: the
+	// deployment at To is an attachment to a shared instance.
+	Rounds         int `json:"rounds,omitempty"`
+	PrecopyBytes   int `json:"precopy_bytes,omitempty"`
+	ResidualBytes  int `json:"residual_bytes,omitempty"`
 	pooled         bool
 	ReplayedFrames uint64 `json:"replayed_frames,omitempty"`
 	Err            string `json:"err,omitempty"`
@@ -180,46 +176,19 @@ type clientRec struct {
 	mac     packet.MAC
 	ip      packet.IP
 	chains  map[string]ChainSpec
-	// deployedOn tracks where each chain currently runs (it may lag
-	// station while a migration is in flight).
-	deployedOn map[string]string
-	// pooled marks chains whose current deployment is an attachment to a
-	// station's shared instance (DeployResult.Shared). The pool steers every
-	// sharer itself, so such a deployment has no client leg of its own that
-	// a live handoff could point back at the client. Nil until a deploy
-	// says so (see place).
-	pooled map[string]bool
+	// placed is the placement table: where every deployment of chains runs
+	// (placed.go). rec.place is its only writer.
+	placed map[deployment]placement
 	// offload names the GNFC cloud site hosting this client's chains
 	// ("" = chains live at the edge and roam with the client).
 	offload string
 	// steerOn is the station whose switch currently detours the client's
 	// traffic toward the offload site ("" = no detour installed).
 	steerOn string
-	// lastStation survives disconnects (station goes "" between the
-	// break and the make of a handoff) so the mobility predictor can learn
-	// the true station-to-station transition.
-	lastStation string
-	// standby maps chain name -> station holding a prewarmed, state-synced
-	// standby deployment for it.
-	standby map[string]string
 	// migMu serialises migrations for this client: rapid successive
 	// handoffs must not race two migrations of the same chain. Ordering:
 	// migMu is taken before any shard or record lock.
 	migMu sync.Mutex
-}
-
-// place records that chain now runs at station, as an attachment to a
-// shared instance or on containers of its own. Callers hold rec.mu.
-func (rec *clientRec) place(chain, station string, pooled bool) {
-	rec.deployedOn[chain] = station
-	if !pooled {
-		delete(rec.pooled, chain)
-		return
-	}
-	if rec.pooled == nil {
-		rec.pooled = make(map[string]bool)
-	}
-	rec.pooled[chain] = true
 }
 
 // Manager is the central controller.
@@ -227,12 +196,9 @@ type Manager struct {
 	clk clock.Clock
 	srv *wire.Server
 
-	// predictor learns station-to-station handoffs continuously; prewarm
-	// gates whether predictions drive standby staging. metrics aggregates
-	// migration observability (histograms + counters); all three own their
-	// locking.
-	predictor *predict.Markov
-	metrics   *metrics.Registry
+	// metrics aggregates migration observability (histograms + counters)
+	// and owns its locking.
+	metrics *metrics.Registry
 
 	// ctrl is the copy-on-write snapshot of read-mostly configuration
 	// (agent registry, strategy, placement, topology, failover switches);
@@ -280,13 +246,6 @@ func WithHotspotCPU(v float64) Option {
 	return func(m *Manager) { m.mutate(func(c *controlState) { c.hotspotCPU = v }) }
 }
 
-// WithPrewarm enables predictive prewarming: under StrategyLive, the
-// manager stages disabled, state-synced standby chains at the station the
-// mobility predictor expects each client to roam to next.
-func WithPrewarm() Option {
-	return func(m *Manager) { m.mutate(func(c *controlState) { c.prewarm = true }) }
-}
-
 // WithTraceSampleRatio sets the fraction of client handoffs that get a
 // full span tree (default 1: trace every handoff). Sampling is decided at
 // the root, deterministically; unsampled handoffs propagate no trace
@@ -307,9 +266,8 @@ func WithStationConcurrency(n int) Option { return func(m *Manager) { m.poolLimi
 // an ephemeral port).
 func New(clk clock.Clock, addr string, opts ...Option) (*Manager, error) {
 	m := &Manager{
-		clk:       clk,
-		predictor: predict.NewMarkov(),
-		metrics:   metrics.NewRegistry(),
+		clk:     clk,
+		metrics: metrics.NewRegistry(),
 		auto: autoscaler{
 			policy:        DefaultAutoscalerPolicy,
 			lastProcessed: make(map[string]uint64),
@@ -484,12 +442,8 @@ func (m *Manager) acceptAgent(p *wire.Peer) {
 // only when no record places it here.
 func (m *Manager) placedOn(chain, station string) bool {
 	found := false
-	m.clients.forEach(func(_ string, rec *clientRec) {
-		rec.mu.Lock()
-		if at, ok := rec.deployedOn[chain]; ok && at == station {
-			found = true
-		}
-		rec.mu.Unlock()
+	m.eachPlaced(func(_ string, _ *clientRec, dep deployment, at string) {
+		found = found || (at == station && dep.name() == chain)
 	})
 	return found
 }
@@ -636,36 +590,11 @@ type ChainPlacement struct {
 // this view against what agents actually host.
 func (m *Manager) Placements() []ChainPlacement {
 	var out []ChainPlacement
-	m.clients.forEach(func(client string, rec *clientRec) {
-		rec.mu.Lock()
-		for name := range rec.chains {
-			out = append(out, ChainPlacement{
-				Client:  client,
-				Chain:   name,
-				Station: rec.deployedOn[name],
-				Offload: rec.offload,
-			})
-		}
-		// Anchored segments of split chains are placements in their own
-		// right: the auditor matches them against the agents' per-deployment
-		// reports, and convergence checking keys off Segment.
-		for dep, at := range rec.deployedOn {
-			base, seg := agent.ParseSegmentName(dep)
-			if seg == 0 {
-				continue
-			}
-			if _, attached := rec.chains[base]; !attached {
-				continue
-			}
-			out = append(out, ChainPlacement{
-				Client:  client,
-				Chain:   dep,
-				Station: at,
-				Offload: rec.offload,
-				Segment: seg,
-			})
-		}
-		rec.mu.Unlock()
+	m.eachPlaced(func(client string, rec *clientRec, dep deployment, at string) {
+		out = append(out, ChainPlacement{
+			Client: client, Chain: dep.name(), Station: at,
+			Offload: rec.offload, Segment: dep.seg,
+		})
 	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Client != out[j].Client {
@@ -693,18 +622,10 @@ func (m *Manager) Migrations() []MigrationReport {
 	return append([]MigrationReport{}, m.migrations...)
 }
 
-// Predictor exposes the mobility model (UI, tests).
-func (m *Manager) Predictor() *predict.Markov { return m.predictor }
-
 // Clock exposes the manager's clock so layered components (the
 // reconciler's backoff timers) share the same time source — virtual in
 // sims, wall elsewhere.
 func (m *Manager) Clock() clock.Clock { return m.clk }
-
-// SetPrewarm toggles predictive standby staging at runtime.
-func (m *Manager) SetPrewarm(on bool) {
-	m.mutate(func(c *controlState) { c.prewarm = on })
-}
 
 // MetricsSnapshot exports the manager's observability registry — the
 // migration downtime/total/state-size histograms and counters behind
@@ -740,9 +661,6 @@ func (m *Manager) recordMigration(rep MigrationReport) {
 		return
 	}
 	m.metrics.Counter("migration.count").Inc()
-	if rep.Prewarmed {
-		m.metrics.Counter("migration.prewarmed").Inc()
-	}
 	if rep.ReplayedFrames > 0 {
 		m.metrics.Counter("migration.replayed_frames").Add(rep.ReplayedFrames)
 	}

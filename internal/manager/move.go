@@ -9,15 +9,16 @@
 //	re-splice the legs that name a peer → remove source
 //
 // Handoffs, operator migrations, station evacuation, GNFC offload and
-// recall, split-chain segment moves, failover revival and predictive
-// prewarming all run that list; what genuinely differs between them is
-// data in the movePlan, not code. The two state-carrying strategies are the
-// same list too: a detoured handoff brings the target up while the source
-// serves through the tunnel, clears the detour, freezes, ships what is left
-// and has the target replay the frames it parked meanwhile — live has
-// shipped most of the state in rounds by then, stop-and-copy ships all of it
-// frozen. Only a stop-and-copy with no detour to hide its deploy behind
-// still overlaps the deploy with its freeze.
+// recall, split-chain segment moves and failover revival all run that list;
+// what genuinely differs between them is data in the movePlan, not code, and
+// every plan but offload's and recall's is built in one place (moveSegment).
+// The two state-carrying strategies are the same list too: a detoured
+// handoff brings the target up while the source serves through the tunnel,
+// clears the detour, freezes, ships what is left and has the target replay
+// the frames it parked meanwhile — live has shipped most of the state in
+// rounds by then, stop-and-copy ships all of it frozen. Only a stop-and-copy
+// with no detour to hide its deploy behind still overlaps the deploy with
+// its freeze.
 //
 // Every completed step pushes its inverse onto one undo log; any failure
 // unwinds the log in reverse. "Re-enable the source, remove the target"
@@ -55,8 +56,8 @@ type movePlan struct {
 	strategy Strategy
 	// deploy is the target-side spec: name, functions, addressing and the
 	// two legs. A leg that names a Peer deployment is re-spliced: once the
-	// target serves, that neighbour's facing leg is pointed at it. Enabled and
-	// Standby belong to the engine.
+	// target serves, that neighbour's facing leg is pointed at it. Enabled
+	// belongs to the engine.
 	deploy agent.DeploySpec
 	// staged brings the target up before the source freezes. Operator
 	// moves set it: their source still serves the client, so there is no
@@ -66,16 +67,10 @@ type movePlan struct {
 	// except that a stop-and-copy handoff whose detour took runs staged: its
 	// source serves the client again.
 	staged bool
-	// standby stops the move after the target holds its first synced
-	// snapshot — a disabled placement intent, not a placement.
-	standby bool
-	// resume says such a standby already sits at the target: skip the
-	// deploy and continue the source's pre-copy session against it.
-	resume bool
 	// deferred leaves the source in place once the target serves.
 	deferred bool
 	// pooled says the source copy is an attachment to a shared instance
-	// (the placement record's note of DeployResult.Shared).
+	// (the placement table's note of DeployResult.Shared).
 	pooled bool
 	// arrived is when the client associated at `to`, set only when it sits
 	// there while all its chains still run at `from` — a handoff whose
@@ -87,9 +82,8 @@ type movePlan struct {
 	arrived time.Time
 }
 
-// pendingMove is what a deferred or standby move hands back instead of
-// finishing: commit removes the source copy (nil for standbys, which have
-// nothing to commit), undo unwinds every step taken so far.
+// pendingMove is what a deferred move hands back instead of finishing:
+// commit removes the source copy, undo unwinds every step taken so far.
 type pendingMove struct {
 	commit, undo func()
 }
@@ -118,14 +112,13 @@ func async(fn func() error) (join func() error) {
 // and zero for a cold move with a live source (the target deploys enabled
 // while the old instance still serves — make-before-break; state is still
 // lost, that is cold migration's trade). A non-nil pendingMove means the
-// plan asked to stop short (deferred, standby) and did so successfully;
-// on failure the log has already been unwound.
+// plan asked to stop short (deferred) and did so successfully; on failure
+// the log has already been unwound.
 func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pending *pendingMove) {
 	name := p.deploy.Chain
 	chain := agent.ChainRef{Chain: name}
 	rep = MigrationReport{
-		Client: p.client, Chain: name, From: p.from, To: p.to,
-		Strategy: p.strategy, Prewarmed: p.resume,
+		Client: p.client, Chain: name, From: p.from, To: p.to, Strategy: p.strategy,
 	}
 	// The migration decision span: per-step RPC spans (pre-copy rounds,
 	// delta syncs, the activate) nest under it on both sides of the wire.
@@ -172,16 +165,10 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	}
 	// What the move can carry. Anything but a state-carrying strategy moves
 	// cold, §2's baseline; so does any move without a reachable source, as
-	// no state can ship — unless a standby at the target already holds the
-	// last synced snapshot, which beats the cold restart (the disaster case
-	// prewarm helps most: the only surviving copy of the chain's state is
-	// the one prediction staged).
+	// no state can ship.
 	carry := p.strategy
-	if (carry != StrategyStateful && carry != StrategyLive) || (source == nil && !p.resume) {
+	if (carry != StrategyStateful && carry != StrategyLive) || source == nil {
 		carry = StrategyCold
-	}
-	if p.standby && carry != StrategyLive {
-		return fail(fmt.Errorf("manager: nothing to sync a standby of %s from", name))
 	}
 	total := clock.NewStopwatch(m.clk)
 	for _, leg := range []agent.Leg{p.deploy.Ingress, p.deploy.Egress} {
@@ -199,9 +186,8 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	// anything slow starts. Every state-carrying handoff does: a cold move
 	// carries nothing worth keeping the source for. A split chain's head
 	// detours like any chain: its ingress leg moves, its egress leg stays. A
-	// standby already parks the client's frames fail-closed, and a pool
-	// attachment's legs stay on the edge (agent.ErrPooledLegs), so neither is
-	// asked. A source that will not re-point or a station that cannot steer
+	// pool attachment's legs stay on the edge (agent.ErrPooledLegs), so it is
+	// not asked. A source that will not re-point or a station that cannot steer
 	// just leaves the move as it always was: the detour shortens the gap, it
 	// carries no state, and it is not a migration — it records no
 	// MigrationReport.
@@ -212,8 +198,8 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name, Ingress: &agent.Leg{}}, nil)
 	}
 	detoured := false
-	// (Carrying state without resuming a standby implies a reachable source.)
-	if !p.arrived.IsZero() && carry != StrategyCold && !p.resume && !p.pooled {
+	// (Carrying state implies a reachable source.)
+	if !p.arrived.IsZero() && carry != StrategyCold && !p.pooled {
 		dsp := m.tracer.Child(tctx, "manager.detour")
 		dctx := tctx
 		if dsp != nil {
@@ -250,43 +236,38 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	// the target and before the undo entry below may remove it.
 	join := func() error { return nil }
 	var boot time.Duration
-	// A resumed standby was built from the same spec the source was.
-	rep.pooled = p.pooled
-	if !p.resume {
-		deploy := p.deploy
-		deploy.Enabled, deploy.Standby = carry == StrategyCold, p.standby
-		prefetch := func() {
-			// Best effort: the deploy pulls whatever the prefetch could not.
-			target.callT(tctx, agent.MethodPrefetch, agent.PrefetchSpec{Images: imagesOf(deploy.Functions)}, nil)
+	deploy := p.deploy
+	deploy.Enabled = carry == StrategyCold
+	prefetch := func() {
+		// Best effort: the deploy pulls whatever the prefetch could not.
+		target.callT(tctx, agent.MethodPrefetch, agent.PrefetchSpec{Images: imagesOf(deploy.Functions)}, nil)
+	}
+	stage := func() error {
+		watch := clock.NewStopwatch(m.clk)
+		var res agent.DeployResult
+		err := target.callT(tctx, agent.MethodDeploy, deploy, &res)
+		boot, rep.pooled = watch.Elapsed(), res.Shared
+		return err
+	}
+	switch {
+	// A detoured stop-and-copy is a staged one: its source serves the
+	// client again, so the boot belongs before the freeze, not inside it.
+	case p.staged || carry == StrategyCold || (detoured && carry == StrategyStateful):
+		prefetch()
+		if err := stage(); err != nil {
+			return fail(err)
 		}
-		stage := func() error {
-			watch := clock.NewStopwatch(m.clk)
-			var res agent.DeployResult
-			err := target.callT(tctx, agent.MethodDeploy, deploy, &res)
-			boot, rep.pooled = watch.Elapsed(), res.Shared
-			return err
-		}
-		switch {
-		// A detoured stop-and-copy is a staged one: its source serves the
-		// client again, so the boot belongs before the freeze, not inside it.
-		case p.staged || carry == StrategyCold || (detoured && carry == StrategyStateful):
-			prefetch()
-			if err := stage(); err != nil {
-				return fail(err)
-			}
-		case carry == StrategyStateful:
-			// The freeze starts at once, so even the prefetch overlaps it.
-			join = async(func() error { prefetch(); return stage() })
-		default:
-			// Images pre-stage while the source still serves; only the
-			// deploy overlaps pre-copy round one.
-			prefetch()
-			join = async(stage)
-		}
+	case carry == StrategyStateful:
+		// The freeze starts at once, so even the prefetch overlaps it.
+		join = async(func() error { prefetch(); return stage() })
+	default:
+		// Images pre-stage while the source still serves; only the
+		// deploy overlaps pre-copy round one.
+		prefetch()
+		join = async(stage)
 	}
 	undo = append(undo, func() {
-		// A target that never deployed needs no removal; a resumed standby
-		// was claimed by this move and is its to remove.
+		// A target that never deployed needs no removal.
 		if join() == nil {
 			target.callT(tctx, agent.MethodRemove, chain, nil)
 		}
@@ -341,45 +322,38 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		rep.ReplayedFrames = on.Replayed
 
 	case StrategyLive:
+		// Iterative pre-copy while the source serves: the first round
+		// restarts the session and ships the full state.
+		for rep.Rounds < precopyMaxRounds {
+			var pr agent.PreCopyResult
+			req := agent.PreCopySpec{Chain: name, Restart: rep.Rounds == 0}
+			if err := source.callT(tctx, agent.MethodPreCopy, req, &pr); err != nil {
+				return fail(err)
+			}
+			if err := join(); err != nil {
+				return fail(err)
+			}
+			if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: pr.State}, nil); err != nil {
+				return fail(err)
+			}
+			rep.Rounds++
+			rep.PrecopyBytes += len(pr.State)
+			if len(pr.State) <= precopyConvergedBytes {
+				break
+			}
+		}
+		// Freeze: only the residual delta rides inside the dark window,
+		// so downtime no longer depends on total state size.
 		down := clock.NewStopwatch(m.clk)
+		if err := freeze(true); err != nil {
+			return fail(err)
+		}
 		var residual agent.PreCopyResult
-		if source != nil {
-			// Iterative pre-copy while the source serves. A standby already
-			// holds a synced snapshot, so its session resumes; otherwise the
-			// first round restarts the session and ships the full state.
-			for rep.Rounds < precopyMaxRounds {
-				var pr agent.PreCopyResult
-				req := agent.PreCopySpec{Chain: name, Restart: !p.resume && rep.Rounds == 0}
-				if err := source.callT(tctx, agent.MethodPreCopy, req, &pr); err != nil {
-					return fail(err)
-				}
-				if err := join(); err != nil {
-					return fail(err)
-				}
-				if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: pr.State}, nil); err != nil {
-					return fail(err)
-				}
-				rep.Rounds++
-				rep.PrecopyBytes += len(pr.State)
-				if p.standby || len(pr.State) <= precopyConvergedBytes {
-					break
-				}
-			}
-			if p.standby {
-				return rep, &pendingMove{undo: unwind}
-			}
-			// Freeze: only the residual delta rides inside the dark window,
-			// so downtime no longer depends on total state size.
-			down = clock.NewStopwatch(m.clk)
-			if err := freeze(true); err != nil {
-				return fail(err)
-			}
-			if err := source.callT(tctx, agent.MethodPreCopy, agent.PreCopySpec{Chain: name}, &residual); err != nil {
-				return fail(err)
-			}
-			if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: residual.State}, nil); err != nil {
-				return fail(err)
-			}
+		if err := source.callT(tctx, agent.MethodPreCopy, agent.PreCopySpec{Chain: name}, &residual); err != nil {
+			return fail(err)
+		}
+		if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: residual.State}, nil); err != nil {
+			return fail(err)
 		}
 		// Activate enables the target and replays its brownout buffer.
 		var act agent.ActivateResult
@@ -452,6 +426,57 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	commit()
 	rep.Total = total.Elapsed()
 	return rep, nil
+}
+
+// moveSegment plans the move of one deployment of a client's chain for the
+// engine above and, when the move succeeds, points the client's placement
+// table at the target — what handoffs, operator migrations, evacuation and
+// failover revival all funnel through. Callers hold rec.migMu, and so does
+// DetachChain: a chain detached since the caller looked it up is refused
+// here, and none can go while the move runs.
+//
+// A head (an unsplit chain whole) moves under the caller's strategy. A
+// handoff has a gap to hide the target's deploy in, so its plan is never
+// staged; the table says whether the source copy is a pool attachment and the
+// record whether the client's traffic can go back to it meanwhile. An
+// anchored segment moves stop-and-copy whatever strategy roaming uses (an
+// unreachable source degrades to a cold deploy, like any move), staged
+// because it keeps serving until its freeze. Either way the legs name the
+// neighbouring segments where the table has them, so the move re-splices
+// those onto the new station.
+func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec, dep deployment, from, to string, strategy Strategy) MigrationReport {
+	p := movePlan{client: client, from: from, to: to, strategy: strategy}
+	rec.mu.Lock()
+	spec, attached := rec.chains[dep.chain]
+	segs := SegmentsOf(spec)
+	if attached && len(segs) == 0 {
+		segs = []ChainSegment{{}} // a chain of no functions is one empty segment
+	}
+	if dep.seg < len(segs) {
+		at := func(i int) string { return rec.at(deployment{dep.chain, i}) }
+		p.deploy = segmentDeploy(client, rec.mac, rec.ip, dep.chain, segs, dep.seg, at)
+	} else {
+		attached = false // detached, or re-attached with fewer segments, since
+	}
+	if dep.seg == 0 {
+		p.pooled, p.arrived = rec.placed[dep].pooled, rec.detourableSince(dep, to)
+	} else {
+		p.strategy, p.staged = StrategyStateful, true
+	}
+	rec.mu.Unlock()
+	if !attached {
+		return MigrationReport{
+			Client: client, Chain: dep.name(), From: from, To: to, Strategy: p.strategy,
+			Err: fmt.Sprintf("%v: %s", ErrUnknownChain, dep.chain),
+		}
+	}
+	rep, _ := m.move(tctx, p)
+	if rep.Err == "" {
+		rec.mu.Lock()
+		rec.place(dep, to, rep.pooled)
+		rec.mu.Unlock()
+	}
+	return rep
 }
 
 // steerVia puts the ingress leg of each named chain, hosted by host, on the

@@ -207,7 +207,7 @@ func (m *Manager) reanchor(client string, rec *clientRec, plans []movePlan, offl
 	rec.mu.Lock()
 	rec.offload, rec.steerOn = offload, steerOn
 	for i, p := range plans {
-		rec.place(p.deploy.Chain, p.to, reports[i].pooled)
+		rec.place(deployment{chain: p.deploy.Chain}, p.to, reports[i].pooled)
 	}
 	rec.mu.Unlock()
 	for _, rep := range reports {

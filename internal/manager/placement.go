@@ -295,13 +295,7 @@ func (m *Manager) StationInfos(exclude ...string) []StationInfo {
 		skip[e] = true
 	}
 	chainCount := make(map[string]int)
-	m.clients.forEach(func(_ string, rec *clientRec) {
-		rec.mu.Lock()
-		for _, at := range rec.deployedOn {
-			chainCount[at]++
-		}
-		rec.mu.Unlock()
-	})
+	m.eachPlaced(func(_ string, _ *clientRec, _ deployment, at string) { chainCount[at]++ })
 	agents := m.state().agents
 	handles := make([]*AgentHandle, 0, len(agents))
 	for st, h := range agents {

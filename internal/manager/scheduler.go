@@ -154,7 +154,7 @@ func (m *Manager) EvaluateSchedules() int {
 			continue
 		}
 		rec.mu.Lock()
-		deployed := rec.deployedOn[s.chain] != ""
+		deployed := rec.at(deployment{chain: s.chain}) != ""
 		rec.mu.Unlock()
 		if !deployed {
 			continue
@@ -176,7 +176,7 @@ func (m *Manager) EvaluateSchedules() int {
 		a.rec.mu.Lock()
 		station := ""
 		if _, attached := a.rec.chains[a.chain]; attached && !dropped {
-			station = a.rec.deployedOn[a.chain]
+			station = a.rec.at(deployment{chain: a.chain})
 		}
 		a.rec.mu.Unlock()
 		if station == "" {
@@ -243,68 +243,30 @@ func (m *Manager) LeastLoadedStation(exclude string) (string, bool) {
 	return best.Station, true
 }
 
-// EvacuateStation migrates every chain deployed on station elsewhere:
-// chains whose client is attached to another station follow their client;
-// orphaned chains go to the least-loaded surviving station. It returns the
-// migration reports (one per chain).
+// EvacuateStation migrates every deployment on station elsewhere: one that
+// belongs on another station (a head whose client is attached there) goes
+// there; one that belongs here, or nowhere the rule can name, goes where the
+// placement policy says among the surviving stations. It returns the
+// migration reports (one per deployment).
 func (m *Manager) EvacuateStation(station string) ([]MigrationReport, error) {
-	type job struct {
-		client string
-		rec    *clientRec
-		spec   ChainSpec
-		seg    int // split-chain segment index (0 = head or unsplit)
-		to     string
-	}
-	var jobs []job
-	m.clients.forEach(func(client string, rec *clientRec) {
-		rec.mu.Lock()
-		for name, at := range rec.deployedOn {
-			if at != station {
-				continue
-			}
-			base, seg := agent.ParseSegmentName(name)
-			spec, attached := rec.chains[base]
-			if !attached {
-				continue
-			}
-			to := rec.station
-			// Anchored segments never follow the client; their target is
-			// resolved by the placement policy below.
-			if to == station || to == "" || seg > 0 {
-				to = "" // resolved below, outside the lock
-			}
-			jobs = append(jobs, job{client: client, rec: rec, spec: spec, seg: seg, to: to})
-		}
-		rec.mu.Unlock()
-	})
-	strategy := m.state().strategy
-
+	st := m.state()
 	var reports []MigrationReport
-	for _, j := range jobs {
-		to := j.to
-		if to == "" {
-			fallback, ok := m.place(PlacementHint{
-				Client: j.client, Chain: j.spec.Name,
-				ConfigHashes: chainConfigHashes(j.spec),
-				ClientAt:     station,
-				MaxRTT:       j.spec.MaxRTT(),
-			}, station)
-			if !ok {
+	for _, j := range m.deploymentsOn(station) {
+		j.rec.mu.Lock()
+		cl := j.rec.whereabouts()
+		j.rec.mu.Unlock()
+		to, _ := wantAt(st, cl, j.spec, j.dep.seg, "")
+		if to == "" || to == station {
+			var ok bool
+			if to, ok = m.place(placementHint(j.client, j.spec, station), station); !ok {
 				return reports, fmt.Errorf("%w: no station to evacuate %s/%s to",
 					ErrUnknownStation, j.client, j.spec.Name)
 			}
-			to = fallback
-		}
-		if j.seg > 0 {
-			// Segment moves own their locking and reporting.
-			rep, _ := m.MigrateSegment(j.client, j.spec.Name, j.seg, to)
-			reports = append(reports, rep)
-			continue
 		}
 		j.rec.migMu.Lock()
-		rep := m.migrateChain(trace.Context{}, j.client, j.rec, j.spec, station, to, strategy)
-		m.recordMigration(rep)
+		rep := m.moveSegment(trace.Context{}, j.client, j.rec, j.dep, station, to, st.strategy)
 		j.rec.migMu.Unlock()
+		m.recordMigration(rep)
 		reports = append(reports, rep)
 	}
 	return reports, nil

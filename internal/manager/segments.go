@@ -1,28 +1,27 @@
-// Split-chain segment placement: one chain, several stations.
+// Chain partitioning: a chain is its segments.
 //
 // A chain whose functions carry placement affinities is split into
 // contiguous segments, each deployed on its own station and stitched to
-// its neighbours over the same shaped tunnels GNFC offload uses. The
-// manager owns the split decision and the per-segment lifecycle:
+// its neighbours over the same shaped tunnels GNFC offload uses; a chain
+// without affinities is the one-segment case of the same thing.
 //
 //   - SegmentsOf partitions the function list into runs of equal
 //     effective affinity (an empty tag inherits its predecessor's).
-//   - The head segment (index 0) always sits at the client's current
-//     station and is the only segment roaming migrates: a handoff moves
-//     the head exactly like a whole-chain migration, then re-splices the
-//     downstream segment's ingress leg at the new station. Anchored
-//     segments never move on handoff.
-//   - "aggregate" segments anchor on the aggregation hub — the edge
-//     station minimising its worst-case RTT to every other edge station —
-//     and "cloud-ok" segments prefer a GNFC cloud site.
+//   - Where each segment belongs is the placement rule's answer (wantAt,
+//     placed.go): the head (index 0) follows the client, "aggregate"
+//     segments anchor on the aggregation hub — the edge station minimising
+//     its worst-case RTT to every other edge station — and "cloud-ok"
+//     segments prefer a GNFC cloud site.
+//   - segmentDeploy renders any segment as a deploy spec; its legs name the
+//     neighbouring segments, which is what has a move re-splice them
+//     (moveSegment, move.go).
 //
-// Deployment naming: segment 0 reuses the chain name itself (so every
-// head-of-chain code path — schedules, standby bookkeeping, placement
-// records — keeps working unchanged), segment i>0 deploys as "name#i".
+// Deployment naming: segment 0 deploys under the chain's own name, segment
+// i>0 as "name#i" (agent.SegmentDeployName).
 //
 // Lock ordering is unchanged from shards.go: rec.migMu > shard.mu >
-// rec.mu, and rec.mu stays a leaf — segment planning reads the control
-// snapshot lock-free and all RPCs happen outside rec.mu.
+// rec.mu, and rec.mu stays a leaf — the rule reads the control snapshot
+// lock-free and all RPCs happen outside rec.mu.
 package manager
 
 import (
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"gnf/internal/agent"
-	"gnf/internal/clock"
 	"gnf/internal/packet"
 	"gnf/internal/topology"
 	"gnf/internal/trace"
@@ -228,28 +226,15 @@ func cloudAnchor(st *controlState) (string, bool) {
 	return clouds[0], true
 }
 
-// segmentStations maps each segment to its hosting station for a client
-// currently at clientAt. The head is always client-local; anchored
-// segments resolve against the live agent registry.
-func (m *Manager) segmentStations(segs []ChainSegment, clientAt string) ([]string, error) {
-	st := m.state()
-	out := make([]string, len(segs))
-	for i, sg := range segs {
-		if i == 0 || sg.Affinity == "" || sg.Affinity == AffinityNearClient {
-			out[i] = clientAt
-			continue
+// segmentStations asks the placement rule where every segment of a chain
+// not yet deployed anywhere belongs.
+func segmentStations(st *controlState, cl whereabouts, spec ChainSpec, n int) ([]string, error) {
+	out := make([]string, n)
+	for i := range out {
+		var err error
+		if out[i], err = wantAt(st, cl, spec, i, ""); err != nil {
+			return nil, err
 		}
-		if sg.Affinity == AffinityCloudOK {
-			if c, ok := cloudAnchor(st); ok {
-				out[i] = c
-				continue
-			}
-		}
-		hub, ok := aggregationHub(st)
-		if !ok {
-			return nil, fmt.Errorf("%w: no station to anchor segment %d", ErrUnknownStation, i)
-		}
-		out[i] = hub
 	}
 	return out, nil
 }
@@ -259,25 +244,19 @@ func (m *Manager) segmentStations(segs []ChainSegment, clientAt string) ([]strin
 // the client is not attached anywhere; the reconciler uses this to tell
 // per-segment drift from legitimate placement.
 func (m *Manager) SegmentPlan(client string, spec ChainSpec) ([]string, bool) {
-	segs := SegmentsOf(spec)
-	if len(segs) < 2 {
-		return nil, false
-	}
+	n := len(SegmentsOf(spec))
 	rec := m.clients.get(client)
-	if rec == nil {
+	if n < 2 || rec == nil {
 		return nil, false
 	}
 	rec.mu.Lock()
-	at := rec.station
+	cl := rec.whereabouts()
 	rec.mu.Unlock()
-	if at == "" {
+	if cl.station == "" {
 		return nil, false
 	}
-	stations, err := m.segmentStations(segs, at)
-	if err != nil {
-		return nil, false
-	}
-	return stations, true
+	stations, err := segmentStations(m.state(), cl, spec, n)
+	return stations, err == nil
 }
 
 // pathRTT sums the multi-leg round-trip of a split chain: the access leg
@@ -309,7 +288,7 @@ func pathRTT(topo *topology.Graph, clientAt string, stations []string) (time.Dur
 // traffic — lands last. Any failure rolls back every segment already
 // deployed.
 func (m *Manager) attachSegments(client string, rec *clientRec, spec ChainSpec, segs []ChainSegment, station string, mac packet.MAC, ip packet.IP) error {
-	stations, err := m.segmentStations(segs, station)
+	stations, err := segmentStations(m.state(), whereabouts{station: station}, spec, len(segs))
 	if err != nil {
 		return err
 	}
@@ -359,7 +338,7 @@ func (m *Manager) attachSegments(client string, rec *clientRec, spec ChainSpec, 
 	rec.mu.Lock()
 	rec.chains[spec.Name] = spec
 	for i, at := range stations {
-		rec.deployedOn[agent.SegmentDeployName(spec.Name, i)] = at
+		rec.place(deployment{spec.Name, i}, at, false)
 	}
 	rec.mu.Unlock()
 	m.journal.Append(trace.Event{
@@ -369,70 +348,59 @@ func (m *Manager) attachSegments(client string, rec *clientRec, spec ChainSpec, 
 	return nil
 }
 
-// MigrateSegment moves one segment of a split chain to another station,
-// preserving its state by stop-and-copy when the source is reachable and
-// re-splicing both neighbour legs at the new station. Segment 0 (the
-// head) delegates to MigrateChain, which owns the head's
-// migration-strategy machinery. to == "" re-derives the segment's anchor
-// from the current topology (how failover and the reconciler call it).
+// MigrateSegment moves one segment of a chain to another station on demand;
+// segment 0 of an unsplit chain is the chain. to == "" asks the placement
+// rule where the segment belongs (how the reconciler sends a drifted anchor
+// home). A segment already at `to` is left alone.
 func (m *Manager) MigrateSegment(client, chainName string, seg int, to string) (MigrationReport, error) {
-	if seg == 0 {
-		return m.MigrateChain(client, chainName, to)
-	}
 	rec := m.clients.get(client)
 	if rec == nil {
 		return MigrationReport{}, fmt.Errorf("%w: %s", ErrUnknownClient, client)
 	}
+	dep := deployment{chainName, seg}
+	st := m.state()
+	rec.migMu.Lock()
+	defer rec.migMu.Unlock()
 	rec.mu.Lock()
 	spec, ok := rec.chains[chainName]
-	clientAt := rec.station
+	from, cl := rec.at(dep), rec.whereabouts()
 	rec.mu.Unlock()
 	if !ok {
 		return MigrationReport{}, fmt.Errorf("%w: %s", ErrUnknownChain, chainName)
 	}
-	segs := SegmentsOf(spec)
-	if len(segs) < 2 || seg < 0 || seg >= len(segs) {
+	if seg < 0 || (seg > 0 && seg >= len(SegmentsOf(spec))) {
 		return MigrationReport{}, fmt.Errorf("manager: %s has no segment %d", chainName, seg)
 	}
 	if to == "" {
-		stations, err := m.segmentStations(segs, clientAt)
-		if err != nil {
+		var err error
+		if to, err = wantAt(st, cl, spec, seg, from); err != nil {
 			return MigrationReport{}, err
 		}
-		to = stations[seg]
 	}
-
-	rec.migMu.Lock()
-	defer rec.migMu.Unlock()
-	plan := segmentMove(rec, client, chainName, segs, seg, to)
-	if plan.from == to {
-		return MigrationReport{Client: client, Chain: plan.deploy.Chain, From: plan.from, To: to}, nil
+	if from == to {
+		return MigrationReport{Client: client, Chain: dep.name(), From: from, To: to}, nil
 	}
 	sp := m.tracer.StartSpan(trace.Context{}, "manager.migrate_request")
 	sp.SetAttr("client", client)
-	rep, _ := m.move(sp.Context(), plan)
+	rep := m.moveSegment(sp.Context(), client, rec, dep, from, to, st.strategy)
 	sp.End(nil)
-	rec.mu.Lock()
-	if rep.Err == "" {
-		rec.deployedOn[rep.Chain] = to
-	}
-	rec.mu.Unlock()
 	m.recordMigration(rep)
 	if rep.Err != "" {
-		return rep, fmt.Errorf("manager: segment migration failed: %s", rep.Err)
+		return rep, fmt.Errorf("manager: migration failed: %s", rep.Err)
 	}
 	return rep, nil
 }
 
-// segmentDeploy renders segment i of a split chain as a deploy spec: its
-// functions, the client's addressing (an anchored segment never sees its
-// client) and its legs, derived from where `at` places its neighbours — the
-// ingress leg names segment i-1, the egress leg segment i+1, and the chain's
-// two ends stay on the edge.
+// segmentDeploy renders segment i of a chain as a deploy spec: its functions
+// and its legs, derived from where `at` places its neighbours — the ingress
+// leg names segment i-1, the egress leg segment i+1, and the chain's two ends
+// stay on the edge. A split chain's segments also carry the client's
+// addressing (an anchored segment never sees its client); a one-segment
+// chain's spec is {Chain, Client, Functions} and nothing else.
 func segmentDeploy(client string, mac packet.MAC, ip packet.IP, chain string, segs []ChainSegment, i int, at func(int) string) agent.DeploySpec {
-	dep := agent.DeploySpec{
-		Chain: agent.SegmentDeployName(chain, i), Client: client,
-		ClientMAC: mac, ClientIP: ip, Functions: segs[i].Functions,
+	dep := agent.DeploySpec{Chain: agent.SegmentDeployName(chain, i), Client: client, Functions: segs[i].Functions}
+	if len(segs) > 1 {
+		dep.ClientMAC, dep.ClientIP = mac, ip
 	}
 	if i > 0 {
 		dep.Ingress = agent.Leg{Station: at(i - 1), Peer: agent.SegmentDeployName(chain, i-1)}
@@ -441,68 +409,4 @@ func segmentDeploy(client string, mac packet.MAC, ip packet.IP, chain string, se
 		dep.Egress = agent.Leg{Station: at(i + 1), Peer: agent.SegmentDeployName(chain, i+1)}
 	}
 	return dep
-}
-
-// segmentAt reads where the client's record places each segment of chain.
-// Callers hold rec.mu for as long as they use it.
-func (rec *clientRec) segmentAt(chain string) func(int) string {
-	return func(i int) string { return rec.deployedOn[agent.SegmentDeployName(chain, i)] }
-}
-
-// segmentMove plans the move of one anchored segment (seg > 0) from
-// wherever the client's record places it: stop-and-copy whatever strategy
-// roaming uses (an unreachable source degrades to a cold deploy, like any
-// move), staged because the segment keeps serving until its freeze, with
-// both neighbours named in its legs and so re-spliced onto the new station.
-func segmentMove(rec *clientRec, client, chainName string, segs []ChainSegment, seg int, to string) movePlan {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	at := rec.segmentAt(chainName)
-	return movePlan{
-		client: client, from: at(seg), to: to,
-		strategy: StrategyStateful, staged: true,
-		deploy: segmentDeploy(client, rec.mac, rec.ip, chainName, segs, seg, at),
-	}
-}
-
-// reviveSegment cold-deploys one anchored segment lost with its station
-// and splices it back between its neighbours. The anchor is re-derived
-// over the surviving agents, so the segment lands wherever the hub (or
-// cloud) role now falls.
-func (m *Manager) reviveSegment(failed, client string, rec *clientRec, spec ChainSpec, seg int) FailoverReport {
-	rep := FailoverReport{Station: failed, Client: client, Chain: agent.SegmentDeployName(spec.Name, seg)}
-	watch := clock.NewStopwatch(m.clk)
-	segs := SegmentsOf(spec)
-	if seg >= len(segs) {
-		rep.Err = fmt.Sprintf("no segment %d in %s", seg, spec.Name)
-		return rep
-	}
-	rec.mu.Lock()
-	clientAt := rec.station
-	rec.mu.Unlock()
-	stations, err := m.segmentStations(segs, clientAt)
-	if err != nil {
-		rep.Err = err.Error()
-		return rep
-	}
-	to := stations[seg]
-
-	rec.migMu.Lock()
-	defer rec.migMu.Unlock()
-	plan := segmentMove(rec, client, spec.Name, segs, seg, to)
-	// The segment may have been reconciled meanwhile; never double-deploy.
-	if plan.from != failed {
-		rep.To, rep.Recovered = plan.from, watch.Elapsed()
-		return rep
-	}
-	plan.from = "" // the state died with the station
-	if mig, _ := m.move(trace.Context{}, plan); mig.Err != "" {
-		rep.Err = mig.Err
-		return rep
-	}
-	rec.mu.Lock()
-	rec.deployedOn[rep.Chain] = to
-	rec.mu.Unlock()
-	rep.To, rep.Recovered = to, watch.Elapsed()
-	return rep
 }

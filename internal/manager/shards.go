@@ -37,7 +37,6 @@ import (
 type controlState struct {
 	agents    map[string]*AgentHandle
 	strategy  Strategy
-	prewarm   bool
 	placement Placement
 	topo      *topology.Graph
 	// hotspotCPU is the CPU percent threshold for hotspot detection.
@@ -121,8 +120,8 @@ func (t *clientTable) getOrCreate(client string) *clientRec {
 	rec, ok := sh.clients[client]
 	if !ok {
 		rec = &clientRec{
-			chains:     make(map[string]ChainSpec),
-			deployedOn: make(map[string]string),
+			chains: make(map[string]ChainSpec),
+			placed: make(map[deployment]placement),
 		}
 		if sh.clients == nil {
 			sh.clients = make(map[string]*clientRec)

@@ -173,15 +173,7 @@ func Snapshot(mgr *manager.Manager, wantPools bool) *spec.Actual {
 		}
 		for _, cs := range mgr.Chains(client) {
 			at := deployed[client][cs.Name]
-			settled := false
-			if site != "" {
-				// Offloaded chains are settled on their cloud site; anywhere
-				// else is drift.
-				settled = at == site
-			} else {
-				settled = mgr.ChainSettled(cs, station, at)
-			}
-			ach := spec.ActualChain{Spec: cs, DeployedOn: at, Settled: settled}
+			ach := spec.ActualChain{Spec: cs, DeployedOn: at, Settled: mgr.ChainSettled(cs, station, site, at)}
 			if len(manager.SegmentsOf(cs)) > 1 {
 				ach.Segments = segPlaced[client][cs.Name]
 				if plan, ok := mgr.SegmentPlan(client, cs); ok {
@@ -366,11 +358,7 @@ func (r *Reconciler) apply(a spec.Action) error {
 	case spec.ActionDetach:
 		return r.mgr.DetachChain(a.Client, a.ChainName)
 	case spec.ActionMigrate:
-		if a.Segment > 0 {
-			_, err := r.mgr.MigrateSegment(a.Client, a.ChainName, a.Segment, a.Station)
-			return err
-		}
-		_, err := r.mgr.MigrateChain(a.Client, a.ChainName, a.Station)
+		_, err := r.mgr.MigrateSegment(a.Client, a.ChainName, a.Segment, a.Station)
 		return err
 	case spec.ActionSchedule:
 		return r.mgr.Schedule(a.Client, a.ChainName, *a.Window)

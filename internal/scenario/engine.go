@@ -55,13 +55,11 @@ type Result struct {
 	// shrinks the autoscaler ordered during the run.
 	ScaleOuts int `json:"scale_outs,omitempty"`
 	ScaleIns  int `json:"scale_ins,omitempty"`
-	// Prewarmed counts migrations that landed on a prewarmed standby;
 	// MaxDowntime is the largest dark window any successful migration
 	// measured; DroppedFrames sums frame drops across every chain at
 	// scenario end (0 under the zero-loss brownout-buffer contract);
 	// ReplayedFrames counts brownout-buffered frames replayed on
 	// activation.
-	Prewarmed      int      `json:"prewarmed,omitempty"`
 	MaxDowntime    Duration `json:"max_downtime,omitempty"`
 	DroppedFrames  uint64   `json:"dropped_frames,omitempty"`
 	ReplayedFrames uint64   `json:"replayed_frames,omitempty"`
@@ -190,9 +188,6 @@ func New(sp *Spec) (*Engine, error) {
 			ScaleInLoad:  sp.Autoscaler.ScaleInLoad,
 			MaxReplicas:  sp.Autoscaler.MaxReplicas,
 		})
-	}
-	if sp.Prewarm {
-		sys.Manager.SetPrewarm(true)
 	}
 	e := &Engine{spec: sp, sys: sys, clk: clk, graph: graph, start: clk.Now()}
 	if err := e.expandClients(); err != nil {
@@ -771,9 +766,6 @@ func (e *Engine) finish() {
 		if mig.Err != "" {
 			continue
 		}
-		if mig.Prewarmed {
-			res.Prewarmed++
-		}
 		if d := Duration(mig.Downtime); d > res.MaxDowntime {
 			res.MaxDowntime = d
 		}
@@ -782,8 +774,7 @@ func (e *Engine) finish() {
 	// Loss accounting: drops of live chains plus the retired counters of
 	// chains already torn down by migrations, over every site — edge
 	// stations and cloud agents alike, so an offload scenario cannot hide
-	// loss on its cloud site. Standby chains are excluded — they never
-	// carried committed traffic.
+	// loss on its cloud site.
 	sites := make([]string, 0, len(e.spec.Stations)+len(e.spec.Clouds))
 	for _, stn := range e.spec.Stations {
 		sites = append(sites, stn.ID)
@@ -799,9 +790,7 @@ func (e *Engine) finish() {
 		rep := ag.Report()
 		res.DroppedFrames += rep.RetiredDrops
 		for _, cs := range rep.Chains {
-			if !cs.Standby {
-				res.DroppedFrames += cs.Dropped
-			}
+			res.DroppedFrames += cs.Dropped
 		}
 	}
 	for _, ev := range e.sys.Manager.ScaleEvents() {
@@ -951,10 +940,6 @@ func (e *Engine) finish() {
 				}
 			}
 		}
-	}
-	if res.Prewarmed < exp.MinPrewarmed {
-		res.Failures = append(res.Failures,
-			fmt.Sprintf("prewarmed migrations: got %d, want >= %d", res.Prewarmed, exp.MinPrewarmed))
 	}
 	for _, client := range sortedKeys(exp.FinalStations) {
 		want := exp.FinalStations[client]

@@ -280,9 +280,6 @@ type Expect struct {
 	// run: every frame that reached a chain was processed or replayed from
 	// a brownout buffer, never lost to a migration freeze window.
 	ZeroLoss bool `json:"zero_loss,omitempty"`
-	// MinPrewarmed requires at least this many migrations to have landed
-	// on a prewarmed standby (prewarm spec flag).
-	MinPrewarmed int `json:"min_prewarmed,omitempty"`
 	// MaxChainRTTMs caps every attached chain's predicted client<->chain
 	// round-trip (milliseconds) at scenario end, computed over the
 	// topology graph; 0 means no cap. Per-chain max_rtt_ms budgets are
@@ -339,10 +336,6 @@ type Spec struct {
 	Seed        int64   `json:"seed"`
 	Strategy    string  `json:"strategy,omitempty"`   // cold | stateful (default) | live
 	Hysteresis  float64 `json:"hysteresis,omitempty"` // metres (default 5)
-	// Prewarm enables predictive standby staging (live strategy only): the
-	// manager trains a Markov next-cell model on the run's handoffs and
-	// pre-deploys disabled, state-synced chains at predicted stations.
-	Prewarm bool `json:"prewarm,omitempty"`
 	// Placement selects the manager's placement policy by registry name
 	// (manager.PlacementFor); empty keeps the client-local default.
 	Placement  string          `json:"placement,omitempty"`

@@ -82,13 +82,17 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(path, []byte(`{"name":"x","statoins":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("expected unknown-field error")
+	for _, doc := range []string{
+		`{"name":"x","statoins":[]}`,
+		`{"name":"x","prewarm":true}`, // a field that was removed, not one that is ignored
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("%s: expected unknown-field error", doc)
+		}
 	}
 }
 
