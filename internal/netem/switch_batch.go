@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"bytes"
 	"sync"
 
 	"gnf/internal/packet"
@@ -9,44 +8,11 @@ import (
 
 // The forwarding pipeline. A batch arriving on one port (a frame is a batch
 // of one) is walked frame by frame, but consecutive frames of the same flow
-// — a "run", detected by raw header-prefix equality without parsing — reuse
-// the previous steering verdict: one parse, one flow-cache probe, one FDB
+// — a "run", detected by packet.Run without parsing — reuse the previous
+// steering verdict: one parse, one flow-cache probe, one FDB
 // learn and one FDB lookup per run instead of per frame. Output frames are
 // coalesced into per-destination-port sub-batches so the egress link is
 // also paid once per run, not once per frame.
-
-// runPrefixLen is the amortization window: Ethernet (14) + IPv4 header
-// with IHL=5 (20) + transport ports (4) + UDP length (2). Every field a
-// steering Match or FlowKey can inspect — and every field the IPv4/UDP
-// decoders validate, except the frame-length bound checked per frame —
-// lives inside this window, so two frames with equal prefixes are
-// indistinguishable to the rule table and parse identically.
-const runPrefixLen = 40
-
-// runnable reports whether a frame qualifies as a run reference: untagged
-// IPv4 with no options and a UDP payload. Anything else (VLAN tags, IP
-// options, TCP whose sequence numbers sit inside the window) takes the
-// per-frame cached-verdict path, which is still one map probe.
-func runnable(frame []byte) bool {
-	return len(frame) >= runPrefixLen &&
-		frame[12] == 0x08 && frame[13] == 0x00 && // EtherType IPv4
-		frame[14] == 0x45 && // version 4, IHL 5
-		frame[23] == 17 // protocol UDP
-}
-
-// sameFlowPrefix reports whether frame continues the run described by hdr
-// (the copied prefix of an earlier runnable frame). The TotalLength bound
-// is re-checked against this frame's own length; every other decoder
-// invariant is implied by prefix equality with a frame that parsed clean.
-func sameFlowPrefix(hdr, frame []byte) bool {
-	if len(frame) < runPrefixLen {
-		return false
-	}
-	if int(frame[16])<<8|int(frame[17])+14 > len(frame) {
-		return false
-	}
-	return bytes.Equal(hdr[:runPrefixLen], frame[:runPrefixLen])
-}
 
 // portDispatch collects the frames of one batch bound for one egress port.
 type portDispatch struct {
@@ -127,8 +93,7 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 		st        *swState
 		inService bool
 
-		runValid  bool
-		runHdr    [runPrefixLen]byte
+		run       packet.Run
 		runAction Action
 		runOut    PortID
 		runDst    packet.MAC
@@ -147,15 +112,15 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 			st = cur
 			sp := st.ports[in]
 			inService = sp != nil && sp.service
-			runValid = false
+			run.Reset()
 		}
 
-		if runValid && sameFlowPrefix(runHdr[:], frame) {
+		if run.Continues(frame) {
 			// A run reuse is a verdict served without a rule scan — the
 			// same event CacheHits counts, minus even the map probe.
 			hits++
 		} else {
-			runValid, fwdGen = false, 0
+			fwdGen = 0
 			if err := p.Parse(frame); err != nil {
 				dropped++
 				packet.ReturnFrame(frame)
@@ -175,12 +140,7 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 				hits++
 			}
 			runDst = p.Eth.Dst
-			if runnable(frame) {
-				// The prefix is copied, not referenced: ownership of frame
-				// moves to the egress port below, and a recycled buffer must
-				// not be able to corrupt run detection.
-				copy(runHdr[:], frame[:runPrefixLen])
-				runValid = true
+			if run.Start(frame) {
 				runs++
 			}
 		}

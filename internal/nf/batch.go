@@ -3,10 +3,11 @@ package nf
 import "sync"
 
 // Batched processing. A BatchProcessor handles a whole batch of frames in
-// one call — one mutex acquire and one parser for the batch instead of per
-// frame, which is where the per-frame cost of the builtin middleboxes
-// lives. Functions without the fast path are driven frame by frame through
-// Process; the two paths must be semantically identical.
+// one call — one mutex acquire per batch and one parse and table lookup per
+// same-flow run (packet.Run) instead of per frame, which is where the
+// per-frame cost of the builtin middleboxes lives. For those, Process is
+// ProcessBatch of one frame, so there is one path; functions without the
+// fast path are driven frame by frame through Process.
 
 // BatchOutput collects the result of a ProcessBatch call. The caller owns
 // (and typically pools) the struct; implementations append to the slices

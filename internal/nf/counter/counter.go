@@ -105,98 +105,106 @@ func (m *Monitor) Flow(ft packet.FiveTuple) (FlowStats, bool) {
 	return *fs, true
 }
 
-// Process implements nf.Function.
+// Process implements nf.Function: a batch of one, its output sized for the
+// frame passing.
 func (m *Monitor) Process(dir nf.Direction, frame []byte) nf.Output {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.accountLocked(frame)
-	return nf.Forward(frame)
+	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
+	m.ProcessBatch(dir, [][]byte{frame}, &out)
+	return nf.Output(out)
 }
 
 // ProcessBatch implements nf.BatchProcessor: the monitor never drops, so
-// the batch passes through whole under a single lock acquisition.
+// the batch passes through whole under a single lock acquisition. What the
+// batch raised is delivered after the lock is released, in order — the
+// notifier is an agent callback that may call back into the monitor.
 func (m *Monitor) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, frame := range frames {
-		m.accountLocked(frame)
+	notes := m.accountLocked(frames)
+	notify := m.notify
+	m.mu.Unlock()
+	if notify != nil {
+		for _, n := range notes {
+			notify(n)
+		}
 	}
 	out.Forward = append(out.Forward, frames...)
 }
 
-// accountLocked updates flow accounting for one frame with m.mu held
-// (emit temporarily releases it around the notifier callback).
-func (m *Monitor) accountLocked(frame []byte) {
-	m.total++
-	if err := m.parser.Parse(frame); err != nil {
-		return
+// accountLocked updates flow accounting for a batch with m.mu held and
+// returns the notifications it raised. The flow table is probed once per
+// same-flow run and the clock read at most once per batch; neither memo
+// leaves the function, so neither outlives the lock every import takes.
+func (m *Monitor) accountLocked(frames [][]byte) (notes []nf.Notification) {
+	var (
+		run packet.Run
+		fs  *FlowStats
+		ft  packet.FiveTuple
+		now time.Time
+	)
+	clock := func() time.Time {
+		if now.IsZero() {
+			now = m.clk.Now()
+		}
+		return now
 	}
-	ft, ok := m.parser.FiveTuple()
-	if !ok {
-		return
+	note := func(sev nf.Severity, msg string) {
+		notes = append(notes, nf.Notification{Severity: sev, NF: m.name, Kind: "counter", Message: msg, At: clock()})
 	}
-	key := ft.Canonical()
-	fs := m.flows[key]
-	if fs == nil {
-		fs = &FlowStats{WindowStart: m.clk.Now()}
-		m.flows[key] = fs
-	}
-	m.seq++
-	fs.Seq = m.seq
-	fs.Packets++
-	fs.Bytes += uint64(len(frame))
+	for _, frame := range frames {
+		m.total++
+		if !run.Continues(frame) {
+			if err := m.parser.Parse(frame); err != nil {
+				continue
+			}
+			var ok bool
+			if ft, ok = m.parser.FiveTuple(); !ok {
+				continue
+			}
+			key := ft.Canonical()
+			if fs = m.flows[key]; fs == nil {
+				fs = &FlowStats{WindowStart: clock()}
+				m.flows[key] = fs
+			}
+			// A signature is searched for in each frame's own payload, which
+			// only a parse of that frame yields.
+			if len(m.signatures) == 0 {
+				run.Start(frame)
+			}
+		}
+		m.seq++
+		fs.Seq = m.seq
+		fs.Packets++
+		fs.Bytes += uint64(len(frame))
 
-	if m.ppsAlert > 0 {
-		now := m.clk.Now()
-		if now.Sub(fs.WindowStart) >= time.Second {
-			fs.WindowStart = now
-			fs.WindowCount = 0
-			fs.Alerted = false
+		if m.ppsAlert > 0 {
+			if clock().Sub(fs.WindowStart) >= time.Second {
+				fs.WindowStart = clock()
+				fs.WindowCount = 0
+				fs.Alerted = false
+			}
+			fs.WindowCount++
+			if fs.WindowCount > m.ppsAlert && !fs.Alerted {
+				fs.Alerted = true
+				m.alerts++
+				note(nf.SevCritical, "flow "+ft.String()+" exceeded "+strconv.FormatUint(m.ppsAlert, 10)+" pps")
+			}
 		}
-		fs.WindowCount++
-		if fs.WindowCount > m.ppsAlert && !fs.Alerted {
-			fs.Alerted = true
-			m.alerts++
-			m.emit(nf.Notification{
-				Severity: nf.SevCritical,
-				NF:       m.name,
-				Kind:     "counter",
-				Message:  "flow " + ft.String() + " exceeded " + strconv.FormatUint(m.ppsAlert, 10) + " pps",
-			})
+		if len(m.signatures) == 0 {
+			continue
 		}
-	}
-	if len(m.signatures) > 0 {
-		if payload := m.parser.TransportPayload(); len(payload) > 0 {
-			for _, sig := range m.signatures {
-				if bytes.Contains(payload, sig) {
-					m.sigHits++
-					m.emit(nf.Notification{
-						Severity: nf.SevWarning,
-						NF:       m.name,
-						Kind:     "counter",
-						Message:  "signature " + strconv.Quote(string(sig)) + " in flow " + ft.String(),
-					})
-					break
-				}
+		payload := m.parser.TransportPayload()
+		for _, sig := range m.signatures {
+			if bytes.Contains(payload, sig) {
+				m.sigHits++
+				note(nf.SevWarning, "signature "+strconv.Quote(string(sig))+" in flow "+ft.String())
+				break
 			}
 		}
 	}
+	return notes
 }
 
 var _ nf.BatchProcessor = (*Monitor)(nil)
-
-// emit delivers a notification. Called with mu held; the notifier runs
-// without the lock to avoid deadlocks with agent callbacks.
-func (m *Monitor) emit(n nf.Notification) {
-	n.At = m.clk.Now()
-	fn := m.notify
-	if fn == nil {
-		return
-	}
-	m.mu.Unlock()
-	fn(n)
-	m.mu.Lock()
-}
 
 // NFStats implements nf.StatsReporter.
 func (m *Monitor) NFStats() map[string]uint64 {

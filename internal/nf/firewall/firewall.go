@@ -270,43 +270,59 @@ func (f *Firewall) Rules() []Rule {
 	return append([]Rule(nil), f.rules...)
 }
 
-// Process implements nf.Function.
+// Process implements nf.Function: a batch of one, its output sized for the
+// frame passing.
 func (f *Firewall) Process(dir nf.Direction, frame []byte) nf.Output {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.acceptLocked(dir, frame) {
-		return nf.Forward(frame)
-	}
-	return nf.Drop()
+	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
+	f.ProcessBatch(dir, [][]byte{frame}, &out)
+	return nf.Output(out)
 }
 
 // ProcessBatch implements nf.BatchProcessor: one lock acquisition covers
-// the whole batch, dropped frames are recycled into the frame pool.
+// the whole batch, the table is scanned once per same-flow run (the memo —
+// matching rule and action — lives and dies inside the lock AppendRule
+// takes), counters move per frame, dropped frames are recycled into the
+// frame pool.
 func (f *Firewall) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	var (
+		run    packet.Run
+		rule   int
+		action Target
+	)
 	for _, frame := range frames {
-		if f.acceptLocked(dir, frame) {
-			out.Forward = append(out.Forward, frame)
-		} else {
-			packet.ReturnFrame(frame)
+		if !run.Continues(frame) {
+			if err := f.parser.Parse(frame); err != nil {
+				f.dropped++
+				packet.ReturnFrame(frame)
+				continue
+			}
+			rule, action = f.matchLocked(dir)
+			run.Start(frame)
 		}
+		if rule >= 0 {
+			f.hits[rule]++
+		}
+		if action == Drop {
+			f.dropped++
+			packet.ReturnFrame(frame)
+			continue
+		}
+		f.accepted++
+		out.Forward = append(out.Forward, frame)
 	}
 }
 
-// acceptLocked evaluates the table for one frame with f.mu held.
-func (f *Firewall) acceptLocked(dir nf.Direction, frame []byte) bool {
-	if err := f.parser.Parse(frame); err != nil {
-		f.dropped++
-		return false
-	}
+// matchLocked evaluates the table for the frame f.parser holds, with f.mu
+// held: the index of the first matching rule and its action, or -1 and the
+// default policy.
+func (f *Firewall) matchLocked(dir nf.Direction) (rule int, action Target) {
 	// Non-IP frames (ARP) always pass: the firewall is an L3 function.
 	if !f.parser.Has(packet.LayerIPv4) {
-		f.accepted++
-		return true
+		return -1, Accept
 	}
 	ft, hasPorts := f.parser.FiveTuple()
-	action := f.policy
 	for i := range f.rules {
 		r := &f.rules[i]
 		if r.Dir != anyDir && r.Dir != dir {
@@ -325,16 +341,9 @@ func (f *Firewall) acceptLocked(dir nf.Direction, frame []byte) bool {
 		} else if r.SPorts != (PortRange{}) || r.DPorts != (PortRange{}) {
 			continue
 		}
-		f.hits[i]++
-		action = r.Action
-		break
+		return i, r.Action
 	}
-	if action == Drop {
-		f.dropped++
-		return false
-	}
-	f.accepted++
-	return true
+	return -1, f.policy
 }
 
 var _ nf.BatchProcessor = (*Firewall)(nil)

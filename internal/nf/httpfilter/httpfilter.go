@@ -97,50 +97,51 @@ func (f *Filter) SetNotifier(fn nf.NotifyFunc) {
 	f.mu.Unlock()
 }
 
-// Process implements nf.Function.
+// Process implements nf.Function: a batch of one, its output sized for the
+// frame passing.
 func (f *Filter) Process(dir nf.Direction, frame []byte) nf.Output {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	pass, reply := f.verdictLocked(dir, frame)
-	switch {
-	case pass:
-		return nf.Forward(frame)
-	case reply != nil:
-		return nf.Reply(reply)
-	default:
-		return nf.Drop()
-	}
+	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
+	f.ProcessBatch(dir, [][]byte{frame}, &out)
+	return nf.Output(out)
 }
 
 // ProcessBatch implements nf.BatchProcessor: one lock acquisition covers
-// the batch; blocked frames are recycled, RSTs join the reverse batch.
+// the batch; blocked frames are recycled, RSTs join the reverse batch. Only
+// outbound client->server requests are inspected, and a same-flow run is
+// UDP, never HTTP: its first frame is parsed to find that out, the rest pass
+// unparsed.
 func (f *Filter) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
+	if dir != nf.Outbound {
+		out.Forward = append(out.Forward, frames...)
+		return
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	var run packet.Run
 	for _, frame := range frames {
-		pass, reply := f.verdictLocked(dir, frame)
-		if pass {
-			out.Forward = append(out.Forward, frame)
-			continue
+		if !run.Continues(frame) {
+			err := f.parser.Parse(frame)
+			if err == nil && f.parser.Has(packet.LayerTCP) {
+				pass, reply := f.verdictLocked()
+				if reply != nil {
+					out.Reverse = append(out.Reverse, reply)
+				}
+				if !pass {
+					packet.ReturnFrame(frame)
+					continue
+				}
+			} else if err == nil {
+				run.Start(frame)
+			}
 		}
-		if reply != nil {
-			out.Reverse = append(out.Reverse, reply)
-		}
-		packet.ReturnFrame(frame)
+		out.Forward = append(out.Forward, frame)
 	}
 }
 
-// verdictLocked inspects one frame with f.mu held: pass reports whether
-// the frame continues forward; a non-nil reply is the RST answered toward
-// the client for a blocked request.
-func (f *Filter) verdictLocked(dir nf.Direction, frame []byte) (pass bool, reply []byte) {
-	// Only outbound client->server requests are inspected.
-	if dir != nf.Outbound {
-		return true, nil
-	}
-	if err := f.parser.Parse(frame); err != nil || !f.parser.Has(packet.LayerTCP) {
-		return true, nil
-	}
+// verdictLocked inspects the TCP segment f.parser holds, with f.mu held:
+// pass reports whether the frame continues forward; a non-nil reply is the
+// RST answered toward the client for a blocked request.
+func (f *Filter) verdictLocked() (pass bool, reply []byte) {
 	if f.port != 0 && f.parser.TCP.DstPort != f.port {
 		return true, nil
 	}

@@ -108,73 +108,109 @@ func (n *NAT) allocatePort() (uint16, error) {
 	return 0, ErrPortsExhausted
 }
 
-// Process implements nf.Function.
+// Process implements nf.Function: a batch of one, its output sized for the
+// frame passing.
 func (n *NAT) Process(dir nf.Direction, frame []byte) nf.Output {
+	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
+	n.ProcessBatch(dir, [][]byte{frame}, &out)
+	return nf.Output(out)
+}
+
+// verdict is what the NAT does with every frame of one flow in one
+// direction.
+type verdict uint8
+
+const (
+	pass      verdict = iota // not ours to translate: forward untouched
+	drop                     // no port left, or unsolicited inbound
+	translate                // apply the flow's Rewrite
+)
+
+// ProcessBatch implements nf.BatchProcessor: one lock acquisition covers
+// the batch and the mapping is resolved once per same-flow run. The memo
+// (verdict and Rewrite, which points into the mapping) lives and dies
+// inside the lock every import takes. Dropped frames are recycled into the
+// frame pool.
+func (n *NAT) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if err := n.parser.Parse(frame); err != nil {
-		return nf.Forward(frame)
+	translations := &n.translated
+	if dir == nf.Inbound {
+		translations = &n.detranslated
 	}
-	p := &n.parser
-	// Proxy-ARP: answer who-has for the NAT address.
-	if p.Has(packet.LayerARP) {
-		if dir == nf.Inbound && p.ARP.Op == packet.ARPRequest && p.ARP.TargetIP == n.natIP {
-			n.arpReplies++
-			reply := packet.BuildARP(packet.ARPReply, n.vmac, n.natIP, p.ARP.SenderHW, p.ARP.SenderIP)
-			return nf.Reply(reply)
+	var (
+		run packet.Run
+		v   verdict
+		rw  packet.Rewrite
+	)
+	for _, frame := range frames {
+		if !run.Continues(frame) {
+			if err := n.parser.Parse(frame); err != nil {
+				out.Forward = append(out.Forward, frame)
+				continue
+			}
+			// Proxy-ARP: answer who-has for the NAT address.
+			if p := &n.parser; dir == nf.Inbound && p.Has(packet.LayerARP) &&
+				p.ARP.Op == packet.ARPRequest && p.ARP.TargetIP == n.natIP {
+				n.arpReplies++
+				out.Reverse = append(out.Reverse,
+					packet.BuildARP(packet.ARPReply, n.vmac, n.natIP, p.ARP.SenderHW, p.ARP.SenderIP))
+				packet.ReturnFrame(frame)
+				continue
+			}
+			v, rw = n.resolveLocked(dir)
+			run.Start(frame)
 		}
-		return nf.Forward(frame)
+		if v == drop || (v == translate && rw.Apply(frame) != nil) {
+			packet.ReturnFrame(frame)
+			continue
+		}
+		if v == translate {
+			*translations++
+		}
+		out.Forward = append(out.Forward, frame)
 	}
-	if !p.Has(packet.LayerIPv4) {
-		return nf.Forward(frame)
-	}
+}
+
+// resolveLocked decides the flow of the frame n.parser holds, minting the
+// outbound mapping on a flow's first frame. Called with mu held.
+func (n *NAT) resolveLocked(dir nf.Direction) (verdict, packet.Rewrite) {
+	p := &n.parser
 	ft, ok := p.FiveTuple()
 	if !ok || (p.IP.Proto != packet.ProtoTCP && p.IP.Proto != packet.ProtoUDP) {
-		return nf.Forward(frame)
+		return pass, packet.Rewrite{}
 	}
-
-	switch dir {
-	case nf.Outbound:
+	if dir == nf.Outbound {
 		key := mapKey{Proto: p.IP.Proto, SrcIP: p.IP.Src, SrcPort: ft.Src.Port}
 		m, exists := n.byKey[key]
 		if !exists {
 			port, err := n.allocatePort()
 			if err != nil {
-				return nf.Drop() // no capacity: policed like a full conntrack table
+				return drop, packet.Rewrite{} // no capacity: policed like a full conntrack table
 			}
 			n.seq++
 			m = &mapping{Key: key, NATPort: port, HostMAC: p.Eth.Src, Seq: n.seq}
 			n.byKey[key] = m
 			n.byPort[port] = m
 		}
-		rw := packet.Rewrite{SrcIP: &n.natIP, SrcPort: &m.NATPort, SrcMAC: &n.vmac}
-		if err := rw.Apply(frame); err != nil {
-			return nf.Drop()
-		}
-		n.translated++
-		return nf.Forward(frame)
-
-	default: // Inbound
-		if p.IP.Dst != n.natIP {
-			return nf.Forward(frame)
-		}
-		m, exists := n.byPort[ft.Dst.Port]
-		if !exists {
-			return nf.Drop() // unsolicited inbound to NAT address
-		}
-		rw := packet.Rewrite{
-			DstIP:   &m.Key.SrcIP,
-			DstPort: &m.Key.SrcPort,
-			DstMAC:  &m.HostMAC,
-			SrcMAC:  &n.vmac,
-		}
-		if err := rw.Apply(frame); err != nil {
-			return nf.Drop()
-		}
-		n.detranslated++
-		return nf.Forward(frame)
+		return translate, packet.Rewrite{SrcIP: &n.natIP, SrcPort: &m.NATPort, SrcMAC: &n.vmac}
+	}
+	if p.IP.Dst != n.natIP {
+		return pass, packet.Rewrite{}
+	}
+	m, exists := n.byPort[ft.Dst.Port]
+	if !exists {
+		return drop, packet.Rewrite{} // unsolicited inbound to NAT address
+	}
+	return translate, packet.Rewrite{
+		DstIP:   &m.Key.SrcIP,
+		DstPort: &m.Key.SrcPort,
+		DstMAC:  &m.HostMAC,
+		SrcMAC:  &n.vmac,
 	}
 }
+
+var _ nf.BatchProcessor = (*NAT)(nil)
 
 // NFStats implements nf.StatsReporter.
 func (n *NAT) NFStats() map[string]uint64 {

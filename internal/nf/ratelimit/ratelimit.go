@@ -70,53 +70,44 @@ func (l *Limiter) Name() string { return l.name }
 // Kind implements nf.Function.
 func (l *Limiter) Kind() string { return "ratelimit" }
 
-// Process implements nf.Function.
+// Process implements nf.Function: a batch of one, its output sized for the
+// frame passing.
 func (l *Limiter) Process(dir nf.Direction, frame []byte) nf.Output {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.allowLocked(dir, frame) {
-		return nf.Forward(frame)
-	}
-	return nf.Drop()
+	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
+	l.ProcessBatch(dir, [][]byte{frame}, &out)
+	return nf.Output(out)
 }
 
-// ProcessBatch implements nf.BatchProcessor: one lock acquisition per
-// batch; policed frames are recycled into the frame pool.
+// ProcessBatch implements nf.BatchProcessor: one lock acquisition, one
+// clock reading and one refill per batch, then each frame is charged;
+// policed frames are recycled into the frame pool.
 func (l *Limiter) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, frame := range frames {
-		if l.allowLocked(dir, frame) {
-			out.Forward = append(out.Forward, frame)
-		} else {
-			packet.ReturnFrame(frame)
-		}
-	}
-}
-
-// allowLocked refills the bucket and charges one frame with l.mu held.
-func (l *Limiter) allowLocked(dir nf.Direction, frame []byte) bool {
 	if !l.both && dir != l.dir {
-		return true
+		out.Forward = append(out.Forward, frames...)
+		return
 	}
 	now := l.clk.Now()
-	elapsed := now.Sub(l.last).Seconds()
-	if elapsed > 0 {
+	if elapsed := now.Sub(l.last).Seconds(); elapsed > 0 {
 		l.tokens += elapsed * float64(l.rateBps) / 8
 		if l.tokens > float64(l.burst) {
 			l.tokens = float64(l.burst)
 		}
 		l.last = now
 	}
-	need := float64(len(frame))
-	if l.tokens < need {
-		l.policed++
-		return false
+	for _, frame := range frames {
+		need := float64(len(frame))
+		if l.tokens < need {
+			l.policed++
+			packet.ReturnFrame(frame)
+			continue
+		}
+		l.tokens -= need
+		l.passed++
+		l.passedBytes += uint64(len(frame))
+		out.Forward = append(out.Forward, frame)
 	}
-	l.tokens -= need
-	l.passed++
-	l.passedBytes += uint64(len(frame))
-	return true
 }
 
 var _ nf.BatchProcessor = (*Limiter)(nil)

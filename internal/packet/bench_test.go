@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -46,15 +47,19 @@ func BenchmarkChecksum1500(b *testing.B) {
 	}
 }
 
+// BenchmarkRewriteNAT is the NAT's rewrite at three frame sizes: flat in
+// length since the checksums are patched, linear when they were re-summed.
 func BenchmarkRewriteNAT(b *testing.B) {
-	frame := Clone(benchFrame)
-	newIP := IP{192, 168, 1, 1}
-	newPort := uint16(41000)
-	rw := Rewrite{SrcIP: &newIP, SrcPort: &newPort}
-	for i := 0; i < b.N; i++ {
-		if err := rw.Apply(frame); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []int{64, 512, 1500} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			frame := udpFrame(size - EthernetHeaderLen - IPv4HeaderLen - UDPHeaderLen)
+			rw := Rewrite{SrcIP: &rwNewSrc, SrcPort: &rwNewSPort, SrcMAC: &rwNewMACa}
+			for i := 0; i < b.N; i++ {
+				if err := rw.Apply(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -89,6 +89,22 @@ func BuildARP(op uint16, senderHW MAC, senderIP IP, targetHW MAC, targetIP IP) [
 // Rewrite mutates address/port fields of a decoded frame in place and fixes
 // the affected checksums. It is the primitive NAT and load-balancer NFs use.
 // Frames must contain Ethernet+IPv4; non-IPv4 frames return ErrBadHeader.
+//
+// Checksums are updated incrementally (RFC 1624 eqn. 3: HC' = ~(~HC +
+// Σ(~m + m')) over exactly the 16-bit words overwritten), so the cost is
+// O(fields changed) whatever the frame length, and a checksum that was
+// wrong on the way in is wrong by the same amount on the way out — the
+// receiver, not the NAT, decides what to do with a corrupt segment. Address
+// words feed the IPv4 header checksum and, through the pseudo-header, the
+// transport checksum; ports the transport checksum only; TTL the header
+// only. A UDP checksum of 0 ("not computed", RFC 768) stays 0, and a
+// computed one that comes out 0 is written 0xffff.
+//
+// A non-first IP fragment carries no transport header: its addresses and
+// header checksum are rewritten and its payload is left alone. A first
+// fragment does carry one, and the incremental update is the only correct
+// way to fix it — a re-sum over the part of the datagram in this frame
+// never was.
 type Rewrite struct {
 	SrcIP, DstIP     *IP     // nil = leave unchanged
 	SrcPort, DstPort *uint16 // nil = leave unchanged; ignored for ICMP
@@ -122,55 +138,71 @@ func (rw Rewrite) Apply(frame []byte) error {
 	if ihl < IPv4HeaderLen || total < ihl || total > len(ipb) {
 		return ErrBadHeader
 	}
+	// addrs and header accumulate Σ(~m + m') over the words overwritten.
+	var addrs, header uint32
 	if rw.SrcIP != nil {
-		copy(ipb[12:16], rw.SrcIP[:])
+		addrs += put16(ipb[12:14], binary.BigEndian.Uint16(rw.SrcIP[0:2])) +
+			put16(ipb[14:16], binary.BigEndian.Uint16(rw.SrcIP[2:4]))
 	}
 	if rw.DstIP != nil {
-		copy(ipb[16:20], rw.DstIP[:])
+		addrs += put16(ipb[16:18], binary.BigEndian.Uint16(rw.DstIP[0:2])) +
+			put16(ipb[18:20], binary.BigEndian.Uint16(rw.DstIP[2:4]))
 	}
 	if rw.DecrementTTL && ipb[8] > 0 {
-		ipb[8]--
+		header = put16(ipb[8:10], binary.BigEndian.Uint16(ipb[8:10])-0x0100)
 	}
-	// Recompute the IP header checksum.
-	binary.BigEndian.PutUint16(ipb[10:12], 0)
-	binary.BigEndian.PutUint16(ipb[10:12], Checksum(ipb[:ihl]))
+	patchChecksum(ipb[10:12], addrs+header)
 
-	proto := ipb[9]
+	if binary.BigEndian.Uint16(ipb[6:8])&0x1fff != 0 {
+		return nil // non-first fragment: no transport header in this frame
+	}
 	l4 := ipb[ihl:total]
-	var src, dst IP
-	copy(src[:], ipb[12:16])
-	copy(dst[:], ipb[16:20])
-	switch proto {
+	var ck []byte
+	switch ipb[9] {
 	case ProtoUDP:
 		if len(l4) < UDPHeaderLen {
 			return ErrTruncated
 		}
-		if rw.SrcPort != nil {
-			binary.BigEndian.PutUint16(l4[0:2], *rw.SrcPort)
-		}
-		if rw.DstPort != nil {
-			binary.BigEndian.PutUint16(l4[2:4], *rw.DstPort)
-		}
-		binary.BigEndian.PutUint16(l4[6:8], 0)
-		ck := transportChecksum(src, dst, ProtoUDP, l4)
-		if ck == 0 {
-			ck = 0xffff
-		}
-		binary.BigEndian.PutUint16(l4[6:8], ck)
+		ck = l4[6:8]
 	case ProtoTCP:
 		if len(l4) < TCPHeaderLen {
 			return ErrTruncated
 		}
-		if rw.SrcPort != nil {
-			binary.BigEndian.PutUint16(l4[0:2], *rw.SrcPort)
-		}
-		if rw.DstPort != nil {
-			binary.BigEndian.PutUint16(l4[2:4], *rw.DstPort)
-		}
-		binary.BigEndian.PutUint16(l4[16:18], 0)
-		binary.BigEndian.PutUint16(l4[16:18], transportChecksum(src, dst, ProtoTCP, l4))
+		ck = l4[16:18]
+	default:
+		return nil
+	}
+	ports := addrs
+	if rw.SrcPort != nil {
+		ports += put16(l4[0:2], *rw.SrcPort)
+	}
+	if rw.DstPort != nil {
+		ports += put16(l4[2:4], *rw.DstPort)
+	}
+	udp := ipb[9] == ProtoUDP
+	if udp && binary.BigEndian.Uint16(ck) == 0 {
+		return nil
+	}
+	if patchChecksum(ck, ports) == 0 && udp {
+		binary.BigEndian.PutUint16(ck, 0xffff)
 	}
 	return nil
+}
+
+// put16 overwrites the 16-bit word at b with v and returns ~m + m', the
+// word's term in RFC 1624 eqn. 3.
+func put16(b []byte, v uint16) uint32 {
+	old := binary.BigEndian.Uint16(b)
+	binary.BigEndian.PutUint16(b, v)
+	return uint32(^old) + uint32(v)
+}
+
+// patchChecksum applies RFC 1624 eqn. 3 to the checksum field at b, HC' =
+// ~(~HC + delta), and returns HC'. A delta of 0 leaves the field as it was.
+func patchChecksum(b []byte, delta uint32) uint16 {
+	ck := ^fold(uint64(^binary.BigEndian.Uint16(b)) + uint64(delta))
+	binary.BigEndian.PutUint16(b, ck)
+	return ck
 }
 
 // ReplaceUDPPayload returns a new frame identical to the input but carrying

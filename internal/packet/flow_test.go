@@ -35,7 +35,7 @@ func TestFlowKeyCapturesSteeringFields(t *testing.T) {
 		BuildUDP(src, dst, sip, IP{10, 0, 0, 9}, 1000, 53, nil),       // dst IP
 		BuildUDP(src, dst, sip, dip, 1001, 53, nil),                   // src port
 		BuildUDP(src, dst, sip, dip, 1000, 54, nil),                   // dst port
-		TagVLAN(base, 3, 42),                                          // VID/tagged
+		TagVLAN(base, 3, 42), // VID/tagged
 	}
 	for i, f := range variants {
 		if kv := parseKey(t, f); kv == k {

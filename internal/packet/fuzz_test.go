@@ -8,22 +8,21 @@ import (
 	"gnf/internal/pcap"
 )
 
-// FuzzParse throws arbitrary bytes at the frame parser and the code that
-// consumes its results on the switch fast path: FlowKey extraction and
-// hashing, five-tuple extraction, transport payload slicing, and header
-// rewriting. The corpus is seeded from the checked-in pcap fixture
-// (testdata/fuzz_frames.pcap, written with the repo's own pcap writer)
-// plus builder output for each frame family.
-func FuzzParse(f *testing.F) {
+// fuzzSeedFrames is the corpus both frame fuzzers start from: the checked-in
+// pcap fixture (testdata/fuzz_frames.pcap, written with the repo's own pcap
+// writer) plus builder output for each frame family.
+func fuzzSeedFrames(f *testing.F) [][]byte {
 	srcMAC := MAC{2, 0, 0, 0, 0, 1}
 	dstMAC := MAC{2, 0, 0, 0, 0, 2}
 	srcIP := IP{10, 0, 0, 1}
 	dstIP := IP{10, 0, 0, 2}
-	f.Add(BuildUDP(srcMAC, dstMAC, srcIP, dstIP, 4000, 53, []byte("payload")))
-	f.Add(BuildTCP(srcMAC, dstMAC, srcIP, dstIP, 40000, 80, TCPOptions{Seq: 1, Flags: TCPSyn}, nil))
-	f.Add(BuildICMPEcho(srcMAC, dstMAC, srcIP, dstIP, 8, 1, 1, []byte("ping")))
-	f.Add(BuildARP(1, srcMAC, srcIP, MAC{}, dstIP))
-	f.Add(TagVLAN(BuildUDP(srcMAC, dstMAC, srcIP, dstIP, 1, 2, nil), 7, 100))
+	frames := [][]byte{
+		BuildUDP(srcMAC, dstMAC, srcIP, dstIP, 4000, 53, []byte("payload")),
+		BuildTCP(srcMAC, dstMAC, srcIP, dstIP, 40000, 80, TCPOptions{Seq: 1, Flags: TCPSyn}, nil),
+		BuildICMPEcho(srcMAC, dstMAC, srcIP, dstIP, 8, 1, 1, []byte("ping")),
+		BuildARP(1, srcMAC, srcIP, MAC{}, dstIP),
+		TagVLAN(BuildUDP(srcMAC, dstMAC, srcIP, dstIP, 1, 2, nil), 7, 100),
+	}
 	if data, err := os.ReadFile("testdata/fuzz_frames.pcap"); err == nil {
 		r, err := pcap.NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -34,11 +33,23 @@ func FuzzParse(f *testing.F) {
 			f.Fatalf("reading pcap fixture: %v", err)
 		}
 		for _, p := range pkts {
-			f.Add(p.Data)
+			frames = append(frames, p.Data)
 		}
 		if len(pkts) == 0 {
 			f.Fatal("empty pcap fixture")
 		}
+	}
+	return frames
+}
+
+// FuzzParse throws arbitrary bytes at the frame parser and the code that
+// consumes its results on the switch fast path: FlowKey extraction and
+// hashing, five-tuple extraction, transport payload slicing, and header
+// rewriting.
+func FuzzParse(f *testing.F) {
+	srcMAC := MAC{2, 0, 0, 0, 0, 1}
+	for _, frame := range fuzzSeedFrames(f) {
+		f.Add(frame)
 	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {

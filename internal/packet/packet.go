@@ -209,46 +209,48 @@ func (f FiveTuple) String() string {
 }
 
 // Checksum computes the RFC 1071 internet checksum over b.
-func Checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+func Checksum(b []byte) uint16 { return ^fold(sumWords(0, b)) }
+
+// sumWords adds b's big-endian 16-bit words (an odd last byte padded with
+// zero) onto acc, eight bytes a step. One's-complement addition is
+// associative across word sizes (RFC 1071 §2), so the two 32-bit halves of
+// each step go into the 64-bit accumulator unfolded and the carries are
+// wrapped once, by fold; 2^31 steps fit before acc can overflow.
+func sumWords(acc uint64, b []byte) uint64 {
+	for len(b) >= 8 {
+		v := binary.BigEndian.Uint64(b)
+		acc += v>>32 + v&0xffffffff
+		b = b[8:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	if len(b) >= 4 {
+		acc += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
 	}
+	if len(b) >= 2 {
+		acc += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		acc += uint64(b[0]) << 8
+	}
+	return acc
+}
+
+// fold wraps the carries of a one's-complement sum into 16 bits. A non-zero
+// sum never folds to zero.
+func fold(sum uint64) uint16 {
 	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
+		sum = sum>>16 + sum&0xffff
 	}
-	return ^uint16(sum)
+	return uint16(sum)
 }
 
-// pseudoHeaderSum computes the IPv4 pseudo-header partial sum used by
-// TCP/UDP checksums.
-func pseudoHeaderSum(src, dst IP, proto uint8, length int) uint32 {
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(src[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(src[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(dst[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(dst[2:4]))
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
-}
-
-// transportChecksum computes the TCP/UDP checksum including pseudo-header.
+// transportChecksum computes the TCP/UDP checksum: the IPv4 pseudo-header
+// (addresses, protocol, segment length) summed ahead of the segment.
 func transportChecksum(src, dst IP, proto uint8, segment []byte) uint16 {
-	sum := pseudoHeaderSum(src, dst, proto, len(segment))
-	for i := 0; i+1 < len(segment); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(segment[i:]))
-	}
-	if len(segment)%2 == 1 {
-		sum += uint32(segment[len(segment)-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
-	return ^uint16(sum)
+	pseudo := uint64(binary.BigEndian.Uint32(src[:])) + uint64(binary.BigEndian.Uint32(dst[:])) +
+		uint64(proto) + uint64(len(segment))
+	return ^fold(sumWords(pseudo, segment))
 }
 
 // Clone returns a copy of b; decoders retain slices into their input, so

@@ -70,8 +70,8 @@ type Spec struct {
 	Placement string `json:"placement,omitempty"`
 	// Strategy selects the roaming migration strategy (cold, stateful,
 	// live); "" keeps the active one.
-	Strategy string   `json:"strategy,omitempty"`
-	Clients  []Client `json:"clients,omitempty"`
+	Strategy string       `json:"strategy,omitempty"`
+	Clients  []Client     `json:"clients,omitempty"`
 	Pools    []PoolTarget `json:"pools,omitempty"`
 }
 

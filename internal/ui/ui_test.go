@@ -340,7 +340,7 @@ func TestSpecAPIFlow(t *testing.T) {
 		resp.Body.Close()
 	}
 	var dry struct {
-		DryRun  bool           `json:"dry_run"`
+		DryRun  bool            `json:"dry_run"`
 		Planned []dstate.Action `json:"planned"`
 	}
 	if r := postJSON(t, srv.URL+"/api/reconcile", map[string]any{"dry_run": true}); r.StatusCode != http.StatusOK {
