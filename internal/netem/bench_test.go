@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,7 +158,8 @@ func BenchmarkSwitchSteeringVerdict(b *testing.B) {
 	b.Run("cache-hit", func(b *testing.B) {
 		sw, p := mkSwitch()
 		st := sw.state.Load()
-		sw.steer(1, p, st) // warm the cache
+		sw.steer(1, p, st) // first sight
+		sw.steer(1, p, st) // admitted and filled: the cache is warm
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sw.steer(1, p, st)
@@ -215,5 +218,75 @@ func BenchmarkSwitchSteeringLookup(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// newSteerSwitch is a station switch whose verdict path can be driven one
+// frame at a time: rules-1 per-client entries that match nothing the tests
+// and benchmarks send (see benchRules) above one in-port rule redirecting
+// port 1 to a service port. Both ports are peerless, so delivery is an O(1)
+// rejection and a frame buffer may be injected again. The returned frame is
+// flow 0 of flowFrame.
+func newSteerSwitch(rules int) (*Switch, []byte) {
+	sw := NewSwitch("steer")
+	sw.Attach(1, newEndpoint("in", clock.System(), LinkParams{MTU: DefaultMTU, QueueLen: 1}, 1))
+	sw.AttachService(100, newEndpoint("out", clock.System(), LinkParams{MTU: DefaultMTU, QueueLen: 1}, 1))
+	benchRules(sw, rules-1)
+	in := PortID(1)
+	sw.AddRule(Rule{Priority: 5, Match: Match{InPort: &in}, Action: ActionRedirect, OutPort: 100})
+	return sw, packet.BuildUDP(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
+		packet.IP{10, 0, 0, 1}, packet.IP{10, 0, 0, 2}, 0, 1, nil)
+}
+
+// flowFrame rewrites frame in place into flow i of its family: the UDP
+// ports carry i.
+func flowFrame(frame []byte, i int) []byte {
+	binary.BigEndian.PutUint16(frame[34:], uint16(i))
+	binary.BigEndian.PutUint16(frame[36:], uint16(i>>16)+1)
+	return frame
+}
+
+// BenchmarkSteerResident is the hit path: 256 flows per worker, revisited
+// round-robin, every worker on a port of its own (-cpu 1,2 shows what the
+// striped locks cost and buy).
+func BenchmarkSteerResident(b *testing.B) {
+	sw, frame := newSteerSwitch(2)
+	var workers atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		in, mine, n := PortID(workers.Add(1)), packet.Clone(frame), 0
+		var p packet.Parser
+		st := sw.state.Load()
+		for pb.Next() {
+			n = (n + 1) % 256
+			if err := p.Parse(flowFrame(mine, n)); err != nil {
+				b.Error(err)
+				return
+			}
+			sw.steer(in, &p, st)
+		}
+	})
+}
+
+// BenchmarkSteerScatter is the path of a flow that does not come back
+// before it is forgotten: 200 000 flows round-robin. At 2 rules it is
+// fwd_scatter_64B's steering cost; at 256 it is the honest price of not
+// caching a one-shot flow on a busy station — the whole scan, every frame.
+func BenchmarkSteerScatter(b *testing.B) {
+	for _, rules := range []int{2, 256} {
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
+			sw, frame := newSteerSwitch(rules)
+			var p packet.Parser
+			st := sw.state.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Parse(flowFrame(frame, i%200000)); err != nil {
+					b.Fatal(err)
+				}
+				sw.steer(1, &p, st)
+			}
+		})
 	}
 }

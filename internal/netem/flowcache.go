@@ -2,17 +2,23 @@ package netem
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gnf/internal/packet"
 )
 
-// Flow cache sizing. Shard count is a power of two (mask selection);
-// flowCacheShardCap bounds each shard's map, so total cache memory is
-// O(flowCacheShards * flowCacheShardCap) regardless of how many distinct
-// flows pass through.
+// Flow cache geometry; the sizes are powers of two (mask selection).
 const (
-	flowCacheShards   = 16
-	flowCacheShardCap = 2048
+	flowCacheWays    = 4       // slots a bucket holds
+	flowCacheMinSize = 1 << 10 // slots a table starts with
+	flowCacheMaxSize = 1 << 15 // and never outgrows
+	flowCacheStripes = 16      // bucket locks of a table
+	flowSeenWords    = 1 << 13 // admission filter words,
+	flowSeenBits     = 12      // each holding five fingerprints this wide
+	// A table doubles once more than one in 1<<flowGrowShift of a window's
+	// probes — a window is as many probes as the table has slots — found
+	// its bucket full of live entries.
+	flowGrowShift = 6
 )
 
 // flowCacheKey identifies a cached steering verdict: the arrival port plus
@@ -23,80 +29,147 @@ type flowCacheKey struct {
 	fk packet.FlowKey
 }
 
-// flowCacheEntry is one cached verdict, stamped with the control-plane
-// generation it was computed against. Any table mutation bumps the
-// switch's generation, which invalidates every older entry at lookup time
-// — there is no eager flush, stale entries simply stop matching.
-type flowCacheEntry struct {
-	gen    uint64
-	action Action
+// flowSlot is one cached verdict (64 bytes). stamp is one more than the
+// control-plane generation it was computed against: any table mutation bumps
+// the switch's generation, so older slots simply stop matching — there is no
+// flush — and an empty slot's zero stamp matches no generation, 0 included.
+type flowSlot struct {
+	key    flowCacheKey
+	stamp  uint64
 	out    PortID
+	action Action
+	// used is set by a hit and cleared by a fill that wanted the slot: an
+	// entry that has hit since it was last challenged survives the challenge,
+	// so flows sharing a full bucket do not take turns evicting each other.
+	used bool
 }
 
-// flowCache is a bounded, sharded verdict cache. Hits take one shard read
-// lock and one map probe — no rule scan, no table mutex. Eviction is by
-// epoch: a shard that reaches capacity is wiped and repopulated by the
-// traffic that still flows, which is O(1) amortised and keeps the hot
-// working set resident.
-type flowCache struct {
-	shards [flowCacheShards]flowCacheShard
+// flowTable is the verdict cache at one size: a set-associative exact-match
+// array (the shape of OVS's EMC) behind an admission filter. A key hashes to
+// one bucket of flowCacheWays slots and a fill overwrites one of them in
+// place: nothing is wiped, rehashed or allocated while frames flow. A flow is
+// probed for and filled only once the filter remembers an earlier frame of
+// it: seen once, it costs one filter word, takes no lock and evicts nobody.
+type flowTable struct {
+	slots []flowSlot
+	// seen holds, per word, the last five fingerprints that were not already
+	// at its head (zero lanes are empty). It is handed on when a table grows.
+	seen    *[flowSeenWords]atomic.Uint64
+	stripes [flowCacheStripes]flowStripe
+	// The growth window: a stripe that has counted its share of a window's
+	// probes bumps windows, and the bump that completes the window clears
+	// full. A probe that hits writes neither.
+	full    atomic.Uint32 // fills that found no free slot, this window
+	windows atomic.Uint32
 }
 
-type flowCacheShard struct {
-	mu sync.RWMutex
-	m  map[flowCacheKey]flowCacheEntry
-	// Pad shards apart (see fdbShard): adjacent reader locks must not
-	// share a cache line.
-	_ [96]byte
+// flowStripe guards the buckets whose index ends in its own, padded apart
+// like fdbShard.
+type flowStripe struct {
+	mu     sync.Mutex
+	probes int
+	_      [112]byte
 }
 
-func newFlowCache() *flowCache {
-	c := &flowCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[flowCacheKey]flowCacheEntry)
+// flowCache holds the current table: nil until the switch's first frame,
+// then small, doubling (contents dropped: it is a cache) only while admitted
+// flows keep finding their buckets full.
+type flowCache struct{ table atomic.Pointer[flowTable] }
+
+// load returns the current table, replacing old — nil, or a table that
+// proved too small — if no one else has yet.
+func (c *flowCache) load(old *flowTable) *flowTable {
+	if t := c.table.Load(); t != old {
+		return t
 	}
-	return c
-}
-
-// shard picks a shard by the key's full-avalanche hash (folding in the
-// arrival port), so flows differing in any field spread instead of
-// piling onto one shard's lock.
-func (c *flowCache) shard(k flowCacheKey) *flowCacheShard {
-	h := k.fk.Hash() ^ uint64(k.in)*0x9e3779b97f4a7c15
-	return &c.shards[h&(flowCacheShards-1)]
-}
-
-// lookup returns the cached verdict for k if it was computed against
-// generation gen.
-func (c *flowCache) lookup(k flowCacheKey, gen uint64) (Action, PortID, bool) {
-	s := c.shard(k)
-	s.mu.RLock()
-	e, ok := s.m[k]
-	s.mu.RUnlock()
-	if !ok || e.gen != gen {
-		return ActionNormal, 0, false
+	next := &flowTable{slots: make([]flowSlot, flowCacheMinSize), seen: new([flowSeenWords]atomic.Uint64)}
+	if old != nil {
+		next.slots, next.seen = make([]flowSlot, 2*len(old.slots)), old.seen
 	}
-	return e.action, e.out, true
+	c.table.CompareAndSwap(old, next)
+	return c.table.Load()
 }
 
-// insert records a verdict computed against generation gen.
-func (c *flowCache) insert(k flowCacheKey, gen uint64, a Action, out PortID) {
-	s := c.shard(k)
+// bucket returns the ways h selects and the stripe guarding them.
+func (t *flowTable) bucket(h uint64) ([]flowSlot, *flowStripe) {
+	b := int(h) & (len(t.slots)/flowCacheWays - 1)
+	return t.slots[b*flowCacheWays:][:flowCacheWays], &t.stripes[b&(flowCacheStripes-1)]
+}
+
+// admit reports whether an earlier frame with hash h is still remembered,
+// and remembers this one. A racing writer may lose a fingerprint (a flow is
+// admitted a sight late) and two flows may share a word and a fingerprint
+// (one is admitted a sight early): neither touches a verdict.
+func (t *flowTable) admit(h uint64) bool {
+	const lane, lanes = 1<<flowSeenBits - 1, 1<<(64/flowSeenBits*flowSeenBits) - 1
+	w := &t.seen[h>>32&(flowSeenWords-1)]
+	fp, old, seen := h>>(64-flowSeenBits)|1, w.Load(), false
+	for v := old; v != 0 && !seen; v >>= flowSeenBits {
+		seen = v&lane == fp
+	}
+	if old&lane != fp {
+		w.Store((old<<flowSeenBits | fp) & lanes) // to the head
+	}
+	return seen
+}
+
+// lookup returns the verdict cached for k (whose hash is h) if it was
+// computed against generation gen.
+func (t *flowTable) lookup(k *flowCacheKey, h, gen uint64) (Action, PortID, bool) {
+	ways, s := t.bucket(h)
 	s.mu.Lock()
-	if len(s.m) >= flowCacheShardCap {
-		s.m = make(map[flowCacheKey]flowCacheEntry, flowCacheShardCap/4)
+	defer s.mu.Unlock()
+	if s.probes++; s.probes == len(t.slots)/flowCacheStripes {
+		s.probes = 0
+		if t.windows.Add(1)%flowCacheStripes == 0 {
+			t.full.Store(0)
+		}
 	}
-	s.m[k] = flowCacheEntry{gen: gen, action: a, out: out}
-	s.mu.Unlock()
+	for i := range ways {
+		if e := &ways[i]; e.stamp == gen+1 && e.key == *k {
+			e.used = true
+			return e.action, e.out, true
+		}
+	}
+	return ActionNormal, 0, false
 }
 
-func (c *flowCache) size() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
+// fill records a verdict computed against gen in a slot of k's bucket that
+// no lookup at gen can match, else in the way h picks unless that entry is
+// owed its second chance. It reports whether the table has proved too small.
+func (t *flowTable) fill(k *flowCacheKey, h, gen uint64, a Action, out PortID) bool {
+	ways, s := t.bucket(h)
+	victim := &ways[h>>30&(flowCacheWays-1)]
+	s.mu.Lock()
+	for i := range ways {
+		if ways[i].stamp != gen+1 {
+			victim = &ways[i]
+			break
+		}
+	}
+	full := victim.stamp == gen+1
+	if full && victim.used {
+		victim.used = false
+	} else {
+		*victim = flowSlot{key: *k, stamp: gen + 1, out: out, action: a}
+	}
+	s.mu.Unlock()
+	n := len(t.slots)
+	return full && n < flowCacheMaxSize && int(t.full.Add(1)) > n>>flowGrowShift
+}
+
+// size counts the entries a lookup at generation gen can return.
+func (c *flowCache) size(gen uint64) (n int) {
+	t := c.table.Load()
+	for b := 0; t != nil && b < len(t.slots)/flowCacheWays; b++ {
+		ways, s := t.bucket(uint64(b))
+		s.mu.Lock()
+		for i := range ways {
+			if ways[i].stamp == gen+1 {
+				n++
+			}
+		}
+		s.mu.Unlock()
 	}
 	return n
 }

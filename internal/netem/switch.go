@@ -195,7 +195,7 @@ type Switch struct {
 
 	state atomic.Pointer[swState]
 	fdb   *fdbTable
-	cache *flowCache
+	cache flowCache
 
 	// Per-frame counters are striped by arrival port: with the table
 	// mutex gone, shared counter cache lines would be the next point of
@@ -223,11 +223,7 @@ type swPort struct {
 
 // NewSwitch creates an empty switch.
 func NewSwitch(name string) *Switch {
-	s := &Switch{
-		name:  name,
-		fdb:   newFDBTable(),
-		cache: newFlowCache(),
-	}
+	s := &Switch{name: name, fdb: newFDBTable()}
 	s.state.Store(&swState{
 		ports:  make(map[PortID]*swPort),
 		pinned: make(map[packet.MAC]PortID),
@@ -406,29 +402,36 @@ func (s *Switch) GroupPorts(id int) ([]PortID, bool) {
 }
 
 // steer computes the steering verdict for one frame: flow-cache hit, or a
-// priority-ordered rule scan whose result is cached against st.gen. The
-// caller counts the hit; a miss is counted here, beside the scan it pays.
+// priority-ordered rule scan whose result is cached against st.gen if the
+// cache admits the flow. The key is hashed once, for the admission filter,
+// the bucket and the select group alike. The caller counts hits and misses.
 func (s *Switch) steer(in PortID, p *packet.Parser, st *swState) (action Action, out PortID, hit bool) {
 	key := flowCacheKey{in: in, fk: p.FlowKey()}
-	if action, out, hit = s.cache.lookup(key, st.gen); hit {
-		return action, out, true
+	flowHash := key.fk.Hash()
+	h := flowHash ^ uint64(in)*0x9e3779b97f4a7c15 // one flow on two ports spreads
+	cache := s.cache.load(nil)
+	admitted := cache.admit(h)
+	if admitted {
+		if action, out, hit = cache.lookup(&key, h, st.gen); hit {
+			return action, out, true
+		}
 	}
-	s.cacheMisses.Add(uint(in), 1)
 	// No rule matching leaves the zero verdict, ActionNormal.
 	for i := range st.rules {
 		if st.rules[i].Match.Matches(in, p) {
 			action, out = st.rules[i].Action, st.rules[i].OutPort
 			if action == ActionGroup {
-				// Resolve the select group here so the cached verdict is a
-				// plain redirect: the flow-key hash is a pure function of
-				// the cache key, and membership changes bump the
-				// generation, re-resolving every flow.
-				action, out = resolveGroup(st, st.rules[i].Group, key.fk.Hash())
+				// Resolved here, so the cached verdict is a plain redirect: the
+				// flow hash is a pure function of the cache key, and a change
+				// of membership bumps the generation.
+				action, out = resolveGroup(st, st.rules[i].Group, flowHash)
 			}
 			break
 		}
 	}
-	s.cache.insert(key, st.gen, action, out)
+	if admitted && cache.fill(&key, h, st.gen, action, out) {
+		s.cache.load(cache)
+	}
 	return action, out, false
 }
 
@@ -480,7 +483,7 @@ func (s *Switch) Stats() SwitchStats {
 		Rules:         len(st.rules),
 		Groups:        len(st.groups),
 		FDBSize:       s.fdb.size(),
-		FlowEntries:   s.cache.size(),
+		FlowEntries:   s.cache.size(st.gen),
 	}
 }
 

@@ -87,7 +87,7 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 	n := uint64(len(frames))
 	rxBase := s.rxFrames.Add(uint(in), n) - n // frame i is the stripe's rxBase+i+1-th
 	s.batchFrames.Add(uint(in), n)
-	var hits, redirects, runs, dropped, flooded uint64
+	var hits, misses, redirects, runs, dropped, flooded uint64
 
 	var (
 		st        *swState
@@ -117,7 +117,7 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 
 		if run.Continues(frame) {
 			// A run reuse is a verdict served without a rule scan — the
-			// same event CacheHits counts, minus even the map probe.
+			// same event CacheHits counts, minus even the table probe.
 			hits++
 		} else {
 			fwdGen = 0
@@ -138,6 +138,8 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 			runAction, runOut, hit = s.steer(in, p, st)
 			if hit {
 				hits++
+			} else {
+				misses++
 			}
 			runDst = p.Eth.Dst
 			if run.Start(frame) {
@@ -192,6 +194,7 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 	}
 	d.flush()
 	s.cacheHits.Add(uint(in), hits)
+	s.cacheMisses.Add(uint(in), misses)
 	s.redirects.Add(uint(in), redirects)
 	s.batchRuns.Add(uint(in), runs)
 	s.dropped.Add(uint(in), dropped)
