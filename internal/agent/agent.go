@@ -45,9 +45,8 @@ var (
 )
 
 // Steering rule priorities: client redirection beats everything else the
-// station programs, and a detour beats local chain steering so a detoured
-// client's traffic leaves for the station hosting its chain (a cloud site,
-// or the station a live handoff is still moving it from) before any local
+// station programs, and a steer beats local chain steering so a steered
+// client's traffic leaves for the station hosting its chain before any local
 // rule — a staged migration target's included — can claim it.
 const (
 	steerPriority  = 100

@@ -239,10 +239,8 @@ func (a *Agent) setLegs(d *deployment, change func(*steering)) error {
 }
 
 // Retarget re-points a deployment's legs; a nil leg stays as it is. The
-// chain stays put and only its rules move: the hosting-site half of roaming
-// an offloaded client and of a live handoff's detour (the source keeps
-// serving the client that left it, across the tunnel, until the target is
-// ready), and how a split chain's neighbours follow a segment that moved.
+// chain stays put and only its rules move: a head serving its client over a
+// tunnel, and a split chain's neighbours following a segment that moved.
 func (a *Agent) Retarget(chain string, ingress, egress *Leg) error {
 	d, err := a.get(chain)
 	if err != nil {

@@ -1,22 +1,14 @@
-// GNFC offload support (Cziva et al., "GNFC: Towards Network Function
-// Cloudification", IEEE NFV-SDN 2016 — reference [2] of the demo paper):
-// chains can run away from the client's station, typically on a cloud
-// site, with the client's traffic detoured through a provisioned tunnel.
-//
-// The agent's share of the mechanism is three-fold:
-//
-//   - Tunnels: the wiring layer provisions one WAN-emulated veth between
-//     every edge station and every cloud site, attached as *service* ports
-//     (no MAC learning, excluded from flooding) so the L2 topology stays
-//     loop-free, and registers each end here.
-//   - Detour steering (client's station): a high-priority rule redirects
-//     everything the client emits into the tunnel toward the hosting site.
-//   - Tunnel ingress leg (hosting site): the chain's ingress leg rides the
-//     tunnel instead of an access port (legs.go).
-//
-// A live handoff borrows the last two between edge stations: while the
-// target boots, the client's new station detours it back to the source,
-// whose chain's ingress leg Retarget has moved onto the tunnel.
+// Chains away from their client's station (GNFC offload: Cziva et al., "GNFC:
+// Towards Network Function Cloudification", IEEE NFV-SDN 2016 — reference [2]
+// of the demo paper). The wiring layer provisions tunnels — a WAN-emulated
+// veth between every edge station and every cloud site, and the modelled
+// edge-to-edge links — attached as *service* ports (no MAC learning, excluded
+// from flooding) so the L2 topology stays loop-free, and registers each end
+// here. A client whose chain runs elsewhere is steered there: a high-priority
+// rule at its station redirects everything it emits into the tunnel (Steer),
+// where the chain's ingress leg rides the same tunnel (legs.go). The manager's
+// renderer decides both, for an offloaded chain, a handoff's detour and a head
+// placed away from its client alike.
 package agent
 
 import (

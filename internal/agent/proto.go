@@ -301,9 +301,7 @@ type ChainStatus struct {
 	Shared     bool   `json:"shared,omitempty"`
 	ConfigHash string `json:"config_hash,omitempty"`
 	// Ingress and Egress are the deployment's live legs: what it was
-	// deployed with, or what the last Retarget made of them — an offloaded
-	// chain's edge station, a split chain's neighbours, or, for the length of
-	// a live handoff, the station detouring the client back here.
+	// deployed with, or what the last Retarget made of them.
 	Ingress Leg `json:"ingress,omitzero"`
 	Egress  Leg `json:"egress,omitzero"`
 }
@@ -321,9 +319,8 @@ type ClientEvent struct {
 	IP  packet.IP  `json:"ip,omitempty"`
 }
 
-// SteerSpec asks a client's station to detour the client's traffic into
-// the tunnel toward Via: the cloud site hosting its chains, or the station
-// a live handoff is still moving them from.
+// SteerSpec asks a client's station to steer the client's traffic into the
+// tunnel toward Via, the station its chains' heads run on.
 type SteerSpec struct {
 	Client string `json:"client"`
 	Via    string `json:"via"`
@@ -340,10 +337,9 @@ type UnsteerSpec struct {
 	Client string `json:"client"`
 }
 
-// RetargetSpec re-points a deployment's legs; a nil leg stays as it is. It
-// is how an offloaded chain follows its roaming client, how a live handoff
-// detours the client back to its still-running chain, and how a split
-// chain's neighbours follow a segment that moved.
+// RetargetSpec re-points a deployment's legs; a nil leg stays as it is: a
+// head's ingress leg onto the tunnel to its client's station, or a split
+// chain's neighbour after a segment that moved.
 type RetargetSpec struct {
 	Chain   string `json:"chain"`
 	Ingress *Leg   `json:"ingress,omitempty"`

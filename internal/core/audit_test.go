@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,7 +204,8 @@ func TestAuditDetectsStrayDetour(t *testing.T) {
 // chain's ingress leg left on a detour's tunnel, a split chain's head
 // feeding a station segment 1 is not on, segment 1 listening toward a
 // station the head is not on, and an offloaded chain still pointed at the
-// station its client has left.
+// station its client has left — which also keeps the client's traffic from
+// it (convergence).
 func TestAuditDetectsLegMismatch(t *testing.T) {
 	cfg := Config{Clouds: []CloudConfig{{ID: "nimbus"}}}
 	for i, id := range []topology.StationID{"st-a", "st-b", "st-c"} {
@@ -265,6 +268,7 @@ func TestAuditDetectsLegMismatch(t *testing.T) {
 		what, station, chain    string
 		ingress, egress         *agent.Leg // the planted legs
 		homeIngress, homeEgress *agent.Leg // and the right ones
+		unreached               bool       // the client's traffic misses the head too
 	}{
 		{what: "a leftover detour", station: "st-b", chain: "local",
 			ingress: to("st-c", ""), homeIngress: to("", "")},
@@ -273,20 +277,121 @@ func TestAuditDetectsLegMismatch(t *testing.T) {
 		{what: "a segment spliced to the wrong station", station: "st-a", chain: "web#1",
 			ingress: to("st-c", "web"), homeIngress: to("st-b", "web")},
 		{what: "an offloaded chain left behind by its client", station: "nimbus", chain: "far",
-			ingress: to("st-b", ""), homeIngress: to("st-c", "")},
+			ingress: to("st-b", ""), homeIngress: to("st-c", ""), unreached: true},
 	} {
 		ag := sys.Agent(topology.StationID(plant.station))
 		if err := ag.Retarget(plant.chain, plant.ingress, plant.egress); err != nil {
 			t.Fatalf("%s: %v", plant.what, err)
 		}
-		if got := kinds(sys.Audit()); got[ViolationLegMismatch] != 1 || len(got) != 1 {
-			t.Errorf("%s: want one leg-mismatch, got %v", plant.what, sys.Audit())
+		want := map[string]int{ViolationLegMismatch: 1}
+		if plant.unreached {
+			want[ViolationConvergence] = 1
+		}
+		if got := kinds(sys.Audit()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: want %v, got %v", plant.what, want, sys.Audit())
 		}
 		if err := ag.Retarget(plant.chain, plant.homeIngress, plant.homeEgress); err != nil {
 			t.Fatalf("%s, undone: %v", plant.what, err)
 		}
 		if vs := sys.Audit(); len(vs) != 0 {
 			t.Errorf("%s, undone: %v", plant.what, vs)
+		}
+	}
+}
+
+// awayFixture is a client at st-a whose exclusive NAT chain an operator has
+// moved to st-b: the steering rule has st-a steer the client via st-b, onto
+// the chain's ingress leg on the tunnel back. That is a converged
+// deployment, with no stray detour and every leg the rule's — at the parent
+// it was a convergence violation, and its steer and tunnel leg strays.
+func awayFixture(t *testing.T) *System {
+	t.Helper()
+	cfg := Config{}
+	for i, id := range []topology.StationID{"st-a", "st-b", "st-c"} {
+		cfg.Stations = append(cfg.Stations, StationConfig{ID: id, Cells: []CellConfig{{
+			ID: topology.CellID("cell-" + string(id[3:])), Center: topology.Point{X: float64(i) * 100}, Radius: 60,
+		}}})
+	}
+	sys, _, err := NewVirtualSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	if err := sys.AddClient("c0", packet.MAC{2, 0, 0, 0, 0, 1}, packet.IP{10, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Topo.Attach("c0", "cell-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AttachChain("c0", manager.ChainSpec{
+		Name:      "nat",
+		Functions: []agent.NFSpec{{Kind: "nat", Name: "nat0", Params: nf.Params{"nat_ip": "192.168.60.1"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Manager.MigrateChain("c0", "nat", "st-b"); err != nil {
+		t.Fatal(err)
+	}
+	sys.Manager.WaitIdle()
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Fatalf("a head served over the tunnel reported violations: %v", vs)
+	}
+	return sys
+}
+
+// TestAuditConvergenceIsTrafficReachingTheHead: a head away from its client
+// converges while the client's station steers it there; take the steer out
+// and the client's traffic passes the chain by.
+func TestAuditConvergenceIsTrafficReachingTheHead(t *testing.T) {
+	sys := awayFixture(t)
+	a := sys.Agent("st-a")
+	if err := a.ClearSteer("c0"); err != nil {
+		t.Fatal(err)
+	}
+	if got := kinds(sys.Audit()); !reflect.DeepEqual(got, map[string]int{ViolationConvergence: 1}) {
+		t.Fatalf("want one convergence violation for the unsteered client, got %v", sys.Audit())
+	}
+	if err := a.Steer("c0", "st-b"); err != nil {
+		t.Fatal(err)
+	}
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Fatalf("violations with the steer back: %v", vs)
+	}
+}
+
+// TestAuditStrayDetourIsASteerTheRuleWouldNotProduce: the rule's own steer
+// is no stray; one toward a station no head runs on is — and takes the
+// client's traffic away from its head as well.
+func TestAuditStrayDetourIsASteerTheRuleWouldNotProduce(t *testing.T) {
+	sys := awayFixture(t)
+	if err := sys.EnsureTunnel("st-a", "st-c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Agent("st-a").Steer("c0", "st-c"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{ViolationStrayDetour: 1, ViolationConvergence: 1}
+	if got := kinds(sys.Audit()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("want %v for a steer toward st-c, got %v", want, sys.Audit())
+	}
+}
+
+// TestAuditLegMismatchFollowsTheRule: the away head's tunnel leg is the
+// rule's; sent home to its edge it is a mismatch, and the client's traffic
+// no longer reaches it.
+func TestAuditLegMismatchFollowsTheRule(t *testing.T) {
+	sys := awayFixture(t)
+	if err := sys.Agent("st-b").Retarget("nat", &agent.Leg{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	vs := sys.Audit()
+	want := map[string]int{ViolationLegMismatch: 1, ViolationConvergence: 1}
+	if got := kinds(vs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("want %v for the head's leg sent home, got %v", want, vs)
+	}
+	for _, v := range vs {
+		if v.Kind == ViolationLegMismatch && !strings.Contains(v.Detail, "imply {Station:st-a Peer:}") {
+			t.Errorf("leg-mismatch does not name the rule's leg: %s", v.Detail)
 		}
 	}
 }

@@ -294,6 +294,22 @@ func streamAcrossHandoff(t *testing.T, strategy manager.Strategy) (sys *System, 
 // first function must be natChain's NAT.
 func streamAcrossHandoffOf(t *testing.T, sys *System, chain manager.ChainSpec) (sent []uint32, roamAt uint32, log *wireLog) {
 	t.Helper()
+	return streamAcross(t, sys, chain, func() {
+		if err := sys.Topo.Attach("phone", "cell-b"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.WaitClientAt("phone", "st-b", 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// streamAcross is the harness under streamAcrossHandoffOf: the chain
+// attached at st-a with 500 flows of state, the 1 kHz stream, and act — a
+// handoff, or whatever else the chain must serve the phone across — run
+// 30 ms into it; roamAt is the sequence number current when act began.
+func streamAcross(t *testing.T, sys *System, chain manager.ChainSpec, act func()) (sent []uint32, roamAt uint32, log *wireLog) {
+	t.Helper()
 	if err := sys.AttachChain("phone", chain); err != nil {
 		t.Fatal(err)
 	}
@@ -349,12 +365,7 @@ func streamAcrossHandoffOf(t *testing.T, sys *System, chain manager.ChainSpec) (
 	mu.Lock()
 	roamAt = seq
 	mu.Unlock()
-	if err := sys.Topo.Attach("phone", "cell-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.WaitClientAt("phone", "st-b", 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	act()
 	time.Sleep(30 * time.Millisecond)
 	close(stop)
 	<-done
@@ -378,23 +389,7 @@ func detouredHandoff(t *testing.T, strategy manager.Strategy) (*wireLog, manager
 	if len(migs) != 1 || migs[0].Err != "" || migs[0].Strategy != strategy {
 		t.Fatalf("migrations = %+v", migs)
 	}
-	log.mu.Lock()
-	var lost, bypassed int
-	for _, seq := range sent {
-		rewritten, arrived := log.rewritten[seq]
-		switch {
-		case !arrived:
-			lost++
-		case !rewritten:
-			bypassed++
-			// Everything after the detour landed is translated: stragglers
-			// sit within a few milliseconds of the roam.
-			if seq < roamAt || seq > roamAt+15 {
-				t.Errorf("frame %d (roam began at %d) reached the server un-translated", seq, roamAt)
-			}
-		}
-	}
-	log.mu.Unlock()
+	lost, bypassed := tally(t, log, sent, roamAt)
 	if lost != 0 {
 		t.Errorf("%d of %d frames lost across the handoff", lost, len(sent))
 	}
@@ -425,6 +420,41 @@ func detouredHandoff(t *testing.T, strategy manager.Strategy) (*wireLog, manager
 	}
 	// One frame per millisecond: the un-chained frames are the wire gap.
 	return log, migs[0], time.Duration(bypassed+lost) * time.Millisecond
+}
+
+// tally counts, of the frames that left the phone, those the server never saw
+// and those it saw un-translated — the chain passed them by — and fails for
+// one of the latter outside the first 15 ms after the roam began: everything
+// after the detour landed is translated, stragglers sit within a few
+// milliseconds of the roam.
+func tally(t *testing.T, log *wireLog, sent []uint32, roamAt uint32) (lost, bypassed int) {
+	t.Helper()
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, seq := range sent {
+		rewritten, arrived := log.rewritten[seq]
+		switch {
+		case !arrived:
+			lost++
+		case !rewritten:
+			bypassed++
+			if seq < roamAt || seq > roamAt+15 {
+				t.Errorf("frame %d (roam began at %d) reached the server un-translated", seq, roamAt)
+			}
+		}
+	}
+	return lost, bypassed
+}
+
+// onePort checks that every translated frame wore one NAT port: the flow
+// opened before the move kept its mapping across it.
+func onePort(t *testing.T, log *wireLog) {
+	t.Helper()
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if len(log.natPorts) != 1 {
+		t.Errorf("one flow wore NAT ports %v; its mapping did not move with the chain", log.natPorts)
+	}
 }
 
 // TestLiveHandoffDetoursThroughSource is the wire-level regression test for
@@ -541,6 +571,111 @@ func TestSplitHeadLiveHandoffDetours(t *testing.T) {
 	// The head: one rule off the access port, two on its egress tunnel;
 	// segment 1: two on its ingress tunnel, one at the uplink.
 	noStrayRules(t, sys, map[topology.StationID]int{"st-b": 3, "hub": 3})
+	auditClean(t, sys)
+}
+
+// TestSplitHeadLeavingItsHubDetours bounds the one transient a detoured split
+// head still has (DESIGN.md, "Steering: legs"): the head leaves the very
+// station that anchors segment 1 — st-a, the hub of two stations since it
+// sorts first — so the new head's first forward frames reach st-a on the
+// tunnel the frozen source's ingress leg still listens on, and go with the
+// source when it is removed an RPC later. Those are the only frames the
+// handoff may lose.
+func TestSplitHeadLeavingItsHubDetours(t *testing.T) {
+	sys, _ := demoSystem(t, manager.StrategyLive)
+	split := natChain("edge")
+	split.Functions[0].Affinity = manager.AffinityNearClient
+	split.Functions[1].Affinity = manager.AffinityAggregate
+	sent, roamAt, log := streamAcrossHandoffOf(t, sys, split)
+	if migs := sys.Manager.Migrations(); len(migs) != 1 || migs[0].Err != "" || migs[0].Chain != "edge" || migs[0].From != "st-a" {
+		t.Fatalf("migrations = %+v, want the head alone, off the hub", migs)
+	}
+	lost, missedHead := tally(t, log, sent, roamAt)
+	t.Logf("sent %d, missed the head %d, lost %d", len(sent), missedHead, lost)
+	if lost > 5 || missedHead > 10 {
+		t.Errorf("%d frames lost, %d past the head; the transient is an RPC or two of frames", lost, missedHead)
+	}
+	auditClean(t, sys)
+}
+
+// TestOperatorMoveAwayFromTheClient streams across an operator MigrateChain of
+// the head to st-b while the phone stays at st-a. The source serves while the
+// target boots; the freeze opens with st-a steering the phone to st-b, where
+// the target parks the freeze window's frames and replays them through the
+// restored NAT, and from there the chain serves over the tunnel. At the parent
+// nothing steered the phone anywhere: every frame after the move passed the
+// chain by, and the audit reported convergence.
+func TestOperatorMoveAwayFromTheClient(t *testing.T) {
+	sys, _ := demoSystem(t, manager.StrategyStateful)
+	var rep manager.MigrationReport
+	sent, roamAt, log := streamAcross(t, sys, natChain("edge"), func() {
+		var err error
+		if rep, err = sys.Manager.MigrateChain("phone", "edge", "st-b"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lost, bypassed := tally(t, log, sent, roamAt)
+	t.Logf("sent %d, bypassed the chain %d, lost %d, replayed at the target %d, downtime %v",
+		len(sent), bypassed, lost, rep.ReplayedFrames, rep.Downtime)
+	if lost != 0 || bypassed != 0 {
+		t.Errorf("%d frames lost, %d past the chain; the move should cost neither", lost, bypassed)
+	}
+	if rep.ReplayedFrames == 0 {
+		t.Errorf("the target replayed no parked frame across a %v freeze", rep.Downtime)
+	}
+	onePort(t, log)
+	if !sys.Agent("st-a").Steered("phone") {
+		t.Error("st-a does not steer the phone to its chain on st-b")
+	}
+	auditClean(t, sys)
+}
+
+// TestLaggingQoSChainServesOverTheTunnel streams across a handoff the QoS
+// stay-rule answers with no move: st-a is 0.4 ms from st-b there and back,
+// inside the chain's 5 ms budget, so the chain stays one hop behind and st-b
+// steers the phone to it over the shaped link. Nothing freezes — no
+// migration, nothing parked — and every frame past the steer landing is
+// translated. At the parent the chain stayed and served nothing: every frame
+// after the roam passed it by, and the audit reported convergence. (A shaped
+// link delays frame after frame, so its delay caps its rate: the link is kept
+// short enough to carry the 1 kHz stream.)
+func TestLaggingQoSChainServesOverTheTunnel(t *testing.T) {
+	cfg := twoStationConfig(manager.StrategyStateful)
+	cfg.Topology = topology.NewGraph()
+	cfg.Topology.SetLink(topology.Link{A: "st-a", B: "st-b", Delay: 200 * time.Microsecond})
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	sys.Manager.SetPlacement(manager.QoSPlacement{})
+	if err := sys.AddClient("phone", phoneMAC, phoneIP); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Topo.Attach("phone", "cell-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitClientAt("phone", "st-a", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	chain := natChain("edge")
+	chain.MaxRTTMs = 5
+	sent, roamAt, log := streamAcrossHandoffOf(t, sys, chain)
+	if migs := sys.Manager.Migrations(); len(migs) != 0 {
+		t.Fatalf("the budgeted chain moved: %+v", migs)
+	}
+	lost, bypassed := tally(t, log, sent, roamAt)
+	t.Logf("sent %d, bypassed the chain %d, lost %d", len(sent), bypassed, lost)
+	if lost != 0 {
+		t.Errorf("%d of %d frames lost across the handoff", lost, len(sent))
+	}
+	if bypassed > 10 {
+		t.Errorf("%d frames bypassed the lagging chain", bypassed)
+	}
+	onePort(t, log)
+	if !sys.Agent("st-b").Steered("phone") {
+		t.Error("st-b does not steer the phone to its chain on st-a")
+	}
 	auditClean(t, sys)
 }
 

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"gnf/internal/agent"
 	"gnf/internal/clock"
 	"gnf/internal/trace"
 )
@@ -122,30 +121,16 @@ func (m *Manager) CheckFailures() []FailoverReport {
 	return reports
 }
 
-// failStation re-places every deployment the dead station hosted.
+// failStation re-places every deployment the dead station hosted. A dead
+// cloud site ends its clients' offload; each revival's render unsteers them.
 func (m *Manager) failStation(station string) []FailoverReport {
-	// A dead cloud site ends the offload: chains return to the edge (below)
-	// and the detour toward the dead site must go.
-	type detour struct {
-		client, at string
-	}
-	var stale []detour
-	m.clients.forEach(func(client string, rec *clientRec) {
+	m.clients.forEach(func(_ string, rec *clientRec) {
 		rec.mu.Lock()
 		if rec.offload == station {
 			rec.offload = ""
-			if rec.steerOn != "" {
-				stale = append(stale, detour{client: client, at: rec.steerOn})
-				rec.steerOn = ""
-			}
 		}
 		rec.mu.Unlock()
 	})
-	for _, d := range stale {
-		if h, err := m.agentFor(d.at); err == nil {
-			h.call(agent.MethodUnsteer, agent.UnsteerSpec{Client: d.client}, nil)
-		}
-	}
 
 	var reports []FailoverReport
 	for _, j := range m.deploymentsOn(station) {

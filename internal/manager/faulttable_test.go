@@ -18,9 +18,9 @@ import (
 // model of the scripted stations must show every moving deployment enabled
 // in exactly one place — back at its source when the move failed, with
 // nothing left behind anywhere else — the manager's placement record must
-// agree, and no steering may outlive the move: no station detours the
-// client unless toward its offload site, and every surviving copy's ingress
-// leg is back home.
+// agree, and the client's traffic must enter where the steering rule says for
+// the placements the move left: every station's steer, and every surviving
+// head copy's ingress leg.
 
 // faultFixture is a manager with three scripted edge stations and a cloud
 // site, and client "phone" associated at st-src. st-agg sorts first, which
@@ -107,8 +107,9 @@ type moveShape struct {
 	// moving lists the deployments the move carries from source to target.
 	moving         []string
 	source, target string
-	// detours marks a state-carrying handoff, whose first two RPCs point the
-	// client back at the source: the move runs un-detoured without them.
+	// detours marks a handoff of an exclusive head, whose render points the
+	// client back at the source before the move: the move runs un-detoured
+	// without its two RPCs.
 	detours bool
 	// rpcs pins how many RPCs the fault-free run issues, so a step added to
 	// one shape cannot leak into another unnoticed; order, where set, pins
@@ -182,33 +183,69 @@ func noDetourJournaled(t *testing.T, fx *faultFixture, _ bool) {
 }
 
 // splitHeadLegs checks a split head's handoff: segment 1's ingress leg chases
-// the head, and the detour moved nobody's egress leg.
+// the head, and the detour moved nobody's egress leg — every copy of the head
+// feeds segment 1 on st-agg.
 func splitHeadLegs(t *testing.T, fx *faultFixture, failed bool) {
 	want := "st-dst"
 	if failed {
 		want = "st-src"
 	}
-	// A leg never retargeted still points where attach put it.
-	if got := fx.agents["st-agg"].leg(splitChain+"#1", "ingress"); got != want && !(failed && got == "") {
+	if got := fx.agents["st-agg"].leg(splitChain+"#1", "ingress"); got != want {
 		t.Errorf("segment 1's ingress leg points at %q, want %q", got, want)
 	}
 	for st, sa := range fx.agents {
-		if got := sa.leg(splitChain, "egress"); got != "" {
-			t.Errorf("the head's egress leg on %s was re-pointed at %q; a detour moves the ingress leg only", st, got)
+		if _, present := sa.hosts(splitChain); present && sa.leg(splitChain, "egress") != "st-agg" {
+			t.Errorf("the head's egress leg on %s was re-pointed at %q; a detour moves the ingress leg only", st, sa.leg(splitChain, "egress"))
 		}
+	}
+}
+
+// awayFromClient checks an operator move of the head away from its client:
+// once it lands, the client's station steers the client to the target, whose
+// ingress leg is the tunnel back; a failed move leaves no steer anywhere and
+// the source on its edge.
+func awayFromClient(t *testing.T, fx *faultFixture, failed bool) {
+	if failed {
+		for st, sa := range fx.agents {
+			if via, steered := sa.detour("phone"); steered {
+				t.Errorf("a failed move left %s steering phone toward %s", st, via)
+			}
+		}
+		if leg := fx.agents["st-src"].leg("chain", "ingress"); leg != "" {
+			t.Errorf("the source serves on a tunnel leg to %q, want its edge", leg)
+		}
+		return
+	}
+	via, _ := fx.agents["st-src"].detour("phone")
+	if leg := fx.agents["st-dst"].leg("chain", "ingress"); via != "st-dst" || leg != "st-src" {
+		t.Errorf("st-src steers phone toward %q and the target's ingress leg rides the tunnel to %q, want st-dst and st-src", via, leg)
 	}
 }
 
 var moveShapes = []moveShape{
 	{
-		name: "cold", strategy: manager.StrategyCold, rpcs: 3,
+		// Make-before-break: the target deploys enabled on the tunnel leg to
+		// the client (still at st-src), and the render with it landed steers
+		// the client to it before the source goes.
+		name: "cold", strategy: manager.StrategyCold, rpcs: 4,
+		order:   "st-dst: prefetch deploy; st-src: steer remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "stateful", strategy: manager.StrategyStateful, rpcs: 7,
+		// The source serves the client, so the target boots before the
+		// freeze, and the freeze opens with the render that steers the client
+		// to it: the target parks the client's frames until its Enable.
+		name: "stateful", strategy: manager.StrategyStateful, rpcs: 8,
+		order:   "st-dst: prefetch deploy restore enable; st-src: steer disable checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+	},
+	{
+		name: "operator move away from the client", strategy: manager.StrategyStateful, rpcs: 8, sameAs: "stateful",
+		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
+		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
+		check: awayFromClient,
 	},
 	{
 		// The client has already left the source: Retarget and Steer go first,
@@ -240,7 +277,8 @@ var moveShapes = []moveShape{
 		check: noDetourJournaled,
 	},
 	{
-		name: "live", strategy: manager.StrategyLive, rpcs: 9,
+		// The live move's RPCs plus the steer at its freeze.
+		name: "live", strategy: manager.StrategyLive, rpcs: 10,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -273,12 +311,12 @@ var moveShapes = []moveShape{
 	{
 		// The merged entry point: an unsplit chain is its segment 0, so naming
 		// the segment runs the operator move.
-		name: "segment 0 via MigrateSegment", strategy: manager.StrategyStateful, rpcs: 7, sameAs: "stateful",
+		name: "segment 0 via MigrateSegment", strategy: manager.StrategyStateful, rpcs: 8, sameAs: "stateful",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "segment 0 via MigrateSegment+live", strategy: manager.StrategyLive, rpcs: 9, sameAs: "live",
+		name: "segment 0 via MigrateSegment+live", strategy: manager.StrategyLive, rpcs: 10, sameAs: "live",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -310,9 +348,8 @@ var moveShapes = []moveShape{
 			if failed {
 				want = "st-agg"
 			}
-			// A leg never retargeted still points where attach put it.
 			for station, leg := range map[string][2]string{"st-src": {splitChain, "egress"}, "nimbus": {splitChain + "#2", "ingress"}} {
-				if got := fx.agents[station].leg(leg[0], leg[1]); got != want && !(failed && got == "") {
+				if got := fx.agents[station].leg(leg[0], leg[1]); got != want {
 					t.Errorf("%s's %s leg points at %q, want %q", leg[0], leg[1], got, want)
 				}
 			}
@@ -470,23 +507,27 @@ func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 			t.Errorf("placement of %s = %q, want %q", dep, placed, home)
 		}
 	}
-	// No steering outlives the move, whichever RPC failed: a detour only
-	// toward the client's offload site, a client leg on a tunnel only there.
-	site := fx.mgr.Offloaded("phone")
+	// The client's traffic enters where the rule says for the placements
+	// the move left, whichever RPC failed.
+	at, via, legs := fx.mgr.Rendered("phone")
 	for st, sa := range fx.agents {
 		if fx.dead[st] {
 			continue
 		}
-		if via, steered := sa.detour("phone"); steered && via != site {
-			t.Errorf("%s still detours phone toward %s (offload site %q); RPCs: %v", st, via, site, issued)
+		want := ""
+		if st == at {
+			want = via
+		}
+		if got, _ := sa.detour("phone"); got != want {
+			t.Errorf("%s steers phone toward %q, the rule says %q; RPCs: %v", st, got, want, issued)
 		}
 		for _, dep := range sh.moving {
 			// A source copy whose removal failed lingers as it was frozen.
-			if _, present := sa.hosts(dep); !present || (sourceRemove && st == sh.source) {
+			if _, present := sa.hosts(dep); !present || (sourceRemove && st == sh.source) || strings.Contains(dep, "#") {
 				continue
 			}
-			if via := sa.leg(dep, "ingress"); via != "" && site == "" {
-				t.Errorf("%s's client leg on %s still rides the tunnel to %s; RPCs: %v", dep, st, via, issued)
+			if got := sa.leg(dep, "ingress"); got != legs[dep+"@"+st] {
+				t.Errorf("%s's ingress leg on %s rides the tunnel to %q, the rule says %q; RPCs: %v", dep, st, got, legs[dep+"@"+st], issued)
 			}
 		}
 	}
@@ -548,6 +589,43 @@ func TestFailoverRetargetFailureIsReported(t *testing.T) {
 	}
 	if _, present := fx.agents[head.To].hosts(splitChain); present {
 		t.Errorf("unspliced head left deployed on %s", head.To)
+	}
+}
+
+// TestDeadOffloadSiteRevivesEveryChain kills the cloud site hosting two of a
+// client's chains. The first revival renders the client's table while the
+// other head still sits on the dead site: that head's leg died with its
+// station, so re-pointing it must not fail the revival.
+func TestDeadOffloadSiteRevivesEveryChain(t *testing.T) {
+	fx := newFaultFixture(t, manager.StrategyStateful)
+	fx.attach(t, "chain-a")
+	fx.attach(t, "chain-b")
+	if _, err := fx.mgr.OffloadClient("phone", "nimbus"); err != nil {
+		t.Fatal(err)
+	}
+	fx.kill(t, "nimbus")
+	reps := fx.mgr.CheckFailures()
+	if len(reps) != 2 {
+		t.Fatalf("failover reports = %+v, want one per chain", reps)
+	}
+	for _, rep := range reps {
+		if rep.Err != "" || rep.To != "st-src" {
+			t.Errorf("%s revived on %q, err %q; want st-src, the client's station", rep.Chain, rep.To, rep.Err)
+		}
+	}
+	src := fx.agents["st-src"]
+	for _, chain := range []string{"chain-a", "chain-b"} {
+		if enabled, present := src.hosts(chain); !enabled || !present || src.leg(chain, "ingress") != "" {
+			t.Errorf("%s on st-src: present=%v enabled=%v ingress=%q, want serving on its edge", chain, present, enabled, src.leg(chain, "ingress"))
+		}
+	}
+	for st, sa := range fx.agents {
+		if via, steered := sa.detour("phone"); steered && !fx.dead[st] {
+			t.Errorf("%s still steers phone toward %s", st, via)
+		}
+	}
+	if site := fx.mgr.Offloaded("phone"); site != "" {
+		t.Errorf("still offloaded to %s", site)
 	}
 }
 

@@ -122,9 +122,8 @@ type AgentHandle struct {
 	lastSeen   time.Time
 	capacity   uint64
 
-	// Steering group-commit state (see steer in batch.go): concurrent
-	// steering updates to this agent coalesce into one batched rule
-	// install.
+	// Steering group-commit state (steer, batch.go): concurrent steering
+	// updates to this agent coalesce into one batched rule install.
 	steerMu       sync.Mutex
 	steerPending  []steerReq
 	steerFlushing bool
@@ -182,9 +181,8 @@ type clientRec struct {
 	// offload names the GNFC cloud site hosting this client's chains
 	// ("" = chains live at the edge and roam with the client).
 	offload string
-	// steerOn is the station whose switch currently detours the client's
-	// traffic toward the offload site ("" = no detour installed).
-	steerOn string
+	// rendered is the only record of the client's steer and head legs.
+	rendered rendering
 	// migMu serialises migrations for this client: rapid successive
 	// handoffs must not race two migrations of the same chain. Ordering:
 	// migMu is taken before any shard or record lock.

@@ -19,7 +19,7 @@ import (
 // exercising the manager's migration rollback paths without a dataplane.
 type scriptedAgent struct {
 	t       *testing.T
-	peer    *wire.Peer
+	peer    scriptedPeer
 	station string
 
 	mu     sync.Mutex
@@ -28,8 +28,8 @@ type scriptedAgent struct {
 	failAt map[string]int // method -> calls left until the one that fails
 	gates  map[string]*agentGate
 	// hosted maps each deployment this station holds to whether it is
-	// enabled; legs holds the station a Retarget last pointed a leg at, keyed
-	// "chain ingress" or "chain egress";
+	// enabled; legs holds the station a Deploy or Retarget last pointed a leg
+	// at, keyed "chain ingress" or "chain egress";
 	// detours maps each client steered here to the station its traffic is
 	// tunnelled toward. Failed calls change none of them.
 	hosted  map[string]bool
@@ -38,6 +38,23 @@ type scriptedAgent struct {
 	// pooling makes the station answer every deploy as an attachment to a
 	// shared instance.
 	pooling bool
+}
+
+// scriptedPeer is the fake station's connection to the manager. Like a real
+// agent (Agent.DetachClient), the station drops a client's steer as it
+// reports the client gone.
+type scriptedPeer struct {
+	*wire.Peer
+	sa *scriptedAgent
+}
+
+func (p scriptedPeer) Call(method string, in, out any) error {
+	if ev, ok := in.(agent.ClientEvent); ok && method == agent.MethodClientEvent && !ev.Connected {
+		p.sa.mu.Lock()
+		delete(p.sa.detours, ev.Client)
+		p.sa.mu.Unlock()
+	}
+	return p.Peer.Call(method, in, out)
 }
 
 // agentGate parks a method's handler: entered closes when the first call
@@ -59,9 +76,10 @@ func dialScriptedAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpe
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := &scriptedAgent{t: t, peer: peer, station: reg.Station,
+	sa := &scriptedAgent{t: t, station: reg.Station,
 		fail: map[string]bool{}, failAt: map[string]int{}, gates: map[string]*agentGate{},
 		hosted: map[string]bool{}, legs: map[string]string{}, detours: map[string]string{}}
+	sa.peer = scriptedPeer{peer, sa}
 	handle := func(method string, result any) {
 		peer.Handle(method, func(body json.RawMessage) (any, error) {
 			if sa.record(method) {
@@ -127,6 +145,7 @@ func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
 	case agent.MethodDeploy:
 		if json.Unmarshal(body, &dep) == nil {
 			sa.hosted[dep.Chain] = dep.Enabled
+			sa.legs[dep.Chain+" ingress"], sa.legs[dep.Chain+" egress"] = dep.Ingress.Station, dep.Egress.Station
 		}
 	case agent.MethodEnable, agent.MethodActivate, agent.MethodDisable:
 		if json.Unmarshal(body, &ref) == nil {
@@ -184,8 +203,8 @@ func (sa *scriptedAgent) hosts(chain string) (enabled, present bool) {
 	return enabled, present
 }
 
-// leg reports the station a Retarget last pointed the chain's "ingress" or
-// "egress" leg at ("" = never retargeted, or pointed back at the edge).
+// leg reports the station a Deploy or Retarget last pointed the chain's
+// "ingress" or "egress" leg at ("" = the edge).
 func (sa *scriptedAgent) leg(chain, which string) string {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()

@@ -4,21 +4,18 @@
 // newly assigned cell and removed from the previous cell" — plus optional
 // state transfer, is a single step list:
 //
-//	[detour the client back to the source] → prefetch → deploy at target →
-//	carry state → [clear the detour] → enable or activate →
+//	prefetch → deploy at target → carry state, switching the client's
+//	traffic over to the target as the source freezes → enable or activate →
 //	re-splice the legs that name a peer → remove source
 //
 // Handoffs, operator migrations, station evacuation, GNFC offload and
 // recall, split-chain segment moves and failover revival all run that list;
 // what genuinely differs between them is data in the movePlan, not code, and
 // every plan but offload's and recall's is built in one place (moveSegment).
-// The two state-carrying strategies are the same list too: a detoured
-// handoff brings the target up while the source serves through the tunnel,
-// clears the detour, freezes, ships what is left and has the target replay
-// the frames it parked meanwhile — live has shipped most of the state in
-// rounds by then, stop-and-copy ships all of it frozen. Only a stop-and-copy
-// with no detour to hide its deploy behind still overlaps the deploy with
-// its freeze.
+// Where the client's traffic enters is not a step but the renderer's answer
+// (render, placed.go), asked again at the switch-over with the target landed:
+// a source serving the client keeps serving while the target boots, and the
+// target replays what it parked from the switch-over on.
 //
 // Every completed step pushes its inverse onto one undo log; any failure
 // unwinds the log in reverse. "Re-enable the source, remove the target"
@@ -48,7 +45,9 @@ const (
 
 // movePlan describes one move of one deployment.
 type movePlan struct {
-	client string
+	// rec is the record of the client deploy.Client names.
+	rec *clientRec
+	dep deployment
 	// from is the station the deployment leaves ("" = no source: failover
 	// revives chains whose state died with their station); to is where it
 	// lands.
@@ -59,27 +58,9 @@ type movePlan struct {
 	// target serves, that neighbour's facing leg is pointed at it. Enabled
 	// belongs to the engine.
 	deploy agent.DeploySpec
-	// staged brings the target up before the source freezes. Operator
-	// moves set it: their source still serves the client, so there is no
-	// handoff gap to hide the deploy in and a failed deploy must cost no
-	// freeze at all. Handoffs leave it false and overlap the deploy with
-	// the first source-side step (freeze+checkpoint, or pre-copy round 1) —
-	// except that a stop-and-copy handoff whose detour took runs staged: its
-	// source serves the client again.
-	staged bool
-	// deferred leaves the source in place once the target serves.
+	// deferred leaves the source in place once the target serves, and the
+	// client's traffic where it is: the caller switches it (reanchor's flip).
 	deferred bool
-	// pooled says the source copy is an attachment to a shared instance
-	// (the placement table's note of DeployResult.Shared).
-	pooled bool
-	// arrived is when the client associated at `to`, set only when it sits
-	// there while all its chains still run at `from` — a handoff whose
-	// traffic can go back, as opposed to a move the client sits out at the
-	// source or a later chain following one that has landed (zero). A
-	// state-carrying move then has the source really serve during the deploy
-	// (and the pre-copy rounds): the client's traffic is tunnelled back to it
-	// from the target station until the freeze.
-	arrived time.Time
 }
 
 // pendingMove is what a deferred move hands back instead of finishing:
@@ -106,19 +87,18 @@ func async(fn func() error) (join func() error) {
 // move executes one plan. Downtime is measured on the manager clock as the
 // actual dark window, the span during which no instance could serve the
 // client's traffic: freeze → activate for live, freeze → enable for
-// stop-and-copy (either from the clearing of the detour, when there is one:
+// stop-and-copy (from the switch-over, when the source served the client:
 // from there the client's frames park at the target), the target's boot for
-// a cold move whose source is gone,
-// and zero for a cold move with a live source (the target deploys enabled
-// while the old instance still serves — make-before-break; state is still
-// lost, that is cold migration's trade). A non-nil pendingMove means the
-// plan asked to stop short (deferred) and did so successfully; on failure
-// the log has already been unwound.
+// a cold move whose source is gone, and zero for a cold move with a live
+// source (the target deploys enabled while the old instance still serves —
+// make-before-break; state is still lost, that is cold migration's trade).
+// A non-nil pendingMove means the plan asked to stop short (deferred) and
+// did so successfully; on failure the log has already been unwound.
 func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pending *pendingMove) {
 	name := p.deploy.Chain
 	chain := agent.ChainRef{Chain: name}
 	rep = MigrationReport{
-		Client: p.client, Chain: name, From: p.from, To: p.to, Strategy: p.strategy,
+		Client: p.deploy.Client, Chain: name, From: p.from, To: p.to, Strategy: p.strategy,
 	}
 	// The migration decision span: per-step RPC spans (pre-copy rounds,
 	// delta syncs, the activate) nest under it on both sides of the wire.
@@ -177,63 +157,14 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 	}
 
-	// Detour. A roaming client has left the source's station, so the source
-	// would serve nobody — while it pre-copies, or while it waits frozen for
-	// the target — and the client's traffic would pass its new station
-	// un-chained for the whole target boot. Instead the source's ingress leg
-	// moves onto the tunnel to the target station and that station steers the
-	// client into it — what roaming an offloaded client does — before
-	// anything slow starts. Every state-carrying handoff does: a cold move
-	// carries nothing worth keeping the source for. A split chain's head
-	// detours like any chain: its ingress leg moves, its egress leg stays. A
-	// pool attachment's legs stay on the edge (agent.ErrPooledLegs), so it is
-	// not asked. A source that will not re-point or a station that cannot steer
-	// just leaves the move as it always was: the detour shortens the gap, it
-	// carries no state, and it is not a migration — it records no
-	// MigrationReport.
-	unsteer := func() error {
-		return target.callT(tctx, agent.MethodUnsteer, agent.UnsteerSpec{Client: p.client}, nil)
-	}
-	home := func() {
-		source.callT(tctx, agent.MethodRetarget, agent.RetargetSpec{Chain: name, Ingress: &agent.Leg{}}, nil)
-	}
-	detoured := false
-	// (Carrying state implies a reachable source.)
-	if !p.arrived.IsZero() && carry != StrategyCold && !p.pooled {
-		dsp := m.tracer.Child(tctx, "manager.detour")
-		dctx := tctx
-		if dsp != nil {
-			dctx = dsp.Context()
-		}
-		err := m.steerVia(dctx, p.client, []string{name}, source, target)
-		dsp.End(err)
-		ev := trace.Event{
-			Type: trace.EventDetour, Subject: p.client, Station: p.to,
-			Detail: fmt.Sprintf("chain=%s via=%s", name, p.from),
-		}
-		if dctx.Recording() {
-			ev.TraceID = dctx.TraceID
-		}
-		detoured = err == nil
-		if detoured {
-			// Association to detour in place: the part of the client's
-			// un-chained gap the manager can see.
-			m.metrics.Histogram("migration.detour_ms", downtimeBucketsMs...).
-				Observe(float64(m.clk.Since(p.arrived).Microseconds()) / 1000)
-			undo = append(undo, home, func() { unsteer() })
-		} else {
-			// Whichever half refused, the leg goes home — a no-op at the
-			// source if it never left.
-			home()
-			ev.Err = err.Error()
-		}
-		m.journal.Append(ev)
-	}
-
-	// Stage the target. The deploy does not depend on source state, so a
-	// handoff runs it beside the first source-side step instead of
-	// stretching the migration by it; join resolves before state lands on
-	// the target and before the undo entry below may remove it.
+	// Stage the target beside the first source-side step — unless the source
+	// serves the client (it is there, or steered onto the source's tunnel leg;
+	// an anchored segment always serves): a stop-and-copy then boots the target
+	// before the freeze. join resolves before state lands on the target.
+	p.rec.mu.Lock()
+	r := p.rec.rendered
+	serving := p.dep.seg > 0 || p.from == p.rec.station || (r.at == p.rec.station && r.via == p.from && r.legs[p.dep] == r.at)
+	p.rec.mu.Unlock()
 	join := func() error { return nil }
 	var boot time.Duration
 	deploy := p.deploy
@@ -250,9 +181,7 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		return err
 	}
 	switch {
-	// A detoured stop-and-copy is a staged one: its source serves the
-	// client again, so the boot belongs before the freeze, not inside it.
-	case p.staged || carry == StrategyCold || (detoured && carry == StrategyStateful):
+	case carry == StrategyCold || (serving && carry == StrategyStateful):
 		prefetch()
 		if err := stage(); err != nil {
 			return fail(err)
@@ -272,20 +201,25 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 			target.callT(tctx, agent.MethodRemove, chain, nil)
 		}
 	})
+	// switchOver renders the client's traffic onto the target once it is up;
+	// it is load-bearing, and the caller renders whatever the move leaves.
+	switchOver := func() error {
+		if p.deferred {
+			return nil
+		}
+		return m.render(tctx, p.deploy.Client, p.rec, landed{p.dep, placement{p.to, rep.pooled}, p.deploy.Ingress.Station})
+	}
 	// freeze stops the source serving: from here until the target forwards
 	// the client is dark, so every later failure must bring the source back.
-	// The detour goes first: from there the client's frames park in the
-	// target's brownout buffer, which its Enable or Activate replays through
-	// the state that has landed by then, rather than cross the tunnel into a
-	// frozen source. The brownout flag has the source park stragglers — what
-	// the tunnel still holds — instead of counting them as drops.
-	freeze := func(brownout bool) error {
-		if detoured {
-			if err := unsteer(); err != nil {
+	// A serving source first switches the client over to park at the target
+	// for Enable or Activate to replay, and parks what is in flight to it.
+	freeze := func(switched bool) error {
+		if switched {
+			if err := switchOver(); err != nil {
 				return err
 			}
 		}
-		if err := source.callT(tctx, agent.MethodDisable, agent.ChainRef{Chain: name, Brownout: brownout}, nil); err != nil {
+		if err := source.callT(tctx, agent.MethodDisable, agent.ChainRef{Chain: name, Brownout: switched}, nil); err != nil {
 			return err
 		}
 		undo = append(undo, func() { source.callT(tctx, agent.MethodEnable, chain, nil) })
@@ -295,11 +229,12 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	switch carry {
 	case StrategyStateful:
 		// Stop-and-copy: the whole transfer sits in the dark window — and,
-		// un-detoured, the rest of the target's boot with it.
+		// for a source that served nobody, the rest of the target's boot.
+		switched := serving && !p.deferred
 		down := clock.NewStopwatch(m.clk)
 		var ckpt agent.CheckpointResult
 		var on agent.ActivateResult
-		err := freeze(detoured)
+		err := freeze(switched)
 		if err == nil {
 			err = source.callT(tctx, agent.MethodCheckpoint, chain, &ckpt)
 		}
@@ -307,6 +242,9 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		// there was never anything to restore onto.
 		if jerr := join(); jerr != nil {
 			err = jerr
+		}
+		if err == nil && !switched {
+			err = switchOver()
 		}
 		if err == nil {
 			rep.StateBytes = len(ckpt.State)
@@ -366,6 +304,10 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		rep.ReplayedFrames = act.Replayed
 
 	case StrategyCold:
+		// Make-before-break: the target serves before the source goes.
+		if err := switchOver(); err != nil {
+			return fail(err)
+		}
 		if source == nil {
 			rep.Downtime = boot
 		}
@@ -431,21 +373,14 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 // moveSegment plans the move of one deployment of a client's chain for the
 // engine above and, when the move succeeds, points the client's placement
 // table at the target — what handoffs, operator migrations, evacuation and
-// failover revival all funnel through. Callers hold rec.migMu, and so does
-// DetachChain: a chain detached since the caller looked it up is refused
-// here, and none can go while the move runs.
-//
-// A head (an unsplit chain whole) moves under the caller's strategy. A
-// handoff has a gap to hide the target's deploy in, so its plan is never
-// staged; the table says whether the source copy is a pool attachment and the
-// record whether the client's traffic can go back to it meanwhile. An
-// anchored segment moves stop-and-copy whatever strategy roaming uses (an
-// unreachable source degrades to a cold deploy, like any move), staged
-// because it keeps serving until its freeze. Either way the legs name the
-// neighbouring segments where the table has them, so the move re-splices
-// those onto the new station.
+// failover revival all funnel through — and renders the table either way.
+// Callers hold rec.migMu, and so does DetachChain: a chain detached since the
+// caller looked it up is refused here, and none can go while the move runs.
+// A head moves under the caller's strategy with its client's addressing (it
+// may land away from the client); an anchored segment moves stop-and-copy,
+// and its legs name its neighbours, which the move re-splices.
 func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec, dep deployment, from, to string, strategy Strategy) MigrationReport {
-	p := movePlan{client: client, from: from, to: to, strategy: strategy}
+	p := movePlan{rec: rec, dep: dep, from: from, to: to, strategy: strategy}
 	rec.mu.Lock()
 	spec, attached := rec.chains[dep.chain]
 	segs := SegmentsOf(spec)
@@ -459,9 +394,12 @@ func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec,
 		attached = false // detached, or re-attached with fewer segments, since
 	}
 	if dep.seg == 0 {
-		p.pooled, p.arrived = rec.placed[dep].pooled, rec.detourableSince(dep, to)
+		// The head deploys on the rule's ingress leg at `to`: the switch-over only steers.
+		_, _, want := m.wanted(rec, landed{dep, placement{to, rec.placed[dep].pooled}, ""})
+		p.deploy.Ingress.Station = want.legs[dep]
+		p.deploy.ClientMAC, p.deploy.ClientIP = rec.mac, rec.ip
 	} else {
-		p.strategy, p.staged = StrategyStateful, true
+		p.strategy = StrategyStateful
 	}
 	rec.mu.Unlock()
 	if !attached {
@@ -476,25 +414,8 @@ func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec,
 		rec.place(dep, to, rep.pooled)
 		rec.mu.Unlock()
 	}
+	m.render(tctx, client, rec)
 	return rep
-}
-
-// steerVia puts the ingress leg of each named chain, hosted by host, on the
-// tunnel to the client's station and then has that station steer the client
-// into the tunnel, in that order — no frame enters the tunnel before the far
-// end expects it. It is how an offloaded client's chains follow it to a new
-// station, and how a handoff sends the client back to the source.
-func (m *Manager) steerVia(tctx trace.Context, client string, chains []string, host, at *AgentHandle) error {
-	if err := m.ensureTunnel(host.Station, at.Station); err != nil {
-		return err
-	}
-	for _, chain := range chains {
-		spec := agent.RetargetSpec{Chain: chain, Ingress: &agent.Leg{Station: at.Station}}
-		if err := host.callT(tctx, agent.MethodRetarget, spec, nil); err != nil {
-			return err
-		}
-	}
-	return at.steer(tctx, agent.SteerSpec{Client: client, Via: host.Station})
 }
 
 // imagesOf lists the repository images a function list needs.

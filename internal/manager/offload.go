@@ -9,10 +9,12 @@ package manager
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"gnf/internal/agent"
-	"gnf/internal/clock"
 	"gnf/internal/trace"
 )
 
@@ -45,158 +47,106 @@ func (m *Manager) Offloaded(client string) string {
 }
 
 // OffloadClient moves every chain of the client to the cloud site and
-// detours the client's traffic through the tunnel. Chains move
-// make-before-break with state transfer (reanchor): each is deployed
-// (disabled) on the site, frozen at the edge, checkpointed, restored and
-// enabled; the detour flips once every chain is ready, and only then are
-// the edge copies removed.
+// detours the client's traffic through the tunnel (reanchor).
 func (m *Manager) OffloadClient(client, site string) (OffloadReport, error) {
-	rep := OffloadReport{Client: client, Site: site}
+	return m.reanchor(client, site)
+}
 
+// RecallClient moves an offloaded client's chains back to its current edge
+// station (reanchor): its traffic snaps back through the fresh local chains.
+func (m *Manager) RecallClient(client string) (OffloadReport, error) {
+	return m.reanchor(client, "")
+}
+
+// reanchor moves all of one client's chains to the cloud site — an offload —
+// or, with site "", back to the client's edge station — a recall — as one
+// transaction: each chain moves deferred, make-before-break with state (on
+// the site with its ingress leg already on the tunnel to the client), then
+// the flip — a render with every chain landed — re-points the client's
+// traffic, and only then do the sources go. A failure anywhere unwinds every
+// chain already moved and renders the table as it stands: the client keeps
+// the complete old set, never a mixture, and its record is untouched.
+func (m *Manager) reanchor(client, site string) (OffloadReport, error) {
+	rep := OffloadReport{Client: client, Site: site, Recall: site == ""}
 	rec := m.clients.get(client)
 	if rec == nil {
 		return rep, fmt.Errorf("%w: %s", ErrUnknownClient, client)
 	}
-
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
-
 	rec.mu.Lock()
-	station := rec.station
-	site0 := rec.offload
-	mac, ip := rec.mac, rec.ip
-	specs := sortedChains(rec)
+	station, offload, mac, ip := rec.station, rec.offload, rec.mac, rec.ip
+	specs := slices.SortedFunc(maps.Values(rec.chains), func(a, b ChainSpec) int { return strings.Compare(a.Name, b.Name) })
 	rec.mu.Unlock()
-	if site0 != "" {
-		return rep, fmt.Errorf("%w: %s on %s", ErrOffloaded, client, site0)
+	from, to, verb := station, site, "offload"
+	if rep.Recall {
+		rep.Site, from, to, verb = offload, offload, station, "recall"
 	}
-	if station == "" {
+	switch {
+	case !rep.Recall && offload != "":
+		return rep, fmt.Errorf("%w: %s on %s", ErrOffloaded, client, offload)
+	case rep.Recall && offload == "":
+		return rep, fmt.Errorf("%w: %s", ErrNotOffloaded, client)
+	case station == "":
 		return rep, fmt.Errorf("%w: %s", ErrNotAttached, client)
 	}
-	// Split chains already pin their segments per affinity; silently
-	// collapsing one onto a cloud site would discard that layout. Refuse
-	// loudly — the operator detaches and re-attaches without affinities if
-	// cloud hosting is really wanted.
-	for _, spec := range specs {
-		if len(SegmentsOf(spec)) > 1 {
-			return rep, fmt.Errorf("manager: cannot offload %s: chain %s is split across stations by affinity", client, spec.Name)
+	if !rep.Recall {
+		// Split chains already pin their segments per affinity; silently
+		// collapsing one onto a cloud site would discard that layout. Refuse
+		// loudly — the operator detaches and re-attaches without affinities
+		// if cloud hosting is really wanted.
+		for _, spec := range specs {
+			if len(SegmentsOf(spec)) > 1 {
+				return rep, fmt.Errorf("manager: cannot offload %s: chain %s is split across stations by affinity", client, spec.Name)
+			}
+		}
+		cloud, err := m.agentFor(site)
+		if err != nil {
+			return rep, err
+		}
+		if !cloud.Cloud {
+			return rep, fmt.Errorf("%w: %s", ErrNotCloud, site)
 		}
 	}
-
-	cloud, err := m.agentFor(site)
-	if err != nil {
-		return rep, err
-	}
-	if !cloud.Cloud {
-		return rep, fmt.Errorf("%w: %s", ErrNotCloud, site)
-	}
-	edge, err := m.agentFor(station)
-	if err != nil {
+	if _, err := m.agentFor(station); err != nil {
 		return rep, err
 	}
 
-	plans := make([]movePlan, len(specs))
-	for i, spec := range specs {
-		plans[i] = movePlan{from: station, to: site, deploy: agent.DeploySpec{
-			Chain: spec.Name, Client: client, ClientMAC: mac, ClientIP: ip,
-			Functions: spec.Functions, Ingress: agent.Leg{Station: station},
-		}}
-	}
-	rep.Chains, err = m.reanchor(client, rec, plans, site, station, func() error {
-		return edge.steer(trace.Context{}, agent.SteerSpec{Client: client, Via: site})
-	})
-	if err != nil {
-		return rep, fmt.Errorf("manager: offload %w", err)
-	}
-	return rep, nil
-}
-
-// RecallClient moves an offloaded client's chains back to its current
-// edge station, make-before-break (reanchor): deploy and restore at
-// the edge, clear the detour (traffic snaps back through the fresh local
-// chains), then remove the cloud copies.
-func (m *Manager) RecallClient(client string) (OffloadReport, error) {
-	rep := OffloadReport{Client: client, Recall: true}
-
-	rec := m.clients.get(client)
-	if rec == nil {
-		return rep, fmt.Errorf("%w: %s", ErrUnknownClient, client)
-	}
-
-	rec.migMu.Lock()
-	defer rec.migMu.Unlock()
-
-	rec.mu.Lock()
-	site := rec.offload
-	station := rec.station
-	specs := sortedChains(rec)
-	rec.mu.Unlock()
-	rep.Site = site
-	if site == "" {
-		return rep, fmt.Errorf("%w: %s", ErrNotOffloaded, client)
-	}
-	if station == "" {
-		return rep, fmt.Errorf("%w: %s", ErrNotAttached, client)
-	}
-	edge, err := m.agentFor(station)
-	if err != nil {
-		return rep, err
-	}
-
-	plans := make([]movePlan, len(specs))
-	for i, spec := range specs {
-		plans[i] = movePlan{from: site, to: station, deploy: agent.DeploySpec{
-			Chain: spec.Name, Client: client, Functions: spec.Functions,
-		}}
-	}
-	rep.Chains, err = m.reanchor(client, rec, plans, "", "", func() error {
-		return edge.call(agent.MethodUnsteer, agent.UnsteerSpec{Client: client}, nil)
-	})
-	if err != nil {
-		return rep, fmt.Errorf("manager: recall %w", err)
-	}
-	return rep, nil
-}
-
-// reanchor moves all of one client's chains as a single transaction and
-// records the outcome. Every plan runs staged (the edge or cloud source
-// serves the client until its freeze) and deferred: each chain is stood up
-// at its target with the source copy left in place, flip re-points the
-// client's traffic, and only then are the source copies removed. A failure
-// anywhere — a chain's move or the flip — unwinds every chain already
-// moved, newest first, so the client is served by the complete old set or
-// the complete new one, never a mixture, and its record (offload site,
-// detour station, placements) is untouched. Callers hold rec.migMu.
-func (m *Manager) reanchor(client string, rec *clientRec, plans []movePlan, offload, steerOn string, flip func() error) ([]MigrationReport, error) {
 	// State is preserved via stop-and-copy for both the stateful and live
 	// strategies: pre-copy assumes the target can be staged behind the
 	// client's steering, which a tunnelled remote deployment cannot until
-	// the detour flips, so live degrades to one-shot copy here.
+	// the flip, so live degrades to one-shot copy here.
 	strategy := m.state().strategy
 	if strategy == StrategyLive {
 		strategy = StrategyStateful
 	}
 	sp := m.tracer.StartSpan(trace.Context{}, "manager.migrate_request")
 	sp.SetAttr("client", client)
-	var reports []MigrationReport
 	var moved []*pendingMove
-	fail := func(err error) ([]MigrationReport, error) {
+	var seeds []landed
+	fail := func(err error) (OffloadReport, error) {
 		for i := len(moved) - 1; i >= 0; i-- {
 			moved[i].undo()
 		}
+		m.render(sp.Context(), client, rec)
 		sp.End(err)
-		return reports, err
+		return rep, fmt.Errorf("manager: %s %w", verb, err)
 	}
-	for _, p := range plans {
-		p.client, p.strategy, p.staged, p.deferred = client, strategy, true, true
-		rep, pending := m.move(sp.Context(), p)
-		reports = append(reports, rep)
-		if rep.Err != "" {
-			return fail(fmt.Errorf("%s/%s: %s", client, rep.Chain, rep.Err))
+	for _, spec := range specs {
+		p := movePlan{rec: rec, dep: deployment{chain: spec.Name}, from: from, to: to,
+			strategy: strategy, deferred: true, deploy: agent.DeploySpec{Chain: spec.Name, Client: client, Functions: spec.Functions}}
+		if !rep.Recall {
+			p.deploy.ClientMAC, p.deploy.ClientIP, p.deploy.Ingress = mac, ip, agent.Leg{Station: station}
+		}
+		mig, pending := m.move(sp.Context(), p)
+		rep.Chains = append(rep.Chains, mig)
+		if mig.Err != "" {
+			return fail(fmt.Errorf("%s/%s: %s", client, mig.Chain, mig.Err))
 		}
 		moved = append(moved, pending)
+		seeds = append(seeds, landed{p.dep, placement{to, mig.pooled}, p.deploy.Ingress.Station})
 	}
-	if err := flip(); err != nil {
+	if err := m.render(sp.Context(), client, rec, seeds...); err != nil {
 		return fail(err)
 	}
 	for _, pending := range moved {
@@ -205,64 +155,15 @@ func (m *Manager) reanchor(client string, rec *clientRec, plans []movePlan, offl
 	sp.End(nil)
 
 	rec.mu.Lock()
-	rec.offload, rec.steerOn = offload, steerOn
-	for i, p := range plans {
-		rec.place(deployment{chain: p.deploy.Chain}, p.to, reports[i].pooled)
+	rec.offload = site
+	for _, s := range seeds {
+		rec.place(s.dep, s.pl.station, s.pl.pooled)
 	}
 	rec.mu.Unlock()
-	for _, rep := range reports {
-		m.recordMigration(rep)
+	for _, mig := range rep.Chains {
+		m.recordMigration(mig)
 	}
-	return reports, nil
-}
-
-// reconcileOffloaded handles roaming for an offloaded client: chains stay
-// on the cloud site; the cloud agent re-points their ingress legs at the
-// client's new station, which then installs the detour (steerVia).
-// Converges on the latest station like reconcileClient does.
-func (m *Manager) reconcileOffloaded(client string, rec *clientRec) {
-	rec.migMu.Lock()
-	defer rec.migMu.Unlock()
-	for {
-		rec.mu.Lock()
-		target := rec.station
-		site := rec.offload
-		steerOn := rec.steerOn
-		done := target == "" || site == "" || steerOn == target
-		var chains []string
-		for _, spec := range sortedChains(rec) {
-			chains = append(chains, spec.Name)
-		}
-		rec.mu.Unlock()
-		if done {
-			return
-		}
-		rep := MigrationReport{
-			Client: client, From: steerOn, To: target, Strategy: StrategySteer,
-		}
-		watch := clock.NewStopwatch(m.clk)
-		cloud, err := m.agentFor(site)
-		if err == nil {
-			var edge *AgentHandle
-			if edge, err = m.agentFor(target); err == nil {
-				err = m.steerVia(trace.Context{}, client, chains, cloud, edge)
-			}
-		}
-		rep.Downtime = watch.Elapsed()
-		rep.Total = rep.Downtime
-		if err != nil {
-			rep.Err = err.Error()
-		}
-		rec.mu.Lock()
-		if err == nil {
-			rec.steerOn = target
-		}
-		rec.mu.Unlock()
-		m.recordMigration(rep)
-		if err != nil {
-			return // avoid a hot loop on persistent failure
-		}
-	}
+	return rep, nil
 }
 
 // AutoOffload scans for resource hotspots (§3: the Manager detects
@@ -307,15 +208,4 @@ func (m *Manager) AutoOffload() ([]OffloadReport, error) {
 		}
 	}
 	return reports, nil
-}
-
-// sortedChains snapshots a client's chain specs in name order. Callers
-// must hold rec.mu.
-func sortedChains(rec *clientRec) []ChainSpec {
-	specs := make([]ChainSpec, 0, len(rec.chains))
-	for _, s := range rec.chains {
-		specs = append(specs, s)
-	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
-	return specs
 }

@@ -1,16 +1,20 @@
-// Placement: one table and one rule (DESIGN.md, "Placement: one rule, one
-// table"). A chain is a list of one or more segments (SegmentsOf), each its
-// own deployment. clientRec.placed records where every deployment runs and
-// rec.place is its only writer; wantAt says where one belongs in steady state.
-// What displaces a deployment from there (an evacuated or dead station, a
-// violated QoS budget) still asks the placement policy, via placementHint.
+// Placement: one table and its two rules (DESIGN.md, "Placement: one rule,
+// one table"). A chain is a list of one or more segments (SegmentsOf), each
+// its own deployment. clientRec.placed records where every deployment runs and
+// rec.place is its only writer; wantAt says where one belongs, steerRule how
+// the client's traffic reaches its heads wherever they run (render sends it).
+// What displaces a deployment (an evacuated or dead station, a violated QoS
+// budget) still asks the placement policy, via placementHint.
 package manager
 
 import (
 	"fmt"
+	"maps"
+	"sort"
 
 	"gnf/internal/agent"
 	"gnf/internal/topology"
+	"gnf/internal/trace"
 )
 
 // deployment names one segment of one of a client's chains.
@@ -170,4 +174,145 @@ func placementHint(client string, spec ChainSpec, clientAt string) PlacementHint
 		ClientAt:     clientAt,
 		MaxRTT:       spec.MaxRTT(),
 	}
+}
+
+// rendering is where a client's traffic enters its chains: the steer station
+// at holds toward via ("" = none), and the station each exclusive head's
+// ingress leg rides the tunnel to.
+type rendering struct {
+	at, via string
+	legs    map[deployment]string
+}
+
+// steerRule is how a client at station x reaches its heads, the segment-0
+// rows of its placement table; last is what the rule said before.
+//
+//   - Out of coverage (x == ""): last stands.
+//   - A head at x: no steer, every leg on its edge.
+//   - No head at x, and every exclusive head at one station y: x steers the
+//     client via y, and those heads' ingress legs ride the tunnel to x.
+//   - Anything else (pooled heads alone away from x — their legs stay on
+//     their edge, agent.ErrPooledLegs — or exclusive heads on two stations):
+//     no steer, every leg on its edge.
+func steerRule(x string, placed map[deployment]placement, last rendering) rendering {
+	if x == "" {
+		return last
+	}
+	out := rendering{legs: make(map[deployment]string)}
+	for dep, pl := range placed {
+		switch {
+		case dep.seg > 0 || (pl.pooled && pl.station != x):
+		case pl.station == x || (out.via != "" && out.via != pl.station):
+			return rendering{}
+		default:
+			out.at, out.via, out.legs[dep] = x, pl.station, x
+		}
+	}
+	return out
+}
+
+// landed is a copy brought up ahead of the table, its ingress leg on the tunnel to ingress.
+type landed struct {
+	dep     deployment
+	pl      placement
+	ingress string
+}
+
+// wanted is what steerRule says for the client's station and table as landed
+// copies amend them, with the table and the last rendering it read. A
+// station without an agent is out of coverage. Callers hold rec.mu.
+func (m *Manager) wanted(rec *clientRec, seeds ...landed) (placed map[deployment]placement, last, want rendering) {
+	placed, last = maps.Clone(rec.placed), rec.rendered
+	last.legs = maps.Clone(last.legs)
+	x := rec.station
+	if _, err := m.agentFor(x); err != nil {
+		x = ""
+	}
+	for _, s := range seeds {
+		if placed[s.dep] = s.pl; s.dep.seg == 0 {
+			last.legs[s.dep] = s.ingress
+		}
+	}
+	return placed, last, steerRule(x, placed, last)
+}
+
+// render sends the agents what the rule wants where it differs from the last
+// rendering, best effort and in the order no frame enters a tunnel before its
+// far end expects it — old steer out, legs re-pointed, new steer in — and
+// records what took. A new steer is a detour: a manager.detour span, a detour
+// event, a migration.detour_ms sample, and for an offloaded client a steer
+// migration. A station without an agent took its steer and its heads' legs
+// along. Callers hold rec.migMu.
+func (m *Manager) render(tctx trace.Context, client string, rec *clientRec, seeds ...landed) error {
+	rec.mu.Lock()
+	since, site := rec.arrived, rec.offload
+	placed, last, want := m.wanted(rec, seeds...)
+	rec.mu.Unlock()
+	install := want.via != "" && (want.at != last.at || want.via != last.via)
+	drop := last.at != "" && last.at != want.at
+	done := last
+	done.legs = make(map[deployment]string)
+	var moves []deployment
+	for dep := range placed {
+		if done.legs[dep] = last.legs[dep]; want.legs[dep] != last.legs[dep] {
+			moves = append(moves, dep)
+		}
+	}
+	sort.Slice(moves, func(i, j int) bool { return moves[i].chain < moves[j].chain })
+	ctx, sp := tctx, (*trace.Span)(nil)
+	if install {
+		sp = m.tracer.Child(tctx, "manager.detour")
+		ctx = sp.Context()
+	}
+	err := func() error {
+		if drop {
+			if h, err := m.agentFor(last.at); err == nil {
+				if err := h.callT(ctx, agent.MethodUnsteer, agent.UnsteerSpec{Client: client}, nil); err != nil {
+					return err
+				}
+			}
+			done.at, done.via = "", ""
+		}
+		if err := m.ensureTunnel(want.at, want.via); err != nil {
+			return err
+		}
+		for _, dep := range moves {
+			if h, err := m.agentFor(placed[dep].station); err == nil {
+				if err := h.callT(ctx, agent.MethodRetarget, agent.RetargetSpec{Chain: dep.name(), Ingress: &agent.Leg{Station: want.legs[dep]}}, nil); err != nil {
+					return err
+				}
+			}
+			done.legs[dep] = want.legs[dep]
+		}
+		if !install {
+			return nil
+		}
+		h, err := m.agentFor(want.at)
+		if err == nil {
+			if err = h.steer(ctx, agent.SteerSpec{Client: client, Via: want.via}); err == nil {
+				done.at, done.via = want.at, want.via
+			}
+		}
+		return err
+	}()
+	rec.mu.Lock()
+	if rec.rendered.at != last.at && done.at == last.at {
+		done.at, done.via = "", "" // a disconnect took the steer meanwhile
+	}
+	rec.rendered = done
+	rec.mu.Unlock()
+	if install {
+		sp.End(err)
+		ev := trace.Event{Type: trace.EventDetour, Subject: client, Station: want.at, Detail: "via=" + want.via, TraceID: ctx.TraceID}
+		if err != nil {
+			ev.Err = err.Error()
+		} else {
+			m.metrics.Histogram("migration.detour_ms", downtimeBucketsMs...).Observe(float64(m.clk.Since(since).Microseconds()) / 1000)
+		}
+		m.journal.Append(ev)
+		if site != "" {
+			m.recordMigration(MigrationReport{Client: client, From: last.at, To: want.at, Strategy: StrategySteer, Err: ev.Err})
+		}
+	}
+	return err
 }

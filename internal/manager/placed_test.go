@@ -1,10 +1,12 @@
 package manager
 
-// Internal tests for the placement rule and the deploy-spec renderer: one
-// row per rule of wantAt, the two public readers checked against it over the
-// same rows, and the one-segment rendering pinned field for field.
+// Internal tests for the placement rules and the deploy-spec renderer: one
+// row per rule of wantAt and of steerRule, wantAt's two public readers checked
+// against it over the same rows, and the one-segment rendering pinned field
+// for field.
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -110,6 +112,57 @@ func TestReadersAgreeWithTheRule(t *testing.T) {
 				if want, _ := wantAt(r.st, r.cl, r.spec, i, ""); got != want {
 					t.Errorf("SegmentPlan[%d] = %q, the rule says %q", i, got, want)
 				}
+			}
+		})
+	}
+}
+
+// TestRenderRuleTable pins the steering rule, one row per case: for a client
+// at station x and its placement table, the steer x holds (via) and every
+// exclusive head's ingress leg, keyed by deployment name (a head not listed
+// stays on its edge).
+func TestRenderRuleTable(t *testing.T) {
+	a, b := deployment{chain: "a"}, deployment{chain: "b"}
+	web, web1 := deployment{chain: "web"}, deployment{chain: "web", seg: 1}
+	at := func(station string) placement { return placement{station: station} }
+	pooled := placement{station: "st-b", pooled: true}
+	detoured := rendering{at: "st-a", via: "st-b", legs: map[deployment]string{a: "st-a"}}
+	type table = map[deployment]placement
+	for _, r := range []struct {
+		name    string
+		x       string
+		placed  table
+		last    rendering
+		at, via string
+		legs    map[string]string
+	}{
+		{"head at the client's station", "st-a", table{a: at("st-a")}, detoured, "", "", nil},
+		{"one exclusive head elsewhere", "st-a", table{a: at("st-b")}, rendering{}, "st-a", "st-b", map[string]string{"a": "st-a"}},
+		{"two heads at the source: both legs tunnelled", "st-a", table{a: at("st-b"), b: at("st-b")}, rendering{},
+			"st-a", "st-b", map[string]string{"a": "st-a", "b": "st-a"}},
+		// What TestSecondChainOfAClientIsNotDetoured pins: a steer takes all
+		// of the client's traffic, which would pass the head that landed by.
+		{"one head landed, the straggler at home", "st-a", table{a: at("st-a"), b: at("st-b")}, detoured, "", "", nil},
+		{"exclusive heads on two stations", "st-a", table{a: at("st-b"), b: at("st-c")}, rendering{}, "", "", nil},
+		{"pooled head elsewhere", "st-a", table{a: pooled}, rendering{}, "", "", nil},
+		{"a pooled head beside an exclusive one", "st-a", table{a: at("st-b"), b: pooled}, rendering{},
+			"st-a", "st-b", map[string]string{"a": "st-a"}},
+		{"out of coverage: the last output stands", "", table{a: at("st-c")}, detoured, "st-a", "st-b", map[string]string{"a": "st-a"}},
+		{"offloaded", "st-c", table{a: at("nimbus"), b: at("nimbus")}, rendering{},
+			"st-c", "nimbus", map[string]string{"a": "st-c", "b": "st-c"}},
+		{"a split head: its anchored segment is no head", "st-a", table{web: at("st-b"), web1: at("st-hub")}, rendering{},
+			"st-a", "st-b", map[string]string{"web": "st-a"}},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			got := steerRule(r.x, r.placed, r.last)
+			legs := map[string]string{}
+			for dep, to := range got.legs {
+				if to != "" {
+					legs[dep.name()] = to
+				}
+			}
+			if got.at != r.at || got.via != r.via || !maps.Equal(legs, r.legs) {
+				t.Fatalf("steerRule = steer at %q via %q, legs %v; want at %q via %q, legs %v", got.at, got.via, legs, r.at, r.via, r.legs)
 			}
 		})
 	}

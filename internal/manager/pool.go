@@ -39,13 +39,12 @@ var handoffLatencyBucketsMs = []float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2
 
 // handoffTask is one queued client handoff.
 type handoffTask struct {
-	client    string
-	rec       *clientRec
-	station   string // target station, the concurrency-limit key
-	offloaded bool
-	sp        *trace.Span
-	tctx      trace.Context
-	enqueued  int64 // manager-clock nanos at enqueue, for the latency histogram
+	client   string
+	rec      *clientRec
+	station  string // target station, the concurrency-limit key
+	sp       *trace.Span
+	tctx     trace.Context
+	enqueued int64 // manager-clock nanos at enqueue, for the latency histogram
 }
 
 // handoffPool runs queued handoffs on a bounded worker set.
@@ -102,7 +101,7 @@ func (p *handoffPool) enqueue(t *handoffTask) {
 		// the FIFO slot (rather than re-appending) preserves fairness — a
 		// client flapping between stations cannot starve behind the storm.
 		oldSp, oldStation := old.sp, old.station
-		old.station, old.offloaded = t.station, t.offloaded
+		old.station = t.station
 		old.sp, old.tctx = t.sp, t.tctx
 		p.mu.Unlock()
 		oldSp.End(nil)
@@ -157,11 +156,7 @@ func (p *handoffPool) worker() {
 		if t == nil {
 			return
 		}
-		if t.offloaded {
-			p.m.reconcileOffloaded(t.client, t.rec)
-		} else {
-			p.m.reconcileClient(t.client, t.rec, t.tctx)
-		}
+		p.m.reconcileClient(t.client, t.rec, t.tctx)
 		t.sp.End(nil)
 		p.m.metrics.Histogram("handoff.latency_ms", handoffLatencyBucketsMs...).
 			Observe(float64(p.m.clk.Now().UnixNano()-t.enqueued) / 1e6)

@@ -2,9 +2,9 @@ package manager
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
-	"time"
 
 	"gnf/internal/agent"
 	"gnf/internal/trace"
@@ -20,12 +20,15 @@ func (m *Manager) RegisterClient(client string) {
 // AttachChain deploys an NF chain for a client on its current station and
 // remembers it for future roaming (the Manager API of §3: "allows single
 // or chain of NFs to be associated with a subset of a selected client's
-// traffic").
+// traffic"), then renders the client's table. Like a move it holds the
+// client's migration lock.
 func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 	rec := m.clients.get(client)
 	if rec == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownClient, client)
 	}
+	rec.migMu.Lock()
+	defer rec.migMu.Unlock()
 	rec.mu.Lock()
 	if existing, dup := rec.chains[spec.Name]; dup {
 		rec.mu.Unlock()
@@ -37,9 +40,7 @@ func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 		}
 		return fmt.Errorf("%w: %s", ErrChainExists, spec.Name)
 	}
-	station := rec.station
-	site := rec.offload
-	mac, ip := rec.mac, rec.ip
+	station, site, mac, ip := rec.station, rec.offload, rec.mac, rec.ip
 	rec.mu.Unlock()
 	if station == "" {
 		return fmt.Errorf("%w: %s", ErrNotAttached, client)
@@ -56,7 +57,10 @@ func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 		if site != "" {
 			return fmt.Errorf("manager: cannot attach split chain %s: client %s is offloaded to %s", spec.Name, client, site)
 		}
-		return m.attachSegments(client, rec, spec, segs, station, mac, ip)
+		if err := m.attachSegments(client, rec, spec, segs, station, mac, ip); err != nil {
+			return err
+		}
+		return m.render(trace.Context{}, client, rec)
 	}
 
 	// Offloaded clients get new chains on their cloud site directly.
@@ -85,24 +89,13 @@ func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 	rec.mu.Lock()
 	rec.chains[spec.Name] = spec
 	rec.place(deployment{chain: spec.Name}, target, res.Shared)
-	needSteer := site != "" && rec.steerOn != station
-	if needSteer {
-		rec.steerOn = station
-	}
 	rec.mu.Unlock()
 	m.journal.Append(trace.Event{
 		Type: trace.EventAttach, Subject: spec.Name, Station: target,
 		Detail: "client=" + client,
 	})
-	// The first chain after a full detach re-arms the offload detour.
-	if needSteer {
-		edge, err := m.agentFor(station)
-		if err != nil {
-			return err
-		}
-		return edge.steer(trace.Context{}, agent.SteerSpec{Client: client, Via: site})
-	}
-	return nil
+	// (An offloaded client's first chain after a full detach re-steers it.)
+	return m.render(trace.Context{}, client, rec, landed{deployment{chain: spec.Name}, placement{target, res.Shared}, deploy.Ingress.Station})
 }
 
 // DetachChain removes a chain from a client everywhere it runs. It waits out
@@ -121,25 +114,15 @@ func (m *Manager) DetachChain(client, chainName string) error {
 	headAt := rec.at(deployment{chain: chainName})
 	delete(rec.chains, chainName)
 	// Every segment of the chain, head first.
-	type hosted struct {
-		dep deployment
-		at  string
-	}
-	var deps []hosted
-	for dep, pl := range rec.placed {
+	placed := maps.Clone(rec.placed)
+	var deps []deployment
+	for dep := range placed {
 		if dep.chain == chainName {
-			deps = append(deps, hosted{dep, pl.station})
+			deps = append(deps, dep)
+			rec.place(dep, "", false)
 		}
 	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i].dep.seg < deps[j].dep.seg })
-	for _, d := range deps {
-		rec.place(d.dep, "", false)
-	}
-	lastOffloaded := rec.offload != "" && len(rec.chains) == 0
-	steerOn := rec.steerOn
-	if lastOffloaded {
-		rec.steerOn = ""
-	}
+	sort.Slice(deps, func(i, j int) bool { return deps[i].seg < deps[j].seg })
 	rec.mu.Unlock()
 	if !exists {
 		return fmt.Errorf("%w: %s", ErrUnknownChain, chainName)
@@ -151,24 +134,18 @@ func (m *Manager) DetachChain(client, chainName string) error {
 		Type: trace.EventDetach, Subject: chainName, Station: headAt,
 		Detail: "client=" + client,
 	})
-	// A chain-less offloaded client must not keep its detour: a cloud
-	// switch with no chain rules blackholes the return path.
-	if lastOffloaded && steerOn != "" {
-		if edge, err := m.agentFor(steerOn); err == nil {
-			edge.call(agent.MethodUnsteer, agent.UnsteerSpec{Client: client}, nil)
-		}
-	}
+	m.render(trace.Context{}, client, rec) // the client's traffic leaves the chain before it goes
 	// The head's removal is the detach's outcome. Anchored segments go best
 	// effort after it: with the head gone the client's traffic no longer
 	// enters the split path, so a segment whose station is unreachable
 	// merely lingers until rejoin GC.
 	var headErr error
-	for _, d := range deps {
-		h, err := m.agentFor(d.at)
+	for _, dep := range deps {
+		h, err := m.agentFor(placed[dep].station)
 		if err == nil {
-			err = h.call(agent.MethodRemove, agent.ChainRef{Chain: d.dep.name()}, nil)
+			err = h.call(agent.MethodRemove, agent.ChainRef{Chain: dep.name()}, nil)
 		}
-		if d.dep.seg == 0 {
+		if dep.seg == 0 {
 			headErr = err
 		}
 	}
@@ -203,12 +180,13 @@ func (m *Manager) Chains(client string) []ChainSpec {
 func (m *Manager) applyClientEvent(ev agent.ClientEvent) {
 	rec := m.clients.getOrCreate(ev.Client)
 	if !ev.Connected {
+		// Out of coverage the last legs stand; the station dropped the steer.
 		rec.mu.Lock()
 		if rec.station == ev.Station {
 			rec.station = ""
 		}
-		if rec.steerOn == ev.Station {
-			rec.steerOn = "" // the detour rule died with the association
+		if rec.rendered.at == ev.Station {
+			rec.rendered.at, rec.rendered.via = "", ""
 		}
 		rec.mu.Unlock()
 		m.journal.Append(trace.Event{
@@ -222,7 +200,6 @@ func (m *Manager) applyClientEvent(ev agent.ClientEvent) {
 	if !ev.MAC.IsZero() {
 		rec.mac, rec.ip = ev.MAC, ev.IP
 	}
-	offloaded := rec.offload != ""
 	rec.mu.Unlock()
 	// Root span of the handoff: every decision and RPC the reconciliation
 	// makes — pre-copy rounds, deltas, the steering flip, the brownout
@@ -239,17 +216,18 @@ func (m *Manager) applyClientEvent(ev agent.ClientEvent) {
 		TraceID: tid, Detail: "connect",
 	})
 	m.pool.enqueue(&handoffTask{
-		client:    ev.Client,
-		rec:       rec,
-		station:   ev.Station,
-		offloaded: offloaded,
-		sp:        sp,
-		tctx:      sp.Context(),
+		client:  ev.Client,
+		rec:     rec,
+		station: ev.Station,
+		sp:      sp,
+		tctx:    sp.Context(),
 	})
 }
 
-// reconcileClient moves the client's chains until every head runs where the
-// placement rule (wantAt) puts it for the client's current position.
+// reconcileClient renders the client's new station first — its traffic
+// follows its heads wherever they run: back to a head about to move (the
+// handoff's detour), or on to an offloaded or lagging one — and then moves its
+// chains until every head runs where the placement rule (wantAt) puts it.
 // Migrations for one client are serialised on rec.migMu, and the client's
 // position is re-read after every migration — rapid successive handoffs
 // therefore converge on the latest station instead of racing duplicate
@@ -257,6 +235,7 @@ func (m *Manager) applyClientEvent(ev agent.ClientEvent) {
 func (m *Manager) reconcileClient(client string, rec *clientRec, tctx trace.Context) {
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
+	m.render(tctx, client, rec)
 	// Chains a re-place through the policy left where they were; skipping
 	// them keeps the loop convergent. Reset on handoff: a new client station
 	// re-evaluates every budget.
@@ -311,27 +290,6 @@ func (m *Manager) reconcileClient(client string, rec *clientRec, tctx trace.Cont
 // stations on demand (the UI's manual migration button).
 func (m *Manager) MigrateChain(client, chainName, to string) (MigrationReport, error) {
 	return m.MigrateSegment(client, chainName, 0, to)
-}
-
-// detourableSince reports when the client associated at station `to` if a
-// move of dep there is a handoff during which the client's traffic may be
-// sent back to the source, and the zero time otherwise: the client is not
-// at `to` (it sits the move out at the source), or another of its
-// deployments already serves there. A detour takes all of the client's
-// traffic and outranks every chain rule at its station, so it would carry
-// that traffic past the chain that has landed; one client's chains move one
-// after another, and only the first finds them all still at the source.
-// Callers hold rec.mu.
-func (rec *clientRec) detourableSince(dep deployment, to string) time.Time {
-	if rec.station != to {
-		return time.Time{}
-	}
-	for other, pl := range rec.placed {
-		if other != dep && pl.station == to {
-			return time.Time{}
-		}
-	}
-	return rec.arrived
 }
 
 // WaitIdle blocks until queued and in-flight roaming work completes

@@ -120,8 +120,9 @@ func (t *clientTable) getOrCreate(client string) *clientRec {
 	rec, ok := sh.clients[client]
 	if !ok {
 		rec = &clientRec{
-			chains: make(map[string]ChainSpec),
-			placed: make(map[deployment]placement),
+			chains:   make(map[string]ChainSpec),
+			placed:   make(map[deployment]placement),
+			rendered: rendering{legs: make(map[deployment]string)},
 		}
 		if sh.clients == nil {
 			sh.clients = make(map[string]*clientRec)

@@ -151,9 +151,10 @@ func TestTraceContextPropagatesAndNests(t *testing.T) {
 }
 
 // TestHandoffDetourIsTraced checks where a live handoff's detour shows up:
-// one manager.detour span under manager.migrate with the Retarget and Steer
-// RPCs under it (the Unsteer at the freeze belongs to the migration), one
-// migration.detour_ms sample and one detour journal event on the same trace.
+// one manager.detour span under the handoff — the render before the move,
+// beside manager.migrate — with the Retarget and Steer RPCs under it (the
+// Unsteer at the freeze belongs to the migration), one migration.detour_ms
+// sample and one detour journal event on the same trace.
 func TestHandoffDetourIsTraced(t *testing.T) {
 	mgr, err := manager.New(clock.System(), "127.0.0.1:0", manager.WithStrategy(manager.StrategyLive))
 	if err != nil {
@@ -190,8 +191,8 @@ func TestHandoffDetourIsTraced(t *testing.T) {
 		byName[sp.Name] = sp
 	}
 	det, ok := byName["manager.detour"]
-	if !ok || det.Parent != byName["manager.migrate"].SpanID {
-		t.Fatalf("detour span missing or not under manager.migrate: %+v", det)
+	if !ok || det.Parent != byName["manager.handoff"].SpanID || byName["manager.migrate"].Parent != det.Parent {
+		t.Fatalf("detour span missing or not beside manager.migrate under the handoff: %+v", det)
 	}
 	for _, m := range []string{agent.MethodRetarget, agent.MethodSteer} {
 		if rpc, ok := byName["rpc:"+m]; !ok || rpc.Parent != det.SpanID {

@@ -56,6 +56,36 @@ func TestOutboundTranslation(t *testing.T) {
 	}
 }
 
+// TestNonFirstFragmentMintsNoMapping: a fragment past the first carries no
+// transport header, so its first payload bytes are not a source port to
+// translate — it passes untouched and opens no mapping. The first fragment
+// translates like the whole segment.
+func TestNonFirstFragmentMintsNoMapping(t *testing.T) {
+	n := mustNAT(t)
+	// fragment sets the IP flags-and-offset word (MF is 1<<13, the offset in
+	// 8-byte units) of a TCP frame; the bytes behind the header stand for
+	// whatever part of the datagram that fragment holds.
+	fragment := func(flagsAndOffset uint16) []byte {
+		f := packet.BuildTCP(macC, macS, ipC, ipS, 5000, 80, packet.TCPOptions{Flags: packet.TCPAck}, make([]byte, 32))
+		ipb := f[packet.EthernetHeaderLen:]
+		ipb[6], ipb[7], ipb[10], ipb[11] = byte(flagsAndOffset>>8), byte(flagsAndOffset), 0, 0
+		ck := packet.Checksum(ipb[:packet.IPv4HeaderLen])
+		ipb[10], ipb[11] = byte(ck>>8), byte(ck)
+		return f
+	}
+	out := n.Process(nf.Outbound, fragment(16/8)) // last fragment, at byte 16
+	if len(out.Forward) != 1 || n.Mappings() != 0 {
+		t.Fatalf("non-first fragment: forwarded %d, %d mappings minted", len(out.Forward), n.Mappings())
+	}
+	var p packet.Parser
+	if err := p.Parse(out.Forward[0]); err != nil || p.IP.Src != ipC {
+		t.Fatalf("non-first fragment rewritten: src %v, %v", p.IP.Src, err)
+	}
+	if out := n.Process(nf.Outbound, fragment(1<<13)); len(out.Forward) != 1 || n.Mappings() != 1 {
+		t.Fatalf("first fragment: forwarded %d, %d mappings", len(out.Forward), n.Mappings())
+	}
+}
+
 func TestRoundTripTranslation(t *testing.T) {
 	n := mustNAT(t)
 	out := n.Process(nf.Outbound, outboundUDP(5000))

@@ -22,6 +22,8 @@ func fuzzSeedFrames(f *testing.F) [][]byte {
 		BuildICMPEcho(srcMAC, dstMAC, srcIP, dstIP, 8, 1, 1, []byte("ping")),
 		BuildARP(1, srcMAC, srcIP, MAC{}, dstIP),
 		TagVLAN(BuildUDP(srcMAC, dstMAC, srcIP, dstIP, 1, 2, nil), 7, 100),
+		// A datagram's last fragment: payload where a UDP header would be.
+		fragmentOf(BuildUDP(srcMAC, dstMAC, srcIP, dstIP, 4000, 53, make([]byte, 32)), 16/8, 16, 40),
 	}
 	if data, err := os.ReadFile("testdata/fuzz_frames.pcap"); err == nil {
 		r, err := pcap.NewReader(bytes.NewReader(data))
@@ -71,6 +73,9 @@ func FuzzParse(f *testing.F) {
 			if ft.Src.Addr != key.SrcIP || ft.Dst.Addr != key.DstIP {
 				t.Fatalf("five-tuple %v disagrees with flow key %+v", ft, key)
 			}
+		}
+		if p.Has(LayerIPv4) && p.IP.FragOffset != 0 && (key.SrcPort != 0 || key.DstPort != 0 || p.TransportPayload() != nil) {
+			t.Fatalf("non-first fragment decoded as a transport header: %+v", key)
 		}
 		if pl := p.TransportPayload(); len(pl) > len(frame) {
 			t.Fatalf("transport payload longer than frame: %d > %d", len(pl), len(frame))

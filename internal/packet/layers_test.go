@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +192,68 @@ func TestParserUnknownEtherType(t *testing.T) {
 	}
 	if p.TransportPayload() != nil {
 		t.Fatal("unexpected transport payload")
+	}
+}
+
+// fragmentOf cuts bytes [from, to) of whole's IP payload into a fragment of
+// its own with the given flags-and-offset word (MF is 1<<13, the offset is in
+// 8-byte units), lengths and header checksum fixed up.
+func fragmentOf(whole []byte, flagsAndOffset uint16, from, to int) []byte {
+	l4 := EthernetHeaderLen + IPv4HeaderLen
+	f := append(Clone(whole[:l4]), whole[l4+from:l4+to]...)
+	ipb := f[EthernetHeaderLen:]
+	binary.BigEndian.PutUint16(ipb[2:4], uint16(IPv4HeaderLen+to-from))
+	binary.BigEndian.PutUint16(ipb[6:8], flagsAndOffset)
+	ipb[10], ipb[11] = 0, 0
+	binary.BigEndian.PutUint16(ipb[10:12], Checksum(ipb[:IPv4HeaderLen]))
+	return f
+}
+
+// TestParserFragments: only a datagram's first fragment carries its transport
+// header. A middle or last fragment is payload, like an unknown protocol:
+// zero ports in its flow key, no five-tuple, no transport payload — were it
+// decoded, its first payload bytes would read as "ports". (A UDP datagram's
+// first fragment stays unparseable: its header's Length covers bytes that
+// are not in the frame.)
+func TestParserFragments(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xab}, 64)
+	tcp := BuildTCP(macA, macB, ipA, ipB, 43210, 80, TCPOptions{Seq: 7, Flags: TCPAck}, payload)
+	udp := BuildUDP(macA, macB, ipA, ipB, 5353, 53, payload)
+	const mf = 1 << 13
+	for _, c := range []struct {
+		name           string
+		whole          []byte
+		flagsAndOffset uint16
+		from, to       int
+	}{
+		{"first", tcp, mf, 0, 40},
+		{"middle", tcp, mf | 40/8, 40, 64},
+		{"last", tcp, 64 / 8, 64, TCPHeaderLen + 64},
+		{"last of a UDP datagram", udp, 64 / 8, 64, UDPHeaderLen + 64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var p Parser
+			if err := p.Parse(fragmentOf(c.whole, c.flagsAndOffset, c.from, c.to)); err != nil {
+				t.Fatal(err)
+			}
+			key := p.FlowKey()
+			ft, ok := p.FiveTuple()
+			if c.from == 0 {
+				if !p.Has(LayerTCP) || key.SrcPort != 43210 || key.DstPort != 80 || !ok || ft.Dst.Port != 80 {
+					t.Fatalf("first fragment: layers %v, key ports %d->%d, five-tuple %v %v", p.Layers(), key.SrcPort, key.DstPort, ft, ok)
+				}
+				return
+			}
+			if p.Has(LayerTCP) || p.Has(LayerUDP) || !p.Has(LayerPayload) {
+				t.Fatalf("layers = %v, want Ethernet, IPv4, Payload", p.Layers())
+			}
+			if key.SrcPort != 0 || key.DstPort != 0 || key.SrcIP != ipA || key.Proto != p.IP.Proto {
+				t.Fatalf("flow key = %+v, want the addresses and protocol with zero ports", key)
+			}
+			if ok || p.TransportPayload() != nil {
+				t.Fatalf("five-tuple %v %v, transport payload %x", ft, ok, p.TransportPayload())
+			}
+		})
 	}
 }
 

@@ -67,6 +67,12 @@ func (p *Parser) Parse(frame []byte) error {
 		p.mark(LayerPayload)
 		return nil
 	}
+	// Only the first fragment of a datagram carries its transport header; the
+	// others are payload bytes whatever Proto says, so their ports stay zero.
+	if p.IP.FragOffset != 0 {
+		p.mark(LayerPayload)
+		return nil
+	}
 	switch p.IP.Proto {
 	case ProtoUDP:
 		if err := p.UDP.Decode(p.IP.Payload()); err != nil {

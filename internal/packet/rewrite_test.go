@@ -342,14 +342,7 @@ func TestRewriteZeroResultIsFFFFForUDPOnly(t *testing.T) {
 func TestRewriteFragments(t *testing.T) {
 	whole := udpFrame(64)
 	l4 := EthernetHeaderLen + IPv4HeaderLen
-	fragment := func(flagsAndOffset uint16, from, to int) []byte {
-		f := append(Clone(whole[:l4]), whole[l4+from:l4+to]...)
-		ipb := f[EthernetHeaderLen:]
-		binary.BigEndian.PutUint16(ipb[2:4], uint16(IPv4HeaderLen+to-from))
-		binary.BigEndian.PutUint16(ipb[6:8], flagsAndOffset)
-		setHeaderChecksum(f)
-		return f
-	}
+	fragment := func(flagsAndOffset uint16, from, to int) []byte { return fragmentOf(whole, flagsAndOffset, from, to) }
 	rw := rewriteOf(0x0f)
 
 	later := fragment(40/8, 40, 72) // offset 40 bytes, last fragment
