@@ -3,11 +3,9 @@ package builtin_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -91,11 +89,11 @@ func newTwin(t *testing.T, specs []nfSpec, clk clock.Clock) *twin {
 	return tw
 }
 
-// memberStates exports every stateful member, canonicalised: the NAT
-// exports its mappings in map order.
-func (tw *twin) memberStates(t *testing.T) []string {
+// memberStates exports every stateful member. Records are written in key
+// order, so equal state is equal bytes.
+func (tw *twin) memberStates(t *testing.T) [][]byte {
 	t.Helper()
-	var out []string
+	var out [][]byte
 	for _, fn := range tw.chain.Functions() {
 		st, ok := fn.(nf.Stateful)
 		if !ok {
@@ -105,42 +103,9 @@ func (tw *twin) memberStates(t *testing.T) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v any
-		if err := json.Unmarshal(data, &v); err != nil {
-			t.Fatal(err)
-		}
-		canon, _ := json.Marshal(sortObjectArrays(v))
-		out = append(out, fn.Name()+" "+string(canon))
+		out = append(out, data)
 	}
 	return out
-}
-
-// sortObjectArrays orders arrays of objects (sets that were map-iterated
-// into lists) and leaves arrays of scalars (positional, like per-rule hit
-// counters) alone.
-func sortObjectArrays(v any) any {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, e := range x {
-			x[k] = sortObjectArrays(e)
-		}
-	case []any:
-		keys := make(map[string]any, len(x))
-		order := make([]string, len(x))
-		for i, e := range x {
-			if _, object := e.(map[string]any); !object {
-				return x
-			}
-			b, _ := json.Marshal(sortObjectArrays(e))
-			order[i] = string(b)
-			keys[order[i]] = e
-		}
-		sort.Strings(order)
-		for i, k := range order {
-			x[i] = keys[k]
-		}
-	}
-	return v
 }
 
 // trafficGen builds the batches: sixteen client flows toward one server
@@ -314,8 +279,8 @@ func TestBatchEqualsPerFrame(t *testing.T) {
 					}
 					clk.Advance(time.Duration(g.rng.Intn(300)) * time.Millisecond)
 				}
-				if g, w := batched.memberStates(t), single.memberStates(t); !reflect.DeepEqual(g, w) {
-					t.Fatalf("exported state\nbatched   %v\nper-frame %v", g, w)
+				if g, w := batched.memberStates(t), single.memberStates(t); !sameFrames(g, w) {
+					t.Fatalf("exported state\nbatched   %x\nper-frame %x", g, w)
 				}
 				if !reflect.DeepEqual(batched.notes, single.notes) {
 					t.Fatalf("notifications\nbatched   %q\nper-frame %q", batched.notes, single.notes)

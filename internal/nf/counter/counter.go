@@ -9,7 +9,9 @@ package counter
 
 import (
 	"bytes"
-	"encoding/json"
+	"cmp"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,13 +26,13 @@ import (
 // the flow's last update, so pre-copy migration rounds export only flows
 // touched since the previous round.
 type FlowStats struct {
-	Packets uint64 `json:"packets"`
-	Bytes   uint64 `json:"bytes"`
+	Packets uint64
+	Bytes   uint64
 	// window tracking for the pps heuristic
-	WindowStart time.Time `json:"window_start"`
-	WindowCount uint64    `json:"window_count"`
-	Alerted     bool      `json:"alerted"`
-	Seq         uint64    `json:"seq,omitempty"`
+	WindowStart time.Time
+	WindowCount uint64
+	Alerted     bool
+	Seq         uint64
 }
 
 // Monitor is the NF instance.
@@ -218,43 +220,25 @@ func (m *Monitor) NFStats() map[string]uint64 {
 	}
 }
 
-type monState struct {
-	Flows   map[string]FlowStats `json:"flows"`
-	Total   uint64               `json:"total"`
-	Alerts  uint64               `json:"alerts"`
-	SigHits uint64               `json:"sig_hits"`
-}
+// A monitor's state is its totals (frames, pps alerts, signature hits:
+// uvarints), then the count and the flows in key order: the canonical
+// five-tuple (proto u8, IP, port u16, IP, port u16), packets and bytes
+// (uvarints), window start (time), window count (uvarint), alerted (bool),
+// dirty epoch (uvarint). A full export and a delta share it.
 
-func flowKey(ft packet.FiveTuple) string {
-	return ft.String()
-}
-
-// ExportState implements container.StateHandler. Flow keys serialize via
-// their string form; import restores counters keyed by the same strings,
-// so accounting continuity survives migration.
+// ExportState implements container.StateHandler: every flow's counters,
+// keyed by the tuple itself, so accounting continuity survives migration.
 func (m *Monitor) ExportState() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := monState{Flows: make(map[string]FlowStats, len(m.flows)), Total: m.total, Alerts: m.alerts, SigHits: m.sigHits}
-	for ft, fs := range m.flows {
-		st.Flows[flowKey(ft)] = *fs
-	}
-	return json.Marshal(st)
+	data, _, err := m.ExportDelta(0)
+	return data, err
 }
 
-// ImportState implements container.StateHandler. Because map keys round-
-// trip through strings, restored flows are tracked under parsed tuples
-// reconstructed on the next matching packet; totals restore exactly.
+// ImportState implements container.StateHandler: the flow table becomes
+// the blob's.
 func (m *Monitor) ImportState(data []byte) error {
-	var st monState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flows = make(map[packet.FiveTuple]*FlowStats, len(st.Flows))
-	m.mergeLocked(st)
-	return nil
+	return m.importLocked(data, true)
 }
 
 // ExportDelta implements nf.DeltaStateful: flows updated after epoch
@@ -264,84 +248,93 @@ func (m *Monitor) ImportState(data []byte) error {
 func (m *Monitor) ExportDelta(since uint64) ([]byte, uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := monState{Flows: make(map[string]FlowStats), Total: m.total, Alerts: m.alerts, SigHits: m.sigHits}
+	keys := make([]packet.FiveTuple, 0, len(m.flows))
 	for ft, fs := range m.flows {
 		if fs.Seq > since {
-			st.Flows[flowKey(ft)] = *fs
+			keys = append(keys, ft)
 		}
 	}
-	data, err := json.Marshal(st)
-	return data, m.seq, err
+	slices.SortFunc(keys, compareTuples)
+	w := make(nf.RecordWriter, 0, 32+flowBytes*len(keys))
+	w.Uvarint(m.total)
+	w.Uvarint(m.alerts)
+	w.Uvarint(m.sigHits)
+	w.Uvarint(uint64(len(keys)))
+	for _, ft := range keys {
+		fs := m.flows[ft]
+		w.Uint8(ft.Proto)
+		w.IP(ft.Src.Addr)
+		w.Uint16(ft.Src.Port)
+		w.IP(ft.Dst.Addr)
+		w.Uint16(ft.Dst.Port)
+		w.Uvarint(fs.Packets)
+		w.Uvarint(fs.Bytes)
+		w.Time(fs.WindowStart)
+		w.Uvarint(fs.WindowCount)
+		w.Bool(fs.Alerted)
+		w.Uvarint(fs.Seq)
+	}
+	return w, m.seq, nil
 }
+
+// flowBytes is a flow's record with two-byte counters and epoch.
+const flowBytes = 13 + 2 + 2 + 8 + 1 + 1 + 2
 
 // ImportDelta implements nf.DeltaStateful by merging exported flows into
 // the live table; totals are absolute and replace the local aggregates.
 func (m *Monitor) ImportDelta(data []byte) error {
-	var st monState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.mergeLocked(st)
+	return m.importLocked(data, false)
+}
+
+// importLocked decodes a blob and, only if all of it is sound, upserts its
+// flows (into an empty table when replace is set) and adopts its totals,
+// advancing the local dirty epoch past every imported stamp. Called with
+// mu held.
+func (m *Monitor) importLocked(data []byte, replace bool) error {
+	r := nf.NewRecordReader(data)
+	total, alerts, sigHits := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	keys := make([]packet.FiveTuple, r.Count())
+	flows := make([]FlowStats, len(keys))
+	for i := range keys {
+		keys[i] = packet.FiveTuple{
+			Proto: r.Uint8(),
+			Src:   packet.Endpoint{Addr: r.IP(), Port: r.Uint16()},
+			Dst:   packet.Endpoint{Addr: r.IP(), Port: r.Uint16()},
+		}
+		flows[i] = FlowStats{
+			Packets:     r.Uvarint(),
+			Bytes:       r.Uvarint(),
+			WindowStart: r.Time(),
+			WindowCount: r.Uvarint(),
+			Alerted:     r.Bool(),
+			Seq:         r.Uvarint(),
+		}
+		if i > 0 && compareTuples(keys[i-1], keys[i]) >= 0 {
+			return fmt.Errorf("%w: counter flows out of key order", nf.ErrBadRecord)
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	if replace {
+		m.flows = make(map[packet.FiveTuple]*FlowStats, len(keys))
+	}
+	m.total, m.alerts, m.sigHits = total, alerts, sigHits
+	for i, ft := range keys {
+		m.seq = max(m.seq, flows[i].Seq)
+		m.flows[ft] = &flows[i]
+	}
 	return nil
 }
 
-// mergeLocked upserts st's flows and adopts its totals, advancing the
-// local dirty epoch past every imported stamp. Called with mu held.
-func (m *Monitor) mergeLocked(st monState) {
-	m.total, m.alerts, m.sigHits = st.Total, st.Alerts, st.SigHits
-	for key, fs := range st.Flows {
-		if ft, ok := parseFlowKey(key); ok {
-			if fs.Seq > m.seq {
-				m.seq = fs.Seq
-			}
-			copyFS := fs
-			m.flows[ft] = &copyFS
-		}
-	}
+func compareTuples(a, b packet.FiveTuple) int {
+	return cmp.Or(cmp.Compare(a.Proto, b.Proto), compareEndpoints(a.Src, b.Src), compareEndpoints(a.Dst, b.Dst))
 }
 
-// parseFlowKey reverses FiveTuple.String: "proto a:b->c:d".
-func parseFlowKey(s string) (packet.FiveTuple, bool) {
-	var ft packet.FiveTuple
-	protoStr, rest, ok := strings.Cut(s, " ")
-	if !ok {
-		return ft, false
-	}
-	switch protoStr {
-	case "tcp":
-		ft.Proto = packet.ProtoTCP
-	case "udp":
-		ft.Proto = packet.ProtoUDP
-	case "icmp":
-		ft.Proto = packet.ProtoICMP
-	default:
-		return ft, false
-	}
-	srcStr, dstStr, ok := strings.Cut(rest, "->")
-	if !ok {
-		return ft, false
-	}
-	parse := func(ep string) (packet.Endpoint, bool) {
-		ipStr, portStr, ok := strings.Cut(ep, ":")
-		if !ok {
-			return packet.Endpoint{}, false
-		}
-		ip, ok := packet.ParseIP(ipStr)
-		if !ok {
-			return packet.Endpoint{}, false
-		}
-		port, err := strconv.ParseUint(portStr, 10, 16)
-		if err != nil {
-			return packet.Endpoint{}, false
-		}
-		return packet.Endpoint{Addr: ip, Port: uint16(port)}, true
-	}
-	var okS, okD bool
-	ft.Src, okS = parse(srcStr)
-	ft.Dst, okD = parse(dstStr)
-	return ft, okS && okD
+func compareEndpoints(a, b packet.Endpoint) int {
+	return cmp.Or(cmp.Compare(a.Addr.Uint32(), b.Addr.Uint32()), cmp.Compare(a.Port, b.Port))
 }
 
 var _ nf.DeltaStateful = (*Monitor)(nil)

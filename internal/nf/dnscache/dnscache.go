@@ -6,7 +6,8 @@
 package dnscache
 
 import (
-	"encoding/json"
+	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -18,11 +19,11 @@ import (
 
 // entry is one cached answer set.
 type entry struct {
-	Answers []packet.DNSRecord `json:"answers"`
-	Expires time.Time          `json:"expires"`
+	Answers []packet.DNSRecord
+	Expires time.Time
 	// Seq stamps the dirty epoch of the store, so pre-copy migration rounds
 	// export only fresh entries.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 }
 
 // Cache is the NF instance.
@@ -181,39 +182,24 @@ func (c *Cache) NFStats() map[string]uint64 {
 	}
 }
 
-type cacheState struct {
-	Entries map[string]entry `json:"entries"`
-	Hits    uint64           `json:"hits"`
-	Misses  uint64           `json:"misses"`
-	Stores  uint64           `json:"stores"`
-}
+// A cache's state is its hits, misses and stores (uvarints), then the count
+// and the entries in name order: name (string), expiry (time), dirty epoch
+// (uvarint), and the count of answers, each name (string), type and class
+// (u16), TTL (u32), A (IP), CNAME (string) and raw data (bytes). A full
+// export and a delta share it.
 
 // ExportState implements container.StateHandler.
 func (c *Cache) ExportState() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return json.Marshal(cacheState{Entries: c.entries, Hits: c.hits, Misses: c.misses, Stores: c.stores})
+	data, _, err := c.ExportDelta(0)
+	return data, err
 }
 
-// ImportState implements container.StateHandler.
+// ImportState implements container.StateHandler: the cache becomes the
+// blob's.
 func (c *Cache) ImportState(data []byte) error {
-	var st cacheState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = st.Entries
-	if c.entries == nil {
-		c.entries = make(map[string]entry)
-	}
-	for _, e := range c.entries {
-		if e.Seq > c.seq {
-			c.seq = e.Seq
-		}
-	}
-	c.hits, c.misses, c.stores = st.Hits, st.Misses, st.Stores
-	return nil
+	return c.importLocked(data, true)
 }
 
 // ExportDelta implements nf.DeltaStateful: entries stored after epoch
@@ -224,32 +210,86 @@ func (c *Cache) ImportState(data []byte) error {
 func (c *Cache) ExportDelta(since uint64) ([]byte, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := cacheState{Entries: make(map[string]entry), Hits: c.hits, Misses: c.misses, Stores: c.stores}
-	for k, e := range c.entries {
+	names := make([]string, 0, len(c.entries))
+	for name, e := range c.entries {
 		if e.Seq > since {
-			st.Entries[k] = e
+			names = append(names, name)
 		}
 	}
-	data, err := json.Marshal(st)
-	return data, c.seq, err
+	slices.Sort(names)
+	var w nf.RecordWriter
+	w.Uvarint(c.hits)
+	w.Uvarint(c.misses)
+	w.Uvarint(c.stores)
+	w.Uvarint(uint64(len(names)))
+	for _, name := range names {
+		e := c.entries[name]
+		w.Text(name)
+		w.Time(e.Expires)
+		w.Uvarint(e.Seq)
+		w.Uvarint(uint64(len(e.Answers)))
+		for _, a := range e.Answers {
+			w.Text(a.Name)
+			w.Uint16(a.Type)
+			w.Uint16(a.Class)
+			w.Uint32(a.TTL)
+			w.IP(a.A)
+			w.Text(a.CNAME)
+			w.Bytes(a.RData)
+		}
+	}
+	return w, c.seq, nil
 }
 
 // ImportDelta implements nf.DeltaStateful by merging exported entries into
 // the live cache and adopting the absolute counters.
 func (c *Cache) ImportDelta(data []byte) error {
-	var st cacheState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, e := range st.Entries {
-		if e.Seq > c.seq {
-			c.seq = e.Seq
+	return c.importLocked(data, false)
+}
+
+// importLocked decodes a blob and, only if all of it is sound, upserts its
+// entries (into an empty cache when replace is set) and adopts its
+// counters, advancing the local dirty epoch past every imported stamp.
+// Called with mu held.
+func (c *Cache) importLocked(data []byte, replace bool) error {
+	r := nf.NewRecordReader(data)
+	hits, misses, stores := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	names := make([]string, r.Count())
+	entries := make([]entry, len(names))
+	for i := range names {
+		names[i] = r.Text()
+		e := &entries[i]
+		e.Expires = r.Time()
+		e.Seq = r.Uvarint()
+		e.Answers = make([]packet.DNSRecord, r.Count())
+		for j := range e.Answers {
+			e.Answers[j] = packet.DNSRecord{
+				Name:  r.Text(),
+				Type:  r.Uint16(),
+				Class: r.Uint16(),
+				TTL:   r.Uint32(),
+				A:     r.IP(),
+				CNAME: r.Text(),
+				RData: r.Bytes(),
+			}
 		}
-		c.entries[k] = e
+		if i > 0 && names[i-1] >= names[i] {
+			return fmt.Errorf("%w: dnscache entries out of name order", nf.ErrBadRecord)
+		}
 	}
-	c.hits, c.misses, c.stores = st.Hits, st.Misses, st.Stores
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	if replace {
+		c.entries = make(map[string]entry, len(names))
+	}
+	c.hits, c.misses, c.stores = hits, misses, stores
+	for i, name := range names {
+		c.seq = max(c.seq, entries[i].Seq)
+		c.entries[name] = entries[i]
+	}
 	return nil
 }
 

@@ -7,9 +7,10 @@
 package dnslb
 
 import (
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -38,8 +39,8 @@ type Balancer struct {
 
 	mu       sync.Mutex
 	backends []packet.IP
-	next     int
-	served   map[string]uint64 // backend IP -> answers handed out
+	next     uint64               // index of the next backend to hand out
+	served   map[packet.IP]uint64 // backend -> answers handed out
 	queries  uint64
 	rewrites uint64
 	parser   packet.Parser
@@ -57,7 +58,7 @@ func New(name, service string, mode Mode, backends ...packet.IP) (*Balancer, err
 		mode:     mode,
 		ttl:      30,
 		backends: append([]packet.IP(nil), backends...),
-		served:   make(map[string]uint64),
+		served:   make(map[packet.IP]uint64),
 	}, nil
 }
 
@@ -72,9 +73,9 @@ func (b *Balancer) Service() string { return b.service }
 
 // pick advances the round-robin cursor. Called with mu held.
 func (b *Balancer) pick() packet.IP {
-	ip := b.backends[b.next%len(b.backends)]
-	b.next++
-	b.served[ip.String()]++
+	ip := b.backends[b.next]
+	b.next = (b.next + 1) % uint64(len(b.backends))
+	b.served[ip]++
 	return ip
 }
 
@@ -142,42 +143,64 @@ func (b *Balancer) NFStats() map[string]uint64 {
 	defer b.mu.Unlock()
 	out := map[string]uint64{"queries_answered": b.queries, "responses_rewritten": b.rewrites}
 	for ip, n := range b.served {
-		out["backend_"+ip] = n
+		out["backend_"+ip.String()] = n
 	}
 	return out
 }
 
-type lbState struct {
-	Next     int               `json:"next"`
-	Served   map[string]uint64 `json:"served"`
-	Queries  uint64            `json:"queries"`
-	Rewrites uint64            `json:"rewrites"`
-}
+// A balancer's state is its round-robin cursor, queries answered and
+// responses rewritten (uvarints), then the count and the answers handed
+// out per backend, in address order: IP, count (uvarint).
 
 // ExportState implements container.StateHandler.
 func (b *Balancer) ExportState() ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return json.Marshal(lbState{Next: b.next, Served: b.served, Queries: b.queries, Rewrites: b.rewrites})
+	ips := make([]packet.IP, 0, len(b.served))
+	for ip := range b.served {
+		ips = append(ips, ip)
+	}
+	slices.SortFunc(ips, compareIPs)
+	var w nf.RecordWriter
+	w.Uvarint(b.next)
+	w.Uvarint(b.queries)
+	w.Uvarint(b.rewrites)
+	w.Uvarint(uint64(len(ips)))
+	for _, ip := range ips {
+		w.IP(ip)
+		w.Uvarint(b.served[ip])
+	}
+	return w, nil
 }
 
-// ImportState implements container.StateHandler.
+// ImportState implements container.StateHandler. The cursor is taken
+// modulo this balancer's pool, so it always names a backend.
 func (b *Balancer) ImportState(data []byte) error {
-	var st lbState
-	if err := json.Unmarshal(data, &st); err != nil {
+	r := nf.NewRecordReader(data)
+	next, queries, rewrites := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	ips := make([]packet.IP, r.Count())
+	counts := make([]uint64, len(ips))
+	for i := range ips {
+		ips[i], counts[i] = r.IP(), r.Uvarint()
+		if i > 0 && compareIPs(ips[i-1], ips[i]) >= 0 {
+			return fmt.Errorf("%w: dnslb backends out of address order", nf.ErrBadRecord)
+		}
+	}
+	if err := r.Finish(); err != nil {
 		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.next = st.Next
-	b.queries = st.Queries
-	b.rewrites = st.Rewrites
-	b.served = st.Served
-	if b.served == nil {
-		b.served = make(map[string]uint64)
+	b.next = next % uint64(len(b.backends))
+	b.queries, b.rewrites = queries, rewrites
+	b.served = make(map[packet.IP]uint64, len(ips))
+	for i, ip := range ips {
+		b.served[ip] = counts[i]
 	}
 	return nil
 }
+
+func compareIPs(x, y packet.IP) int { return cmp.Compare(x.Uint32(), y.Uint32()) }
 
 func init() {
 	nf.Default.Register("dnslb", func(name string, params nf.Params) (nf.Function, error) {

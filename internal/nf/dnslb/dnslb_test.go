@@ -1,6 +1,8 @@
 package dnslb
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"gnf/internal/nf"
@@ -144,8 +146,32 @@ func TestStateRoundTripPreservesCursor(t *testing.T) {
 	if stats["queries_answered"] != 2 {
 		t.Fatalf("stats = %v", stats)
 	}
-	if err := b2.ImportState([]byte("{")); err == nil {
-		t.Fatal("bad JSON accepted")
+	if err := b2.ImportState(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
+		t.Fatalf("truncated record: %v", err)
+	}
+}
+
+// TestImportedCursorAlwaysNamesABackend: whatever cursor a blob carries —
+// the largest there is, the image of -1, which used to index the pool at
+// -1 and panic on the next query — the balancer answers with a backend.
+func TestImportedCursorAlwaysNamesABackend(t *testing.T) {
+	for _, cursor := range []uint64{math.MaxUint64, 1 << 63, 7} {
+		var w nf.RecordWriter
+		w.Uvarint(cursor)
+		w.Uvarint(0) // queries
+		w.Uvarint(0) // rewrites
+		w.Uvarint(0) // no backend served yet
+		b, _ := New("lb", "svc.gnf", Respond, be1, be2)
+		if err := b.ImportState(w); err != nil {
+			t.Fatalf("cursor %d: %v", cursor, err)
+		}
+		out := b.Process(nf.Outbound, queryFrame(1, "svc.gnf"))
+		if len(out.Reverse) != 1 {
+			t.Fatalf("cursor %d: no answer: %+v", cursor, out)
+		}
+		if got, want := decodeDNS(t, out.Reverse[0]).Answers[0].A, []packet.IP{be1, be2}[cursor%2]; got != want {
+			t.Fatalf("cursor %d: answered %v, want %v", cursor, got, want)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@
 package firewall
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -359,32 +358,41 @@ func (f *Firewall) NFStats() map[string]uint64 {
 	return out
 }
 
-type fwState struct {
-	Accepted uint64   `json:"accepted"`
-	Dropped  uint64   `json:"dropped"`
-	Hits     []uint64 `json:"hits"`
-}
+// A firewall's state is its accepted and dropped counts, then the count of
+// rules and each rule's hits, in table order (all uvarints).
 
 // ExportState implements container.StateHandler (counters migrate).
 func (f *Firewall) ExportState() ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return json.Marshal(fwState{Accepted: f.accepted, Dropped: f.dropped, Hits: append([]uint64(nil), f.hits...)})
+	var w nf.RecordWriter
+	w.Uvarint(f.accepted)
+	w.Uvarint(f.dropped)
+	w.Uvarint(uint64(len(f.hits)))
+	for _, h := range f.hits {
+		w.Uvarint(h)
+	}
+	return w, nil
 }
 
 // ImportState implements container.StateHandler.
 func (f *Firewall) ImportState(data []byte) error {
-	var st fwState
-	if err := json.Unmarshal(data, &st); err != nil {
+	r := nf.NewRecordReader(data)
+	accepted, dropped := r.Uvarint(), r.Uvarint()
+	hits := make([]uint64, r.Count())
+	for i := range hits {
+		hits[i] = r.Uvarint()
+	}
+	if err := r.Finish(); err != nil {
 		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(st.Hits) != len(f.rules) {
-		return fmt.Errorf("firewall: state has %d rule counters, table has %d rules", len(st.Hits), len(f.rules))
+	if len(hits) != len(f.rules) {
+		return fmt.Errorf("firewall: state has %d rule counters, table has %d rules", len(hits), len(f.rules))
 	}
-	f.accepted, f.dropped = st.Accepted, st.Dropped
-	copy(f.hits, st.Hits)
+	f.accepted, f.dropped = accepted, dropped
+	copy(f.hits, hits)
 	return nil
 }
 

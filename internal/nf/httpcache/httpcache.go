@@ -15,7 +15,8 @@
 package httpcache
 
 import (
-	"encoding/json"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,9 +51,9 @@ type Cache struct {
 // entry is one cached response. Seq stamps the dirty epoch of the store,
 // so pre-copy migration rounds export only fresh entries.
 type entry struct {
-	Response []byte    `json:"response"` // raw response bytes (head+body)
-	Expires  time.Time `json:"expires"`
-	Seq      uint64    `json:"seq,omitempty"`
+	Response []byte // raw response bytes (head+body)
+	Expires  time.Time
+	Seq      uint64
 }
 
 // Option configures a Cache.
@@ -271,31 +272,23 @@ func (c *Cache) NFStats() map[string]uint64 {
 	}
 }
 
-// cacheState is the serialized form moved by checkpoint/restore.
-type cacheState struct {
-	Entries map[string]*entry `json:"entries"`
-}
+// A cache's state is the count and the entries in key order: key
+// (string), expiry (time), dirty epoch (uvarint), the raw response (bytes).
+// A full export and a delta share it.
 
 // ExportState implements container.StateHandler: the cache content roams
 // with the client, so the new station starts warm.
 func (c *Cache) ExportState() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return json.Marshal(cacheState{Entries: c.entries})
+	data, _, err := c.ExportDelta(0)
+	return data, err
 }
 
-// ImportState implements container.StateHandler. Entries already expired
-// at import time are dropped.
+// ImportState implements container.StateHandler: the cache becomes the
+// blob's. Entries already expired at import time are dropped.
 func (c *Cache) ImportState(data []byte) error {
-	var st cacheState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*entry, len(st.Entries))
-	c.mergeLocked(st)
-	return nil
+	return c.importLocked(data, true)
 }
 
 // ExportDelta implements nf.DeltaStateful: entries stored after epoch
@@ -305,42 +298,63 @@ func (c *Cache) ImportState(data []byte) error {
 func (c *Cache) ExportDelta(since uint64) ([]byte, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := cacheState{Entries: make(map[string]*entry)}
+	keys := make([]string, 0, len(c.entries))
 	for k, e := range c.entries {
 		if e.Seq > since {
-			st.Entries[k] = e
+			keys = append(keys, k)
 		}
 	}
-	data, err := json.Marshal(st)
-	return data, c.seq, err
+	slices.Sort(keys)
+	var w nf.RecordWriter
+	w.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e := c.entries[k]
+		w.Text(k)
+		w.Time(e.Expires)
+		w.Uvarint(e.Seq)
+		w.Bytes(e.Response)
+	}
+	return w, c.seq, nil
 }
 
 // ImportDelta implements nf.DeltaStateful by merging exported entries into
 // the live cache (expired ones are skipped).
 func (c *Cache) ImportDelta(data []byte) error {
-	var st cacheState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mergeLocked(st)
-	return nil
+	return c.importLocked(data, false)
 }
 
-// mergeLocked upserts st's still-fresh entries, advancing the local dirty
-// epoch past every imported stamp. Called with mu held.
-func (c *Cache) mergeLocked(st cacheState) {
+// importLocked decodes a blob and, only if all of it is sound, upserts its
+// still-fresh entries (into an empty cache when replace is set), advancing
+// the local dirty epoch past every imported stamp. Called with mu held.
+func (c *Cache) importLocked(data []byte, replace bool) error {
+	r := nf.NewRecordReader(data)
+	keys := make([]string, r.Count())
+	entries := make([]entry, len(keys))
+	for i := range keys {
+		keys[i] = r.Text()
+		entries[i] = entry{Expires: r.Time(), Seq: r.Uvarint(), Response: r.Bytes()}
+		if i > 0 && keys[i-1] >= keys[i] {
+			return fmt.Errorf("%w: httpcache entries out of key order", nf.ErrBadRecord)
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	if replace {
+		c.entries = make(map[string]*entry, len(keys))
+	}
 	now := c.clk.Now()
-	for k, e := range st.Entries {
-		if e == nil || !now.Before(e.Expires) {
+	for i, k := range keys {
+		e := &entries[i]
+		if !now.Before(e.Expires) {
 			continue
 		}
-		if e.Seq > c.seq {
-			c.seq = e.Seq
-		}
+		c.seq = max(c.seq, e.Seq)
 		c.entries[k] = e
 	}
+	return nil
 }
 
 var (

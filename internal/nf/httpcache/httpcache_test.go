@@ -1,6 +1,7 @@
 package httpcache_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -229,9 +230,9 @@ func TestStateExportImportRoundTrip(t *testing.T) {
 	if stale.Len() != 0 {
 		t.Fatalf("stale entries imported: %d", stale.Len())
 	}
-	// Corrupt state errors.
-	if err := stale.ImportState([]byte("{")); err == nil {
-		t.Fatal("corrupt state accepted")
+	// Truncated state errors.
+	if err := stale.ImportState(state[:len(state)-1]); !errors.Is(err, nf.ErrBadRecord) {
+		t.Fatalf("truncated record: %v", err)
 	}
 }
 

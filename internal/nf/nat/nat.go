@@ -8,9 +8,10 @@
 package nat
 
 import (
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gnf/internal/nf"
@@ -32,10 +33,10 @@ type mapKey struct {
 // mapping records one translation. Seq stamps the dirty epoch the mapping
 // was created at, so pre-copy migration rounds export only fresh flows.
 type mapping struct {
-	Key     mapKey     `json:"key"`
-	NATPort uint16     `json:"nat_port"`
-	HostMAC packet.MAC `json:"host_mac"` // client's MAC for de-translation
-	Seq     uint64     `json:"seq,omitempty"`
+	Key     mapKey
+	NATPort uint16
+	HostMAC packet.MAC // client's MAC for de-translation
+	Seq     uint64
 }
 
 // NAT is the NF instance.
@@ -224,34 +225,22 @@ func (n *NAT) NFStats() map[string]uint64 {
 	}
 }
 
-type natState struct {
-	Mappings []mapping `json:"mappings"`
-	NextPort uint16    `json:"next_port"`
-}
+// A NAT's state is the port cursor (u16), then the count and the mappings
+// in key order: proto (u8), client IP, client port (u16), NAT port (u16),
+// client MAC, dirty epoch (uvarint). A full export and a delta share it.
 
 // ExportState implements container.StateHandler.
 func (n *NAT) ExportState() ([]byte, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := natState{NextPort: n.nextPort, Mappings: make([]mapping, 0, len(n.byKey))}
-	for _, m := range n.byKey {
-		st.Mappings = append(st.Mappings, *m)
-	}
-	return json.Marshal(st)
+	data, _, err := n.ExportDelta(0)
+	return data, err
 }
 
-// ImportState implements container.StateHandler.
+// ImportState implements container.StateHandler: the table becomes the
+// blob's.
 func (n *NAT) ImportState(data []byte) error {
-	var st natState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.byKey = make(map[mapKey]*mapping, len(st.Mappings))
-	n.byPort = make(map[uint16]*mapping, len(st.Mappings))
-	n.mergeLocked(st)
-	return nil
+	return n.importLocked(data, true)
 }
 
 // ExportDelta implements nf.DeltaStateful: mappings created after epoch
@@ -260,47 +249,104 @@ func (n *NAT) ImportState(data []byte) error {
 func (n *NAT) ExportDelta(since uint64) ([]byte, uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := natState{NextPort: n.nextPort}
+	fresh := make([]*mapping, 0, len(n.byKey))
 	for _, m := range n.byKey {
 		if m.Seq > since {
-			st.Mappings = append(st.Mappings, *m)
+			fresh = append(fresh, m)
 		}
 	}
-	data, err := json.Marshal(st)
-	return data, n.seq, err
+	slices.SortFunc(fresh, func(a, b *mapping) int { return compareKeys(a.Key, b.Key) })
+	w := make(nf.RecordWriter, 0, 8+mappingBytes*len(fresh))
+	w.Uint16(n.nextPort)
+	w.Uvarint(uint64(len(fresh)))
+	for _, m := range fresh {
+		w.Uint8(m.Key.Proto)
+		w.IP(m.Key.SrcIP)
+		w.Uint16(m.Key.SrcPort)
+		w.Uint16(m.NATPort)
+		w.MAC(m.HostMAC)
+		w.Uvarint(m.Seq)
+	}
+	return w, n.seq, nil
 }
+
+// mappingBytes is a mapping's record with a two-byte epoch.
+const mappingBytes = 1 + 4 + 2 + 2 + 6 + 2
 
 // ImportDelta implements nf.DeltaStateful by merging exported mappings
 // into the live table.
 func (n *NAT) ImportDelta(data []byte) error {
-	var st natState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.mergeLocked(st)
-	return nil
+	return n.importLocked(data, false)
 }
 
-// mergeLocked upserts st's mappings and adopts its port cursor; the local
-// dirty epoch advances past every imported stamp so a migrated-in table
-// re-exports correctly on the next pre-copy. Called with mu held.
-func (n *NAT) mergeLocked(st natState) {
-	for i := range st.Mappings {
-		m := st.Mappings[i]
-		if m.Seq > n.seq {
-			n.seq = m.Seq
+// importLocked decodes a blob and, only if all of it is sound, upserts its
+// mappings (into an empty table when replace is set) and adopts its port
+// cursor; the local dirty epoch advances past every imported stamp so a
+// migrated-in table re-exports correctly on the next pre-copy. A blob is
+// refused if its keys are out of order, if a port or the cursor lies
+// outside this NAT's pool, or if a port would end up held by two keys.
+// Called with mu held.
+func (n *NAT) importLocked(data []byte, replace bool) error {
+	r := nf.NewRecordReader(data)
+	cursor := r.Uint16()
+	ms := make([]mapping, r.Count())
+	for i := range ms {
+		m := &ms[i]
+		m.Key = mapKey{Proto: r.Uint8(), SrcIP: r.IP(), SrcPort: r.Uint16()}
+		m.NATPort = r.Uint16()
+		m.HostMAC = r.MAC()
+		m.Seq = r.Uvarint()
+		if i > 0 && compareKeys(ms[i-1].Key, m.Key) >= 0 {
+			return fmt.Errorf("%w: nat mappings out of key order", nf.ErrBadRecord)
 		}
+	}
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	if !n.inPool(cursor) {
+		return fmt.Errorf("%w: nat port cursor %d outside %d-%d", nf.ErrBadRecord, cursor, n.lo, n.hi)
+	}
+	byPort := n.byPort
+	if replace {
+		byPort = nil
+	}
+	claimed := make(map[uint16]mapKey, len(ms))
+	for i := range ms {
+		m := &ms[i]
+		if !n.inPool(m.NATPort) {
+			return fmt.Errorf("%w: nat port %d outside %d-%d", nf.ErrBadRecord, m.NATPort, n.lo, n.hi)
+		}
+		if k, dup := claimed[m.NATPort]; dup {
+			return fmt.Errorf("%w: nat port %d held by %v and %v", nf.ErrBadRecord, m.NATPort, k, m.Key)
+		}
+		claimed[m.NATPort] = m.Key
+		if held, ok := byPort[m.NATPort]; ok && held.Key != m.Key {
+			return fmt.Errorf("%w: nat port %d held by %v and %v", nf.ErrBadRecord, m.NATPort, held.Key, m.Key)
+		}
+	}
+	if replace {
+		n.byKey = make(map[mapKey]*mapping, len(ms))
+		n.byPort = make(map[uint16]*mapping, len(ms))
+	}
+	for i := range ms {
+		m := &ms[i]
+		n.seq = max(n.seq, m.Seq)
 		if old, ok := n.byKey[m.Key]; ok {
 			delete(n.byPort, old.NATPort)
 		}
-		n.byKey[m.Key] = &m
-		n.byPort[m.NATPort] = &m
+		n.byKey[m.Key] = m
+		n.byPort[m.NATPort] = m
 	}
-	if st.NextPort >= n.lo && st.NextPort <= n.hi {
-		n.nextPort = st.NextPort
-	}
+	n.nextPort = cursor
+	return nil
+}
+
+func (n *NAT) inPool(port uint16) bool { return port >= n.lo && port <= n.hi }
+
+func compareKeys(a, b mapKey) int {
+	return cmp.Or(cmp.Compare(a.Proto, b.Proto), cmp.Compare(a.SrcIP.Uint32(), b.SrcIP.Uint32()), cmp.Compare(a.SrcPort, b.SrcPort))
 }
 
 var _ nf.DeltaStateful = (*NAT)(nil)

@@ -1,6 +1,7 @@
 package nat
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -212,8 +213,54 @@ func TestStateMigrationKeepsFlows(t *testing.T) {
 	if p.UDP.SrcPort != natPort {
 		t.Fatal("migration changed the flow's NAT port")
 	}
-	if err := n2.ImportState([]byte("{")); err == nil {
-		t.Fatal("bad JSON accepted")
+	if err := n2.ImportState(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
+		t.Fatalf("truncated record: %v", err)
+	}
+}
+
+// natBlob writes a state blob with cursor 40000 and one mapping of ipC's
+// UDP source port to a NAT port per pair, keys ascending.
+func natBlob(pairs ...[2]uint16) []byte {
+	var w nf.RecordWriter
+	w.Uint16(40000)
+	w.Uvarint(uint64(len(pairs)))
+	for _, p := range pairs {
+		w.Uint8(packet.ProtoUDP)
+		w.IP(ipC)
+		w.Uint16(p[0])
+		w.Uint16(p[1])
+		w.MAC(macC)
+		w.Uvarint(1)
+	}
+	return w
+}
+
+// TestImportRefusesAPortTwice: one NAT port answers for one client flow, so
+// a blob that would leave two keys on it — within itself, or against a
+// mapping already live — is refused and leaves the table as it was.
+func TestImportRefusesAPortTwice(t *testing.T) {
+	n := mustNAT(t)
+	if err := n.ImportState(natBlob([2]uint16{5000, 40001}, [2]uint16{5001, 40001})); !errors.Is(err, nf.ErrBadRecord) {
+		t.Fatalf("two keys on one port in one blob: %v", err)
+	}
+	if err := n.ImportState(natBlob([2]uint16{5000, 39999})); !errors.Is(err, nf.ErrBadRecord) {
+		t.Fatalf("a port outside the pool: %v", err)
+	}
+	if err := n.ImportState(natBlob([2]uint16{5000, 40001})); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ImportDelta(natBlob([2]uint16{5001, 40001})); !errors.Is(err, nf.ErrBadRecord) {
+		t.Fatalf("a delta's key on a live key's port: %v", err)
+	}
+	if n.Mappings() != 1 {
+		t.Fatalf("refused delta left %d mappings", n.Mappings())
+	}
+	// The live key itself may move to another port.
+	if err := n.ImportDelta(natBlob([2]uint16{5000, 40002})); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ImportDelta(natBlob([2]uint16{5001, 40001})); err != nil {
+		t.Fatalf("the freed port: %v", err)
 	}
 }
 
