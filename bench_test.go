@@ -718,7 +718,7 @@ func newBenchQoSAgent(b *testing.B, mgr *manager.Manager, station string) *bench
 	}
 	ok := func(json.RawMessage) (any, error) { return nil, nil }
 	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch} {
+		agent.MethodDisable, agent.MethodRestore} {
 		peer.Handle(m, ok)
 	}
 	peer.Handle(agent.MethodCheckpoint, func(json.RawMessage) (any, error) {
@@ -1107,7 +1107,7 @@ func newBenchStormAgent(b *testing.B, mgr *manager.Manager, station string, dela
 		return nil, nil
 	}
 	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch,
+		agent.MethodDisable, agent.MethodRestore,
 		agent.MethodSteer, agent.MethodSteerBatch, agent.MethodUnsteer} {
 		peer.Handle(m, slow)
 	}

@@ -762,16 +762,6 @@ func (a *Agent) Remove(chain string) error {
 	return a.teardownChainResources(d.res)
 }
 
-// Prefetch warms images on the local cache (migration pre-staging).
-func (a *Agent) Prefetch(images []string) error {
-	for _, img := range images {
-		if err := a.rt.PrefetchImage(img); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Chains lists deployment names, sorted.
 func (a *Agent) Chains() []string {
 	a.mu.Lock()

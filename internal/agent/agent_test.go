@@ -388,17 +388,3 @@ func TestReportContents(t *testing.T) {
 		t.Fatalf("switch rules = %d", rep.Switch.Rules)
 	}
 }
-
-func TestPrefetchWarmsCache(t *testing.T) {
-	st := newStation(t)
-	if err := st.ag.Prefetch([]string{agent.ImageForKind("dnscache")}); err != nil {
-		t.Fatal(err)
-	}
-	cold, _ := st.ag.Runtime().CacheStats()
-	if cold != 1 {
-		t.Fatalf("cold pulls = %d", cold)
-	}
-	if err := st.ag.Prefetch([]string{"gnf/ghost:1.0"}); err == nil {
-		t.Fatal("prefetch of unknown image succeeded")
-	}
-}

@@ -204,13 +204,6 @@ func (l *Link) installHandlers() {
 		}
 		return a.ActivateTraced(tctx, ref.Chain)
 	})
-	traced(MethodPrefetch, func(_ trace.Context, body json.RawMessage) (any, error) {
-		var spec PrefetchSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return nil, err
-		}
-		return nil, a.Prefetch(spec.Images)
-	})
 	traced(MethodStats, func(_ trace.Context, _ json.RawMessage) (any, error) {
 		return a.Report(), nil
 	})

@@ -46,7 +46,7 @@ const (
 	MethodRestore    = "agent.restore"
 	MethodEnable     = "agent.enable"
 	MethodDisable    = "agent.disable"
-	MethodPrefetch   = "agent.prefetch"
+	MethodPrefetch   = "agent.prefetch" // unserved (Deploy resolves its images); the benchmark's scripted agents register it
 	MethodStats      = "agent.stats"
 	MethodPing       = "agent.ping"
 	MethodSteer      = "agent.steer"
@@ -201,11 +201,6 @@ func (s SyncDeltaSpec) WireBlob() []byte { return s.State }
 type ActivateResult struct {
 	Chain    string `json:"chain"`
 	Replayed uint64 `json:"replayed"`
-}
-
-// PrefetchSpec warms an image on the agent's runtime.
-type PrefetchSpec struct {
-	Images []string `json:"images"`
 }
 
 // RegisterSpec announces an agent to the manager.

@@ -294,7 +294,7 @@ func streamAcrossHandoff(t *testing.T, strategy manager.Strategy) (sys *System, 
 // first function must be natChain's NAT.
 func streamAcrossHandoffOf(t *testing.T, sys *System, chain manager.ChainSpec) (sent []uint32, roamAt uint32, log *wireLog) {
 	t.Helper()
-	return streamAcross(t, sys, chain, func() {
+	return streamAcross(t, sys, chain, func(func() uint32) {
 		if err := sys.Topo.Attach("phone", "cell-b"); err != nil {
 			t.Fatal(err)
 		}
@@ -305,18 +305,20 @@ func streamAcrossHandoffOf(t *testing.T, sys *System, chain manager.ChainSpec) (
 }
 
 // streamAcross is the harness under streamAcrossHandoffOf: the chain
-// attached at st-a with 500 flows of state, the 1 kHz stream, and act — a
+// attached with 500 flows of state in its head, the 1 kHz stream, and act — a
 // handoff, or whatever else the chain must serve the phone across — run
-// 30 ms into it; roamAt is the sequence number current when act began.
-func streamAcross(t *testing.T, sys *System, chain manager.ChainSpec, act func()) (sent []uint32, roamAt uint32, log *wireLog) {
+// 30 ms into it; act's argument reads the sequence number current, and
+// roamAt is the one current when act began.
+func streamAcross(t *testing.T, sys *System, chain manager.ChainSpec, act func(seq func() uint32)) (sent []uint32, roamAt uint32, log *wireLog) {
 	t.Helper()
 	if err := sys.AttachChain("phone", chain); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.WaitChainOn("st-a", "edge", 5*time.Second); err != nil {
+	head := headStation(sys, chain.Name)
+	if err := sys.WaitChainOn(head, chain.Name, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	seedFlows(t, sys, "st-a", "edge", 500)
+	seedFlows(t, sys, head, chain.Name, 500)
 
 	natIP := packet.IP{192, 168, 77, 1}
 	log = &wireLog{rewritten: map[uint32]bool{}, natPorts: map[uint16]int{}}
@@ -361,16 +363,30 @@ func streamAcross(t *testing.T, sys *System, chain manager.ChainSpec, act func()
 			mu.Unlock()
 		}
 	}()
+	now := func() uint32 {
+		mu.Lock()
+		defer mu.Unlock()
+		return seq
+	}
 	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	roamAt = seq
-	mu.Unlock()
-	act()
+	roamAt = now()
+	act(now)
 	time.Sleep(30 * time.Millisecond)
 	close(stop)
 	<-done
 	time.Sleep(20 * time.Millisecond) // the last frames reach the server
 	return sent, roamAt, log
+}
+
+// headStation is where the manager placed the phone's chain (its head, for a
+// split chain).
+func headStation(sys *System, chain string) topology.StationID {
+	for _, pl := range sys.Manager.Placements() {
+		if pl.Client == "phone" && pl.Chain == chain {
+			return topology.StationID(pl.Station)
+		}
+	}
+	return ""
 }
 
 // detouredHandoff streams across one handoff under a state-carrying strategy
@@ -608,7 +624,7 @@ func TestSplitHeadLeavingItsHubDetours(t *testing.T) {
 func TestOperatorMoveAwayFromTheClient(t *testing.T) {
 	sys, _ := demoSystem(t, manager.StrategyStateful)
 	var rep manager.MigrationReport
-	sent, roamAt, log := streamAcross(t, sys, natChain("edge"), func() {
+	sent, roamAt, log := streamAcross(t, sys, natChain("edge"), func(func() uint32) {
 		var err error
 		if rep, err = sys.Manager.MigrateChain("phone", "edge", "st-b"); err != nil {
 			t.Fatal(err)
@@ -776,6 +792,44 @@ func TestSharedPoolClientRoamsBesideAnotherSharer(t *testing.T) {
 	}
 	if on, err := sys.Agent("st-0").ChainEnabled("edge-phone"); err != nil || !on {
 		t.Fatalf("phone chain enabled = %v, %v", on, err)
+	}
+	auditClean(t, sys)
+}
+
+// TestSecondChainOfAClientSeesNoTraffic streams 1 kHz from a client with two
+// NAT chains at its station — a, then b (the harness's, seeded with 500
+// flows), a's NAT on its own port range — and reports what each chain
+// processed and which NAT ports reached the server. Both chains' steering
+// rules match the client's access port, and its address on the uplink, at
+// one priority, and a tie goes to the older rule: a takes every frame, and b
+// — attached, enabled, placed, audited clean — sees none. A ChainSpec selects
+// no traffic, so a client's second chain has none of its own.
+func TestSecondChainOfAClientSeesNoTraffic(t *testing.T) {
+	sys, _ := demoSystem(t, manager.StrategyStateful)
+	a := natChain("a")
+	a.Functions[0].Params = nf.Params{"nat_ip": "192.168.77.1", "ports": "40000-62000"}
+	if err := sys.AttachChain("phone", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitChainOn("st-a", "a", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_, _, log := streamAcross(t, sys, natChain("b"), func(func() uint32) { time.Sleep(40 * time.Millisecond) })
+
+	processed := map[string]uint64{}
+	for _, cs := range sys.Agent("st-a").Report().Chains {
+		processed[cs.Chain] = cs.Processed
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	t.Logf("chain a processed %d frames, chain b %d; NAT ports at the server %v", processed["a"], processed["b"], log.natPorts)
+	if processed["b"] != 0 {
+		t.Errorf("chain b processed %d frames: a client's second chain is reached after all", processed["b"])
+	}
+	// Every translated frame wore a's first port, and a processed each one.
+	if len(log.natPorts) != 1 || log.natPorts[40000] != len(log.order) || processed["a"] != uint64(len(log.order)) {
+		t.Errorf("chain a processed %d frames, %d reached the server translated wearing NAT ports %v; want all of them on a's port 40000",
+			processed["a"], len(log.order), log.natPorts)
 	}
 	auditClean(t, sys)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -308,4 +309,136 @@ func TestOffloadMultipleChains(t *testing.T) {
 	if got := sys.Agent("nimbus").Chains(); len(got) != 0 {
 		t.Fatalf("nimbus chains after detach = %v", got)
 	}
+}
+
+// TestSplitChainAttachedOffloadedRoamsAndIsRecalled streams 1 kHz from a
+// client offloaded before its split chain attaches: the head (natChain's
+// counter) lands on the cloud site on the tunnel back to the client, segment
+// 1 (its NAT) on the hub. The client then roams — a steer, nothing moves —
+// and is recalled: the head alone comes back to the edge, carrying its
+// state, and segment 1 is re-spliced onto it without moving. A frame the
+// server sees translated crossed both segments, so none may be lost or pass
+// the chain by outside the roam and the recall. (The NAT goes behind the
+// counter because it rewrites the source MAC, which a next segment's tunnel
+// ingress matches on.) The way back is measured, not held: a datagram from
+// the Internet side to the phone is delivered where the backhaul last saw the
+// phone, past the chain — and NAT replies have no return rule at all.
+func TestSplitChainAttachedOffloadedRoamsAndIsRecalled(t *testing.T) {
+	cfg := twoStationConfig(manager.StrategyStateful)
+	// Sorting first makes it the aggregation hub.
+	cfg.Stations = append(cfg.Stations, StationConfig{
+		ID: "hub", Cells: []CellConfig{{ID: "cell-hub", Center: topology.Point{X: 1000}, Radius: 60}},
+	})
+	// A shaped link delays frame after frame: short enough to carry 1 kHz.
+	cfg.Clouds = []CloudConfig{{ID: "nimbus", WAN: netem.LinkParams{Delay: 200 * time.Microsecond}}}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	if err := sys.AddClient("phone", phoneMAC, phoneIP); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Topo.Attach("phone", "cell-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitClientAt("phone", "st-a", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.OffloadClient("phone", "nimbus"); err != nil {
+		t.Fatal(err)
+	}
+	split := natChain("edge")
+	nat, acct := split.Functions[0], split.Functions[1]
+	acct.Affinity, nat.Affinity = manager.AffinityNearClient, manager.AffinityAggregate
+	split.Functions = []agent.NFSpec{acct, nat}
+
+	echo := sys.AddServer("echo", packet.MAC{2, 0, 0, 0, 0, 0x97}, packet.IP{10, 99, 0, 3})
+	echo.Learn(phoneIP, phoneMAC)
+	arrived := make(chan struct{}, 8)
+	sys.ClientHost("phone").HandleUDP(6001, func(_, _ packet.Endpoint, _ []byte) []byte {
+		arrived <- struct{}{}
+		return nil
+	})
+	var stages []string
+	stage := func(name string) {
+		at := map[string]string{}
+		for _, pl := range sys.Manager.Placements() {
+			at[pl.Chain] = pl.Station
+		}
+		stages = append(stages, at["edge"]+"+"+at["edge#1"])
+		echo.SendUDP(packet.Endpoint{Addr: phoneIP, Port: 6001}, 7000, []byte(name))
+		select {
+		case <-arrived:
+			t.Logf("%s: a datagram to the phone arrived", name)
+		case <-time.After(100 * time.Millisecond):
+			t.Logf("%s: a datagram to the phone was lost", name)
+		}
+	}
+	var roamAt, roamEnd, recallAt, recallEnd uint32
+	sent, _, log := streamAcross(t, sys, split, func(seq func() uint32) {
+		stage("attached offloaded")
+		roamAt = seq()
+		if err := sys.Topo.Attach("phone", "cell-b"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.WaitClientAt("phone", "st-b", 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		sys.Manager.WaitIdle()
+		roamEnd = seq()
+		stage("roamed")
+		recallAt = seq()
+		if err := sys.RecallClient("phone"); err != nil {
+			t.Fatal(err)
+		}
+		recallEnd = seq()
+		stage("recalled")
+	})
+
+	if want := "[nimbus+hub nimbus+hub st-b+hub]"; fmt.Sprint(stages) != want {
+		t.Errorf("head+segment 1 ran on %v, want %s", stages, want)
+	}
+	var moves []string
+	for _, mig := range sys.Manager.Migrations() {
+		if mig.Err != "" {
+			t.Errorf("failed migration: %+v", mig)
+		}
+		moves = append(moves, fmt.Sprintf("%s %s->%s", mig.Chain, mig.From, mig.To))
+	}
+	if want := "[ ->st-a  ->st-b edge nimbus->st-b]"; fmt.Sprint(moves) != want {
+		t.Errorf("migrations %v, want the attach's and the roam's steers and the head's recall: %s", moves, want)
+	}
+	// Every frame is owed the chain unless it left during the roam or the
+	// recall, or in the 15 ms of stragglers after either. The roam's window
+	// opens 5 ms early: frames still queued toward st-a when the phone leaves
+	// it find the phone's steer gone with the phone. The recall's freeze drops
+	// what reaches the frozen head until the flip, as every recall does.
+	inWindow := func(seq uint32) bool {
+		return (seq+5 >= roamAt && seq <= roamEnd+15) || (seq >= recallAt && seq <= recallEnd+15)
+	}
+	var lost, bypassed, lostInWindows int
+	log.mu.Lock()
+	for _, seq := range sent {
+		rewritten, arrived := log.rewritten[seq]
+		switch {
+		case !arrived && inWindow(seq):
+			lostInWindows++
+		case !arrived:
+			lost++
+		case !rewritten:
+			bypassed++
+			if !inWindow(seq) {
+				t.Errorf("frame %d passed the chain by outside the roam (%d–%d) and the recall (%d–%d)", seq, roamAt, roamEnd, recallAt, recallEnd)
+			}
+		}
+	}
+	log.mu.Unlock()
+	t.Logf("sent %d: lost %d outside the moves and %d inside, %d past the chain; roam %d–%d, recall %d–%d",
+		len(sent), lost, lostInWindows, bypassed, roamAt, roamEnd, recallAt, recallEnd)
+	if lost != 0 {
+		t.Errorf("%d frames lost outside the roam and the recall", lost)
+	}
+	onePort(t, log)
+	auditClean(t, sys)
 }

@@ -204,7 +204,7 @@ func (m *Manager) revive(failed string, j displaced) FailoverReport {
 		rep.To, rep.Recovered = at, watch.Elapsed()
 		return rep
 	}
-	if mig := m.moveSegment(trace.Context{}, j.client, j.rec, dep, "", rep.To, StrategyCold); mig.Err != "" {
+	if mig, _ := m.moveSegment(trace.Context{}, j.client, j.rec, hop{dep, "", rep.To}, StrategyCold, nil); mig.Err != "" {
 		rep.Err = mig.Err
 		return rep
 	}

@@ -138,7 +138,6 @@ func TestFailoverSilentStationByHeartbeatTimeout(t *testing.T) {
 	peer.Handle(agent.MethodDeploy, func(json.RawMessage) (any, error) {
 		return &agent.DeployResult{Chain: "fw"}, nil
 	})
-	peer.Handle(agent.MethodPrefetch, func(json.RawMessage) (any, error) { return nil, nil })
 	go peer.Run()
 	defer peer.Close()
 	if err := peer.Call(agent.MethodRegister, agent.RegisterSpec{Station: "ghost"}, nil); err != nil {

@@ -58,8 +58,9 @@ func (fx *faultFixture) announce(t *testing.T, station string) {
 	fx.mgr.WaitIdle()
 }
 
-func (fx *faultFixture) attach(t *testing.T, name string, affinities ...string) {
-	t.Helper()
+// counterChain is a chain of one counter per affinity (one untagged counter
+// without any).
+func counterChain(name string, affinities ...string) manager.ChainSpec {
 	spec := manager.ChainSpec{Name: name}
 	if len(affinities) == 0 {
 		affinities = []string{""}
@@ -67,7 +68,12 @@ func (fx *faultFixture) attach(t *testing.T, name string, affinities ...string) 
 	for i, a := range affinities {
 		spec.Functions = append(spec.Functions, agent.NFSpec{Kind: "counter", Name: fmt.Sprintf("c%d", i), Affinity: a})
 	}
-	if err := fx.mgr.AttachChain("phone", spec); err != nil {
+	return spec
+}
+
+func (fx *faultFixture) attach(t *testing.T, name string, affinities ...string) {
+	t.Helper()
+	if err := fx.mgr.AttachChain("phone", counterChain(name, affinities...)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,9 +110,11 @@ type moveShape struct {
 	// reports its failure.
 	prepare func(t *testing.T, fx *faultFixture)
 	op      func(t *testing.T, fx *faultFixture) error
-	// moving lists the deployments the move carries from source to target.
+	// moving lists the deployments the move carries from source ("" =
+	// nowhere: an attach) to target, or to where targets names.
 	moving         []string
 	source, target string
+	targets        map[string]string
 	// detours marks a handoff of an exclusive head, whose render points the
 	// client back at the source before the move: the move runs un-detoured
 	// without its two RPCs.
@@ -124,8 +132,45 @@ type moveShape struct {
 
 const splitChain = "web" // [near-client][aggregate][cloud-ok]: web@st-src, web#1@st-agg, web#2@nimbus
 
+var splitAffinities = []string{manager.AffinityNearClient, manager.AffinityAggregate, manager.AffinityCloudOK}
+
 func attachSplit(t *testing.T, fx *faultFixture) {
-	fx.attach(t, splitChain, manager.AffinityNearClient, manager.AffinityAggregate, manager.AffinityCloudOK)
+	fx.attach(t, splitChain, splitAffinities...)
+}
+
+// offloadFirst offloads phone before it has a chain: nothing moves, and every
+// chain attached from then on belongs on the site.
+func offloadFirst(t *testing.T, fx *faultFixture) {
+	if _, err := fx.mgr.OffloadClient("phone", "nimbus"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// attachOp is an attach shape's operation: AttachChain of spec.
+func attachOp(spec manager.ChainSpec) func(*testing.T, *faultFixture) error {
+	return func(_ *testing.T, fx *faultFixture) error { return fx.mgr.AttachChain("phone", spec) }
+}
+
+// attachedOrNothing checks an attach shape beyond the hosting model: a chain
+// attached is recorded; a failed attach leaves no record and no steer anywhere,
+// and attaching the chain again then succeeds.
+func attachedOrNothing(spec manager.ChainSpec) func(*testing.T, *faultFixture, bool) {
+	return func(t *testing.T, fx *faultFixture, failed bool) {
+		if recorded := len(fx.mgr.Chains("phone")) == 1; recorded == failed {
+			t.Errorf("attach failed=%v, yet Chains() = %+v", failed, fx.mgr.Chains("phone"))
+		}
+		if !failed {
+			return
+		}
+		for st, sa := range fx.agents {
+			if via, steered := sa.detour("phone"); steered {
+				t.Errorf("a failed attach left %s steering phone toward %s", st, via)
+			}
+		}
+		if err := attachOp(spec)(t, fx); err != nil {
+			t.Errorf("re-attach after the fault: %v", err)
+		}
+	}
 }
 
 func migrateToDst(_ *testing.T, fx *faultFixture) error {
@@ -163,6 +208,26 @@ func offloaded(before, after string) func(*testing.T, *faultFixture, bool) {
 		}
 		if got := fx.mgr.Offloaded("phone"); got != want {
 			t.Errorf("offload site = %q after the move (failed=%v), want %q", got, failed, want)
+		}
+	}
+}
+
+// headOnly checks an offload or recall of the split chain: the anchors stay
+// put and serving, and segment 1's ingress leg follows the head from `from`
+// to `to` (back on `from` after a failure).
+func headOnly(from, to string) func(*testing.T, *faultFixture, bool) {
+	return func(t *testing.T, fx *faultFixture, failed bool) {
+		want := to
+		if failed {
+			want = from
+		}
+		if got := fx.agents["st-agg"].leg(splitChain+"#1", "ingress"); got != want {
+			t.Errorf("segment 1's ingress leg points at %q, want %q", got, want)
+		}
+		for dep, st := range map[string]string{splitChain + "#1": "st-agg", splitChain + "#2": "nimbus"} {
+			if enabled, present := fx.agents[st].hosts(dep); !enabled || !present {
+				t.Errorf("anchor %s on %s: present=%v enabled=%v", dep, st, present, enabled)
+			}
 		}
 	}
 }
@@ -224,11 +289,51 @@ func awayFromClient(t *testing.T, fx *faultFixture, failed bool) {
 
 var moveShapes = []moveShape{
 	{
+		// Attaching is a cold move from nowhere: the chain deploys enabled at
+		// the client's station, where the rule renders no steer.
+		name: "attach", strategy: manager.StrategyStateful, rpcs: 1,
+		order:   "st-src: deploy",
+		prepare: func(*testing.T, *faultFixture) {},
+		op:      attachOp(counterChain("chain")), moving: []string{"chain"}, target: "st-src",
+		check: attachedOrNothing(counterChain("chain")),
+	},
+	{
+		// Every segment where the rule puts it, tail first; the head lands at
+		// the client's station, so again no steer.
+		name: "attach split", strategy: manager.StrategyStateful, rpcs: 3,
+		order:   "nimbus: deploy; st-agg: deploy; st-src: deploy",
+		prepare: func(*testing.T, *faultFixture) {},
+		op:      attachOp(counterChain(splitChain, splitAffinities...)),
+		moving:  []string{splitChain, splitChain + "#1", splitChain + "#2"},
+		targets: map[string]string{splitChain: "st-src", splitChain + "#1": "st-agg", splitChain + "#2": "nimbus"},
+		check:   attachedOrNothing(counterChain(splitChain, splitAffinities...)),
+	},
+	{
+		// The chain lands on the offload site with its ingress leg on the
+		// tunnel to the client, and the render steers the client to it.
+		name: "attach offloaded", strategy: manager.StrategyStateful, rpcs: 2,
+		order:   "nimbus: deploy; st-src: steer",
+		prepare: offloadFirst,
+		op:      attachOp(counterChain("chain")), moving: []string{"chain"}, target: "nimbus",
+		check: attachedOrNothing(counterChain("chain")),
+	},
+	{
+		// The head goes to the site and the anchors where they always go; the
+		// render steers the client to the head.
+		name: "attach split+offloaded", strategy: manager.StrategyStateful, rpcs: 4,
+		order:   "nimbus: deploy deploy; st-agg: deploy; st-src: steer",
+		prepare: offloadFirst,
+		op:      attachOp(counterChain(splitChain, splitAffinities...)),
+		moving:  []string{splitChain, splitChain + "#1", splitChain + "#2"},
+		targets: map[string]string{splitChain: "nimbus", splitChain + "#1": "st-agg", splitChain + "#2": "nimbus"},
+		check:   attachedOrNothing(counterChain(splitChain, splitAffinities...)),
+	},
+	{
 		// Make-before-break: the target deploys enabled on the tunnel leg to
 		// the client (still at st-src), and the render with it landed steers
 		// the client to it before the source goes.
-		name: "cold", strategy: manager.StrategyCold, rpcs: 4,
-		order:   "st-dst: prefetch deploy; st-src: steer remove",
+		name: "cold", strategy: manager.StrategyCold, rpcs: 3,
+		order:   "st-dst: deploy; st-src: steer remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -236,13 +341,13 @@ var moveShapes = []moveShape{
 		// The source serves the client, so the target boots before the
 		// freeze, and the freeze opens with the render that steers the client
 		// to it: the target parks the client's frames until its Enable.
-		name: "stateful", strategy: manager.StrategyStateful, rpcs: 8,
-		order:   "st-dst: prefetch deploy restore enable; st-src: steer disable checkpoint remove",
+		name: "stateful", strategy: manager.StrategyStateful, rpcs: 7,
+		order:   "st-dst: deploy restore enable; st-src: steer disable checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "operator move away from the client", strategy: manager.StrategyStateful, rpcs: 8, sameAs: "stateful",
+		name: "operator move away from the client", strategy: manager.StrategyStateful, rpcs: 7, sameAs: "stateful",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 		check: awayFromClient,
@@ -252,16 +357,16 @@ var moveShapes = []moveShape{
 		// the target boots while the source serves through the tunnel, and the
 		// Unsteer opens the freeze — from there the target parks the client's
 		// frames until its Enable replays them through the restored state.
-		name: "stateful handoff", strategy: manager.StrategyStateful, rpcs: 10, detours: true,
-		order:   "st-dst: steer prefetch deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
+		name: "stateful handoff", strategy: manager.StrategyStateful, rpcs: 9, detours: true,
+		order:   "st-dst: steer deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
 		// The stateful handoff's RPCs plus segment 1's ingress leg chasing the
 		// head once it serves.
-		name: "stateful handoff+split head", strategy: manager.StrategyStateful, rpcs: 11, detours: true,
-		order:   "st-agg: retarget; st-dst: steer prefetch deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
+		name: "stateful handoff+split head", strategy: manager.StrategyStateful, rpcs: 10, detours: true,
+		order:   "st-agg: retarget; st-dst: steer deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
 		prepare: attachSplit,
 		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
 		check: splitHeadLegs,
@@ -270,22 +375,22 @@ var moveShapes = []moveShape{
 		// No leg to point back at the client (see live handoff+pooled): the
 		// operator move's RPCs in the operator move's order — the freeze at
 		// once, the deploy beside it — and nothing journaled.
-		name: "stateful handoff+pooled", strategy: manager.StrategyStateful, rpcs: 7,
-		order:   "st-dst: prefetch deploy restore enable; st-src: disable checkpoint remove",
+		name: "stateful handoff+pooled", strategy: manager.StrategyStateful, rpcs: 6,
+		order:   "st-dst: deploy restore enable; st-src: disable checkpoint remove",
 		prepare: attachPooled,
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 		check: noDetourJournaled,
 	},
 	{
 		// The live move's RPCs plus the steer at its freeze.
-		name: "live", strategy: manager.StrategyLive, rpcs: 10,
+		name: "live", strategy: manager.StrategyLive, rpcs: 9,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
 		// The client has already left the source: the live move's RPCs plus
 		// Retarget and Steer up front and Unsteer at the freeze.
-		name: "live handoff", strategy: manager.StrategyLive, rpcs: 12, detours: true,
+		name: "live handoff", strategy: manager.StrategyLive, rpcs: 11, detours: true,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -293,7 +398,7 @@ var moveShapes = []moveShape{
 		// A split chain's head detours like any chain — its ingress leg moves,
 		// its egress leg stays — and then has segment 1's ingress leg chase it:
 		// the live handoff's RPCs plus that one Retarget at the hub.
-		name: "live handoff+split head", strategy: manager.StrategyLive, rpcs: 13, detours: true,
+		name: "live handoff+split head", strategy: manager.StrategyLive, rpcs: 12, detours: true,
 		prepare: attachSplit,
 		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
 		check: splitHeadLegs,
@@ -303,7 +408,7 @@ var moveShapes = []moveShape{
 		// nothing to point back at the client:
 		// the manager knows from the deploy's answer and asks nobody — the
 		// operator move's RPCs, no tunnel, nothing journaled.
-		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 9,
+		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 8,
 		prepare: attachPooled,
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 		check: noDetourJournaled,
@@ -311,19 +416,19 @@ var moveShapes = []moveShape{
 	{
 		// The merged entry point: an unsplit chain is its segment 0, so naming
 		// the segment runs the operator move.
-		name: "segment 0 via MigrateSegment", strategy: manager.StrategyStateful, rpcs: 8, sameAs: "stateful",
+		name: "segment 0 via MigrateSegment", strategy: manager.StrategyStateful, rpcs: 7, sameAs: "stateful",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "segment 0 via MigrateSegment+live", strategy: manager.StrategyLive, rpcs: 10, sameAs: "live",
+		name: "segment 0 via MigrateSegment+live", strategy: manager.StrategyLive, rpcs: 9, sameAs: "live",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
 		// Failover revival of a split chain's head: no source to carry from,
 		// and the anchored segment's previous leg must chase the head.
-		name: "dead-source", strategy: manager.StrategyStateful, rpcs: 3,
+		name: "dead-source", strategy: manager.StrategyStateful, rpcs: 2,
 		prepare: func(t *testing.T, fx *faultFixture) { attachSplit(t, fx); fx.kill(t, "st-src") },
 		op: func(_ *testing.T, fx *faultFixture) error {
 			for _, rep := range fx.mgr.CheckFailures() {
@@ -336,7 +441,7 @@ var moveShapes = []moveShape{
 		moving: []string{splitChain}, source: "st-src", target: "st-agg",
 	},
 	{
-		name: "segment move", strategy: manager.StrategyStateful, rpcs: 9,
+		name: "segment move", strategy: manager.StrategyStateful, rpcs: 8,
 		prepare: attachSplit,
 		op: func(_ *testing.T, fx *faultFixture) error {
 			_, err := fx.mgr.MigrateSegment("phone", splitChain, 1, "st-dst")
@@ -356,7 +461,7 @@ var moveShapes = []moveShape{
 		},
 	},
 	{
-		name: "offload", strategy: manager.StrategyStateful, rpcs: 15,
+		name: "offload", strategy: manager.StrategyStateful, rpcs: 13,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain-a"); fx.attach(t, "chain-b") },
 		op: func(_ *testing.T, fx *faultFixture) error {
 			_, err := fx.mgr.OffloadClient("phone", "nimbus")
@@ -366,7 +471,40 @@ var moveShapes = []moveShape{
 		check: offloaded("", "nimbus"),
 	},
 	{
-		name: "recall", strategy: manager.StrategyStateful, rpcs: 15,
+		// A split chain offloads head-only: the anchors stay, and the head's
+		// move re-splices segment 1 onto the site.
+		name: "offload split", strategy: manager.StrategyStateful, rpcs: 8,
+		order:   "nimbus: deploy restore enable; st-agg: retarget; st-src: disable checkpoint steer remove",
+		prepare: attachSplit,
+		op: func(_ *testing.T, fx *faultFixture) error {
+			_, err := fx.mgr.OffloadClient("phone", "nimbus")
+			return err
+		},
+		moving: []string{splitChain}, source: "st-src", target: "nimbus",
+		check: func(t *testing.T, fx *faultFixture, failed bool) {
+			offloaded("", "nimbus")(t, fx, failed)
+			headOnly("st-src", "nimbus")(t, fx, failed)
+		},
+	},
+	{
+		name: "recall split", strategy: manager.StrategyStateful, rpcs: 8,
+		order: "nimbus: disable checkpoint remove; st-agg: retarget; st-src: deploy restore enable unsteer",
+		prepare: func(t *testing.T, fx *faultFixture) {
+			attachSplit(t, fx)
+			offloadFirst(t, fx)
+		},
+		op: func(_ *testing.T, fx *faultFixture) error {
+			_, err := fx.mgr.RecallClient("phone")
+			return err
+		},
+		moving: []string{splitChain}, source: "nimbus", target: "st-src",
+		check: func(t *testing.T, fx *faultFixture, failed bool) {
+			offloaded("nimbus", "")(t, fx, failed)
+			headOnly("nimbus", "st-src")(t, fx, failed)
+		},
+	},
+	{
+		name: "recall", strategy: manager.StrategyStateful, rpcs: 13,
 		prepare: func(t *testing.T, fx *faultFixture) {
 			fx.attach(t, "chain-a")
 			fx.attach(t, "chain-b")
@@ -461,11 +599,10 @@ func orderOf(points []faultPoint) string {
 func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 	fx, issued, err := sh.run(t, &fault)
 	failed := err != nil
-	// The prefetch and the final removal of the source copy are best
-	// effort: the move completes without them. Every other step is load
-	// bearing.
+	// The final removal of the source copy is best effort: the move
+	// completes without it. Every other step is load bearing.
 	sourceRemove := fault.method == agent.MethodRemove && fault.station == sh.source
-	bestEffort := fault.method == agent.MethodPrefetch || sourceRemove
+	bestEffort := sourceRemove
 	if sh.detours {
 		// So is the detour: a source that will not re-point, or a station
 		// that will not steer, leaves the move as it was without one. Not
@@ -478,11 +615,14 @@ func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 	if failed == bestEffort {
 		t.Fatalf("move error = %v, want failure = %v; RPCs: %v", err, !bestEffort, issued)
 	}
-	home := sh.target
-	if failed {
-		home = sh.source
-	}
 	for _, dep := range sh.moving {
+		home := sh.target
+		if at, ok := sh.targets[dep]; ok {
+			home = at
+		}
+		if failed {
+			home = sh.source
+		}
 		for st, sa := range fx.agents {
 			enabled, present := sa.hosts(dep)
 			switch {

@@ -98,7 +98,7 @@ func dialScriptedAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpe
 		return agent.DeployResult{Shared: sa.pooling}
 	})
 	for _, m := range []string{agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch, agent.MethodSyncDelta,
+		agent.MethodDisable, agent.MethodRestore, agent.MethodSyncDelta,
 		agent.MethodRetarget, agent.MethodSteer, agent.MethodSteerBatch, agent.MethodUnsteer} {
 		handle(m, nil)
 	}

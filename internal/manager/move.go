@@ -4,14 +4,15 @@
 // newly assigned cell and removed from the previous cell" — plus optional
 // state transfer, is a single step list:
 //
-//	prefetch → deploy at target → carry state, switching the client's
-//	traffic over to the target as the source freezes → enable or activate →
-//	re-splice the legs that name a peer → remove source
+//	deploy at target → carry state, switching the client's traffic over to
+//	the target as the source freezes → enable or activate → re-splice the
+//	legs that name a placed peer → remove source
 //
-// Handoffs, operator migrations, station evacuation, GNFC offload and
-// recall, split-chain segment moves and failover revival all run that list;
-// what genuinely differs between them is data in the movePlan, not code, and
-// every plan but offload's and recall's is built in one place (moveSegment).
+// Handoffs, operator migrations, station evacuation, attach, GNFC offload
+// and recall, split-chain segment moves and failover revival all run that
+// list; what genuinely differs between them is data in the movePlan, not
+// code, and every plan is built in one place (moveSegment). Attach, offload
+// and recall move their deployments as one transaction (moveAll).
 // Where the client's traffic enters is not a step but the renderer's answer
 // (render, placed.go), asked again at the switch-over with the target landed:
 // a source serving the client keeps serving while the target boots, and the
@@ -54,19 +55,23 @@ type movePlan struct {
 	from, to string
 	strategy Strategy
 	// deploy is the target-side spec: name, functions, addressing and the
-	// two legs. A leg that names a Peer deployment is re-spliced: once the
-	// target serves, that neighbour's facing leg is pointed at it. Enabled
-	// belongs to the engine.
+	// two legs. Enabled belongs to the engine.
 	deploy agent.DeploySpec
+	// splice marks the legs (ingress, egress) whose Peer deployment is
+	// re-spliced: once the target serves, that neighbour's facing leg is
+	// pointed at it.
+	splice [2]bool
 	// deferred leaves the source in place once the target serves, and the
-	// client's traffic where it is: the caller switches it (reanchor's flip).
+	// client's traffic where it is: the caller switches it (moveAll's flip).
 	deferred bool
 }
 
 // pendingMove is what a deferred move hands back instead of finishing:
-// commit removes the source copy, undo unwinds every step taken so far.
+// commit removes the source copy, undo unwinds every step taken so far, and
+// landed is the target copy for the caller's render.
 type pendingMove struct {
 	commit, undo func()
+	landed       landed
 }
 
 // async starts fn and returns its join: the first call waits for fn, later
@@ -169,10 +174,6 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	var boot time.Duration
 	deploy := p.deploy
 	deploy.Enabled = carry == StrategyCold
-	prefetch := func() {
-		// Best effort: the deploy pulls whatever the prefetch could not.
-		target.callT(tctx, agent.MethodPrefetch, agent.PrefetchSpec{Images: imagesOf(deploy.Functions)}, nil)
-	}
 	stage := func() error {
 		watch := clock.NewStopwatch(m.clk)
 		var res agent.DeployResult
@@ -180,19 +181,13 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		boot, rep.pooled = watch.Elapsed(), res.Shared
 		return err
 	}
-	switch {
-	case carry == StrategyCold || (serving && carry == StrategyStateful):
-		prefetch()
+	if carry == StrategyCold || (serving && carry == StrategyStateful) {
 		if err := stage(); err != nil {
 			return fail(err)
 		}
-	case carry == StrategyStateful:
-		// The freeze starts at once, so even the prefetch overlaps it.
-		join = async(func() error { prefetch(); return stage() })
-	default:
-		// Images pre-stage while the source still serves; only the
-		// deploy overlaps pre-copy round one.
-		prefetch()
+	} else {
+		// The deploy overlaps the freeze (stop-and-copy) or pre-copy round
+		// one (live).
 		join = async(stage)
 	}
 	undo = append(undo, func() {
@@ -201,13 +196,15 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 			target.callT(tctx, agent.MethodRemove, chain, nil)
 		}
 	})
+	// lands is the target copy as the renderer sees it once it is up.
+	lands := func() landed { return landed{p.dep, placement{p.to, rep.pooled}, p.deploy.Ingress.Station} }
 	// switchOver renders the client's traffic onto the target once it is up;
 	// it is load-bearing, and the caller renders whatever the move leaves.
 	switchOver := func() error {
 		if p.deferred {
 			return nil
 		}
-		return m.render(tctx, p.deploy.Client, p.rec, landed{p.dep, placement{p.to, rep.pooled}, p.deploy.Ingress.Station})
+		return m.render(tctx, p.deploy.Client, p.rec, lands())
 	}
 	// freeze stops the source serving: from here until the target forwards
 	// the client is dark, so every later failure must bring the source back.
@@ -313,8 +310,8 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 	}
 
-	// Re-splice: a leg that names a peer has that peer's facing leg — the
-	// upstream neighbour's egress, the downstream neighbour's ingress —
+	// Re-splice: a leg that names a placed peer has that peer's facing leg —
+	// the upstream neighbour's egress, the downstream neighbour's ingress —
 	// pointed at the deployment's new station. Until both land, in-flight
 	// frames still ride toward the old station and are dropped at a frozen
 	// chain, the same transient every stop-and-copy has. A failed splice is a
@@ -334,7 +331,7 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		return h.callT(tctx, agent.MethodRetarget, spec, nil)
 	}
 	for i, peer := range []agent.Leg{p.deploy.Ingress, p.deploy.Egress} {
-		if peer.Peer == "" {
+		if !p.splice[i] {
 			continue
 		}
 		if err := splice(peer, i == 0, p.to); err != nil {
@@ -363,24 +360,31 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	}
 	if p.deferred {
 		rep.Total = total.Elapsed()
-		return rep, &pendingMove{commit: commit, undo: unwind}
+		return rep, &pendingMove{commit: commit, undo: unwind, landed: lands()}
 	}
 	commit()
 	rep.Total = total.Elapsed()
 	return rep, nil
 }
 
-// moveSegment plans the move of one deployment of a client's chain for the
-// engine above and, when the move succeeds, points the client's placement
-// table at the target — what handoffs, operator migrations, evacuation and
-// failover revival all funnel through — and renders the table either way.
-// Callers hold rec.migMu, and so does DetachChain: a chain detached since the
-// caller looked it up is refused here, and none can go while the move runs.
-// A head moves under the caller's strategy with its client's addressing (it
-// may land away from the client); an anchored segment moves stop-and-copy,
-// and its legs name its neighbours, which the move re-splices.
-func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec, dep deployment, from, to string, strategy Strategy) MigrationReport {
-	p := movePlan{rec: rec, dep: dep, from: from, to: to, strategy: strategy}
+// hop is one deployment's move, from "" (nowhere) or a station to a station.
+type hop struct {
+	dep      deployment
+	from, to string
+}
+
+// moveSegment builds the plan of every move of one deployment of a client's
+// chain and runs it. Callers hold rec.migMu, and so does DetachChain: a chain
+// detached since the caller looked it up is refused here. A head moves under
+// the caller's strategy with its client's addressing; an anchored segment
+// moves stop-and-copy. A segment's legs name its neighbours where they run or
+// land, and the move re-splices those already placed. Alone (tx nil), a move
+// that succeeds is placed, and the table rendered either way. In a transaction
+// (tx: each deployment it moves → where it lands) the move is deferred, and
+// moveSegment hands back the pending move, placing and rendering nothing.
+func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec, h hop, strategy Strategy, tx map[deployment]string) (MigrationReport, *pendingMove) {
+	dep := h.dep
+	p := movePlan{rec: rec, dep: dep, from: h.from, to: h.to, strategy: strategy, deferred: tx != nil}
 	rec.mu.Lock()
 	spec, attached := rec.chains[dep.chain]
 	segs := SegmentsOf(spec)
@@ -388,14 +392,27 @@ func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec,
 		segs = []ChainSegment{{}} // a chain of no functions is one empty segment
 	}
 	if dep.seg < len(segs) {
-		at := func(i int) string { return rec.at(deployment{dep.chain, i}) }
+		at := func(i int) string {
+			if to, moving := tx[deployment{dep.chain, i}]; moving {
+				return to
+			}
+			return rec.at(deployment{dep.chain, i})
+		}
 		p.deploy = segmentDeploy(client, rec.mac, rec.ip, dep.chain, segs, dep.seg, at)
+		p.splice = [2]bool{rec.at(deployment{dep.chain, dep.seg - 1}) != "", rec.at(deployment{dep.chain, dep.seg + 1}) != ""}
 	} else {
 		attached = false // detached, or re-attached with fewer segments, since
 	}
 	if dep.seg == 0 {
-		// The head deploys on the rule's ingress leg at `to`: the switch-over only steers.
-		_, _, want := m.wanted(rec, landed{dep, placement{to, rec.placed[dep].pooled}, ""})
+		// The head deploys on the ingress leg the rule gives it once landed with
+		// its transaction: the switch-over only steers. Alone it keeps its pooled
+		// bit (agent.ErrPooledLegs); a transaction's heads land exclusive, which
+		// is what serves an offloaded client over the tunnel.
+		seeds := []landed{{dep, placement{h.to, rec.placed[dep].pooled && !p.deferred}, ""}}
+		for d, to := range tx {
+			seeds = append(seeds, landed{d, placement{to, false}, ""})
+		}
+		_, _, want := m.wanted(rec, seeds...)
 		p.deploy.Ingress.Station = want.legs[dep]
 		p.deploy.ClientMAC, p.deploy.ClientIP = rec.mac, rec.ip
 	} else {
@@ -404,25 +421,62 @@ func (m *Manager) moveSegment(tctx trace.Context, client string, rec *clientRec,
 	rec.mu.Unlock()
 	if !attached {
 		return MigrationReport{
-			Client: client, Chain: dep.name(), From: from, To: to, Strategy: p.strategy,
+			Client: client, Chain: dep.name(), From: h.from, To: h.to, Strategy: p.strategy,
 			Err: fmt.Sprintf("%v: %s", ErrUnknownChain, dep.chain),
-		}
+		}, nil
 	}
-	rep, _ := m.move(tctx, p)
+	rep, pending := m.move(tctx, p)
+	if p.deferred {
+		return rep, pending
+	}
 	if rep.Err == "" {
 		rec.mu.Lock()
-		rec.place(dep, to, rep.pooled)
+		rec.place(dep, h.to, rep.pooled)
 		rec.mu.Unlock()
 	}
 	m.render(tctx, client, rec)
-	return rep
+	return rep, nil
 }
 
-// imagesOf lists the repository images a function list needs.
-func imagesOf(fns []agent.NFSpec) []string {
-	imgs := make([]string, 0, len(fns))
-	for _, f := range fns {
-		imgs = append(imgs, agent.ImageForKind(f.Kind))
+// moveAll moves a client's deployments as one transaction (attach, offload,
+// recall): each hop deferred, then one render with all of them landed, then
+// every commit and placement. A failure anywhere undoes every move
+// newest-first and renders the table as it stands: the client keeps what it
+// had, never a mixture. It returns the report of every move it ran.
+func (m *Manager) moveAll(tctx trace.Context, client string, rec *clientRec, hops []hop, strategy Strategy) ([]MigrationReport, error) {
+	tx := make(map[deployment]string, len(hops))
+	for _, h := range hops {
+		tx[h.dep] = h.to
 	}
-	return imgs
+	var reps []MigrationReport
+	var moved []*pendingMove
+	fail := func(err error) ([]MigrationReport, error) {
+		for i := len(moved) - 1; i >= 0; i-- {
+			moved[i].undo()
+		}
+		m.render(tctx, client, rec)
+		return reps, err
+	}
+	seeds := make([]landed, 0, len(hops))
+	for _, h := range hops {
+		rep, pending := m.moveSegment(tctx, client, rec, h, strategy, tx)
+		reps = append(reps, rep)
+		if rep.Err != "" {
+			return fail(fmt.Errorf("%s/%s: %s", client, rep.Chain, rep.Err))
+		}
+		moved = append(moved, pending)
+		seeds = append(seeds, pending.landed)
+	}
+	if err := m.render(tctx, client, rec, seeds...); err != nil {
+		return fail(err)
+	}
+	for _, pending := range moved {
+		pending.commit()
+	}
+	rec.mu.Lock()
+	for _, s := range seeds {
+		rec.place(s.dep, s.pl.station, s.pl.pooled)
+	}
+	rec.mu.Unlock()
+	return reps, nil
 }

@@ -1,20 +1,16 @@
 // GNFC offload orchestration (reference [2] of the demo paper): the
-// Manager can move a client's entire chain set from its edge station to a
-// cloud site. Traffic then detours edge→cloud→backhaul through a
-// provisioned tunnel. The payoff, quantified in experiment E8: once
-// offloaded, roaming costs only a steering update — the chains never move
-// again — at the price of a WAN round-trip on every packet.
+// Manager can move a client's chain heads — whole chains, and the head of a
+// split one — from its edge station to a cloud site. Traffic then detours
+// edge→cloud through a provisioned tunnel. The payoff, quantified in
+// experiment E8: once offloaded, roaming costs only a steering update — the
+// chains never move again — at the price of a WAN round-trip on every packet.
 package manager
 
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
-	"strings"
 
-	"gnf/internal/agent"
 	"gnf/internal/trace"
 )
 
@@ -46,26 +42,22 @@ func (m *Manager) Offloaded(client string) string {
 	return rec.offload
 }
 
-// OffloadClient moves every chain of the client to the cloud site and
-// detours the client's traffic through the tunnel (reanchor).
+// OffloadClient moves the client's chain heads to the cloud site, where its
+// traffic reaches them through the tunnel (reanchor).
 func (m *Manager) OffloadClient(client, site string) (OffloadReport, error) {
 	return m.reanchor(client, site)
 }
 
-// RecallClient moves an offloaded client's chains back to its current edge
-// station (reanchor): its traffic snaps back through the fresh local chains.
+// RecallClient moves an offloaded client's chain heads back to its edge
+// station (reanchor).
 func (m *Manager) RecallClient(client string) (OffloadReport, error) {
 	return m.reanchor(client, "")
 }
 
-// reanchor moves all of one client's chains to the cloud site — an offload —
-// or, with site "", back to the client's edge station — a recall — as one
-// transaction: each chain moves deferred, make-before-break with state (on
-// the site with its ingress leg already on the tunnel to the client), then
-// the flip — a render with every chain landed — re-points the client's
-// traffic, and only then do the sources go. A failure anywhere unwinds every
-// chain already moved and renders the table as it stands: the client keeps
-// the complete old set, never a mixture, and its record is untouched.
+// reanchor offloads the client to the cloud site or, with site "", recalls
+// it: every deployment whose wantAt changes with the offload site moves, with
+// state, as one transaction (moveAll) — a split chain's head alone, which the
+// move re-splices segment 1 onto.
 func (m *Manager) reanchor(client, site string) (OffloadReport, error) {
 	rep := OffloadReport{Client: client, Site: site, Recall: site == ""}
 	rec := m.clients.get(client)
@@ -75,31 +67,21 @@ func (m *Manager) reanchor(client, site string) (OffloadReport, error) {
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
 	rec.mu.Lock()
-	station, offload, mac, ip := rec.station, rec.offload, rec.mac, rec.ip
-	specs := slices.SortedFunc(maps.Values(rec.chains), func(a, b ChainSpec) int { return strings.Compare(a.Name, b.Name) })
+	cl := rec.whereabouts()
 	rec.mu.Unlock()
-	from, to, verb := station, site, "offload"
+	verb := "offload"
 	if rep.Recall {
-		rep.Site, from, to, verb = offload, offload, station, "recall"
+		rep.Site, verb = cl.offload, "recall"
 	}
 	switch {
-	case !rep.Recall && offload != "":
-		return rep, fmt.Errorf("%w: %s on %s", ErrOffloaded, client, offload)
-	case rep.Recall && offload == "":
+	case !rep.Recall && cl.offload != "":
+		return rep, fmt.Errorf("%w: %s on %s", ErrOffloaded, client, cl.offload)
+	case rep.Recall && cl.offload == "":
 		return rep, fmt.Errorf("%w: %s", ErrNotOffloaded, client)
-	case station == "":
+	case cl.station == "":
 		return rep, fmt.Errorf("%w: %s", ErrNotAttached, client)
 	}
 	if !rep.Recall {
-		// Split chains already pin their segments per affinity; silently
-		// collapsing one onto a cloud site would discard that layout. Refuse
-		// loudly — the operator detaches and re-attaches without affinities
-		// if cloud hosting is really wanted.
-		for _, spec := range specs {
-			if len(SegmentsOf(spec)) > 1 {
-				return rep, fmt.Errorf("manager: cannot offload %s: chain %s is split across stations by affinity", client, spec.Name)
-			}
-		}
 		cloud, err := m.agentFor(site)
 		if err != nil {
 			return rep, err
@@ -108,57 +90,42 @@ func (m *Manager) reanchor(client, site string) (OffloadReport, error) {
 			return rep, fmt.Errorf("%w: %s", ErrNotCloud, site)
 		}
 	}
-	if _, err := m.agentFor(station); err != nil {
+	if _, err := m.agentFor(cl.station); err != nil {
 		return rep, err
 	}
+
+	st := m.state()
+	next := whereabouts{station: cl.station, offload: site}
+	var hops []hop
+	rec.mu.Lock()
+	for dep, pl := range rec.placed {
+		spec := rec.chains[dep.chain]
+		was, _ := wantAt(st, cl, spec, dep.seg, pl.station)
+		if want, err := wantAt(st, next, spec, dep.seg, pl.station); err == nil && want != was {
+			hops = append(hops, hop{dep, pl.station, want})
+		}
+	}
+	rec.mu.Unlock()
+	sort.Slice(hops, func(i, j int) bool { return hops[i].dep.name() < hops[j].dep.name() })
 
 	// State is preserved via stop-and-copy for both the stateful and live
 	// strategies: pre-copy assumes the target can be staged behind the
 	// client's steering, which a tunnelled remote deployment cannot until
 	// the flip, so live degrades to one-shot copy here.
-	strategy := m.state().strategy
+	strategy := st.strategy
 	if strategy == StrategyLive {
 		strategy = StrategyStateful
 	}
 	sp := m.tracer.StartSpan(trace.Context{}, "manager.migrate_request")
 	sp.SetAttr("client", client)
-	var moved []*pendingMove
-	var seeds []landed
-	fail := func(err error) (OffloadReport, error) {
-		for i := len(moved) - 1; i >= 0; i-- {
-			moved[i].undo()
-		}
-		m.render(sp.Context(), client, rec)
-		sp.End(err)
+	var err error
+	rep.Chains, err = m.moveAll(sp.Context(), client, rec, hops, strategy)
+	sp.End(err)
+	if err != nil {
 		return rep, fmt.Errorf("manager: %s %w", verb, err)
 	}
-	for _, spec := range specs {
-		p := movePlan{rec: rec, dep: deployment{chain: spec.Name}, from: from, to: to,
-			strategy: strategy, deferred: true, deploy: agent.DeploySpec{Chain: spec.Name, Client: client, Functions: spec.Functions}}
-		if !rep.Recall {
-			p.deploy.ClientMAC, p.deploy.ClientIP, p.deploy.Ingress = mac, ip, agent.Leg{Station: station}
-		}
-		mig, pending := m.move(sp.Context(), p)
-		rep.Chains = append(rep.Chains, mig)
-		if mig.Err != "" {
-			return fail(fmt.Errorf("%s/%s: %s", client, mig.Chain, mig.Err))
-		}
-		moved = append(moved, pending)
-		seeds = append(seeds, landed{p.dep, placement{to, mig.pooled}, p.deploy.Ingress.Station})
-	}
-	if err := m.render(sp.Context(), client, rec, seeds...); err != nil {
-		return fail(err)
-	}
-	for _, pending := range moved {
-		pending.commit()
-	}
-	sp.End(nil)
-
 	rec.mu.Lock()
 	rec.offload = site
-	for _, s := range seeds {
-		rec.place(s.dep, s.pl.station, s.pl.pooled)
-	}
 	rec.mu.Unlock()
 	for _, mig := range rep.Chains {
 		m.recordMigration(mig)

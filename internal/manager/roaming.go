@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"sort"
 
 	"gnf/internal/agent"
@@ -17,11 +18,12 @@ func (m *Manager) RegisterClient(client string) {
 	m.clients.getOrCreate(client)
 }
 
-// AttachChain deploys an NF chain for a client on its current station and
-// remembers it for future roaming (the Manager API of §3: "allows single
-// or chain of NFs to be associated with a subset of a selected client's
-// traffic"), then renders the client's table. Like a move it holds the
-// client's migration lock.
+// AttachChain deploys an NF chain for a client and remembers it for future
+// roaming (the Manager API of §3: "allows single or chain of NFs to be
+// associated with a subset of a selected client's traffic"). It is a move
+// from nowhere: every segment, tail first, moves cold to where the placement
+// rule puts it, as one transaction (moveAll), so a failure leaves nothing
+// deployed, recorded or steered.
 func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 	rec := m.clients.get(client)
 	if rec == nil {
@@ -40,62 +42,47 @@ func (m *Manager) AttachChain(client string, spec ChainSpec) error {
 		}
 		return fmt.Errorf("%w: %s", ErrChainExists, spec.Name)
 	}
-	station, site, mac, ip := rec.station, rec.offload, rec.mac, rec.ip
+	cl := rec.whereabouts()
 	rec.mu.Unlock()
-	if station == "" {
+	if cl.station == "" {
 		return fmt.Errorf("%w: %s", ErrNotAttached, client)
 	}
 
-	// Chains with placement affinities split into per-station segments.
 	// Validation runs even for unsplit chains so a typoed affinity tag
 	// fails loudly instead of silently collapsing to one segment.
-	segs := SegmentsOf(spec)
-	if err := validateSplit(spec, segs); err != nil {
+	if err := ValidateSegments(spec); err != nil {
 		return err
 	}
-	if len(segs) > 1 {
-		if site != "" {
-			return fmt.Errorf("manager: cannot attach split chain %s: client %s is offloaded to %s", spec.Name, client, site)
-		}
-		if err := m.attachSegments(client, rec, spec, segs, station, mac, ip); err != nil {
-			return err
-		}
-		return m.render(trace.Context{}, client, rec)
-	}
-
-	// Offloaded clients get new chains on their cloud site directly.
-	target := station
-	deploy := agent.DeploySpec{
-		Chain:     spec.Name,
-		Client:    client,
-		Functions: spec.Functions,
-		Enabled:   true,
-	}
-	if site != "" {
-		target = site
-		deploy.Ingress = agent.Leg{Station: station}
-		deploy.ClientMAC, deploy.ClientIP = mac, ip
-	}
-	h, err := m.agentFor(target)
+	st := m.state()
+	stations, err := segmentStations(st, cl, spec, max(len(SegmentsOf(spec)), 1))
 	if err != nil {
 		return err
 	}
-	// For local deploys, client MAC/IP addressing is filled in by the
-	// agent from its own client table (learned at association time).
-	var res agent.DeployResult
-	if err := h.call(agent.MethodDeploy, deploy, &res); err != nil {
-		return err
+	// The chain's QoS budget holds over the path its traffic takes: an
+	// attach that cannot meet it is an operator error, surfaced here.
+	if rtt, ok := pathRTT(st.topo, cl.station, stations); ok && spec.MaxRTT() > 0 && rtt > spec.MaxRTT() {
+		return fmt.Errorf("manager: chain %s: multi-leg path RTT %s exceeds budget %s (stations %v)",
+			spec.Name, rtt, spec.MaxRTT(), stations)
+	}
+	hops := make([]hop, len(stations))
+	for i, at := range stations {
+		hops[len(hops)-1-i] = hop{deployment{spec.Name, i}, "", at}
 	}
 	rec.mu.Lock()
 	rec.chains[spec.Name] = spec
-	rec.place(deployment{chain: spec.Name}, target, res.Shared)
 	rec.mu.Unlock()
-	m.journal.Append(trace.Event{
-		Type: trace.EventAttach, Subject: spec.Name, Station: target,
-		Detail: "client=" + client,
-	})
-	// (An offloaded client's first chain after a full detach re-steers it.)
-	return m.render(trace.Context{}, client, rec, landed{deployment{chain: spec.Name}, placement{target, res.Shared}, deploy.Ingress.Station})
+	if _, err := m.moveAll(trace.Context{}, client, rec, hops, StrategyCold); err != nil {
+		rec.mu.Lock()
+		delete(rec.chains, spec.Name)
+		rec.mu.Unlock()
+		return err
+	}
+	detail := "client=" + client
+	if len(stations) > 1 {
+		detail = fmt.Sprintf("client=%s segments=%v", client, stations)
+	}
+	m.journal.Append(trace.Event{Type: trace.EventAttach, Subject: spec.Name, Station: stations[0], Detail: detail})
+	return nil
 }
 
 // DetachChain removes a chain from a client everywhere it runs. It waits out
@@ -160,11 +147,7 @@ func (m *Manager) Chains(client string) []ChainSpec {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	out := make([]ChainSpec, 0, len(rec.chains))
-	for _, s := range rec.chains {
-		out = append(out, s)
-	}
-	return out
+	return slices.Collect(maps.Values(rec.chains))
 }
 
 // applyClientEvent reacts to client (dis)connections pushed by agents:
@@ -278,7 +261,7 @@ func (m *Manager) reconcileClient(client string, rec *clientRec, tctx trace.Cont
 			settled[spec.Name] = true
 			continue
 		}
-		rep := m.moveSegment(tctx, client, rec, deployment{chain: spec.Name}, from, to, st.strategy)
+		rep, _ := m.moveSegment(tctx, client, rec, hop{deployment{chain: spec.Name}, from, to}, st.strategy, nil)
 		m.recordMigration(rep)
 		if rep.Err != "" {
 			return // avoid a hot loop on persistent failure

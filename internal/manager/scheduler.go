@@ -264,7 +264,7 @@ func (m *Manager) EvacuateStation(station string) ([]MigrationReport, error) {
 			}
 		}
 		j.rec.migMu.Lock()
-		rep := m.moveSegment(trace.Context{}, j.client, j.rec, j.dep, station, to, st.strategy)
+		rep, _ := m.moveSegment(trace.Context{}, j.client, j.rec, hop{j.dep, station, to}, st.strategy, nil)
 		j.rec.migMu.Unlock()
 		m.recordMigration(rep)
 		reports = append(reports, rep)

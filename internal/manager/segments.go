@@ -14,7 +14,8 @@
 //     segments prefer a GNFC cloud site.
 //   - segmentDeploy renders any segment as a deploy spec; its legs name the
 //     neighbouring segments, which is what has a move re-splice them
-//     (moveSegment, move.go).
+//     (moveSegment, move.go). Attaching moves every segment from nowhere,
+//     tail first (a port-to-port egress leg needs its far end), head last.
 //
 // Deployment naming: segment 0 deploys under the chain's own name, segment
 // i>0 as "name#i" (agent.SegmentDeployName).
@@ -113,30 +114,23 @@ func SegmentsOf(spec ChainSpec) []ChainSegment {
 	return segs
 }
 
-// validateSplit rejects split layouts the runtime cannot honour: unknown
+// ValidateSegments rejects split layouts the runtime cannot honour: unknown
 // affinity values, and near-client functions *behind* an anchored
 // segment — the head is the only segment roaming chases, so a trailing
-// near-client run would drift away from the client forever.
-func validateSplit(spec ChainSpec, segs []ChainSegment) error {
+// near-client run would drift away from the client forever. AttachChain
+// runs it, and the declarative spec layer validates documents with it.
+func ValidateSegments(spec ChainSpec) error {
 	for _, f := range spec.Functions {
 		if !ValidAffinity(f.Affinity) {
 			return fmt.Errorf("manager: chain %s: function %s has unknown affinity %q", spec.Name, f.Name, f.Affinity)
 		}
 	}
-	for i, sg := range segs {
+	for i, sg := range SegmentsOf(spec) {
 		if i > 0 && sg.Affinity == AffinityNearClient {
 			return fmt.Errorf("manager: chain %s: near-client functions must precede anchored ones (segment %d)", spec.Name, i)
 		}
 	}
 	return nil
-}
-
-// ValidateSegments checks a chain's affinity layout without attaching
-// it: unknown tags and near-client-behind-anchor layouts are rejected
-// with the same errors AttachChain would raise. The declarative spec
-// layer validates documents with it before install.
-func ValidateSegments(spec ChainSpec) error {
-	return validateSplit(spec, SegmentsOf(spec))
 }
 
 // SetTunnelProvisioner installs the callback the manager uses to make
@@ -259,15 +253,14 @@ func (m *Manager) SegmentPlan(client string, spec ChainSpec) ([]string, bool) {
 	return stations, err == nil
 }
 
-// pathRTT sums the multi-leg round-trip of a split chain: the access leg
-// from the client's station to the head plus every inter-segment leg.
-// ok is false when any leg has no path in the graph.
+// pathRTT sums the multi-leg round-trip of a chain: the access leg from the
+// client's station to the head plus every inter-segment leg. ok is false
+// when any leg has no path in the graph, or there is no graph.
 func pathRTT(topo *topology.Graph, clientAt string, stations []string) (time.Duration, bool) {
 	if topo == nil {
 		return 0, false
 	}
-	total := time.Duration(0)
-	prev := clientAt
+	total, prev := time.Duration(0), clientAt
 	for _, s := range stations {
 		if s != prev {
 			rtt, ok := topo.RTT(topology.StationID(prev), topology.StationID(s))
@@ -279,73 +272,6 @@ func pathRTT(topo *topology.Graph, clientAt string, stations []string) (time.Dur
 		prev = s
 	}
 	return total, true
-}
-
-// attachSegments deploys a split chain tail→head across its segment
-// stations: each segment's steering may reference the next one (a local
-// next leg wires port-to-port against the already-present downstream
-// deployment), so the head — the segment that starts diverting client
-// traffic — lands last. Any failure rolls back every segment already
-// deployed.
-func (m *Manager) attachSegments(client string, rec *clientRec, spec ChainSpec, segs []ChainSegment, station string, mac packet.MAC, ip packet.IP) error {
-	stations, err := segmentStations(m.state(), whereabouts{station: station}, spec, len(segs))
-	if err != nil {
-		return err
-	}
-	// Enforce the chain's QoS budget over the full multi-leg path, not
-	// just the access leg: a split that cannot meet its own budget is an
-	// operator error, surfaced at attach time rather than debugged off a
-	// silent RTT violation.
-	if budget := spec.MaxRTT(); budget > 0 {
-		if topo := m.state().topo; topo != nil {
-			if rtt, ok := pathRTT(topo, station, stations); ok && rtt > budget {
-				return fmt.Errorf("manager: chain %s: multi-leg path RTT %s exceeds budget %s (stations %v)",
-					spec.Name, rtt, budget, stations)
-			}
-		}
-	}
-	for i := 0; i+1 < len(stations); i++ {
-		if err := m.ensureTunnel(stations[i], stations[i+1]); err != nil {
-			return err
-		}
-	}
-
-	n := len(segs)
-	type done struct{ name, at string }
-	var deployed []done
-	rollback := func() {
-		for _, d := range deployed {
-			if h, err := m.agentFor(d.at); err == nil {
-				h.call(agent.MethodRemove, agent.ChainRef{Chain: d.name}, nil)
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		dep := segmentDeploy(client, mac, ip, spec.Name, segs, i, func(j int) string { return stations[j] })
-		dep.Enabled = true
-		h, err := m.agentFor(stations[i])
-		if err != nil {
-			rollback()
-			return err
-		}
-		if err := h.call(agent.MethodDeploy, dep, nil); err != nil {
-			rollback()
-			return err
-		}
-		deployed = append(deployed, done{dep.Chain, stations[i]})
-	}
-
-	rec.mu.Lock()
-	rec.chains[spec.Name] = spec
-	for i, at := range stations {
-		rec.place(deployment{spec.Name, i}, at, false)
-	}
-	rec.mu.Unlock()
-	m.journal.Append(trace.Event{
-		Type: trace.EventAttach, Subject: spec.Name, Station: stations[0],
-		Detail: fmt.Sprintf("client=%s segments=%v", client, stations),
-	})
-	return nil
 }
 
 // MigrateSegment moves one segment of a chain to another station on demand;
@@ -382,7 +308,7 @@ func (m *Manager) MigrateSegment(client, chainName string, seg int, to string) (
 	}
 	sp := m.tracer.StartSpan(trace.Context{}, "manager.migrate_request")
 	sp.SetAttr("client", client)
-	rep := m.moveSegment(sp.Context(), client, rec, dep, from, to, st.strategy)
+	rep, _ := m.moveSegment(sp.Context(), client, rec, hop{dep, from, to}, st.strategy, nil)
 	sp.End(nil)
 	m.recordMigration(rep)
 	if rep.Err != "" {

@@ -43,7 +43,7 @@ func dialHeaderAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpec)
 		})
 	}
 	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodPrefetch, agent.MethodSyncDelta,
+		agent.MethodDisable, agent.MethodRestore, agent.MethodSyncDelta,
 		agent.MethodRetarget, agent.MethodSteer, agent.MethodUnsteer} {
 		rec(m, nil)
 	}

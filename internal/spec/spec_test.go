@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -353,4 +355,54 @@ func TestActionKeyStable(t *testing.T) {
 	if a.Key() == c.Key() {
 		t.Fatal("distinct actions share a key")
 	}
+}
+
+// FuzzSpec feeds JSON documents through everything a PUT /api/spec runs on
+// them: unmarshalling, Validate, Normalize and Hash. None may panic;
+// Normalize is idempotent; and a spec Validate accepts hashes the same with
+// its clients, each client's chains and its pools in reverse order.
+func FuzzSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"version":1,"strategy":"live","placement":"qos"}`,
+		`{"clients":[{"id":"tablet","chains":[{"name":"b","functions":[{"kind":"counter","name":"c"}]},` +
+			`{"name":"a","functions":[{"kind":"firewall","name":"f","params":{"x":"y","k":"v"}}],"max_rtt_ms":5}]},` +
+			`{"id":"phone","offload":"nimbus","chains":[{"name":"web","functions":[{"kind":"nat","name":"n","affinity":"near-client"},` +
+			`{"kind":"counter","name":"c","affinity":"aggregate"}],"schedule":{"enable_at":"2024-01-01T00:00:00Z","disable_at":"2024-01-02T00:00:00Z"}}]}],` +
+			`"pools":[{"station":"st-b","kinds":"counter","config_hash":"h","replicas":2},{"station":"st-a","kinds":"counter","config_hash":"h","replicas":1}]}`,
+		`{"clients":[{"id":"a"},{"id":"a"}]}`,
+		`{"clients":[{"id":"a","chains":[{"name":"x","functions":[{"kind":"counter","affinity":"bogus"}]}]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var s Spec
+		if json.Unmarshal(raw, &s) != nil {
+			return
+		}
+		valid := s.Validate() == nil
+		hash := s.Hash()
+
+		once := s.Clone()
+		once.Normalize()
+		twice := once.Clone()
+		twice.Normalize()
+		a, _ := json.Marshal(once)
+		b, _ := json.Marshal(twice)
+		if string(a) != string(b) {
+			t.Fatalf("Normalize is not idempotent:\n%s\n%s", a, b)
+		}
+		if !valid {
+			return
+		}
+		rev := s.Clone()
+		slices.Reverse(rev.Clients)
+		for i := range rev.Clients {
+			slices.Reverse(rev.Clients[i].Chains)
+		}
+		slices.Reverse(rev.Pools)
+		if got := rev.Hash(); got != hash {
+			t.Fatalf("reordering a valid spec changed its hash: %s, was %s", got, hash)
+		}
+	})
 }
