@@ -169,8 +169,14 @@ func TestBrownoutReplayReachesTheUplinkBeforeLaterTraffic(t *testing.T) {
 type slowpoke struct{ nf.Function }
 
 func (s slowpoke) Process(dir nf.Direction, frame []byte) nf.Output {
-	time.Sleep(20 * time.Microsecond)
-	return s.Function.Process(dir, frame)
+	return nf.ProcessOne(s, dir, frame)
+}
+
+func (s slowpoke) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
+	for range frames {
+		time.Sleep(20 * time.Microsecond)
+	}
+	s.Function.ProcessBatch(dir, frames, out)
 }
 
 func registerSlowpoke(st *station) {

@@ -368,5 +368,8 @@ type passthroughFn struct{ name string }
 func (p passthroughFn) Name() string { return p.name }
 func (p passthroughFn) Kind() string { return "blessed" }
 func (p passthroughFn) Process(dir nf.Direction, frame []byte) nf.Output {
-	return nf.Forward(frame)
+	return nf.ProcessOne(p, dir, frame)
+}
+func (p passthroughFn) ProcessBatch(_ nf.Direction, frames [][]byte, out *nf.Output) {
+	out.Forward = append(out.Forward, frames...)
 }

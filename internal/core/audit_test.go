@@ -323,6 +323,11 @@ func awayFixture(t *testing.T) *System {
 	if err := sys.Topo.Attach("c0", "cell-a"); err != nil {
 		t.Fatal(err)
 	}
+	// The association reaches the manager asynchronously; one that lands
+	// after the move below would carry the chain back to the client.
+	if err := sys.WaitClientAt("c0", "st-a", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.AttachChain("c0", manager.ChainSpec{
 		Name:      "nat",
 		Functions: []agent.NFSpec{{Kind: "nat", Name: "nat0", Params: nf.Params{"nat_ip": "192.168.60.1"}}},

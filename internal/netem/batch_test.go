@@ -425,11 +425,6 @@ func TestMutationMidRunRepointsTheNextFrame(t *testing.T) {
 						tc.mutate(sw)
 					}
 				})
-				far.SetBatchReceiver(func(fs [][]byte) {
-					for _, f := range fs {
-						seen[i] = append(seen[i], binary.BigEndian.Uint32(f[42:]))
-					}
-				})
 				sw.Attach(PortID(2+i), swSide)
 			}
 

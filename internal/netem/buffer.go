@@ -33,19 +33,18 @@ func NewFrameBuffer(limit int) *FrameBuffer {
 	return &FrameBuffer{limit: limit}
 }
 
-// Push parks a frame. It reports false — and counts the overflow — when
-// the buffer is full; the frame is then lost, exactly as a tail-dropping
-// queue would lose it.
-func (b *FrameBuffer) Push(tag uint8, frame []byte) bool {
+// Push parks as many of frames as fit, in order, and returns how many it
+// took. The rest are refused and counted as overflow — lost, exactly as a
+// tail-dropping queue would lose them.
+func (b *FrameBuffer) Push(tag uint8, frames [][]byte) int {
 	b.mu.Lock()
-	if len(b.frames) >= b.limit {
-		b.mu.Unlock()
-		b.overflow.Add(1)
-		return false
+	n := min(len(frames), b.limit-len(b.frames))
+	for _, f := range frames[:n] {
+		b.frames = append(b.frames, BufferedFrame{Tag: tag, Frame: f})
 	}
-	b.frames = append(b.frames, BufferedFrame{Tag: tag, Frame: frame})
 	b.mu.Unlock()
-	return true
+	b.overflow.Add(uint64(len(frames) - n))
+	return n
 }
 
 // Drain removes and returns every parked frame in arrival order.

@@ -8,11 +8,11 @@ import (
 func TestFrameBufferFIFOAndOverflow(t *testing.T) {
 	b := NewFrameBuffer(3)
 	for i := 0; i < 3; i++ {
-		if !b.Push(uint8(i%2), []byte{byte(i)}) {
+		if b.Push(uint8(i%2), [][]byte{{byte(i)}}) != 1 {
 			t.Fatalf("push %d refused below limit", i)
 		}
 	}
-	if b.Push(0, []byte{9}) {
+	if b.Push(0, [][]byte{{9}}) != 0 {
 		t.Fatal("push accepted past limit")
 	}
 	if got := b.Overflow(); got != 1 {
@@ -33,9 +33,9 @@ func TestFrameBufferFIFOAndOverflow(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("len after drain = %d", b.Len())
 	}
-	// Room again after draining.
-	if !b.Push(1, []byte{42}) {
-		t.Fatal("push refused after drain")
+	// Room again after draining; a batch parks as far as it fits.
+	if n := b.Push(1, [][]byte{{42}, {43}, {44}, {45}}); n != 3 || b.Overflow() != 2 {
+		t.Fatalf("batch push parked %d of 4, overflow %d; want 3 and 2", n, b.Overflow())
 	}
 }
 
@@ -47,7 +47,7 @@ func TestFrameBufferConcurrentPush(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b.Push(0, []byte{1})
+				b.Push(0, [][]byte{{1}})
 			}
 		}()
 	}

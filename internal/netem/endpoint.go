@@ -61,7 +61,7 @@ type Endpoint struct {
 
 	// recv is read with one atomic load per delivery and replaced whole by
 	// the setters, so the frame path takes no lock to find its receiver.
-	recv   atomic.Pointer[receivers]
+	recv   atomic.Pointer[func(frames [][]byte)]
 	ring   *frameRing // nil on a service pair's svc end: Send runs the peer's receiver
 	closed atomic.Bool
 	done   chan struct{}
@@ -69,12 +69,6 @@ type Endpoint struct {
 	txFrames, rxFrames atomic.Uint64
 	txBytes, rxBytes   atomic.Uint64
 	drops              atomic.Uint64
-}
-
-// receivers is the immutable per-frame / batch receiver pair of an endpoint.
-type receivers struct {
-	one   func(frame []byte)
-	batch func(frames [][]byte)
 }
 
 // PairOption adjusts veth construction.
@@ -159,40 +153,30 @@ func newEndpoint(name string, clk clock.Clock, link LinkParams, seed int64) *End
 		rng:  rand.New(rand.NewSource(seed)),
 		done: make(chan struct{}),
 	}
-	e.recv.Store(&receivers{})
 	return e
 }
 
 // Name returns the endpoint's interface name.
 func (e *Endpoint) Name() string { return e.name }
 
-// SetReceiver installs the function invoked for each frame arriving at this
-// endpoint. The frame slice is owned by the receiver.
+// SetReceiver installs a non-nil fn to be invoked for each frame arriving
+// at this endpoint: a batch receiver looping over the batch. The frame
+// slice is owned by the receiver.
 func (e *Endpoint) SetReceiver(fn func(frame []byte)) {
-	e.setReceivers(func(r *receivers) { r.one = fn })
-}
-
-// SetBatchReceiver installs a receiver invoked with a whole batch of
-// arriving frames when the link is unshaped (no delay, no rate limit) and
-// more than zero frames are queued. The frames — and the batch slice
-// itself — are only valid for the duration of the call; the receiver owns
-// the frame buffers but must not retain the slice. Endpoints with a batch
-// receiver fall back to the per-frame receiver on shaped links, where each
-// frame carries its own serialization and propagation cost.
-func (e *Endpoint) SetBatchReceiver(fn func(frames [][]byte)) {
-	e.setReceivers(func(r *receivers) { r.batch = fn })
-}
-
-func (e *Endpoint) setReceivers(edit func(*receivers)) {
-	for {
-		old := e.recv.Load()
-		next := *old
-		edit(&next)
-		if e.recv.CompareAndSwap(old, &next) {
-			return
+	e.SetBatchReceiver(func(frames [][]byte) {
+		for _, f := range frames {
+			fn(f)
 		}
-	}
+	})
 }
+
+// SetBatchReceiver installs the endpoint's receiver, invoked with each batch
+// of arriving frames (nil removes it). The frames — and the batch slice
+// itself — are only valid for the duration of the call; the receiver owns
+// the frame buffers but must not retain the slice. A shaped link delivers
+// its frames one at a time, each as a batch of one, since each carries its
+// own serialization and propagation cost.
+func (e *Endpoint) SetBatchReceiver(fn func(frames [][]byte)) { e.recv.Store(&fn) }
 
 // admit is the transmit prologue Send and SendBatch share: it applies the
 // MTU and the loss model to one frame, counting and recycling a frame that
@@ -236,7 +220,7 @@ func (e *Endpoint) Send(frame []byte) error {
 	case e.ring == nil:
 		e.txFrames.Add(1)
 		e.txBytes.Add(n)
-		e.peer.deliverOne(frame)
+		e.peer.deliver([][]byte{frame})
 	case e.ring.push(frame):
 		e.txFrames.Add(1)
 		e.txBytes.Add(n)
@@ -289,7 +273,7 @@ func frameBytes(frames [][]byte) (n uint64) {
 
 // deliverLoop applies serialization and propagation delay, then hands
 // frames to the peer's receiver — a whole popped batch at a time when the
-// link is unshaped and the peer accepts batches, per frame otherwise.
+// link is unshaped, one frame at a time otherwise.
 func (e *Endpoint) deliverLoop() {
 	scratch := make([][]byte, 0, deliverBatchSize)
 	shaped := e.link.RateBps > 0 || e.link.Delay > 0
@@ -309,7 +293,7 @@ func (e *Endpoint) deliverLoop() {
 		}
 		// Shaped links price each frame individually; batching must not
 		// change when a frame crosses the wire.
-		for _, frame := range batch {
+		for i, frame := range batch {
 			if e.link.RateBps > 0 {
 				ser := time.Duration(int64(len(frame)) * 8 * int64(time.Second) / e.link.RateBps)
 				e.clk.Sleep(ser)
@@ -317,13 +301,12 @@ func (e *Endpoint) deliverLoop() {
 			if e.link.Delay > 0 {
 				e.clk.Sleep(e.link.Delay)
 			}
-			e.peer.deliverOne(frame)
+			e.peer.deliver(batch[i : i+1])
 		}
 	}
 }
 
-// deliver hands a batch that crossed the link to this endpoint's receiver:
-// the batch receiver when there is one, the per-frame receiver otherwise.
+// deliver hands a batch that crossed the link to this endpoint's receiver.
 // A closed endpoint, or one nobody listens on, recycles the buffers.
 func (e *Endpoint) deliver(batch [][]byte) {
 	if e.closed.Load() {
@@ -332,30 +315,10 @@ func (e *Endpoint) deliver(batch [][]byte) {
 	}
 	e.rxFrames.Add(uint64(len(batch)))
 	e.rxBytes.Add(frameBytes(batch))
-	switch r := e.recv.Load(); {
-	case r.batch != nil:
-		r.batch(batch)
-	case r.one != nil:
-		for _, frame := range batch {
-			r.one(frame)
-		}
-	default:
-		packet.ReturnFrames(batch)
-	}
-}
-
-// deliverOne hands a single frame to this endpoint's per-frame receiver.
-func (e *Endpoint) deliverOne(frame []byte) {
-	if e.closed.Load() {
-		packet.ReturnFrame(frame)
-		return
-	}
-	e.rxFrames.Add(1)
-	e.rxBytes.Add(uint64(len(frame)))
-	if fn := e.recv.Load().one; fn != nil {
-		fn(frame)
+	if fn := e.recv.Load(); fn != nil && *fn != nil {
+		(*fn)(batch)
 	} else {
-		packet.ReturnFrame(frame)
+		packet.ReturnFrames(batch)
 	}
 }
 

@@ -47,8 +47,7 @@ func NewHost(mac packet.MAC, ip packet.IP, ep *Endpoint) *Host {
 		udp:       make(map[uint16]UDPHandler),
 		pingWaits: make(map[uint32]chan struct{}),
 	}
-	ep.SetReceiver(h.input)
-	ep.SetBatchReceiver(h.inputBatch)
+	ep.SetBatchReceiver(h.receive)
 	return h
 }
 
@@ -68,11 +67,9 @@ func (h *Host) Rebind(ep *Endpoint) {
 	h.ep = ep
 	h.mu.Unlock()
 	if old != nil {
-		old.SetReceiver(nil)
 		old.SetBatchReceiver(nil)
 	}
-	ep.SetReceiver(h.input)
-	ep.SetBatchReceiver(h.inputBatch)
+	ep.SetBatchReceiver(h.receive)
 }
 
 // HandleUDP registers a handler for a local UDP port. The table is replaced,
@@ -198,17 +195,11 @@ func (h *Host) PendingPings() int {
 	return len(h.pingWaits)
 }
 
-// input is the per-frame receive path: a batch of one on the caller's stack.
-func (h *Host) input(frame []byte) {
-	one := [1][]byte{frame}
-	h.inputBatch(one[:])
-}
-
-// inputBatch is the host's receive path. The tap and the handler table are
+// receive is the host's receive path. The tap and the handler table are
 // read once and one parser serves the whole batch. Each frame's buffer is
 // reclaimed into the pool once its processing (including any reply build)
 // finishes; anything retaining frame bytes past that point must copy them.
-func (h *Host) inputBatch(frames [][]byte) {
+func (h *Host) receive(frames [][]byte) {
 	h.mu.RLock()
 	tap, udp, anyUDP := h.rawTap, h.udp, h.anyUDP
 	h.mu.RUnlock()
@@ -226,7 +217,9 @@ func (h *Host) inputBatch(frames [][]byte) {
 				h.handleARP(&p.ARP)
 			case p.Has(packet.LayerICMP):
 				h.handleICMP(p)
-			case p.Has(packet.LayerUDP) && (p.IP.Dst == h.IPAddr || p.Eth.Dst.IsBroadcast()):
+			// A first fragment is not the whole datagram; the host does not reassemble.
+			case p.Has(packet.LayerUDP) && (p.IP.Dst == h.IPAddr || p.Eth.Dst.IsBroadcast()) &&
+				int(p.UDP.Length) == packet.UDPHeaderLen+len(p.UDP.Payload()):
 				h.Learn(p.IP.Src, p.Eth.Src)
 				fn, ok := udp[p.UDP.DstPort]
 				if !ok {
@@ -275,7 +268,7 @@ func (h *Host) handleUDP(p *packet.Parser, fn UDPHandler) {
 	dst := packet.Endpoint{Addr: p.IP.Dst, Port: p.UDP.DstPort}
 	// The payload is handed to the handler aliasing the frame buffer —
 	// no per-datagram clone. The copy-on-retain contract (see UDPHandler)
-	// makes that safe: by the time the buffer is reclaimed in inputBatch, the
+	// makes that safe: by the time the buffer is reclaimed in receive, the
 	// handler has returned and any reply has been copied into a new frame.
 	payload := p.UDP.Payload()
 	if reply := fn(src, dst, payload); reply != nil {

@@ -215,21 +215,44 @@ func TestHostBatchLearnsAPeerWhoseMACChangesMidBatch(t *testing.T) {
 		return packet.BuildUDP(m, mac(1), ip(2), ip(1), 7, 7, []byte("x"))
 	}
 
-	h.inputBatch([][]byte{from(mac(2)), from(mac(2)), from(mac(3))})
+	h.receive([][]byte{from(mac(2)), from(mac(2)), from(mac(3))})
 	if got := h.Resolve(ip(2)); got != mac(3) {
 		t.Fatalf("after 2,2,3: %v", got)
 	}
-	h.inputBatch([][]byte{from(mac(3)), from(mac(2)), from(mac(3)), from(mac(2))})
+	h.receive([][]byte{from(mac(3)), from(mac(2)), from(mac(3)), from(mac(2))})
 	if got := h.Resolve(ip(2)); got != mac(2) {
 		t.Fatalf("after 3,2,3,2: %v", got)
 	}
 	// An ARP from the same peer between two datagrams: last writer wins.
 	arp := packet.BuildARP(packet.ARPReply, mac(3), ip(2), mac(1), ip(1))
-	h.inputBatch([][]byte{from(mac(2)), arp, from(mac(2))})
+	h.receive([][]byte{from(mac(2)), arp, from(mac(2))})
 	if got := h.Resolve(ip(2)); got != mac(2) {
 		t.Fatalf("after 2,arp(3),2: %v", got)
 	}
 	if handled != 9 {
 		t.Fatalf("handled %d of 9 datagrams", handled)
+	}
+}
+
+// TestHostIgnoresAFirstFragment: the parser reads a UDP datagram's first
+// fragment as the datagram's flow, but the host does not reassemble, so no
+// handler sees a part of a datagram as if it were the whole.
+func TestHostIgnoresAFirstFragment(t *testing.T) {
+	ep, _ := NewVethPair("h", "sw")
+	t.Cleanup(ep.Close)
+	h := NewHost(mac(1), ip(1), ep)
+	var handled int
+	h.HandleAnyUDP(func(_, _ packet.Endpoint, _ []byte) []byte { handled++; return nil })
+	whole := packet.BuildUDP(mac(2), mac(1), ip(2), ip(1), 7, 7, make([]byte, 64))
+	first := whole[:packet.EthernetHeaderLen+packet.IPv4HeaderLen+40]
+	ipb := first[packet.EthernetHeaderLen:]
+	ipb[2], ipb[3] = 0, byte(len(ipb))
+	ipb[6], ipb[10], ipb[11] = 0x20, 0, 0 // MF, offset 0
+	ck := packet.Checksum(ipb[:packet.IPv4HeaderLen])
+	ipb[10], ipb[11] = byte(ck>>8), byte(ck)
+
+	h.receive([][]byte{packet.Clone(first), packet.BuildUDP(mac(2), mac(1), ip(2), ip(1), 7, 7, []byte("x"))})
+	if handled != 1 {
+		t.Fatalf("handled %d datagrams, want the whole one only", handled)
 	}
 }

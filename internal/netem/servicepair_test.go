@@ -41,7 +41,6 @@ func TestServicePairQueuesTowardTheServiceAndCallsBack(t *testing.T) {
 	// Back from the service: the receiver runs inside Send, so got needs no
 	// lock and no waiting.
 	var got [][]byte
-	sw.SetReceiver(func(f []byte) { got = append(got, f) })
 	sw.SetBatchReceiver(func(fs [][]byte) { got = append(got, fs...) })
 	if err := svc.Send([]byte{0}); err != nil {
 		t.Fatal(err)
@@ -66,7 +65,6 @@ func TestServicePairQueuesTowardTheServiceAndCallsBack(t *testing.T) {
 
 	// Toward the service: on the pair's goroutine, not the sender's.
 	arrived := make(chan []byte, 1)
-	svc.SetReceiver(func(f []byte) { arrived <- f })
 	blocked := make(chan struct{})
 	svc.SetBatchReceiver(func(fs [][]byte) {
 		<-blocked // a service that takes its time does not hold the sender
@@ -93,10 +91,6 @@ func TestServicePairCountsMTUAndLossDropsOnTheSender(t *testing.T) {
 	b.startQueue()
 	defer a.Close()
 	var delivered atomic.Uint64
-	b.SetBatchReceiver(func(fs [][]byte) {
-		delivered.Add(uint64(len(fs)))
-		packet.ReturnFrames(fs)
-	})
 	b.SetReceiver(func(f []byte) {
 		delivered.Add(1)
 		packet.ReturnFrame(f)
@@ -162,7 +156,7 @@ func TestServicePairReturnsEveryBufferNobodyTakes(t *testing.T) {
 
 	// A receiver removed while the link is up (Switch.Detach does this).
 	b.SetReceiver(func([]byte) { t.Error("removed receiver ran") })
-	b.SetReceiver(nil)
+	b.SetBatchReceiver(nil)
 	send(a)
 
 	// Closing either end closes both; nothing is delivered afterwards.
@@ -184,13 +178,6 @@ func TestServicePairTakesConcurrentSenders(t *testing.T) {
 	defer a.Close()
 	var mu sync.Mutex
 	perSender := map[byte][]uint32{}
-	b.SetBatchReceiver(func(fs [][]byte) {
-		mu.Lock()
-		for _, f := range fs {
-			perSender[f[0]] = append(perSender[f[0]], binary.BigEndian.Uint32(f[1:]))
-		}
-		mu.Unlock()
-	})
 	b.SetReceiver(func(f []byte) {
 		mu.Lock()
 		perSender[f[0]] = append(perSender[f[0]], binary.BigEndian.Uint32(f[1:]))
@@ -252,11 +239,6 @@ func TestPortKeepsFIFOAcrossAFloodMidBatch(t *testing.T) {
 		packet.ReturnFrame(f)
 	}
 	far.SetReceiver(record)
-	far.SetBatchReceiver(func(fs [][]byte) {
-		for _, f := range fs {
-			record(f)
-		}
-	})
 	tn.sw.Attach(2, swSide)
 	tn.sw.Inject(2, udpFrame(2, 9, 1, 1)) // the switch learns mac(2) behind the port
 

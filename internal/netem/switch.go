@@ -288,7 +288,6 @@ func (s *Switch) attach(id PortID, ep *Endpoint, service bool) {
 	s.mutate(func(st *swState) {
 		st.ports[id] = &swPort{id: id, ep: ep, service: service}
 	})
-	ep.SetReceiver(func(frame []byte) { s.Inject(id, frame) })
 	ep.SetBatchReceiver(func(frames [][]byte) { s.inputBatch(id, frames) })
 }
 
@@ -310,7 +309,6 @@ func (s *Switch) Detach(id PortID) {
 		}
 	})
 	if detached != nil {
-		detached.ep.SetReceiver(nil)
 		detached.ep.SetBatchReceiver(nil)
 	}
 	s.fdb.flushPort(id)

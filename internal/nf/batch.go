@@ -2,17 +2,15 @@ package nf
 
 import "sync"
 
-// Batched processing. A BatchProcessor handles a whole batch of frames in
-// one call — one mutex acquire per batch and one parse and table lookup per
-// same-flow run (packet.Run) instead of per frame, which is where the
-// per-frame cost of the builtin middleboxes lives. For those, Process is
-// ProcessBatch of one frame, so there is one path; functions without the
-// fast path are driven frame by frame through Process.
+// A frame's one path through a function is ProcessBatch: the unit of work
+// is a batch, which costs one mutex acquire and one parse and table lookup
+// per same-flow run (packet.Run) instead of per frame. A single frame is a
+// batch of one (ProcessOne), so there is no second path to keep in step.
 
-// BatchOutput collects the result of a ProcessBatch call. The caller owns
-// (and typically pools) the struct; implementations append to the slices
-// and must not retain them past the call.
-type BatchOutput struct {
+// Output collects what a function emits for a batch. The caller owns (and
+// typically pools) the struct; implementations append to the slices and
+// must not retain them past the call.
+type Output struct {
 	// Forward frames continue in the input batch's direction.
 	Forward [][]byte
 	// Reverse frames are emitted back toward the batch's origin.
@@ -21,49 +19,41 @@ type BatchOutput struct {
 
 // Reset clears the output for reuse, dropping frame references so buffers
 // handed downstream are not pinned.
-func (o *BatchOutput) Reset() {
-	for i := range o.Forward {
-		o.Forward[i] = nil
-	}
-	for i := range o.Reverse {
-		o.Reverse[i] = nil
-	}
+func (o *Output) Reset() {
+	clearFrames(o.Forward)
+	clearFrames(o.Reverse)
 	o.Forward = o.Forward[:0]
 	o.Reverse = o.Reverse[:0]
 }
 
-// BatchProcessor is the batched fast path of a Function. ProcessBatch must
-// produce exactly the frames that per-frame Process calls would, in order.
-// Ownership of every input frame transfers to the implementation: frames
-// not appended to out are consumed and should be recycled with
-// packet.ReturnFrame. The frames slice itself remains the caller's.
-type BatchProcessor interface {
-	ProcessBatch(dir Direction, frames [][]byte, out *BatchOutput)
+// ProcessOne runs frame through fn as a batch of one, its output sized for
+// the frame passing. Every Function's Process is this call.
+func ProcessOne(fn Function, dir Direction, frame []byte) Output {
+	out := Output{Forward: make([][]byte, 0, 1)}
+	fn.ProcessBatch(dir, [][]byte{frame}, &out)
+	return out
 }
 
-// BorrowBatchOutput fetches a pooled, reset BatchOutput; pair it with
+// BorrowBatchOutput fetches a pooled, reset Output; pair it with
 // ReturnBatchOutput once its frames have been handed off.
-func BorrowBatchOutput() *BatchOutput {
-	return batchOutputPool.Get().(*BatchOutput)
+func BorrowBatchOutput() *Output {
+	return outputPool.Get().(*Output)
 }
 
 // ReturnBatchOutput resets and recycles o.
-func ReturnBatchOutput(o *BatchOutput) {
+func ReturnBatchOutput(o *Output) {
 	o.Reset()
-	batchOutputPool.Put(o)
+	outputPool.Put(o)
 }
 
-var batchOutputPool = sync.Pool{New: func() any { return new(BatchOutput) }}
+var outputPool = sync.Pool{New: func() any { return new(Output) }}
 
-// chainScratch is the pooled working set of Chain.ProcessBatch: the two
-// ping-pong frame batches threaded member to member, the per-member
-// output, and the collectors for frames leaving the chain via the reverse
-// walk.
+// chainScratch is the pooled working set of one Chain.pass: the two
+// ping-pong frame batches threaded member to member and the per-member
+// output.
 type chainScratch struct {
-	a, b    [][]byte
-	member  BatchOutput
-	egress  [][]byte
-	ingress [][]byte
+	a, b   [][]byte
+	member Output
 }
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
@@ -73,9 +63,6 @@ func (sc *chainScratch) release() {
 	clearFrames(sc.b)
 	sc.a, sc.b = sc.a[:0], sc.b[:0]
 	sc.member.Reset()
-	clearFrames(sc.egress)
-	clearFrames(sc.ingress)
-	sc.egress, sc.ingress = sc.egress[:0], sc.ingress[:0]
 	chainScratchPool.Put(sc)
 }
 
@@ -85,57 +72,40 @@ func clearFrames(fs [][]byte) {
 	}
 }
 
-// ProcessBatch implements BatchProcessor by threading the whole batch
-// through the chain member by member: members with a batch fast path get
-// the surviving batch in one call, the rest fall back to per-frame
-// Process. Reverse frames emitted by a member re-traverse the members the
-// batch already passed via the same walk Process uses, preserving full
-// middlebox semantics.
-func (c *Chain) ProcessBatch(dir Direction, frames [][]byte, out *BatchOutput) {
-	sc := chainScratchPool.Get().(*chainScratch)
-	cur := append(sc.a[:0], frames...)
-	next := sc.b[:0]
-
-	step := 1
-	idx := 0
+// ProcessBatch implements Function by threading the whole batch through
+// the chain member by member.
+func (c *Chain) ProcessBatch(dir Direction, frames [][]byte, out *Output) {
+	egress, ingress := &out.Forward, &out.Reverse
+	start := 0
 	if dir == Inbound {
-		step = -1
-		idx = len(c.fns) - 1
+		egress, ingress = ingress, egress
+		start = len(c.fns) - 1
 	}
-	for ; idx >= 0 && idx < len(c.fns); idx += step {
-		fn := c.fns[idx]
-		back := idx - step
-		if bp, ok := fn.(BatchProcessor); ok {
-			sc.member.Reset()
-			bp.ProcessBatch(dir, cur, &sc.member)
-			next = append(next, sc.member.Forward...)
-			for _, rf := range sc.member.Reverse {
-				c.walk(dir.Opposite(), back, rf, &sc.egress, &sc.ingress)
-			}
-		} else {
-			for _, f := range cur {
-				o := fn.Process(dir, f)
-				next = append(next, o.Forward...)
-				for _, rf := range o.Reverse {
-					c.walk(dir.Opposite(), back, rf, &sc.egress, &sc.ingress)
-				}
-			}
+	c.pass(dir, start, frames, egress, ingress)
+}
+
+// pass threads frames through the members from position i on, travelling
+// dir; a member's Reverse frames are passed back as a batch of their own.
+// Frames leaving the chain are appended to egress (the network side) or
+// ingress (the client side).
+func (c *Chain) pass(dir Direction, i int, frames [][]byte, egress, ingress *[][]byte) {
+	step, exit := 1, egress
+	if dir == Inbound {
+		step, exit = -1, ingress
+	}
+	sc := chainScratchPool.Get().(*chainScratch)
+	cur, next := append(sc.a[:0], frames...), sc.b[:0]
+	for ; i >= 0 && i < len(c.fns) && len(cur) > 0; i += step {
+		sc.member.Reset()
+		c.fns[i].ProcessBatch(dir, cur, &sc.member)
+		next = append(next, sc.member.Forward...)
+		if len(sc.member.Reverse) > 0 {
+			c.pass(dir.Opposite(), i-step, sc.member.Reverse, egress, ingress)
 		}
 		clearFrames(cur)
 		cur, next = next, cur[:0]
 	}
-
-	out.Forward = append(out.Forward, cur...)
-	if dir == Outbound {
-		out.Forward = append(out.Forward, sc.egress...)
-		out.Reverse = append(out.Reverse, sc.ingress...)
-	} else {
-		out.Forward = append(out.Forward, sc.ingress...)
-		out.Reverse = append(out.Reverse, sc.egress...)
-	}
-
+	*exit = append(*exit, cur...)
 	sc.a, sc.b = cur, next
 	sc.release()
 }
-
-var _ BatchProcessor = (*Chain)(nil)

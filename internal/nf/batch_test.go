@@ -9,19 +9,15 @@ import (
 	"gnf/internal/packet"
 )
 
-// batchDropper drops frames whose first byte is odd, via both interfaces,
-// so per-frame and batched chain traversals can be compared.
+// batchDropper drops frames whose first byte is odd.
 type batchDropper struct{ name string }
 
 func (d *batchDropper) Name() string { return d.name }
 func (d *batchDropper) Kind() string { return "batchdropper" }
-func (d *batchDropper) Process(_ Direction, frame []byte) Output {
-	if frame[0]%2 == 1 {
-		return Drop()
-	}
-	return Forward(frame)
+func (d *batchDropper) Process(dir Direction, frame []byte) Output {
+	return ProcessOne(d, dir, frame)
 }
-func (d *batchDropper) ProcessBatch(dir Direction, frames [][]byte, out *BatchOutput) {
+func (d *batchDropper) ProcessBatch(dir Direction, frames [][]byte, out *Output) {
 	for _, f := range frames {
 		if f[0]%2 == 1 {
 			packet.ReturnFrame(f)
@@ -31,31 +27,26 @@ func (d *batchDropper) ProcessBatch(dir Direction, frames [][]byte, out *BatchOu
 	}
 }
 
-// batchBouncer answers outbound frames ending in '?' with a reply, via
-// both interfaces.
+// batchBouncer answers outbound frames containing '?' with a reply.
 type batchBouncer struct{ name string }
 
 func (b *batchBouncer) Name() string { return b.name }
 func (b *batchBouncer) Kind() string { return "batchbouncer" }
 func (b *batchBouncer) Process(dir Direction, frame []byte) Output {
-	if dir == Outbound && bytes.ContainsRune(frame, '?') {
-		return Reply(append(append([]byte(nil), frame...), '!'))
-	}
-	return Forward(frame)
+	return ProcessOne(b, dir, frame)
 }
-func (b *batchBouncer) ProcessBatch(dir Direction, frames [][]byte, out *BatchOutput) {
+func (b *batchBouncer) ProcessBatch(dir Direction, frames [][]byte, out *Output) {
 	for _, f := range frames {
-		o := b.Process(dir, f)
-		out.Forward = append(out.Forward, o.Forward...)
-		out.Reverse = append(out.Reverse, o.Reverse...)
-		if len(o.Forward) == 0 && len(o.Reverse) == 0 {
-			packet.ReturnFrame(f)
+		if dir == Outbound && bytes.ContainsRune(f, '?') {
+			out.Reverse = append(out.Reverse, append(append([]byte(nil), f...), '!'))
+		} else {
+			out.Forward = append(out.Forward, f)
 		}
 	}
 }
 
-func runBatch(c *Chain, dir Direction, frames [][]byte) *BatchOutput {
-	out := &BatchOutput{}
+func runBatch(c *Chain, dir Direction, frames [][]byte) *Output {
+	out := &Output{}
 	c.ProcessBatch(dir, frames, out)
 	return out
 }
@@ -102,8 +93,7 @@ func TestChainProcessBatchDropsLikePerFrame(t *testing.T) {
 }
 
 // TestChainProcessBatchReverseFrames checks a mid-chain reply re-walks the
-// earlier members in the opposite direction — exactly what the recursive
-// per-frame walk does.
+// earlier members in the opposite direction, alone or amid a batch.
 func TestChainProcessBatchReverseFrames(t *testing.T) {
 	mkMembers := func() (*tagger, Function) { return &tagger{name: "a", tag: 'a'}, &batchBouncer{name: "b"} }
 	ta, ba := mkMembers()
@@ -113,7 +103,7 @@ func TestChainProcessBatchReverseFrames(t *testing.T) {
 	tb, bb := mkMembers()
 	batchOut := runBatch(NewChain("c", tb, bb), Outbound, framesOf("q?", "ok"))
 	if len(batchOut.Reverse) != len(perOut.Reverse) || len(batchOut.Reverse) != 1 {
-		t.Fatalf("reverse = %q, per-frame %q", batchOut.Reverse, perOut.Reverse)
+		t.Fatalf("reverse = %q, alone %q", batchOut.Reverse, perOut.Reverse)
 	}
 	if string(batchOut.Reverse[0]) != string(perOut.Reverse[0]) {
 		t.Fatalf("reverse = %q, want %q", batchOut.Reverse[0], perOut.Reverse[0])
@@ -123,14 +113,13 @@ func TestChainProcessBatchReverseFrames(t *testing.T) {
 	}
 }
 
-// TestChainProcessBatchMixedMembers drives a chain where only some members
-// batch: the chain must fall back to per-frame processing for the others
-// and still produce identical output.
+// TestChainProcessBatchMixedMembers drives a chain of members that rewrite
+// and drop: each member's survivors are the next member's batch.
 func TestChainProcessBatchMixedMembers(t *testing.T) {
 	c := NewChain("c",
-		&tagger{name: "t1", tag: '1'}, // no ProcessBatch
-		&batchDropper{name: "d"},      // batches
-		&tagger{name: "t2", tag: '2'}, // no ProcessBatch
+		&tagger{name: "t1", tag: '1'},
+		&batchDropper{name: "d"},
+		&tagger{name: "t2", tag: '2'},
 	)
 	// '1' is odd (0x31), 'B' is even (0x42): after tagging, first bytes
 	// decide the drop, so "0.." survives only when its first byte is even.
@@ -152,9 +141,8 @@ func TestBatchOutputPool(t *testing.T) {
 	ReturnBatchOutput(o2)
 }
 
-// TestChainHostBatchPath sends a burst through a ChainHost whose chain
-// batches, asserting the batched ingress path forwards, drops and replies
-// exactly like the per-frame one.
+// TestChainHostBatchPath sends a burst through a ChainHost, asserting the
+// batch is forwarded, dropped and replied to frame by frame.
 func TestChainHostBatchPath(t *testing.T) {
 	inA, inB := netem.NewVethPair("ci", "hi")
 	outA, outB := netem.NewVethPair("co", "ho")
@@ -197,8 +185,8 @@ func TestChainHostBatchPath(t *testing.T) {
 	}
 }
 
-// TestChainHostBatchDisabledDrops checks the batched path still honors the
-// enable gate (and its drop accounting) via the per-frame fallback.
+// TestChainHostBatchDisabledDrops checks a batch arriving at a disabled,
+// unbuffered host is dropped whole and counted frame by frame.
 func TestChainHostBatchDisabledDrops(t *testing.T) {
 	inA, inB := netem.NewVethPair("ci", "hi")
 	outA, outB := netem.NewVethPair("co", "ho")

@@ -17,10 +17,12 @@ import (
 	"gnf/internal/packet"
 )
 
-// Every builtin NF decides once per same-flow run inside ProcessBatch, and
-// its Process is ProcessBatch of one frame. These tests hold the memo to
-// its contract: a batch through one instance and the same frames one at a
-// time through its twin leave the same frames, counters and state behind.
+// A frame has one path through an NF, ProcessBatch, and a single frame is a
+// batch of one. The firewall, httpfilter, ratelimit, nat and counter decide
+// once per same-flow run inside it; the caches and the balancer take their
+// lock once per batch. These tests hold both to their contract: a batch of
+// N through one instance and the same frames as N batches of one through
+// its twin leave the same frames, counters, state and notifications behind.
 
 var (
 	eqNATIP    = packet.IP{198, 51, 100, 1}
@@ -51,18 +53,28 @@ func chain5Specs() []nfSpec {
 var equivalenceRows = []struct {
 	name  string
 	specs []nfSpec
+	// hot names a counter the traffic must move; replies rows must also
+	// see a batch answered in part, its replies leaving mid-batch.
+	hot     string
+	replies bool
 }{
 	{"firewall", []nfSpec{{"firewall", "fw", nf.Params{"policy": "accept", "rules": "drop out udp any 30003-30005 any any; " +
-		"accept in udp any any any 20000-20007; drop in udp any any " + eqNATIP.String() + " any; drop any tcp any any any 8080; drop any icmp"}}}},
-	{"firewall default drop", []nfSpec{{"firewall", "fw", nf.Params{"policy": "drop", "rules": "accept out udp any 30000-30009"}}}},
-	{"httpfilter", []nfSpec{{"httpfilter", "web", nf.Params{"block_hosts": "ads.example", "rst": "true"}}}},
-	{"ratelimit", []nfSpec{{"ratelimit", "rl", nf.Params{"rate_bps": "200000", "burst_bytes": "4000"}}}},
-	{"ratelimit out only", []nfSpec{{"ratelimit", "rl", nf.Params{"rate_bps": "200000", "burst_bytes": "4000", "direction": "out"}}}},
+		"accept in udp any any any 20000-20007; drop in udp any any " + eqNATIP.String() + " any; drop any tcp any any any 8080; drop any icmp"}}}, "", false},
+	{"firewall default drop", []nfSpec{{"firewall", "fw", nf.Params{"policy": "drop", "rules": "accept out udp any 30000-30009"}}}, "", false},
+	{"httpfilter", []nfSpec{{"httpfilter", "web", nf.Params{"block_hosts": "ads.example", "rst": "true"}}}, "", false},
+	{"ratelimit", []nfSpec{{"ratelimit", "rl", nf.Params{"rate_bps": "200000", "burst_bytes": "4000"}}}, "", false},
+	{"ratelimit out only", []nfSpec{{"ratelimit", "rl", nf.Params{"rate_bps": "200000", "burst_bytes": "4000", "direction": "out"}}}, "", false},
 	// Twelve ports for sixteen flows: the pool runs dry mid-test.
-	{"nat", []nfSpec{{"nat", "xlate", nf.Params{"nat_ip": eqNATIP.String(), "ports": "20000-20011"}}}},
-	{"counter", []nfSpec{{"counter", "acct", nil}}},
-	{"counter alerting", []nfSpec{{"counter", "acct", nf.Params{"alert_pps": "40", "signatures": "evil,worse"}}}},
-	{"chain5", chain5Specs()},
+	{"nat", []nfSpec{{"nat", "xlate", nf.Params{"nat_ip": eqNATIP.String(), "ports": "20000-20011"}}}, "", false},
+	{"counter", []nfSpec{{"counter", "acct", nil}}, "", false},
+	{"counter alerting", []nfSpec{{"counter", "acct", nf.Params{"alert_pps": "40", "signatures": "evil,worse"}}}, "", false},
+	{"chain5", chain5Specs(), "", false},
+	// Two entries for four names, and answers living 0-3 s: the caches
+	// evict and expire as the clock moves between batches.
+	{"dnscache", []nfSpec{{"dnscache", "dns", nf.Params{"max_entries": "2", "max_ttl": "3"}}}, "dns.hits", true},
+	{"dnslb", []nfSpec{{"dnslb", "lb", nf.Params{"service": "svc.gnf", "backends": "10.9.1.1,10.9.1.2,10.9.1.3"}}}, "lb.queries_answered", true},
+	{"dnslb rewrite", []nfSpec{{"dnslb", "lb", nf.Params{"service": "svc.gnf", "backends": "10.9.1.1,10.9.1.2", "mode": "rewrite"}}}, "lb.responses_rewritten", false},
+	{"httpcache", []nfSpec{{"httpcache", "web", nf.Params{"ttl": "10s", "max": "2", "port": "80"}}}, "web.hits", true},
 }
 
 // twin is one of the two instances a row compares.
@@ -163,9 +175,32 @@ func (g *trafficGen) train(dir nf.Direction, flow, n int) [][]byte {
 	return out
 }
 
+// dns is a query for name (outbound) or an answer to one (inbound).
+func (g *trafficGen) dns(dir nf.Direction, flow int, name string) []byte {
+	q := packet.NewDNSQuery(uint16(g.rng.Uint32()), name)
+	if dir == nf.Outbound {
+		wire, _ := q.Append(nil)
+		return packet.BuildUDP(clientMAC(flow), eqServer, clientIP(flow), eqServerIP, uint16(30000+flow), 53, wire)
+	}
+	wire, _ := packet.AnswerA(q, uint32(g.rng.Intn(4)), packet.IP{10, 9, 0, byte(g.rng.Intn(250))}).Append(nil)
+	return packet.BuildUDP(eqServer, clientMAC(flow), eqServerIP, clientIP(flow), 53, uint16(30000+flow), wire)
+}
+
+// http is a GET for page (outbound) or the server's answer on the flow
+// (inbound).
+func (g *trafficGen) http(dir nf.Direction, flow int, page string) []byte {
+	opt := packet.TCPOptions{Seq: g.rng.Uint32(), Ack: g.rng.Uint32(), Flags: packet.TCPAck | packet.TCPPsh}
+	if dir == nf.Outbound {
+		get := packet.BuildHTTPRequest("GET", "www.example.com", page, nil, nil)
+		return packet.BuildTCP(clientMAC(flow), eqServer, clientIP(flow), eqServerIP, uint16(30000+flow), 80, opt, get)
+	}
+	resp := packet.BuildHTTPResponse([]int{200, 200, 200, 404}[g.rng.Intn(4)], "x", nil, g.payload(40))
+	return packet.BuildTCP(eqServer, clientMAC(flow), eqServerIP, clientIP(flow), 80, uint16(30000+flow), opt, resp)
+}
+
 func (g *trafficGen) batch(dir nf.Direction) [][]byte {
 	flow := g.rng.Intn(16)
-	switch g.rng.Intn(7) {
+	switch g.rng.Intn(9) {
 	case 0:
 		return g.train(dir, flow, 32)
 	case 1: // a run broken by frames cut short (below the prefix, and just below TotalLen) and one of another length
@@ -209,6 +244,20 @@ func (g *trafficGen) batch(dir nf.Direction) [][]byte {
 		}
 		for i := 0; i < 6; i++ {
 			b = append(b, g.tcp(dir, flow, 80, g.payload(100)))
+		}
+		return b
+	case 6: // DNS for four names, one of them the balancer's
+		names := []string{"svc.gnf", "a.example", "b.example", "c.example"}
+		b := make([][]byte, 4+g.rng.Intn(12))
+		for i := range b {
+			b[i] = g.dns(dir, g.rng.Intn(16), names[g.rng.Intn(len(names))])
+		}
+		return b
+	case 7: // HTTP for three pages
+		pages := []string{"/a", "/b", "/c"}
+		b := make([][]byte, 4+g.rng.Intn(12))
+		for i := range b {
+			b[i] = g.http(dir, g.rng.Intn(16), pages[g.rng.Intn(len(pages))])
 		}
 		return b
 	default: // everything that is not a transport flow, around a short run
@@ -255,6 +304,7 @@ func TestBatchEqualsPerFrame(t *testing.T) {
 				clk := clock.NewVirtual()
 				batched, single := newTwin(t, row.specs, clk), newTwin(t, row.specs, clk)
 				g := &trafficGen{rng: rand.New(rand.NewSource(seed))}
+				answeredInPart := 0
 				for i := 0; i < 250; i++ {
 					dir := nf.Outbound
 					if g.rng.Intn(3) == 0 {
@@ -262,31 +312,39 @@ func TestBatchEqualsPerFrame(t *testing.T) {
 					}
 					frames := g.batch(dir)
 
-					var got nf.BatchOutput
+					var got nf.Output
 					batched.chain.ProcessBatch(dir, cloneAll(frames), &got)
-					var want nf.BatchOutput
+					var want nf.Output
 					for _, f := range cloneAll(frames) {
-						o := single.chain.Process(dir, f)
-						want.Forward = append(want.Forward, o.Forward...)
-						want.Reverse = append(want.Reverse, o.Reverse...)
+						single.chain.ProcessBatch(dir, [][]byte{f}, &want)
 					}
 					if !sameFrames(got.Forward, want.Forward) || !sameFrames(got.Reverse, want.Reverse) {
-						t.Fatalf("batch %d (%v, %d frames): batched emits %d forward / %d reverse, per-frame %d / %d, or their bytes differ",
+						t.Fatalf("batch %d (%v, %d frames): the batch emits %d forward / %d reverse, its batches of one %d / %d, or their bytes differ",
 							i, dir, len(frames), len(got.Forward), len(got.Reverse), len(want.Forward), len(want.Reverse))
 					}
+					if len(got.Forward) > 0 && len(got.Reverse) > 0 {
+						answeredInPart++
+					}
 					if g, w := batched.chain.NFStats(), single.chain.NFStats(); !reflect.DeepEqual(g, w) {
-						t.Fatalf("batch %d (%v): NFStats\nbatched   %v\nper-frame %v", i, dir, g, w)
+						t.Fatalf("batch %d (%v): NFStats\nbatched   %v\nby ones   %v", i, dir, g, w)
 					}
 					clk.Advance(time.Duration(g.rng.Intn(300)) * time.Millisecond)
 				}
 				if g, w := batched.memberStates(t), single.memberStates(t); !sameFrames(g, w) {
-					t.Fatalf("exported state\nbatched   %x\nper-frame %x", g, w)
+					t.Fatalf("exported state\nbatched   %x\nby ones   %x", g, w)
 				}
 				if !reflect.DeepEqual(batched.notes, single.notes) {
-					t.Fatalf("notifications\nbatched   %q\nper-frame %q", batched.notes, single.notes)
+					t.Fatalf("notifications\nbatched   %q\nby ones   %q", batched.notes, single.notes)
 				}
-				if stats := batched.chain.NFStats(); len(stats) == 0 {
+				stats := batched.chain.NFStats()
+				if len(stats) == 0 {
 					t.Fatal("no counters compared")
+				}
+				if row.hot != "" && stats[row.hot] == 0 {
+					t.Fatalf("%s stayed 0: the traffic never reached the path under test (%v)", row.hot, stats)
+				}
+				if row.replies && answeredInPart == 0 {
+					t.Fatal("no batch was answered in part")
 				}
 			})
 		}
@@ -299,7 +357,7 @@ func TestBatchEqualsPerFrame(t *testing.T) {
 func TestRuleAppendedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 	fw := firewall.New("fw", firewall.Accept)
 	g := &trafficGen{rng: rand.New(rand.NewSource(1))}
-	var out nf.BatchOutput
+	var out nf.Output
 	fw.ProcessBatch(nf.Outbound, g.train(nf.Outbound, 3, 32), &out)
 	if len(out.Forward) != 32 {
 		t.Fatalf("accepted %d of 32 before the rule", len(out.Forward))
@@ -309,7 +367,7 @@ func TestRuleAppendedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	fw.AppendRule(rule)
-	out = nf.BatchOutput{}
+	out = nf.Output{}
 	fw.ProcessBatch(nf.Outbound, g.train(nf.Outbound, 3, 32), &out)
 	if len(out.Forward) != 0 || fw.NFStats()["rule0_hits"] != 32 {
 		t.Fatalf("after the rule: %d of 32 still accepted, rule hits %d", len(out.Forward), fw.NFStats()["rule0_hits"])
@@ -340,7 +398,7 @@ func TestMappingImportedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 	}
 
 	n, _ := nat.New("xlate", eqNATIP, 20000, 20100)
-	var out nf.BatchOutput
+	var out nf.Output
 	n.ProcessBatch(nf.Outbound, g.train(nf.Outbound, 3, 32), &out)
 	if len(out.Forward) != 32 || natPortOf(out.Forward[31]) != 20000 {
 		t.Fatalf("before the import: %d frames, port %d", len(out.Forward), natPortOf(out.Forward[31]))
@@ -348,7 +406,7 @@ func TestMappingImportedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 	if err := n.ImportState(state); err != nil {
 		t.Fatal(err)
 	}
-	out = nf.BatchOutput{}
+	out = nf.Output{}
 	n.ProcessBatch(nf.Outbound, g.train(nf.Outbound, 3, 32), &out)
 	if len(out.Forward) != 32 || natPortOf(out.Forward[0]) != 20003 {
 		t.Fatalf("after the import: %d frames, first leaves from port %d, want 20003", len(out.Forward), natPortOf(out.Forward[0]))

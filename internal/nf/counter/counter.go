@@ -107,19 +107,16 @@ func (m *Monitor) Flow(ft packet.FiveTuple) (FlowStats, bool) {
 	return *fs, true
 }
 
-// Process implements nf.Function: a batch of one, its output sized for the
-// frame passing.
+// Process implements nf.Function.
 func (m *Monitor) Process(dir nf.Direction, frame []byte) nf.Output {
-	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
-	m.ProcessBatch(dir, [][]byte{frame}, &out)
-	return nf.Output(out)
+	return nf.ProcessOne(m, dir, frame)
 }
 
-// ProcessBatch implements nf.BatchProcessor: the monitor never drops, so
+// ProcessBatch implements nf.Function: the monitor never drops, so
 // the batch passes through whole under a single lock acquisition. What the
 // batch raised is delivered after the lock is released, in order — the
 // notifier is an agent callback that may call back into the monitor.
-func (m *Monitor) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
+func (m *Monitor) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	m.mu.Lock()
 	notes := m.accountLocked(frames)
 	notify := m.notify
@@ -205,8 +202,6 @@ func (m *Monitor) accountLocked(frames [][]byte) (notes []nf.Notification) {
 	}
 	return notes
 }
-
-var _ nf.BatchProcessor = (*Monitor)(nil)
 
 // NFStats implements nf.StatsReporter.
 func (m *Monitor) NFStats() map[string]uint64 {

@@ -80,20 +80,40 @@ func (c *Cache) Len() int {
 
 // Process implements nf.Function.
 func (c *Cache) Process(dir nf.Direction, frame []byte) nf.Output {
+	return nf.ProcessOne(c, dir, frame)
+}
+
+// ProcessBatch implements nf.Function: one lock acquisition covers the
+// batch. A query the cache answers leaves as a reply; every other frame
+// continues.
+func (c *Cache) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for _, frame := range frames {
+		if reply := c.answerLocked(dir, frame); reply != nil {
+			out.Reverse = append(out.Reverse, reply)
+		} else {
+			out.Forward = append(out.Forward, frame)
+		}
+	}
+}
+
+// answerLocked handles one frame with mu held: it stores an inbound
+// response and returns the reply to an outbound query it can answer, or
+// nil when the frame continues.
+func (c *Cache) answerLocked(dir nf.Direction, frame []byte) []byte {
 	if err := c.parser.Parse(frame); err != nil || !c.parser.Has(packet.LayerUDP) {
-		return nf.Forward(frame)
+		return nil
 	}
 	p := &c.parser
 	switch {
 	case dir == nf.Outbound && p.UDP.DstPort == 53:
 		if err := c.msg.Decode(p.UDP.Payload()); err != nil || c.msg.Response || len(c.msg.Questions) == 0 {
-			return nf.Forward(frame)
+			return nil
 		}
 		q := c.msg.Questions[0]
 		if q.Type != packet.DNSTypeA {
-			return nf.Forward(frame)
+			return nil
 		}
 		e, ok := c.entries[q.Name]
 		now := c.clk.Now()
@@ -102,7 +122,7 @@ func (c *Cache) Process(dir nf.Direction, frame []byte) nf.Output {
 				delete(c.entries, q.Name)
 			}
 			c.misses++
-			return nf.Forward(frame)
+			return nil
 		}
 		c.hits++
 		remaining := uint32(e.Expires.Sub(now).Seconds())
@@ -121,16 +141,15 @@ func (c *Cache) Process(dir nf.Direction, frame []byte) nf.Output {
 		}
 		wire, err := resp.Append(nil)
 		if err != nil {
-			return nf.Forward(frame)
+			return nil
 		}
-		reply := packet.BuildUDP(p.Eth.Dst, p.Eth.Src, p.IP.Dst, p.IP.Src,
+		return packet.BuildUDP(p.Eth.Dst, p.Eth.Src, p.IP.Dst, p.IP.Src,
 			p.UDP.DstPort, p.UDP.SrcPort, wire)
-		return nf.Reply(reply)
 
 	case dir == nf.Inbound && p.UDP.SrcPort == 53:
 		if err := c.msg.Decode(p.UDP.Payload()); err != nil || !c.msg.Response ||
 			len(c.msg.Questions) == 0 || len(c.msg.Answers) == 0 || c.msg.Rcode != packet.DNSRcodeOK {
-			return nf.Forward(frame)
+			return nil
 		}
 		name := c.msg.Questions[0].Name
 		ttl := c.msg.Answers[0].TTL
@@ -138,7 +157,7 @@ func (c *Cache) Process(dir nf.Direction, frame []byte) nf.Output {
 			ttl = c.maxTTL
 		}
 		if ttl == 0 {
-			return nf.Forward(frame)
+			return nil
 		}
 		if c.maxSize > 0 && len(c.entries) >= c.maxSize {
 			if _, exists := c.entries[name]; !exists {
@@ -150,18 +169,18 @@ func (c *Cache) Process(dir nf.Direction, frame []byte) nf.Output {
 		c.seq++
 		c.entries[name] = entry{Answers: ans, Expires: c.clk.Now().Add(time.Duration(ttl) * time.Second), Seq: c.seq}
 		c.stores++
-		return nf.Forward(frame)
 	}
-	return nf.Forward(frame)
+	return nil
 }
 
-// evictOne removes the entry expiring soonest. Called with mu held.
+// evictOne removes the entry expiring soonest, the least name among
+// equals. Called with mu held.
 func (c *Cache) evictOne() {
 	var victim string
 	var soonest time.Time
 	first := true
 	for name, e := range c.entries {
-		if first || e.Expires.Before(soonest) {
+		if first || e.Expires.Before(soonest) || (e.Expires.Equal(soonest) && name < victim) {
 			victim, soonest, first = name, e.Expires, false
 		}
 	}

@@ -81,21 +81,40 @@ func (b *Balancer) pick() packet.IP {
 
 // Process implements nf.Function.
 func (b *Balancer) Process(dir nf.Direction, frame []byte) nf.Output {
+	return nf.ProcessOne(b, dir, frame)
+}
+
+// ProcessBatch implements nf.Function: one lock acquisition covers the
+// batch. A query the balancer answers leaves as a reply; every other frame
+// continues, a rewritten response as its rewritten copy.
+func (b *Balancer) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	for _, frame := range frames {
+		if f, reply := b.balanceLocked(dir, frame); reply {
+			out.Reverse = append(out.Reverse, f)
+		} else {
+			out.Forward = append(out.Forward, f)
+		}
+	}
+}
+
+// balanceLocked handles one frame with mu held: the frame to emit, and
+// whether it is a reply going back.
+func (b *Balancer) balanceLocked(dir nf.Direction, frame []byte) ([]byte, bool) {
 	if err := b.parser.Parse(frame); err != nil || !b.parser.Has(packet.LayerUDP) {
-		return nf.Forward(frame)
+		return frame, false
 	}
 	isQuery := dir == nf.Outbound && b.parser.UDP.DstPort == 53
 	isResponse := dir == nf.Inbound && b.parser.UDP.SrcPort == 53
 	if !isQuery && !isResponse {
-		return nf.Forward(frame)
+		return frame, false
 	}
 	if err := b.msg.Decode(b.parser.UDP.Payload()); err != nil {
-		return nf.Forward(frame)
+		return frame, false
 	}
 	if len(b.msg.Questions) == 0 || b.msg.Questions[0].Name != b.service {
-		return nf.Forward(frame)
+		return frame, false
 	}
 
 	switch {
@@ -104,12 +123,11 @@ func (b *Balancer) Process(dir nf.Direction, frame []byte) nf.Output {
 		resp := packet.AnswerA(&b.msg, b.ttl, b.pick())
 		wire, err := resp.Append(nil)
 		if err != nil {
-			return nf.Forward(frame)
+			return frame, false
 		}
 		p := &b.parser
-		reply := packet.BuildUDP(p.Eth.Dst, p.Eth.Src, p.IP.Dst, p.IP.Src,
-			p.UDP.DstPort, p.UDP.SrcPort, wire)
-		return nf.Reply(reply)
+		return packet.BuildUDP(p.Eth.Dst, p.Eth.Src, p.IP.Dst, p.IP.Src,
+			p.UDP.DstPort, p.UDP.SrcPort, wire), true
 
 	case isResponse && b.mode == RewriteResponses && b.msg.Response:
 		changed := false
@@ -121,20 +139,20 @@ func (b *Balancer) Process(dir nf.Direction, frame []byte) nf.Output {
 			}
 		}
 		if !changed {
-			return nf.Forward(frame)
+			return frame, false
 		}
 		b.rewrites++
 		wire, err := b.msg.Append(nil)
 		if err != nil {
-			return nf.Forward(frame)
+			return frame, false
 		}
 		out, err := packet.ReplaceUDPPayload(frame, wire)
 		if err != nil {
-			return nf.Forward(frame)
+			return frame, false
 		}
-		return nf.Forward(out)
+		return out, false
 	}
-	return nf.Forward(frame)
+	return frame, false
 }
 
 // NFStats implements nf.StatsReporter.

@@ -269,20 +269,17 @@ func (f *Firewall) Rules() []Rule {
 	return append([]Rule(nil), f.rules...)
 }
 
-// Process implements nf.Function: a batch of one, its output sized for the
-// frame passing.
+// Process implements nf.Function.
 func (f *Firewall) Process(dir nf.Direction, frame []byte) nf.Output {
-	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
-	f.ProcessBatch(dir, [][]byte{frame}, &out)
-	return nf.Output(out)
+	return nf.ProcessOne(f, dir, frame)
 }
 
-// ProcessBatch implements nf.BatchProcessor: one lock acquisition covers
+// ProcessBatch implements nf.Function: one lock acquisition covers
 // the whole batch, the table is scanned once per same-flow run (the memo —
 // matching rule and action — lives and dies inside the lock AppendRule
 // takes), counters move per frame, dropped frames are recycled into the
 // frame pool.
-func (f *Firewall) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
+func (f *Firewall) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var (
@@ -344,8 +341,6 @@ func (f *Firewall) matchLocked(dir nf.Direction) (rule int, action Target) {
 	}
 	return -1, f.policy
 }
-
-var _ nf.BatchProcessor = (*Firewall)(nil)
 
 // NFStats implements nf.StatsReporter.
 func (f *Firewall) NFStats() map[string]uint64 {

@@ -40,10 +40,8 @@ type ChainHost struct {
 // egress. The host starts disabled; call Enable once the container runs.
 func NewChainHost(fn Function, ingress, egress *netem.Endpoint) *ChainHost {
 	h := &ChainHost{fn: fn, ingress: ingress, egress: egress}
-	ingress.SetReceiver(func(frame []byte) { h.handle(Outbound, frame) })
-	egress.SetReceiver(func(frame []byte) { h.handle(Inbound, frame) })
-	ingress.SetBatchReceiver(func(frames [][]byte) { h.handleBatch(Outbound, frames) })
-	egress.SetBatchReceiver(func(frames [][]byte) { h.handleBatch(Inbound, frames) })
+	ingress.SetBatchReceiver(func(frames [][]byte) { h.receive(Outbound, frames) })
+	egress.SetBatchReceiver(func(frames [][]byte) { h.receive(Inbound, frames) })
 	return h
 }
 
@@ -63,18 +61,19 @@ func (h *ChainHost) BufferWhileDisabled(limit int) {
 }
 
 // Enable starts forwarding. If a brownout buffer is armed, its parked
-// frames are first replayed through the chain in arrival order, then the
-// buffer is disarmed — every frame the freeze window parked reaches the
-// network before (not interleaved after) newly arriving traffic jumps the
-// queue.
+// frames are first replayed through the chain in arrival order — each run
+// of same-direction frames as one batch — then the buffer is disarmed:
+// every frame the freeze window parked reaches the network before (not
+// interleaved after) newly arriving traffic jumps the queue.
 func (h *ChainHost) Enable() {
+	var run [][]byte
 	for {
 		h.bufMu.Lock()
-		var batch []netem.BufferedFrame
+		var parked []netem.BufferedFrame
 		if h.buffer != nil {
-			batch = h.buffer.Drain()
+			parked = h.buffer.Drain()
 		}
-		if len(batch) == 0 {
+		if len(parked) == 0 {
 			// Nothing (left) to replay: activate atomically with the drain
 			// check so a concurrent handler cannot park a frame we would
 			// never see.
@@ -84,9 +83,13 @@ func (h *ChainHost) Enable() {
 			return
 		}
 		h.bufMu.Unlock()
-		for _, bf := range batch {
-			h.replayed.Add(1)
-			h.process(Direction(bf.Tag), bf.Frame)
+		h.replayed.Add(uint64(len(parked)))
+		for i, bf := range parked {
+			run = append(run, bf.Frame)
+			if i == len(parked)-1 || parked[i+1].Tag != bf.Tag {
+				h.run(Direction(bf.Tag), run)
+				run = run[:0]
+			}
 		}
 	}
 }
@@ -135,41 +138,33 @@ func (h *ChainHost) Parked() uint64 {
 	return uint64(h.buffer.Len())
 }
 
-func (h *ChainHost) handle(dir Direction, frame []byte) {
+// receive is the host's one handler, gated once per batch: a batch that
+// arrives while the host is disabled is parked in order under one bufMu
+// hold, or dropped and counted as far as the buffer is disarmed or full.
+func (h *ChainHost) receive(dir Direction, frames [][]byte) {
 	if !h.enabled.Load() {
 		h.bufMu.Lock()
-		if h.enabled.Load() {
-			// Enable won the race while we took the lock; fall through to
-			// normal processing.
+		if !h.enabled.Load() {
+			parked := 0
+			if h.buffer != nil {
+				parked = h.buffer.Push(uint8(dir), frames)
+			}
 			h.bufMu.Unlock()
-		} else if h.buffer != nil && h.buffer.Push(uint8(dir), frame) {
-			h.bufMu.Unlock()
-			return
-		} else {
-			h.bufMu.Unlock()
-			h.dropped.Add(1)
+			h.dropped.Add(uint64(len(frames) - parked))
 			return
 		}
+		// Enable won the race while we took the lock.
+		h.bufMu.Unlock()
 	}
-	h.process(dir, frame)
+	h.run(dir, frames)
 }
 
-// handleBatch is the batched receive path. While enabled and hosting a
-// BatchProcessor, the whole batch takes the function's fast path and the
-// outputs leave as batches too; otherwise each frame goes through the
-// per-frame gate, so brownout buffering and drop accounting behave
-// identically on both paths.
-func (h *ChainHost) handleBatch(dir Direction, frames [][]byte) {
-	bp, ok := h.fn.(BatchProcessor)
-	if !ok || !h.enabled.Load() {
-		for _, f := range frames {
-			h.handle(dir, f)
-		}
-		return
-	}
+// run processes a batch that passed the gate and sends the outputs on as
+// batches.
+func (h *ChainHost) run(dir Direction, frames [][]byte) {
 	h.processed.Add(uint64(len(frames)))
 	out := BorrowBatchOutput()
-	bp.ProcessBatch(dir, frames, out)
+	h.fn.ProcessBatch(dir, frames, out)
 	fwd, rev := h.egress, h.ingress
 	if dir == Inbound {
 		fwd, rev = h.ingress, h.egress
@@ -181,21 +176,4 @@ func (h *ChainHost) handleBatch(dir Direction, frames [][]byte) {
 		rev.SendBatch(out.Reverse)
 	}
 	ReturnBatchOutput(out)
-}
-
-// process runs one frame through the chain and emits the results; callers
-// have already passed the enabled/buffer gate.
-func (h *ChainHost) process(dir Direction, frame []byte) {
-	h.processed.Add(1)
-	out := h.fn.Process(dir, frame)
-	fwd, rev := h.egress, h.ingress
-	if dir == Inbound {
-		fwd, rev = h.ingress, h.egress
-	}
-	for _, f := range out.Forward {
-		fwd.Send(f)
-	}
-	for _, f := range out.Reverse {
-		rev.Send(f)
-	}
 }

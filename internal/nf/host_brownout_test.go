@@ -121,3 +121,72 @@ func TestFreezeBufferedParksInFlight(t *testing.T) {
 		t.Fatalf("processed=%d dropped=%d", h.Processed(), h.Dropped())
 	}
 }
+
+// TestBrownoutGatesEachBatchWhole: a disabled host's gate runs once per
+// batch. Batches and single frames from both sides park in arrival order
+// until the buffer is full and the rest count as drops; Enable replays
+// every run of same-side frames, and each side gets its frames in the
+// order they came.
+func TestBrownoutGatesEachBatchWhole(t *testing.T) {
+	swIn, chainIn := netem.NewServicePair("g-in0", "g-in1")
+	swOut, chainOut := netem.NewServicePair("g-out0", "g-out1")
+	t.Cleanup(func() { swIn.Close(); swOut.Close() })
+	toNet, toClient := make(chan []byte, 64), make(chan []byte, 64)
+	swOut.SetReceiver(func(f []byte) { toNet <- f })
+	swIn.SetReceiver(func(f []byte) { toClient <- f })
+	h := NewChainHost(&tagger{name: "t", tag: 'x'}, chainIn, chainOut)
+	const limit = 10
+	h.BufferWhileDisabled(limit)
+
+	sent := 0
+	arrive := func(from *netem.Endpoint, side byte, n int) {
+		t.Helper()
+		batch := make([][]byte, n)
+		for i := range batch {
+			batch[i] = []byte{side, byte(sent + i)}
+		}
+		if n == 1 {
+			from.Send(batch[0])
+		} else {
+			from.SendBatch(batch)
+		}
+		sent += n
+		for deadline := time.Now().Add(2 * time.Second); h.Parked()+h.Dropped() != uint64(sent); {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %d frames: parked %d, dropped %d", sent, h.Parked(), h.Dropped())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	arrive(swIn, 'o', 3)  // 0-2
+	arrive(swOut, 'i', 1) // 3
+	arrive(swIn, 'o', 1)  // 4
+	arrive(swOut, 'i', 4) // 5-8
+	arrive(swIn, 'o', 3)  // 9 parks, 10 and 11 overflow
+	if h.Parked() != limit || h.Dropped() != 2 {
+		t.Fatalf("parked %d, dropped %d; want %d and 2", h.Parked(), h.Dropped(), limit)
+	}
+	h.Enable()
+
+	for _, side := range []struct {
+		name string
+		ch   chan []byte
+		want []byte
+	}{
+		{"network", toNet, []byte{0, 1, 2, 4, 9}},
+		{"client", toClient, []byte{3, 5, 6, 7, 8}},
+	} {
+		got := collect(side.ch, len(side.want), 2*time.Second)
+		if len(got) != len(side.want) {
+			t.Fatalf("%s side got %d frames, want %d", side.name, len(got), len(side.want))
+		}
+		for i, f := range got {
+			if f[1] != side.want[i] || f[len(f)-1] != 'x' {
+				t.Fatalf("%s side frame %d = %q, want arrival %d through the chain", side.name, i, f, side.want[i])
+			}
+		}
+	}
+	if h.Replayed() != limit || h.Processed() != limit || h.Dropped() != 2 {
+		t.Fatalf("replayed %d, processed %d, dropped %d; want %d, %d, 2", h.Replayed(), h.Processed(), h.Dropped(), limit, limit)
+	}
+}

@@ -130,41 +130,61 @@ func (c *Cache) SetClock(clk clock.Clock) {
 
 // Process implements nf.Function.
 func (c *Cache) Process(dir nf.Direction, frame []byte) nf.Output {
+	return nf.ProcessOne(c, dir, frame)
+}
+
+// ProcessBatch implements nf.Function: one lock acquisition covers the
+// batch. A request the cache answers leaves as a reply; every other frame
+// continues.
+func (c *Cache) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for _, frame := range frames {
+		if reply := c.answerLocked(dir, frame); reply != nil {
+			out.Reverse = append(out.Reverse, reply)
+		} else {
+			out.Forward = append(out.Forward, frame)
+		}
+	}
+}
+
+// answerLocked handles one frame with mu held: the reply to a request it
+// can serve from the cache, or nil when the frame continues.
+func (c *Cache) answerLocked(dir nf.Direction, frame []byte) []byte {
 	if err := c.parser.Parse(frame); err != nil || !c.parser.Has(packet.LayerTCP) {
-		return nf.Forward(frame)
+		return nil
 	}
 	p := &c.parser
 	if c.port != 0 {
 		if dir == nf.Outbound && p.TCP.DstPort != c.port {
-			return nf.Forward(frame)
+			return nil
 		}
 		if dir == nf.Inbound && p.TCP.SrcPort != c.port {
-			return nf.Forward(frame)
+			return nil
 		}
 	}
 	payload := p.TCP.Payload()
 	if len(payload) == 0 {
-		return nf.Forward(frame) // bare ACKs, SYNs etc.
+		return nil // bare ACKs, SYNs etc.
 	}
 	if dir == nf.Outbound {
-		return c.processRequest(p, frame, payload)
+		return c.processRequest(p, payload)
 	}
-	return c.processResponse(p, frame, payload)
+	c.processResponse(p, payload)
+	return nil
 }
 
 // processRequest serves cache hits and tracks misses.
-func (c *Cache) processRequest(p *packet.Parser, frame, payload []byte) nf.Output {
+func (c *Cache) processRequest(p *packet.Parser, payload []byte) []byte {
 	if !packet.LooksLikeHTTPRequest(payload) {
-		return nf.Forward(frame)
+		return nil
 	}
 	req, err := packet.ParseHTTPRequest(payload)
 	if err != nil || req.Method != "GET" {
-		return nf.Forward(frame)
+		return nil
 	}
 	if cc, ok := req.Header("Cache-Control"); ok && strings.Contains(cc, "no-store") {
-		return nf.Forward(frame)
+		return nil
 	}
 	key := req.Host + " " + req.Target
 	now := c.clk.Now()
@@ -174,7 +194,7 @@ func (c *Cache) processRequest(p *packet.Parser, frame, payload []byte) nf.Outpu
 		// Answer at the edge: swap L2/L3/L4 directions, ack the request
 		// segment, replay the stored response.
 		tcpPayloadLen := uint32(len(payload))
-		reply := packet.BuildTCP(
+		return packet.BuildTCP(
 			p.Eth.Dst, p.Eth.Src, p.IP.Dst, p.IP.Src,
 			p.TCP.DstPort, p.TCP.SrcPort,
 			packet.TCPOptions{
@@ -184,7 +204,6 @@ func (c *Cache) processRequest(p *packet.Parser, frame, payload []byte) nf.Outpu
 			},
 			e.Response,
 		)
-		return nf.Reply(reply)
 	}
 	if e, ok := c.entries[key]; ok && !now.Before(e.Expires) {
 		delete(c.entries, key) // expired
@@ -194,46 +213,46 @@ func (c *Cache) processRequest(p *packet.Parser, frame, payload []byte) nf.Outpu
 	if ok {
 		c.pending[ft] = key
 	}
-	return nf.Forward(frame)
+	return nil
 }
 
 // processResponse stores responses for pending requests.
-func (c *Cache) processResponse(p *packet.Parser, frame, payload []byte) nf.Output {
+func (c *Cache) processResponse(p *packet.Parser, payload []byte) {
 	ft, ok := p.FiveTuple()
 	if !ok {
-		return nf.Forward(frame)
+		return
 	}
 	// The response flow is the reverse of the request flow.
 	key, ok := c.pending[ft.Reverse()]
 	if !ok {
-		return nf.Forward(frame)
+		return
 	}
 	if !packet.LooksLikeHTTPResponse(payload) {
-		return nf.Forward(frame)
+		return
 	}
 	resp, err := packet.ParseHTTPResponse(payload)
 	if err != nil {
-		return nf.Forward(frame)
+		return
 	}
 	delete(c.pending, ft.Reverse())
 	if resp.StatusCode != 200 {
-		return nf.Forward(frame)
+		return
 	}
 	if cc, ok := resp.Header("Cache-Control"); ok &&
 		(strings.Contains(cc, "no-store") || strings.Contains(cc, "private")) {
-		return nf.Forward(frame)
+		return
 	}
 	c.store(key, payload)
-	return nf.Forward(frame)
 }
 
-// store inserts an entry, evicting the entry closest to expiry when full.
-// Callers hold c.mu.
+// store inserts an entry, evicting the entry closest to expiry (the least
+// key among equals, so a twin evicts the same one) when full. Callers hold
+// c.mu.
 func (c *Cache) store(key string, response []byte) {
 	if len(c.entries) >= c.max {
 		victim, oldest := "", time.Time{}
 		for k, e := range c.entries {
-			if victim == "" || e.Expires.Before(oldest) {
+			if victim == "" || e.Expires.Before(oldest) || (e.Expires.Equal(oldest) && k < victim) {
 				victim, oldest = k, e.Expires
 			}
 		}

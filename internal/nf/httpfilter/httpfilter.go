@@ -97,20 +97,17 @@ func (f *Filter) SetNotifier(fn nf.NotifyFunc) {
 	f.mu.Unlock()
 }
 
-// Process implements nf.Function: a batch of one, its output sized for the
-// frame passing.
+// Process implements nf.Function.
 func (f *Filter) Process(dir nf.Direction, frame []byte) nf.Output {
-	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
-	f.ProcessBatch(dir, [][]byte{frame}, &out)
-	return nf.Output(out)
+	return nf.ProcessOne(f, dir, frame)
 }
 
-// ProcessBatch implements nf.BatchProcessor: one lock acquisition covers
+// ProcessBatch implements nf.Function: one lock acquisition covers
 // the batch; blocked frames are recycled, RSTs join the reverse batch. Only
 // outbound client->server requests are inspected, and a same-flow run is
 // UDP, never HTTP: its first frame is parsed to find that out, the rest pass
 // unparsed.
-func (f *Filter) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
+func (f *Filter) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	if dir != nf.Outbound {
 		out.Forward = append(out.Forward, frames...)
 		return
@@ -173,8 +170,6 @@ func (f *Filter) verdictLocked() (pass bool, reply []byte) {
 	}
 	return false, nil
 }
-
-var _ nf.BatchProcessor = (*Filter)(nil)
 
 func (f *Filter) blockReason(req *packet.HTTPRequest, payload []byte) string {
 	for _, h := range f.hosts {

@@ -109,13 +109,8 @@ func (n *NAT) allocatePort() (uint16, error) {
 	return 0, ErrPortsExhausted
 }
 
-// Process implements nf.Function: a batch of one, its output sized for the
-// frame passing.
-func (n *NAT) Process(dir nf.Direction, frame []byte) nf.Output {
-	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
-	n.ProcessBatch(dir, [][]byte{frame}, &out)
-	return nf.Output(out)
-}
+// Process implements nf.Function.
+func (n *NAT) Process(dir nf.Direction, frame []byte) nf.Output { return nf.ProcessOne(n, dir, frame) }
 
 // verdict is what the NAT does with every frame of one flow in one
 // direction.
@@ -127,12 +122,12 @@ const (
 	translate                // apply the flow's Rewrite
 )
 
-// ProcessBatch implements nf.BatchProcessor: one lock acquisition covers
+// ProcessBatch implements nf.Function: one lock acquisition covers
 // the batch and the mapping is resolved once per same-flow run. The memo
 // (verdict and Rewrite, which points into the mapping) lives and dies
 // inside the lock every import takes. Dropped frames are recycled into the
 // frame pool.
-func (n *NAT) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
+func (n *NAT) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	translations := &n.translated
@@ -210,8 +205,6 @@ func (n *NAT) resolveLocked(dir nf.Direction) (verdict, packet.Rewrite) {
 		SrcMAC:  &n.vmac,
 	}
 }
-
-var _ nf.BatchProcessor = (*NAT)(nil)
 
 // NFStats implements nf.StatsReporter.
 func (n *NAT) NFStats() map[string]uint64 {

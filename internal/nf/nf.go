@@ -4,14 +4,15 @@
 // to the Manager (§3: "individual NFs can relay notifications through their
 // local Agent to the Manager").
 //
-// Functions are inline middleboxes: they receive raw Ethernet frames with a
-// direction (outbound = from the client toward the network) and return an
-// Output. Output.Forward frames continue in the frame's direction;
-// Output.Reverse frames are sent back the way the frame came — that is how
-// a DNS load balancer or cache answers a query directly at the edge.
-// Returning the zero Output drops the packet. Stateful functions
-// additionally implement container.StateHandler (ExportState/ImportState)
-// so checkpoint/restore migration can move their state between stations.
+// Functions are inline middleboxes: they receive batches of raw Ethernet
+// frames with a direction (outbound = from the client toward the network)
+// and append to an Output. Output.Forward frames continue in the batch's
+// direction; Output.Reverse frames are sent back the way they came — that
+// is how a DNS load balancer or cache answers a query directly at the edge.
+// A frame appended to neither is dropped. A single frame is a batch of one.
+// Stateful functions additionally implement container.StateHandler
+// (ExportState/ImportState) so checkpoint/restore migration can move their
+// state between stations.
 package nf
 
 import (
@@ -51,31 +52,19 @@ func (d Direction) Opposite() Direction {
 	return Inbound
 }
 
-// Output is the result of processing one frame.
-type Output struct {
-	// Forward frames continue in the input frame's direction.
-	Forward [][]byte
-	// Reverse frames are emitted back toward the input frame's origin.
-	Reverse [][]byte
-}
-
-// Forward wraps frames continuing in the input direction.
-func Forward(frames ...[]byte) Output { return Output{Forward: frames} }
-
-// Reply wraps frames answered back toward the origin.
-func Reply(frames ...[]byte) Output { return Output{Reverse: frames} }
-
-// Drop returns the empty Output (packet consumed).
-func Drop() Output { return Output{} }
-
 // Function is one virtual network function.
 type Function interface {
 	// Name returns the instance name (unique within a chain).
 	Name() string
 	// Kind returns the function type, e.g. "firewall".
 	Kind() string
-	// Process handles one frame. Implementations may mutate frame in
-	// place and return it in the Output.
+	// ProcessBatch handles a batch of frames travelling dir, appending what
+	// it emits to out in order. Implementations may mutate frames in place.
+	// Ownership of every input frame transfers to the implementation:
+	// frames not appended to out are consumed and should be recycled with
+	// packet.ReturnFrame. The frames slice itself remains the caller's.
+	ProcessBatch(dir Direction, frames [][]byte, out *Output)
+	// Process handles one frame: ProcessOne(fn, dir, frame), always.
 	Process(dir Direction, frame []byte) Output
 }
 
@@ -266,48 +255,8 @@ func (c *Chain) Functions() []Function { return append([]Function(nil), c.fns...
 // Len returns the number of functions in the chain.
 func (c *Chain) Len() int { return len(c.fns) }
 
-// Process implements Function by threading the frame through the chain.
-func (c *Chain) Process(dir Direction, frame []byte) Output {
-	var egressOut, ingressOut [][]byte
-	start := 0
-	if dir == Inbound {
-		start = len(c.fns) - 1
-	}
-	c.walk(dir, start, frame, &egressOut, &ingressOut)
-	if dir == Outbound {
-		return Output{Forward: egressOut, Reverse: ingressOut}
-	}
-	return Output{Forward: ingressOut, Reverse: egressOut}
-}
-
-// walk advances frame through position i travelling dir; egressOut and
-// ingressOut collect frames leaving the chain on the network and client
-// side respectively.
-func (c *Chain) walk(dir Direction, i int, frame []byte, egressOut, ingressOut *[][]byte) {
-	if dir == Outbound && i >= len(c.fns) {
-		*egressOut = append(*egressOut, frame)
-		return
-	}
-	if dir == Inbound && i < 0 {
-		*ingressOut = append(*ingressOut, frame)
-		return
-	}
-	out := c.fns[i].Process(dir, frame)
-	for _, f := range out.Forward {
-		if dir == Outbound {
-			c.walk(Outbound, i+1, f, egressOut, ingressOut)
-		} else {
-			c.walk(Inbound, i-1, f, egressOut, ingressOut)
-		}
-	}
-	for _, f := range out.Reverse {
-		if dir == Outbound {
-			c.walk(Inbound, i-1, f, egressOut, ingressOut)
-		} else {
-			c.walk(Outbound, i+1, f, egressOut, ingressOut)
-		}
-	}
-}
+// Process implements Function.
+func (c *Chain) Process(dir Direction, frame []byte) Output { return ProcessOne(c, dir, frame) }
 
 // ExportState implements container.StateHandler by concatenating the state
 // of every stateful member (length-prefixed, positional).

@@ -16,30 +16,38 @@ type tagger struct {
 	seen []Direction
 }
 
-func (t *tagger) Name() string { return t.name }
-func (t *tagger) Kind() string { return "tagger" }
-func (t *tagger) Process(dir Direction, frame []byte) Output {
-	t.seen = append(t.seen, dir)
-	return Forward(append(frame, t.tag))
+func (t *tagger) Name() string                               { return t.name }
+func (t *tagger) Kind() string                               { return "tagger" }
+func (t *tagger) Process(dir Direction, frame []byte) Output { return ProcessOne(t, dir, frame) }
+func (t *tagger) ProcessBatch(dir Direction, frames [][]byte, out *Output) {
+	for _, f := range frames {
+		t.seen = append(t.seen, dir)
+		out.Forward = append(out.Forward, append(f, t.tag))
+	}
 }
 
 // dropper drops everything.
 type dropper struct{ name string }
 
-func (d *dropper) Name() string                         { return d.name }
-func (d *dropper) Kind() string                         { return "dropper" }
-func (d *dropper) Process(_ Direction, _ []byte) Output { return Drop() }
+func (d *dropper) Name() string                               { return d.name }
+func (d *dropper) Kind() string                               { return "dropper" }
+func (d *dropper) Process(dir Direction, frame []byte) Output { return ProcessOne(d, dir, frame) }
+func (d *dropper) ProcessBatch(Direction, [][]byte, *Output)  {}
 
 // bouncer replies to outbound frames with a reversed copy.
 type bouncer struct{ name string }
 
-func (b *bouncer) Name() string { return b.name }
-func (b *bouncer) Kind() string { return "bouncer" }
-func (b *bouncer) Process(dir Direction, frame []byte) Output {
-	if dir == Outbound {
-		return Reply(append(frame, 'R'))
+func (b *bouncer) Name() string                               { return b.name }
+func (b *bouncer) Kind() string                               { return "bouncer" }
+func (b *bouncer) Process(dir Direction, frame []byte) Output { return ProcessOne(b, dir, frame) }
+func (b *bouncer) ProcessBatch(dir Direction, frames [][]byte, out *Output) {
+	for _, f := range frames {
+		if dir == Outbound {
+			out.Reverse = append(out.Reverse, append(f, 'R'))
+		} else {
+			out.Forward = append(out.Forward, f)
+		}
 	}
-	return Forward(frame)
 }
 
 // stateful stores a blob.

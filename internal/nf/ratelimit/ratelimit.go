@@ -70,18 +70,15 @@ func (l *Limiter) Name() string { return l.name }
 // Kind implements nf.Function.
 func (l *Limiter) Kind() string { return "ratelimit" }
 
-// Process implements nf.Function: a batch of one, its output sized for the
-// frame passing.
+// Process implements nf.Function.
 func (l *Limiter) Process(dir nf.Direction, frame []byte) nf.Output {
-	out := nf.BatchOutput{Forward: make([][]byte, 0, 1)}
-	l.ProcessBatch(dir, [][]byte{frame}, &out)
-	return nf.Output(out)
+	return nf.ProcessOne(l, dir, frame)
 }
 
-// ProcessBatch implements nf.BatchProcessor: one lock acquisition, one
+// ProcessBatch implements nf.Function: one lock acquisition, one
 // clock reading and one refill per batch, then each frame is charged;
 // policed frames are recycled into the frame pool.
-func (l *Limiter) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchOutput) {
+func (l *Limiter) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.both && dir != l.dir {
@@ -109,8 +106,6 @@ func (l *Limiter) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.BatchO
 		out.Forward = append(out.Forward, frame)
 	}
 }
-
-var _ nf.BatchProcessor = (*Limiter)(nil)
 
 // NFStats implements nf.StatsReporter.
 func (l *Limiter) NFStats() map[string]uint64 {

@@ -21,10 +21,13 @@ func newKV(name string) *kvStore {
 
 func (k *kvStore) Name() string                           { return k.name }
 func (k *kvStore) Kind() string                           { return "kv" }
-func (k *kvStore) Process(dir Direction, f []byte) Output { return Forward(f) }
-func (k *kvStore) set(key, val string)                    { k.seq++; k.vals[key] = val; k.dirt[key] = k.seq }
-func (k *kvStore) ExportState() ([]byte, error)           { return json.Marshal(k.vals) }
-func (k *kvStore) ImportState(b []byte) error             { return json.Unmarshal(b, &k.vals) }
+func (k *kvStore) Process(dir Direction, f []byte) Output { return ProcessOne(k, dir, f) }
+func (k *kvStore) ProcessBatch(_ Direction, fs [][]byte, out *Output) {
+	out.Forward = append(out.Forward, fs...)
+}
+func (k *kvStore) set(key, val string)          { k.seq++; k.vals[key] = val; k.dirt[key] = k.seq }
+func (k *kvStore) ExportState() ([]byte, error) { return json.Marshal(k.vals) }
+func (k *kvStore) ImportState(b []byte) error   { return json.Unmarshal(b, &k.vals) }
 func (k *kvStore) ExportDelta(since uint64) ([]byte, uint64, error) {
 	out := map[string]string{}
 	for key, ep := range k.dirt {
@@ -55,9 +58,12 @@ type fullOnly struct {
 
 func (f *fullOnly) Name() string                            { return f.name }
 func (f *fullOnly) Kind() string                            { return "full" }
-func (f *fullOnly) Process(dir Direction, fr []byte) Output { return Forward(fr) }
-func (f *fullOnly) ExportState() ([]byte, error)            { return []byte(f.val), nil }
-func (f *fullOnly) ImportState(b []byte) error              { f.val = string(b); return nil }
+func (f *fullOnly) Process(dir Direction, fr []byte) Output { return ProcessOne(f, dir, fr) }
+func (f *fullOnly) ProcessBatch(_ Direction, fs [][]byte, out *Output) {
+	out.Forward = append(out.Forward, fs...)
+}
+func (f *fullOnly) ExportState() ([]byte, error) { return []byte(f.val), nil }
+func (f *fullOnly) ImportState(b []byte) error   { f.val = string(b); return nil }
 
 func TestChainDeltaRoundTrip(t *testing.T) {
 	srcKV := newKV("kv")

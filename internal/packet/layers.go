@@ -161,6 +161,9 @@ func (a *ARP) Append(dst []byte) []byte {
 // never emits options and tolerates them on decode.
 const IPv4HeaderLen = 20
 
+// ipMoreFragments is the MF bit of IPv4.Flags: more fragments follow.
+const ipMoreFragments = 1
+
 // IPv4 is an IPv4 header.
 type IPv4 struct {
 	TOS         uint8
@@ -258,7 +261,13 @@ type UDP struct {
 }
 
 // Decode parses a UDP header.
-func (u *UDP) Decode(b []byte) error {
+func (u *UDP) Decode(b []byte) error { return u.decode(b, false) }
+
+// decode parses a UDP header. The first fragment of a datagram (more set:
+// the IP header's MF bit) holds a header whose Length counts bytes in later
+// fragments, so there a Length past b is accepted and the payload runs to
+// the end of b.
+func (u *UDP) decode(b []byte, more bool) error {
 	if len(b) < UDPHeaderLen {
 		return ErrTruncated
 	}
@@ -266,10 +275,10 @@ func (u *UDP) Decode(b []byte) error {
 	u.DstPort = binary.BigEndian.Uint16(b[2:4])
 	u.Length = binary.BigEndian.Uint16(b[4:6])
 	u.Checksum = binary.BigEndian.Uint16(b[6:8])
-	if int(u.Length) < UDPHeaderLen || int(u.Length) > len(b) {
+	if int(u.Length) < UDPHeaderLen || (int(u.Length) > len(b) && !more) {
 		return ErrTruncated
 	}
-	u.payload = b[UDPHeaderLen:u.Length]
+	u.payload = b[UDPHeaderLen:min(int(u.Length), len(b))]
 	return nil
 }
 

@@ -212,9 +212,9 @@ func fragmentOf(whole []byte, flagsAndOffset uint16, from, to int) []byte {
 // TestParserFragments: only a datagram's first fragment carries its transport
 // header. A middle or last fragment is payload, like an unknown protocol:
 // zero ports in its flow key, no five-tuple, no transport payload — were it
-// decoded, its first payload bytes would read as "ports". (A UDP datagram's
-// first fragment stays unparseable: its header's Length covers bytes that
-// are not in the frame.)
+// decoded, its first payload bytes would read as "ports". A first fragment
+// is the datagram's flow, even a UDP one, whose header's Length counts the
+// bytes in later fragments: its payload is what the fragment holds.
 func TestParserFragments(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xab}, 64)
 	tcp := BuildTCP(macA, macB, ipA, ipB, 43210, 80, TCPOptions{Seq: 7, Flags: TCPAck}, payload)
@@ -227,6 +227,7 @@ func TestParserFragments(t *testing.T) {
 		from, to       int
 	}{
 		{"first", tcp, mf, 0, 40},
+		{"first of a UDP datagram", udp, mf, 0, 40},
 		{"middle", tcp, mf | 40/8, 40, 64},
 		{"last", tcp, 64 / 8, 64, TCPHeaderLen + 64},
 		{"last of a UDP datagram", udp, 64 / 8, 64, UDPHeaderLen + 64},
@@ -239,8 +240,18 @@ func TestParserFragments(t *testing.T) {
 			key := p.FlowKey()
 			ft, ok := p.FiveTuple()
 			if c.from == 0 {
-				if !p.Has(LayerTCP) || key.SrcPort != 43210 || key.DstPort != 80 || !ok || ft.Dst.Port != 80 {
-					t.Fatalf("first fragment: layers %v, key ports %d->%d, five-tuple %v %v", p.Layers(), key.SrcPort, key.DstPort, ft, ok)
+				var w Parser
+				if err := w.Parse(c.whole); err != nil {
+					t.Fatal(err)
+				}
+				wft, _ := w.FiveTuple()
+				layers := p.Layers()
+				if len(layers) != 3 || layers[2] != w.Layers()[2] || key != w.FlowKey() || !ok || ft != wft || ft.Src.Port == 0 {
+					t.Fatalf("first fragment: layers %v, flow key %+v, five-tuple %v %v; the whole datagram's %v, %+v, %v",
+						layers, key, ft, ok, w.Layers(), w.FlowKey(), wft)
+				}
+				if got := p.TransportPayload(); !bytes.Equal(got, w.TransportPayload()[:len(got)]) || len(got) == 0 {
+					t.Fatalf("first fragment's transport payload %x", got)
 				}
 				return
 			}

@@ -75,7 +75,7 @@ func (p *Parser) Parse(frame []byte) error {
 	}
 	switch p.IP.Proto {
 	case ProtoUDP:
-		if err := p.UDP.Decode(p.IP.Payload()); err != nil {
+		if err := p.UDP.decode(p.IP.Payload(), p.IP.Flags&ipMoreFragments != 0); err != nil {
 			return err
 		}
 		p.mark(LayerUDP)
