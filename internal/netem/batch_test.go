@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gnf/internal/clock"
 	"gnf/internal/packet"
 )
 
@@ -488,4 +489,97 @@ func TestFDBGenerationMovesWithEveryChange(t *testing.T) {
 	}
 	fdb.learn(mac(1), 3)
 	moved("delete", func() { fdb.delete(mac(1)) })
+}
+
+// TestMutationMidBatchRepointsTheNextFlow pins down the two memos a batch
+// keeps across runs — the FDB learn of a source MAC and the FDB lookup of a
+// destination MAC, each good for one FDB generation and one snapshot. It is
+// TestMutationMidRunRepointsTheNextFrame with every frame a flow of its own
+// (its own UDP source port) between one MAC pair: every frame starts a run,
+// and only the MAC memos carry from one frame to the next. The receiver on
+// port 2 changes the switch after frame `at`, and frame at+1 must already
+// be learned and forwarded by the new state.
+func TestMutationMidBatchRepointsTheNextFlow(t *testing.T) {
+	const n, at = 32, 10
+	x := mac(7)
+	speak := func(sw *Switch, port PortID, src, dst packet.MAC) {
+		sw.Inject(port, packet.BuildUDP(src, dst, ip(7), ip(1), 53, 4000, []byte{0xff, 0xff, 0xff, 0xff}))
+	}
+	cases := []struct {
+		name   string
+		mutate func(sw *Switch)
+		want   [2]int // frames at+1..n-1 seen on ports 2 and 3
+	}{
+		{"fdb move of the destination", func(sw *Switch) { speak(sw, 3, x, mac(1)) }, [2]int{0, n - 1 - at}},
+		{"pin of the destination", func(sw *Switch) { sw.PinMAC(x, 3) }, [2]int{0, n - 1 - at}},
+		// The batch's source turns up behind port 3; frame at+1 moves it
+		// back to port 1, where the batch's frames come from.
+		{"source learned elsewhere", func(sw *Switch) { speak(sw, 3, mac(1), mac(8)) }, [2]int{n - 1 - at, n - 1 - at}},
+		// The destination moves to port 3 and port 3 goes with its
+		// entries: the next frame floods to the ports that remain.
+		{"detach of the destination's port", func(sw *Switch) {
+			speak(sw, 3, x, mac(1))
+			sw.Detach(3)
+		}, [2]int{n - 1 - at, 0}},
+		// The port the FDB holds x behind comes up: a new snapshot and
+		// the same FDB generation, and the next frame goes there.
+		{"attach of the destination's port", func(sw *Switch) {
+			sw.Attach(9, newEndpoint("late", clock.System(), LinkParams{MTU: DefaultMTU, QueueLen: 1}, 1))
+		}, [2]int{0, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := NewSwitch("sw")
+			// The FDB knows x, but behind a port that is gone: lookups
+			// succeed and the frame still floods.
+			sw.fdb.learn(x, 9)
+			var seen [2][]uint32
+			for i := range seen {
+				i := i
+				far, swSide := NewServicePair("far", "sw") // sw → far is the direct half
+				defer far.Close()
+				far.SetReceiver(func(f []byte) {
+					stamp := binary.BigEndian.Uint32(f[42:])
+					if stamp < n {
+						seen[i] = append(seen[i], stamp)
+					}
+					if i == 0 && stamp == at {
+						tc.mutate(sw)
+					}
+				})
+				sw.Attach(PortID(2+i), swSide)
+			}
+
+			batch := make([][]byte, n)
+			for i := range batch {
+				flow := packet.BuildUDP(mac(1), x, ip(1), ip(7), 4000+uint16(i), 53, make([]byte, 8))
+				batch[i] = stampedFrame(flow, uint32(i))
+			}
+			sw.InjectBatch(1, batch)
+
+			// A run reuse would count as a hit, and no flow is seen twice.
+			if st := sw.Stats(); st.CacheHits != 0 {
+				t.Errorf("CacheHits = %d: a frame continued a run", st.CacheHits)
+			}
+			if port, ok := sw.LookupFDB(mac(1)); !ok || port != 1 {
+				t.Errorf("the batch's source ended on port %d (known %v), want 1", port, ok)
+			}
+			for i := range seen {
+				var before, after int
+				for _, stamp := range seen[i] {
+					if stamp <= at {
+						before++
+					} else {
+						after++
+					}
+				}
+				if before != at+1 {
+					t.Errorf("port %d saw %d of the %d frames flooded before the change", 2+i, before, at+1)
+				}
+				if after != tc.want[i] {
+					t.Errorf("port %d saw %d frames after the change, want %d (%v)", 2+i, after, tc.want[i], seen[i])
+				}
+			}
+		})
+	}
 }

@@ -20,9 +20,10 @@ const fdbShards = 32
 type fdbTable struct {
 	shards [fdbShards]fdbShard
 	// gen moves after every change to what lookup can return, so the batch
-	// path may keep a lookup's result for as long as one atomic load says
-	// gen stood still. Writers bump it after the map write, readers load it
-	// before the lookup: a memo is never stamped newer than what it holds.
+	// path may keep a learn's or a lookup's result for as long as one atomic
+	// load says gen stood still. Writers bump it after the map write, readers
+	// load it before the learn or lookup: a memo is never stamped newer than
+	// what it holds.
 	gen atomic.Uint64
 }
 

@@ -3,6 +3,7 @@ package netem
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"gnf/internal/packet"
 )
@@ -19,9 +20,13 @@ type Host struct {
 
 	mu       sync.RWMutex
 	arpTable map[packet.IP]packet.MAC
-	udp      map[uint16]UDPHandler
-	anyUDP   UDPHandler
-	rawTap   func(frame []byte)
+	// arpGen moves after every write to arpTable, so receive may skip Learn
+	// for a pair it already learned while one atomic load says the table
+	// stood still. It starts at 1: 0 is receive's "no memo".
+	arpGen atomic.Uint64
+	udp    map[uint16]UDPHandler
+	anyUDP UDPHandler
+	rawTap func(frame []byte)
 
 	pingMu    sync.Mutex
 	pingWaits map[uint32]chan struct{}
@@ -47,6 +52,7 @@ func NewHost(mac packet.MAC, ip packet.IP, ep *Endpoint) *Host {
 		udp:       make(map[uint16]UDPHandler),
 		pingWaits: make(map[uint32]chan struct{}),
 	}
+	h.arpGen.Store(1)
 	ep.SetBatchReceiver(h.receive)
 	return h
 }
@@ -102,8 +108,8 @@ func (h *Host) Tap(fn func(frame []byte)) {
 	h.mu.Unlock()
 }
 
-// Learn records ip's MAC in the host's ARP table; every received datagram
-// calls it, so an entry that is already right costs a read lock only.
+// Learn records ip's MAC in the host's ARP table. An entry that is already
+// right costs a read lock only; a write moves the table's generation.
 func (h *Host) Learn(ip packet.IP, mac packet.MAC) {
 	h.mu.RLock()
 	cur, ok := h.arpTable[ip]
@@ -114,6 +120,7 @@ func (h *Host) Learn(ip packet.IP, mac packet.MAC) {
 	h.mu.Lock()
 	h.arpTable[ip] = mac
 	h.mu.Unlock()
+	h.arpGen.Add(1)
 }
 
 // Resolve returns the MAC for ip from the ARP table, or broadcast when
@@ -196,15 +203,24 @@ func (h *Host) PendingPings() int {
 }
 
 // receive is the host's receive path. The tap and the handler table are
-// read once and one parser serves the whole batch. Each frame's buffer is
-// reclaimed into the pool once its processing (including any reply build)
-// finishes; anything retaining frame bytes past that point must copy them.
+// read once and one parser serves the whole batch. A datagram's sender is
+// learned once per batch for each (IP, MAC) pair: the pair last learned is
+// kept with the ARP generation read before its Learn, and a datagram from
+// the same pair skips Learn while the generation has not moved. Each
+// frame's buffer is reclaimed into the pool once its processing (including
+// any reply build) finishes; anything retaining frame bytes past that
+// point must copy them.
 func (h *Host) receive(frames [][]byte) {
 	h.mu.RLock()
 	tap, udp, anyUDP := h.rawTap, h.udp, h.anyUDP
 	h.mu.RUnlock()
 	p := packet.BorrowParser()
 	defer packet.ReturnParser(p)
+	var (
+		learnedIP  packet.IP
+		learnedMAC packet.MAC
+		learnedGen uint64
+	)
 	for _, frame := range frames {
 		if tap != nil {
 			tap(frame)
@@ -220,7 +236,10 @@ func (h *Host) receive(frames [][]byte) {
 			// A first fragment is not the whole datagram; the host does not reassemble.
 			case p.Has(packet.LayerUDP) && (p.IP.Dst == h.IPAddr || p.Eth.Dst.IsBroadcast()) &&
 				int(p.UDP.Length) == packet.UDPHeaderLen+len(p.UDP.Payload()):
-				h.Learn(p.IP.Src, p.Eth.Src)
+				if g := h.arpGen.Load(); g != learnedGen || p.IP.Src != learnedIP || p.Eth.Src != learnedMAC {
+					h.Learn(p.IP.Src, p.Eth.Src)
+					learnedIP, learnedMAC, learnedGen = p.IP.Src, p.Eth.Src, g
+				}
 				fn, ok := udp[p.UDP.DstPort]
 				if !ok {
 					fn = anyUDP

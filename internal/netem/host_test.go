@@ -234,6 +234,36 @@ func TestHostBatchLearnsAPeerWhoseMACChangesMidBatch(t *testing.T) {
 	}
 }
 
+// TestHostLearnMemoFollowsAConcurrentLearn: receive learns a (IP, MAC) pair
+// once per batch, for as long as the ARP table's generation stands still.
+// A handler re-points the peer while datagram k is handled — any writer
+// between two datagrams does — so datagram k+1, from the same pair as every
+// datagram before it, must learn it again.
+func TestHostLearnMemoFollowsAConcurrentLearn(t *testing.T) {
+	const n, k = 8, 3
+	ep, _ := NewVethPair("h", "sw")
+	t.Cleanup(ep.Close)
+	h := NewHost(mac(1), ip(1), ep)
+	var handled int
+	h.HandleAnyUDP(func(_, _ packet.Endpoint, payload []byte) []byte {
+		if handled++; payload[0] == k {
+			h.Learn(ip(2), mac(3))
+		}
+		return nil
+	})
+	batch := make([][]byte, n)
+	for i := range batch {
+		batch[i] = packet.BuildUDP(mac(2), mac(1), ip(2), ip(1), 7, 7, []byte{byte(i)})
+	}
+	h.receive(batch)
+	if handled != n {
+		t.Fatalf("handled %d of %d datagrams", handled, n)
+	}
+	if got := h.Resolve(ip(2)); got != mac(2) {
+		t.Fatalf("after a Learn during datagram %d of %d from %v: %v", k, n, mac(2), got)
+	}
+}
+
 // TestHostIgnoresAFirstFragment: the parser reads a UDP datagram's first
 // fragment as the datagram's flow, but the host does not reassemble, so no
 // handler sees a part of a datagram as if it were the whole.

@@ -9,10 +9,12 @@ import (
 // The forwarding pipeline. A batch arriving on one port (a frame is a batch
 // of one) is walked frame by frame, but consecutive frames of the same flow
 // — a "run", detected by packet.Run without parsing — reuse the previous
-// steering verdict: one parse, one flow-cache probe, one FDB
-// learn and one FDB lookup per run instead of per frame. Output frames are
-// coalesced into per-destination-port sub-batches so the egress link is
-// also paid once per run, not once per frame.
+// steering verdict: one parse and one flow-cache probe per run instead of
+// per frame. The FDB learn and lookup are keyed by MAC, not by flow, so
+// they are paid once per batch for each source and destination MAC the
+// batch carries. Output frames are coalesced into per-destination-port
+// sub-batches so the egress link is also paid once per run, not once per
+// frame.
 
 // portDispatch collects the frames of one batch bound for one egress port.
 type portDispatch struct {
@@ -70,15 +72,15 @@ func (d *dispatchBatch) flush() {
 // learning, a cached (or scanned-and-cached) steering verdict, then
 // dispatch — for every frame of a batch arriving on one port, lock-free
 // against the control plane. What does not depend on the frame is paid once
-// per batch (rx counters up front, every other counter at the end) or
-// once per run (parse, verdict, FDB learn and lookup).
+// per batch (rx counters up front, every other counter at the end), once
+// per run (parse, verdict) or once per MAC (FDB learn and lookup).
 //
-// A run's memo never outlives what it was computed from. Every frame
-// re-loads the snapshot pointer (rules, ports, pins, groups) and, when it
-// forwards by MAC, the FDB generation — two atomic loads: a rule installed
-// or a MAC learned anywhere mid-batch re-resolves the very next frame. A
-// new per-frame input to forwarding must bump one of the two or be re-read
-// per frame.
+// No memo outlives what it was computed from. Every frame re-loads the
+// snapshot pointer (rules, ports, pins, groups) and, when it learns or
+// forwards by MAC, the FDB generation — an atomic load each: a rule
+// installed or a MAC learned anywhere mid-batch re-resolves the very next
+// frame. A new per-frame input to forwarding must bump one of the two or
+// be re-read per frame.
 func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 	d := dispatchPool.Get().(*dispatchBatch)
 	defer dispatchPool.Put(d)
@@ -97,11 +99,15 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 		runAction Action
 		runOut    PortID
 		runDst    packet.MAC
-		// The normal-forwarding port of runDst, good while the FDB generation
-		// reads fwdGen; 0 (the table starts at 1) means no memo. Only a run
-		// reuse keeps it: every other frame resets it with the run.
+		// The normal-forwarding port of fwdDst, good while the FDB generation
+		// reads fwdGen; 0 (the table starts at 1) means no memo.
 		fwd    *swPort
+		fwdDst packet.MAC
 		fwdGen uint64
+		// learnSrc was learned on in (or found pinned) while the FDB
+		// generation read learnGen; 0 means no memo.
+		learnSrc packet.MAC
+		learnGen uint64
 	)
 
 	sampler := s.sampler.Load()
@@ -113,6 +119,7 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 			sp := st.ports[in]
 			inService = sp != nil && sp.service
 			run.Reset()
+			fwdGen, learnGen = 0, 0
 		}
 
 		if run.Continues(frame) {
@@ -120,7 +127,6 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 			// same event CacheHits counts, minus even the table probe.
 			hits++
 		} else {
-			fwdGen = 0
 			if err := p.Parse(frame); err != nil {
 				dropped++
 				packet.ReturnFrame(frame)
@@ -128,10 +134,15 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 			}
 			// Learn source MAC (unicast sources only); frames emerging from
 			// service ports carry end-host MACs and must not repoint the
-			// FDB, and pinned (associated-client) entries never move.
+			// FDB, and pinned (associated-client) entries never move. The
+			// generation is read before the learn it stamps: a learn that
+			// changes the entry moves it, and the next frame learns again.
 			if !inService && !p.Eth.Src.IsMulticast() && !p.Eth.Src.IsZero() {
-				if _, pin := st.pinned[p.Eth.Src]; !pin {
-					s.fdb.learn(p.Eth.Src, in)
+				if g := s.fdb.gen.Load(); g != learnGen || p.Eth.Src != learnSrc {
+					if _, pin := st.pinned[p.Eth.Src]; !pin {
+						s.fdb.learn(p.Eth.Src, in)
+					}
+					learnSrc, learnGen = p.Eth.Src, g
 				}
 			}
 			var hit bool
@@ -159,8 +170,8 @@ func (s *Switch) inputBatch(in PortID, frames [][]byte) {
 		default:
 			// Normal forwarding. The generation is read before the lookup
 			// it stamps.
-			if g := s.fdb.gen.Load(); g != fwdGen {
-				fwd, fwdGen = nil, g
+			if g := s.fdb.gen.Load(); g != fwdGen || runDst != fwdDst {
+				fwd, fwdDst, fwdGen = nil, runDst, g
 				if !runDst.IsMulticast() {
 					if port, ok := s.lookupFDB(st, runDst); ok {
 						fwd = st.ports[port]
