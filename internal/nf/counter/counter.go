@@ -9,7 +9,6 @@ package counter
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -22,9 +21,9 @@ import (
 	"gnf/internal/packet"
 )
 
-// FlowStats accumulates per-flow counters. Seq stamps the dirty epoch of
-// the flow's last update, so pre-copy migration rounds export only flows
-// touched since the previous round.
+// FlowStats is a snapshot of one flow's counters. Seq stamps the dirty
+// epoch of the flow's last update, so pre-copy migration rounds export only
+// flows touched since the previous round.
 type FlowStats struct {
 	Packets uint64
 	Bytes   uint64
@@ -43,13 +42,25 @@ type Monitor struct {
 
 	mu      sync.Mutex
 	clk     clock.Clock
-	flows   map[packet.FiveTuple]*FlowStats
+	flows   flowTable
+	starts  []runStart // accountLocked's scratch, kept for its capacity
 	notify  nf.NotifyFunc
 	parser  packet.Parser
 	seq     uint64 // dirty epoch, bumped per flow update
 	total   uint64
 	alerts  uint64
 	sigHits uint64
+}
+
+// runStart is a frame of a batch that does not continue a run: the frames
+// behind it up to the next runStart are its run's. A frame that carries no
+// flow (not IP, or no ports) is one too, with flow unset.
+type runStart struct {
+	at   int     // frame index in the batch
+	key  flowKey // as parsed, not canonical: a notification names it
+	flow bool
+	sig  int    // the signature found in its payload, or -1
+	row  uint32 // the flow's row, once the probe pass has run
 }
 
 // New creates a monitor alerting when any flow exceeds ppsAlert packets in
@@ -59,7 +70,6 @@ func New(name string, ppsAlert uint64, signatures ...string) *Monitor {
 		name:     name,
 		ppsAlert: ppsAlert,
 		clk:      clock.System(),
-		flows:    make(map[packet.FiveTuple]*FlowStats),
 	}
 	for _, s := range signatures {
 		if s != "" {
@@ -93,18 +103,18 @@ func (m *Monitor) Kind() string { return "counter" }
 func (m *Monitor) Flows() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.flows)
+	return m.flows.len()
 }
 
 // Flow returns a copy of one flow's counters.
 func (m *Monitor) Flow(ft packet.FiveTuple) (FlowStats, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fs, ok := m.flows[ft.Canonical()]
+	n, ok := m.flows.find(keyOf(ft).canonical())
 	if !ok {
 		return FlowStats{}, false
 	}
-	return *fs, true
+	return m.flows.row(n).stats(), true
 }
 
 // Process implements nf.Function.
@@ -130,73 +140,99 @@ func (m *Monitor) ProcessBatch(dir nf.Direction, frames [][]byte, out *nf.Output
 }
 
 // accountLocked updates flow accounting for a batch with m.mu held and
-// returns the notifications it raised. The flow table is probed once per
-// same-flow run and the clock read at most once per batch; neither memo
-// leaves the function, so neither outlives the lock every import takes.
+// returns the notifications it raised. It makes three passes. The first
+// parses each run's first frame and records its flow (every frame is its own
+// run with signatures set: a signature is searched for in each frame's own
+// payload, which only a parse of that frame yields). The second finds or
+// adds every recorded flow's row in one tight loop, so the batch's index
+// misses can overlap. The third accounts each run's frames on its row, in
+// frame order. The clock is read at most once per batch, and a row number is
+// read only by the call that resolved it, so neither outlives the lock every
+// import takes.
 func (m *Monitor) accountLocked(frames [][]byte) (notes []nf.Notification) {
 	var (
-		run packet.Run
-		fs  *FlowStats
-		ft  packet.FiveTuple
-		now time.Time
+		now   time.Time
+		nowNS int64
 	)
 	clock := func() time.Time {
 		if now.IsZero() {
 			now = m.clk.Now()
+			nowNS = unixNano(now)
 		}
 		return now
 	}
 	note := func(sev nf.Severity, msg string) {
 		notes = append(notes, nf.Notification{Severity: sev, NF: m.name, Kind: "counter", Message: msg, At: clock()})
 	}
-	for _, frame := range frames {
-		m.total++
-		if !run.Continues(frame) {
-			if err := m.parser.Parse(frame); err != nil {
-				continue
-			}
-			var ok bool
-			if ft, ok = m.parser.FiveTuple(); !ok {
-				continue
-			}
-			key := ft.Canonical()
-			if fs = m.flows[key]; fs == nil {
-				fs = &FlowStats{WindowStart: clock()}
-				m.flows[key] = fs
-			}
-			// A signature is searched for in each frame's own payload, which
-			// only a parse of that frame yields.
-			if len(m.signatures) == 0 {
-				run.Start(frame)
-			}
-		}
-		m.seq++
-		fs.Seq = m.seq
-		fs.Packets++
-		fs.Bytes += uint64(len(frame))
 
-		if m.ppsAlert > 0 {
-			if clock().Sub(fs.WindowStart) >= time.Second {
-				fs.WindowStart = clock()
-				fs.WindowCount = 0
-				fs.Alerted = false
-			}
-			fs.WindowCount++
-			if fs.WindowCount > m.ppsAlert && !fs.Alerted {
-				fs.Alerted = true
-				m.alerts++
-				note(nf.SevCritical, "flow "+ft.String()+" exceeded "+strconv.FormatUint(m.ppsAlert, 10)+" pps")
-			}
-		}
-		if len(m.signatures) == 0 {
+	starts := m.starts[:0]
+	var run packet.Run
+	for i, frame := range frames {
+		if run.Continues(frame) {
 			continue
 		}
-		payload := m.parser.TransportPayload()
-		for _, sig := range m.signatures {
-			if bytes.Contains(payload, sig) {
+		s := runStart{at: i, sig: -1}
+		if m.parser.Parse(frame) == nil {
+			if s.key, s.flow = parsedKey(&m.parser); s.flow {
+				if len(m.signatures) == 0 {
+					run.Start(frame)
+				} else {
+					s.sig = slices.IndexFunc(m.signatures, func(sig []byte) bool {
+						return bytes.Contains(m.parser.TransportPayload(), sig)
+					})
+				}
+			}
+		}
+		starts = append(starts, s)
+	}
+	m.starts = starts
+
+	for i := range starts {
+		s := &starts[i]
+		if !s.flow {
+			continue
+		}
+		var added bool
+		if s.row, added = m.flows.upsert(s.key.canonical()); added {
+			clock()
+			m.flows.row(s.row).windowStart = nowNS
+		}
+	}
+
+	m.total += uint64(len(frames))
+	for j := range starts {
+		s := &starts[j]
+		if !s.flow {
+			continue
+		}
+		end := len(frames)
+		if j+1 < len(starts) {
+			end = starts[j+1].at
+		}
+		r := m.flows.row(s.row)
+		for _, frame := range frames[s.at:end] {
+			m.seq++
+			r.seq = m.seq
+			r.packets++
+			r.bytes += uint64(len(frame))
+
+			if m.ppsAlert > 0 {
+				// A zero start, the zero time, is always a second past.
+				if clock(); r.windowStart <= nowNS-int64(time.Second) {
+					r.windowStart = nowNS
+					r.windowCount = 0
+					r.alerted = false
+				}
+				r.windowCount++
+				if r.windowCount > m.ppsAlert && !r.alerted {
+					r.alerted = true
+					m.alerts++
+					note(nf.SevCritical, "flow "+s.key.tuple().String()+" exceeded "+strconv.FormatUint(m.ppsAlert, 10)+" pps")
+				}
+			}
+			if s.sig >= 0 {
 				m.sigHits++
-				note(nf.SevWarning, "signature "+strconv.Quote(string(sig))+" in flow "+ft.String())
-				break
+				note(nf.SevWarning, "signature "+strconv.Quote(string(m.signatures[s.sig]))+" in flow "+s.key.tuple().String())
 			}
 		}
 	}
@@ -209,7 +245,7 @@ func (m *Monitor) NFStats() map[string]uint64 {
 	defer m.mu.Unlock()
 	return map[string]uint64{
 		"total_frames":   m.total,
-		"tracked_flows":  uint64(len(m.flows)),
+		"tracked_flows":  uint64(m.flows.len()),
 		"pps_alerts":     m.alerts,
 		"signature_hits": m.sigHits,
 	}
@@ -243,31 +279,31 @@ func (m *Monitor) ImportState(data []byte) error {
 func (m *Monitor) ExportDelta(since uint64) ([]byte, uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keys := make([]packet.FiveTuple, 0, len(m.flows))
-	for ft, fs := range m.flows {
-		if fs.Seq > since {
-			keys = append(keys, ft)
+	rows := make([]*row, 0, m.flows.len())
+	for n := range uint32(m.flows.len()) {
+		if r := m.flows.row(n); r.seq > since {
+			rows = append(rows, r)
 		}
 	}
-	slices.SortFunc(keys, compareTuples)
-	w := make(nf.RecordWriter, 0, 32+flowBytes*len(keys))
+	slices.SortFunc(rows, func(a, b *row) int { return a.key.compare(b.key) })
+	w := make(nf.RecordWriter, 0, 32+flowBytes*len(rows))
 	w.Uvarint(m.total)
 	w.Uvarint(m.alerts)
 	w.Uvarint(m.sigHits)
-	w.Uvarint(uint64(len(keys)))
-	for _, ft := range keys {
-		fs := m.flows[ft]
+	w.Uvarint(uint64(len(rows)))
+	for _, r := range rows {
+		ft := r.key.tuple()
 		w.Uint8(ft.Proto)
 		w.IP(ft.Src.Addr)
 		w.Uint16(ft.Src.Port)
 		w.IP(ft.Dst.Addr)
 		w.Uint16(ft.Dst.Port)
-		w.Uvarint(fs.Packets)
-		w.Uvarint(fs.Bytes)
-		w.Time(fs.WindowStart)
-		w.Uvarint(fs.WindowCount)
-		w.Bool(fs.Alerted)
-		w.Uvarint(fs.Seq)
+		w.Uvarint(r.packets)
+		w.Uvarint(r.bytes)
+		w.Time(timeOf(r.windowStart))
+		w.Uvarint(r.windowCount)
+		w.Bool(r.alerted)
+		w.Uvarint(r.seq)
 	}
 	return w, m.seq, nil
 }
@@ -290,23 +326,22 @@ func (m *Monitor) ImportDelta(data []byte) error {
 func (m *Monitor) importLocked(data []byte, replace bool) error {
 	r := nf.NewRecordReader(data)
 	total, alerts, sigHits := r.Uvarint(), r.Uvarint(), r.Uvarint()
-	keys := make([]packet.FiveTuple, r.Count())
-	flows := make([]FlowStats, len(keys))
-	for i := range keys {
-		keys[i] = packet.FiveTuple{
-			Proto: r.Uint8(),
-			Src:   packet.Endpoint{Addr: r.IP(), Port: r.Uint16()},
-			Dst:   packet.Endpoint{Addr: r.IP(), Port: r.Uint16()},
+	flows := make([]row, r.Count())
+	for i := range flows {
+		flows[i] = row{
+			key: keyOf(packet.FiveTuple{
+				Proto: r.Uint8(),
+				Src:   packet.Endpoint{Addr: r.IP(), Port: r.Uint16()},
+				Dst:   packet.Endpoint{Addr: r.IP(), Port: r.Uint16()},
+			}),
+			packets:     r.Uvarint(),
+			bytes:       r.Uvarint(),
+			windowStart: unixNano(r.Time()),
+			windowCount: r.Uvarint(),
+			alerted:     r.Bool(),
+			seq:         r.Uvarint(),
 		}
-		flows[i] = FlowStats{
-			Packets:     r.Uvarint(),
-			Bytes:       r.Uvarint(),
-			WindowStart: r.Time(),
-			WindowCount: r.Uvarint(),
-			Alerted:     r.Bool(),
-			Seq:         r.Uvarint(),
-		}
-		if i > 0 && compareTuples(keys[i-1], keys[i]) >= 0 {
+		if i > 0 && flows[i-1].key.compare(flows[i].key) >= 0 {
 			return fmt.Errorf("%w: counter flows out of key order", nf.ErrBadRecord)
 		}
 	}
@@ -314,22 +349,15 @@ func (m *Monitor) importLocked(data []byte, replace bool) error {
 		return err
 	}
 	if replace {
-		m.flows = make(map[packet.FiveTuple]*FlowStats, len(keys))
+		m.flows = flowTable{}
 	}
 	m.total, m.alerts, m.sigHits = total, alerts, sigHits
-	for i, ft := range keys {
-		m.seq = max(m.seq, flows[i].Seq)
-		m.flows[ft] = &flows[i]
+	for _, f := range flows {
+		m.seq = max(m.seq, f.seq)
+		n, _ := m.flows.upsert(f.key)
+		*m.flows.row(n) = f
 	}
 	return nil
-}
-
-func compareTuples(a, b packet.FiveTuple) int {
-	return cmp.Or(cmp.Compare(a.Proto, b.Proto), compareEndpoints(a.Src, b.Src), compareEndpoints(a.Dst, b.Dst))
-}
-
-func compareEndpoints(a, b packet.Endpoint) int {
-	return cmp.Or(cmp.Compare(a.Addr.Uint32(), b.Addr.Uint32()), cmp.Compare(a.Port, b.Port))
 }
 
 var _ nf.DeltaStateful = (*Monitor)(nil)

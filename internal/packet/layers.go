@@ -166,22 +166,22 @@ const ipMoreFragments = 1
 
 // IPv4 is an IPv4 header.
 type IPv4 struct {
-	TOS         uint8
-	TotalLen    uint16
-	ID          uint16
-	Flags       uint8 // 3 bits
-	FragOffset  uint16
-	TTL         uint8
-	Proto       uint8
-	Checksum    uint16
-	Src, Dst    IP
-	headerLen   int
-	payload     []byte
-	checksumOK  bool
-	rawChecksum uint16
+	TOS        uint8
+	TotalLen   uint16
+	ID         uint16
+	Flags      uint8 // 3 bits
+	FragOffset uint16
+	TTL        uint8
+	Proto      uint8
+	Checksum   uint16
+	Src, Dst   IP
+	header     []byte
+	payload    []byte
 }
 
-// Decode parses an IPv4 header and verifies its checksum.
+// Decode parses an IPv4 header. It does not verify the header checksum:
+// no verdict depends on it, and ChecksumOK sums the header for a caller
+// that asks.
 func (ip *IPv4) Decode(b []byte) error {
 	if len(b) < IPv4HeaderLen {
 		return ErrTruncated
@@ -193,7 +193,7 @@ func (ip *IPv4) Decode(b []byte) error {
 	if ihl < IPv4HeaderLen || len(b) < ihl {
 		return ErrBadHeader
 	}
-	ip.headerLen = ihl
+	ip.header = b[:ihl]
 	ip.TOS = b[1]
 	ip.TotalLen = binary.BigEndian.Uint16(b[2:4])
 	if int(ip.TotalLen) < ihl || int(ip.TotalLen) > len(b) {
@@ -208,21 +208,21 @@ func (ip *IPv4) Decode(b []byte) error {
 	ip.Checksum = binary.BigEndian.Uint16(b[10:12])
 	copy(ip.Src[:], b[12:16])
 	copy(ip.Dst[:], b[16:20])
-	ip.rawChecksum = ip.Checksum
-	ip.checksumOK = Checksum(b[:ihl]) == 0
 	ip.payload = b[ihl:ip.TotalLen]
 	return nil
 }
 
-// ChecksumOK reports whether the decoded header checksum verified.
-func (ip *IPv4) ChecksumOK() bool { return ip.checksumOK }
+// ChecksumOK reports whether the decoded header's checksum verifies, summed
+// now over the header's bytes as they are: a rewrite of the frame since
+// Decode shows.
+func (ip *IPv4) ChecksumOK() bool { return len(ip.header) > 0 && Checksum(ip.header) == 0 }
 
 // HeaderLen returns the decoded header length in bytes.
 func (ip *IPv4) HeaderLen() int {
-	if ip.headerLen == 0 {
+	if len(ip.header) == 0 {
 		return IPv4HeaderLen
 	}
-	return ip.headerLen
+	return len(ip.header)
 }
 
 // Payload returns the L4 bytes (TotalLen-bounded).

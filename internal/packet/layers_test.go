@@ -54,6 +54,45 @@ func TestBuildUDPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBadHeaderChecksumParsesAndReportsFalse holds Decode to not judging
+// the header checksum: a frame with one header byte flipped parses to the
+// same five-tuple, and only ChecksumOK, which sums the header when it is
+// called, tells the two apart.
+func TestBadHeaderChecksumParsesAndReportsFalse(t *testing.T) {
+	frame := BuildUDP(macA, macB, ipA, ipB, 5353, 53, []byte("hello edge"))
+	var p Parser
+	if err := p.Parse(frame); err != nil || !p.IP.ChecksumOK() {
+		t.Fatalf("original frame: %v, header checksum ok %v", err, p.IP.ChecksumOK())
+	}
+	want, _ := p.FiveTuple()
+	// TOS, ID, TTL and the checksum itself: bytes no parse rejects.
+	for _, off := range []int{1, 4, 5, 8, 10, 11} {
+		bad := append([]byte(nil), frame...)
+		bad[EthernetHeaderLen+off] ^= 0x10
+		if err := p.Parse(bad); err != nil {
+			t.Fatalf("header byte %d flipped: %v", off, err)
+		}
+		if ft, ok := p.FiveTuple(); !ok || ft != want {
+			t.Fatalf("header byte %d flipped: five-tuple %v, %v, want %v", off, ft, ok, want)
+		}
+		if p.IP.ChecksumOK() {
+			t.Fatalf("header byte %d flipped: checksum reported ok", off)
+		}
+	}
+	// ChecksumOK reads the bytes as they are when it is called.
+	if err := p.Parse(frame); err != nil {
+		t.Fatal(err)
+	}
+	frame[EthernetHeaderLen+8] ^= 0x10
+	if p.IP.ChecksumOK() {
+		t.Fatal("checksum reported ok over a header flipped after the parse")
+	}
+	frame[EthernetHeaderLen+8] ^= 0x10
+	if !p.IP.ChecksumOK() {
+		t.Fatal("checksum reported bad over the header restored")
+	}
+}
+
 func TestBuildTCPRoundTrip(t *testing.T) {
 	payload := []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")
 	frame := BuildTCP(macA, macB, ipA, ipB, 43210, 80, TCPOptions{Seq: 7, Ack: 9, Flags: TCPAck | TCPPsh}, payload)
