@@ -11,7 +11,7 @@
 //	E6          BenchmarkE6MigrationStrategies     cold vs stateful ablation
 //	E6          BenchmarkE6LiveMigration           stop-and-copy vs pre-copy by state size
 //	E7          BenchmarkE7NotificationPipeline    NF->Agent->Manager alerts
-//	E7          BenchmarkE7QoSPlacement            least-loaded vs latency-aware chain RTT
+//	E7          BenchmarkE7QoSPlacement            placement without vs with a topology, chain RTT
 //	E8          BenchmarkE8OffloadAblation         GNFC edge vs cloud hosting
 //	E8          BenchmarkE8BatchedDataplane        batched vs per-frame pipeline
 //	E9          BenchmarkE9FailoverRecovery        station-crash recovery
@@ -718,7 +718,8 @@ func newBenchQoSAgent(b *testing.B, mgr *manager.Manager, station string) *bench
 	}
 	ok := func(json.RawMessage) (any, error) { return nil, nil }
 	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore} {
+		agent.MethodDisable, agent.MethodRestore, agent.MethodSteer, agent.MethodSteerBatch,
+		agent.MethodUnsteer, agent.MethodRetarget} {
 		peer.Handle(m, ok)
 	}
 	peer.Handle(agent.MethodCheckpoint, func(json.RawMessage) (any, error) {
@@ -739,14 +740,14 @@ func (a *benchQoSAgent) report(cpu float64) {
 	})
 }
 
-// BenchmarkE7QoSPlacement compares mean chain RTT under least-loaded vs
-// latency-aware placement on the same mobility trace: a client circles a
-// six-station metro ring (5ms hops), and at every dwell its station is
-// drained for maintenance, forcing the policy to re-place the chain.
-// Least-loaded chases the idle station wherever it sits on the ring;
-// latency-aware keeps the chain one hop away. Reported metrics: mean
-// predicted client<->chain RTT per re-placement, and control-plane
-// migrations per trace.
+// BenchmarkE7QoSPlacement ablates the placement rule's RTT term on one
+// mobility trace: a client circles a six-station metro ring (5ms hops), and
+// at every dwell its station is drained for maintenance, forcing the rule to
+// re-place the chain. The rows differ only in whether the manager is given
+// the ring: without it every RTT is unknown and the rule ranks by load,
+// chasing the idle station wherever it sits; with it the RTT term keeps the
+// chain one hop away. Reported metrics: mean predicted client<->chain RTT
+// per re-placement, and control-plane migrations per trace.
 func BenchmarkE7QoSPlacement(b *testing.B) {
 	stations := []string{"st-0", "st-1", "st-2", "st-3", "st-4", "st-5"}
 	ids := make([]topology.StationID, len(stations))
@@ -757,8 +758,12 @@ func BenchmarkE7QoSPlacement(b *testing.B) {
 	loads := map[string]float64{
 		"st-0": 50, "st-1": 40, "st-2": 45, "st-3": 2, "st-4": 45, "st-5": 40,
 	}
-	for _, polName := range []string{"least-loaded", "latency-aware"} {
-		b.Run(polName, func(b *testing.B) {
+	for _, withTopology := range []bool{false, true} {
+		name := "no-topology"
+		if withTopology {
+			name = "topology"
+		}
+		b.Run(name, func(b *testing.B) {
 			var sumRTT time.Duration
 			picks, migrations := 0, 0
 			for i := 0; i < b.N; i++ {
@@ -768,12 +773,9 @@ func BenchmarkE7QoSPlacement(b *testing.B) {
 					b.Fatal(err)
 				}
 				ring := topology.Ring(ids, 5*time.Millisecond, 1_000_000_000)
-				mgr.SetTopology(ring)
-				pol, ok := manager.PlacementFor(polName)
-				if !ok {
-					b.Fatalf("unknown policy %q", polName)
+				if withTopology {
+					mgr.SetTopology(ring)
 				}
-				mgr.SetPlacement(pol)
 				agents := make(map[string]*benchQoSAgent, len(stations))
 				for _, st := range stations {
 					agents[st] = newBenchQoSAgent(b, mgr, st)
@@ -816,7 +818,7 @@ func BenchmarkE7QoSPlacement(b *testing.B) {
 						}
 						mgr.WaitIdle()
 					}
-					// Maintenance drain: the policy picks the chain's refuge.
+					// Maintenance drain: the rule picks the chain's refuge.
 					reports, err := mgr.EvacuateStation(cur)
 					if err != nil {
 						b.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"gnf/internal/agent"
@@ -37,8 +36,6 @@ func main() {
 	dwell := flag.Duration("dwell", 3*time.Second, "time spent in each cell")
 	pps := flag.Int("pps", 100, "client traffic rate (packets/s)")
 	strategy := flag.String("strategy", "stateful", "migration strategy: cold|stateful|live")
-	placement := flag.String("placement", "client-local",
-		"placement policy: "+strings.Join(manager.PlacementNames(), "|"))
 	scenarioFile := flag.String("scenario", "", "run this scenario file instead of the staged demo")
 	flag.Parse()
 
@@ -59,11 +56,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -strategy %q (want cold, stateful or live)", *strategy)
 	}
-	policy, ok := manager.PlacementFor(*placement)
-	if !ok {
-		log.Fatalf("unknown -placement %q (want one of %s)",
-			*placement, strings.Join(manager.PlacementNames(), ", "))
-	}
 	sys, err := core.NewSystem(core.Config{
 		Strategy:       strat,
 		ReportInterval: 500 * time.Millisecond,
@@ -76,7 +68,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close()
-	sys.Manager.SetPlacement(policy)
 
 	dash := ui.New(sys.Manager)
 	if err := dash.Start(*uiAddr); err != nil {

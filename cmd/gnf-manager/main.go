@@ -10,7 +10,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 
 	"gnf/internal/clock"
 	"gnf/internal/manager"
@@ -21,8 +20,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7701", "address for agent connections")
 	uiAddr := flag.String("ui", "127.0.0.1:8080", "address for the UI/REST dashboard")
 	strategy := flag.String("strategy", "stateful", "roaming migration strategy: cold|stateful")
-	placement := flag.String("placement", "client-local",
-		"placement policy: "+strings.Join(manager.PlacementNames(), "|"))
 	hotspot := flag.Float64("hotspot-cpu", 80, "CPU%% threshold for hotspot detection")
 	autoscale := flag.Duration("autoscale", 0,
 		"shared-instance autoscaler evaluation interval (0 disables; e.g. 2s)")
@@ -44,12 +41,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
 		os.Exit(2)
 	}
-	policy, ok := manager.PlacementFor(*placement)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown placement %q (want one of %s)\n",
-			*placement, strings.Join(manager.PlacementNames(), ", "))
-		os.Exit(2)
-	}
 
 	mgr, err := manager.New(clock.System(), *listen,
 		manager.WithStrategy(strat), manager.WithHotspotCPU(*hotspot),
@@ -58,7 +49,6 @@ func main() {
 		log.Fatalf("manager: %v", err)
 	}
 	defer mgr.Close()
-	mgr.SetPlacement(policy)
 
 	if *autoscale > 0 {
 		mgr.StartAutoscaler(*autoscale)

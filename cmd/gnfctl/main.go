@@ -42,7 +42,7 @@ commands:
   offload <client> <site>          move all of a client's chains to a cloud site
   recall <client>                  return an offloaded client's chains to the edge
   failovers                        failed stations and recovery reports
-  placement                        active policy + per-station capacity view
+  placement                        per-station capacity view
   pools                            per-station shared NF instance tables
                                    (kind, config hash, refcount, replicas,
                                    load) and autoscaler decisions

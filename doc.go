@@ -15,7 +15,7 @@
 //     invariant auditor
 //   - internal/scenario — the deterministic scenario engine replaying the
 //     declarative specs under scenarios/ in virtual time
-//   - internal/manager  — placement policies, monitoring, roaming
+//   - internal/manager  — the placement rule, monitoring, roaming
 //     orchestration, station failover, cloud offload/recall
 //   - internal/agent    — per-station daemon: containers, veths, steering,
 //     offload tunnels and detours

@@ -144,7 +144,7 @@ func WithRegistry(r *nf.Registry) Option { return func(a *Agent) { a.registry = 
 
 // WithCloud marks this agent's station as a GNFC cloud site. Cloud sites
 // register with the Cloud flag, host offloaded chains with remote steering
-// and are skipped by edge placement policies.
+// and are skipped by placement unless it allows the cloud.
 func WithCloud() Option { return func(a *Agent) { a.cloud = true } }
 
 // WithPoolGrace sets how long an unreferenced shared instance survives

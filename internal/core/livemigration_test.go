@@ -664,7 +664,6 @@ func TestLaggingQoSChainServesOverTheTunnel(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	sys.Manager.SetPlacement(manager.QoSPlacement{})
 	if err := sys.AddClient("phone", phoneMAC, phoneIP); err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,6 @@ func TestAutoOffloadBurstsHotspotToCloud(t *testing.T) {
 	if err := sys.AttachChain("phone", firewallChain("fw-chain")); err != nil {
 		t.Fatal(err)
 	}
-	sys.Manager.SetPlacement(manager.CloudFirstPlacement{})
 	// Threshold zero: any station that has reported counts as hot.
 	sys.Manager.SetHotspotCPU(0)
 	deadline := time.After(5 * time.Second)

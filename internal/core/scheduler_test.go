@@ -131,14 +131,3 @@ func TestEvacuateStationFollowsClient(t *testing.T) {
 		t.Fatalf("empty evacuation: %+v, %v", reports, err)
 	}
 }
-
-func TestLeastLoadedStation(t *testing.T) {
-	sys, _ := demoSystem(t, manager.StrategyStateful)
-	st, ok := sys.Manager.LeastLoadedStation("st-a")
-	if !ok || st != "st-b" {
-		t.Fatalf("least loaded = %q, %v", st, ok)
-	}
-	if _, ok := sys.Manager.LeastLoadedStation(""); !ok {
-		t.Fatal("no station at all")
-	}
-}

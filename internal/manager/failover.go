@@ -2,8 +2,8 @@
 // provider can react when part of the infrastructure misbehaves. This file
 // closes that loop — when a station's agent connection drops or its
 // heartbeats go silent, the Manager declares the station failed and
-// re-places every chain it hosted, preferring each client's current
-// station and falling back to the placement policy. Recovery is a cold
+// re-places every chain it hosted where the placement rule puts it, each
+// client's current station first. Recovery is a cold
 // deploy: the failed station's NF state is gone by definition.
 package manager
 
@@ -24,6 +24,8 @@ type FailoverReport struct {
 	To        string        `json:"to"` // where the chain was revived
 	Recovered time.Duration `json:"recovered"`
 	Err       string        `json:"err,omitempty"`
+	// why is the placement rule's explanation when it chose To.
+	why choice
 }
 
 // WithFailover arms automatic failover at construction: heartbeats older
@@ -152,7 +154,7 @@ func (m *Manager) recordFailover(rep FailoverReport) {
 	m.mu.Unlock()
 	m.journal.Append(trace.Event{
 		Type: trace.EventFailover, Subject: rep.Chain, Station: rep.To,
-		Detail: fmt.Sprintf("client=%s lost=%s recovered=%s", rep.Client, rep.Station, rep.Recovered),
+		Detail: rep.why.annotate(fmt.Sprintf("client=%s lost=%s recovered=%s", rep.Client, rep.Station, rep.Recovered)),
 		Err:    rep.Err,
 	})
 }
@@ -161,8 +163,8 @@ func (m *Manager) recordFailover(rep FailoverReport) {
 // station's state is gone by definition, so the plan names no source, and a
 // copy the station may still announce on rejoin is the rejoin GC's to
 // collect. An anchored segment comes back on its anchor, which the placement
-// rule re-derives over the surviving agents; a head goes where the policy
-// says, preferring its client's station. Either is spliced back between its
+// rule re-derives over the surviving agents; a head goes where the placement
+// rule says, its client's station first. Either is spliced back between its
 // neighbours — the other segments survived the failure — and a leg that
 // cannot be re-spliced fails the revival like it fails any move.
 func (m *Manager) revive(failed string, j displaced) FailoverReport {
@@ -182,16 +184,16 @@ func (m *Manager) revive(failed string, j displaced) FailoverReport {
 		rep.To = to
 	} else {
 		// The dead station is still the RTT reference point.
-		hint := placementHint(j.client, j.spec, cl.station)
+		hint := hintFor(j.spec, cl.station)
 		if cl.station != failed {
-			hint.Prefer = cl.station
+			hint.prefer = cl.station
 		}
-		to, ok := m.place(hint, failed)
+		c, ok := m.place(m.StationInfos(failed), hint)
 		if !ok {
 			rep.Err = fmt.Sprintf("no surviving station for %s/%s", j.client, j.spec.Name)
 			return rep
 		}
-		rep.To = to
+		rep.To, rep.why = c.station, c
 	}
 
 	j.rec.migMu.Lock()

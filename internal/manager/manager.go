@@ -69,7 +69,7 @@ type ChainSpec struct {
 	Name      string         `json:"name"`
 	Functions []agent.NFSpec `json:"functions"`
 	// MaxRTTMs is the chain's QoS budget: the largest predicted
-	// client<->chain round-trip (milliseconds) QoSPlacement accepts and
+	// client<->chain round-trip (milliseconds) placement accepts and
 	// roaming tolerates before re-placing the chain. 0 = no budget.
 	MaxRTTMs float64 `json:"max_rtt_ms,omitempty"`
 }
@@ -95,11 +95,13 @@ type MigrationReport struct {
 	// still served, bytes shipped by them, bytes of the frozen residual
 	// delta, and how many brownout-buffered frames the target replayed on
 	// activation. pooled is for the placement table, not the reader: the
-	// deployment at To is an attachment to a shared instance.
+	// deployment at To is an attachment to a shared instance. why is the
+	// placement rule's explanation when it chose To, for the journal.
 	Rounds         int `json:"rounds,omitempty"`
 	PrecopyBytes   int `json:"precopy_bytes,omitempty"`
 	ResidualBytes  int `json:"residual_bytes,omitempty"`
 	pooled         bool
+	why            choice
 	ReplayedFrames uint64 `json:"replayed_frames,omitempty"`
 	Err            string `json:"err,omitempty"`
 	// TraceID links the report to its span tree when the triggering handoff
@@ -199,7 +201,7 @@ type Manager struct {
 	metrics *metrics.Registry
 
 	// ctrl is the copy-on-write snapshot of read-mostly configuration
-	// (agent registry, strategy, placement, topology, failover switches);
+	// (agent registry, strategy, topology, failover switches);
 	// clients is the sharded client registry; pool is the bounded handoff
 	// pipeline and the manager's drain barrier. See shards.go and pool.go.
 	ctrl    atomic.Pointer[controlState]
@@ -275,7 +277,6 @@ func New(clk clock.Clock, addr string, opts ...Option) (*Manager, error) {
 	m.ctrl.Store(&controlState{
 		agents:     make(map[string]*AgentHandle),
 		strategy:   StrategyStateful,
-		placement:  ClientLocalPlacement{},
 		hotspotCPU: 80,
 		failed:     make(map[string]bool),
 	})
@@ -650,8 +651,8 @@ func (m *Manager) recordMigration(rep MigrationReport) {
 		Subject: rep.Chain,
 		Station: rep.To,
 		TraceID: rep.TraceID,
-		Detail: fmt.Sprintf("client=%s %s->%s strategy=%s downtime=%s",
-			rep.Client, rep.From, rep.To, rep.Strategy, rep.Downtime),
+		Detail: rep.why.annotate(fmt.Sprintf("client=%s %s->%s strategy=%s downtime=%s",
+			rep.Client, rep.From, rep.To, rep.Strategy, rep.Downtime)),
 		Err: rep.Err,
 	})
 	if rep.Err != "" {

@@ -9,6 +9,7 @@ package manager
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gnf/internal/trace"
@@ -135,8 +136,8 @@ func (m *Manager) reanchor(client, site string) (OffloadReport, error) {
 
 // AutoOffload scans for resource hotspots (§3: the Manager detects
 // "resource-hotspots") and offloads every chain-bearing client of each hot
-// edge station to the site chosen by the placement policy (CloudFirst
-// recommended). It returns one report per offloaded client.
+// edge station to the connected cloud site the placement rule picks. It
+// returns one report per offloaded client.
 func (m *Manager) AutoOffload() ([]OffloadReport, error) {
 	hot := m.Hotspots()
 	var reports []OffloadReport
@@ -156,18 +157,12 @@ func (m *Manager) AutoOffload() ([]OffloadReport, error) {
 		sort.Strings(clients)
 
 		for _, client := range clients {
-			site, ok := m.place(PlacementHint{Client: client, AllowCloud: true, ClientAt: station}, station)
+			sites := slices.DeleteFunc(m.StationInfos(), func(si StationInfo) bool { return !si.Cloud })
+			c, ok := m.place(sites, placementHint{allowCloud: true, clientAt: station})
 			if !ok {
-				return reports, fmt.Errorf("%w: no offload target for %s", ErrUnknownStation, client)
+				return reports, fmt.Errorf("%w: no cloud site to offload %s to", ErrUnknownStation, client)
 			}
-			isCloud := false
-			if h, ok := m.state().agents[site]; ok {
-				isCloud = h.Cloud
-			}
-			if !isCloud {
-				continue // policy picked an edge station; AutoOffload only bursts to cloud
-			}
-			rep, err := m.OffloadClient(client, site)
+			rep, err := m.OffloadClient(client, c.station)
 			reports = append(reports, rep)
 			if err != nil {
 				return reports, err

@@ -3,8 +3,8 @@
 // its own deployment. clientRec.placed records where every deployment runs and
 // rec.place is its only writer; wantAt says where one belongs, steerRule how
 // the client's traffic reaches its heads wherever they run (render sends it).
-// What displaces a deployment (an evacuated or dead station, a violated QoS
-// budget) still asks the placement policy, via placementHint.
+// What displaces a deployment (an evacuated or dead station, a hotspot) asks
+// the placement rule instead (pick).
 package manager
 
 import (
@@ -96,12 +96,10 @@ func (rec *clientRec) whereabouts() whereabouts {
 }
 
 // budgeted reports whether the QoS stay-rule governs the chain: it carries a
-// MaxRTT budget, an RTT-aware policy with a topology graph is installed, and
-// it is unsplit — a split chain's head strictly chases its client, or the
-// access leg would strand.
+// MaxRTT budget, a topology graph is installed, and it is unsplit — a split
+// chain's head strictly chases its client, or the access leg would strand.
 func budgeted(st *controlState, spec ChainSpec) bool {
-	_, aware := st.placement.(rttAware)
-	return aware && st.topo != nil && spec.MaxRTT() > 0 && len(SegmentsOf(spec)) < 2
+	return st.topo != nil && spec.MaxRTT() > 0 && len(SegmentsOf(spec)) < 2
 }
 
 // wantAt is the placement rule: the station segment seg of the chain belongs
@@ -162,18 +160,6 @@ func (m *Manager) ChainSettled(spec ChainSpec, clientAt, offload, at string) boo
 func withinBudget(topo *topology.Graph, spec ChainSpec, clientAt, at string) bool {
 	rtt, ok := topo.RTT(topology.StationID(clientAt), topology.StationID(at))
 	return ok && rtt <= spec.MaxRTT()
-}
-
-// placementHint is what every displacement decision tells the policy about
-// the chain it is placing; callers add Prefer where the client's own station
-// is a candidate.
-func placementHint(client string, spec ChainSpec, clientAt string) PlacementHint {
-	return PlacementHint{
-		Client: client, Chain: spec.Name,
-		ConfigHashes: chainConfigHashes(spec),
-		ClientAt:     clientAt,
-		MaxRTT:       spec.MaxRTT(),
-	}
 }
 
 // rendering is where a client's traffic enters its chains: the steer station

@@ -1,9 +1,9 @@
 package manager
 
 // Internal tests for the placement rules and the deploy-spec renderer: one
-// row per rule of wantAt and of steerRule, wantAt's two public readers checked
-// against it over the same rows, and the one-segment rendering pinned field
-// for field.
+// row per rule of wantAt, of pick and of steerRule, wantAt's two public
+// readers checked against it over the same rows, and the one-segment
+// rendering pinned field for field.
 
 import (
 	"maps"
@@ -24,12 +24,8 @@ func ruleRows() []ruleRow {
 	g.SetLink(topology.Link{A: "st-a", B: "st-b", Delay: 10 * time.Millisecond})
 	g.SetLink(topology.Link{A: "st-b", B: "st-c", Delay: 2 * time.Millisecond})
 	edges := []string{"st-a", "st-b", "st-c"}
-	qos := hubState(g, edges, "nimbus")
-	qos.placement = QoSPlacement{}
-	local := hubState(g, edges, "nimbus")
-	local.placement = ClientLocalPlacement{}
+	st := hubState(g, edges, "nimbus")
 	noTopo := hubState(nil, edges, "nimbus")
-	noTopo.placement = QoSPlacement{}
 	noCloud := hubState(g, edges)
 
 	plain := ChainSpec{Name: "c", Functions: fns("", "")}
@@ -38,20 +34,19 @@ func ruleRows() []ruleRow {
 	}
 	split := budget(30, "near-client", "aggregate", "cloud-ok")
 	return []ruleRow{
-		{"unsplit follows its client", local, whereabouts{station: "st-a"}, plain, 0, "st-b", "st-a"},
-		{"a chain of no functions follows too", local, whereabouts{station: "st-a"}, ChainSpec{Name: "c"}, 0, "st-b", "st-a"},
-		{"already local", local, whereabouts{station: "st-a"}, plain, 0, "st-a", "st-a"},
-		{"not deployed yet", local, whereabouts{station: "st-a"}, plain, 0, "", "st-a"},
-		{"out of coverage stays", local, whereabouts{}, plain, 0, "st-b", "st-b"},
-		{"within budget stays", qos, whereabouts{station: "st-c"}, budget(5, ""), 0, "st-b", "st-b"},
-		{"budget violated follows", qos, whereabouts{station: "st-a"}, budget(5, ""), 0, "st-b", "st-a"},
-		{"budget without an RTT-aware policy follows", local, whereabouts{station: "st-c"}, budget(5, ""), 0, "st-b", "st-c"},
+		{"unsplit follows its client", st, whereabouts{station: "st-a"}, plain, 0, "st-b", "st-a"},
+		{"a chain of no functions follows too", st, whereabouts{station: "st-a"}, ChainSpec{Name: "c"}, 0, "st-b", "st-a"},
+		{"already local", st, whereabouts{station: "st-a"}, plain, 0, "st-a", "st-a"},
+		{"not deployed yet", st, whereabouts{station: "st-a"}, plain, 0, "", "st-a"},
+		{"out of coverage stays", st, whereabouts{}, plain, 0, "st-b", "st-b"},
+		{"within budget stays", st, whereabouts{station: "st-c"}, budget(5, ""), 0, "st-b", "st-b"},
+		{"budget violated follows", st, whereabouts{station: "st-a"}, budget(5, ""), 0, "st-b", "st-a"},
 		{"budget without a topology follows", noTopo, whereabouts{station: "st-c"}, budget(5, ""), 0, "st-b", "st-c"},
-		{"offloaded belongs on its site", qos, whereabouts{station: "st-a", offload: "nimbus"}, plain, 0, "st-a", "nimbus"},
-		{"split head never stays", qos, whereabouts{station: "st-c"}, split, 0, "st-b", "st-c"},
-		{"aggregate anchors on the hub", qos, whereabouts{station: "st-a"}, split, 1, "st-a", "st-b"},
+		{"offloaded belongs on its site", st, whereabouts{station: "st-a", offload: "nimbus"}, plain, 0, "st-a", "nimbus"},
+		{"split head never stays", st, whereabouts{station: "st-c"}, split, 0, "st-b", "st-c"},
+		{"aggregate anchors on the hub", st, whereabouts{station: "st-a"}, split, 1, "st-a", "st-b"},
 		{"aggregate without a topology: first edge", noTopo, whereabouts{station: "st-c"}, split, 1, "", "st-a"},
-		{"cloud-ok anchors on the cloud site", qos, whereabouts{station: "st-a"}, split, 2, "", "nimbus"},
+		{"cloud-ok anchors on the cloud site", st, whereabouts{station: "st-a"}, split, 2, "", "nimbus"},
 		{"cloud-ok without a cloud site: the hub", noCloud, whereabouts{station: "st-a"}, split, 2, "", "st-b"},
 	}
 }
@@ -112,6 +107,135 @@ func TestReadersAgreeWithTheRule(t *testing.T) {
 				if want, _ := wantAt(r.st, r.cl, r.spec, i, ""); got != want {
 					t.Errorf("SegmentPlan[%d] = %q, the rule says %q", i, got, want)
 				}
+			}
+		})
+	}
+}
+
+// pickCands is a candidate set as the evacuation of a fifth station sees it:
+// st-a loaded and light on memory, st-b and st-c equally idle but st-b
+// short of memory, and a nearly idle cloud site.
+func pickCands() []StationInfo {
+	return []StationInfo{
+		{Station: "nimbus", Cloud: true, CPUPercent: 1},
+		{Station: "st-a", CPUPercent: 40, Capacity: 100, MemUsed: 10},
+		{Station: "st-b", CPUPercent: 10, Capacity: 100, MemUsed: 90},
+		{Station: "st-c", CPUPercent: 10, Capacity: 100, MemUsed: 20},
+	}
+}
+
+// rttCands is a candidate set on a modeled topology: the near station is
+// loaded, the far one idle, one station has no RTT prediction, and a cloud
+// site sits close in raw RTT.
+func rttCands() []StationInfo {
+	return []StationInfo{
+		{Station: "nimbus", Cloud: true, CPUPercent: 1, RTTToClient: 6 * time.Millisecond, RTTKnown: true},
+		{Station: "st-far", CPUPercent: 5, RTTToClient: 30 * time.Millisecond, RTTKnown: true},
+		{Station: "st-lost", CPUPercent: 1},
+		{Station: "st-near", CPUPercent: 80, RTTToClient: 10 * time.Millisecond, RTTKnown: true},
+	}
+}
+
+// TestPlacementRuleTable pins pick, one row per behaviour: the station it
+// chooses, the term that decided and the first candidate a filter turned
+// away. Each row's comment names the former policy test it carries.
+func TestPlacementRuleTable(t *testing.T) {
+	ms := time.Millisecond
+	with := func(cands []StationInfo, edit func([]StationInfo)) []StationInfo {
+		edit(cands)
+		return cands
+	}
+	pooled := func(hashes ...string) func([]StationInfo) {
+		return func(c []StationInfo) {
+			for i, h := range hashes {
+				c[i].PoolHashes = []string{h}
+			}
+		}
+	}
+	fw := []string{"hash-fw"}
+	for _, r := range []struct {
+		name        string
+		cands       []StationInfo
+		h           placementHint
+		want, why   string
+		rejected    string
+		wantNothing bool
+	}{
+		// TestClientLocalPlacement: the client's own station, whatever its load.
+		{"client station", pickCands(), placementHint{prefer: "st-a"}, "st-a", "client", "nimbus: cloud", false},
+		// TestClientLocalPlacement: the preferred station is dead, so load decides.
+		{"client station dead: least loaded", pickCands(), placementHint{prefer: "st-dead"}, "st-c", "load", "nimbus: cloud", false},
+		// TestLeastLoadedPlacement, TestSpreadPlacement: clouds join only when allowed.
+		{"clouds when allowed", pickCands(), placementHint{allowCloud: true}, "nimbus", "load", "", false},
+		// TestLeastLoadedPlacement, TestLeastLoadedStationSkipsStale: a station
+		// that never reported loses to one with known load, even a busy one.
+		{"stale last", []StationInfo{{Station: "st-aa-ghost", Stale: true}, {Station: "st-zz-busy", CPUPercent: 90}},
+			placementHint{}, "st-zz-busy", "load", "", false},
+		// TestLeastLoadedStationSkipsStale, core's TestLeastLoadedStation: with
+		// the fresh station excluded (StationInfos drops it), the stale one serves.
+		{"stale when alone", []StationInfo{{Station: "st-aa-ghost", Stale: true}}, placementHint{}, "st-aa-ghost", "only", "", false},
+		// TestSharingFirstPlacement: a compatible pool beats lower load.
+		{"a compatible pool wins", with(pickCands(), pooled("", "hash-fw", "hash-other")), placementHint{hashes: fw},
+			"st-a", "pool", "nimbus: cloud", false},
+		// TestSharingFirstPlacement: two compatible hosts, load among them.
+		{"two pools: load", with(pickCands(), pooled("", "hash-fw", "", "hash-fw")), placementHint{hashes: fw},
+			"st-c", "load", "nimbus: cloud", false},
+		// TestSharingFirstPlacement's fallback: the client's station before a pool.
+		{"the client station beats a pool", with(pickCands(), pooled("", "hash-fw")), placementHint{prefer: "st-b", hashes: fw},
+			"st-b", "client", "nimbus: cloud", false},
+		// TestSharingFirstPlacement: a pool on a cloud site counts only when clouds are allowed.
+		{"a cloud pool stays out", with(pickCands(), pooled("hash-fw")), placementHint{hashes: fw}, "st-c", "load", "nimbus: cloud", false},
+		{"a cloud pool when allowed", with(pickCands(), pooled("hash-fw")), placementHint{hashes: fw, allowCloud: true}, "nimbus", "pool", "", false},
+		// TestCloudFirstPlacement: AutoOffload hands the rule cloud sites only.
+		{"cloud sites only", []StationInfo{{Station: "nimbus", Cloud: true, CPUPercent: 30}, {Station: "stratus", Cloud: true, CPUPercent: 3}},
+			placementHint{allowCloud: true}, "stratus", "load", "", false},
+		// TestLatencyAwarePlacement: lower RTT beats lower load.
+		{"lower RTT wins", rttCands(), placementHint{}, "st-near", "rtt 10ms", "nimbus: cloud", false},
+		// TestLatencyAwarePlacement: the cloud's 6 ms plus the 10 ms penalty loses to 10 ms.
+		{"the cloud penalty", rttCands(), placementHint{allowCloud: true}, "st-near", "rtt 10ms", "", false},
+		// TestLatencyAwarePlacement: equal raw RTT, the penalty breaks the tie.
+		{"the cloud penalty breaks a tie", []StationInfo{
+			{Station: "nimbus", Cloud: true, RTTToClient: 6 * ms, RTTKnown: true},
+			{Station: "st-a", CPUPercent: 90, RTTToClient: 6 * ms, RTTKnown: true},
+		}, placementHint{allowCloud: true}, "st-a", "rtt 6ms", "", false},
+		// TestLatencyAwarePlacement: equal RTT, load breaks the tie.
+		{"equal RTT: load", []StationInfo{
+			{Station: "st-a", CPUPercent: 50, RTTToClient: 10 * ms, RTTKnown: true},
+			{Station: "st-b", CPUPercent: 5, RTTToClient: 10 * ms, RTTKnown: true},
+		}, placementHint{}, "st-b", "load", "", false},
+		// TestLatencyAwarePlacement: a known RTT beats an unknown one.
+		{"known RTT beats unknown", with(rttCands(), func(c []StationInfo) { c[3].RTTKnown = false }), placementHint{},
+			"st-far", "rtt 30ms", "nimbus: cloud", false},
+		// TestLatencyAwarePlacement: no prediction anywhere (no topology), load decides.
+		{"no RTT: load", []StationInfo{{Station: "st-x", CPUPercent: 50}, {Station: "st-y", CPUPercent: 5}},
+			placementHint{}, "st-y", "load", "", false},
+		// TestQoSPlacement: the budget filter turns the far station away.
+		{"the budget filter", rttCands(), placementHint{maxRTT: 15 * ms}, "st-near", "rtt 10ms", "nimbus: cloud", false},
+		{"the budget filter, clouds allowed", rttCands(), placementHint{maxRTT: 15 * ms, allowCloud: true},
+			"st-near", "rtt 10ms", "st-far: over budget 30ms>15ms", false},
+		// TestQoSPlacement: a wide budget keeps the lowest RTT among the fitting.
+		{"a wide budget", rttCands(), placementHint{maxRTT: 40 * ms}, "st-near", "rtt 10ms", "nimbus: cloud", false},
+		// TestQoSPlacement: the near station degraded past the budget.
+		{"budget after degradation", with(rttCands(), func(c []StationInfo) { c[3].RTTToClient = 50 * ms }),
+			placementHint{maxRTT: 40 * ms}, "st-far", "rtt 30ms", "nimbus: cloud", false},
+		// TestQoSPlacement: nothing fits, so the closest cloud site.
+		{"over budget: the cloud fallback", rttCands(), placementHint{maxRTT: 5 * ms, allowCloud: true},
+			"nimbus", "only, over budget", "nimbus: over budget 6ms>5ms", false},
+		// TestQoSPlacement: nothing fits and no cloud allowed, so best effort.
+		{"over budget: best effort", rttCands(), placementHint{maxRTT: 5 * ms},
+			"st-near", "rtt 10ms, over budget", "nimbus: cloud", false},
+		// TestLeastLoadedPlacement, TestLatencyAwarePlacement: nothing to pick.
+		{"no candidate", nil, placementHint{}, "", "", "", true},
+		{"clouds not allowed", []StationInfo{{Station: "nimbus", Cloud: true}}, placementHint{}, "", "", "nimbus: cloud", true},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			c, ok := pick(r.cands, r.h)
+			if ok == r.wantNothing {
+				t.Fatalf("pick ok = %v", ok)
+			}
+			if c.station != r.want || c.why != r.why || c.rejected != r.rejected {
+				t.Fatalf("pick = %q why %q, rejected %q; want %q why %q, rejected %q",
+					c.station, c.why, c.rejected, r.want, r.why, r.rejected)
 			}
 		})
 	}

@@ -1,9 +1,11 @@
 package manager
 
 import (
+	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
+
+	"gnf/internal/topology"
 )
 
 // StationInfo is a placement-time snapshot of one connected station, built
@@ -25,16 +27,16 @@ type StationInfo struct {
 	// Chains is the number of chains the station currently hosts.
 	Chains int
 	// PoolHashes lists the config hashes of shared NF instances the
-	// station reported hosting — what SharingFirstPlacement matches
-	// against to land chains where a compatible instance already runs.
+	// station reported hosting — what the placement rule's pool term
+	// matches to land chains where a compatible instance already runs.
 	PoolHashes []string
-	// Stale is true when no health report has arrived yet; policies
-	// should treat such stations as unknown-load, not idle.
+	// Stale is true when no health report has arrived yet; placement
+	// treats such stations as unknown-load, not idle.
 	Stale bool
-	// RTTToClient predicts the round-trip between the station currently
-	// serving the client (PlacementHint.ClientAt) and this candidate over
-	// the modeled topology graph; RTTKnown is false when no topology is
-	// installed, the hint names no client station, or no path exists.
+	// RTTToClient predicts the round-trip between the station serving the
+	// client and this candidate over the modeled topology graph; RTTKnown
+	// is false when no topology is installed, the client has no station,
+	// or no path exists.
 	RTTToClient time.Duration
 	RTTKnown    bool
 }
@@ -60,235 +62,193 @@ func (si StationInfo) memRatio() float64 {
 	return float64(si.MemUsed) / float64(si.Capacity)
 }
 
-// PlacementHint carries per-decision context into a Placement policy.
-type PlacementHint struct {
-	// Client owns the chain being placed.
-	Client string
-	// Chain is the chain name.
-	Chain string
-	// Prefer is the client's current station ("" when disconnected);
-	// client-local policies pick it when alive.
-	Prefer string
-	// AllowCloud permits GNFC cloud sites as targets. Roaming and
-	// failover keep chains at the edge unless the operator opted in.
-	AllowCloud bool
-	// ConfigHashes carries the chain's canonical configuration hashes (the
-	// pool keys its shareable members would share under); sharing-aware
-	// policies prefer stations already hosting a compatible instance.
-	ConfigHashes []string
-	// ClientAt is the station currently serving the client — the reference
-	// point RTT predictions are computed from. Unlike Prefer it may name a
-	// station excluded from the candidate list (evacuating the client's
-	// own station) or one already declared dead (failover).
-	ClientAt string
-	// MaxRTT is the chain's QoS budget (ChainSpec.MaxRTTMs); QoSPlacement
-	// rejects candidates whose predicted RTT exceeds it (0 = no budget).
-	MaxRTT time.Duration
+// cloudPenalty is added to a cloud site's predicted RTT in the rule's RTT
+// term: with equal predictions the edge must win, since the matrix cannot
+// price the cloud's jitter and shared-WAN variance.
+const cloudPenalty = 10 * time.Millisecond
+
+// placementHint is what the placement rule knows about the chain it places.
+type placementHint struct {
+	// prefer is the client's current station ("" when it is no candidate).
+	prefer string
+	// allowCloud admits GNFC cloud sites: roaming and failover keep chains
+	// at the edge.
+	allowCloud bool
+	// hashes are the chain's pool keys (chainConfigHashes).
+	hashes []string
+	// clientAt is the station serving the client, where RTT predictions
+	// start. Unlike prefer it may name an excluded station (evacuating the
+	// client's own) or a dead one (failover).
+	clientAt string
+	// maxRTT is the chain's RTT budget (0 = none).
+	maxRTT time.Duration
 }
 
-// Placement chooses the hosting station for a chain among live candidates.
-// It is consulted wherever the client's own station is not the forced
-// answer: evacuation, failover re-placement and cloud offload. Candidates
-// are pre-filtered (alive, not excluded) and sorted by station name, so
-// policies are deterministic given equal inputs.
-type Placement interface {
-	// Name identifies the policy in reports and ablation benches.
-	Name() string
-	// Pick returns the chosen station; ok=false when no candidate suits.
-	Pick(candidates []StationInfo, hint PlacementHint) (string, bool)
+// hintFor is what every displacement tells the rule about the chain; callers
+// set prefer where the client's own station is a candidate.
+func hintFor(spec ChainSpec, clientAt string) placementHint {
+	return placementHint{hashes: chainConfigHashes(spec), clientAt: clientAt, maxRTT: spec.MaxRTT()}
 }
 
-// ClientLocalPlacement is GNF's default policy (§3: the Manager "notifies
-// the closest Agent"): host on the client's current station when it is a
-// live candidate, otherwise fall back to least-loaded.
-type ClientLocalPlacement struct{}
+// The rule's score terms, most significant first.
+const (
+	termClient = iota // the client's own station
+	termPool          // a compatible shared instance already runs there
+	termRTT           // predicted RTT, clouds penalised; known beats unknown
+	termLoad          // stale last, then CPU, then memory pressure
+	termName
+)
 
-// Name implements Placement.
-func (ClientLocalPlacement) Name() string { return "client-local" }
-
-// Pick implements Placement.
-func (ClientLocalPlacement) Pick(cands []StationInfo, hint PlacementHint) (string, bool) {
-	if hint.Prefer != "" {
-		for _, c := range cands {
-			if c.Station == hint.Prefer {
-				return c.Station, true
-			}
-		}
+// beats compares two candidates term by term: the first term on which they
+// differ, and whether a wins it.
+func beats(a, b StationInfo, h placementHint) (term int, win bool) {
+	if ap, bp := a.Station == h.prefer, b.Station == h.prefer; ap != bp {
+		return termClient, ap
 	}
-	return LeastLoadedPlacement{}.Pick(cands, hint)
-}
-
-// LeastLoadedPlacement picks the station with the lowest CPU load, breaking
-// ties by memory pressure and then by name. Stations that have not
-// reported yet lose to stations with known load.
-type LeastLoadedPlacement struct{}
-
-// Name implements Placement.
-func (LeastLoadedPlacement) Name() string { return "least-loaded" }
-
-// Pick implements Placement.
-func (LeastLoadedPlacement) Pick(cands []StationInfo, hint PlacementHint) (string, bool) {
-	if !hint.AllowCloud {
-		cands = edgeOnly(cands)
+	if ap, bp := a.hostsPool(h.hashes), b.hostsPool(h.hashes); ap != bp {
+		return termPool, ap
 	}
-	if len(cands) == 0 {
-		return "", false
+	if a.RTTKnown != b.RTTKnown {
+		return termRTT, a.RTTKnown
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if lessLoaded(c, best) {
-			best = c
-		}
+	if ar, br := penalised(a), penalised(b); a.RTTKnown && ar != br {
+		return termRTT, ar < br
 	}
-	return best.Station, true
-}
-
-// lessLoaded orders stations by (stale, CPU, memory pressure, name).
-func lessLoaded(a, b StationInfo) bool {
 	if a.Stale != b.Stale {
-		return !a.Stale
+		return termLoad, !a.Stale
 	}
 	if a.CPUPercent != b.CPUPercent {
-		return a.CPUPercent < b.CPUPercent
+		return termLoad, a.CPUPercent < b.CPUPercent
 	}
 	if ar, br := a.memRatio(), b.memRatio(); ar != br {
-		return ar < br
+		return termLoad, ar < br
 	}
-	return a.Station < b.Station
+	return termName, a.Station < b.Station
 }
 
-// SpreadPlacement picks the station hosting the fewest chains — it
-// maximises function-to-host dispersion so a single station failure takes
-// out the fewest clients.
-type SpreadPlacement struct{}
-
-// Name implements Placement.
-func (SpreadPlacement) Name() string { return "spread" }
-
-// Pick implements Placement.
-func (SpreadPlacement) Pick(cands []StationInfo, hint PlacementHint) (string, bool) {
-	if !hint.AllowCloud {
-		cands = edgeOnly(cands)
+// penalised is the RTT term's key: the predicted RTT, plus cloudPenalty on a
+// cloud site.
+func penalised(si StationInfo) time.Duration {
+	if si.Cloud {
+		return si.RTTToClient + cloudPenalty
 	}
-	if len(cands) == 0 {
-		return "", false
+	return si.RTTToClient
+}
+
+// choice is the placement rule's answer, with its own explanation.
+type choice struct {
+	station string
+	// why is the term that decided over the runner-up: "client", "pool",
+	// "rtt 4ms", "load" or "name"; "only" when no rival was left. A
+	// choice no candidate's budget allowed ends ", over budget".
+	why string
+	// rejected is the first candidate a filter turned away, with the
+	// reason ("" = none).
+	rejected string
+}
+
+// annotate appends the choice to a journal event's detail:
+// "… why=rtt 4ms; st-d: over budget 12ms>9ms". A zero choice adds nothing.
+func (c choice) annotate(detail string) string {
+	switch {
+	case c.why == "":
+		return detail
+	case c.rejected == "":
+		return detail + " why=" + c.why
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.Chains < best.Chains ||
-			(c.Chains == best.Chains && lessLoaded(c, best)) {
-			best = c
+	return detail + " why=" + c.why + "; " + c.rejected
+}
+
+// pick is the placement rule: where a chain goes when wantAt cannot name
+// its station (evacuation, failover) and which cloud site a hotspot's client
+// bursts to. Candidates are sorted by name, so it is deterministic.
+//
+// Hard filters, in order: no cloud site unless allowCloud; with a budget,
+// a predicted RTT known and within it. When the budget turns every
+// candidate away, the best cloud site takes the chain if clouds are
+// allowed, otherwise the best of the rest, and the choice says so.
+//
+// The survivors are scored lexicographically (beats): the client's own
+// station, a compatible pool already present, predicted RTT, load, name.
+// ok is false when no candidate is left.
+func pick(cands []StationInfo, h placementHint) (choice, bool) {
+	var c choice
+	reject := func(si StationInfo, why string) {
+		if c.rejected == "" {
+			c.rejected = si.Station + ": " + why
 		}
 	}
-	return best.Station, true
-}
-
-// RoundRobinPlacement rotates deterministically through the candidate list;
-// cheap and oblivious, it is the ablation baseline against load-aware
-// policies.
-type RoundRobinPlacement struct {
-	next atomic.Uint64
-}
-
-// Name implements Placement.
-func (*RoundRobinPlacement) Name() string { return "round-robin" }
-
-// Pick implements Placement.
-func (p *RoundRobinPlacement) Pick(cands []StationInfo, hint PlacementHint) (string, bool) {
-	if !hint.AllowCloud {
-		cands = edgeOnly(cands)
-	}
-	if len(cands) == 0 {
-		return "", false
-	}
-	i := p.next.Add(1) - 1
-	return cands[i%uint64(len(cands))].Station, true
-}
-
-// SharingFirstPlacement prefers stations that already host a shared NF
-// instance compatible with the chain being placed (matched by the config
-// hashes in the hint): landing there costs a refcount instead of a
-// container boot ("Reducing Service Deployment Cost Through VNF Sharing").
-// Among compatible hosts the least-loaded wins; with no compatible host —
-// or no hashes in the hint — it defers to Fallback (default
-// ClientLocalPlacement, preserving GNF's client-local bias).
-type SharingFirstPlacement struct {
-	Fallback Placement
-}
-
-// Name implements Placement.
-func (SharingFirstPlacement) Name() string { return "sharing-first" }
-
-// Pick implements Placement.
-func (p SharingFirstPlacement) Pick(cands []StationInfo, hint PlacementHint) (string, bool) {
-	if !hint.AllowCloud {
-		cands = edgeOnly(cands)
-	}
-	if len(hint.ConfigHashes) > 0 {
-		var hosts []StationInfo
-		for _, c := range cands {
-			if c.hostsPool(hint.ConfigHashes) {
-				hosts = append(hosts, c)
-			}
+	var fit, over, clouds []StationInfo
+	for _, si := range cands {
+		switch {
+		case si.Cloud && !h.allowCloud:
+			reject(si, "cloud")
+			continue
+		case h.maxRTT <= 0:
+			fit = append(fit, si)
+		case !si.RTTKnown:
+			reject(si, "rtt unknown")
+			over = append(over, si)
+		case si.RTTToClient > h.maxRTT:
+			reject(si, fmt.Sprintf("over budget %v>%v", si.RTTToClient, h.maxRTT))
+			over = append(over, si)
+		default:
+			fit = append(fit, si)
 		}
-		if len(hosts) > 0 {
-			return LeastLoadedPlacement{}.Pick(hosts, PlacementHint{AllowCloud: true})
+		if si.Cloud {
+			clouds = append(clouds, si)
 		}
 	}
-	fb := p.Fallback
-	if fb == nil {
-		fb = ClientLocalPlacement{}
-	}
-	return fb.Pick(cands, hint)
-}
-
-// CloudFirstPlacement prefers GNFC cloud sites (capacity first, WAN latency
-// tolerated), falling back to the edge when no cloud site is connected.
-// It is the offload default.
-type CloudFirstPlacement struct{}
-
-// Name implements Placement.
-func (CloudFirstPlacement) Name() string { return "cloud-first" }
-
-// Pick implements Placement.
-func (CloudFirstPlacement) Pick(cands []StationInfo, hint PlacementHint) (string, bool) {
-	var clouds []StationInfo
-	for _, c := range cands {
-		if c.Cloud {
-			clouds = append(clouds, c)
+	from, suffix := fit, ""
+	if len(fit) == 0 {
+		from, suffix = over, ", over budget"
+		if len(clouds) > 0 {
+			from = clouds
 		}
 	}
-	if len(clouds) > 0 {
-		return LeastLoadedPlacement{}.Pick(clouds, PlacementHint{AllowCloud: true})
+	if len(from) == 0 {
+		return c, false
 	}
-	return LeastLoadedPlacement{}.Pick(cands, hint)
-}
-
-// edgeOnly filters cloud sites out of the candidate list.
-func edgeOnly(cands []StationInfo) []StationInfo {
-	out := cands[:0:0]
-	for _, c := range cands {
-		if !c.Cloud {
-			out = append(out, c)
+	best := from[0]
+	for _, si := range from[1:] {
+		if _, win := beats(si, best, h); win {
+			best = si
 		}
 	}
-	return out
-}
-
-// SetPlacement swaps the placement policy consulted by evacuation,
-// failover and offload (default ClientLocalPlacement).
-func (m *Manager) SetPlacement(p Placement) {
-	m.mutate(func(c *controlState) { c.placement = p })
-}
-
-// Placement returns the active placement policy.
-func (m *Manager) Placement() Placement {
-	return m.state().placement
+	// The deciding term is where the winner parts from the runner-up: the
+	// rival that agrees with it longest. With no rival left, the budget
+	// decided if it turned any away.
+	term := -1
+	for _, si := range from {
+		if t, _ := beats(best, si, h); si.Station != best.Station && t > term {
+			term = t
+		}
+	}
+	if term < 0 && len(fit) > 0 && len(over) > 0 {
+		term = termRTT
+	}
+	c.station = best.Station
+	switch term {
+	case termClient:
+		c.why = "client"
+	case termPool:
+		c.why = "pool"
+	case termRTT:
+		c.why = "rtt " + best.RTTToClient.String()
+	case termLoad:
+		c.why = "load"
+	case termName:
+		c.why = "name"
+	default:
+		c.why = "only"
+	}
+	c.why += suffix
+	return c, true
 }
 
 // StationInfos snapshots every connected station except those listed in
-// exclude, sorted by station name. It is the candidate list handed to
-// Placement policies and is exported for the UI's capacity view.
+// exclude, sorted by station name. It is the placement rule's candidate
+// list and the UI's capacity view.
 func (m *Manager) StationInfos(exclude ...string) []StationInfo {
 	skip := make(map[string]bool, len(exclude))
 	for _, e := range exclude {
@@ -327,15 +287,30 @@ func (m *Manager) StationInfos(exclude ...string) []StationInfo {
 	return out
 }
 
-// place runs the active policy over live candidates, annotated with RTT
-// predictions when a topology graph is installed.
-func (m *Manager) place(hint PlacementHint, exclude ...string) (string, bool) {
-	cands := m.StationInfos(exclude...)
-	st := m.state()
-	p, g := st.placement, st.topo
-	if p == nil {
-		p = ClientLocalPlacement{}
+// place runs the placement rule over cands, annotated with RTT predictions
+// when a topology graph is installed; without one the budget goes unchecked.
+func (m *Manager) place(cands []StationInfo, h placementHint) (choice, bool) {
+	g := m.state().topo
+	if g == nil {
+		h.maxRTT = 0
+	} else if h.clientAt != "" {
+		for i := range cands {
+			rtt, ok := g.RTT(topology.StationID(h.clientAt), topology.StationID(cands[i].Station))
+			cands[i].RTTToClient, cands[i].RTTKnown = rtt, ok
+		}
 	}
-	annotateRTT(g, cands, hint.ClientAt)
-	return p.Pick(cands, hint)
+	return pick(cands, h)
+}
+
+// SetTopology installs the station graph used to predict client<->chain
+// RTTs. The placement rule ranks on the prediction and enforces chains'
+// MaxRTT budgets; roaming lets a budgeted chain lag behind its client while
+// the old station still meets the budget. nil clears the graph.
+func (m *Manager) SetTopology(g *topology.Graph) {
+	m.mutate(func(c *controlState) { c.topo = g })
+}
+
+// Topology returns the installed station graph (nil when none).
+func (m *Manager) Topology() *topology.Graph {
+	return m.state().topo
 }

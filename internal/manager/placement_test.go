@@ -11,233 +11,6 @@ import (
 	"gnf/internal/wire"
 )
 
-func infos() []manager.StationInfo {
-	return []manager.StationInfo{
-		{Station: "st-a", CPUPercent: 40, Capacity: 100, MemUsed: 10, Chains: 3},
-		{Station: "st-b", CPUPercent: 10, Capacity: 100, MemUsed: 90, Chains: 1},
-		{Station: "st-c", CPUPercent: 10, Capacity: 100, MemUsed: 20, Chains: 2},
-		{Station: "cloud", Cloud: true, CPUPercent: 1, Capacity: 0, Chains: 0},
-	}
-}
-
-func TestLeastLoadedPlacement(t *testing.T) {
-	p := manager.LeastLoadedPlacement{}
-	got, ok := p.Pick(infos(), manager.PlacementHint{})
-	if !ok || got != "st-c" {
-		t.Fatalf("pick = %q (lowest CPU, then lowest memory pressure)", got)
-	}
-	// Clouds only join when allowed.
-	got, _ = p.Pick(infos(), manager.PlacementHint{AllowCloud: true})
-	if got != "cloud" {
-		t.Fatalf("with AllowCloud pick = %q", got)
-	}
-	// Stale stations lose to reporting ones.
-	cands := []manager.StationInfo{
-		{Station: "st-x", Stale: true},
-		{Station: "st-y", CPUPercent: 99},
-	}
-	if got, _ = p.Pick(cands, manager.PlacementHint{}); got != "st-y" {
-		t.Fatalf("stale pick = %q", got)
-	}
-	if _, ok = p.Pick(nil, manager.PlacementHint{}); ok {
-		t.Fatal("empty candidate list must not pick")
-	}
-}
-
-func TestSpreadPlacement(t *testing.T) {
-	got, ok := manager.SpreadPlacement{}.Pick(infos(), manager.PlacementHint{})
-	if !ok || got != "st-b" {
-		t.Fatalf("pick = %q (fewest chains among edge)", got)
-	}
-	got, _ = manager.SpreadPlacement{}.Pick(infos(), manager.PlacementHint{AllowCloud: true})
-	if got != "cloud" {
-		t.Fatalf("with AllowCloud pick = %q", got)
-	}
-}
-
-func TestRoundRobinPlacementCycles(t *testing.T) {
-	var p manager.RoundRobinPlacement
-	seen := make(map[string]int)
-	for i := 0; i < 6; i++ {
-		got, ok := p.Pick(infos(), manager.PlacementHint{})
-		if !ok {
-			t.Fatal("no pick")
-		}
-		seen[got]++
-	}
-	// Three edge candidates, six picks: each exactly twice.
-	for _, st := range []string{"st-a", "st-b", "st-c"} {
-		if seen[st] != 2 {
-			t.Fatalf("distribution = %v", seen)
-		}
-	}
-}
-
-func TestClientLocalPlacement(t *testing.T) {
-	p := manager.ClientLocalPlacement{}
-	got, ok := p.Pick(infos(), manager.PlacementHint{Prefer: "st-a"})
-	if !ok || got != "st-a" {
-		t.Fatalf("pick = %q (client's station)", got)
-	}
-	// Preferred station not a candidate: fall back to least-loaded.
-	got, _ = p.Pick(infos(), manager.PlacementHint{Prefer: "st-dead"})
-	if got != "st-c" {
-		t.Fatalf("fallback pick = %q", got)
-	}
-}
-
-func TestSharingFirstPlacement(t *testing.T) {
-	cands := infos()
-	// st-a already hosts a compatible shared instance; st-b hosts one of a
-	// different configuration.
-	cands[0].PoolHashes = []string{"hash-fw"}
-	cands[1].PoolHashes = []string{"hash-other"}
-
-	p := manager.SharingFirstPlacement{}
-	got, ok := p.Pick(cands, manager.PlacementHint{ConfigHashes: []string{"hash-fw"}})
-	if !ok || got != "st-a" {
-		t.Fatalf("pick = %q (station with the compatible instance must win despite higher load)", got)
-	}
-	// Two compatible hosts: least-loaded among them wins.
-	cands[2].PoolHashes = []string{"hash-fw"}
-	if got, _ = p.Pick(cands, manager.PlacementHint{ConfigHashes: []string{"hash-fw"}}); got != "st-c" {
-		t.Fatalf("pick among hosts = %q", got)
-	}
-	// No compatible host: defer to the fallback (default client-local).
-	got, ok = p.Pick(cands, manager.PlacementHint{
-		ConfigHashes: []string{"hash-none"}, Prefer: "st-b",
-	})
-	if !ok || got != "st-b" {
-		t.Fatalf("fallback pick = %q", got)
-	}
-	// No hashes at all behaves like the fallback outright.
-	if got, _ = p.Pick(cands, manager.PlacementHint{Prefer: "st-a"}); got != "st-a" {
-		t.Fatalf("hashless pick = %q", got)
-	}
-	// Clouds stay excluded unless the hint allows them, even when hosting.
-	cloud := []manager.StationInfo{
-		{Station: "nimbus", Cloud: true, PoolHashes: []string{"hash-fw"}},
-		{Station: "st-z", CPUPercent: 50},
-	}
-	if got, _ = p.Pick(cloud, manager.PlacementHint{ConfigHashes: []string{"hash-fw"}}); got != "st-z" {
-		t.Fatalf("cloud exclusion pick = %q", got)
-	}
-	if got, _ = p.Pick(cloud, manager.PlacementHint{ConfigHashes: []string{"hash-fw"}, AllowCloud: true}); got != "nimbus" {
-		t.Fatalf("cloud allowed pick = %q", got)
-	}
-	if p.Name() != "sharing-first" {
-		t.Fatalf("name = %q", p.Name())
-	}
-}
-
-func TestCloudFirstPlacement(t *testing.T) {
-	p := manager.CloudFirstPlacement{}
-	got, ok := p.Pick(infos(), manager.PlacementHint{})
-	if !ok || got != "cloud" {
-		t.Fatalf("pick = %q", got)
-	}
-	// No cloud connected: degrade to edge least-loaded.
-	edge := infos()[:3]
-	if got, _ = p.Pick(edge, manager.PlacementHint{}); got != "st-c" {
-		t.Fatalf("edge fallback = %q", got)
-	}
-}
-
-// rttInfos is a candidate set on a modeled topology: the near station is
-// loaded, the far one idle, one station has no RTT prediction, and a
-// cloud site sits close in raw RTT.
-func rttInfos() []manager.StationInfo {
-	return []manager.StationInfo{
-		{Station: "st-near", CPUPercent: 80, RTTToClient: 10 * time.Millisecond, RTTKnown: true},
-		{Station: "st-far", CPUPercent: 5, RTTToClient: 30 * time.Millisecond, RTTKnown: true},
-		{Station: "st-lost", CPUPercent: 1}, // no path in the graph
-		{Station: "nimbus", Cloud: true, CPUPercent: 1, RTTToClient: 6 * time.Millisecond, RTTKnown: true},
-	}
-}
-
-func TestLatencyAwarePlacement(t *testing.T) {
-	p := manager.LatencyAwarePlacement{}
-	// Minimum predicted RTT wins regardless of load; clouds excluded.
-	got, ok := p.Pick(rttInfos(), manager.PlacementHint{})
-	if !ok || got != "st-near" {
-		t.Fatalf("pick = %q (min RTT must beat idle-but-far)", got)
-	}
-	// The cloud's 6ms + 10ms default penalty loses to the 10ms edge.
-	if got, _ = p.Pick(rttInfos(), manager.PlacementHint{AllowCloud: true}); got != "st-near" {
-		t.Fatalf("penalised cloud pick = %q", got)
-	}
-	// Shrinking the penalty lets the close cloud win.
-	lenient := manager.LatencyAwarePlacement{CloudPenalty: time.Millisecond}
-	if got, _ = lenient.Pick(rttInfos(), manager.PlacementHint{AllowCloud: true}); got != "nimbus" {
-		t.Fatalf("lenient cloud pick = %q", got)
-	}
-	// Equal RTT: load breaks the tie.
-	tied := []manager.StationInfo{
-		{Station: "st-a", CPUPercent: 50, RTTToClient: 10 * time.Millisecond, RTTKnown: true},
-		{Station: "st-b", CPUPercent: 5, RTTToClient: 10 * time.Millisecond, RTTKnown: true},
-	}
-	if got, _ = p.Pick(tied, manager.PlacementHint{}); got != "st-b" {
-		t.Fatalf("tie pick = %q", got)
-	}
-	// No predictions at all (no topology installed): degrade to least-loaded.
-	blind := []manager.StationInfo{
-		{Station: "st-x", CPUPercent: 50},
-		{Station: "st-y", CPUPercent: 5},
-	}
-	if got, _ = p.Pick(blind, manager.PlacementHint{}); got != "st-y" {
-		t.Fatalf("blind pick = %q", got)
-	}
-	if _, ok = p.Pick(nil, manager.PlacementHint{}); ok {
-		t.Fatal("empty candidate list must not pick")
-	}
-}
-
-func TestQoSPlacement(t *testing.T) {
-	p := manager.QoSPlacement{}
-	// Budget satisfiable at the edge: latency-aware among the fitting.
-	got, ok := p.Pick(rttInfos(), manager.PlacementHint{MaxRTT: 15 * time.Millisecond})
-	if !ok || got != "st-near" {
-		t.Fatalf("in-budget pick = %q", got)
-	}
-	// Budget rejects the near station: the idle far one fits.
-	if got, _ = p.Pick(rttInfos(), manager.PlacementHint{MaxRTT: 40 * time.Millisecond}); got != "st-near" {
-		t.Fatalf("wide budget pick = %q (lowest RTT among fitting)", got)
-	}
-	cands := rttInfos()
-	cands[0].RTTToClient = 50 * time.Millisecond // near station degraded
-	if got, _ = p.Pick(cands, manager.PlacementHint{MaxRTT: 40 * time.Millisecond}); got != "st-far" {
-		t.Fatalf("pick after degradation = %q", got)
-	}
-	// No edge station fits: fall back to cloud offload when permitted.
-	got, ok = p.Pick(rttInfos(), manager.PlacementHint{MaxRTT: 5 * time.Millisecond, AllowCloud: true})
-	if !ok || got != "nimbus" {
-		t.Fatalf("cloud fallback pick = %q", got)
-	}
-	// Clouds forbidden: best-effort minimum RTT at the edge.
-	if got, _ = p.Pick(rttInfos(), manager.PlacementHint{MaxRTT: 5 * time.Millisecond}); got != "st-near" {
-		t.Fatalf("best-effort pick = %q", got)
-	}
-	// No budget: identical to latency-aware.
-	if got, _ = p.Pick(rttInfos(), manager.PlacementHint{}); got != "st-near" {
-		t.Fatalf("budgetless pick = %q", got)
-	}
-}
-
-func TestPlacementRegistry(t *testing.T) {
-	for _, name := range manager.PlacementNames() {
-		p, ok := manager.PlacementFor(name)
-		if !ok {
-			t.Fatalf("registered policy %q did not resolve", name)
-		}
-		if p.Name() != name {
-			t.Fatalf("PlacementFor(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if _, ok := manager.PlacementFor("teleport"); ok {
-		t.Fatal("unknown policy resolved")
-	}
-}
-
 func TestStationInfosSnapshotsReports(t *testing.T) {
 	mgr, err := manager.New(clock.System(), "127.0.0.1:0")
 	if err != nil {
@@ -282,20 +55,5 @@ func TestStationInfosSnapshotsReports(t *testing.T) {
 	}
 	if got := mgr.StationInfos("nimbus"); len(got) != 1 || got[0].Station != "st-a" {
 		t.Fatalf("exclusion failed: %+v", got)
-	}
-}
-
-func TestSetPlacementIsUsedByEvacuation(t *testing.T) {
-	mgr, err := manager.New(clock.System(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	if mgr.Placement().Name() != "client-local" {
-		t.Fatalf("default placement = %q", mgr.Placement().Name())
-	}
-	mgr.SetPlacement(manager.SpreadPlacement{})
-	if mgr.Placement().Name() != "spread" {
-		t.Fatalf("placement = %q", mgr.Placement().Name())
 	}
 }

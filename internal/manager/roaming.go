@@ -219,23 +219,15 @@ func (m *Manager) reconcileClient(client string, rec *clientRec, tctx trace.Cont
 	rec.migMu.Lock()
 	defer rec.migMu.Unlock()
 	m.render(tctx, client, rec)
-	// Chains a re-place through the policy left where they were; skipping
-	// them keeps the loop convergent. Reset on handoff: a new client station
-	// re-evaluates every budget.
-	settled := make(map[string]bool)
-	settledAt := ""
 	for {
 		st := m.state()
 		rec.mu.Lock()
 		cl := rec.whereabouts()
-		if cl.station != settledAt {
-			settled, settledAt = make(map[string]bool), cl.station
-		}
 		var spec ChainSpec
 		from, to := "", ""
 		for name, s := range rec.chains {
 			at := rec.at(deployment{chain: name})
-			if at == "" || settled[name] {
+			if at == "" {
 				continue
 			}
 			if want, _ := wantAt(st, cl, s, 0, at); want != at {
@@ -245,21 +237,7 @@ func (m *Manager) reconcileClient(client string, rec *clientRec, tctx trace.Cont
 		}
 		rec.mu.Unlock()
 		if to == "" {
-			return // converged: every chain serves its client within policy
-		}
-		if budgeted(st, spec) {
-			// Budget violated: re-place through the policy. The client's
-			// station is the usual answer (RTT 0), but a candidate that
-			// fits the budget may win on the policy's own ranking.
-			hint := placementHint(client, spec, to)
-			hint.Prefer = to
-			if picked, ok := m.place(hint); ok {
-				to = picked
-			}
-		}
-		if to == from {
-			settled[spec.Name] = true
-			continue
+			return // converged: every chain serves its client within budget
 		}
 		rep, _ := m.moveSegment(tctx, client, rec, hop{deployment{chain: spec.Name}, from, to}, st.strategy, nil)
 		m.recordMigration(rep)

@@ -222,31 +222,10 @@ func (m *Manager) RunScheduler(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// LeastLoadedStation picks the connected station with the lowest reported
-// CPU load, excluding the given one; ok is false when no candidate exists.
-// It applies the same (stale, CPU, memory, name) ordering as the
-// LeastLoadedPlacement policy: a station that has never reported must not
-// win with a phantom CPU of zero while stations with known load exist —
-// that is exactly how an evacuation used to dump every chain onto an
-// unknown-load box.
-func (m *Manager) LeastLoadedStation(exclude string) (string, bool) {
-	cands := m.StationInfos(exclude)
-	if len(cands) == 0 {
-		return "", false
-	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if lessLoaded(c, best) {
-			best = c
-		}
-	}
-	return best.Station, true
-}
-
 // EvacuateStation migrates every deployment on station elsewhere: one that
 // belongs on another station (a head whose client is attached there) goes
 // there; one that belongs here, or nowhere the rule can name, goes where the
-// placement policy says among the surviving stations. It returns the
+// placement rule (pick) says among the other stations. It returns the
 // migration reports (one per deployment).
 func (m *Manager) EvacuateStation(station string) ([]MigrationReport, error) {
 	st := m.state()
@@ -256,16 +235,19 @@ func (m *Manager) EvacuateStation(station string) ([]MigrationReport, error) {
 		cl := j.rec.whereabouts()
 		j.rec.mu.Unlock()
 		to, _ := wantAt(st, cl, j.spec, j.dep.seg, "")
+		var why choice
 		if to == "" || to == station {
 			var ok bool
-			if to, ok = m.place(placementHint(j.client, j.spec, station), station); !ok {
+			if why, ok = m.place(m.StationInfos(station), hintFor(j.spec, station)); !ok {
 				return reports, fmt.Errorf("%w: no station to evacuate %s/%s to",
 					ErrUnknownStation, j.client, j.spec.Name)
 			}
+			to = why.station
 		}
 		j.rec.migMu.Lock()
 		rep, _ := m.moveSegment(trace.Context{}, j.client, j.rec, hop{j.dep, station, to}, st.strategy, nil)
 		j.rec.migMu.Unlock()
+		rep.why = why
 		m.recordMigration(rep)
 		reports = append(reports, rep)
 	}

@@ -1,6 +1,7 @@
 package manager_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,11 +9,12 @@ import (
 	"gnf/internal/clock"
 	"gnf/internal/manager"
 	"gnf/internal/metrics"
-	"gnf/internal/wire"
+	"gnf/internal/topology"
+	"gnf/internal/trace"
 )
 
 // report pushes one health report on the scripted agent's wire, so
-// staleness-sensitive policies see the station as known-load.
+// placement sees the station as known-load.
 func (sa *scriptedAgent) report(cpu float64) {
 	sa.peer.Notify(agent.MethodReport, agent.Report{
 		Station: sa.station,
@@ -145,54 +147,6 @@ func TestEvaluateSchedulesRevalidatesPlacement(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedStationSkipsStale is the regression test for the stale
-// report hole: a station that never reported used to win with a phantom
-// CPU of 0.0, so evacuations dumped every chain onto an unknown-load box.
-func TestLeastLoadedStationSkipsStale(t *testing.T) {
-	mgr, err := manager.New(clock.System(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-
-	dial := func(station string, report bool, cpu float64) {
-		peer, err := wire.Dial(mgr.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		go peer.Run()
-		t.Cleanup(func() { peer.Close() })
-		if err := peer.Call(agent.MethodRegister, agent.RegisterSpec{Station: station}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if report {
-			peer.Notify(agent.MethodReport, agent.Report{
-				Station: station,
-				Usage:   metrics.ResourceUsage{CPUPercent: cpu},
-			})
-		}
-	}
-	// The ghost sorts first by name, so the pre-fix ordering picked it.
-	dial("st-aa-ghost", false, 0)
-	dial("st-zz-busy", true, 90)
-	waitFor(t, 2*time.Second, func() bool {
-		for _, si := range mgr.StationInfos() {
-			if si.Station == "st-zz-busy" && !si.Stale {
-				return true
-			}
-		}
-		return false
-	}, "busy station to report")
-
-	if st, ok := mgr.LeastLoadedStation(""); !ok || st != "st-zz-busy" {
-		t.Fatalf("least loaded = %q, %v — a never-reported station won over a reporting one", st, ok)
-	}
-	// The excluded-station path must hold the same ordering.
-	if st, _ := mgr.LeastLoadedStation("st-zz-busy"); st != "st-aa-ghost" {
-		t.Fatalf("with the fresh station excluded, pick = %q", st)
-	}
-}
-
 // TestEvacuationAvoidsNeverReportedStation drives the acceptance
 // property end to end: evacuating the client's own station must send its
 // chain to the station with known load, not the silent one.
@@ -234,5 +188,59 @@ func TestEvacuationAvoidsNeverReportedStation(t *testing.T) {
 	}
 	if reports[0].To != "st-zz-busy" {
 		t.Fatalf("evacuation targeted %q, want the reporting station st-zz-busy", reports[0].To)
+	}
+}
+
+// TestEvacuationHoldsTheBudget evacuates a budgeted chain's station with no
+// setting beyond the topology: on the ring st-a —2ms— st-b —5ms— st-d —6ms—
+// st-a, only st-b (4 ms there and back) fits the chain's 9 ms budget, and
+// st-d (12 ms) is the least loaded. The chain must land on st-b, and its
+// migrate event must say why. A placement that ranked on load alone sent it
+// to st-d.
+func TestEvacuationHoldsTheBudget(t *testing.T) {
+	mgr, err := manager.New(clock.System(), "127.0.0.1:0", manager.WithStrategy(manager.StrategyStateful))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	ring := topology.NewGraph()
+	ring.SetLink(topology.Link{A: "st-a", B: "st-b", Delay: 2 * time.Millisecond})
+	ring.SetLink(topology.Link{A: "st-b", B: "st-d", Delay: 5 * time.Millisecond})
+	ring.SetLink(topology.Link{A: "st-d", B: "st-a", Delay: 6 * time.Millisecond})
+	mgr.SetTopology(ring)
+	src := newScriptedAgent(t, mgr, "st-a")
+	newScriptedAgent(t, mgr, "st-b").report(80)
+	newScriptedAgent(t, mgr, "st-d").report(5)
+	waitFor(t, 2*time.Second, func() bool {
+		fresh := 0
+		for _, si := range mgr.StationInfos("st-a") {
+			if !si.Stale {
+				fresh++
+			}
+		}
+		return fresh == 2
+	}, "st-b and st-d to report")
+
+	if err := src.peer.Call(agent.MethodClientEvent,
+		agent.ClientEvent{Station: "st-a", Client: "phone", Connected: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	mgr.WaitIdle()
+	spec := manager.ChainSpec{Name: "chain", MaxRTTMs: 9, Functions: []agent.NFSpec{{Kind: "counter", Name: "c0"}}}
+	if err := mgr.AttachChain("phone", spec); err != nil {
+		t.Fatal(err)
+	}
+
+	reports, err := mgr.EvacuateStation("st-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].Err != "" || reports[0].To != "st-b" {
+		t.Fatalf("reports = %+v, want the chain on st-b, the only station within its 9ms budget", reports)
+	}
+	evs := mgr.Journal().Events(0, trace.EventMigrate)
+	const why = " why=rtt 4ms; st-d: over budget 12ms>9ms"
+	if len(evs) != 1 || !strings.HasSuffix(evs[0].Detail, why) {
+		t.Fatalf("migrate events = %+v, want one whose detail ends %q", evs, why)
 	}
 }

@@ -5,7 +5,7 @@
 //
 //   - controlState is an immutable copy-on-write snapshot of the manager's
 //     read-mostly configuration — the agent registry, migration strategy,
-//     placement policy, topology graph and failover switches. Hot paths
+//     topology graph and failover switches. Hot paths
 //     (reconcileClient's loop, place(), agentFor) load it with one atomic
 //     pointer read and never contend; mutations clone under Manager.mu and
 //     publish a new snapshot. This is the same trick the batched dataplane
@@ -35,10 +35,9 @@ import (
 // immutable snapshot. Readers treat every field (including map contents)
 // as frozen; all mutation goes through Manager.mutate, which clones.
 type controlState struct {
-	agents    map[string]*AgentHandle
-	strategy  Strategy
-	placement Placement
-	topo      *topology.Graph
+	agents   map[string]*AgentHandle
+	strategy Strategy
+	topo     *topology.Graph
 	// hotspotCPU is the CPU percent threshold for hotspot detection.
 	hotspotCPU float64
 	// tunneler provisions a shaped tunnel between two stations on demand

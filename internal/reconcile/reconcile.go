@@ -50,12 +50,10 @@ type Reconciler struct {
 	hash         string
 	generation   uint64
 	convergedGen uint64
-	// lastPlacement/lastStrategy remember what this reconciler applied so
-	// repeated passes don't reinstall an identical policy (resetting e.g.
-	// round-robin rotation state) on every tick.
-	lastPlacement string
-	lastStrategy  string
-	backoff       map[string]*backoffEntry
+	// lastStrategy remembers what this reconciler applied, so a strategy
+	// set through another front door stands until the spec's changes.
+	lastStrategy string
+	backoff      map[string]*backoffEntry
 
 	stop chan struct{}
 	done chan struct{}
@@ -243,7 +241,7 @@ func (r *Reconciler) ReconcileOnce(dryRun bool) (Result, error) {
 	r.mu.Lock()
 	desired := r.desired
 	gen := r.generation
-	lastPlacement, lastStrategy := r.lastPlacement, r.lastStrategy
+	lastStrategy := r.lastStrategy
 	r.mu.Unlock()
 	if desired == nil {
 		return Result{}, ErrNoSpec
@@ -252,17 +250,7 @@ func (r *Reconciler) ReconcileOnce(dryRun bool) (Result, error) {
 	res := Result{Generation: gen, DryRun: dryRun}
 
 	if !dryRun {
-		// Policy fields apply before the diff: placement steers where the
-		// actions below land. Applied only on change so repeated passes do
-		// not reset stateful policies (round-robin rotation).
-		if desired.Placement != "" && desired.Placement != lastPlacement {
-			if p, ok := manager.PlacementFor(desired.Placement); ok {
-				r.mgr.SetPlacement(p)
-				r.mu.Lock()
-				r.lastPlacement = desired.Placement
-				r.mu.Unlock()
-			}
-		}
+		// The strategy applies before the diff, so the moves below use it.
 		if desired.Strategy != "" && desired.Strategy != lastStrategy {
 			r.mgr.SetStrategy(manager.Strategy(desired.Strategy))
 			r.mu.Lock()

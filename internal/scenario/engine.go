@@ -176,12 +176,6 @@ func New(sp *Spec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.Placement != "" {
-		// Validate() already vetted the name.
-		if p, ok := manager.PlacementFor(sp.Placement); ok {
-			sys.Manager.SetPlacement(p)
-		}
-	}
 	if sp.Autoscaler != nil {
 		sys.Manager.SetAutoscalerPolicy(manager.AutoscalerPolicy{
 			ScaleOutLoad: sp.Autoscaler.ScaleOutLoad,

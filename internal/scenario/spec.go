@@ -101,7 +101,7 @@ type Chain struct {
 	Functions []Function `json:"functions"`
 	// MaxRTTMs is the chain's QoS budget: the largest predicted
 	// client<->chain round-trip (milliseconds) tolerated. Requires a
-	// topology block; QoS-aware placement rejects over-budget candidates,
+	// topology block; placement rejects over-budget candidates,
 	// roaming lets the chain lag behind its client while in budget, and
 	// the engine fails the run if the budget is violated at scenario end.
 	MaxRTTMs float64 `json:"max_rtt_ms,omitempty"`
@@ -331,21 +331,18 @@ type Expect struct {
 
 // Spec is one complete scenario file.
 type Spec struct {
-	Name        string  `json:"name"`
-	Description string  `json:"description,omitempty"`
-	Seed        int64   `json:"seed"`
-	Strategy    string  `json:"strategy,omitempty"`   // cold | stateful (default) | live
-	Hysteresis  float64 `json:"hysteresis,omitempty"` // metres (default 5)
-	// Placement selects the manager's placement policy by registry name
-	// (manager.PlacementFor); empty keeps the client-local default.
-	Placement  string          `json:"placement,omitempty"`
-	Topology   *Topology       `json:"topology,omitempty"`
-	Autoscaler *AutoscalerSpec `json:"autoscaler,omitempty"`
-	Stations   []Station       `json:"stations"`
-	Clouds     []Cloud         `json:"clouds,omitempty"`
-	Clients    []Client        `json:"clients"`
-	Script     []Step          `json:"script,omitempty"`
-	Expect     Expect          `json:"expect"`
+	Name        string          `json:"name"`
+	Description string          `json:"description,omitempty"`
+	Seed        int64           `json:"seed"`
+	Strategy    string          `json:"strategy,omitempty"`   // cold | stateful (default) | live
+	Hysteresis  float64         `json:"hysteresis,omitempty"` // metres (default 5)
+	Topology    *Topology       `json:"topology,omitempty"`
+	Autoscaler  *AutoscalerSpec `json:"autoscaler,omitempty"`
+	Stations    []Station       `json:"stations"`
+	Clouds      []Cloud         `json:"clouds,omitempty"`
+	Clients     []Client        `json:"clients"`
+	Script      []Step          `json:"script,omitempty"`
+	Expect      Expect          `json:"expect"`
 }
 
 // Validate checks structural consistency before a run: unique IDs, known
@@ -386,12 +383,6 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: duplicate site %s", sp.Name, cl.ID)
 		}
 		sites[cl.ID] = true
-	}
-	if sp.Placement != "" {
-		if _, ok := manager.PlacementFor(sp.Placement); !ok {
-			return fmt.Errorf("scenario %s: unknown placement %q (want one of %v)",
-				sp.Name, sp.Placement, manager.PlacementNames())
-		}
 	}
 	if tp := sp.Topology; tp != nil {
 		switch tp.Preset {

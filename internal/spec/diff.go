@@ -77,8 +77,8 @@ type ActualChain struct {
 	Spec       manager.ChainSpec
 	DeployedOn string // head placement for split chains
 	// Settled reports whether the chain's current placement satisfies the
-	// desired invariant (co-located with the client, or within QoS budget
-	// under an RTT-aware policy, or on its offload site).
+	// desired invariant (co-located with the client, or within its QoS
+	// budget over the topology, or on its offload site).
 	Settled bool
 	// Segments maps anchored segment index (>= 1) to its hosting station
 	// for split chains; nil otherwise.

@@ -2,8 +2,8 @@
 // Spec document describing what the fleet *should* look like — which
 // clients carry which NF chains (with QoS budgets and activation
 // schedules), which clients are pinned to cloud sites, how large shared
-// instance pools should be, and which placement policy and migration
-// strategy govern the manager — plus the semantic Diff that turns the gap
+// instance pools should be, and which migration strategy governs the
+// manager — plus the semantic Diff that turns the gap
 // between a Spec and an observed Actual snapshot into the minimal set of
 // imperative actions. The reconcile package drives those actions; here
 // lives only pure data, canonical hashing, validation, and the diff.
@@ -65,9 +65,6 @@ type PoolTarget struct {
 type Spec struct {
 	// Version of the document format (0 is normalized to the current 1).
 	Version int `json:"version,omitempty"`
-	// Placement selects the manager's placement policy by registry name;
-	// "" keeps whatever policy is active.
-	Placement string `json:"placement,omitempty"`
 	// Strategy selects the roaming migration strategy (cold, stateful,
 	// live); "" keeps the active one.
 	Strategy string       `json:"strategy,omitempty"`
@@ -141,18 +138,13 @@ func ChainConfigHash(cs manager.ChainSpec) string {
 var validStrategies = map[string]bool{"cold": true, "stateful": true, "live": true}
 
 // Validate checks structural consistency: unique IDs, non-empty chains,
-// sane budgets and windows, known placement and strategy names.
+// sane budgets and windows, a known strategy name.
 func (s *Spec) Validate() error {
 	if s.Version != 0 && s.Version != Version {
 		return fmt.Errorf("spec: unsupported version %d (want %d)", s.Version, Version)
 	}
 	if s.Strategy != "" && !validStrategies[s.Strategy] {
 		return fmt.Errorf("spec: unknown strategy %q (want cold, stateful or live)", s.Strategy)
-	}
-	if s.Placement != "" {
-		if _, ok := manager.PlacementFor(s.Placement); !ok {
-			return fmt.Errorf("spec: unknown placement %q (want one of %v)", s.Placement, manager.PlacementNames())
-		}
 	}
 	clients := map[string]bool{}
 	for _, c := range s.Clients {

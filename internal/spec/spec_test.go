@@ -66,7 +66,6 @@ func TestValidate(t *testing.T) {
 	}{
 		{"bad version", func(s *Spec) { s.Version = 7 }, "unsupported version"},
 		{"bad strategy", func(s *Spec) { s.Strategy = "teleport" }, "unknown strategy"},
-		{"bad placement", func(s *Spec) { s.Placement = "nope" }, "unknown placement"},
 		{"empty client id", func(s *Spec) { s.Clients[0].ID = "" }, "empty id"},
 		{"dup client", func(s *Spec) { s.Clients = append(s.Clients, s.Clients[0]) }, "duplicate client"},
 		{"empty chain name", func(s *Spec) { s.Clients[0].Chains[0].Name = "" }, "empty name"},
@@ -103,12 +102,11 @@ func TestValidate(t *testing.T) {
 			}
 		})
 	}
-	// Known strategies and placements pass.
+	// A known strategy passes.
 	s := valid()
 	s.Strategy = "live"
-	s.Placement = "qos"
 	if err := s.Validate(); err != nil {
-		t.Fatalf("live/qos rejected: %v", err)
+		t.Fatalf("live rejected: %v", err)
 	}
 }
 
@@ -364,7 +362,7 @@ func TestActionKeyStable(t *testing.T) {
 func FuzzSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
-		`{"version":1,"strategy":"live","placement":"qos"}`,
+		`{"version":1,"strategy":"live"}`,
 		`{"clients":[{"id":"tablet","chains":[{"name":"b","functions":[{"kind":"counter","name":"c"}]},` +
 			`{"name":"a","functions":[{"kind":"firewall","name":"f","params":{"x":"y","k":"v"}}],"max_rtt_ms":5}]},` +
 			`{"id":"phone","offload":"nimbus","chains":[{"name":"web","functions":[{"kind":"nat","name":"n","affinity":"near-client"},` +

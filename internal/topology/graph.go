@@ -2,7 +2,7 @@
 // cell/station/client model above deliberately omits. Nodes are stations
 // (edge boxes and GNFC cloud sites), undirected edges are links with a
 // propagation delay and a capacity, and the graph maintains an all-pairs
-// latency matrix plus next-hop table so placement policies can rank
+// latency matrix plus next-hop table so placement can rank
 // candidate stations by predicted client<->chain RTT (Forti et al.,
 // "Probabilistic QoS-aware Placement of VNF chains at the Edge").
 //

@@ -95,13 +95,9 @@ func TestFailoversAndPlacementEndpoints(t *testing.T) {
 	}
 
 	var pl struct {
-		Policy   string                `json:"policy"`
 		Stations []manager.StationInfo `json:"stations"`
 	}
 	getJSON(t, srv.URL+"/api/placement", &pl)
-	if pl.Policy != "client-local" {
-		t.Fatalf("policy = %q", pl.Policy)
-	}
 	if len(pl.Stations) != 2 {
 		t.Fatalf("stations = %+v", pl.Stations)
 	}

@@ -396,9 +396,8 @@ func (s *Server) handleFailovers(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
-		Policy   string                `json:"policy"`
 		Stations []manager.StationInfo `json:"stations"`
-	}{s.mgr.Placement().Name(), s.mgr.StationInfos()})
+	}{s.mgr.StationInfos()})
 }
 
 // PoolsView is the GET /api/pools payload: each station's live
