@@ -74,8 +74,9 @@ func TestRunScenarioSmoke(t *testing.T) {
 	  "name": "smoke",
 	  "seed": 1,
 	  "stations": [{"id": "st-a", "cells": [{"id": "cell-a", "center": {"x": 0}, "radius": 50}]}],
-	  "clients": [{"id": "c0", "at": {"x": 0},
-	    "chains": [{"name": "ch", "functions": [{"kind": "counter", "name": "acct"}]}]}],
+	  "clients": [{"id": "c0", "at": {"x": 0}}],
+	  "spec": {"clients": [{"id": "c0",
+	    "chains": [{"name": "ch", "functions": [{"kind": "counter", "name": "acct"}]}]}]},
 	  "expect": {"final_stations": {"c0": "st-a"}}
 	}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {

@@ -101,17 +101,16 @@ type deployment struct {
 
 // Agent is the station daemon.
 type Agent struct {
-	station   topology.StationID
-	clk       clock.Clock
-	rt        *container.Runtime
-	sw        *netem.Switch
-	uplink    netem.PortID
-	registry  *nf.Registry
-	cloud     bool
-	sharing   bool
-	poolGrace time.Duration
-	pool      *share.Pool
-	poolSeq   atomic.Uint64 // shared-instance name generations
+	station  topology.StationID
+	clk      clock.Clock
+	rt       *container.Runtime
+	sw       *netem.Switch
+	uplink   netem.PortID
+	registry *nf.Registry
+	cloud    bool
+	sharing  bool
+	pool     *share.Pool
+	poolSeq  atomic.Uint64 // shared-instance name generations
 
 	// tracer buffers this agent's finished spans; the RPC layer flushes
 	// them to the manager before each traced response returns.
@@ -147,10 +146,6 @@ func WithRegistry(r *nf.Registry) Option { return func(a *Agent) { a.registry = 
 // and are skipped by placement unless it allows the cloud.
 func WithCloud() Option { return func(a *Agent) { a.cloud = true } }
 
-// WithPoolGrace sets how long an unreferenced shared instance survives
-// before the reaper reclaims it (default share.DefaultGrace).
-func WithPoolGrace(d time.Duration) Option { return func(a *Agent) { a.poolGrace = d } }
-
 // WithSharingDisabled forces the paper's one-instance-per-client layout
 // even for shareable chains — the ablation baseline for E5.
 func WithSharingDisabled() Option { return func(a *Agent) { a.sharing = false } }
@@ -175,7 +170,7 @@ func New(station topology.StationID, clk clock.Clock, rt *container.Runtime, sw 
 	for _, o := range opts {
 		o(a)
 	}
-	a.pool = share.NewPool(a.clk, a.poolGrace)
+	a.pool = share.NewPool(a.clk, 0)
 	a.tracer = trace.New(clk, trace.WithOrigin(string(station)), trace.WithBuffer(0))
 	return a
 }

@@ -400,7 +400,9 @@ func (s *System) onAssociation(ev topology.AssociationEvent) {
 	if !ok {
 		return
 	}
-	// Break-before-make, as 802.11 roaming behaves.
+	// Break-before-make, as 802.11 roaming behaves. The client stops
+	// transmitting in the old cell only at the break, and what it already
+	// put on the air reaches the old station before its port goes.
 	if ev.From != "" {
 		if st, err := s.Topo.StationForCell(ev.From); err == nil {
 			s.mu.Lock()
@@ -410,6 +412,7 @@ func (s *System) onAssociation(ev topology.AssociationEvent) {
 				sn.ag.DetachClient(ev.Client)
 				cn.mu.Lock()
 				if cn.swSide != nil {
+					cn.ep.Drain()
 					sn.sw.Detach(cn.port)
 					cn.swSide.Close()
 					cn.swSide, cn.ep = nil, nil

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,8 +63,8 @@ type Endpoint struct {
 	// recv is read with one atomic load per delivery and replaced whole by
 	// the setters, so the frame path takes no lock to find its receiver.
 	recv   atomic.Pointer[func(frames [][]byte)]
-	ring   *frameRing // nil on a service pair's svc end: Send runs the peer's receiver
-	closed atomic.Bool
+	ring   *frameRing    // nil on a service pair's svc end: Send runs the peer's receiver
+	closed atomic.Uint32 // 0 up; 1 drained: Send refuses, the queue still delivers; 2 closed
 	done   chan struct{}
 
 	txFrames, rxFrames atomic.Uint64
@@ -204,7 +205,7 @@ func (e *Endpoint) admit(frame []byte) (ok bool, err error) {
 // dropped (tail-drop), as a real qdisc would. Dropped pooled buffers are
 // recycled.
 func (e *Endpoint) Send(frame []byte) error {
-	if e.closed.Load() {
+	if e.closed.Load() != 0 {
 		packet.ReturnFrame(frame)
 		return ErrClosed
 	}
@@ -236,7 +237,7 @@ func (e *Endpoint) Send(frame []byte) error {
 // of every buffer transfers to the endpoint. It returns the number of
 // frames accepted onto the link.
 func (e *Endpoint) SendBatch(frames [][]byte) int {
-	if e.closed.Load() || e.peer == nil {
+	if e.closed.Load() != 0 || e.peer == nil {
 		packet.ReturnFrames(frames)
 		return 0
 	}
@@ -309,7 +310,7 @@ func (e *Endpoint) deliverLoop() {
 // deliver hands a batch that crossed the link to this endpoint's receiver.
 // A closed endpoint, or one nobody listens on, recycles the buffers.
 func (e *Endpoint) deliver(batch [][]byte) {
-	if e.closed.Load() {
+	if e.closed.Load() != 0 {
 		packet.ReturnFrames(batch)
 		return
 	}
@@ -325,9 +326,21 @@ func (e *Endpoint) deliver(batch [][]byte) {
 // Close stops delivery on both directions of the pair.
 func (e *Endpoint) Close() {
 	for _, ep := range []*Endpoint{e, e.peer} {
-		if ep != nil && ep.closed.CompareAndSwap(false, true) {
+		if ep != nil && ep.closed.Swap(2) != 2 {
 			close(ep.done)
 		}
+	}
+}
+
+// Drain closes e for sending — a later Send or SendBatch fails with
+// ErrClosed, as a radio that has left its cell — and returns once every
+// frame already on e's wire has been handed to the peer. The pair stays up
+// until Close, so a link torn down after Drain loses nothing that was sent
+// before it.
+func (e *Endpoint) Drain() {
+	e.closed.CompareAndSwap(0, 1)
+	for e.ring != nil && e.peer.closed.Load() == 0 && e.peer.rxFrames.Load() < e.txFrames.Load() {
+		runtime.Gosched()
 	}
 }
 

@@ -98,6 +98,30 @@ func TestVethClosed(t *testing.T) {
 	a.Close() // idempotent
 }
 
+// TestVethDrainDeliversWhatWasSent: a frame the sender put on the wire
+// before Drain reaches the peer before Drain returns, even on a slow link;
+// a send after it fails, and the pair still closes.
+func TestVethDrainDeliversWhatWasSent(t *testing.T) {
+	a, b := NewVethPair("a", "b", WithLink(LinkParams{Delay: 2 * time.Millisecond}))
+	b.SetReceiver(func([]byte) {})
+	for i := 0; i < 5; i++ {
+		if err := a.Send(make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Drain()
+	if got := b.Stats().RxFrames; got != 5 {
+		t.Fatalf("peer got %d of the 5 frames sent before the drain", got)
+	}
+	if err := a.Send(make([]byte, 64)); err != ErrClosed {
+		t.Fatalf("send after drain: %v", err)
+	}
+	a.Close()
+	if err := b.Send([]byte("x")); err != ErrClosed {
+		t.Fatalf("peer not closed: %v", err)
+	}
+}
+
 func TestVethLossDeterministic(t *testing.T) {
 	const n = 1000
 	a, b := NewVethPair("a", "b", WithLink(LinkParams{LossProb: 0.5, QueueLen: n}), WithSeed(42))

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"gnf/internal/netem"
 	"gnf/internal/packet"
 	"gnf/internal/reconcile"
+	dstate "gnf/internal/spec"
 	"gnf/internal/topology"
 	"gnf/internal/trace"
 	"gnf/internal/traffic"
@@ -73,9 +76,10 @@ type Result struct {
 	// round-trip at scenario end, over the topology graph (only when the
 	// scenario declares one).
 	ChainRTTs map[string]Duration `json:"chain_rtts,omitempty"`
-	// ReconcileActions is the total imperative actions issued by apply-spec
-	// and reconcile steps; ConvergedIn is the worst virtual time any
-	// apply-spec step took to converge.
+	// ReconcileActions is the total imperative actions issued by reconcile
+	// passes (the scenario's spec, apply-spec and reconcile steps);
+	// ConvergedIn is the worst virtual time any installed document took to
+	// converge.
 	ReconcileActions int      `json:"reconcile_actions,omitempty"`
 	ConvergedIn      Duration `json:"converged_in,omitempty"`
 	// Load summarises the (last) load step's megascale harness run; nil
@@ -125,9 +129,11 @@ type Engine struct {
 	result     *Result
 	loadSink   *netem.Host // backhaul sink for load steps, created lazily
 
-	rec              *reconcile.Reconciler // created by the first apply-spec step
+	// rec converges the installed desired state; it shares the virtual
+	// clock, so backoff timing is simulated.
+	rec              *reconcile.Reconciler
 	reconcileActions int
-	convergeWorst    time.Duration // slowest apply-spec convergence
+	convergeWorst    time.Duration // slowest convergence of an installed document
 
 	// clients is the deployed client list after fleet expansion
 	// (Client.Count); fleet maps each declared client ID to the concrete
@@ -145,9 +151,6 @@ func New(sp *Spec) (*Engine, error) {
 		Strategy: manager.StrategyStateful,
 		Stations: make([]core.StationConfig, 0, len(sp.Stations)),
 		Clouds:   make([]core.CloudConfig, 0, len(sp.Clouds)),
-	}
-	if sp.Strategy != "" {
-		cfg.Strategy = manager.Strategy(sp.Strategy)
 	}
 	for _, st := range sp.Stations {
 		sc := core.StationConfig{
@@ -183,7 +186,7 @@ func New(sp *Spec) (*Engine, error) {
 			MaxReplicas:  sp.Autoscaler.MaxReplicas,
 		})
 	}
-	e := &Engine{spec: sp, sys: sys, clk: clk, graph: graph, start: clk.Now()}
+	e := &Engine{spec: sp, sys: sys, clk: clk, graph: graph, start: clk.Now(), rec: reconcile.New(sys.Manager)}
 	if err := e.expandClients(); err != nil {
 		sys.Close()
 		return nil, err
@@ -277,9 +280,9 @@ func clientAddr(c Client, i int) (packet.MAC, packet.IP, error) {
 }
 
 // expandClients materialises the deployed client list: entries with
-// Count > 1 become fleets of "<id>-NNNN" clones sharing position and
-// chains. Expansion keeps the index-derived addressing collision-free and
-// rejects a clone ID that shadows another declared client.
+// Count > 1 become fleets of "<id>-NNNN" clones sharing position.
+// Expansion keeps the index-derived addressing collision-free and rejects
+// a clone ID that shadows another declared client.
 func (e *Engine) expandClients() error {
 	e.fleet = make(map[string][]string, len(e.spec.Clients))
 	declared := make(map[string]bool, len(e.spec.Clients))
@@ -296,13 +299,6 @@ func (e *Engine) expandClients() error {
 			clone := c
 			clone.Count = 0
 			clone.ID = fmt.Sprintf("%s-%04d", c.ID, k)
-			// Chain names are station-global on the agent side, so each
-			// clone gets its own suffixed copies.
-			clone.Chains = make([]Chain, len(c.Chains))
-			for j, ch := range c.Chains {
-				ch.Name = fmt.Sprintf("%s-%04d", ch.Name, k)
-				clone.Chains[j] = ch
-			}
 			if declared[clone.ID] {
 				return fmt.Errorf("scenario %s: fleet %s expands onto declared client %s",
 					e.spec.Name, c.ID, clone.ID)
@@ -314,18 +310,42 @@ func (e *Engine) expandClients() error {
 	return nil
 }
 
-func toChainSpec(ch Chain) manager.ChainSpec {
-	spec := manager.ChainSpec{Name: ch.Name, MaxRTTMs: ch.MaxRTTMs}
-	for i, fn := range ch.Functions {
-		name := fn.Name
-		if name == "" {
-			name = fmt.Sprintf("%s-%d", fn.Kind, i)
+// render turns one of the scenario's desired-state documents into what
+// the reconciler installs: a client naming a fleet stands for every member,
+// each chain name suffixed like the member's ID (chain names are
+// station-global on the agent side), and a schedule time T is read on the
+// scenario's timeline, as its start plus T - clock.Epoch.
+func (e *Engine) render(doc *dstate.Spec) *dstate.Spec {
+	out := doc.Clone()
+	declared := out.Clients
+	out.Clients = nil
+	for _, dc := range declared {
+		for _, ch := range dc.Chains {
+			if w := ch.Schedule; w != nil {
+				w.EnableAt = e.onTimeline(w.EnableAt)
+				w.DisableAt = e.onTimeline(w.DisableAt)
+			}
 		}
-		spec.Functions = append(spec.Functions, agent.NFSpec{
-			Kind: fn.Kind, Name: name, Params: fn.Params, Affinity: fn.Affinity,
-		})
+		for _, id := range e.fleet[dc.ID] {
+			member := dc
+			member.ID = id
+			member.Chains = append([]dstate.Chain(nil), dc.Chains...)
+			for i := range member.Chains {
+				member.Chains[i].Name += strings.TrimPrefix(id, dc.ID)
+			}
+			out.Clients = append(out.Clients, member)
+		}
 	}
-	return spec
+	return out
+}
+
+// onTimeline maps a document time onto the run's virtual clock; the zero
+// time (no disable) stays zero.
+func (e *Engine) onTimeline(t time.Time) time.Time {
+	if t.IsZero() {
+		return t
+	}
+	return e.start.Add(t.Sub(clock.Epoch))
 }
 
 // settle waits for every in-flight reconciliation and folds the migrations
@@ -398,7 +418,7 @@ func (e *Engine) Run() (*Result, error) {
 	e.result = &Result{Scenario: e.spec.Name, FinalStations: map[string]string{}}
 	defer e.sys.Close()
 
-	// Deployment: clients placed, chains attached once associated.
+	// Deployment: clients placed, then the desired state installed.
 	for i, c := range e.clients {
 		mac, ip, err := clientAddr(c, i)
 		if err != nil {
@@ -413,10 +433,10 @@ func (e *Engine) Run() (*Result, error) {
 				return nil, err
 			}
 		}
-		for _, ch := range c.Chains {
-			if err := e.sys.AttachChain(topology.ClientID(c.ID), toChainSpec(ch)); err != nil {
-				return nil, fmt.Errorf("scenario %s: attach %s to %s: %w", e.spec.Name, ch.Name, c.ID, err)
-			}
+	}
+	if e.spec.Spec != nil {
+		if err := e.applySpec(e.spec.Spec); err != nil {
+			return nil, fmt.Errorf("scenario %s: spec: %w", e.spec.Name, err)
 		}
 	}
 	e.settle()
@@ -449,13 +469,6 @@ func (e *Engine) step(st Step) error {
 		return e.sys.Topo.Attach(topology.ClientID(st.Client), topology.CellID(st.Cell))
 	case ActDetach:
 		return e.sys.Topo.Detach(topology.ClientID(st.Client))
-	case ActAttachChain:
-		if st.Chain == nil {
-			return fmt.Errorf("attach-chain needs a chain")
-		}
-		return e.sys.AttachChain(topology.ClientID(st.Client), toChainSpec(*st.Chain))
-	case ActDetachChain:
-		return mgr.DetachChain(st.Client, st.ChainName)
 	case ActMigrate:
 		_, err := mgr.MigrateChain(st.Client, st.ChainName, st.Station)
 		return err
@@ -486,26 +499,12 @@ func (e *Engine) step(st Step) error {
 	case ActCheckFailures:
 		mgr.CheckFailures()
 		return nil
-	case ActOffload:
-		return e.sys.OffloadClient(topology.ClientID(st.Client), topology.StationID(st.Site))
-	case ActRecall:
-		return e.sys.RecallClient(topology.ClientID(st.Client))
-	case ActSchedule:
-		now := e.clk.Now()
-		w := manager.Window{EnableAt: now.Add(st.EnableAfter.Std())}
-		if st.DisableAfter > 0 {
-			w.DisableAt = now.Add(st.DisableAfter.Std())
-		}
-		return mgr.Schedule(st.Client, st.ChainName, w)
 	case ActEvalSchedules:
 		e.schedTrans += mgr.EvaluateSchedules()
 		return nil
 	case ActEvacuate:
 		_, err := mgr.EvacuateStation(st.Station)
 		return err
-	case ActSetStrategy:
-		mgr.SetStrategy(manager.Strategy(st.Strategy))
-		return nil
 	case ActTraffic:
 		return e.generateTraffic(st)
 	case ActLoad:
@@ -514,9 +513,9 @@ func (e *Engine) step(st Step) error {
 		mgr.EvaluateAutoscaler()
 		return nil
 	case ActApplySpec:
-		return e.applySpec(st)
+		return e.applySpec(st.Spec)
 	case ActReconcile:
-		res, err := e.reconciler().ReconcileOnce(false)
+		res, err := e.rec.ReconcileOnce(false)
 		if err != nil {
 			return err
 		}
@@ -544,36 +543,28 @@ func (e *Engine) step(st Step) error {
 	return fmt.Errorf("unknown action %q", st.Action)
 }
 
-// reconciler lazily builds the desired-state reconciler over the run's
-// manager; it shares the virtual clock, so backoff timing is simulated.
-func (e *Engine) reconciler() *reconcile.Reconciler {
-	if e.rec == nil {
-		e.rec = reconcile.New(e.sys.Manager)
-	}
-	return e.rec
-}
-
-// applySpecPasses bounds the convergence loop of one apply-spec step.
-// Each non-converged pass advances virtual time by applySpecTick, so the
-// cap also bounds the simulated time charged against converged_within_ms.
+// applySpecPasses bounds the convergence loop of one installed document.
+// Each pass that left an action failed or deferred advances virtual time by
+// applySpecTick, so the cap also bounds the simulated time charged against
+// converged_within_ms.
 const (
 	applySpecPasses = 400
 	applySpecTick   = 100 * time.Millisecond
 )
 
-// applySpec installs the step's desired-state document and drives
-// reconcile passes until the fleet converges, advancing the virtual clock
-// a tick per pass (multi-pass transitions — recall then re-offload — and
-// failure backoff both need time to move). The elapsed virtual time is
-// what converged_within_ms bounds.
-func (e *Engine) applySpec(st Step) error {
-	rec := e.reconciler()
-	if _, err := rec.SetSpec(st.Spec); err != nil {
+// applySpec installs a desired-state document in place of the previous one
+// and drives reconcile passes until the fleet converges. A clean pass
+// re-plans at the same instant (a recall then a re-offload takes two); a
+// pass that left an action failed or deferred advances the virtual clock a
+// tick, so retry backoff can expire. The elapsed virtual time is what
+// converged_within_ms bounds.
+func (e *Engine) applySpec(doc *dstate.Spec) error {
+	if _, err := e.rec.SetSpec(e.render(doc)); err != nil {
 		return err
 	}
 	begin := e.clk.Now()
 	for pass := 0; pass < applySpecPasses; pass++ {
-		res, err := rec.ReconcileOnce(false)
+		res, err := e.rec.ReconcileOnce(false)
 		if err != nil {
 			return err
 		}
@@ -585,9 +576,11 @@ func (e *Engine) applySpec(st Step) error {
 			return nil
 		}
 		e.sys.Manager.WaitIdle()
-		e.clk.Advance(applySpecTick)
+		if res.Failed > 0 || res.Deferred > 0 {
+			e.clk.Advance(applySpecTick)
+		}
 	}
-	return fmt.Errorf("apply-spec: not converged after %d reconcile passes", applySpecPasses)
+	return fmt.Errorf("not converged after %d reconcile passes", applySpecPasses)
 }
 
 // trafficSink is the backhaul-side destination traffic steps send toward;
@@ -668,21 +661,15 @@ func (e *Engine) generateLoad(st Step) error {
 	if host == nil {
 		return fmt.Errorf("load: client %s has no dataplane presence", st.Client)
 	}
-	var cmac packet.MAC
-	var cip packet.IP
-	found := false
-	for i, c := range e.spec.Clients {
-		if c.ID == st.Client {
-			var err error
-			if cmac, cip, err = clientAddr(c, i); err != nil {
-				return err
-			}
-			found = true
-			break
-		}
-	}
-	if !found {
+	// Addressing follows the client's index in the deployed list, as Run
+	// assigned it.
+	i := slices.IndexFunc(e.clients, func(c Client) bool { return c.ID == st.Client })
+	if i < 0 {
 		return fmt.Errorf("load: unknown client %s", st.Client)
+	}
+	cmac, cip, err := clientAddr(e.clients[i], i)
+	if err != nil {
+		return err
 	}
 	if e.loadSink == nil {
 		e.loadSink = e.sys.AddServer("load-sink", loadSinkMAC, loadSinkIP)
@@ -829,23 +816,18 @@ func (e *Engine) finish() {
 				res.ReconcileActions, exp.MaxReconcileActions))
 	}
 	if exp.ConvergedWithinMs > 0 {
-		if e.rec == nil {
+		if got := float64(e.convergeWorst.Microseconds()) / 1000; got > exp.ConvergedWithinMs {
 			res.Failures = append(res.Failures,
-				"converged_within_ms declared but no apply-spec step ran")
+				fmt.Sprintf("convergence: took %.3fms, want <= %.3fms", got, exp.ConvergedWithinMs))
+		}
+		// Convergence must also hold at scenario end: later script steps
+		// (station kills, moves) may have re-opened a gap the reconciler
+		// failed to close. With no document installed, Plan fails.
+		if plan, err := e.rec.Plan(); err != nil {
+			res.Failures = append(res.Failures, "final diff: "+err.Error())
 		} else {
-			if got := float64(e.convergeWorst.Microseconds()) / 1000; got > exp.ConvergedWithinMs {
-				res.Failures = append(res.Failures,
-					fmt.Sprintf("convergence: took %.3fms, want <= %.3fms", got, exp.ConvergedWithinMs))
-			}
-			// Convergence must also hold at scenario end: later script steps
-			// (station kills, moves) may have re-opened a gap the reconciler
-			// failed to close.
-			if plan, err := e.rec.Plan(); err != nil {
-				res.Failures = append(res.Failures, "final diff: "+err.Error())
-			} else if len(plan) > 0 {
-				for _, a := range plan {
-					res.Failures = append(res.Failures, "desired state diverged at scenario end: "+a.String())
-				}
+			for _, a := range plan {
+				res.Failures = append(res.Failures, "desired state diverged at scenario end: "+a.String())
 			}
 		}
 	}
@@ -884,7 +866,7 @@ func (e *Engine) finish() {
 		res.Failures = append(res.Failures,
 			fmt.Sprintf("scale-ins: got %d, want >= %d", res.ScaleIns, exp.MinScaleIns))
 	}
-	for _, station := range sortedKeys(exp.MaxPoolReplicas) {
+	for _, station := range slices.Sorted(maps.Keys(exp.MaxPoolReplicas)) {
 		limit := exp.MaxPoolReplicas[station]
 		if got := res.PoolReplicas[station]; got > limit {
 			res.Failures = append(res.Failures,
@@ -935,14 +917,14 @@ func (e *Engine) finish() {
 			}
 		}
 	}
-	for _, client := range sortedKeys(exp.FinalStations) {
+	for _, client := range slices.Sorted(maps.Keys(exp.FinalStations)) {
 		want := exp.FinalStations[client]
 		if got := res.FinalStations[client]; got != want {
 			res.Failures = append(res.Failures,
 				fmt.Sprintf("final station of %s: got %q, want %q", client, got, want))
 		}
 	}
-	for _, client := range sortedKeys(exp.Offloaded) {
+	for _, client := range slices.Sorted(maps.Keys(exp.Offloaded)) {
 		want := exp.Offloaded[client]
 		if got := e.sys.Manager.Offloaded(client); got != want {
 			res.Failures = append(res.Failures,
@@ -954,7 +936,7 @@ func (e *Engine) finish() {
 		for _, pl := range e.sys.Manager.Placements() {
 			at[pl.Client+"/"+pl.Chain] = pl.Station
 		}
-		for _, key := range sortedKeys(exp.Placements) {
+		for _, key := range slices.Sorted(maps.Keys(exp.Placements)) {
 			want := exp.Placements[key]
 			if got := at[key]; got != want {
 				res.Failures = append(res.Failures,
@@ -962,7 +944,7 @@ func (e *Engine) finish() {
 			}
 		}
 	}
-	for _, key := range sortedKeys(exp.ChainEnabled) {
+	for _, key := range slices.Sorted(maps.Keys(exp.ChainEnabled)) {
 		want := exp.ChainEnabled[key]
 		got, err := e.chainEnabled(key)
 		if err != nil {
@@ -1122,21 +1104,16 @@ func (e *Engine) chainEnabled(key string) (bool, error) {
 	return ag.ChainEnabled(chain)
 }
 
-// Run loads, validates and executes the scenario at path.
-func Run(path string) (*Result, error) {
-	sp, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return RunSpec(sp)
-}
-
 // Execute runs the scenario at path and writes the indented result JSON
 // to w — the shared CLI entry point (gnfctl run-scenario, gnf-demo
 // -scenario). It returns an error when the run cannot execute or when
 // expectations went unmet, so callers can exit non-zero.
 func Execute(path string, w io.Writer) error {
-	res, err := Run(path)
+	sp, err := Load(path)
+	if err != nil {
+		return err
+	}
+	res, err := RunSpec(sp)
 	if err != nil {
 		return err
 	}
@@ -1158,13 +1135,4 @@ func RunSpec(sp *Spec) (*Result, error) {
 		return nil, err
 	}
 	return e.Run()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

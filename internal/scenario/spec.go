@@ -1,12 +1,16 @@
-// Package scenario is GNF's deterministic scenario engine: declarative
-// JSON specs describe an edge deployment (stations and their cells, cloud
-// sites, clients and their NF chains), a script of timed actions (moves,
-// handoffs, station failures, offloads, schedules, random-waypoint
-// mobility), and the invariants the run must uphold. The engine executes a
-// spec against core.System on an auto-advancing virtual clock, so every
-// modeled latency is a jump of simulated time, runs are reproducible from
-// the spec's seed, and the conformance suite replays the whole corpus in
-// milliseconds of wall time.
+// Package scenario is GNF's deterministic scenario engine. A scenario file
+// is a topology (stations and their cells, cloud sites, clients and where
+// they start), a desired-state document (the "spec" key: the same
+// internal/spec document `gnfctl apply -f` and PUT /api/spec take, naming
+// each client's chains, offload pin and schedules and the migration
+// strategy), a timeline of timed actions (moves, handoffs, station
+// failures, random-waypoint mobility, apply-spec documents that replace
+// the desired state), and the invariants the run must uphold. Every
+// document is installed through the reconciler. The engine executes a
+// scenario against core.System on an auto-advancing virtual clock, so
+// every modeled latency is a jump of simulated time, runs are
+// reproducible from the seed, and the conformance suite replays the whole
+// corpus in milliseconds of wall time.
 //
 // The format exists so that new placements, chains, and mobility patterns
 // are new data files, not new test code — see scenarios/ at the repo root
@@ -22,7 +26,6 @@ import (
 	"sort"
 	"time"
 
-	"gnf/internal/manager"
 	dstate "gnf/internal/spec"
 )
 
@@ -82,49 +85,22 @@ type Cloud struct {
 	RateBps int64 `json:"rate_bps,omitempty"`
 }
 
-// Function is one NF of a chain, instantiated by kind from the registry.
-type Function struct {
-	Kind   string            `json:"kind"`
-	Name   string            `json:"name,omitempty"`
-	Params map[string]string `json:"params,omitempty"`
-	// Affinity tags the function's placement preference ("near-client",
-	// "aggregate", "cloud-ok"; empty inherits the previous function's
-	// tag). A chain whose functions carry more than one effective tag is
-	// split into per-station segments: the near-client head roams with
-	// the client while anchored segments stay put, linked over tunnels.
-	Affinity string `json:"affinity,omitempty"`
-}
-
-// Chain is a named NF chain.
-type Chain struct {
-	Name      string     `json:"name"`
-	Functions []Function `json:"functions"`
-	// MaxRTTMs is the chain's QoS budget: the largest predicted
-	// client<->chain round-trip (milliseconds) tolerated. Requires a
-	// topology block; placement rejects over-budget candidates,
-	// roaming lets the chain lag behind its client while in budget, and
-	// the engine fails the run if the budget is violated at scenario end.
-	MaxRTTMs float64 `json:"max_rtt_ms,omitempty"`
-}
-
-// Client is one mobile client. MAC and IP addressing is assigned
+// Client is one mobile client: identity and starting position. Its chains
+// are the spec's business. MAC and IP addressing is assigned
 // deterministically from the client's index; IP may be overridden.
 type Client struct {
 	ID string `json:"id"`
 	IP string `json:"ip,omitempty"`
-	// At places the client before the script runs (omitted = start
-	// unassociated; required when Chains are declared, since the manager
-	// only deploys chains for an attached client).
+	// At places the client before the spec is installed (omitted = start
+	// unassociated; the spec may give chains only to a placed client,
+	// since the manager only deploys chains for an attached client).
 	At *Point `json:"at,omitempty"`
-	// Chains are attached at deployment, right after the client's initial
-	// placement. Attach chains to a late-joining client with the
-	// attach-chain script action instead.
-	Chains []Chain `json:"chains,omitempty"`
 	// Count > 1 expands this entry into a fleet of Count clients named
-	// "<id>-0000".."<id>-NNNN", each placed at At with copies of Chains
-	// (each copy suffixed "-NNNN", since chain names are station-global) —
-	// the mass-mobility population a storm step hands off in one window.
-	// Addressing stays index-derived, so IP cannot be combined with Count.
+	// "<id>-0000".."<id>-NNNN", each placed at At — the mass-mobility
+	// population a storm step hands off in one window. A spec client
+	// naming the fleet stands for every member, each chain name suffixed
+	// like the member's ID (chain names are station-global). Addressing
+	// stays index-derived, so IP cannot be combined with Count.
 	Count int `json:"count,omitempty"`
 }
 
@@ -135,14 +111,11 @@ type Step struct {
 	At     Duration `json:"at,omitempty"`
 	Action string   `json:"action"`
 
-	Client  string `json:"client,omitempty"`
-	Cell    string `json:"cell,omitempty"`
-	To      *Point `json:"to,omitempty"`
-	Station string `json:"station,omitempty"`
-	Site    string `json:"site,omitempty"`
-
-	Chain     *Chain `json:"chain,omitempty"`      // attach-chain
-	ChainName string `json:"chain_name,omitempty"` // detach-chain, migrate, schedule
+	Client    string `json:"client,omitempty"`
+	Cell      string `json:"cell,omitempty"`
+	To        *Point `json:"to,omitempty"`
+	Station   string `json:"station,omitempty"`
+	ChainName string `json:"chain_name,omitempty"` // migrate
 
 	// waypoint parameters.
 	Rounds   int      `json:"rounds,omitempty"`
@@ -151,14 +124,9 @@ type Step struct {
 	ArenaW   float64  `json:"arena_w,omitempty"`
 	ArenaH   float64  `json:"arena_h,omitempty"`
 
-	// schedule window, relative to the step's virtual time.
-	EnableAfter  Duration `json:"enable_after,omitempty"`
-	DisableAfter Duration `json:"disable_after,omitempty"`
-
-	Strategy string `json:"strategy,omitempty"` // set-strategy
-
-	// Spec is the desired-state document an apply-spec step installs; the
-	// engine then drives reconcile passes until the fleet converges.
+	// Spec is the desired-state document an apply-spec step installs in
+	// place of the previous one; the engine then drives reconcile passes
+	// until the fleet converges.
 	Spec *dstate.Spec `json:"spec,omitempty"`
 
 	// traffic parameters: the client sends Frames UDP frames spread over
@@ -185,24 +153,18 @@ const (
 	ActMove           = "move"            // move Client to To (re-associates by coverage)
 	ActAttach         = "attach"          // force Client onto Cell
 	ActDetach         = "detach"          // disassociate Client
-	ActAttachChain    = "attach-chain"    // attach Chain to Client
-	ActDetachChain    = "detach-chain"    // detach ChainName from Client
 	ActMigrate        = "migrate"         // move ChainName of Client to Station
 	ActWaypoint       = "waypoint"        // Rounds random-waypoint steps of Interval at Speed
 	ActKillStation    = "kill-station"    // drop Station's management link
 	ActRestartStation = "restart-station" // reconnect Station's agent
 	ActCheckFailures  = "check-failures"  // run the manager's failure scan
-	ActOffload        = "offload"         // move Client's chains to cloud Site
-	ActRecall         = "recall"          // bring Client's chains back to the edge
-	ActSchedule       = "schedule"        // window ChainName of Client
 	ActEvalSchedules  = "eval-schedules"  // apply activation windows at current virtual time
-	ActSetStrategy    = "set-strategy"    // switch migration Strategy
 	ActSettle         = "settle"          // wait for in-flight work (implicit after every step)
 	ActTraffic        = "traffic"         // Client sends Frames frames over Flows flows
 	ActLoad           = "load"            // Client drives Flows megascale flows for Rounds rounds
 	ActAutoscale      = "autoscale"       // run one manager autoscaler evaluation
 	ActEvacuate       = "evacuate"        // move every chain off Station (maintenance)
-	ActApplySpec      = "apply-spec"      // install Spec as desired state, reconcile to convergence
+	ActApplySpec      = "apply-spec"      // replace the desired state with Spec, reconcile to convergence
 	ActReconcile      = "reconcile"       // run one desired-state reconcile pass
 	ActStorm          = "storm"           // hand the whole fleet of Client off onto Cell at once
 )
@@ -305,8 +267,8 @@ type Expect struct {
 	// MaxP99Ms caps the load step's 99th-percentile virtual-clock latency
 	// (milliseconds); 0 means no check.
 	MaxP99Ms float64 `json:"max_p99_ms,omitempty"`
-	// ConvergedWithinMs caps the virtual time every apply-spec step took to
-	// reach convergence, and requires the desired state to still be
+	// ConvergedWithinMs caps the virtual time every installed document (the
+	// spec, each apply-spec step) took to reach convergence, and requires the desired state to still be
 	// converged (empty diff) at scenario end; 0 means no check.
 	ConvergedWithinMs float64 `json:"converged_within_ms,omitempty"`
 	// MaxReconcileActions bounds the total imperative actions all reconcile
@@ -334,15 +296,19 @@ type Spec struct {
 	Name        string          `json:"name"`
 	Description string          `json:"description,omitempty"`
 	Seed        int64           `json:"seed"`
-	Strategy    string          `json:"strategy,omitempty"`   // cold | stateful (default) | live
 	Hysteresis  float64         `json:"hysteresis,omitempty"` // metres (default 5)
 	Topology    *Topology       `json:"topology,omitempty"`
 	Autoscaler  *AutoscalerSpec `json:"autoscaler,omitempty"`
 	Stations    []Station       `json:"stations"`
 	Clouds      []Cloud         `json:"clouds,omitempty"`
 	Clients     []Client        `json:"clients"`
-	Script      []Step          `json:"script,omitempty"`
-	Expect      Expect          `json:"expect"`
+	// Spec is the desired state installed once every client is placed:
+	// chains, offload pins, schedules and the migration strategy
+	// (stateful when it names none). Schedule times are on the scenario's
+	// timeline: T means the scenario's start plus T - clock.Epoch.
+	Spec   *dstate.Spec `json:"spec,omitempty"`
+	Script []Step       `json:"script,omitempty"`
+	Expect Expect       `json:"expect"`
 }
 
 // Validate checks structural consistency before a run: unique IDs, known
@@ -353,9 +319,6 @@ func (sp *Spec) Validate() error {
 	}
 	if len(sp.Stations) == 0 {
 		return fmt.Errorf("scenario %s: no stations", sp.Name)
-	}
-	if !validStrategy(sp.Strategy, true) {
-		return fmt.Errorf("scenario %s: unknown strategy %q (want cold, stateful or live)", sp.Name, sp.Strategy)
 	}
 	stations := map[string]bool{}
 	cells := map[string]bool{}
@@ -409,7 +372,7 @@ func (sp *Spec) Validate() error {
 			}
 		}
 	}
-	clients := map[string]bool{}
+	clients, placed := map[string]bool{}, map[string]bool{}
 	for _, c := range sp.Clients {
 		if c.ID == "" {
 			return fmt.Errorf("scenario %s: client with empty id", sp.Name)
@@ -428,15 +391,18 @@ func (sp *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: client %s count %d exceeds the addressing space", sp.Name, c.ID, c.Count)
 			}
 		}
-		if len(c.Chains) > 0 && c.At == nil {
-			return fmt.Errorf("scenario %s: client %s declares chains but no initial position (\"at\"); use the attach-chain action for late joiners", sp.Name, c.ID)
+		clients[c.ID] = true
+		placed[c.ID] = c.At != nil
+	}
+	if sp.Spec != nil {
+		if err := sp.checkDoc(sp.Spec, "spec", clients, sites); err != nil {
+			return err
 		}
-		for _, ch := range c.Chains {
-			if err := validChainBudget(sp, ch); err != nil {
-				return err
+		for _, dc := range sp.Spec.Clients {
+			if len(dc.Chains) > 0 && !placed[dc.ID] {
+				return fmt.Errorf("scenario %s: spec gives client %s chains but the client has no initial position (\"at\"); a late joiner gets its chains from an apply-spec step", sp.Name, dc.ID)
 			}
 		}
-		clients[c.ID] = true
 	}
 	last := Duration(0)
 	for i, st := range sp.Script {
@@ -446,12 +412,10 @@ func (sp *Spec) Validate() error {
 		}
 		last = st.At
 		switch st.Action {
-		case ActMove, ActAttach, ActDetach, ActAttachChain, ActDetachChain,
-			ActMigrate, ActWaypoint, ActKillStation, ActRestartStation,
-			ActCheckFailures, ActOffload, ActRecall, ActSchedule,
-			ActEvalSchedules, ActSetStrategy, ActSettle, ActTraffic,
-			ActLoad, ActAutoscale, ActEvacuate, ActApplySpec, ActReconcile,
-			ActStorm:
+		case ActMove, ActAttach, ActDetach, ActMigrate, ActWaypoint,
+			ActKillStation, ActRestartStation, ActCheckFailures,
+			ActEvalSchedules, ActSettle, ActTraffic, ActLoad, ActAutoscale,
+			ActEvacuate, ActApplySpec, ActReconcile, ActStorm:
 		default:
 			return fmt.Errorf("scenario %s: script step %d has unknown action %q", sp.Name, i, st.Action)
 		}
@@ -464,19 +428,9 @@ func (sp *Spec) Validate() error {
 			if !stations[st.Station] {
 				return fmt.Errorf("scenario %s: step %d references unknown station %q", sp.Name, i, st.Station)
 			}
-		case ActAttachChain:
-			if st.Chain != nil {
-				if err := validChainBudget(sp, *st.Chain); err != nil {
-					return err
-				}
-			}
 		case ActMigrate:
 			if !stations[st.Station] && !sites[st.Station] {
 				return fmt.Errorf("scenario %s: step %d references unknown station %q", sp.Name, i, st.Station)
-			}
-		case ActOffload:
-			if !sites[st.Site] {
-				return fmt.Errorf("scenario %s: step %d references unknown cloud site %q", sp.Name, i, st.Site)
 			}
 		case ActAttach, ActStorm:
 			if !cells[st.Cell] {
@@ -488,10 +442,6 @@ func (sp *Spec) Validate() error {
 			}
 			if st.ArenaW <= 0 {
 				return fmt.Errorf("scenario %s: step %d waypoint needs arena_w > 0 (arena_h 0 means a 1D corridor)", sp.Name, i)
-			}
-		case ActSetStrategy:
-			if !validStrategy(st.Strategy, false) {
-				return fmt.Errorf("scenario %s: step %d set-strategy needs cold, stateful or live, got %q", sp.Name, i, st.Strategy)
 			}
 		case ActTraffic:
 			if st.Frames <= 0 {
@@ -508,21 +458,8 @@ func (sp *Spec) Validate() error {
 			if st.Spec == nil {
 				return fmt.Errorf("scenario %s: step %d apply-spec needs a spec block", sp.Name, i)
 			}
-			if err := st.Spec.Validate(); err != nil {
-				return fmt.Errorf("scenario %s: step %d: %w", sp.Name, i, err)
-			}
-			for _, dc := range st.Spec.Clients {
-				if !clients[dc.ID] {
-					return fmt.Errorf("scenario %s: step %d desired spec references unknown client %q", sp.Name, i, dc.ID)
-				}
-				if dc.Offload != "" && !sites[dc.Offload] {
-					return fmt.Errorf("scenario %s: step %d desired spec references unknown cloud site %q", sp.Name, i, dc.Offload)
-				}
-				for _, ch := range dc.Chains {
-					if ch.MaxRTTMs > 0 && sp.Topology == nil {
-						return fmt.Errorf("scenario %s: step %d desired chain %s declares max_rtt_ms but the scenario has no topology block", sp.Name, i, ch.Name)
-					}
-				}
+			if err := sp.checkDoc(st.Spec, fmt.Sprintf("step %d", i), clients, sites); err != nil {
+				return err
 			}
 		}
 	}
@@ -540,42 +477,34 @@ func (sp *Spec) Validate() error {
 	return nil
 }
 
-// validChainBudget rejects malformed QoS budgets: negative, or declared
-// without the topology that would give them meaning.
-func validChainBudget(sp *Spec, ch Chain) error {
-	if ch.MaxRTTMs < 0 {
-		return fmt.Errorf("scenario %s: chain %s has negative max_rtt_ms", sp.Name, ch.Name)
+// checkDoc checks a desired-state document against the scenario it is
+// installed into: the document's own rules (spec.Validate: strategy names,
+// affinities, budgets, windows) plus the references only the scenario can
+// resolve — declared clients or fleets, cloud sites, and a topology for
+// every RTT budget.
+func (sp *Spec) checkDoc(doc *dstate.Spec, where string, clients, sites map[string]bool) error {
+	if err := doc.Validate(); err != nil {
+		return fmt.Errorf("scenario %s: %s: %w", sp.Name, where, err)
 	}
-	if ch.MaxRTTMs > 0 && sp.Topology == nil {
-		return fmt.Errorf("scenario %s: chain %s declares max_rtt_ms but the scenario has no topology block", sp.Name, ch.Name)
-	}
-	for _, fn := range ch.Functions {
-		if !manager.ValidAffinity(fn.Affinity) {
-			return fmt.Errorf("scenario %s: chain %s function %s has unknown affinity %q",
-				sp.Name, ch.Name, fn.Kind, fn.Affinity)
+	for _, dc := range doc.Clients {
+		if !clients[dc.ID] {
+			return fmt.Errorf("scenario %s: %s references unknown client %q", sp.Name, where, dc.ID)
+		}
+		if dc.Offload != "" && !sites[dc.Offload] {
+			return fmt.Errorf("scenario %s: %s references unknown cloud site %q", sp.Name, where, dc.Offload)
+		}
+		for _, ch := range dc.Chains {
+			if ch.MaxRTTMs > 0 && sp.Topology == nil {
+				return fmt.Errorf("scenario %s: %s: chain %s declares max_rtt_ms but the scenario has no topology block", sp.Name, where, ch.Name)
+			}
 		}
 	}
 	return nil
 }
 
-// validStrategy accepts the spec-facing migration strategies; a typo'd
-// value would otherwise silently fall back to cold migration in the
-// manager and test nothing.
-func validStrategy(s string, allowEmpty bool) bool {
-	switch s {
-	case "cold", "stateful", "live":
-		return true
-	case "":
-		return allowEmpty
-	}
-	return false
-}
-
 func needsClient(action string) bool {
 	switch action {
-	case ActMove, ActAttach, ActDetach, ActAttachChain, ActDetachChain,
-		ActMigrate, ActOffload, ActRecall, ActSchedule, ActTraffic, ActLoad,
-		ActStorm:
+	case ActMove, ActAttach, ActDetach, ActMigrate, ActTraffic, ActLoad, ActStorm:
 		return true
 	}
 	return false
@@ -587,14 +516,25 @@ func Load(path string) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	sp, err := parse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return sp, nil
+}
+
+// parse decodes one scenario document strictly (an unknown field is an
+// error, so a removed or misspelt key cannot be silently ignored) and
+// validates it.
+func parse(raw []byte) (*Spec, error) {
 	var sp Spec
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("scenario: %s: %w", path, err)
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := sp.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return &sp, nil
 }

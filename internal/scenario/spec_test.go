@@ -6,7 +6,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gnf/internal/agent"
+	"gnf/internal/manager"
+	dstate "gnf/internal/spec"
 )
+
+// counterSpec is a desired state giving client c0 one counter chain.
+func counterSpec() *dstate.Spec {
+	return &dstate.Spec{Clients: []dstate.Client{{ID: "c0", Chains: []dstate.Chain{{
+		ChainSpec: manager.ChainSpec{Name: "ch", Functions: []agent.NFSpec{{Kind: "counter", Name: "acct"}}},
+	}}}}}
+}
 
 func base() *Spec {
 	return &Spec{
@@ -33,7 +44,7 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 		{"unknown client ref", func(s *Spec) { s.Script = []Step{{Action: ActMove, Client: "ghost", To: &Point{}}} }, "unknown client"},
 		{"unknown cell ref", func(s *Spec) { s.Script = []Step{{Action: ActAttach, Client: "c0", Cell: "nowhere"}} }, "unknown cell"},
 		{"unknown station ref", func(s *Spec) { s.Script = []Step{{Action: ActKillStation, Station: "ghost"}} }, "unknown station"},
-		{"unknown site ref", func(s *Spec) { s.Script = []Step{{Action: ActOffload, Client: "c0", Site: "ghost"}} }, "unknown cloud site"},
+		{"unknown site ref", func(s *Spec) { s.Spec = &dstate.Spec{Clients: []dstate.Client{{ID: "c0", Offload: "ghost"}}} }, "unknown cloud site"},
 		{"time reversal", func(s *Spec) {
 			s.Script = []Step{
 				{At: Duration(2 * time.Second), Action: ActSettle},
@@ -44,11 +55,10 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 		{"waypoint arena", func(s *Spec) {
 			s.Script = []Step{{Action: ActWaypoint, Rounds: 1, Speed: 1, Interval: Duration(time.Second)}}
 		}, "arena_w"},
-		{"typo'd strategy", func(s *Spec) { s.Strategy = "statefull" }, "unknown strategy"},
-		{"set-strategy without value", func(s *Spec) { s.Script = []Step{{Action: ActSetStrategy}} }, "set-strategy needs"},
+		{"typo'd strategy", func(s *Spec) { s.Spec = &dstate.Spec{Strategy: "statefull"} }, "unknown strategy"},
 		{"chains without position", func(s *Spec) {
 			s.Clients[0].At = nil
-			s.Clients[0].Chains = []Chain{{Name: "ch", Functions: []Function{{Kind: "counter"}}}}
+			s.Spec = counterSpec()
 		}, "no initial position"},
 		{"traffic without frames", func(s *Spec) {
 			s.Script = []Step{{Action: ActTraffic, Client: "c0"}}
@@ -82,16 +92,20 @@ func TestValidateCatchesBadSpecs(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
+	const stations = `"stations":[{"id":"st-a","cells":[{"id":"cell-a","center":{"x":0},"radius":50}]}]`
 	for _, doc := range []string{
 		`{"name":"x","statoins":[]}`,
 		`{"name":"x","prewarm":true}`, // a field that was removed, not one that is ignored
+		// Chains and the strategy moved into the spec key.
+		`{"name":"x","strategy":"live",` + stations + `,"clients":[]}`,
+		`{"name":"x",` + stations + `,"clients":[{"id":"c0","at":{"x":0},"chains":[]}]}`,
 	} {
 		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(path); err == nil {
-			t.Errorf("%s: expected unknown-field error", doc)
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: got %v, want an unknown-field error", doc, err)
 		}
 	}
 }
@@ -120,7 +134,7 @@ func TestDurationRoundTrip(t *testing.T) {
 // expectations fails loudly rather than erroring out.
 func TestEngineReportsUnmetExpectations(t *testing.T) {
 	sp := base()
-	sp.Clients[0].Chains = []Chain{{Name: "ch", Functions: []Function{{Kind: "counter"}}}}
+	sp.Spec = counterSpec()
 	sp.Expect = Expect{
 		MinHandoffs:   99,
 		FinalStations: map[string]string{"c0": "st-zz"},

@@ -11,8 +11,8 @@
 // The design follows the declarative controllers of related systems:
 // sfc-controller renders chains from a versioned config and re-renders on
 // change, metallb continuously reconciles watched config into speaker
-// state. The Spec is the shared vocabulary between manager, UI, gnfctl,
-// and the scenario engine.
+// state. The Spec says which chains should run, wherever it comes from:
+// PUT /api/spec, `gnfctl apply -f`, or a scenario's spec and apply-spec.
 package spec
 
 import (
