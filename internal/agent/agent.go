@@ -78,9 +78,9 @@ type deployment struct {
 	// building marks a name reservation while Deploy constructs resources;
 	// such entries are invisible to every other API.
 	building bool
-	// Pre-copy session state (guarded by Agent.mu): the per-member dirty
+	// Export session state (guarded by Agent.mu): the per-member dirty
 	// epochs of the last PreCopy export and the 1-based round counter.
-	// Rounds of one session are serialised by the manager (per-client
+	// Exports of one session are serialised by the manager (per-client
 	// migration lock), so no finer synchronisation is needed.
 	preEpochs []uint64
 	preRound  int
@@ -535,20 +535,19 @@ func (a *Agent) get(chain string) (*deployment, error) {
 	return d, nil
 }
 
-// setForwarding turns a chain's forwarding on or off. An exclusive chain's
-// host does it; a shared attachment's steering does, since the pooled
-// instance itself always forwards for its other sharers — enabled, the
-// client's rules select the instance's groups, disabled they drop. A
-// disabled chain so behaves the same — fail closed — whether its instance is
+// stop turns a chain's forwarding off. An exclusive chain's host does it
+// (host); a shared attachment's steering does, since the pooled instance
+// itself always forwards for its other sharers — its rules drop. A disabled
+// chain so behaves the same — fail closed — whether its instance is
 // exclusive or shared: a firewall mid-migration never fails open just
 // because the instance also serves other clients.
-func (a *Agent) setForwarding(chain string, on bool, host func(*nf.ChainHost)) error {
+func (a *Agent) stop(chain string, host func(*nf.ChainHost)) error {
 	d, err := a.get(chain)
 	if err != nil {
 		return err
 	}
 	if d.shared != nil {
-		return a.setLegs(d, func(s *steering) { s.deliver = on })
+		return a.setLegs(d, func(s *steering) { s.deliver = false })
 	}
 	host(d.res.host)
 	return nil
@@ -556,37 +555,63 @@ func (a *Agent) setForwarding(chain string, on bool, host func(*nf.ChainHost)) e
 
 // Enable starts forwarding on a deployed chain.
 func (a *Agent) Enable(chain string) error {
-	_, err := a.enable(chain)
+	_, err := a.enable(trace.Context{}, chain)
 	return err
 }
 
-// enable is Enable, counted: how many frames the chain's brownout buffer had
-// parked — the freeze window of a stop-and-copy move onto this station — and
-// replayed on the way to forwarding. Zero for a shared attachment, which has
-// no buffer of its own.
-func (a *Agent) enable(chain string) (replayed uint64, err error) {
-	err = a.setForwarding(chain, true, func(h *nf.ChainHost) {
-		before := h.Replayed()
-		h.Enable()
-		replayed = h.Replayed() - before
-	})
-	return replayed, err
+// Activate is Enable reporting how many frames it replayed: the name the
+// benchmark's agent layer times a live handoff's last step under.
+func (a *Agent) Activate(chain string) (*EnableResult, error) {
+	return a.enable(trace.Context{}, chain)
+}
+
+// enable flips a deployment live: its legs deliver — steering goes in for a
+// client that has associated since the deploy, and a pool attachment's rules
+// stop dropping — and an exclusive chain's host forwards, first replaying in
+// arrival order every frame its brownout buffer parked: the freeze window of
+// a move onto this station, the loss-free end of a handoff. A shared
+// attachment has no buffer of its own. Under a trace, the steering flip and
+// the replay — the two sub-steps whose durations bound a handoff's downtime
+// — each get a child span.
+func (a *Agent) enable(tctx trace.Context, chain string) (*EnableResult, error) {
+	d, err := a.get(chain)
+	if err != nil {
+		return nil, err
+	}
+	flip := a.tracer.Child(tctx, "agent.steer_flip")
+	err = a.setLegs(d, func(s *steering) { s.deliver = true })
+	flip.End(err)
+	if d.shared != nil {
+		if err != nil {
+			return nil, err
+		}
+		return &EnableResult{Chain: chain}, nil
+	}
+	// An exclusive chain's legs are best effort here: a deployment removed
+	// meanwhile has no rules to flip, and its host is all there is to enable.
+	replay := a.tracer.Child(tctx, "agent.brownout_replay")
+	before := d.res.host.Replayed()
+	d.res.host.Enable()
+	replayed := d.res.host.Replayed() - before
+	replay.SetAttr("replayed", strconv.FormatUint(replayed, 10))
+	replay.End(nil)
+	return &EnableResult{Chain: chain, Replayed: replayed}, nil
 }
 
 // Disable pauses forwarding: traffic for the chain drops.
 func (a *Agent) Disable(chain string) error {
-	return a.setForwarding(chain, false, (*nf.ChainHost).Disable)
+	return a.stop(chain, (*nf.ChainHost).Disable)
 }
 
 // Freeze pauses forwarding for a migration: unlike Disable, in-flight
 // stragglers park in the brownout buffer, keeping the freeze window
-// drop-free while the residual delta ships. Frames still parked when the
+// drop-free while the last export ships. Frames still parked when the
 // source is removed are folded into the station's retired-drop counter —
 // loss is deferred and made visible at teardown, never hidden. Shared
 // attachments swap to drop rules like Disable (the roamed client's traffic
 // no longer arrives here).
 func (a *Agent) Freeze(chain string) error {
-	return a.setForwarding(chain, false, func(h *nf.ChainHost) { h.FreezeBuffered(brownoutDepth) })
+	return a.stop(chain, func(h *nf.ChainHost) { h.FreezeBuffered(brownoutDepth) })
 }
 
 // stateOf resolves what a state-moving call acts on: the chain, and the
@@ -596,8 +621,17 @@ func (a *Agent) Freeze(chain string) error {
 // exported for continuity, never per-client correctness state). With
 // importing set, a pooled instance that serves other sharers too yields a
 // nil chain: the state of the clients already being served wins, and an
-// import only lands while this attachment is the sole sharer (a migration
-// arriving on a fresh instance).
+// import only lands while this attachment is the sole sharer.
+//
+// That sole sharer's import is the one that can land on an instance that
+// already holds state: a pooled instance idling in its grace window, revived
+// by this deploy, still carries what its departed sharers left. The import
+// merges into it. That is correct because what is there is advisory and
+// keyed — a counter's flows by their five-tuple, so the arriving client's
+// flows upsert beside the departed ones' and its totals are adopted — and
+// every pre-copy round after the first merged onto the target all along.
+// Every other import lands on a fresh instance, where a merge is the
+// blob's state.
 func (a *Agent) stateOf(chain string, importing bool) (*deployment, *nf.Chain, *container.Container, error) {
 	d, err := a.get(chain)
 	if err != nil {
@@ -621,37 +655,14 @@ func (a *Agent) stateOf(chain string, importing bool) (*deployment, *nf.Chain, *
 	return d, res.replicas[0].chain, nil, nil
 }
 
-// Checkpoint exports the chain's aggregate NF state.
-func (a *Agent) Checkpoint(chain string) ([]byte, error) {
-	_, ch, box, err := a.stateOf(chain, false)
-	if err != nil {
-		return nil, err
-	}
-	if box == nil {
-		return ch.ExportState()
-	}
-	return box.Checkpoint()
-}
-
-// Restore imports chain state exported by Checkpoint.
-func (a *Agent) Restore(chain string, state []byte) error {
-	_, ch, box, err := a.stateOf(chain, true)
-	if err != nil || ch == nil {
-		return err
-	}
-	if box == nil {
-		return ch.ImportState(state)
-	}
-	return box.Restore(state)
-}
-
-// PreCopy runs one pre-copy round for a live migration: it exports the
-// chain state dirtied since the previous round of the session (the full
-// state on the first round) while the chain keeps serving. restart
-// discards any stale session from an earlier migration attempt. Rounds of
-// one session are serialised by the caller (the manager holds the
-// client's migration lock).
-func (a *Agent) PreCopy(chain string, restart bool) (*PreCopyResult, error) {
+// PreCopy is the agent's one state export: the chain state dirtied since
+// the session's previous export, or all of it on a session's first export.
+// restart discards the session first — an export since nothing — so a move
+// never resumes a stale session of an earlier attempt. Every export of a
+// move runs through it: the rounds while the chain still serves, and the
+// last one after its freeze. Exports of one session are serialised by the
+// caller (the manager holds the client's migration lock).
+func (a *Agent) PreCopy(chain string, restart bool) (*CheckpointResult, error) {
 	d, ch, box, err := a.stateOf(chain, false)
 	if err != nil {
 		return nil, err
@@ -678,55 +689,36 @@ func (a *Agent) PreCopy(chain string, restart bool) (*PreCopyResult, error) {
 	d.preRound++
 	round := d.preRound
 	a.mu.Unlock()
-	return &PreCopyResult{Chain: chain, State: blob, Round: round}, nil
+	return &CheckpointResult{Chain: chain, State: blob, Round: round}, nil
 }
 
-// SyncDelta applies one pre-copy round's payload to the target chain.
-func (a *Agent) SyncDelta(chain string, state []byte) error {
+// Checkpoint is PreCopy since nothing, returning the blob alone: a
+// stop-and-copy's export as one call, which the benchmark's agent layer
+// times.
+func (a *Agent) Checkpoint(chain string) ([]byte, error) {
+	r, err := a.PreCopy(chain, true)
+	if err != nil {
+		return nil, err
+	}
+	return r.State, nil
+}
+
+// Restore is the agent's one state import: it merges exported chain state
+// into the chain (see stateOf for where that may already hold some).
+func (a *Agent) Restore(chain string, state []byte) error {
 	_, ch, box, err := a.stateOf(chain, true)
 	if err != nil || ch == nil {
 		return err
 	}
 	if box == nil {
-		return ch.ImportStateDelta(state)
+		return ch.ImportState(state)
 	}
-	return box.RestoreDelta(state)
+	return box.Restore(state)
 }
 
-// Activate flips a migration-staged deployment live: steering is installed
-// if the client has associated since the deploy, the chain starts
-// forwarding, and every brownout-buffered frame is replayed in arrival
-// order — the loss-free end of a handoff.
-func (a *Agent) Activate(chain string) (*ActivateResult, error) {
-	return a.ActivateTraced(trace.Context{}, chain)
-}
-
-// ActivateTraced is Activate under a trace: the steering flip and the
-// brownout replay — the two sub-steps whose durations bound a handoff's
-// downtime — each get their own child span when tctx is recording.
-func (a *Agent) ActivateTraced(tctx trace.Context, chain string) (*ActivateResult, error) {
-	d, err := a.get(chain)
-	if err != nil {
-		return nil, err
-	}
-	flip := a.tracer.Child(tctx, "agent.steer_flip")
-	// A tunnel leg went in with the deploy; what can still be missing is the
-	// leg of a client that has associated since, and an attachment's rules
-	// drop until now. Best effort: a deployment removed meanwhile has no
-	// rules to flip, and its host (or nothing) is all that is enabled below.
-	_ = a.setLegs(d, func(s *steering) { s.deliver = true })
-	flip.End(nil)
-	if d.shared != nil {
-		return &ActivateResult{Chain: chain}, nil
-	}
-	replay := a.tracer.Child(tctx, "agent.brownout_replay")
-	before := d.res.host.Replayed()
-	d.res.host.Enable()
-	replayed := d.res.host.Replayed() - before
-	replay.SetAttr("replayed", strconv.FormatUint(replayed, 10))
-	replay.End(nil)
-	return &ActivateResult{Chain: chain, Replayed: replayed}, nil
-}
+// SyncDelta is Restore, under the name the benchmark's agent layer times a
+// pre-copy round's import with.
+func (a *Agent) SyncDelta(chain string, state []byte) error { return a.Restore(chain, state) }
 
 // Remove tears a deployment down: steering rules out first (traffic cuts
 // over to normal forwarding), then containers, ports and veths. Shared

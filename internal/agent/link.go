@@ -144,16 +144,12 @@ func (l *Link) installHandlers() {
 		}
 		return nil, a.Remove(ref.Chain)
 	})
-	traced(MethodEnable, func(_ trace.Context, body json.RawMessage) (any, error) {
+	traced(MethodEnable, func(tctx trace.Context, body json.RawMessage) (any, error) {
 		var ref ChainRef
 		if err := json.Unmarshal(body, &ref); err != nil {
 			return nil, err
 		}
-		replayed, err := a.enable(ref.Chain)
-		if err != nil {
-			return nil, err
-		}
-		return ActivateResult{Chain: ref.Chain, Replayed: replayed}, nil
+		return a.enable(tctx, ref.Chain)
 	})
 	traced(MethodDisable, func(_ trace.Context, body json.RawMessage) (any, error) {
 		var ref ChainRef
@@ -166,15 +162,11 @@ func (l *Link) installHandlers() {
 		return nil, a.Disable(ref.Chain)
 	})
 	traced(MethodCheckpoint, func(_ trace.Context, body json.RawMessage) (any, error) {
-		var ref ChainRef
-		if err := json.Unmarshal(body, &ref); err != nil {
+		var spec CheckpointSpec
+		if err := json.Unmarshal(body, &spec); err != nil {
 			return nil, err
 		}
-		state, err := a.Checkpoint(ref.Chain)
-		if err != nil {
-			return nil, err
-		}
-		return CheckpointResult{Chain: ref.Chain, State: state}, nil
+		return a.PreCopy(spec.Chain, spec.Restart)
 	})
 	tracedBlob(MethodRestore, func(_ trace.Context, body json.RawMessage, state []byte) (any, error) {
 		var spec RestoreSpec
@@ -182,27 +174,6 @@ func (l *Link) installHandlers() {
 			return nil, err
 		}
 		return nil, a.Restore(spec.Chain, state)
-	})
-	traced(MethodPreCopy, func(_ trace.Context, body json.RawMessage) (any, error) {
-		var spec PreCopySpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return nil, err
-		}
-		return a.PreCopy(spec.Chain, spec.Restart)
-	})
-	tracedBlob(MethodSyncDelta, func(_ trace.Context, body json.RawMessage, state []byte) (any, error) {
-		var spec SyncDeltaSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return nil, err
-		}
-		return nil, a.SyncDelta(spec.Chain, state)
-	})
-	traced(MethodActivate, func(tctx trace.Context, body json.RawMessage) (any, error) {
-		var ref ChainRef
-		if err := json.Unmarshal(body, &ref); err != nil {
-			return nil, err
-		}
-		return a.ActivateTraced(tctx, ref.Chain)
 	})
 	traced(MethodStats, func(_ trace.Context, _ json.RawMessage) (any, error) {
 		return a.Report(), nil

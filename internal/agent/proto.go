@@ -40,8 +40,12 @@ func ParseSegmentName(dep string) (chain string, seg int) {
 // are served by the Manager (Agent calls/notifies up).
 const (
 	// Agent-served methods.
-	MethodDeploy     = "agent.deploy"
-	MethodRemove     = "agent.remove"
+	MethodDeploy = "agent.deploy"
+	MethodRemove = "agent.remove"
+	// A move's state rides three methods: Checkpoint exports what the
+	// source's chain dirtied since the session's last export, Restore merges
+	// it on the target, and Enable flips the target live and replays what it
+	// parked meanwhile.
 	MethodCheckpoint = "agent.checkpoint"
 	MethodRestore    = "agent.restore"
 	MethodEnable     = "agent.enable"
@@ -57,12 +61,6 @@ const (
 	MethodUnsteer    = "agent.unsteer"
 	MethodRetarget   = "agent.retarget"
 	MethodScalePool  = "agent.scalePool"
-	// Live-migration pipeline: PreCopy exports (incremental) state from a
-	// still-serving source, SyncDelta applies it on the target, Activate
-	// flips the target live and replays its brownout buffer.
-	MethodPreCopy   = "agent.preCopy"
-	MethodSyncDelta = "agent.syncDelta"
-	MethodActivate  = "agent.activate"
 
 	// Manager-served methods.
 	MethodRegister    = "manager.register"
@@ -144,22 +142,36 @@ type ChainRef struct {
 	Brownout bool   `json:"brownout,omitempty"`
 }
 
-// The four state-carrying messages keep State out of their JSON: it rides the
+// CheckpointSpec asks a source agent for the next export of a chain's state:
+// what the chain dirtied since the session's previous export, or all of it
+// on a session's first. Restart discards any existing session first — an
+// export since nothing — so a fresh move never resumes a stale epoch vector.
+type CheckpointSpec struct {
+	Chain   string `json:"chain"`
+	Restart bool   `json:"restart,omitempty"`
+}
+
+// The two state-carrying messages keep State out of their JSON: it rides the
 // frame's raw section (package wire), so a chain's state crosses the manager
 // as the bytes the source wrote — never base64'd, never scanned — and the
-// buffer a CheckpointResult or PreCopyResult was read into is the one the
-// RestoreSpec or SyncDeltaSpec built from it is written out of.
+// buffer a CheckpointResult was read into is the one the RestoreSpec built
+// from it is written out of.
 
-// CheckpointResult carries exported chain state.
+// CheckpointResult carries one export of chain state; len(State) is the
+// caller's convergence signal.
 type CheckpointResult struct {
 	Chain string `json:"chain"`
 	State []byte `json:"-"`
+	Round int    `json:"round"` // 1-based export number within the session
 }
 
 func (r CheckpointResult) WireBlob() []byte      { return r.State }
 func (r *CheckpointResult) SetWireBlob(b []byte) { r.State = b }
 
-// RestoreSpec imports chain state.
+// PreCopyResult is CheckpointResult under the name of Agent.PreCopy.
+type PreCopyResult = CheckpointResult
+
+// RestoreSpec merges exported chain state into the target's chain.
 type RestoreSpec struct {
 	Chain string `json:"chain"`
 	State []byte `json:"-"`
@@ -167,38 +179,9 @@ type RestoreSpec struct {
 
 func (s RestoreSpec) WireBlob() []byte { return s.State }
 
-// PreCopySpec asks a source agent for the next pre-copy round of a chain:
-// the state dirtied since the previous round (the full state on the first
-// round of a session). Restart discards any existing session first, so a
-// fresh migration attempt never resumes a stale epoch vector.
-type PreCopySpec struct {
-	Chain   string `json:"chain"`
-	Restart bool   `json:"restart,omitempty"`
-}
-
-// PreCopyResult carries one pre-copy round's payload; len(State) is the
-// caller's convergence signal.
-type PreCopyResult struct {
-	Chain string `json:"chain"`
-	State []byte `json:"-"`     // chain-delta format (self-describing per member)
-	Round int    `json:"round"` // 1-based round number within the session
-}
-
-func (r PreCopyResult) WireBlob() []byte      { return r.State }
-func (r *PreCopyResult) SetWireBlob(b []byte) { r.State = b }
-
-// SyncDeltaSpec applies a pre-copy round's payload on the target.
-type SyncDeltaSpec struct {
-	Chain string `json:"chain"`
-	State []byte `json:"-"`
-}
-
-func (s SyncDeltaSpec) WireBlob() []byte { return s.State }
-
-// ActivateResult reports a target going live — MethodActivate's answer and
-// MethodEnable's: how many brownout-buffered frames were replayed through the
-// chain, making the handoff loss-free.
-type ActivateResult struct {
+// EnableResult reports a deployment going live: how many brownout-buffered
+// frames were replayed through the chain, making the handoff loss-free.
+type EnableResult struct {
 	Chain    string `json:"chain"`
 	Replayed uint64 `json:"replayed"`
 }

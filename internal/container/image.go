@@ -32,7 +32,6 @@ var (
 	ErrCapacity        = errors.New("container: host memory capacity exceeded")
 	ErrNameInUse       = errors.New("container: name already in use")
 	ErrNoStateHandler  = errors.New("container: no state handler installed")
-	ErrNoDeltaHandler  = errors.New("container: state handler does not support deltas")
 )
 
 // Image describes an NF image in the central repository.

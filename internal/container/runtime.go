@@ -80,14 +80,14 @@ type StateHandler interface {
 	ImportState([]byte) error
 }
 
-// DeltaStateHandler extends StateHandler with epoch-versioned incremental
-// export/import, the substrate of pre-copy live migration: every round
-// ships only the state dirtied since the previous round's epoch vector
-// (one epoch per chain member; nil = full export).
+// DeltaStateHandler is a StateHandler that can also export only the state
+// dirtied since an earlier export's epoch vector (one epoch per chain
+// member; nil = everything): every pre-copy round of a migration ships what
+// changed since the one before. ImportState merges what either export
+// wrote.
 type DeltaStateHandler interface {
 	StateHandler
 	ExportStateDelta(since []uint64) (delta []byte, epochs []uint64, err error)
-	ImportStateDelta(delta []byte) error
 }
 
 // Config describes a container to create.
@@ -448,34 +448,20 @@ func (c *Container) Remove() error {
 	return nil
 }
 
-// Checkpoint exports the application state (requires a StateHandler). The
-// container must be running or paused; cost scales with state size.
+// Checkpoint exports the application state (requires a StateHandler): all of
+// it, the checkpoint since nothing.
 func (c *Container) Checkpoint() ([]byte, error) {
-	c.mu.Lock()
-	h := c.handler
-	st := c.state
-	c.mu.Unlock()
-	if st != StateRunning && st != StatePaused {
-		return nil, fmt.Errorf("%w: checkpoint of %s container", ErrBadState, st)
-	}
-	if h == nil {
-		return nil, ErrNoStateHandler
-	}
-	data, err := h.ExportState()
-	if err != nil {
-		return nil, err
-	}
-	kb := (len(data) + 1023) / 1024
-	c.rt.clk.Sleep(time.Duration(kb) * c.rt.costs.CheckpointKB)
-	c.rt.emit(EventCheckpoint, c.cfg.Name, c.img.Name)
-	return data, nil
+	data, _, err := c.CheckpointDelta(nil)
+	return data, err
 }
 
-// CheckpointDelta exports only the application state dirtied since the
-// epoch vector of a previous export (nil = full, starting the sequence).
-// The modeled cost scales with the *delta* size — the whole point of
-// pre-copy migration: the expensive full export happens while the source
-// still serves, and the frozen residual round pays only for what changed.
+// CheckpointDelta exports the application state dirtied since the epoch
+// vector of a previous export (nil = all of it, starting the sequence); a
+// handler without epochs exports all of it every time. The container must be
+// running or paused, and the modeled cost scales with what is exported — the
+// whole point of pre-copy migration: the expensive full export happens while
+// the source still serves, and the frozen last round pays only for what
+// changed.
 func (c *Container) CheckpointDelta(since []uint64) ([]byte, []uint64, error) {
 	c.mu.Lock()
 	h := c.handler
@@ -487,11 +473,14 @@ func (c *Container) CheckpointDelta(since []uint64) ([]byte, []uint64, error) {
 	if h == nil {
 		return nil, nil, ErrNoStateHandler
 	}
-	dh, ok := h.(DeltaStateHandler)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNoDeltaHandler, c.cfg.Name)
+	var data []byte
+	var epochs []uint64
+	var err error
+	if dh, ok := h.(DeltaStateHandler); ok {
+		data, epochs, err = dh.ExportStateDelta(since)
+	} else {
+		data, err = h.ExportState()
 	}
-	data, epochs, err := dh.ExportStateDelta(since)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -501,7 +490,8 @@ func (c *Container) CheckpointDelta(since []uint64) ([]byte, []uint64, error) {
 	return data, epochs, nil
 }
 
-// Restore imports previously checkpointed state into the container.
+// Restore imports checkpointed state into the container: what Checkpoint
+// or CheckpointDelta exported, handed to the handler's ImportState.
 func (c *Container) Restore(data []byte) error {
 	c.mu.Lock()
 	h := c.handler
@@ -510,29 +500,6 @@ func (c *Container) Restore(data []byte) error {
 		return ErrNoStateHandler
 	}
 	if err := h.ImportState(data); err != nil {
-		return err
-	}
-	kb := (len(data) + 1023) / 1024
-	c.rt.clk.Sleep(time.Duration(kb) * c.rt.costs.RestoreKB)
-	c.rt.emit(EventRestored, c.cfg.Name, c.img.Name)
-	return nil
-}
-
-// RestoreDelta merges a delta produced by CheckpointDelta into the
-// container's application state; the modeled cost scales with the delta
-// size.
-func (c *Container) RestoreDelta(data []byte) error {
-	c.mu.Lock()
-	h := c.handler
-	c.mu.Unlock()
-	if h == nil {
-		return ErrNoStateHandler
-	}
-	dh, ok := h.(DeltaStateHandler)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoDeltaHandler, c.cfg.Name)
-	}
-	if err := dh.ImportStateDelta(data); err != nil {
 		return err
 	}
 	kb := (len(data) + 1023) / 1024

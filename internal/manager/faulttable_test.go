@@ -382,8 +382,11 @@ var moveShapes = []moveShape{
 		check: noDetourJournaled,
 	},
 	{
-		// The live move's RPCs plus the steer at its freeze.
+		// A stop-and-copy is a live move with zero pre-copy rounds, so each
+		// live shape is its stateful twin plus round one — a checkpoint at the
+		// source and a restore at the target — ahead of the freeze.
 		name: "live", strategy: manager.StrategyLive, rpcs: 9,
+		order:   "st-dst: deploy restore restore enable; st-src: checkpoint steer disable checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -391,6 +394,7 @@ var moveShapes = []moveShape{
 		// The client has already left the source: the live move's RPCs plus
 		// Retarget and Steer up front and Unsteer at the freeze.
 		name: "live handoff", strategy: manager.StrategyLive, rpcs: 11, detours: true,
+		order:   "st-dst: steer deploy restore unsteer restore enable; st-src: retarget checkpoint disable checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -399,6 +403,7 @@ var moveShapes = []moveShape{
 		// its egress leg stays — and then has segment 1's ingress leg chase it:
 		// the live handoff's RPCs plus that one Retarget at the hub.
 		name: "live handoff+split head", strategy: manager.StrategyLive, rpcs: 12, detours: true,
+		order:   "st-agg: retarget; st-dst: steer deploy restore unsteer restore enable; st-src: retarget checkpoint disable checkpoint remove",
 		prepare: attachSplit,
 		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
 		check: splitHeadLegs,
@@ -409,6 +414,7 @@ var moveShapes = []moveShape{
 		// the manager knows from the deploy's answer and asks nobody — the
 		// operator move's RPCs, no tunnel, nothing journaled.
 		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 8,
+		order:   "st-dst: deploy restore restore enable; st-src: checkpoint disable checkpoint remove",
 		prepare: attachPooled,
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 		check: noDetourJournaled,
@@ -786,7 +792,7 @@ func TestHandoffBouncesBackWhileDetoured(t *testing.T) {
 		}
 	}
 
-	gate := src.holdOn(agent.MethodPreCopy)
+	gate := src.holdOn(agent.MethodCheckpoint)
 	event(dst, true)
 	<-gate.entered
 	if via, steered := dst.detour("phone"); !steered || via != "st-src" {
@@ -833,24 +839,24 @@ func TestSecondChainOfAClientIsNotDetoured(t *testing.T) {
 		t.Fatalf("migrations = %+v, want both chains moved", migs)
 	}
 	// At the client's station the detour comes out (the first move's
-	// freeze) before anything is activated there.
-	var steers, unsteers, activated int
+	// freeze) before anything is enabled there.
+	var steers, unsteers, enabled int
 	for _, call := range fx.agents["st-dst"].callLog() {
 		switch call {
 		case agent.MethodSteer:
 			steers++
 		case agent.MethodUnsteer:
 			unsteers++
-			if activated != 0 {
-				t.Errorf("the detour outlived a chain's activation at st-dst: %v", fx.agents["st-dst"].callLog())
+			if enabled != 0 {
+				t.Errorf("the detour outlived a chain's Enable at st-dst: %v", fx.agents["st-dst"].callLog())
 			}
-		case agent.MethodActivate:
-			activated++
+		case agent.MethodEnable:
+			enabled++
 		}
 	}
-	if steers != 1 || unsteers != 1 || activated != 2 {
-		t.Errorf("st-dst saw %d Steer, %d Unsteer, %d Activate, want 1, 1, 2: %v",
-			steers, unsteers, activated, fx.agents["st-dst"].callLog())
+	if steers != 1 || unsteers != 1 || enabled != 2 {
+		t.Errorf("st-dst saw %d Steer, %d Unsteer, %d Enable, want 1, 1, 2: %v",
+			steers, unsteers, enabled, fx.agents["st-dst"].callLog())
 	}
 	if n := len(fx.mgr.Journal().Events(0, trace.EventDetour)); n != 1 {
 		t.Errorf("%d detours journaled, want the first move's only", n)

@@ -48,15 +48,15 @@ const (
 	// StrategyCold starts an equivalent function on the new cell and
 	// removes the old one — §2's baseline mechanism. NF state is lost.
 	StrategyCold Strategy = "cold"
-	// StrategyStateful additionally checkpoints NF state on the source
-	// and restores it on the target before enabling — one-shot
-	// stop-and-copy, so downtime grows with state size.
+	// StrategyStateful additionally carries NF state: the source freezes,
+	// checkpoints its whole state, and the target restores it before
+	// enabling — stop-and-copy, the live move with zero pre-copy rounds,
+	// so downtime grows with state size.
 	StrategyStateful Strategy = "stateful"
-	// StrategyLive replaces stop-and-copy with a pre-copy pipeline: the
-	// source keeps serving while iterative delta rounds sync the target,
-	// the freeze window ships only the residual delta, and the target's
-	// brownout buffer replays frames parked during the freeze. Downtime is
-	// independent of state size.
+	// StrategyLive pre-copies: the source keeps serving while rounds of
+	// what changed since the last one sync the target, the freeze ships
+	// only the residual, and the target's brownout buffer replays frames
+	// parked during the freeze. Downtime is independent of state size.
 	StrategyLive Strategy = "live"
 	// StrategySteer appears in reports when an offloaded client roams:
 	// the chains stay on their cloud site and only the traffic detour
@@ -91,10 +91,10 @@ type MigrationReport struct {
 	Downtime   time.Duration `json:"downtime"`
 	Total      time.Duration `json:"total"`
 	StateBytes int           `json:"state_bytes"`
-	// Live-migration pipeline detail: pre-copy rounds run while the source
-	// still served, bytes shipped by them, bytes of the frozen residual
-	// delta, and how many brownout-buffered frames the target replayed on
-	// activation. pooled is for the placement table, not the reader: the
+	// State-move detail: pre-copy rounds run while the source still
+	// served, bytes shipped by them, bytes shipped frozen (the whole state
+	// when no round ran), and how many brownout-buffered frames the target
+	// replayed on Enable. pooled is for the placement table, not the reader: the
 	// deployment at To is an attachment to a shared instance. why is the
 	// placement rule's explanation when it chose To, for the journal.
 	Rounds         int `json:"rounds,omitempty"`

@@ -98,13 +98,11 @@ func dialScriptedAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpe
 		return agent.DeployResult{Shared: sa.pooling}
 	})
 	for _, m := range []string{agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodSyncDelta,
+		agent.MethodDisable, agent.MethodRestore,
 		agent.MethodRetarget, agent.MethodSteer, agent.MethodSteerBatch, agent.MethodUnsteer} {
 		handle(m, nil)
 	}
-	handle(agent.MethodCheckpoint, agent.CheckpointResult{State: []byte("blob")})
-	handle(agent.MethodPreCopy, agent.PreCopyResult{State: []byte("delta"), Round: 1})
-	handle(agent.MethodActivate, agent.ActivateResult{})
+	handle(agent.MethodCheckpoint, agent.CheckpointResult{State: []byte("blob"), Round: 1})
 	go peer.Run()
 	if err := peer.Call(agent.MethodRegister, reg, nil); err != nil {
 		t.Fatal(err)
@@ -147,7 +145,7 @@ func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
 			sa.hosted[dep.Chain] = dep.Enabled
 			sa.legs[dep.Chain+" ingress"], sa.legs[dep.Chain+" egress"] = dep.Ingress.Station, dep.Egress.Station
 		}
-	case agent.MethodEnable, agent.MethodActivate, agent.MethodDisable:
+	case agent.MethodEnable, agent.MethodDisable:
 		if json.Unmarshal(body, &ref) == nil {
 			if _, ok := sa.hosted[ref.Chain]; ok {
 				sa.hosted[ref.Chain] = method != agent.MethodDisable
@@ -316,7 +314,7 @@ func TestStatefulEnableFailureRollsBack(t *testing.T) {
 // pipeline's last step.
 func TestLiveActivateFailureRollsBack(t *testing.T) {
 	mgr, src, dst := migrationFixture(t, manager.StrategyLive)
-	dst.failOn(agent.MethodActivate)
+	dst.failOn(agent.MethodEnable)
 
 	rep, err := mgr.MigrateChain("phone", "chain", "st-dst")
 	if err == nil || rep.Err == "" {
@@ -325,7 +323,7 @@ func TestLiveActivateFailureRollsBack(t *testing.T) {
 	if !src.sawAfter(agent.MethodEnable, agent.MethodDisable) {
 		t.Fatalf("source never re-enabled after freeze; calls: %v", src.callLog())
 	}
-	if !dst.sawAfter(agent.MethodRemove, agent.MethodActivate) {
+	if !dst.sawAfter(agent.MethodRemove, agent.MethodEnable) {
 		t.Fatalf("half-synced target never removed; calls: %v", dst.callLog())
 	}
 }
@@ -335,7 +333,7 @@ func TestLiveActivateFailureRollsBack(t *testing.T) {
 // frozen, and the target is cleaned up.
 func TestLiveSyncFailureRollsBackBeforeFreeze(t *testing.T) {
 	mgr, src, dst := migrationFixture(t, manager.StrategyLive)
-	dst.failOn(agent.MethodSyncDelta)
+	dst.failOn(agent.MethodRestore)
 
 	rep, err := mgr.MigrateChain("phone", "chain", "st-dst")
 	if err == nil || rep.Err == "" {
@@ -346,14 +344,14 @@ func TestLiveSyncFailureRollsBackBeforeFreeze(t *testing.T) {
 			t.Fatalf("source frozen although pre-copy never converged; calls: %v", src.callLog())
 		}
 	}
-	if !dst.sawAfter(agent.MethodRemove, agent.MethodSyncDelta) {
+	if !dst.sawAfter(agent.MethodRemove, agent.MethodRestore) {
 		t.Fatalf("target not removed after sync failure; calls: %v", dst.callLog())
 	}
 }
 
 // TestLiveMigrationProtocolOrder pins the happy-path RPC sequence: deploy
-// and pre-copy rounds before the freeze, residual + activate inside it,
-// source removal after.
+// and pre-copy rounds before the freeze, the last export, its restore and
+// the enable inside it, source removal after.
 func TestLiveMigrationProtocolOrder(t *testing.T) {
 	mgr, src, dst := migrationFixture(t, manager.StrategyLive)
 	rep, err := mgr.MigrateChain("phone", "chain", "st-dst")
@@ -363,8 +361,8 @@ func TestLiveMigrationProtocolOrder(t *testing.T) {
 	if rep.Rounds < 1 || rep.Err != "" {
 		t.Fatalf("report = %+v", rep)
 	}
-	// Source: precopy (>=1) ... disable ... precopy (residual) ... remove.
-	wantSrc := []string{agent.MethodPreCopy, agent.MethodDisable, agent.MethodPreCopy, agent.MethodRemove}
+	// Source: checkpoint (>=1) ... disable ... checkpoint (residual) ... remove.
+	wantSrc := []string{agent.MethodCheckpoint, agent.MethodDisable, agent.MethodCheckpoint, agent.MethodRemove}
 	srcLog := src.callLog()
 	i := 0
 	for _, c := range srcLog {
@@ -375,14 +373,11 @@ func TestLiveMigrationProtocolOrder(t *testing.T) {
 	if i != len(wantSrc) {
 		t.Fatalf("source order %v missing subsequence %v", srcLog, wantSrc)
 	}
-	// Target: deploy ... syncDelta ... activate; never a plain enable.
-	wantDst := []string{agent.MethodDeploy, agent.MethodSyncDelta, agent.MethodActivate}
+	// Target: deploy ... restore (per round) ... restore ... enable.
+	wantDst := []string{agent.MethodDeploy, agent.MethodRestore, agent.MethodRestore, agent.MethodEnable}
 	dstLog := dst.callLog()
 	i = 0
 	for _, c := range dstLog {
-		if c == agent.MethodEnable {
-			t.Fatalf("live path used MethodEnable on target: %v", dstLog)
-		}
 		if i < len(wantDst) && c == wantDst[i] {
 			i++
 		}

@@ -5,8 +5,8 @@
 // state transfer, is a single step list:
 //
 //	deploy at target → carry state, switching the client's traffic over to
-//	the target as the source freezes → enable or activate → re-splice the
-//	legs that name a placed peer → remove source
+//	the target as the source freezes → enable → re-splice the legs that
+//	name a placed peer → remove source
 //
 // Handoffs, operator migrations, station evacuation, attach, GNFC offload
 // and recall, split-chain segment moves and failover revival all run that
@@ -91,9 +91,9 @@ func async(fn func() error) (join func() error) {
 
 // move executes one plan. Downtime is measured on the manager clock as the
 // actual dark window, the span during which no instance could serve the
-// client's traffic: freeze → activate for live, freeze → enable for
-// stop-and-copy (from the switch-over, when the source served the client:
-// from there the client's frames park at the target), the target's boot for
+// client's traffic: freeze → enable for a state-carrying move (from the
+// switch-over, when there is one: from there the client's frames park at
+// the target), the target's boot for
 // a cold move whose source is gone, and zero for a cold move with a live
 // source (the target deploys enabled while the old instance still serves —
 // make-before-break; state is still lost, that is cold migration's trade).
@@ -105,8 +105,8 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	rep = MigrationReport{
 		Client: p.deploy.Client, Chain: name, From: p.from, To: p.to, Strategy: p.strategy,
 	}
-	// The migration decision span: per-step RPC spans (pre-copy rounds,
-	// delta syncs, the activate) nest under it on both sides of the wire.
+	// The migration decision span: per-step RPC spans (checkpoints,
+	// restores, the enable) nest under it on both sides of the wire.
 	sp := m.tracer.Child(tctx, "manager.migrate")
 	sp.SetAttr("chain", name)
 	sp.SetAttr("from", p.from)
@@ -150,10 +150,15 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	}
 	// What the move can carry. Anything but a state-carrying strategy moves
 	// cold, §2's baseline; so does any move without a reachable source, as
-	// no state can ship.
+	// no state can ship. A state-carrying move pre-copies up to rounds times
+	// while the source serves: stop-and-copy is the live move with none.
 	carry := p.strategy
 	if (carry != StrategyStateful && carry != StrategyLive) || source == nil {
 		carry = StrategyCold
+	}
+	rounds := 0
+	if carry == StrategyLive {
+		rounds = precopyMaxRounds
 	}
 	total := clock.NewStopwatch(m.clk)
 	for _, leg := range []agent.Leg{p.deploy.Ingress, p.deploy.Egress} {
@@ -164,8 +169,8 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 
 	// Stage the target beside the first source-side step — unless the source
 	// serves the client (it is there, or steered onto the source's tunnel leg;
-	// an anchored segment always serves): a stop-and-copy then boots the target
-	// before the freeze. join resolves before state lands on the target.
+	// an anchored segment always serves) and no round runs: the target then
+	// boots before the freeze. join resolves before state lands on the target.
 	p.rec.mu.Lock()
 	r := p.rec.rendered
 	serving := p.dep.seg > 0 || p.from == p.rec.station || (r.at == p.rec.station && r.via == p.from && r.legs[p.dep] == r.at)
@@ -181,13 +186,13 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		boot, rep.pooled = watch.Elapsed(), res.Shared
 		return err
 	}
-	if carry == StrategyCold || (serving && carry == StrategyStateful) {
+	if carry == StrategyCold || (serving && rounds == 0) {
 		if err := stage(); err != nil {
 			return fail(err)
 		}
 	} else {
-		// The deploy overlaps the freeze (stop-and-copy) or pre-copy round
-		// one (live).
+		// The deploy overlaps pre-copy round one, or with no round the
+		// freeze.
 		join = async(stage)
 	}
 	undo = append(undo, func() {
@@ -209,7 +214,7 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 	// freeze stops the source serving: from here until the target forwards
 	// the client is dark, so every later failure must bring the source back.
 	// A serving source first switches the client over to park at the target
-	// for Enable or Activate to replay, and parks what is in flight to it.
+	// for Enable to replay, and parks what is in flight to it.
 	freeze := func(switched bool) error {
 		if switched {
 			if err := switchOver(); err != nil {
@@ -223,17 +228,49 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		return nil
 	}
 
-	switch carry {
-	case StrategyStateful:
-		// Stop-and-copy: the whole transfer sits in the dark window — and,
-		// for a source that served nobody, the rest of the target's boot.
-		switched := serving && !p.deferred
+	if carry == StrategyCold {
+		// Make-before-break: the target serves before the source goes.
+		if err := switchOver(); err != nil {
+			return fail(err)
+		}
+		if source == nil {
+			rep.Downtime = boot
+		}
+	} else {
+		// Pre-copy while the source serves: round one restarts the session
+		// and ships the full state, each later one what changed since.
+		copyRound := func(restart bool, out *agent.CheckpointResult) error {
+			return source.callT(tctx, agent.MethodCheckpoint, agent.CheckpointSpec{Chain: name, Restart: restart}, out)
+		}
+		for rep.Rounds < rounds {
+			var pr agent.CheckpointResult
+			if err := copyRound(rep.Rounds == 0, &pr); err != nil {
+				return fail(err)
+			}
+			if err := join(); err != nil {
+				return fail(err)
+			}
+			if err := target.callT(tctx, agent.MethodRestore, agent.RestoreSpec{Chain: name, State: pr.State}, nil); err != nil {
+				return fail(err)
+			}
+			rep.Rounds++
+			rep.PrecopyBytes += len(pr.State)
+			if len(pr.State) <= precopyConvergedBytes {
+				break
+			}
+		}
+		// Freeze: what the rounds left — with none, the whole state, and for
+		// a source that served nobody the rest of the target's boot — rides
+		// inside the dark window. A target that is up by now takes the
+		// client's traffic at the freeze; one still booting takes it once
+		// joined.
+		switched := rep.Rounds > 0 || (serving && !p.deferred)
 		down := clock.NewStopwatch(m.clk)
-		var ckpt agent.CheckpointResult
-		var on agent.ActivateResult
+		var residual agent.CheckpointResult
+		var on agent.EnableResult
 		err := freeze(switched)
 		if err == nil {
-			err = source.callT(tctx, agent.MethodCheckpoint, chain, &ckpt)
+			err = copyRound(rep.Rounds == 0, &residual)
 		}
 		// A failed deploy outranks a source-side failure: with no target
 		// there was never anything to restore onto.
@@ -244,9 +281,9 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 			err = switchOver()
 		}
 		if err == nil {
-			rep.StateBytes = len(ckpt.State)
-			err = target.callT(tctx, agent.MethodRestore, agent.RestoreSpec{Chain: name, State: ckpt.State}, nil)
+			err = target.callT(tctx, agent.MethodRestore, agent.RestoreSpec{Chain: name, State: residual.State}, nil)
 		}
+		// Enable flips the target live and replays what it parked.
 		if err == nil {
 			err = target.callT(tctx, agent.MethodEnable, chain, &on)
 		}
@@ -254,60 +291,9 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 			return fail(err)
 		}
 		rep.Downtime = down.Elapsed()
-		rep.ReplayedFrames = on.Replayed
-
-	case StrategyLive:
-		// Iterative pre-copy while the source serves: the first round
-		// restarts the session and ships the full state.
-		for rep.Rounds < precopyMaxRounds {
-			var pr agent.PreCopyResult
-			req := agent.PreCopySpec{Chain: name, Restart: rep.Rounds == 0}
-			if err := source.callT(tctx, agent.MethodPreCopy, req, &pr); err != nil {
-				return fail(err)
-			}
-			if err := join(); err != nil {
-				return fail(err)
-			}
-			if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: pr.State}, nil); err != nil {
-				return fail(err)
-			}
-			rep.Rounds++
-			rep.PrecopyBytes += len(pr.State)
-			if len(pr.State) <= precopyConvergedBytes {
-				break
-			}
-		}
-		// Freeze: only the residual delta rides inside the dark window,
-		// so downtime no longer depends on total state size.
-		down := clock.NewStopwatch(m.clk)
-		if err := freeze(true); err != nil {
-			return fail(err)
-		}
-		var residual agent.PreCopyResult
-		if err := source.callT(tctx, agent.MethodPreCopy, agent.PreCopySpec{Chain: name}, &residual); err != nil {
-			return fail(err)
-		}
-		if err := target.callT(tctx, agent.MethodSyncDelta, agent.SyncDeltaSpec{Chain: name, State: residual.State}, nil); err != nil {
-			return fail(err)
-		}
-		// Activate enables the target and replays its brownout buffer.
-		var act agent.ActivateResult
-		if err := target.callT(tctx, agent.MethodActivate, chain, &act); err != nil {
-			return fail(err)
-		}
-		rep.Downtime = down.Elapsed()
 		rep.ResidualBytes = len(residual.State)
 		rep.StateBytes = rep.PrecopyBytes + rep.ResidualBytes
-		rep.ReplayedFrames = act.Replayed
-
-	case StrategyCold:
-		// Make-before-break: the target serves before the source goes.
-		if err := switchOver(); err != nil {
-			return fail(err)
-		}
-		if source == nil {
-			rep.Downtime = boot
-		}
+		rep.ReplayedFrames = on.Replayed
 	}
 
 	// Re-splice: a leg that names a placed peer has that peer's facing leg —

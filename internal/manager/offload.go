@@ -109,10 +109,10 @@ func (m *Manager) reanchor(client, site string) (OffloadReport, error) {
 	rec.mu.Unlock()
 	sort.Slice(hops, func(i, j int) bool { return hops[i].dep.name() < hops[j].dep.name() })
 
-	// State is preserved via stop-and-copy for both the stateful and live
+	// State moves with zero pre-copy rounds under both state-carrying
 	// strategies: pre-copy assumes the target can be staged behind the
 	// client's steering, which a tunnelled remote deployment cannot until
-	// the flip, so live degrades to one-shot copy here.
+	// the flip.
 	strategy := st.strategy
 	if strategy == StrategyLive {
 		strategy = StrategyStateful

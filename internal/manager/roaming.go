@@ -185,7 +185,7 @@ func (m *Manager) applyClientEvent(ev agent.ClientEvent) {
 	}
 	rec.mu.Unlock()
 	// Root span of the handoff: every decision and RPC the reconciliation
-	// makes — pre-copy rounds, deltas, the steering flip, the brownout
+	// makes — checkpoints, restores, the steering flip, the brownout
 	// replay — nests under this one trace. Sampling is decided here.
 	sp := m.tracer.StartSpan(trace.Context{}, "manager.handoff")
 	sp.SetAttr("client", ev.Client)

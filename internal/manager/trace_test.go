@@ -43,13 +43,11 @@ func dialHeaderAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpec)
 		})
 	}
 	for _, m := range []string{agent.MethodDeploy, agent.MethodRemove, agent.MethodEnable,
-		agent.MethodDisable, agent.MethodRestore, agent.MethodSyncDelta,
+		agent.MethodDisable, agent.MethodRestore,
 		agent.MethodRetarget, agent.MethodSteer, agent.MethodUnsteer} {
 		rec(m, nil)
 	}
-	rec(agent.MethodCheckpoint, agent.CheckpointResult{State: []byte("blob")})
-	rec(agent.MethodPreCopy, agent.PreCopyResult{State: []byte("delta"), Round: 1})
-	rec(agent.MethodActivate, agent.ActivateResult{})
+	rec(agent.MethodCheckpoint, agent.CheckpointResult{State: []byte("blob"), Round: 1})
 	go peer.Run()
 	if err := peer.Call(agent.MethodRegister, reg, nil); err != nil {
 		t.Fatal(err)
@@ -101,10 +99,10 @@ func TestTraceContextPropagatesAndNests(t *testing.T) {
 		method string
 	}{
 		{dst, agent.MethodDeploy},
-		{src, agent.MethodPreCopy},
-		{dst, agent.MethodSyncDelta},
+		{src, agent.MethodCheckpoint},
+		{dst, agent.MethodRestore},
 		{src, agent.MethodDisable},
-		{dst, agent.MethodActivate},
+		{dst, agent.MethodEnable},
 	}
 	for _, p := range probes {
 		hs := p.ag.headersFor(p.method)
@@ -120,11 +118,11 @@ func TestTraceContextPropagatesAndNests(t *testing.T) {
 		}
 	}
 
-	// Per-RPC spans: PreCopy and Activate must not share a parent span ID.
-	pc, _ := trace.ParseHeader(src.headersFor(agent.MethodPreCopy)[0])
-	act, _ := trace.ParseHeader(dst.headersFor(agent.MethodActivate)[0])
-	if pc.SpanID == act.SpanID {
-		t.Error("PreCopy and Activate rode the same span — expected one span per RPC")
+	// Per-RPC spans: Checkpoint and Enable must not share a parent span ID.
+	pc, _ := trace.ParseHeader(src.headersFor(agent.MethodCheckpoint)[0])
+	en, _ := trace.ParseHeader(dst.headersFor(agent.MethodEnable)[0])
+	if pc.SpanID == en.SpanID {
+		t.Error("Checkpoint and Enable rode the same span — expected one span per RPC")
 	}
 
 	// Nesting: the stored spans form one connected tree, request → migrate
@@ -145,8 +143,8 @@ func TestTraceContextPropagatesAndNests(t *testing.T) {
 	if !ok || mig.Parent != root.SpanID {
 		t.Fatalf("migrate span not nested under the request: %+v", mig)
 	}
-	if rpc, ok := byName["rpc:"+agent.MethodActivate]; !ok || rpc.Parent != mig.SpanID {
-		t.Fatalf("activate RPC span not nested under migrate: %+v", rpc)
+	if rpc, ok := byName["rpc:"+agent.MethodEnable]; !ok || rpc.Parent != mig.SpanID {
+		t.Fatalf("enable RPC span not nested under migrate: %+v", rpc)
 	}
 }
 

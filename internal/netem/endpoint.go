@@ -308,9 +308,11 @@ func (e *Endpoint) deliverLoop() {
 }
 
 // deliver hands a batch that crossed the link to this endpoint's receiver.
-// A closed endpoint, or one nobody listens on, recycles the buffers.
+// A closed endpoint, or one nobody listens on, recycles the buffers; the
+// closed one counts them as its drops.
 func (e *Endpoint) deliver(batch [][]byte) {
 	if e.closed.Load() != 0 {
+		e.drops.Add(uint64(len(batch)))
 		packet.ReturnFrames(batch)
 		return
 	}

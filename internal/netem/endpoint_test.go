@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -119,6 +120,43 @@ func TestVethDrainDeliversWhatWasSent(t *testing.T) {
 	a.Close()
 	if err := b.Send([]byte("x")); err != ErrClosed {
 		t.Fatalf("peer not closed: %v", err)
+	}
+}
+
+// TestVethClosedReceiverCountsWhatItDiscards closes the receiving end while
+// frames are still on the wire toward it: every frame the sender counted
+// is then either received or one of the receiver's drops.
+func TestVethClosedReceiverCountsWhatItDiscards(t *testing.T) {
+	const n = 100
+	a, b := NewVethPair("a", "b")
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	b.SetReceiver(func([]byte) { once.Do(func() { close(held); <-release }) })
+	for i := 0; i < n; i++ {
+		switch i {
+		case 1:
+			<-held // the first frame is in the receiver, the next queue behind it
+		case n / 2:
+			b.Close()
+			close(release)
+		}
+		a.Send(make([]byte, 64))
+	}
+	tx := a.Stats().TxFrames
+	if tx != n/2 {
+		t.Fatalf("sender counted %d frames, want the %d sent before the close", tx, n/2)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := b.Stats()
+		if st.RxFrames+st.Drops == tx {
+			if st.Drops == 0 {
+				t.Fatalf("nothing was left on the wire at the close: rx %d", st.RxFrames)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sender tx %d, receiver rx %d + drops %d", tx, st.RxFrames, st.Drops)
+		}
 	}
 }
 

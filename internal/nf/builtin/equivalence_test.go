@@ -111,7 +111,7 @@ func (tw *twin) memberStates(t *testing.T) [][]byte {
 		if !ok {
 			continue
 		}
-		data, err := st.ExportState()
+		data, _, err := st.ExportDelta(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,8 @@ func TestRuleAppendedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 }
 
 // TestMappingImportedBetweenBatchesIsSeenByTheNextFrame: likewise the NAT's —
-// a table imported after a flow's batch translates that flow's next frame.
+// a table merged in after a flow's batch translates that flow's next frame,
+// and the port the blob moves that flow off goes to the blob's own key.
 func TestMappingImportedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 	natPortOf := func(frame []byte) uint16 {
 		var p packet.Parser
@@ -392,7 +393,7 @@ func TestMappingImportedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 	for flow := 0; flow <= 3; flow++ {
 		donor.Process(nf.Outbound, g.udp(nf.Outbound, flow, 20))
 	}
-	state, err := donor.ExportState()
+	state, _, err := donor.ExportDelta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestMappingImportedBetweenBatchesIsSeenByTheNextFrame(t *testing.T) {
 	if len(out.Forward) != 32 || natPortOf(out.Forward[31]) != 20000 {
 		t.Fatalf("before the import: %d frames, port %d", len(out.Forward), natPortOf(out.Forward[31]))
 	}
-	if err := n.ImportState(state); err != nil {
+	if err := n.ImportDelta(state); err != nil {
 		t.Fatal(err)
 	}
 	out = nf.Output{}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -16,8 +17,9 @@ import (
 
 // Every kind that migrates state writes it as key-ordered records (nf's
 // RecordWriter), so these tests can hold each to byte equality: an export
-// imported elsewhere exports the same bytes, a full export equals its
-// deltas replayed, and a blob cut short is an error, never a panic.
+// since nothing merged into a fresh instance exports the same bytes, it
+// equals its deltas replayed, and a blob cut short is an error, never a
+// panic.
 
 // natLo and natHi bound the NAT's pool: sixteen ports for the traffic's
 // thirty-two flows, so the pool runs dry, and few enough for FuzzImportState
@@ -53,13 +55,17 @@ func newStateful(tb testing.TB, kind string, params nf.Params, clk clock.Clock) 
 	return fn.(nf.Stateful)
 }
 
-func exportState(tb testing.TB, s nf.Stateful) []byte {
+// withoutEpochs names the kinds that keep no epochs: they answer every
+// since with all of their state.
+var withoutEpochs = map[string]bool{"dnslb": true, "firewall": true}
+
+func exportState(tb testing.TB, s nf.Stateful, since uint64) ([]byte, uint64) {
 	tb.Helper()
-	data, err := s.ExportState()
+	data, epoch, err := s.ExportDelta(since)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return data
+	return data, epoch
 }
 
 // driveFlows sends forty of the equivalence test's batches, a tenth of a
@@ -123,54 +129,45 @@ func TestStateRoundTripsEveryKind(t *testing.T) {
 				src := newStateful(t, k.kind, k.params, clk)
 				g := &trafficGen{rng: rand.New(rand.NewSource(seed))}
 
-				// Two rounds of traffic, a delta after each when the kind
-				// keeps them.
+				// Two rounds of traffic, an export since the last after each.
 				k.drive(src.(nf.Function), g, clk)
-				var deltas [][]byte
-				ds, incremental := src.(nf.DeltaStateful)
-				var epoch uint64
-				if incremental {
-					first, e, err := ds.ExportDelta(0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					deltas, epoch = append(deltas, first), e
-				}
+				first, epoch := exportState(t, src, 0)
 				k.drive(src.(nf.Function), g, clk)
-				if incremental {
-					second, _, err := ds.ExportDelta(epoch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					deltas = append(deltas, second)
-				}
-				full := exportState(t, src)
-				if empty := exportState(t, newStateful(t, k.kind, k.params, clk)); len(full) <= len(empty) {
+				second, _ := exportState(t, src, epoch)
+				full, _ := exportState(t, src, 0)
+				if empty, _ := exportState(t, newStateful(t, k.kind, k.params, clk), 0); len(full) <= len(empty) {
 					t.Fatalf("the traffic left no state: %d B, %d B empty", len(full), len(empty))
+				}
+				if withoutEpochs[k.kind] {
+					for _, since := range []uint64{epoch, 1, math.MaxUint64} {
+						if got, _ := exportState(t, src, since); !bytes.Equal(got, full) {
+							t.Fatalf("since %d exported %x, not all of the state %x", since, got, full)
+						}
+					}
+				} else if epoch == 0 {
+					t.Fatal("a round of traffic left the epoch at 0")
 				}
 
 				dst := newStateful(t, k.kind, k.params, clk)
-				if err := dst.ImportState(full); err != nil {
+				if err := dst.ImportDelta(full); err != nil {
 					t.Fatal(err)
 				}
-				if again := exportState(t, dst); !bytes.Equal(again, full) {
+				if again, _ := exportState(t, dst, 0); !bytes.Equal(again, full) {
 					t.Fatalf("export → import → export changed the bytes\nfirst  %x\nsecond %x", full, again)
 				}
 
-				if incremental {
-					replay := newStateful(t, k.kind, k.params, clk).(nf.DeltaStateful)
-					for _, d := range deltas {
-						if err := replay.ImportDelta(d); err != nil {
-							t.Fatal(err)
-						}
+				replay := newStateful(t, k.kind, k.params, clk)
+				for _, d := range [][]byte{first, second} {
+					if err := replay.ImportDelta(d); err != nil {
+						t.Fatal(err)
 					}
-					if got := exportState(t, replay); !bytes.Equal(got, full) {
-						t.Fatalf("deltas of %d and %d B replayed export\n%x\nthe full export is\n%x", len(deltas[0]), len(deltas[1]), got, full)
-					}
+				}
+				if got, _ := exportState(t, replay, 0); !bytes.Equal(got, full) {
+					t.Fatalf("exports of %d and %d B replayed export\n%x\nthe export since nothing is\n%x", len(first), len(second), got, full)
 				}
 
 				for n := 0; n < len(full); n++ {
-					if err := newStateful(t, k.kind, k.params, clk).ImportState(full[:n]); !errors.Is(err, nf.ErrBadRecord) {
+					if err := newStateful(t, k.kind, k.params, clk).ImportDelta(full[:n]); !errors.Is(err, nf.ErrBadRecord) {
 						t.Fatalf("%d of %d bytes imported: %v", n, len(full), err)
 					}
 				}
@@ -180,18 +177,17 @@ func TestStateRoundTripsEveryKind(t *testing.T) {
 }
 
 // FuzzImportState feeds every stateful kind arbitrary blobs, the first byte
-// picking the kind: as a full state into a fresh instance and, for kinds
-// with deltas, as a delta into one holding a round of traffic's state. The
-// decoder never panics; whatever it accepts exports bytes that import to
-// the same bytes; and a NAT it accepted answers on exactly as many ports as
-// it has keys.
+// picking the kind: into a fresh instance, and merged into one holding a
+// round of traffic's state. The decoder never panics; whatever it accepts
+// exports bytes that import to the same bytes; and a NAT it accepted
+// answers on exactly as many ports as it has keys.
 func FuzzImportState(f *testing.F) {
 	seeded := make([][]byte, len(statefulKinds))
 	for i, k := range statefulKinds {
 		clk := clock.NewVirtual()
 		src := newStateful(f, k.kind, k.params, clk)
 		k.drive(src.(nf.Function), &trafficGen{rng: rand.New(rand.NewSource(int64(i)))}, clk)
-		seeded[i] = exportState(f, src)
+		seeded[i], _ = exportState(f, src, 0)
 		f.Add(append([]byte{byte(i)}, seeded[i]...))
 		f.Add(append([]byte{byte(i)}, seeded[i][:len(seeded[i])/2]...))
 	}
@@ -202,35 +198,27 @@ func FuzzImportState(f *testing.F) {
 		i := int(data[0]) % len(statefulKinds)
 		k, blob := statefulKinds[i], data[1:]
 		clk := clock.NewVirtual()
-		for _, delta := range []bool{false, true} {
+		for _, merged := range []bool{false, true} {
 			fn := newStateful(t, k.kind, k.params, clk)
-			var err error
-			if delta {
-				ds, ok := fn.(nf.DeltaStateful)
-				if !ok {
-					continue
-				}
-				if err := fn.ImportState(seeded[i]); err != nil {
+			if merged {
+				if err := fn.ImportDelta(seeded[i]); err != nil {
 					t.Fatal(err)
 				}
-				err = ds.ImportDelta(blob)
-			} else {
-				err = fn.ImportState(blob)
 			}
-			if err != nil {
+			if err := fn.ImportDelta(blob); err != nil {
 				continue
 			}
-			first := exportState(t, fn)
+			first, _ := exportState(t, fn, 0)
 			again := newStateful(t, k.kind, k.params, clk)
-			if err := again.ImportState(first); err != nil {
-				t.Fatalf("%s (delta %v) re-importing its own export: %v", k.kind, delta, err)
+			if err := again.ImportDelta(first); err != nil {
+				t.Fatalf("%s (merged %v) re-importing its own export: %v", k.kind, merged, err)
 			}
-			if second := exportState(t, again); !bytes.Equal(first, second) {
-				t.Fatalf("%s (delta %v): export → import → export changed the bytes\nfirst  %x\nsecond %x", k.kind, delta, first, second)
+			if second, _ := exportState(t, again, 0); !bytes.Equal(first, second) {
+				t.Fatalf("%s (merged %v): export → import → export changed the bytes\nfirst  %x\nsecond %x", k.kind, merged, first, second)
 			}
 			if n, ok := fn.(*nat.NAT); ok {
 				if ports := answeringPorts(n); ports != n.Mappings() {
-					t.Fatalf("NAT (delta %v) answers on %d ports for %d keys", delta, ports, n.Mappings())
+					t.Fatalf("NAT (merged %v) answers on %d ports for %d keys", merged, ports, n.Mappings())
 				}
 			}
 		}

@@ -255,24 +255,10 @@ func (m *Monitor) NFStats() map[string]uint64 {
 // uvarints), then the count and the flows in key order: the canonical
 // five-tuple (proto u8, IP, port u16, IP, port u16), packets and bytes
 // (uvarints), window start (time), window count (uvarint), alerted (bool),
-// dirty epoch (uvarint). A full export and a delta share it.
+// dirty epoch (uvarint). Flows are keyed by the tuple itself, so accounting
+// continuity survives migration.
 
-// ExportState implements container.StateHandler: every flow's counters,
-// keyed by the tuple itself, so accounting continuity survives migration.
-func (m *Monitor) ExportState() ([]byte, error) {
-	data, _, err := m.ExportDelta(0)
-	return data, err
-}
-
-// ImportState implements container.StateHandler: the flow table becomes
-// the blob's.
-func (m *Monitor) ImportState(data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.importLocked(data, true)
-}
-
-// ExportDelta implements nf.DeltaStateful: flows updated after epoch
+// ExportDelta implements nf.Stateful: flows updated after epoch
 // `since` (everything for since == 0) plus the aggregate totals, which are
 // tiny and therefore shipped every round. Flows are never evicted, so the
 // upsert-only delta is exact.
@@ -311,19 +297,13 @@ func (m *Monitor) ExportDelta(since uint64) ([]byte, uint64, error) {
 // flowBytes is a flow's record with two-byte counters and epoch.
 const flowBytes = 13 + 2 + 2 + 8 + 1 + 1 + 2
 
-// ImportDelta implements nf.DeltaStateful by merging exported flows into
-// the live table; totals are absolute and replace the local aggregates.
+// ImportDelta implements nf.Stateful. It decodes a blob and, only if all of
+// it is sound, upserts its flows into the live table and adopts its totals,
+// which are absolute, advancing the local dirty epoch past every imported
+// stamp.
 func (m *Monitor) ImportDelta(data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.importLocked(data, false)
-}
-
-// importLocked decodes a blob and, only if all of it is sound, upserts its
-// flows (into an empty table when replace is set) and adopts its totals,
-// advancing the local dirty epoch past every imported stamp. Called with
-// mu held.
-func (m *Monitor) importLocked(data []byte, replace bool) error {
 	r := nf.NewRecordReader(data)
 	total, alerts, sigHits := r.Uvarint(), r.Uvarint(), r.Uvarint()
 	flows := make([]row, r.Count())
@@ -348,9 +328,6 @@ func (m *Monitor) importLocked(data []byte, replace bool) error {
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if replace {
-		m.flows = flowTable{}
-	}
 	m.total, m.alerts, m.sigHits = total, alerts, sigHits
 	for _, f := range flows {
 		m.seq = max(m.seq, f.seq)
@@ -360,7 +337,7 @@ func (m *Monitor) importLocked(data []byte, replace bool) error {
 	return nil
 }
 
-var _ nf.DeltaStateful = (*Monitor)(nil)
+var _ nf.Stateful = (*Monitor)(nil)
 
 func init() {
 	nf.Default.RegisterKind("counter", nf.KindInfo{Shareable: true}, func(name string, params nf.Params) (nf.Function, error) {

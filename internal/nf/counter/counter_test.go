@@ -128,12 +128,12 @@ func TestStateMigrationRestoresCounters(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		m1.Process(nf.Outbound, udpFrame("x"))
 	}
-	data, err := m1.ExportState()
+	data, _, err := m1.ExportDelta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := New("mon", 0)
-	if err := m2.ImportState(data); err != nil {
+	if err := m2.ImportDelta(data); err != nil {
 		t.Fatal(err)
 	}
 	fs, ok := m2.Flow(flow())
@@ -157,7 +157,7 @@ func TestStateMigrationRestoresCounters(t *testing.T) {
 			t.Fatalf("total = %v", m2.NFStats())
 		}
 	}
-	if err := m2.ImportState(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
+	if err := m2.ImportDelta(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("truncated record: %v", err)
 	}
 }

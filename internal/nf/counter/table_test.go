@@ -105,12 +105,9 @@ func (mm *mapModel) export(since uint64) []byte {
 	return w
 }
 
-func (mm *mapModel) load(data []byte, replace bool) {
+func (mm *mapModel) load(data []byte) {
 	r := nf.NewRecordReader(data)
 	mm.total, mm.alerts, mm.sigHits = r.Uvarint(), r.Uvarint(), r.Uvarint()
-	if replace {
-		mm.flows = map[packet.FiveTuple]*FlowStats{}
-	}
 	for range r.Count() {
 		ft := packet.FiveTuple{Proto: r.Uint8(),
 			Src: packet.Endpoint{Addr: r.IP(), Port: r.Uint16()}, Dst: packet.Endpoint{Addr: r.IP(), Port: r.Uint16()}}
@@ -177,8 +174,8 @@ func buildFrame(ft packet.FiveTuple, payload []byte) []byte {
 // monitors, plain, alerting on a virtual clock and matching signatures, and
 // the same frames one at a time to a map model of each. Batches mix
 // same-flow trains, reverse-direction frames, ARP and a pair of keys of
-// one hash tag; a full blob (replace) and a delta (merge) from a donor are
-// imported mid-stream. After every batch, Flows, NFStats and the batch's
+// one hash tag; a full blob and a delta from a donor are merged in
+// mid-stream. After every batch, Flows, NFStats and the batch's
 // notifications must equal the model's, and so must Flow of every key the
 // batch touched; after each import and at the end, Flow of every key seen.
 // At the end ExportDelta(0) and a delta since a mid-stream epoch must equal
@@ -255,18 +252,18 @@ func TestMonitorTableEqualsMapModel(t *testing.T) {
 			for batch := 0; next < flows || batch < 1500; batch++ {
 				switch batch {
 				case 400:
-					// The donor's full state replaces the table.
+					// The donor's full state is merged into the table.
 					for range 3000 {
 						donor.Process(nf.Outbound, buildFrame(modelFlow(rng.IntN(flows)), payloads[0][0]))
 					}
-					blob, err := donor.ExportState()
+					blob, _, err := donor.ExportDelta(0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := m.ImportState(blob); err != nil {
+					if err := m.ImportDelta(blob); err != nil {
 						t.Fatal(err)
 					}
-					model.load(blob, true)
+					model.load(blob)
 					checkAll()
 				case 900:
 					// A delta of the donor's is merged into it.
@@ -281,7 +278,7 @@ func TestMonitorTableEqualsMapModel(t *testing.T) {
 					if err := m.ImportDelta(delta); err != nil {
 						t.Fatal(err)
 					}
-					model.load(delta, false)
+					model.load(delta)
 					checkAll()
 				case 1000:
 					_, midEpoch, _ = m.ExportDelta(0)

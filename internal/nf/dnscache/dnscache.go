@@ -204,24 +204,9 @@ func (c *Cache) NFStats() map[string]uint64 {
 // A cache's state is its hits, misses and stores (uvarints), then the count
 // and the entries in name order: name (string), expiry (time), dirty epoch
 // (uvarint), and the count of answers, each name (string), type and class
-// (u16), TTL (u32), A (IP), CNAME (string) and raw data (bytes). A full
-// export and a delta share it.
+// (u16), TTL (u32), A (IP), CNAME (string) and raw data (bytes).
 
-// ExportState implements container.StateHandler.
-func (c *Cache) ExportState() ([]byte, error) {
-	data, _, err := c.ExportDelta(0)
-	return data, err
-}
-
-// ImportState implements container.StateHandler: the cache becomes the
-// blob's.
-func (c *Cache) ImportState(data []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.importLocked(data, true)
-}
-
-// ExportDelta implements nf.DeltaStateful: entries stored after epoch
+// ExportDelta implements nf.Stateful: entries stored after epoch
 // `since` (everything for since == 0) plus the aggregate counters, which
 // are tiny and shipped every round. Evicted or expired entries carry no
 // tombstone — stale copies at the migration target expire by their own
@@ -260,19 +245,13 @@ func (c *Cache) ExportDelta(since uint64) ([]byte, uint64, error) {
 	return w, c.seq, nil
 }
 
-// ImportDelta implements nf.DeltaStateful by merging exported entries into
-// the live cache and adopting the absolute counters.
+// ImportDelta implements nf.Stateful. It decodes a blob and, only if all of
+// it is sound, upserts its entries into the live cache and adopts its
+// absolute counters, advancing the local dirty epoch past every imported
+// stamp.
 func (c *Cache) ImportDelta(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.importLocked(data, false)
-}
-
-// importLocked decodes a blob and, only if all of it is sound, upserts its
-// entries (into an empty cache when replace is set) and adopts its
-// counters, advancing the local dirty epoch past every imported stamp.
-// Called with mu held.
-func (c *Cache) importLocked(data []byte, replace bool) error {
 	r := nf.NewRecordReader(data)
 	hits, misses, stores := r.Uvarint(), r.Uvarint(), r.Uvarint()
 	names := make([]string, r.Count())
@@ -301,9 +280,6 @@ func (c *Cache) importLocked(data []byte, replace bool) error {
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if replace {
-		c.entries = make(map[string]entry, len(names))
-	}
 	c.hits, c.misses, c.stores = hits, misses, stores
 	for i, name := range names {
 		c.seq = max(c.seq, entries[i].Seq)
@@ -312,7 +288,7 @@ func (c *Cache) importLocked(data []byte, replace bool) error {
 	return nil
 }
 
-var _ nf.DeltaStateful = (*Cache)(nil)
+var _ nf.Stateful = (*Cache)(nil)
 
 func init() {
 	nf.Default.Register("dnscache", func(name string, params nf.Params) (nf.Function, error) {

@@ -153,21 +153,21 @@ func TestNegativeAndNonAPassThrough(t *testing.T) {
 func TestStateMigrationKeepsWarmCache(t *testing.T) {
 	c1, clk1 := newCache(t, 10, 300)
 	c1.Process(nf.Inbound, responseFrame(1, "warm.example", 60, addr))
-	data, err := c1.ExportState()
+	data, _, err := c1.ExportDelta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2, clk2 := newCache(t, 10, 300)
 	_ = clk1
 	_ = clk2
-	if err := c2.ImportState(data); err != nil {
+	if err := c2.ImportDelta(data); err != nil {
 		t.Fatal(err)
 	}
 	out := c2.Process(nf.Outbound, queryFrame(9, "warm.example"))
 	if len(out.Reverse) != 1 {
 		t.Fatal("migrated cache cold")
 	}
-	if err := c2.ImportState(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
+	if err := c2.ImportDelta(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("truncated record: %v", err)
 	}
 }

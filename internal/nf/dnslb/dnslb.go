@@ -170,8 +170,9 @@ func (b *Balancer) NFStats() map[string]uint64 {
 // responses rewritten (uvarints), then the count and the answers handed
 // out per backend, in address order: IP, count (uvarint).
 
-// ExportState implements container.StateHandler.
-func (b *Balancer) ExportState() ([]byte, error) {
+// ExportDelta implements nf.Stateful. A balancer keeps no epochs, so it
+// answers every since with all of its state.
+func (b *Balancer) ExportDelta(uint64) ([]byte, uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ips := make([]packet.IP, 0, len(b.served))
@@ -188,12 +189,13 @@ func (b *Balancer) ExportState() ([]byte, error) {
 		w.IP(ip)
 		w.Uvarint(b.served[ip])
 	}
-	return w, nil
+	return w, 0, nil
 }
 
-// ImportState implements container.StateHandler. The cursor is taken
-// modulo this balancer's pool, so it always names a backend.
-func (b *Balancer) ImportState(data []byte) error {
+// ImportDelta implements nf.Stateful: the cursor and the counts are absolute
+// and adopted, the per-backend counts upserted. The cursor is taken modulo
+// this balancer's pool, so it always names a backend.
+func (b *Balancer) ImportDelta(data []byte) error {
 	r := nf.NewRecordReader(data)
 	next, queries, rewrites := r.Uvarint(), r.Uvarint(), r.Uvarint()
 	ips := make([]packet.IP, r.Count())
@@ -211,7 +213,6 @@ func (b *Balancer) ImportState(data []byte) error {
 	defer b.mu.Unlock()
 	b.next = next % uint64(len(b.backends))
 	b.queries, b.rewrites = queries, rewrites
-	b.served = make(map[packet.IP]uint64, len(ips))
 	for i, ip := range ips {
 		b.served[ip] = counts[i]
 	}

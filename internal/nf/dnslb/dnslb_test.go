@@ -129,12 +129,12 @@ func TestEmptyPoolRejected(t *testing.T) {
 func TestStateRoundTripPreservesCursor(t *testing.T) {
 	b1, _ := New("lb", "svc.gnf", Respond, be1, be2)
 	b1.Process(nf.Outbound, queryFrame(1, "svc.gnf")) // served be1, cursor now at be2
-	data, err := b1.ExportState()
+	data, _, err := b1.ExportDelta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2, _ := New("lb", "svc.gnf", Respond, be1, be2)
-	if err := b2.ImportState(data); err != nil {
+	if err := b2.ImportDelta(data); err != nil {
 		t.Fatal(err)
 	}
 	out := b2.Process(nf.Outbound, queryFrame(2, "svc.gnf"))
@@ -146,7 +146,7 @@ func TestStateRoundTripPreservesCursor(t *testing.T) {
 	if stats["queries_answered"] != 2 {
 		t.Fatalf("stats = %v", stats)
 	}
-	if err := b2.ImportState(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
+	if err := b2.ImportDelta(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("truncated record: %v", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestImportedCursorAlwaysNamesABackend(t *testing.T) {
 		w.Uvarint(0) // rewrites
 		w.Uvarint(0) // no backend served yet
 		b, _ := New("lb", "svc.gnf", Respond, be1, be2)
-		if err := b.ImportState(w); err != nil {
+		if err := b.ImportDelta(w); err != nil {
 			t.Fatalf("cursor %d: %v", cursor, err)
 		}
 		out := b.Process(nf.Outbound, queryFrame(1, "svc.gnf"))

@@ -356,8 +356,9 @@ func (f *Firewall) NFStats() map[string]uint64 {
 // A firewall's state is its accepted and dropped counts, then the count of
 // rules and each rule's hits, in table order (all uvarints).
 
-// ExportState implements container.StateHandler (counters migrate).
-func (f *Firewall) ExportState() ([]byte, error) {
+// ExportDelta implements nf.Stateful: the counters migrate. A firewall keeps
+// no epochs, so it answers every since with all of its state.
+func (f *Firewall) ExportDelta(uint64) ([]byte, uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var w nf.RecordWriter
@@ -367,11 +368,12 @@ func (f *Firewall) ExportState() ([]byte, error) {
 	for _, h := range f.hits {
 		w.Uvarint(h)
 	}
-	return w, nil
+	return w, 0, nil
 }
 
-// ImportState implements container.StateHandler.
-func (f *Firewall) ImportState(data []byte) error {
+// ImportDelta implements nf.Stateful. The counts are absolute: merging them
+// adopts them.
+func (f *Firewall) ImportDelta(data []byte) error {
 	r := nf.NewRecordReader(data)
 	accepted, dropped := r.Uvarint(), r.Uvarint()
 	hits := make([]uint64, r.Count())

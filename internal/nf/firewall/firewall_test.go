@@ -193,12 +193,12 @@ func TestFirewallStateRoundTrip(t *testing.T) {
 	fw := New("fw", Accept, r)
 	fw.Process(nf.Outbound, udp(53))
 	fw.Process(nf.Outbound, udp(80))
-	data, err := fw.ExportState()
+	data, _, err := fw.ExportDelta(0)
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	fw2 := New("fw", Accept, r)
-	if err := fw2.ImportState(data); err != nil {
+	if err := fw2.ImportDelta(data); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	s1, s2 := fw.NFStats(), fw2.NFStats()
@@ -209,10 +209,10 @@ func TestFirewallStateRoundTrip(t *testing.T) {
 	}
 	// Mismatched rule count rejected.
 	fw3 := New("fw", Accept)
-	if err := fw3.ImportState(data); err == nil {
+	if err := fw3.ImportDelta(data); err == nil {
 		t.Fatal("mismatched import accepted")
 	}
-	if err := fw2.ImportState(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
+	if err := fw2.ImportDelta(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("truncated record: %v", err)
 	}
 }

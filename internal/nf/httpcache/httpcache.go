@@ -293,24 +293,9 @@ func (c *Cache) NFStats() map[string]uint64 {
 
 // A cache's state is the count and the entries in key order: key
 // (string), expiry (time), dirty epoch (uvarint), the raw response (bytes).
-// A full export and a delta share it.
+// The cache content roams with the client, so the new station starts warm.
 
-// ExportState implements container.StateHandler: the cache content roams
-// with the client, so the new station starts warm.
-func (c *Cache) ExportState() ([]byte, error) {
-	data, _, err := c.ExportDelta(0)
-	return data, err
-}
-
-// ImportState implements container.StateHandler: the cache becomes the
-// blob's. Entries already expired at import time are dropped.
-func (c *Cache) ImportState(data []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.importLocked(data, true)
-}
-
-// ExportDelta implements nf.DeltaStateful: entries stored after epoch
+// ExportDelta implements nf.Stateful: entries stored after epoch
 // `since` (everything for since == 0). Evicted or expired entries carry no
 // tombstone — a stale copy at the migration target expires by its own
 // absolute deadline, so cache correctness is unaffected.
@@ -336,18 +321,12 @@ func (c *Cache) ExportDelta(since uint64) ([]byte, uint64, error) {
 	return w, c.seq, nil
 }
 
-// ImportDelta implements nf.DeltaStateful by merging exported entries into
-// the live cache (expired ones are skipped).
+// ImportDelta implements nf.Stateful. It decodes a blob and, only if all of
+// it is sound, upserts its still-fresh entries into the live cache,
+// advancing the local dirty epoch past every imported stamp.
 func (c *Cache) ImportDelta(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.importLocked(data, false)
-}
-
-// importLocked decodes a blob and, only if all of it is sound, upserts its
-// still-fresh entries (into an empty cache when replace is set), advancing
-// the local dirty epoch past every imported stamp. Called with mu held.
-func (c *Cache) importLocked(data []byte, replace bool) error {
 	r := nf.NewRecordReader(data)
 	keys := make([]string, r.Count())
 	entries := make([]entry, len(keys))
@@ -360,9 +339,6 @@ func (c *Cache) importLocked(data []byte, replace bool) error {
 	}
 	if err := r.Finish(); err != nil {
 		return err
-	}
-	if replace {
-		c.entries = make(map[string]*entry, len(keys))
 	}
 	now := c.clk.Now()
 	for i, k := range keys {
@@ -380,5 +356,5 @@ var (
 	_ nf.Function      = (*Cache)(nil)
 	_ nf.StatsReporter = (*Cache)(nil)
 	_ nf.ClockSetter   = (*Cache)(nil)
-	_ nf.DeltaStateful = (*Cache)(nil)
+	_ nf.Stateful      = (*Cache)(nil)
 )

@@ -202,13 +202,13 @@ func TestStateExportImportRoundTrip(t *testing.T) {
 	exchange(t, c, 40000, "cdn.example", "/logo", "LOGO")
 	exchange(t, c, 40001, "cdn.example", "/app.js", "JS")
 
-	state, err := c.ExportState()
+	state, _, err := c.ExportDelta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := httpcache.New("c1", httpcache.WithTTL(time.Minute))
 	fresh.SetClock(clk)
-	if err := fresh.ImportState(state); err != nil {
+	if err := fresh.ImportDelta(state); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Len() != 2 {
@@ -224,14 +224,14 @@ func TestStateExportImportRoundTrip(t *testing.T) {
 	clk.Advance(2 * time.Minute)
 	stale := httpcache.New("c2", httpcache.WithTTL(time.Minute))
 	stale.SetClock(clk)
-	if err := stale.ImportState(state); err != nil {
+	if err := stale.ImportDelta(state); err != nil {
 		t.Fatal(err)
 	}
 	if stale.Len() != 0 {
 		t.Fatalf("stale entries imported: %d", stale.Len())
 	}
 	// Truncated state errors.
-	if err := stale.ImportState(state[:len(state)-1]); !errors.Is(err, nf.ErrBadRecord) {
+	if err := stale.ImportDelta(state[:len(state)-1]); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("truncated record: %v", err)
 	}
 }

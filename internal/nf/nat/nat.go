@@ -220,23 +220,9 @@ func (n *NAT) NFStats() map[string]uint64 {
 
 // A NAT's state is the port cursor (u16), then the count and the mappings
 // in key order: proto (u8), client IP, client port (u16), NAT port (u16),
-// client MAC, dirty epoch (uvarint). A full export and a delta share it.
+// client MAC, dirty epoch (uvarint).
 
-// ExportState implements container.StateHandler.
-func (n *NAT) ExportState() ([]byte, error) {
-	data, _, err := n.ExportDelta(0)
-	return data, err
-}
-
-// ImportState implements container.StateHandler: the table becomes the
-// blob's.
-func (n *NAT) ImportState(data []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.importLocked(data, true)
-}
-
-// ExportDelta implements nf.DeltaStateful: mappings created after epoch
+// ExportDelta implements nf.Stateful: mappings created after epoch
 // `since` (all of them for since == 0), plus the port cursor. Mappings are
 // never deleted, so an upsert-only delta is exact.
 func (n *NAT) ExportDelta(since uint64) ([]byte, uint64, error) {
@@ -266,22 +252,15 @@ func (n *NAT) ExportDelta(since uint64) ([]byte, uint64, error) {
 // mappingBytes is a mapping's record with a two-byte epoch.
 const mappingBytes = 1 + 4 + 2 + 2 + 6 + 2
 
-// ImportDelta implements nf.DeltaStateful by merging exported mappings
-// into the live table.
+// ImportDelta implements nf.Stateful. It decodes a blob and, only if all of
+// it is sound, upserts its mappings into the live table and adopts its port
+// cursor; the local dirty epoch advances past every imported stamp so a
+// migrated-in table re-exports correctly on the next export. A blob is
+// refused if its keys are out of order, if a port or the cursor lies
+// outside this NAT's pool, or if a port would end up held by two keys.
 func (n *NAT) ImportDelta(data []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.importLocked(data, false)
-}
-
-// importLocked decodes a blob and, only if all of it is sound, upserts its
-// mappings (into an empty table when replace is set) and adopts its port
-// cursor; the local dirty epoch advances past every imported stamp so a
-// migrated-in table re-exports correctly on the next pre-copy. A blob is
-// refused if its keys are out of order, if a port or the cursor lies
-// outside this NAT's pool, or if a port would end up held by two keys.
-// Called with mu held.
-func (n *NAT) importLocked(data []byte, replace bool) error {
 	r := nf.NewRecordReader(data)
 	cursor := r.Uint16()
 	ms := make([]mapping, r.Count())
@@ -301,10 +280,6 @@ func (n *NAT) importLocked(data []byte, replace bool) error {
 	if !n.inPool(cursor) {
 		return fmt.Errorf("%w: nat port cursor %d outside %d-%d", nf.ErrBadRecord, cursor, n.lo, n.hi)
 	}
-	byPort := n.byPort
-	if replace {
-		byPort = nil
-	}
 	claimed := make(map[uint16]mapKey, len(ms))
 	for i := range ms {
 		m := &ms[i]
@@ -315,18 +290,17 @@ func (n *NAT) importLocked(data []byte, replace bool) error {
 			return fmt.Errorf("%w: nat port %d held by %v and %v", nf.ErrBadRecord, m.NATPort, k, m.Key)
 		}
 		claimed[m.NATPort] = m.Key
-		if held, ok := byPort[m.NATPort]; ok && held.Key != m.Key {
-			return fmt.Errorf("%w: nat port %d held by %v and %v", nf.ErrBadRecord, m.NATPort, held.Key, m.Key)
+		// A live key keeps its port unless the blob moves that key too.
+		if held, ok := n.byPort[m.NATPort]; ok && held.Key != m.Key {
+			if _, moved := slices.BinarySearchFunc(ms, held.Key, func(x mapping, k mapKey) int { return compareKeys(x.Key, k) }); !moved {
+				return fmt.Errorf("%w: nat port %d held by %v and %v", nf.ErrBadRecord, m.NATPort, held.Key, m.Key)
+			}
 		}
-	}
-	if replace {
-		n.byKey = make(map[mapKey]*mapping, len(ms))
-		n.byPort = make(map[uint16]*mapping, len(ms))
 	}
 	for i := range ms {
 		m := &ms[i]
 		n.seq = max(n.seq, m.Seq)
-		if old, ok := n.byKey[m.Key]; ok {
+		if old, ok := n.byKey[m.Key]; ok && n.byPort[old.NATPort] == old {
 			delete(n.byPort, old.NATPort)
 		}
 		n.byKey[m.Key] = m
@@ -342,7 +316,7 @@ func compareKeys(a, b mapKey) int {
 	return cmp.Or(cmp.Compare(a.Proto, b.Proto), cmp.Compare(a.SrcIP.Uint32(), b.SrcIP.Uint32()), cmp.Compare(a.SrcPort, b.SrcPort))
 }
 
-var _ nf.DeltaStateful = (*NAT)(nil)
+var _ nf.Stateful = (*NAT)(nil)
 
 func init() {
 	nf.Default.Register("nat", func(name string, params nf.Params) (nf.Function, error) {

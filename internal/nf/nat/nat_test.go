@@ -189,12 +189,12 @@ func TestStateMigrationKeepsFlows(t *testing.T) {
 	p.Parse(out.Forward[0])
 	natPort := p.UDP.SrcPort
 
-	data, err := n1.ExportState()
+	data, _, err := n1.ExportDelta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n2 := mustNAT(t)
-	if err := n2.ImportState(data); err != nil {
+	if err := n2.ImportDelta(data); err != nil {
 		t.Fatal(err)
 	}
 	// Return traffic hits the migrated instance and still de-translates.
@@ -213,7 +213,7 @@ func TestStateMigrationKeepsFlows(t *testing.T) {
 	if p.UDP.SrcPort != natPort {
 		t.Fatal("migration changed the flow's NAT port")
 	}
-	if err := n2.ImportState(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
+	if err := n2.ImportDelta(data[:len(data)-1]); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("truncated record: %v", err)
 	}
 }
@@ -237,16 +237,17 @@ func natBlob(pairs ...[2]uint16) []byte {
 
 // TestImportRefusesAPortTwice: one NAT port answers for one client flow, so
 // a blob that would leave two keys on it — within itself, or against a
-// mapping already live — is refused and leaves the table as it was.
+// mapping already live that it does not move — is refused and leaves the
+// table as it was.
 func TestImportRefusesAPortTwice(t *testing.T) {
 	n := mustNAT(t)
-	if err := n.ImportState(natBlob([2]uint16{5000, 40001}, [2]uint16{5001, 40001})); !errors.Is(err, nf.ErrBadRecord) {
+	if err := n.ImportDelta(natBlob([2]uint16{5000, 40001}, [2]uint16{5001, 40001})); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("two keys on one port in one blob: %v", err)
 	}
-	if err := n.ImportState(natBlob([2]uint16{5000, 39999})); !errors.Is(err, nf.ErrBadRecord) {
+	if err := n.ImportDelta(natBlob([2]uint16{5000, 39999})); !errors.Is(err, nf.ErrBadRecord) {
 		t.Fatalf("a port outside the pool: %v", err)
 	}
-	if err := n.ImportState(natBlob([2]uint16{5000, 40001})); err != nil {
+	if err := n.ImportDelta(natBlob([2]uint16{5000, 40001})); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.ImportDelta(natBlob([2]uint16{5001, 40001})); !errors.Is(err, nf.ErrBadRecord) {
@@ -261,6 +262,19 @@ func TestImportRefusesAPortTwice(t *testing.T) {
 	}
 	if err := n.ImportDelta(natBlob([2]uint16{5001, 40001})); err != nil {
 		t.Fatalf("the freed port: %v", err)
+	}
+	// One blob may hand a live key's port to another key if it moves that
+	// key too; each port then answers for its new key.
+	if err := n.ImportDelta(natBlob([2]uint16{5000, 40001}, [2]uint16{5001, 40003})); err != nil {
+		t.Fatalf("a port swapped within one blob: %v", err)
+	}
+	for natPort, client := range map[uint16]uint16{40001: 5000, 40003: 5001} {
+		reply := packet.BuildUDP(macS, VirtualMAC(natIP), ipS, natIP, 53, natPort, []byte("a"))
+		back := n.Process(nf.Inbound, reply)
+		var p packet.Parser
+		if len(back.Forward) != 1 || p.Parse(back.Forward[0]) != nil || p.UDP.DstPort != client {
+			t.Fatalf("a reply to NAT port %d does not reach client port %d: %+v", natPort, client, back)
+		}
 	}
 }
 

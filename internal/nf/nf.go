@@ -10,9 +10,8 @@
 // direction; Output.Reverse frames are sent back the way they came — that
 // is how a DNS load balancer or cache answers a query directly at the edge.
 // A frame appended to neither is dropped. A single frame is a batch of one.
-// Stateful functions additionally implement container.StateHandler
-// (ExportState/ImportState) so checkpoint/restore migration can move their
-// state between stations.
+// Stateful functions additionally implement Stateful, so a migration can
+// move their state between stations.
 package nf
 
 import (
@@ -258,30 +257,26 @@ func (c *Chain) Len() int { return len(c.fns) }
 // Process implements Function.
 func (c *Chain) Process(dir Direction, frame []byte) Output { return ProcessOne(c, dir, frame) }
 
-// ExportState implements container.StateHandler by concatenating the state
-// of every stateful member (length-prefixed, positional).
+// ExportState implements container.StateHandler: the state of every
+// stateful member (length-prefixed, positional), which is the export since
+// nothing.
 func (c *Chain) ExportState() ([]byte, error) {
-	return exportChainState(c.fns)
+	data, _, err := exportChainState(c.fns, nil)
+	return data, err
 }
 
-// ImportState implements container.StateHandler.
+// ImportState implements container.StateHandler by merging exported state
+// into the members' current state.
 func (c *Chain) ImportState(data []byte) error {
 	return importChainState(c.fns, data)
 }
 
 // ExportStateDelta implements container.DeltaStateHandler: it exports only
-// the member state dirtied since the epoch vector of a previous export.
-// since == nil exports the full state and starts the epoch sequence — the
-// first pre-copy round of a live migration. Members without dirty tracking
-// contribute a full snapshot every round.
+// the member state dirtied since the epoch vector of a previous export, and
+// the vector to pass next; since == nil exports everything and starts the
+// sequence.
 func (c *Chain) ExportStateDelta(since []uint64) ([]byte, []uint64, error) {
-	return exportChainDelta(c.fns, since)
-}
-
-// ImportStateDelta implements container.DeltaStateHandler by merging a
-// delta produced by ExportStateDelta into the members' current state.
-func (c *Chain) ImportStateDelta(data []byte) error {
-	return importChainDelta(c.fns, data)
+	return exportChainState(c.fns, since)
 }
 
 // SetNotifier fans the notifier out to every member that accepts one.
@@ -316,4 +311,3 @@ func (c *Chain) NFStats() map[string]uint64 {
 }
 
 var _ Function = (*Chain)(nil)
-var _ Stateful = (*Chain)(nil)

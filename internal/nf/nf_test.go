@@ -56,8 +56,8 @@ type statefulFn struct {
 	blob []byte
 }
 
-func (s *statefulFn) ExportState() ([]byte, error) { return s.blob, nil }
-func (s *statefulFn) ImportState(b []byte) error   { s.blob = append([]byte(nil), b...); return nil }
+func (s *statefulFn) ExportDelta(uint64) ([]byte, uint64, error) { return s.blob, 0, nil }
+func (s *statefulFn) ImportDelta(b []byte) error                 { s.blob = append([]byte(nil), b...); return nil }
 func (s *statefulFn) NFStats() map[string]uint64 {
 	return map[string]uint64{"seen": uint64(len(s.seen))}
 }

@@ -6,33 +6,20 @@ import (
 	"fmt"
 )
 
-// Chain state is serialized as a sequence of length-prefixed blobs, one per
-// stateful member, in outbound chain order. Stateless members contribute an
-// empty blob so positional matching survives round-trips.
-
-// Stateful mirrors container.StateHandler locally to avoid an import cycle
-// (the container package must not depend on nf).
-type Stateful interface {
-	ExportState() ([]byte, error)
-	ImportState([]byte) error
-}
-
-// DeltaStateful is implemented by stateful functions that track dirty
-// entries under an epoch counter, so live migration can ship only the
-// state mutated since the previous pre-copy round instead of re-exporting
-// everything. The contract:
+// Stateful is implemented by functions whose state moves with a migration.
+// The contract:
 //
 //   - Every mutation stamps the touched entries with a monotonically
 //     increasing epoch.
-//   - ExportDelta(since) returns exactly the entries stamped after `since`
-//     plus the epoch to pass on the next call; since == 0 exports the full
-//     state (the first pre-copy round).
-//   - ImportDelta merges a delta into the current state (upserts). Deltas
-//     carry no tombstones: entry deletion converges through the functions'
-//     own expiry (caches) or simply never occurs (nat, counter), so a
-//     merge-only protocol stays correct for every built-in kind.
-type DeltaStateful interface {
-	Stateful
+//   - ExportDelta(since) returns the entries stamped after `since` plus the
+//     epoch to pass on the next call; since == 0 exports everything. A kind
+//     that keeps no epochs answers every `since` with everything.
+//   - ImportDelta merges a blob into the current state (upserts); on a fresh
+//     instance that is the blob's state. Blobs carry no tombstones: entry
+//     deletion converges through the functions' own expiry (caches) or
+//     simply never occurs (nat, counter), so merging is exact for every
+//     built-in kind.
+type Stateful interface {
 	ExportDelta(since uint64) (delta []byte, epoch uint64, err error)
 	ImportDelta(delta []byte) error
 }
@@ -41,30 +28,42 @@ type DeltaStateful interface {
 // with the chain's members.
 var ErrStateMismatch = errors.New("nf: chain state does not match chain shape")
 
-func exportChainState(fns []Function) ([]byte, error) {
+// Chain state is serialized as a member count (u32), then one length-prefixed
+// (u32) blob per member in outbound chain order: what the member exported
+// since its epoch, empty for a stateless member, so positional matching
+// survives round-trips and a blob only ever applies to the chain shape it
+// was exported from.
+
+func exportChainState(fns []Function, since []uint64) ([]byte, []uint64, error) {
+	if since == nil {
+		since = make([]uint64, len(fns))
+	}
+	if len(since) != len(fns) {
+		return nil, nil, fmt.Errorf("%w: %d epochs for %d members", ErrStateMismatch, len(since), len(fns))
+	}
+	epochs := make([]uint64, len(fns))
 	var out []byte
 	out = binary.BigEndian.AppendUint32(out, uint32(len(fns)))
-	for _, f := range fns {
+	for i, f := range fns {
 		var blob []byte
 		if s, ok := f.(Stateful); ok {
-			b, err := s.ExportState()
+			b, ep, err := s.ExportDelta(since[i])
 			if err != nil {
-				return nil, fmt.Errorf("nf: exporting %s: %w", f.Name(), err)
+				return nil, nil, fmt.Errorf("nf: exporting %s: %w", f.Name(), err)
 			}
-			blob = b
+			blob, epochs[i] = b, ep
 		}
 		out = binary.BigEndian.AppendUint32(out, uint32(len(blob)))
 		out = append(out, blob...)
 	}
-	return out, nil
+	return out, epochs, nil
 }
 
 func importChainState(fns []Function, data []byte) error {
 	if len(data) < 4 {
 		return ErrStateMismatch
 	}
-	n := binary.BigEndian.Uint32(data)
-	if int(n) != len(fns) {
+	if n := binary.BigEndian.Uint32(data); int(n) != len(fns) {
 		return fmt.Errorf("%w: state has %d members, chain has %d", ErrStateMismatch, n, len(fns))
 	}
 	off := 4
@@ -86,106 +85,8 @@ func importChainState(fns []Function, data []byte) error {
 			}
 			continue
 		}
-		if err := s.ImportState(blob); err != nil {
+		if err := s.ImportDelta(blob); err != nil {
 			return fmt.Errorf("nf: importing %s: %w", f.Name(), err)
-		}
-	}
-	if off != len(data) {
-		return ErrStateMismatch
-	}
-	return nil
-}
-
-// Chain deltas are serialized as a sequence of tagged, length-prefixed
-// member blobs in outbound chain order: one mode byte (below), a u32
-// length, then the blob. Positional matching mirrors the full-state
-// format, so a delta stream only ever applies to the chain shape it was
-// exported from.
-const (
-	deltaModeNone  = 0 // stateless member, no blob
-	deltaModeFull  = 1 // full snapshot, apply via ImportState
-	deltaModeDelta = 2 // incremental, apply via ImportDelta
-)
-
-func exportChainDelta(fns []Function, since []uint64) ([]byte, []uint64, error) {
-	if since == nil {
-		since = make([]uint64, len(fns))
-	}
-	if len(since) != len(fns) {
-		return nil, nil, fmt.Errorf("%w: %d epochs for %d members", ErrStateMismatch, len(since), len(fns))
-	}
-	epochs := make([]uint64, len(fns))
-	var out []byte
-	out = binary.BigEndian.AppendUint32(out, uint32(len(fns)))
-	for i, f := range fns {
-		mode := byte(deltaModeNone)
-		var blob []byte
-		switch s := f.(type) {
-		case DeltaStateful:
-			d, ep, err := s.ExportDelta(since[i])
-			if err != nil {
-				return nil, nil, fmt.Errorf("nf: delta-exporting %s: %w", f.Name(), err)
-			}
-			mode, blob, epochs[i] = deltaModeDelta, d, ep
-		case Stateful:
-			// No dirty tracking: this member re-ships its full state every
-			// round. Correct, just not incremental.
-			b, err := s.ExportState()
-			if err != nil {
-				return nil, nil, fmt.Errorf("nf: exporting %s: %w", f.Name(), err)
-			}
-			mode, blob = deltaModeFull, b
-		}
-		out = append(out, mode)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(blob)))
-		out = append(out, blob...)
-	}
-	return out, epochs, nil
-}
-
-func importChainDelta(fns []Function, data []byte) error {
-	if len(data) < 4 {
-		return ErrStateMismatch
-	}
-	if n := binary.BigEndian.Uint32(data); int(n) != len(fns) {
-		return fmt.Errorf("%w: delta has %d members, chain has %d", ErrStateMismatch, n, len(fns))
-	}
-	off := 4
-	for _, f := range fns {
-		if off+5 > len(data) {
-			return ErrStateMismatch
-		}
-		mode := data[off]
-		l := int(binary.BigEndian.Uint32(data[off+1:]))
-		off += 5
-		if off+l > len(data) {
-			return ErrStateMismatch
-		}
-		blob := data[off : off+l]
-		off += l
-		switch mode {
-		case deltaModeNone:
-			if l != 0 {
-				return fmt.Errorf("%w: delta for stateless member %s", ErrStateMismatch, f.Name())
-			}
-		case deltaModeFull:
-			s, ok := f.(Stateful)
-			if !ok {
-				return fmt.Errorf("%w: full state for stateless member %s", ErrStateMismatch, f.Name())
-			}
-			if err := s.ImportState(blob); err != nil {
-				return fmt.Errorf("nf: importing %s: %w", f.Name(), err)
-			}
-		case deltaModeDelta:
-			s, ok := f.(DeltaStateful)
-			if !ok {
-				return fmt.Errorf("%w: delta for non-delta member %s", ErrStateMismatch, f.Name())
-			}
-			if err := s.ImportDelta(blob); err != nil {
-				return fmt.Errorf("nf: delta-importing %s: %w", f.Name(), err)
-			}
-		default:
-			return fmt.Errorf("%w: unknown delta mode %d for member %s", ErrStateMismatch, mode, f.Name())
 		}
 	}
 	if off != len(data) {

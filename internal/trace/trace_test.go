@@ -64,7 +64,7 @@ func TestSpanTreeAndDurations(t *testing.T) {
 	tr := New(clk, WithOrigin("manager"), WithStore(8))
 	root := tr.StartSpan(Context{}, "handoff")
 	clk.Advance(2 * time.Millisecond)
-	child := tr.StartSpan(root.Context(), "rpc:agent.preCopy")
+	child := tr.StartSpan(root.Context(), "rpc:agent.checkpoint")
 	child.SetAttr("station", "st-b")
 	clk.Advance(3 * time.Millisecond)
 	child.End(nil)
