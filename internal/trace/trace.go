@@ -12,10 +12,7 @@
 // complete by the time the traced call returns.
 package trace
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Context identifies a position in one trace: the trace it belongs to and
 // the span that is the parent of any work started under it. The zero
@@ -86,6 +83,15 @@ func originTag(origin string) uint16 {
 	return h
 }
 
+// formatID renders an ID as 16 lower-case hex digits: the origin tag's 4,
+// then the low 48 bits of the counter.
 func formatID(tag uint16, n uint64) string {
-	return fmt.Sprintf("%04x%012x", tag, n&0xffffffffffff)
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	v := uint64(tag)<<48 | n&(1<<48-1)
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }

@@ -29,6 +29,20 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFormatIDMatchesPrintf holds formatID to the Printf format it replaced,
+// so every trace and span ID keeps its bytes: the tag's four digits, then the
+// counter's low 48 bits whatever lies above them.
+func TestFormatIDMatchesPrintf(t *testing.T) {
+	for _, tag := range []uint16{0, 1, 0xffff} {
+		for _, n := range []uint64{0, 1, 0xabc, 1<<48 - 1, 1 << 48, 1<<48 + 0x2a, 0xdead_beef_cafe_f00d, ^uint64(0)} {
+			want := fmt.Sprintf("%04x%012x", tag, n&0xffffffffffff)
+			if got := formatID(tag, n); got != want {
+				t.Errorf("formatID(%#x, %#x) = %q, want %q", tag, n, got, want)
+			}
+		}
+	}
+}
+
 func TestParseHeaderDegradesOnGarbage(t *testing.T) {
 	for _, h := range []string{
 		"", "garbage", "a-b-c", "xyz-123-1", "--1",

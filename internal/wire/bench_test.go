@@ -59,9 +59,10 @@ func BenchmarkCallBlob256K(b *testing.B) {
 
 // BenchmarkCallContention measures the write-mutex cost of fanning many
 // concurrent calls over one peer: "calls" issues n independent Calls (each
-// fighting for wmu and flushing its own frame), "batch" sends the same n
-// requests as one CallBatch (one wmu acquisition, one flush). The gap is
-// what steer coalescing buys during a handoff storm.
+// rendering its own head, then taking wmu for its own write), "batch" sends
+// the same n requests as one CallBatch (one buffer of heads, one wmu
+// acquisition, one write). The gap is what steer coalescing buys during a
+// handoff storm.
 func BenchmarkCallContention(b *testing.B) {
 	srv, err := NewServer("127.0.0.1:0", func(p *Peer) {
 		p.Handle("echo", func(body json.RawMessage) (any, error) {

@@ -107,9 +107,19 @@ func FrameLengths(envelope, blob uint32) []byte {
 	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, envelope), blob)
 }
 
-// rawFrame renders one frame as the bytes on the wire.
-func rawFrame(envelope string, blob []byte) []byte {
-	return append(append(FrameLengths(uint32(len(envelope)), uint32(len(blob))), envelope...), blob...)
+// The kind bytes, exported for fault_test.go.
+const (
+	KindRequest  = kindRequest
+	KindResponse = kindResponse
+	KindNotify   = kindNotify
+)
+
+// RawFrame renders one frame as the bytes on the wire, whatever its kind
+// byte and size, so a test can write frames this package would refuse to
+// send. Exported for fault_test.go.
+func RawFrame(kind byte, id uint64, method, trace, errMsg, body string, blob []byte) []byte {
+	f := frame{Kind: kind, ID: id, Method: method, Trace: trace, Error: errMsg, Body: json.RawMessage(body), Blob: blob}
+	return append(appendHead(nil, &f), blob...)
 }
 
 // TestNotifyBlobIsSkipped sends a notification with a raw section nobody
@@ -130,11 +140,11 @@ func TestNotifyBlobIsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	raw.Write(rawFrame(`{"kind":"ntf","method":"tick","body":{"n":1}}`, everyByte(5000)))
-	raw.Write(rawFrame(`{"kind":"req","id":9,"method":"echo","body":{"n":2}}`, nil))
+	raw.Write(RawFrame(kindNotify, 0, "tick", "", "", `{"n":1}`, everyByte(5000)))
+	raw.Write(RawFrame(kindRequest, 9, "echo", "", "", `{"n":2}`, nil))
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	res, err := readFrame(bufio.NewReader(raw))
-	if err != nil || res.ID != 9 || string(res.Body) != `{"n":2}` {
+	if err != nil || res.Kind != kindResponse || res.ID != 9 || string(res.Body) != `{"n":2}` {
 		t.Fatalf("the request behind the notification: %+v, %v", res, err)
 	}
 	select {
@@ -149,31 +159,41 @@ func TestNotifyBlobIsSkipped(t *testing.T) {
 
 // FuzzReadFrame feeds the frame decoder arbitrary bytes. It must never
 // panic; a length pair past MaxFrameBytes is refused before anything is
-// allocated for it; a raw section comes out as the bytes that went in; and
-// whatever envelope decodes, with whatever blob behind it, survives
-// writeFrame → readFrame unchanged.
+// allocated for it; a raw section comes out as the bytes that went in; a
+// frame that decodes re-encodes to exactly the bytes it was read from; and
+// with another raw section behind it, it survives a write and a read.
 func FuzzReadFrame(f *testing.F) {
 	junk := bytes.Repeat([]byte{0xA5}, 100)
+	envelope := func(env ...byte) []byte { return append(FrameLengths(uint32(len(env)), 0), env...) }
 	for _, seed := range [][]byte{
-		// wire/fault_test.go's four: garbage behind a plausible header, a
-		// torn frame, an oversize prefix, an unknown kind.
+		// fault_test.go's four: garbage behind a plausible header, a torn
+		// frame, an oversize prefix, an unknown kind byte.
 		append(FrameLengths(100, 0), junk...),
-		append(FrameLengths(64, 0), `{"kind":"req","me`...),
+		RawFrame(kindRequest, 1, "echo", "", "", `{"n":1}`, nil)[:17],
 		FrameLengths(MaxFrameBytes+1, 0),
-		rawFrame(`{"kind":"??","id":1}`, nil),
+		RawFrame(0x7b, 1, "", "", "", "", nil),
 		// A raw section cut short, one whose length only breaks the limit
 		// together with the envelope's, and one on a notification.
-		rawFrame(`{"kind":"res","id":7,"body":{"chain":"c"}}`, everyByte(300))[:200],
+		RawFrame(kindResponse, 7, "", "", "", `{"chain":"c"}`, everyByte(300))[:200],
 		FrameLengths(2, MaxFrameBytes-1),
-		rawFrame(`{"kind":"ntf","method":"manager.report","body":{}}`, everyByte(64)),
-		rawFrame(`{"kind":"req","id":3,"method":"agent.restore","trace":"a-b-1","body":{"chain":"c"}}`, everyByte(1024)),
+		RawFrame(kindNotify, 0, "manager.report", "", "", `{}`, everyByte(64)),
+		// Each kind with every field set.
+		RawFrame(kindRequest, 3, "agent.restore", "0a1b000000000001-0a1b000000000002-1", "e", `{"chain":"c"}`, everyByte(1024)),
+		RawFrame(kindResponse, 1<<40, "m", "t", "no such chain", `{"chain":"c"}`, everyByte(3)),
+		RawFrame(kindNotify, 300, "nf.alert", "t", "e", `{"nf":"fw"}`, nil),
+		// A string length running past the envelope, an empty envelope, an
+		// id that is not in its shortest form, and one cut short.
+		envelope(kindRequest, 1, 2, 'e'),
+		envelope(),
+		envelope(kindResponse, 0x81, 0x00, 0, 0, 0),
+		envelope(kindResponse, 0x81),
 	} {
 		f.Add(seed, []byte("blob"))
 	}
 	f.Fuzz(func(t *testing.T, stream, blob []byte) {
-		fr, err := readFrame(bytes.NewReader(stream))
+		fr, err := readFrame(bufio.NewReader(bytes.NewReader(stream)))
 		var n, b uint64
-		if len(stream) >= 8 {
+		if len(stream) >= prefixLen {
 			n, b = uint64(binary.BigEndian.Uint32(stream[:4])), uint64(binary.BigEndian.Uint32(stream[4:8]))
 			if (n+b > MaxFrameBytes) != errors.Is(err, ErrFrameTooBig) {
 				t.Fatalf("lengths %d+%d: %v", n, b, err)
@@ -182,16 +202,17 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(fr.Blob, stream[8+n:8+n+b]) {
+		read := stream[:prefixLen+n+b]
+		if !bytes.Equal(fr.Blob, read[prefixLen+n:]) {
 			t.Fatalf("raw section of %d bytes decoded as %d other bytes", b, len(fr.Blob))
 		}
-		// json.Marshal re-renders a RawMessage (compacted, HTML-escaped), so
-		// the body is compared from its first re-rendering on.
+		head, err := renderHead(fr)
+		if err != nil || !bytes.Equal(append(head, fr.Blob...), read) {
+			t.Fatalf("read %x, decoded %+v, re-encoded %x (%v)", read, fr, append(head, fr.Blob...), err)
+		}
 		fr.Blob = blob
-		once := reread(t, fr)
-		fr.Body = once.Body
-		if twice := reread(t, once); !sameFrame(once, fr) || !sameFrame(twice, fr) {
-			t.Fatalf("wrote %+v, read %+v, then %+v", fr, once, twice)
+		if again := reread(t, fr); !sameFrame(again, fr) {
+			t.Fatalf("wrote %+v, read %+v", fr, again)
 		}
 	})
 }
@@ -203,16 +224,17 @@ func sameFrame(a, b *frame) bool {
 
 func reread(t *testing.T, f *frame) *frame {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, f); err != nil {
+	head, err := renderHead(f)
+	if err != nil {
 		if errors.Is(err, ErrFrameTooBig) {
 			t.Skip("the fuzzer's blob pushed the frame past the limit")
 		}
-		t.Fatalf("writeFrame(%+v): %v", f, err)
+		t.Fatalf("renderHead(%+v): %v", f, err)
 	}
-	got, err := readFrame(&buf)
-	if err != nil || buf.Len() != 0 {
-		t.Fatalf("readFrame of a written frame: %v, %d bytes left", err, buf.Len())
+	r := bufio.NewReader(bytes.NewReader(append(head, f.Blob...)))
+	got, err := readFrame(r)
+	if err != nil || r.Buffered() != 0 {
+		t.Fatalf("readFrame of a written frame: %v, %d bytes left", err, r.Buffered())
 	}
 	return got
 }

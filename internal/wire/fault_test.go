@@ -71,8 +71,8 @@ func TestTornFrameDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw.Write(wire.FrameLengths(64, 0))    // promise 64 bytes...
-	raw.Write([]byte(`{"kind":"req","me`)) // ...deliver 17, then vanish
+	torn := wire.RawFrame(wire.KindRequest, 1, "echo", "", "", `{"n":1}`, nil)
+	raw.Write(torn[:17]) // promise the whole envelope, deliver part of it, then vanish
 	raw.Close()
 
 	peer, err := wire.Dial(srv.Addr())
@@ -83,6 +83,36 @@ func TestTornFrameDisconnect(t *testing.T) {
 	go peer.Run()
 	if err := peer.Call("echo", map[string]int{"n": 1}, nil); err != nil {
 		t.Fatalf("server did not survive torn frame: %v", err)
+	}
+}
+
+// closeErr writes stream at a fresh server over a raw connection and returns
+// the error the server's peer shut down with.
+func closeErr(t *testing.T, stream []byte) error {
+	t.Helper()
+	srv, accepted := faultServer(t)
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var p *wire.Peer
+	select {
+	case p = <-accepted:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no accept")
+	}
+	closed := make(chan error, 1)
+	p.OnClose(func(err error) { closed <- err })
+	go p.Run()
+
+	raw.Write(stream)
+	select {
+	case err := <-closed:
+		return err
+	case <-time.After(2 * time.Second):
+		t.Fatalf("the server kept a connection that sent %x", stream)
+		return nil
 	}
 }
 
@@ -98,37 +128,34 @@ func TestOversizePrefixRejectedImmediately(t *testing.T) {
 		"overflow": wire.FrameLengths(1<<32-1, 1<<32-1),
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, accepted := faultServer(t)
-			raw, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer raw.Close()
-			var p *wire.Peer
-			select {
-			case p = <-accepted:
-			case <-time.After(2 * time.Second):
-				t.Fatal("no accept")
-			}
-			closed := make(chan error, 1)
-			p.OnClose(func(err error) { closed <- err })
-			go p.Run()
-
-			raw.Write(hdr)
-			select {
-			case err := <-closed:
-				if !errors.Is(err, wire.ErrFrameTooBig) {
-					t.Fatalf("connection closed with %v, want ErrFrameTooBig", err)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("oversize prefix not rejected")
+			if err := closeErr(t, hdr); !errors.Is(err, wire.ErrFrameTooBig) {
+				t.Fatalf("connection closed with %v, want ErrFrameTooBig", err)
 			}
 		})
 	}
 }
 
-// TestUnknownKindPoisonsConnection sends a well-formed JSON frame whose
-// kind is gibberish. The protocol is intentionally strict — an unknown
+// TestBadEnvelopeCutsTheConnection sends envelopes the two ends cannot agree
+// on: each shuts the receiving peer down with ErrBadFrame.
+func TestBadEnvelopeCutsTheConnection(t *testing.T) {
+	envelope := func(env ...byte) []byte { return append(wire.FrameLengths(uint32(len(env)), 0), env...) }
+	for name, stream := range map[string][]byte{
+		"unknown kind":           wire.RawFrame(0, 1, "echo", "", "", `{}`, nil),
+		"string past envelope":   envelope(wire.KindRequest, 1, 5, 'e', 'c', 'h', 'o'),
+		"empty envelope":         envelope(),
+		"id cut short":           envelope(wire.KindRequest, 0x81),
+		"id not in its shortest": envelope(wire.KindRequest, 0x81, 0x00, 0, 0, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := closeErr(t, stream); !errors.Is(err, wire.ErrBadFrame) {
+				t.Fatalf("connection closed with %v, want ErrBadFrame", err)
+			}
+		})
+	}
+}
+
+// TestUnknownKindPoisonsConnection sends a frame whose kind byte is
+// gibberish. The protocol is intentionally strict — an unknown
 // kind means the two ends have desynchronised, so the peer must cut the
 // connection rather than guess — while the listener keeps serving others.
 func TestUnknownKindPoisonsConnection(t *testing.T) {
@@ -148,9 +175,7 @@ func TestUnknownKindPoisonsConnection(t *testing.T) {
 	p.OnClose(func(error) { close(closed) })
 	go p.Run()
 
-	body, _ := json.Marshal(map[string]any{"kind": "??", "id": 1})
-	raw.Write(wire.FrameLengths(uint32(len(body)), 0))
-	raw.Write(body)
+	raw.Write(wire.RawFrame(0x7b, 1, "echo", "", "", `{"n":1}`, nil))
 
 	select {
 	case <-closed:

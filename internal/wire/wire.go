@@ -5,13 +5,19 @@
 // ends can initiate calls over the same connection — the Manager pushes NF
 // deployments down, Agents push health reports and NF notifications up.
 //
-// Framing: two 4-byte big-endian lengths, then a JSON envelope of the first
-// length and a raw byte section of the second:
+// Framing: JSON bodies in a binary envelope. Two 4-byte big-endian lengths,
+// then an envelope of the first length and a raw byte section of the second.
+// The envelope is a kind byte, the id as a uvarint, three uvarint-length
+// strings (method, trace, error) and, in its remaining bytes, the JSON body:
 //
-//	{"kind":"req","id":7,"method":"agent.deploy","body":{...}}
-//	{"kind":"res","id":7,"body":{...}}            // success
-//	{"kind":"res","id":7,"error":"no such image"} // failure
-//	{"kind":"ntf","method":"nf.alert","body":{...}}
+//	| 1 req | id 7 | "agent.deploy" | "" | "" | {...} |  request
+//	| 2 res | id 7 | ""             | "" | "" | {...} |  success
+//	| 2 res | id 7 | ""             | "" | "no such image" | failure
+//	| 3 ntf | id 0 | "nf.alert"     | "" | "" | {...} |  notification
+//
+// Nothing scans a body but the code that decodes it: the sender renders the
+// head (lengths and envelope) into one buffer, and the receiver hands the
+// body on as a slice of the envelope it read.
 //
 // The raw section is empty for almost every frame. It carries what a message
 // hands over through WireBlob — a chain's exported state, hundreds of
@@ -48,11 +54,12 @@ const (
 	maxNotifyBytes = 16 << 20
 )
 
-// Frame kinds.
+// Frame kinds: the envelope's first byte. Any other value is a peer out of
+// step, and the connection is cut.
 const (
-	kindRequest  = "req"
-	kindResponse = "res"
-	kindNotify   = "ntf"
+	kindRequest  byte = 1
+	kindResponse byte = 2
+	kindNotify   byte = 3
 )
 
 // Errors returned by Peer operations.
@@ -64,51 +71,89 @@ var (
 	ErrBadFrame    = errors.New("wire: malformed frame")
 )
 
-// frame is the on-wire envelope. Trace carries opaque tracing metadata
-// (an encoded trace context) alongside requests; it is absent from
-// untraced traffic, so legacy peers interoperate unchanged.
+// frame is one decoded frame. Trace carries opaque tracing metadata (an
+// encoded trace context) alongside requests; it is empty on untraced
+// traffic, one zero byte on the wire.
 type frame struct {
-	Kind   string          `json:"kind"`
-	ID     uint64          `json:"id,omitempty"`
-	Method string          `json:"method,omitempty"`
-	Trace  string          `json:"trace,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Body   json.RawMessage `json:"body,omitempty"`
+	Kind   byte
+	ID     uint64
+	Method string
+	Trace  string
+	Error  string
+	// Body is the JSON body, as it was handed to the sender; on a read frame
+	// it is the tail of the envelope buffer, scanned by nobody but its decoder.
+	Body json.RawMessage
 	// Blob is the frame's raw section: written behind the envelope as it is,
 	// read into a buffer of its own and never copied or scanned after that.
-	Blob []byte `json:"-"`
+	Blob []byte
 }
 
-// writeFrame marshals and writes one frame behind its two length prefixes.
-func writeFrame(w io.Writer, f *frame) error {
-	env, err := json.Marshal(f)
+// prefixLen is the two length prefixes in front of every envelope.
+const prefixLen = 8
+
+// envelopeLen is the byte length of f's envelope.
+func (f *frame) envelopeLen() int {
+	n := 1 + uvarintLen(f.ID) + len(f.Body)
+	for _, s := range [...]string{f.Method, f.Trace, f.Error} {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
+// uvarintLen is the byte length of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// appendHead appends f's head — its two length prefixes and its envelope —
+// to dst. The caller has checked the frame against MaxFrameBytes.
+func appendHead(dst []byte, f *frame) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(f.envelopeLen()))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Blob)))
+	dst = append(dst, f.Kind)
+	dst = binary.AppendUvarint(dst, f.ID)
+	for _, s := range [...]string{f.Method, f.Trace, f.Error} {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	return append(dst, f.Body...)
+}
+
+// headLen is the byte length of f's head, or ErrFrameTooBig if the frame
+// with its raw section would break the limit.
+func headLen(f *frame) (int, error) {
+	n := f.envelopeLen()
+	if n+len(f.Blob) > MaxFrameBytes {
+		return 0, ErrFrameTooBig
+	}
+	return prefixLen + n, nil
+}
+
+// renderHead renders f's head into a buffer of exactly its size.
+func renderHead(f *frame) ([]byte, error) {
+	n, err := headLen(f)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(env)+len(f.Blob) > MaxFrameBytes {
-		return ErrFrameTooBig
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(env)))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(f.Blob)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(env); err != nil {
-		return err
-	}
-	_, err = w.Write(f.Blob)
-	return err
+	return appendHead(make([]byte, 0, n), f), nil
 }
 
 // readFrame reads one frame. Both lengths are checked against the limit
 // before anything is allocated for them.
-func readFrame(r io.Reader) (*frame, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func readFrame(r *bufio.Reader) (*frame, error) {
+	hdr, err := r.Peek(prefixLen)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	n, b := binary.BigEndian.Uint32(hdr[:4]), binary.BigEndian.Uint32(hdr[4:])
+	r.Discard(prefixLen) // cannot fail: Peek buffered them
 	if uint64(n)+uint64(b) > MaxFrameBytes {
 		return nil, ErrFrameTooBig
 	}
@@ -116,9 +161,9 @@ func readFrame(r io.Reader) (*frame, error) {
 	if _, err := io.ReadFull(r, env); err != nil {
 		return nil, err
 	}
-	var f frame
-	if err := json.Unmarshal(env, &f); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	f := new(frame)
+	if err := f.parseEnvelope(env); err != nil {
+		return nil, err
 	}
 	if b > 0 {
 		f.Blob = make([]byte, b)
@@ -126,7 +171,60 @@ func readFrame(r io.Reader) (*frame, error) {
 			return nil, err
 		}
 	}
-	return &f, nil
+	return f, nil
+}
+
+// parseEnvelope fills f from env. The three strings share one allocation
+// (none when all are empty); the body is env's tail, not a copy. A kind
+// byte it does not know, a uvarint that is cut short, overlong or not in
+// its shortest form, and a string running past the envelope are
+// ErrBadFrame: the two ends no longer agree on where the frames are.
+func (f *frame) parseEnvelope(env []byte) error {
+	if len(env) == 0 {
+		return fmt.Errorf("%w: empty envelope", ErrBadFrame)
+	}
+	switch f.Kind = env[0]; f.Kind {
+	case kindRequest, kindResponse, kindNotify:
+	default:
+		return fmt.Errorf("%w: unknown kind %#x", ErrBadFrame, f.Kind)
+	}
+	off := 1
+	uvarint := func() (uint64, error) {
+		v, k := binary.Uvarint(env[off:])
+		if k <= 0 || (k > 1 && env[off+k-1] == 0) {
+			return 0, fmt.Errorf("%w: bad uvarint at byte %d", ErrBadFrame, off)
+		}
+		off += k
+		return v, nil
+	}
+	var err error
+	if f.ID, err = uvarint(); err != nil {
+		return err
+	}
+	var at [3][2]int // each string's start and end in env
+	total := 0
+	for i := range at {
+		l, err := uvarint()
+		if err != nil {
+			return err
+		}
+		if l > uint64(len(env)-off) {
+			return fmt.Errorf("%w: string of %d bytes past the envelope", ErrBadFrame, l)
+		}
+		at[i] = [2]int{off, off + int(l)}
+		off += int(l)
+		total += int(l)
+	}
+	if total > 0 {
+		base := at[0][0]
+		strs := string(env[base:off])
+		sub := func(i int) string { return strs[at[i][0]-base : at[i][1]-base] }
+		f.Method, f.Trace, f.Error = sub(0), sub(1), sub(2)
+	}
+	if off < len(env) {
+		f.Body = env[off:]
+	}
+	return nil
 }
 
 // A message that carries bulk bytes keeps them out of its JSON (`json:"-"`)
@@ -186,7 +284,6 @@ type NotifyHandler func(body json.RawMessage)
 // handlers, then call Run (usually in a goroutine) to start dispatching.
 type Peer struct {
 	conn net.Conn
-	bw   *bufio.Writer
 	wmu  sync.Mutex // serialises frame writes
 
 	mu       sync.Mutex
@@ -220,7 +317,6 @@ type Peer struct {
 func NewPeer(conn net.Conn) *Peer {
 	p := &Peer{
 		conn:     conn,
-		bw:       bufio.NewWriter(conn),
 		handlers: make(map[string]BlobHandler),
 		notify:   make(map[string]NotifyHandler),
 		pending:  make(map[uint64]chan *frame),
@@ -297,7 +393,7 @@ func (p *Peer) Run() error {
 			p.shutdown(err)
 			return err
 		}
-		switch f.Kind {
+		switch f.Kind { // readFrame refused every other kind
 		case kindRequest:
 			go p.serve(f)
 		case kindResponse:
@@ -326,9 +422,6 @@ func (p *Peer) Run() error {
 				p.ncond.Signal()
 			}
 			p.nmu.Unlock()
-		default:
-			p.shutdown(ErrBadFrame)
-			return ErrBadFrame
 		}
 	}
 }
@@ -383,8 +476,23 @@ func (p *Peer) serve(req *frame) {
 	p.send(&res)
 }
 
-// send writes one frame, serialised against concurrent writers.
+// send writes one frame. Its head is rendered before the writer lock is
+// taken, so the lock covers the write alone.
 func (p *Peer) send(f *frame) error {
+	head, err := renderHead(f)
+	if err != nil {
+		return err
+	}
+	if len(f.Blob) == 0 {
+		return p.write(head)
+	}
+	return p.write(head, f.Blob)
+}
+
+// write puts rendered frames on the connection, serialised against
+// concurrent writers: one Write for a single buffer, one writev for a head
+// with a raw section behind it.
+func (p *Peer) write(bufs ...[]byte) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.mu.Lock()
@@ -393,10 +501,14 @@ func (p *Peer) send(f *frame) error {
 	if closed {
 		return ErrClosed
 	}
-	if err := writeFrame(p.bw, f); err != nil {
+	if len(bufs) == 1 {
+		_, err := p.conn.Write(bufs[0])
 		return err
 	}
-	return p.bw.Flush()
+	// WriteTo consumes its receiver; the copy keeps bufs on the caller's stack.
+	vec := append(net.Buffers(nil), bufs...)
+	_, err := vec.WriteTo(p.conn)
+	return err
 }
 
 // Call sends a request and decodes the response body into out (which may
@@ -460,29 +572,51 @@ type BatchCall struct {
 	Out    any
 }
 
-// CallBatch sends every call as one write burst: the request frames go out
-// back-to-back under a single writer-lock acquisition with one flush, then
-// the responses are awaited together under one shared deadline. Compared
-// with N sequential Calls this removes N-1 writer-lock handoffs, N-1
-// flushes and N-1 serialised round-trip waits — the difference between a
-// storm of control updates convoying on wmu and one coalesced install.
-// The result is per-call (nil = success), in input order.
+// CallBatch sends every call as one write: the request heads are rendered
+// back-to-back into one buffer, written under a single writer-lock
+// acquisition (a writev when raw sections ride between them), then the
+// responses are awaited together under one shared deadline. Compared with N
+// sequential Calls this removes N-1 writer-lock handoffs, N-1 writes and
+// N-1 serialised round-trip waits — the difference between a storm of
+// control updates convoying on wmu and one coalesced install. The result is
+// per-call (nil = success), in input order.
 func (p *Peer) CallBatch(calls []BatchCall) []error {
 	errs := make([]error, len(calls))
 	if len(calls) == 0 {
 		return errs
 	}
-	frames := make([]*frame, len(calls))
+	frames := make([]frame, len(calls))
 	chans := make([]chan *frame, len(calls))
-	ids := make([]uint64, len(calls))
+	size := 0
 	for i, c := range calls {
 		body, blob, err := encode(c.In)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		ids[i] = p.nextID.Add(1)
-		frames[i] = &frame{Kind: kindRequest, ID: ids[i], Method: c.Method, Body: body, Blob: blob}
+		frames[i] = frame{Kind: kindRequest, ID: p.nextID.Add(1), Method: c.Method, Body: body, Blob: blob}
+		n, err := headLen(&frames[i])
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		size += n
+	}
+	heads := make([]byte, 0, size)
+	var bufs [][]byte // runs of heads, with each raw section between them
+	last := 0
+	for i := range frames {
+		if errs[i] != nil {
+			continue
+		}
+		heads = appendHead(heads, &frames[i])
+		if blob := frames[i].Blob; len(blob) > 0 {
+			bufs = append(bufs, heads[last:], blob)
+			last = len(heads)
+		}
+	}
+	if last < len(heads) {
+		bufs = append(bufs, heads[last:])
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -495,38 +629,23 @@ func (p *Peer) CallBatch(calls []BatchCall) []error {
 		return errs
 	}
 	for i := range calls {
-		if frames[i] != nil {
+		if errs[i] == nil {
 			chans[i] = make(chan *frame, 1)
-			p.pending[ids[i]] = chans[i]
+			p.pending[frames[i].ID] = chans[i]
 		}
 	}
 	p.mu.Unlock()
 
-	werr := func() error {
-		p.wmu.Lock()
-		defer p.wmu.Unlock()
-		p.mu.Lock()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
-		for _, f := range frames {
-			if f == nil {
-				continue
-			}
-			if err := writeFrame(p.bw, f); err != nil {
-				return err
-			}
-		}
-		return p.bw.Flush()
-	}()
+	var werr error
+	if len(bufs) > 0 {
+		werr = p.write(bufs...)
+	}
 	if werr != nil {
 		// The connection is poisoned mid-batch; fail every registered call.
 		p.mu.Lock()
 		for i := range calls {
 			if chans[i] != nil {
-				delete(p.pending, ids[i])
+				delete(p.pending, frames[i].ID)
 				if errs[i] == nil {
 					errs[i] = werr
 				}
@@ -558,7 +677,7 @@ func (p *Peer) CallBatch(calls []BatchCall) []error {
 			}
 		case <-timeout:
 			p.mu.Lock()
-			delete(p.pending, ids[i])
+			delete(p.pending, frames[i].ID)
 			p.mu.Unlock()
 			errs[i] = fmt.Errorf("%w: %s", ErrCallTimeout, calls[i].Method)
 		}

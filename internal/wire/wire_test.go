@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -311,5 +314,61 @@ func TestTraceMetadataRoundTrip(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 2 || seen[0] != "abc123-def456-1" || seen[1] != "" {
 		t.Fatalf("seen = %v", seen)
+	}
+}
+
+// TestBadBodyFailsOnlyItsCall sends a request whose body is not JSON. Only
+// the handler decodes a body, so that call fails with the handler's decode
+// error, and the connection carries the next call as before.
+func TestBadBodyFailsOnlyItsCall(t *testing.T) {
+	srv, _ := startEcho(t)
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	const bad = `{"text":"unterminated`
+	raw.Write(RawFrame(kindRequest, 1, "echo", "", "", bad, nil))
+	raw.Write(RawFrame(kindRequest, 2, "echo", "", "", `{"text":"next"}`, nil))
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	want := json.Unmarshal([]byte(bad), &echoReq{}).Error()
+	r := bufio.NewReader(raw)
+	got := map[uint64]*frame{}
+	for len(got) < 2 {
+		res, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("after %d responses: %v", len(got), err)
+		}
+		got[res.ID] = res
+	}
+	if res := got[1]; res == nil || res.Error != want {
+		t.Fatalf("the bad body's call: %+v, want error %q", res, want)
+	}
+	if res := got[2]; res == nil || res.Error != "" || string(res.Body) != `{"text":"next"}` {
+		t.Fatalf("the call behind it: %+v", res)
+	}
+}
+
+// TestFrameAllocs pins what a traced request frame costs to render and to
+// read: the head is one buffer, and the read is the frame, its envelope and
+// one string holding the method and the trace — the body is the envelope's
+// tail, not a copy.
+func TestFrameAllocs(t *testing.T) {
+	f := &frame{Kind: kindRequest, ID: 4711, Method: "agent.checkpoint",
+		Trace: "0a1b000000000001-0a1b000000000002-1", Body: json.RawMessage(`{"chain":"c","restart":true}`)}
+	if n := testing.AllocsPerRun(200, func() { renderHead(f) }); n != 1 {
+		t.Errorf("renderHead: %v allocs, want 1", n)
+	}
+	head, _ := renderHead(f)
+	src := bytes.NewReader(head)
+	r := bufio.NewReader(src)
+	if n := testing.AllocsPerRun(200, func() {
+		src.Reset(head)
+		r.Reset(src)
+		if _, err := readFrame(r); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Errorf("readFrame: %v allocs, want 3", n)
 	}
 }
