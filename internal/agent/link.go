@@ -144,27 +144,41 @@ func (l *Link) installHandlers() {
 		}
 		return nil, a.Remove(ref.Chain)
 	})
-	traced(MethodEnable, func(tctx trace.Context, body json.RawMessage) (any, error) {
-		var ref ChainRef
-		if err := json.Unmarshal(body, &ref); err != nil {
+	// A move's last export rides Enable's raw section: the target imports it,
+	// then goes live.
+	tracedBlob(MethodEnable, func(tctx trace.Context, body json.RawMessage, state []byte) (any, error) {
+		var spec RestoreSpec
+		if err := json.Unmarshal(body, &spec); err != nil {
 			return nil, err
 		}
-		return a.enable(tctx, ref.Chain)
+		if len(state) > 0 {
+			if err := a.Restore(spec.Chain, state); err != nil {
+				return nil, err
+			}
+		}
+		return a.enable(tctx, spec.Chain)
 	})
 	traced(MethodDisable, func(_ trace.Context, body json.RawMessage) (any, error) {
 		var ref ChainRef
 		if err := json.Unmarshal(body, &ref); err != nil {
 			return nil, err
 		}
-		if ref.Brownout {
-			return nil, a.Freeze(ref.Chain)
-		}
 		return nil, a.Disable(ref.Chain)
 	})
+	// A freezing checkpoint stops the chain, then exports what is left.
 	traced(MethodCheckpoint, func(_ trace.Context, body json.RawMessage) (any, error) {
 		var spec CheckpointSpec
 		if err := json.Unmarshal(body, &spec); err != nil {
 			return nil, err
+		}
+		if spec.Freeze {
+			stop := a.Disable
+			if spec.Brownout {
+				stop = a.Freeze
+			}
+			if err := stop(spec.Chain); err != nil {
+				return nil, err
+			}
 		}
 		return a.PreCopy(spec.Chain, spec.Restart)
 	})

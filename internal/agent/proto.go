@@ -42,10 +42,12 @@ const (
 	// Agent-served methods.
 	MethodDeploy = "agent.deploy"
 	MethodRemove = "agent.remove"
-	// A move's state rides three methods: Checkpoint exports what the
-	// source's chain dirtied since the session's last export, Restore merges
-	// it on the target, and Enable flips the target live and replays what it
-	// parked meanwhile.
+	// A move's state leaves the source by Checkpoint, which exports what
+	// the chain dirtied since the session's last export (the last export
+	// freezes the chain first), and lands on the target by Restore, a
+	// pre-copy round's while the source serves, or by Enable, the last
+	// one's, merged before the target goes live and replays what it parked
+	// meanwhile. Disable stops a chain outside any move (schedule windows).
 	MethodCheckpoint = "agent.checkpoint"
 	MethodRestore    = "agent.restore"
 	MethodEnable     = "agent.enable"
@@ -133,22 +135,23 @@ type DeployResult struct {
 	Shared bool `json:"shared,omitempty"`
 }
 
-// ChainRef names a deployment on an agent. Brownout applies to
-// MethodDisable only: the chain freezes with its brownout buffer armed
-// (migration freeze) instead of dropping in-flight frames (schedule
-// windows, which must police out-of-window traffic).
+// ChainRef names a deployment on an agent.
 type ChainRef struct {
-	Chain    string `json:"chain"`
-	Brownout bool   `json:"brownout,omitempty"`
+	Chain string `json:"chain"`
 }
 
 // CheckpointSpec asks a source agent for the next export of a chain's state:
 // what the chain dirtied since the session's previous export, or all of it
 // on a session's first. Restart discards any existing session first — an
 // export since nothing — so a fresh move never resumes a stale epoch vector.
+// Freeze stops the chain before the export, making it a move's last: with
+// Brownout the chain parks in-flight stragglers in its brownout buffer (the
+// client was switched over to the target), without it they drop.
 type CheckpointSpec struct {
-	Chain   string `json:"chain"`
-	Restart bool   `json:"restart,omitempty"`
+	Chain    string `json:"chain"`
+	Restart  bool   `json:"restart,omitempty"`
+	Freeze   bool   `json:"freeze,omitempty"`
+	Brownout bool   `json:"brownout,omitempty"`
 }
 
 // The two state-carrying messages keep State out of their JSON: it rides the
@@ -171,7 +174,11 @@ func (r *CheckpointResult) SetWireBlob(b []byte) { r.State = b }
 // PreCopyResult is CheckpointResult under the name of Agent.PreCopy.
 type PreCopyResult = CheckpointResult
 
-// RestoreSpec merges exported chain state into the target's chain.
+// RestoreSpec merges exported chain state into the target's chain. It is
+// MethodEnable's request too: there State is a move's last export, merged
+// before the chain goes live, and a schedule window's or a rollback's Enable
+// carries none. Every export holds at least the chain framing's member
+// count, so an empty State never stands for an export.
 type RestoreSpec struct {
 	Chain string `json:"chain"`
 	State []byte `json:"-"`

@@ -14,13 +14,16 @@ import (
 )
 
 // The exhaustive fault table: every shape of plan the move engine runs ×
-// "fail RPC k" for every RPC the shape issues. After each case the hosting
-// model of the scripted stations must show every moving deployment enabled
-// in exactly one place — back at its source when the move failed, with
-// nothing left behind anywhere else — the manager's placement record must
-// agree, and the client's traffic must enter where the steering rule says for
-// the placements the move left: every station's steer, and every surviving
-// head copy's ingress leg.
+// "fail step k" for every step of every RPC the shape issues. After each
+// case the hosting model of the scripted stations must show every moving
+// deployment enabled in exactly one place — back at its source when the
+// move failed, with nothing left behind anywhere else — the manager's
+// placement record must agree, and the client's traffic must enter where
+// the steering rule says for the placements the move left: every station's
+// steer, and every surviving head copy's ingress leg. Most RPCs are one step; a freezing checkpoint is
+// the freeze, then the export, and an Enable carrying the last export is
+// its import, then the go-live. A fault on the export leaves the source
+// frozen, and only the move's rollback brings it back.
 
 // faultFixture is a manager with three scripted edge stations and a cloud
 // site, and client "phone" associated at st-src. st-agg sorts first, which
@@ -341,13 +344,13 @@ var moveShapes = []moveShape{
 		// The source serves the client, so the target boots before the
 		// freeze, and the freeze opens with the render that steers the client
 		// to it: the target parks the client's frames until its Enable.
-		name: "stateful", strategy: manager.StrategyStateful, rpcs: 7,
-		order:   "st-dst: deploy restore enable; st-src: steer disable checkpoint remove",
+		name: "stateful", strategy: manager.StrategyStateful, rpcs: 5,
+		order:   "st-dst: deploy enable; st-src: steer checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "operator move away from the client", strategy: manager.StrategyStateful, rpcs: 7, sameAs: "stateful",
+		name: "operator move away from the client", strategy: manager.StrategyStateful, rpcs: 5, sameAs: "stateful",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 		check: awayFromClient,
@@ -356,17 +359,18 @@ var moveShapes = []moveShape{
 		// The client has already left the source: Retarget and Steer go first,
 		// the target boots while the source serves through the tunnel, and the
 		// Unsteer opens the freeze — from there the target parks the client's
-		// frames until its Enable replays them through the restored state.
-		name: "stateful handoff", strategy: manager.StrategyStateful, rpcs: 9, detours: true,
-		order:   "st-dst: steer deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
+		// frames until its Enable imports the source's last export and replays
+		// them through it.
+		name: "stateful handoff", strategy: manager.StrategyStateful, rpcs: 7, detours: true,
+		order:   "st-dst: steer deploy unsteer enable; st-src: retarget checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
 		// The stateful handoff's RPCs plus segment 1's ingress leg chasing the
 		// head once it serves.
-		name: "stateful handoff+split head", strategy: manager.StrategyStateful, rpcs: 10, detours: true,
-		order:   "st-agg: retarget; st-dst: steer deploy unsteer restore enable; st-src: retarget disable checkpoint remove",
+		name: "stateful handoff+split head", strategy: manager.StrategyStateful, rpcs: 8, detours: true,
+		order:   "st-agg: retarget; st-dst: steer deploy unsteer enable; st-src: retarget checkpoint remove",
 		prepare: attachSplit,
 		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
 		check: splitHeadLegs,
@@ -375,8 +379,8 @@ var moveShapes = []moveShape{
 		// No leg to point back at the client (see live handoff+pooled): the
 		// operator move's RPCs in the operator move's order — the freeze at
 		// once, the deploy beside it — and nothing journaled.
-		name: "stateful handoff+pooled", strategy: manager.StrategyStateful, rpcs: 6,
-		order:   "st-dst: deploy restore enable; st-src: disable checkpoint remove",
+		name: "stateful handoff+pooled", strategy: manager.StrategyStateful, rpcs: 4,
+		order:   "st-dst: deploy enable; st-src: checkpoint remove",
 		prepare: attachPooled,
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 		check: noDetourJournaled,
@@ -385,16 +389,16 @@ var moveShapes = []moveShape{
 		// A stop-and-copy is a live move with zero pre-copy rounds, so each
 		// live shape is its stateful twin plus round one — a checkpoint at the
 		// source and a restore at the target — ahead of the freeze.
-		name: "live", strategy: manager.StrategyLive, rpcs: 9,
-		order:   "st-dst: deploy restore restore enable; st-src: checkpoint steer disable checkpoint remove",
+		name: "live", strategy: manager.StrategyLive, rpcs: 7,
+		order:   "st-dst: deploy restore enable; st-src: checkpoint steer checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
 		// The client has already left the source: the live move's RPCs plus
 		// Retarget and Steer up front and Unsteer at the freeze.
-		name: "live handoff", strategy: manager.StrategyLive, rpcs: 11, detours: true,
-		order:   "st-dst: steer deploy restore unsteer restore enable; st-src: retarget checkpoint disable checkpoint remove",
+		name: "live handoff", strategy: manager.StrategyLive, rpcs: 9, detours: true,
+		order:   "st-dst: steer deploy restore unsteer enable; st-src: retarget checkpoint checkpoint remove",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -402,8 +406,8 @@ var moveShapes = []moveShape{
 		// A split chain's head detours like any chain — its ingress leg moves,
 		// its egress leg stays — and then has segment 1's ingress leg chase it:
 		// the live handoff's RPCs plus that one Retarget at the hub.
-		name: "live handoff+split head", strategy: manager.StrategyLive, rpcs: 12, detours: true,
-		order:   "st-agg: retarget; st-dst: steer deploy restore unsteer restore enable; st-src: retarget checkpoint disable checkpoint remove",
+		name: "live handoff+split head", strategy: manager.StrategyLive, rpcs: 10, detours: true,
+		order:   "st-agg: retarget; st-dst: steer deploy restore unsteer enable; st-src: retarget checkpoint checkpoint remove",
 		prepare: attachSplit,
 		op:      roamToDst, moving: []string{splitChain}, source: "st-src", target: "st-dst",
 		check: splitHeadLegs,
@@ -413,8 +417,8 @@ var moveShapes = []moveShape{
 		// nothing to point back at the client:
 		// the manager knows from the deploy's answer and asks nobody — the
 		// operator move's RPCs, no tunnel, nothing journaled.
-		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 8,
-		order:   "st-dst: deploy restore restore enable; st-src: checkpoint disable checkpoint remove",
+		name: "live handoff+pooled", strategy: manager.StrategyLive, rpcs: 6,
+		order:   "st-dst: deploy restore enable; st-src: checkpoint checkpoint remove",
 		prepare: attachPooled,
 		op:      roamToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 		check: noDetourJournaled,
@@ -422,12 +426,12 @@ var moveShapes = []moveShape{
 	{
 		// The merged entry point: an unsplit chain is its segment 0, so naming
 		// the segment runs the operator move.
-		name: "segment 0 via MigrateSegment", strategy: manager.StrategyStateful, rpcs: 7, sameAs: "stateful",
+		name: "segment 0 via MigrateSegment", strategy: manager.StrategyStateful, rpcs: 5, sameAs: "stateful",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
 	{
-		name: "segment 0 via MigrateSegment+live", strategy: manager.StrategyLive, rpcs: 9, sameAs: "live",
+		name: "segment 0 via MigrateSegment+live", strategy: manager.StrategyLive, rpcs: 7, sameAs: "live",
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain") },
 		op:      migrateSegment0ToDst, moving: []string{"chain"}, source: "st-src", target: "st-dst",
 	},
@@ -447,7 +451,7 @@ var moveShapes = []moveShape{
 		moving: []string{splitChain}, source: "st-src", target: "st-agg",
 	},
 	{
-		name: "segment move", strategy: manager.StrategyStateful, rpcs: 8,
+		name: "segment move", strategy: manager.StrategyStateful, rpcs: 6,
 		prepare: attachSplit,
 		op: func(_ *testing.T, fx *faultFixture) error {
 			_, err := fx.mgr.MigrateSegment("phone", splitChain, 1, "st-dst")
@@ -467,7 +471,7 @@ var moveShapes = []moveShape{
 		},
 	},
 	{
-		name: "offload", strategy: manager.StrategyStateful, rpcs: 13,
+		name: "offload", strategy: manager.StrategyStateful, rpcs: 9,
 		prepare: func(t *testing.T, fx *faultFixture) { fx.attach(t, "chain-a"); fx.attach(t, "chain-b") },
 		op: func(_ *testing.T, fx *faultFixture) error {
 			_, err := fx.mgr.OffloadClient("phone", "nimbus")
@@ -479,8 +483,8 @@ var moveShapes = []moveShape{
 	{
 		// A split chain offloads head-only: the anchors stay, and the head's
 		// move re-splices segment 1 onto the site.
-		name: "offload split", strategy: manager.StrategyStateful, rpcs: 8,
-		order:   "nimbus: deploy restore enable; st-agg: retarget; st-src: disable checkpoint steer remove",
+		name: "offload split", strategy: manager.StrategyStateful, rpcs: 6,
+		order:   "nimbus: deploy enable; st-agg: retarget; st-src: checkpoint steer remove",
 		prepare: attachSplit,
 		op: func(_ *testing.T, fx *faultFixture) error {
 			_, err := fx.mgr.OffloadClient("phone", "nimbus")
@@ -493,8 +497,8 @@ var moveShapes = []moveShape{
 		},
 	},
 	{
-		name: "recall split", strategy: manager.StrategyStateful, rpcs: 8,
-		order: "nimbus: disable checkpoint remove; st-agg: retarget; st-src: deploy restore enable unsteer",
+		name: "recall split", strategy: manager.StrategyStateful, rpcs: 6,
+		order: "nimbus: checkpoint remove; st-agg: retarget; st-src: deploy enable unsteer",
 		prepare: func(t *testing.T, fx *faultFixture) {
 			attachSplit(t, fx)
 			offloadFirst(t, fx)
@@ -510,7 +514,7 @@ var moveShapes = []moveShape{
 		},
 	},
 	{
-		name: "recall", strategy: manager.StrategyStateful, rpcs: 13,
+		name: "recall", strategy: manager.StrategyStateful, rpcs: 9,
 		prepare: func(t *testing.T, fx *faultFixture) {
 			fx.attach(t, "chain-a")
 			fx.attach(t, "chain-b")
@@ -530,12 +534,22 @@ var moveShapes = []moveShape{
 // run builds a fresh fixture, optionally arms one fault, runs the shape's
 // move and returns the RPCs it issued, per station in name order.
 func (sh moveShape) run(t *testing.T, fault *faultPoint) (*faultFixture, []faultPoint, error) {
+	fx, issued, _, err := sh.runSteps(t, fault)
+	return fx, issued, err
+}
+
+// runSteps is run that also returns the steps the stations did for those
+// RPCs (scriptedAgent.stepsOf), per station in name order: the points a
+// fault can strike. A merged call is two of them — the source's freeze and
+// export in its last checkpoint, the target's import and go-live in its
+// Enable.
+func (sh moveShape) runSteps(t *testing.T, fault *faultPoint) (*faultFixture, []faultPoint, []faultPoint, error) {
 	t.Helper()
 	fx := newFaultFixture(t, sh.strategy)
 	sh.prepare(t, fx)
-	before := map[string]int{}
+	before, stepsBefore := map[string]int{}, map[string]int{}
 	for st, sa := range fx.agents {
-		before[st] = len(sa.callLog())
+		before[st], stepsBefore[st] = len(sa.callLog()), len(sa.stepLog())
 	}
 	if fault != nil {
 		fx.agents[fault.station].failNth(fault.method, fault.nth)
@@ -546,21 +560,24 @@ func (sh moveShape) run(t *testing.T, fault *faultPoint) (*faultFixture, []fault
 		stations = append(stations, st)
 	}
 	sort.Strings(stations)
-	var issued []faultPoint
-	for _, st := range stations {
-		seen := map[string]int{}
-		for _, method := range fx.agents[st].callLog()[before[st]:] {
-			seen[method]++
-			issued = append(issued, faultPoint{st, method, seen[method]})
+	points := func(log func(*scriptedAgent) []string, from map[string]int) []faultPoint {
+		var out []faultPoint
+		for _, st := range stations {
+			seen := map[string]int{}
+			for _, method := range log(fx.agents[st])[from[st]:] {
+				seen[method]++
+				out = append(out, faultPoint{st, method, seen[method]})
+			}
 		}
+		return out
 	}
-	return fx, issued, err
+	return fx, points((*scriptedAgent).callLog, before), points((*scriptedAgent).stepLog, stepsBefore), err
 }
 
 func TestMoveFaultTable(t *testing.T) {
 	for _, sh := range moveShapes {
 		t.Run(sh.name, func(t *testing.T) {
-			_, points, err := sh.run(t, nil)
+			_, points, steps, err := sh.runSteps(t, nil)
 			if err != nil {
 				t.Fatalf("fault-free run failed: %v", err)
 			}
@@ -578,7 +595,7 @@ func TestMoveFaultTable(t *testing.T) {
 					t.Fatalf("fault-free run issued\n\t%s, the %q shape\n\t%s", orderOf(points), other.name, orderOf(want))
 				}
 			}
-			for _, p := range points {
+			for _, p := range steps {
 				t.Run(p.String(), func(t *testing.T) { sh.verify(t, p) })
 			}
 		})
@@ -683,25 +700,34 @@ func (sh moveShape) verify(t *testing.T, fault faultPoint) {
 }
 
 // TestRecallFailureRollsBack is the regression test for RecallClient's
-// missing rollback: a failed Restore or Enable at the edge used to return
-// with the cloud copy frozen and the half-deployed edge copy leaked.
+// missing rollback: a failed import or Enable at the edge used to return
+// with the cloud copy frozen and the half-deployed edge copy leaked. The
+// edge's import rides its Enable; the cloud's freeze rides its last
+// Checkpoint, and a failed one may have frozen the copy all the same.
 func TestRecallFailureRollsBack(t *testing.T) {
-	for _, method := range []string{agent.MethodRestore, agent.MethodEnable} {
-		t.Run(method, func(t *testing.T) {
+	for _, row := range []struct{ station, method string }{
+		{"st-src", agent.MethodRestore},
+		{"st-src", agent.MethodEnable},
+		{"nimbus", agent.MethodCheckpoint},
+	} {
+		t.Run(row.method, func(t *testing.T) {
 			fx := newFaultFixture(t, manager.StrategyStateful)
 			fx.attach(t, "chain")
 			if _, err := fx.mgr.OffloadClient("phone", "nimbus"); err != nil {
 				t.Fatal(err)
 			}
 			edge, cloud := fx.agents["st-src"], fx.agents["nimbus"]
-			edge.failOn(method)
+			fx.agents[row.station].failOn(row.method)
 			if _, err := fx.mgr.RecallClient("phone"); err == nil || !strings.Contains(err.Error(), "scripted failure") {
 				t.Fatalf("recall error = %v, want the scripted failure", err)
 			}
-			if !cloud.sawAfter(agent.MethodEnable, agent.MethodDisable) {
+			if !cloud.sawAfter(agent.MethodEnable, agent.MethodCheckpoint) {
 				t.Errorf("cloud copy never re-enabled after its freeze; calls: %v", cloud.callLog())
 			}
-			if !edge.sawAfter(agent.MethodRemove, method) {
+			if enabled, present := cloud.hosts("chain"); !present || !enabled {
+				t.Errorf("cloud copy present=%v enabled=%v after the failed recall; calls: %v", present, enabled, cloud.callLog())
+			}
+			if !edge.sawAfter(agent.MethodRemove, agent.MethodDeploy) {
 				t.Errorf("half-deployed edge copy never removed; calls: %v", edge.callLog())
 			}
 			if got := fx.mgr.Offloaded("phone"); got != "nimbus" {

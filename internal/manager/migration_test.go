@@ -13,8 +13,8 @@ import (
 )
 
 // scriptedAgent is a wire-level fake station: it serves the agent.* RPC
-// surface, records every call in order, fails the methods listed in fail
-// (or one chosen call, failNth), and keeps a model of what a real agent
+// surface, records every call in order, fails the steps listed in fail
+// (or one chosen step, failNth), and keeps a model of what a real agent
 // would host after the calls it acknowledged — the instrument for
 // exercising the manager's migration rollback paths without a dataplane.
 type scriptedAgent struct {
@@ -22,16 +22,20 @@ type scriptedAgent struct {
 	peer    scriptedPeer
 	station string
 
-	mu     sync.Mutex
-	calls  []string
+	mu    sync.Mutex
+	calls []string
+	// steps logs what the station did for those calls (stepsOf): a fault
+	// is armed on a step, by the name of the method that does it alone.
+	steps  []string
 	fail   map[string]bool
-	failAt map[string]int // method -> calls left until the one that fails
+	failAt map[string]int // step -> occurrences left until the one that fails
 	gates  map[string]*agentGate
 	// hosted maps each deployment this station holds to whether it is
 	// enabled; legs holds the station a Deploy or Retarget last pointed a leg
 	// at, keyed "chain ingress" or "chain egress";
 	// detours maps each client steered here to the station its traffic is
-	// tunnelled toward. Failed calls change none of them.
+	// tunnelled toward. A failed call changes none of them, but for the
+	// steps it did before the one that failed.
 	hosted  map[string]bool
 	legs    map[string]string
 	detours map[string]string
@@ -81,11 +85,15 @@ func dialScriptedAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpe
 		hosted: map[string]bool{}, legs: map[string]string{}, detours: map[string]string{}}
 	sa.peer = scriptedPeer{peer, sa}
 	handle := func(method string, result any) {
-		peer.Handle(method, func(body json.RawMessage) (any, error) {
-			if sa.record(method) {
-				return nil, fmt.Errorf("%s: scripted failure", method)
+		peer.HandleBlob(method, func(_ string, body json.RawMessage, blob []byte) (any, error) {
+			steps := stepsOf(method, body, blob)
+			failed := sa.record(method, steps)
+			for _, step := range steps[:failed] {
+				sa.apply(step, body)
 			}
-			sa.apply(method, body)
+			if failed < len(steps) {
+				return nil, fmt.Errorf("%s: scripted failure", steps[failed])
+			}
 			if answer, ok := result.(func() any); ok {
 				return answer(), nil
 			}
@@ -111,15 +119,39 @@ func dialScriptedAgent(t *testing.T, mgr *manager.Manager, reg agent.RegisterSpe
 	return sa
 }
 
-// record logs the call, parks on an armed gate, and reports whether the
-// call should fail.
-func (sa *scriptedAgent) record(method string) bool {
+// stepsOf names what a station does for one call, in order. Like a real
+// agent, a freezing checkpoint stops the chain (a Disable's work) before it
+// exports, and an Enable carrying a move's last export imports it (a
+// Restore's work) before it goes live: either step of the two can fail.
+func stepsOf(method string, body json.RawMessage, blob []byte) []string {
+	var spec agent.CheckpointSpec
+	switch {
+	case method == agent.MethodCheckpoint && json.Unmarshal(body, &spec) == nil && spec.Freeze:
+		return []string{agent.MethodDisable, method}
+	case method == agent.MethodEnable && len(blob) > 0:
+		return []string{agent.MethodRestore, method}
+	}
+	return []string{method}
+}
+
+// record logs the call and its steps up to the first that should fail,
+// parks on the method's armed gate, and returns the index of the failing
+// step (len(steps) when none fails).
+func (sa *scriptedAgent) record(method string, steps []string) int {
 	sa.mu.Lock()
 	sa.calls = append(sa.calls, method)
-	fail := sa.fail[method]
-	if n := sa.failAt[method]; n > 0 {
-		sa.failAt[method] = n - 1
-		fail = fail || n == 1
+	failed := len(steps)
+	for i, step := range steps {
+		sa.steps = append(sa.steps, step)
+		fail := sa.fail[step]
+		if n := sa.failAt[step]; n > 0 {
+			sa.failAt[step] = n - 1
+			fail = fail || n == 1
+		}
+		if fail {
+			failed = i
+			break
+		}
 	}
 	g := sa.gates[method]
 	sa.mu.Unlock()
@@ -127,10 +159,11 @@ func (sa *scriptedAgent) record(method string) bool {
 		g.once.Do(func() { close(g.entered) })
 		<-g.release
 	}
-	return fail
+	return failed
 }
 
-// apply folds one acknowledged call into the hosting model.
+// apply folds one completed step into the hosting model; body is the
+// request of the call that did it.
 func (sa *scriptedAgent) apply(method string, body json.RawMessage) {
 	var dep agent.DeploySpec
 	var ref agent.ChainRef
@@ -216,7 +249,8 @@ func (sa *scriptedAgent) pool() {
 	sa.mu.Unlock()
 }
 
-// failNth makes the nth call of method from now on (1-based) fail, once.
+// failNth makes the nth step of the method's name from now on (1-based)
+// fail, once.
 func (sa *scriptedAgent) failNth(method string, n int) {
 	sa.mu.Lock()
 	sa.failAt[method] = n
@@ -242,6 +276,12 @@ func (sa *scriptedAgent) callLog() []string {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	return append([]string(nil), sa.calls...)
+}
+
+func (sa *scriptedAgent) stepLog() []string {
+	sa.mu.Lock()
+	defer sa.mu.Unlock()
+	return append([]string(nil), sa.steps...)
 }
 
 // sawAfter reports whether method appears in the call log at or after the
@@ -285,9 +325,10 @@ func migrationFixture(t *testing.T, strategy manager.Strategy) (*manager.Manager
 }
 
 // TestStatefulEnableFailureRollsBack is the regression test for the
-// rollback hole: a failed MethodEnable on the target used to return
-// without re-enabling the source or removing the half-deployed target,
-// leaving the client dark on both ends.
+// rollback hole: a failed MethodEnable on the target (which imports the
+// source's last export, then goes live) used to return without
+// re-enabling the source or removing the half-deployed target, leaving the
+// client dark on both ends.
 func TestStatefulEnableFailureRollsBack(t *testing.T) {
 	mgr, src, dst := migrationFixture(t, manager.StrategyStateful)
 	dst.failOn(agent.MethodEnable)
@@ -296,7 +337,7 @@ func TestStatefulEnableFailureRollsBack(t *testing.T) {
 	if err == nil || rep.Err == "" {
 		t.Fatalf("migration unexpectedly succeeded: %+v", rep)
 	}
-	if !src.sawAfter(agent.MethodEnable, agent.MethodDisable) {
+	if !src.sawAfter(agent.MethodEnable, agent.MethodCheckpoint) {
 		t.Fatalf("source never re-enabled after freeze; calls: %v", src.callLog())
 	}
 	if !dst.sawAfter(agent.MethodRemove, agent.MethodEnable) {
@@ -320,7 +361,10 @@ func TestLiveActivateFailureRollsBack(t *testing.T) {
 	if err == nil || rep.Err == "" {
 		t.Fatalf("migration unexpectedly succeeded: %+v", rep)
 	}
-	if !src.sawAfter(agent.MethodEnable, agent.MethodDisable) {
+	if enabled, present := src.hosts("chain"); !present || !enabled {
+		t.Fatalf("source left present=%v enabled=%v; calls: %v", present, enabled, src.callLog())
+	}
+	if !src.sawAfter(agent.MethodEnable, agent.MethodCheckpoint) {
 		t.Fatalf("source never re-enabled after freeze; calls: %v", src.callLog())
 	}
 	if !dst.sawAfter(agent.MethodRemove, agent.MethodEnable) {
@@ -339,10 +383,9 @@ func TestLiveSyncFailureRollsBackBeforeFreeze(t *testing.T) {
 	if err == nil || rep.Err == "" {
 		t.Fatalf("migration unexpectedly succeeded: %+v", rep)
 	}
-	for _, c := range src.callLog() {
-		if c == agent.MethodDisable {
-			t.Fatalf("source frozen although pre-copy never converged; calls: %v", src.callLog())
-		}
+	// Round one's export is the only checkpoint: no freezing one followed.
+	if n := countCalls(src, agent.MethodCheckpoint); n != 1 {
+		t.Fatalf("source checkpointed %d times although pre-copy never converged; calls: %v", n, src.callLog())
 	}
 	if !dst.sawAfter(agent.MethodRemove, agent.MethodRestore) {
 		t.Fatalf("target not removed after sync failure; calls: %v", dst.callLog())
@@ -350,8 +393,9 @@ func TestLiveSyncFailureRollsBackBeforeFreeze(t *testing.T) {
 }
 
 // TestLiveMigrationProtocolOrder pins the happy-path RPC sequence: deploy
-// and pre-copy rounds before the freeze, the last export, its restore and
-// the enable inside it, source removal after.
+// and pre-copy rounds before the freeze, then the freezing export at the
+// source and the target's Enable, which imports it, inside it, and source
+// removal after.
 func TestLiveMigrationProtocolOrder(t *testing.T) {
 	mgr, src, dst := migrationFixture(t, manager.StrategyLive)
 	rep, err := mgr.MigrateChain("phone", "chain", "st-dst")
@@ -361,8 +405,8 @@ func TestLiveMigrationProtocolOrder(t *testing.T) {
 	if rep.Rounds < 1 || rep.Err != "" {
 		t.Fatalf("report = %+v", rep)
 	}
-	// Source: checkpoint (>=1) ... disable ... checkpoint (residual) ... remove.
-	wantSrc := []string{agent.MethodCheckpoint, agent.MethodDisable, agent.MethodCheckpoint, agent.MethodRemove}
+	// Source: checkpoint (per round) ... checkpoint (freeze + residual) ... remove.
+	wantSrc := []string{agent.MethodCheckpoint, agent.MethodCheckpoint, agent.MethodRemove}
 	srcLog := src.callLog()
 	i := 0
 	for _, c := range srcLog {
@@ -373,8 +417,8 @@ func TestLiveMigrationProtocolOrder(t *testing.T) {
 	if i != len(wantSrc) {
 		t.Fatalf("source order %v missing subsequence %v", srcLog, wantSrc)
 	}
-	// Target: deploy ... restore (per round) ... restore ... enable.
-	wantDst := []string{agent.MethodDeploy, agent.MethodRestore, agent.MethodRestore, agent.MethodEnable}
+	// Target: deploy ... restore (per round) ... enable (residual import).
+	wantDst := []string{agent.MethodDeploy, agent.MethodRestore, agent.MethodEnable}
 	dstLog := dst.callLog()
 	i = 0
 	for _, c := range dstLog {
@@ -384,6 +428,12 @@ func TestLiveMigrationProtocolOrder(t *testing.T) {
 	}
 	if i != len(wantDst) {
 		t.Fatalf("target order %v missing subsequence %v", dstLog, wantDst)
+	}
+	if n := countCalls(dst, agent.MethodRestore); n != rep.Rounds {
+		t.Fatalf("target restored %d times for %d rounds: %v", n, rep.Rounds, dstLog)
+	}
+	if n := countCalls(src, agent.MethodDisable); n != 0 {
+		t.Fatalf("source disabled outside its freezing checkpoint: %v", srcLog)
 	}
 }
 

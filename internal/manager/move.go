@@ -5,8 +5,9 @@
 // state transfer, is a single step list:
 //
 //	deploy at target → carry state, switching the client's traffic over to
-//	the target as the source freezes → enable → re-splice the legs that
-//	name a placed peer → remove source
+//	the target as the source freezes inside its last export → import that
+//	export and enable, in one call → re-splice the legs that name a placed
+//	peer → remove source
 //
 // Handoffs, operator migrations, station evacuation, attach, GNFC offload
 // and recall, split-chain segment moves and failover revival all run that
@@ -211,22 +212,6 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 		return m.render(tctx, p.deploy.Client, p.rec, lands())
 	}
-	// freeze stops the source serving: from here until the target forwards
-	// the client is dark, so every later failure must bring the source back.
-	// A serving source first switches the client over to park at the target
-	// for Enable to replay, and parks what is in flight to it.
-	freeze := func(switched bool) error {
-		if switched {
-			if err := switchOver(); err != nil {
-				return err
-			}
-		}
-		if err := source.callT(tctx, agent.MethodDisable, agent.ChainRef{Chain: name, Brownout: switched}, nil); err != nil {
-			return err
-		}
-		undo = append(undo, func() { source.callT(tctx, agent.MethodEnable, chain, nil) })
-		return nil
-	}
 
 	if carry == StrategyCold {
 		// Make-before-break: the target serves before the source goes.
@@ -238,13 +223,15 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 	} else {
 		// Pre-copy while the source serves: round one restarts the session
-		// and ships the full state, each later one what changed since.
-		copyRound := func(restart bool, out *agent.CheckpointResult) error {
-			return source.callT(tctx, agent.MethodCheckpoint, agent.CheckpointSpec{Chain: name, Restart: restart}, out)
+		// and ships the full state, each later one what changed since. The
+		// last export freezes the source first.
+		export := func(spec agent.CheckpointSpec, out *agent.CheckpointResult) error {
+			spec.Chain, spec.Restart = name, rep.Rounds == 0
+			return source.callT(tctx, agent.MethodCheckpoint, spec, out)
 		}
 		for rep.Rounds < rounds {
 			var pr agent.CheckpointResult
-			if err := copyRound(rep.Rounds == 0, &pr); err != nil {
+			if err := export(agent.CheckpointSpec{}, &pr); err != nil {
 				return fail(err)
 			}
 			if err := join(); err != nil {
@@ -261,16 +248,25 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		}
 		// Freeze: what the rounds left — with none, the whole state, and for
 		// a source that served nobody the rest of the target's boot — rides
-		// inside the dark window. A target that is up by now takes the
-		// client's traffic at the freeze; one still booting takes it once
-		// joined.
+		// inside the dark window, from the source's freezing export to the
+		// target's Enable. A target that is up by now takes the client's
+		// traffic at the freeze, parking it for Enable to replay, and the
+		// source parks what is in flight to it; one still booting takes it
+		// once joined.
 		switched := rep.Rounds > 0 || (serving && !p.deferred)
 		down := clock.NewStopwatch(m.clk)
 		var residual agent.CheckpointResult
 		var on agent.EnableResult
-		err := freeze(switched)
+		var err error
+		if switched {
+			err = switchOver()
+		}
 		if err == nil {
-			err = copyRound(rep.Rounds == 0, &residual)
+			// From the freeze on every failure must bring the source back,
+			// and a freeze that failed or timed out may have stopped it all
+			// the same.
+			undo = append(undo, func() { source.callT(tctx, agent.MethodEnable, chain, nil) })
+			err = export(agent.CheckpointSpec{Freeze: true, Brownout: switched}, &residual)
 		}
 		// A failed deploy outranks a source-side failure: with no target
 		// there was never anything to restore onto.
@@ -280,12 +276,10 @@ func (m *Manager) move(tctx trace.Context, p movePlan) (rep MigrationReport, pen
 		if err == nil && !switched {
 			err = switchOver()
 		}
+		// Enable merges the residual, flips the target live and replays what
+		// it parked.
 		if err == nil {
-			err = target.callT(tctx, agent.MethodRestore, agent.RestoreSpec{Chain: name, State: residual.State}, nil)
-		}
-		// Enable flips the target live and replays what it parked.
-		if err == nil {
-			err = target.callT(tctx, agent.MethodEnable, chain, &on)
+			err = target.callT(tctx, agent.MethodEnable, agent.RestoreSpec{Chain: name, State: residual.State}, &on)
 		}
 		if err != nil {
 			return fail(err)

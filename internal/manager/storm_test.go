@@ -14,9 +14,11 @@ import (
 
 // TestStatefulDisableFailureRemovesOrphanTarget is the regression test for
 // the orphaned-target hole in the stop-and-copy branch: when the source's
-// MethodDisable failed, the migration returned with the already-deployed
-// target copy left in place — a disabled deployment no client record
-// points at, flagged forever by the invariant audit.
+// freeze failed, the migration returned with the already-deployed target
+// copy left in place — a disabled deployment no client record points at,
+// flagged forever by the invariant audit. The freeze is the first step of the
+// source's last checkpoint: the source must still serve, and the placement
+// stay with it.
 func TestStatefulDisableFailureRemovesOrphanTarget(t *testing.T) {
 	mgr, src, dst := migrationFixture(t, manager.StrategyStateful)
 	src.failOn(agent.MethodDisable)
@@ -29,11 +31,11 @@ func TestStatefulDisableFailureRemovesOrphanTarget(t *testing.T) {
 		t.Fatalf("target never deployed; calls: %v", dst.callLog())
 	}
 	if !dst.sawAfter(agent.MethodRemove, agent.MethodDeploy) {
-		t.Fatalf("orphaned target never removed after source Disable failure; calls: %v", dst.callLog())
+		t.Fatalf("orphaned target never removed after the source's freeze failed; calls: %v", dst.callLog())
 	}
-	// The source was never frozen, so it must not have been re-enabled (a
-	// spurious Enable on a serving chain is harmless but noisy) — and the
-	// placement record must still point at the source.
+	if enabled, present := src.hosts("chain"); !present || !enabled {
+		t.Fatalf("source left present=%v enabled=%v after its freeze failed; calls: %v", present, enabled, src.callLog())
+	}
 	for _, pl := range mgr.Placements() {
 		if pl.Chain == "chain" && pl.Station != "st-src" {
 			t.Fatalf("placement moved despite failed migration: %+v", pl)
@@ -42,7 +44,7 @@ func TestStatefulDisableFailureRemovesOrphanTarget(t *testing.T) {
 }
 
 // TestStatefulCheckpointFailureStillRollsBack pins the overlap join's other
-// failure leg: a failed Checkpoint re-enables the frozen source and removes
+// failure leg: a failed freezing Checkpoint re-enables the source and removes
 // the concurrently-deployed target.
 func TestStatefulCheckpointFailureStillRollsBack(t *testing.T) {
 	mgr, src, dst := migrationFixture(t, manager.StrategyStateful)
@@ -52,7 +54,7 @@ func TestStatefulCheckpointFailureStillRollsBack(t *testing.T) {
 	if err == nil || rep.Err == "" {
 		t.Fatalf("migration unexpectedly succeeded: %+v", rep)
 	}
-	if !src.sawAfter(agent.MethodEnable, agent.MethodDisable) {
+	if !src.sawAfter(agent.MethodEnable, agent.MethodCheckpoint) {
 		t.Fatalf("source never re-enabled after freeze; calls: %v", src.callLog())
 	}
 	if !dst.sawAfter(agent.MethodRemove, agent.MethodDeploy) {
@@ -91,8 +93,9 @@ func TestHandoffCoalescing(t *testing.T) {
 	}
 
 	// Pin the single worker inside phone's migration (the source-side
-	// freeze blocks), so everything that arrives next stays queued.
-	gate := src.holdOn(agent.MethodDisable)
+	// freezing checkpoint blocks), so everything that arrives next stays
+	// queued.
+	gate := src.holdOn(agent.MethodCheckpoint)
 	if err := dst.peer.Call(agent.MethodClientEvent,
 		agent.ClientEvent{Station: "st-dst", Client: "phone", Connected: true}, nil); err != nil {
 		t.Fatal(err)
@@ -165,7 +168,7 @@ func TestStationConcurrencyLimit(t *testing.T) {
 	// Hold the first migration's freeze; the second handoff targets the
 	// same station and must queue behind the limit instead of running on a
 	// free worker.
-	gate := src.holdOn(agent.MethodDisable)
+	gate := src.holdOn(agent.MethodCheckpoint)
 	for _, c := range []string{"phone", "tab"} {
 		if err := dst.peer.Call(agent.MethodClientEvent,
 			agent.ClientEvent{Station: "st-dst", Client: c, Connected: true}, nil); err != nil {
@@ -174,20 +177,14 @@ func TestStationConcurrencyLimit(t *testing.T) {
 	}
 	<-gate.entered
 	// Give the free workers a moment to (wrongly) start the second
-	// migration if the limit were broken, then check: exactly one Disable
-	// has reached the source.
+	// migration if the limit were broken, then check: exactly one freezing
+	// Checkpoint has reached the source.
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	disables := 0
-	for _, c := range src.callLog() {
-		if c == agent.MethodDisable {
-			disables++
-		}
-	}
-	if disables != 1 {
-		t.Fatalf("station limit 1 admitted %d concurrent migrations", disables)
+	if freezes := countCalls(src, agent.MethodCheckpoint); freezes != 1 {
+		t.Fatalf("station limit 1 admitted %d concurrent migrations", freezes)
 	}
 	close(gate.release)
 	mgr.WaitIdle()

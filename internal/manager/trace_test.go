@@ -101,7 +101,6 @@ func TestTraceContextPropagatesAndNests(t *testing.T) {
 		{dst, agent.MethodDeploy},
 		{src, agent.MethodCheckpoint},
 		{dst, agent.MethodRestore},
-		{src, agent.MethodDisable},
 		{dst, agent.MethodEnable},
 	}
 	for _, p := range probes {
@@ -334,6 +333,6 @@ func TestOperatorMovesAreTraced(t *testing.T) {
 		if len(rep.Chains) != 2 || rep.Chains[0].TraceID != rep.Chains[1].TraceID {
 			t.Fatalf("offload reports do not share one trace: %+v", rep.Chains)
 		}
-		checkTree(t, mgr, rep.Chains[0].TraceID, 2, agent.MethodRestore)
+		checkTree(t, mgr, rep.Chains[0].TraceID, 2, agent.MethodEnable)
 	})
 }

@@ -57,6 +57,36 @@ func TestParseHeaderDegradesOnGarbage(t *testing.T) {
 	}
 }
 
+// FuzzParseHeader feeds the decoder every agent RPC handler runs on a
+// wire-supplied string: it never panics, a header it accepts re-serialises
+// byte-identically through Context.Header, and anything else is the zero
+// Context.
+func FuzzParseHeader(f *testing.F) {
+	tr := New(clock.NewVirtual(), WithOrigin("manager"), WithStore(8))
+	f.Add(tr.StartSpan(Context{}, "root").Context().Header())
+	for _, h := range []string{
+		"", "garbage", "a-b-c", "--1", "aaaaaaaabbbb-ccccccccdddd-1",
+		"0123456789abcdef-00ab12cd-0", "0123456789ABCDEF-000000000001-1",
+		"0123456789abcdef0123456789abcdef-0123456789abcdef0123456789abcdef-1",
+		"0123456789abcdef0123456789abcdef0-0123456789abcdef-1",
+		"0123456789abcdef-0123456789abcdef-1-1",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		ctx, ok := ParseHeader(h)
+		if !ok {
+			if ctx != (Context{}) {
+				t.Fatalf("ParseHeader(%q) rejected the header but returned %+v", h, ctx)
+			}
+			return
+		}
+		if got := ctx.Header(); got != h {
+			t.Fatalf("ParseHeader(%q) = %+v, which re-serialises as %q", h, ctx, got)
+		}
+	})
+}
+
 func TestStartSpanWithInvalidParentStartsFreshRoot(t *testing.T) {
 	tr := New(clock.NewVirtual(), WithOrigin("st-1"), WithStore(8))
 	ctx, ok := ParseHeader("not a header at all")

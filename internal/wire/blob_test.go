@@ -22,8 +22,9 @@ func (m blobMsg) WireBlob() []byte      { return m.Data }
 func (m *blobMsg) SetWireBlob(b []byte) { m.Data = b }
 
 // startBlobEcho serves "blob", which answers with the tag and raw section it
-// was sent and fails if the bytes leaked into the JSON body, and "plain", a
-// Handle handler that answers with a blob of its own.
+// was sent and fails if the bytes leaked into the JSON body, "plain", a
+// Handle handler that answers with a blob of its own, and "tag", a Handle
+// handler that answers with the tag of the request's JSON body.
 func startBlobEcho(t testing.TB) *Server {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", func(p *Peer) {
@@ -39,6 +40,11 @@ func startBlobEcho(t testing.TB) *Server {
 		})
 		p.Handle("plain", func(json.RawMessage) (any, error) {
 			return blobMsg{Tag: "plain", Data: []byte("blob")}, nil
+		})
+		p.Handle("tag", func(body json.RawMessage) (any, error) {
+			var req blobMsg
+			err := json.Unmarshal(body, &req)
+			return req.Tag, err
 		})
 	})
 	if err != nil {
@@ -74,6 +80,12 @@ func TestBlobRoundTrip(t *testing.T) {
 		}
 		if out.Tag != "t" || !bytes.Equal(out.Data, everyByte(n)) {
 			t.Fatalf("%d-byte blob came back as tag %q, %d bytes", n, out.Tag, len(out.Data))
+		}
+		// A Handle handler never sees a request's raw section, but gets its
+		// body whole.
+		var tag string
+		if err := p.Call("tag", blobMsg{Tag: "t", Data: everyByte(n)}, &tag); err != nil || tag != "t" {
+			t.Fatalf("a plain Handle handler sent a %d-byte blob answered %q, %v", n, tag, err)
 		}
 	}
 	// A blob nobody asked for is discarded, not an error.
